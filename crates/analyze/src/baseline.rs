@@ -3,9 +3,7 @@
 //! `analyze-baseline.txt` (workspace root) budgets known violations per
 //! `(rule, file)` so a new rule can land without a big-bang cleanup,
 //! while ratcheting: the pass fails if a budget exceeds the live count,
-//! so every fix must shrink the baseline in the same change. The legacy
-//! `crates/xtask/lint-allow.txt` is still honored, interpreted as
-//! `no-unwrap-on-sync` budgets.
+//! so every fix must shrink the baseline in the same change.
 //!
 //! Format, one entry per line (`#` comments):
 //!
@@ -19,8 +17,6 @@ use std::path::Path;
 
 /// Baseline file name at the workspace root.
 pub const BASELINE_PATH: &str = "analyze-baseline.txt";
-/// Legacy allowlist (rule `no-unwrap-on-sync` only).
-pub const LEGACY_ALLOW_PATH: &str = "crates/xtask/lint-allow.txt";
 
 /// Parsed budgets: (rule, file) → allowed count.
 #[derive(Debug, Default)]
@@ -28,7 +24,7 @@ pub struct Baseline {
     pub budgets: BTreeMap<(String, String), usize>,
 }
 
-/// Read both baseline files under `root`. Missing files mean empty.
+/// Read the baseline file under `root`. A missing file means empty.
 pub fn load(root: &Path) -> Baseline {
     let mut b = Baseline::default();
     let main = std::fs::read_to_string(root.join(BASELINE_PATH)).unwrap_or_default();
@@ -41,21 +37,6 @@ pub fn load(root: &Path) -> Baseline {
         if let (Some(rule), Some(path), Some(n)) = (it.next(), it.next(), it.next()) {
             if let Ok(n) = n.parse::<usize>() {
                 b.budgets.insert((rule.to_string(), path.to_string()), n);
-            }
-        }
-    }
-    let legacy = std::fs::read_to_string(root.join(LEGACY_ALLOW_PATH)).unwrap_or_default();
-    for line in legacy.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut it = line.split_whitespace();
-        if let (Some(path), Some(n)) = (it.next(), it.next()) {
-            if let Ok(n) = n.parse::<usize>() {
-                *b.budgets
-                    .entry(("no-unwrap-on-sync".to_string(), path.to_string()))
-                    .or_insert(0) += n;
             }
         }
     }

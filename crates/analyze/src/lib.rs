@@ -1,13 +1,10 @@
 //! Cross-file static analysis for the afcstore workspace.
 //!
-//! This crate is the engine behind `cargo xtask analyze` (and its
-//! deprecated alias `cargo xtask lint`). It replaces the original
-//! line-grep linter with a lightweight Rust tokenizer ([`lexer`]) and an
-//! item/block scanner ([`source`]) producing span-accurate diagnostics
-//! (`file:line:col`, rule id, severity, suggestion), machine-readable
-//! `--json` output, and a shrink-only baseline file
-//! (`analyze-baseline.txt`, generalizing the old `lint-allow.txt`
-//! ratchet).
+//! This crate is the engine behind `cargo xtask analyze`: a lightweight
+//! Rust tokenizer ([`lexer`]) and an item/block scanner ([`source`])
+//! producing span-accurate diagnostics (`file:line:col`, rule id,
+//! severity, suggestion), machine-readable `--json` output, and a
+//! shrink-only baseline file (`analyze-baseline.txt`).
 //!
 //! Rule catalog (see [`rules`]):
 //!

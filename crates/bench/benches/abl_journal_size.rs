@@ -33,10 +33,9 @@ fn main() {
             .sample_interval(Duration::from_millis(250))
             .label(format!("journal={}", fmt_bytes(cap)));
         let r = run_fleet(&images, &spec);
-        let stats = cluster.osd_stats();
-        let (fs_, fsu): (u64, u64) = stats.iter().fold((0, 0), |a, (_, s)| {
-            (a.0 + s.journal.full_stalls, a.1 + s.journal.full_stall_us)
-        });
+        let snap = cluster.metrics_snapshot();
+        let fs_ = snap.site_sum("journal.full_stalls");
+        let fsu = snap.site_sum("journal.full_stall_us");
         table.row(vec![
             fmt_bytes(cap),
             format!("{:.0}", r.iops()),

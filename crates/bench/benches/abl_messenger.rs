@@ -36,15 +36,12 @@ fn main() {
         let images = vm_images(&cluster, 12, 64 << 20, true);
         let r = run_fleet(&images, &fio(Rw::RandRead, 4096, 2).label(name));
         println!("{r}");
-        let c = cluster.network().counters();
+        let snap = cluster.metrics_snapshot();
+        let conns = snap.counter("net.conns").unwrap_or(0);
+        let lanes = snap.counter("net.lanes").unwrap_or(0);
         println!(
-            "  connections={} receive threads={}",
-            c.get("net.conns"),
-            if c.get("net.lanes") > 0 {
-                c.get("net.lanes")
-            } else {
-                c.get("net.conns")
-            },
+            "  connections={conns} receive threads={}",
+            if lanes > 0 { lanes } else { conns },
         );
         rows.push(FigRow::from_report(name, i as f64, &r, false).with_tuning("afceph"));
         cluster.shutdown();

@@ -5,7 +5,7 @@
 //! Here we shrink the cache below the working set and watch the §3.4
 //! metadata reads reappear in the write path.
 
-use afc_common::Table;
+use afc_common::{Metrics, Table};
 use afc_device::{Ssd, SsdConfig};
 use afc_filestore::{FileStore, FileStoreConfig, Transaction, TxOp};
 use bytes::Bytes;
@@ -28,7 +28,10 @@ fn main() {
         let mut cfg = FileStoreConfig::lightweight();
         cfg.meta_cache_entries = cache;
         cfg.queue_max_ops = 5000;
+        let metrics = Metrics::new();
+        dev.register_metrics(&metrics, "data");
         let fs = FileStore::new(dev, cfg).expect("open filestore");
+        fs.register_metrics(&metrics, "fs");
         for i in 0..WRITES {
             let obj = format!("obj.{:08x}", (i * 2654435761) % OBJECTS); // scattered reuse
             let mut t = Transaction::new();
@@ -43,13 +46,17 @@ fn main() {
             fs.apply_sync(t).unwrap();
         }
         fs.wait_idle();
-        let s = fs.stats();
-        let hits = s.cache_hits as f64 / (s.cache_hits + s.cache_misses).max(1) as f64;
+        let snap = metrics.snapshot();
+        let get = |name: &str| snap.counter(name).unwrap_or(0);
+        let (hits, misses) = (get("fs.cache_hits"), get("fs.cache_misses"));
         table.row(vec![
             cache.to_string(),
-            s.meta_reads.to_string(),
-            format!("{:.1}%", hits * 100.0),
-            fs.fs().device().stats().interfered_reads.to_string(),
+            get("fs.meta_reads").to_string(),
+            format!(
+                "{:.1}%",
+                hits as f64 / (hits + misses).max(1) as f64 * 100.0
+            ),
+            get("data.interfered_reads").to_string(),
         ]);
     }
     println!("== Ablation: write-through metadata cache size ({OBJECTS}-object working set, {WRITES} writes) ==");

@@ -58,11 +58,7 @@ fn main() {
         let images = vm_images(&cluster, 8, 64 << 20, false);
         let r = run_fleet(&images, &fio(Rw::RandWrite, 4096, 4).label(name));
         println!("{r}");
-        let waits: u64 = cluster
-            .osd_stats()
-            .iter()
-            .map(|(_, s)| s.pg_lock_wait_us)
-            .sum();
+        let waits = cluster.metrics_snapshot().site_sum("op.pg_lock_wait_us");
         println!("  total PG-lock wait: {} ms", waits / 1000);
         rows.push(FigRow::from_report(name, i as f64, &r, false).with_tuning(tlabel));
         cluster.shutdown();

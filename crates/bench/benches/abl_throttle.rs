@@ -33,13 +33,9 @@ fn main() {
             .runtime(Duration::from_secs_f64(bench_secs()))
             .label(format!("cap={cap}"));
         let r = run_fleet(&images, &spec);
-        let stats = cluster.osd_stats();
-        let (tw, twu): (u64, u64) = stats.iter().fold((0, 0), |a, (_, s)| {
-            (
-                a.0 + s.filestore.throttle_waits,
-                a.1 + s.filestore.throttle_wait_us,
-            )
-        });
+        let snap = cluster.metrics_snapshot();
+        let tw = snap.site_sum("fs.throttle.waits");
+        let twu = snap.site_sum("fs.throttle.wait_us");
         table.row(vec![
             cap.to_string(),
             format!("{:.0}", r.iops()),

@@ -43,9 +43,9 @@ fn main() {
             samples.extend(osd.stage_samples());
         }
         let m = StageSample::mean(&samples);
-        let stats = cluster.osd_stats();
-        let writes: u64 = stats.iter().map(|(_, s)| s.writes).sum::<u64>().max(1);
-        let lock_wait: u64 = stats.iter().map(|(_, s)| s.pg_lock_wait_us).sum();
+        let snap = cluster.metrics_snapshot();
+        let writes = snap.site_sum("op.writes").max(1);
+        let lock_wait = snap.site_sum("op.pg_lock_wait_us");
         table.row(vec![
             name.to_string(),
             fmt_dur(m.queue),

@@ -59,13 +59,9 @@ fn main() {
             r.series.min_value(),
             r.series.max_value()
         );
-        let stats = cluster.osd_stats();
-        let (tw, twu): (u64, u64) = stats.iter().fold((0, 0), |a, (_, s)| {
-            (
-                a.0 + s.filestore.throttle_waits,
-                a.1 + s.filestore.throttle_wait_us,
-            )
-        });
+        let snap = cluster.metrics_snapshot();
+        let tw = snap.site_sum("fs.throttle.waits");
+        let twu = snap.site_sum("fs.throttle.wait_us");
         println!(
             "  filestore throttle: {} blocks, {} ms blocked (the 'contention' in Fig 2)",
             tw,

@@ -55,8 +55,7 @@ fn main() {
                 );
             }
         }
-        let stats = cluster.osd_stats();
-        let jf: u64 = stats.iter().map(|(_, s)| s.journal.full_stalls).sum();
+        let jf = cluster.metrics_snapshot().site_sum("journal.full_stalls");
         println!("[{cfg_name}] journal-full stalls across OSDs: {jf}");
         cluster.shutdown();
     }

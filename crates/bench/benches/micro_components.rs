@@ -2,7 +2,7 @@
 //! CRUSH mapping, logging submission under both modes, PG queue paths,
 //! device planning, journal round trips, histogram recording.
 
-use afc_common::{LatencyHist, ObjectId, PgId, PoolId};
+use afc_common::{Histogram, ObjectId, PgId, PoolId};
 use afc_core::osd::pg::Pg;
 use afc_crush::osdmap::PoolSpec;
 use afc_crush::{CrushMap, OsdMap};
@@ -148,15 +148,15 @@ fn bench_journal(c: &mut Criterion) {
 fn bench_hist(c: &mut Criterion) {
     let mut g = c.benchmark_group("hist");
     g.measurement_time(Duration::from_secs(2)).sample_size(20);
-    let mut h = LatencyHist::new();
+    let h = Histogram::new();
     let mut i = 0u64;
     g.bench_function("record", |b| {
         b.iter(|| {
             i += 1;
-            h.record_us(i % 100_000);
+            h.observe_us(i % 100_000);
         })
     });
-    g.bench_function("p99", |b| b.iter(|| h.p99()));
+    g.bench_function("p99", |b| b.iter(|| h.snapshot().p99_us()));
     g.finish();
 }
 

@@ -7,7 +7,7 @@
 //! 15MB/s per disk)". This table measures exactly those counters across
 //! 1000 identical write transactions.
 
-use afc_common::Table;
+use afc_common::{Metrics, Table};
 use afc_device::{Ssd, SsdConfig};
 use afc_filestore::{FileStore, FileStoreConfig, Transaction, TxOp};
 use bytes::Bytes;
@@ -64,38 +64,41 @@ fn main() {
             jitter: 0.0,
             ..SsdConfig::sata3()
         }));
+        let metrics = Metrics::new();
+        dev.register_metrics(&metrics, "data");
         let fs = FileStore::new(dev, cfg).expect("open filestore");
+        fs.register_metrics(&metrics, "fs");
+        fs.register_kv_metrics(&metrics, "kv");
         for i in 0..N {
             fs.apply_sync(txn(i)).unwrap();
         }
         fs.wait_idle();
-        let c = fs.fs().counters();
+        let snap = metrics.snapshot();
+        let get = |name: &str| snap.counter(name).unwrap_or(0);
         let syscalls: u64 = [
-            "sys.open",
-            "sys.write",
-            "sys.read",
-            "sys.stat",
-            "sys.setxattr",
-            "sys.getxattr",
-            "sys.fallocate",
+            "open",
+            "write",
+            "read",
+            "stat",
+            "setxattr",
+            "getxattr",
+            "fallocate",
         ]
         .iter()
-        .map(|s| c.get(s))
+        .map(|call| get(&format!("fs.sys.{call}")))
         .sum();
-        let kv = fs.kv_stats();
-        let s = fs.stats();
-        let dev_reads = fs.fs().device().stats();
         table.row(vec![
             name.to_string(),
             format!("{:.1}", syscalls as f64 / N as f64),
-            format!("{:.1}", c.get("sys.open") as f64 / N as f64),
-            format!("{:.1}", kv.commits as f64 / N as f64),
-            format!("{:.2}", s.meta_reads as f64 / N as f64),
+            format!("{:.1}", get("fs.sys.open") as f64 / N as f64),
+            format!("{:.1}", get("kv.commits") as f64 / N as f64),
+            format!("{:.2}", get("fs.meta_reads") as f64 / N as f64),
             format!(
                 "{} ({} interfered)",
-                dev_reads.reads, dev_reads.interfered_reads
+                get("data.reads"),
+                get("data.interfered_reads")
             ),
-            format!("{}", s.hints_skipped),
+            format!("{}", get("fs.hints_skipped")),
         ]);
     }
     println!("== §3.4 analysis: per-transaction software cost (1000 × 4K write txns) ==");

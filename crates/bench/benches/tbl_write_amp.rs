@@ -9,7 +9,7 @@
 //! sizes and report the KV store's device-write bytes vs user bytes.
 
 use afc_common::bytesize::fmt_bytes;
-use afc_common::Table;
+use afc_common::{Metrics, Table};
 use afc_device::{Nvram, NvramConfig};
 use afc_filestore::{FileStore, FileStoreConfig, Transaction, TxOp};
 use bytes::Bytes;
@@ -20,6 +20,8 @@ fn drive(bs: u64, total: u64, profile: FileStoreConfig) -> (u64, u64, f64) {
     // does not depend on device speed.
     let dev = Arc::new(Nvram::new(NvramConfig::pmc_8g()));
     let fs = FileStore::new(dev, profile).expect("open filestore");
+    let metrics = Metrics::new();
+    fs.register_kv_metrics(&metrics, "kv");
     let mut written = 0u64;
     let mut seq = 0u64;
     while written < total {
@@ -49,12 +51,11 @@ fn drive(bs: u64, total: u64, profile: FileStoreConfig) -> (u64, u64, f64) {
     }
     fs.wait_idle();
     fs.sync().unwrap();
-    let kv = fs.kv_stats();
-    (
-        kv.user_bytes,
-        kv.device_write_bytes(),
-        kv.write_amplification(),
-    )
+    let snap = metrics.snapshot();
+    let kv = |name: &str| snap.counter(name).unwrap_or(0);
+    let user = kv("kv.user_bytes");
+    let device = kv("kv.wal_bytes") + kv("kv.flush_bytes") + kv("kv.compact_write_bytes");
+    (user, device, device as f64 / user.max(1) as f64)
 }
 
 fn main() {

@@ -13,7 +13,7 @@
 pub mod baseline;
 pub mod qos;
 
-use afc_common::{BlockTarget, LatencyHist, Table, MIB};
+use afc_common::{BlockTarget, HistSnapshot, Table, MIB};
 use afc_core::{Cluster, DeviceProfile, OsdTuning, RbdImage};
 use afc_workload::{JobSpec, Report};
 use std::sync::Arc;
@@ -121,7 +121,7 @@ pub fn run_fleet(images: &[Arc<RbdImage>], base: &JobSpec) -> Report {
 
 /// Merge per-VM reports: ops sum, histograms merged, runtime = max.
 pub fn merge_reports(reports: Vec<Report>, base: &JobSpec) -> Report {
-    let mut lat = LatencyHist::new();
+    let mut lat = HistSnapshot::default();
     let mut ops = 0;
     let mut errors = 0;
     let mut runtime = Duration::ZERO;
@@ -299,7 +299,7 @@ mod tests {
             errors: 0,
             runtime: Duration::from_secs(1),
             bs: 4096,
-            lat: LatencyHist::new(),
+            lat: HistSnapshot::default(),
             series: afc_common::TimeSeries::new(),
             label: "x".into(),
         };
@@ -319,7 +319,7 @@ mod tests {
             errors: 0,
             runtime: Duration::from_secs(2),
             bs: 4096,
-            lat: LatencyHist::new(),
+            lat: HistSnapshot::default(),
             series: afc_common::TimeSeries::new(),
             label: "x".into(),
         };

@@ -7,13 +7,11 @@
 //! - [`faults`]: deterministic fault-injection schedules and the runtime
 //!   registry components consult at their injection sites.
 //! - [`ids`]: strongly-typed identifiers (OSDs, PGs, objects, clients, epochs).
-//! - [`hist`]: a log-bucketed latency histogram (HdrHistogram-style, no deps).
 //! - [`series`]: wall-clock time-series recording for fluctuation plots.
-//! - [`counters`]: cheap named atomic counters used for instrumentation.
 //! - [`metrics`]: the unified, label-aware cluster metric registry
 //!   (counters, gauges, latency histograms, Prometheus export).
 //! - [`rng`]: seeded RNG construction and a fast 64-bit mixing hash.
-//! - [`timeutil`]: sleeping helpers and stopwatches used by device models.
+//! - [`timeutil`]: precise sleeping helpers used by the device models.
 //! - [`table`]: fixed-width table rendering for benchmark harness output.
 //! - [`bytesize`]: byte-size constants and formatting.
 //! - [`blocktarget`]: the [`blocktarget::BlockTarget`] trait that workload
@@ -23,10 +21,8 @@
 
 pub mod blocktarget;
 pub mod bytesize;
-pub mod counters;
 pub mod error;
 pub mod faults;
-pub mod hist;
 pub mod ids;
 pub mod lockdep;
 pub mod metrics;
@@ -37,13 +33,12 @@ pub mod timeutil;
 
 pub use blocktarget::BlockTarget;
 pub use bytesize::{GIB, KIB, MIB, TIB};
-pub use counters::CounterSet;
 pub use error::{AfcError, Result};
 pub use faults::{FaultKind, FaultPlan, FaultRegistry, FaultSpec};
-pub use hist::LatencyHist;
 pub use ids::{ClientId, Epoch, NodeId, ObjectId, OpId, OsdId, PgId, PoolId, VolumeId};
 pub use metrics::{
-    Gauge, Histogram, HistogramSet, MetricId, MetricValue, Metrics, MetricsSnapshot,
+    Counter, CounterSet, Gauge, HistSnapshot, Histogram, HistogramSet, MetricId, MetricValue,
+    Metrics, MetricsSnapshot,
 };
 
 pub use lockdep::{
@@ -52,4 +47,4 @@ pub use lockdep::{
 };
 pub use series::{IopsSampler, TimeSeries};
 pub use table::Table;
-pub use timeutil::{sleep_for, Stopwatch};
+pub use timeutil::sleep_for;

@@ -33,8 +33,6 @@
 //! assert_eq!(h.count, 1);
 //! ```
 
-pub use crate::counters::Counter;
-use crate::counters::CounterSet;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -48,6 +46,45 @@ const SUB: usize = 1 << SUB_BITS;
 /// Octaves above the linear range: 1 µs · 2^26 ≈ 67 s.
 const OCTAVES: usize = 26;
 const NBUCKETS: usize = SUB * (OCTAVES + 1);
+
+/// A monotonic event counter. Cheap to clone; all clones share the cell,
+/// and an update is one relaxed atomic add. Components keep their counters
+/// as struct fields and register them once with
+/// [`Metrics::register_counter`].
+///
+/// ```
+/// use afc_common::metrics::Counter;
+/// let c = Counter::new();
+/// c.inc();
+/// c.add(9);
+/// assert_eq!(c.get(), 10);
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct Counter(Arc<AtomicU64>);
+
+impl Counter {
+    /// Create a detached counter at zero.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Increment by `n`.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Increment by one.
+    #[inline]
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    /// Current value.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
 
 /// A signed gauge for instantaneous values (queue depths, bytes in flight).
 ///
@@ -99,10 +136,10 @@ impl Gauge {
 
 /// A thread-safe latency histogram with geometric buckets (µs resolution).
 ///
-/// Unlike [`crate::hist::LatencyHist`] (which is single-owner and merged at
-/// the end of a run), this histogram is shared: recording is one relaxed
-/// `fetch_add` on the owning bucket plus one on the running µs sum, so it
-/// can sit on the write path. The sample count is derived from the buckets,
+/// The histogram is shared: recording is one relaxed `fetch_add` on the
+/// owning bucket plus one on the running µs sum, so it can sit on the
+/// write path and one instance can serve every thread of a workload run.
+/// The sample count is derived from the buckets,
 /// which keeps snapshots internally consistent even while writers are
 /// racing the snapshot.
 ///
@@ -213,10 +250,62 @@ impl Histogram {
     }
 }
 
-/// A live, dynamically growing set of named [`Histogram`]s — the histogram
-/// analogue of [`CounterSet`]. Subsystems that discover their label space
-/// at runtime (per-volume QoS latency, where volumes appear with the first
-/// tagged op) create histograms on demand with [`HistogramSet::hist`];
+/// A live, dynamically growing set of named [`Counter`]s, for the one
+/// subsystem whose names are not known at construction: per-volume QoS
+/// counters, where a volume appears with its first tagged op. Everything
+/// else holds fixed [`Counter`] fields. Attaching the set once via
+/// [`Metrics::attach_set`] makes every present *and future* member visible
+/// in snapshots.
+///
+/// ```
+/// use afc_common::metrics::{CounterSet, Metrics};
+/// let set = CounterSet::new();
+/// let m = Metrics::new();
+/// m.attach_set("osd0.qos", &set);
+/// set.counter("vol1.limited").add(4); // created after attach
+/// assert_eq!(m.snapshot().counter("osd0.qos.vol1.limited"), Some(4));
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct CounterSet {
+    inner: Arc<RwLock<BTreeMap<String, Counter>>>,
+}
+
+impl CounterSet {
+    /// Create an empty set.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Get-or-create the counter named `name`. Callers cache the returned
+    /// handle; the set is not meant to be hit per event.
+    pub fn counter(&self, name: &str) -> Counter {
+        if let Some(c) = self.inner.read().get(name) {
+            return c.clone();
+        }
+        self.inner
+            .write()
+            .entry(name.to_string())
+            .or_default()
+            .clone()
+    }
+
+    /// Current value of `name` (0 if never created).
+    pub fn get(&self, name: &str) -> u64 {
+        self.inner.read().get(name).map_or(0, Counter::get)
+    }
+
+    /// The current members as `(name, handle)` pairs (sorted by name).
+    pub fn entries(&self) -> Vec<(String, Counter)> {
+        self.inner
+            .read()
+            .iter()
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect()
+    }
+}
+
+/// The histogram analogue of [`CounterSet`]: per-volume QoS latency
+/// histograms are created on demand with [`HistogramSet::hist`];
 /// attaching the set once via [`Metrics::attach_hist_set`] makes every
 /// present *and future* member visible in snapshots.
 ///
@@ -408,26 +497,16 @@ impl Metrics {
             .push(Source::Histogram(h.clone()));
     }
 
-    /// Attach a live [`CounterSet`] (messenger `net.*`, logging `log.*`):
-    /// every counter in the set appears in snapshots as
-    /// `<prefix>.<counter-name>` (or bare `<counter-name>` when `prefix`
-    /// is empty).
-    ///
-    /// ```
-    /// use afc_common::{metrics::Metrics, CounterSet};
-    /// let set = CounterSet::new();
-    /// set.counter("log.dropped").add(4);
-    /// let m = Metrics::new();
-    /// m.attach_set("osd1", &set);
-    /// assert_eq!(m.snapshot().counter("osd1.log.dropped"), Some(4));
-    /// ```
+    /// Attach a live [`CounterSet`]: every counter in the set — including
+    /// ones created after the attach — appears in snapshots as
+    /// `<prefix>.<name>`.
     pub fn attach_set(&self, prefix: &str, set: &CounterSet) {
         self.sets.write().push((prefix.to_string(), set.clone()));
     }
 
     /// Attach a live [`HistogramSet`]: every histogram in the set —
     /// including ones created after the attach — appears in snapshots as
-    /// `<prefix>.<name>` (or bare `<name>` when `prefix` is empty).
+    /// `<prefix>.<name>`.
     pub fn attach_hist_set(&self, prefix: &str, set: &HistogramSet) {
         self.hist_sets
             .write()
@@ -479,32 +558,22 @@ impl Metrics {
             out.insert(id.clone(), value);
         }
         for (prefix, set) in self.sets.read().iter() {
-            for (name, v) in set.snapshot() {
-                let full = if prefix.is_empty() {
-                    name
-                } else {
-                    format!("{prefix}.{name}")
-                };
+            for (name, c) in set.entries() {
                 // On a name collision with a non-counter registration the
                 // typed registration wins.
-                if let MetricValue::Counter(c) = out
-                    .entry(MetricId::new(full))
+                if let MetricValue::Counter(acc) = out
+                    .entry(MetricId::new(format!("{prefix}.{name}")))
                     .or_insert(MetricValue::Counter(0))
                 {
-                    *c += v;
+                    *acc += c.get();
                 }
             }
         }
         for (prefix, set) in self.hist_sets.read().iter() {
             for (name, h) in set.entries() {
-                let full = if prefix.is_empty() {
-                    name
-                } else {
-                    format!("{prefix}.{name}")
-                };
                 let (raw, sum_us) = h.load_raw();
                 let snap = HistSnapshot::from_raw(&raw, sum_us);
-                match out.entry(MetricId::new(full)) {
+                match out.entry(MetricId::new(format!("{prefix}.{name}"))) {
                     std::collections::btree_map::Entry::Vacant(e) => {
                         e.insert(MetricValue::Histogram(snap));
                     }
@@ -544,7 +613,7 @@ pub enum MetricValue {
 }
 
 /// Frozen histogram state: sparse cumulative buckets plus totals.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HistSnapshot {
     /// `(le_us, cumulative_count)` for every non-empty bucket, ascending;
     /// `le_us == u64::MAX` is the unbounded (`+Inf`) bucket.
@@ -709,6 +778,29 @@ impl MetricsSnapshot {
             Some(MetricValue::Histogram(h)) => Some(h),
             _ => None,
         }
+    }
+
+    /// Sum of the counter `key` over every site that has it: all metrics
+    /// named `<site>.<key>` where `<site>` is one leading component
+    /// (`osd3`, `node0`). `site_sum("op.writes")` is the cluster's
+    /// acknowledged writes.
+    ///
+    /// ```
+    /// use afc_common::metrics::Metrics;
+    /// let m = Metrics::new();
+    /// m.counter("osd0.op.writes").add(2);
+    /// m.counter("osd1.op.writes").add(3);
+    /// assert_eq!(m.snapshot().site_sum("op.writes"), 5);
+    /// ```
+    pub fn site_sum(&self, key: &str) -> u64 {
+        self.metrics
+            .iter()
+            .filter(|(id, _)| id.name.split_once('.').is_some_and(|(_, k)| k == key))
+            .filter_map(|(_, v)| match v {
+                MetricValue::Counter(c) => Some(*c),
+                _ => None,
+            })
+            .sum()
     }
 
     /// Iterate all `(identity, value)` pairs in sorted order.
@@ -1030,14 +1122,13 @@ mod tests {
     fn attached_sets_appear_with_prefix() {
         let m = Metrics::new();
         let set = CounterSet::new();
-        set.counter("net.bytes").add(11);
-        m.attach_set("", &set);
-        let set2 = CounterSet::new();
-        set2.counter("log.dropped").add(3);
-        m.attach_set("osd1", &set2);
-        let s = m.snapshot();
-        assert_eq!(s.counter("net.bytes"), Some(11));
-        assert_eq!(s.counter("osd1.log.dropped"), Some(3));
+        m.attach_set("osd1.qos", &set);
+        // Created after the attach, through two handles to one cell.
+        set.counter("vol1.limited").add(3);
+        set.counter("vol1.limited").inc();
+        assert_eq!(m.snapshot().counter("osd1.qos.vol1.limited"), Some(4));
+        assert_eq!(set.get("vol1.limited"), 4);
+        assert_eq!(set.get("never.created"), 0);
     }
 
     #[test]

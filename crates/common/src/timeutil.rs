@@ -75,40 +75,6 @@ pub fn sleep_until(deadline: Instant) {
     }
 }
 
-/// A simple stopwatch for stage-latency instrumentation (Figure 3).
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch {
-    start: Instant,
-}
-
-impl Default for Stopwatch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Stopwatch {
-    /// Start timing now.
-    pub fn new() -> Self {
-        Stopwatch {
-            start: Instant::now(),
-        }
-    }
-
-    /// Elapsed time since start (or last [`Stopwatch::lap`]).
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
-    /// Return elapsed time and restart the watch.
-    pub fn lap(&mut self) -> Duration {
-        let now = Instant::now();
-        let d = now - self.start;
-        self.start = now;
-        d
-    }
-}
-
 /// Format a duration compactly for table output: `842us`, `3.2ms`, `1.75s`.
 pub fn fmt_dur(d: Duration) -> String {
     let us = d.as_micros();
@@ -164,16 +130,6 @@ mod tests {
         let med = samples[samples.len() / 2];
         assert!(med >= Duration::from_micros(80), "{med:?}");
         assert!(med < Duration::from_micros(110), "{med:?}");
-    }
-
-    #[test]
-    fn stopwatch_laps() {
-        let mut w = Stopwatch::new();
-        sleep_for(Duration::from_millis(5));
-        let l1 = w.lap();
-        assert!(l1 >= Duration::from_millis(5));
-        // After a lap the elapsed time restarts.
-        assert!(w.elapsed() < l1);
     }
 
     #[test]

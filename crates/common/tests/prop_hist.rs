@@ -1,54 +1,57 @@
-//! Property tests for the latency histogram and hashing utilities.
+//! Property tests for the metrics histogram and hashing utilities.
 
 use afc_common::rng::{hash_bytes, mix64};
-use afc_common::LatencyHist;
+use afc_common::{HistSnapshot, Histogram};
 use proptest::prelude::*;
+
+#[test]
+fn empty_histogram_reads_zero() {
+    let s = Histogram::new().snapshot();
+    assert_eq!((s.count, s.sum_us, s.mean_us()), (0, 0, 0));
+    assert_eq!(s.quantile_us(0.0), 0);
+    assert_eq!(s.quantile_us(0.99), 0);
+    assert_eq!(s, HistSnapshot::default());
+}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, .. ProptestConfig::default() })]
 
-    /// Quantiles are bounded by min/max, monotone in q, and within the
-    /// bucket scheme's relative error of exact for single values.
+    /// Quantiles are monotone in q, never below the smallest sample and at
+    /// most one 1/16-octave bucket above the largest; count and mean are
+    /// exact (the sum is tracked outside the buckets).
     #[test]
     fn hist_quantile_properties(mut samples in proptest::collection::vec(1u64..10_000_000, 1..300)) {
-        let mut h = LatencyHist::new();
+        let h = Histogram::new();
         for &s in &samples {
-            h.record_us(s);
+            h.observe_us(s);
         }
+        let snap = h.snapshot();
         samples.sort_unstable();
         let (lo, hi) = (samples[0], *samples.last().unwrap());
-        prop_assert_eq!(h.count(), samples.len() as u64);
-        let mut prev = std::time::Duration::ZERO;
+        prop_assert_eq!(snap.count, samples.len() as u64);
+        let mut prev = 0;
         for i in 0..=20 {
-            let q = h.quantile(i as f64 / 20.0);
-            prop_assert!(q >= prev);
-            prev = q;
-            let us = q.as_micros() as u64;
-            // Within bucket error (~3.2%) of the true range.
-            prop_assert!(us as f64 >= lo as f64 * 0.96 - 1.0, "q below min: {us} < {lo}");
-            prop_assert!(us as f64 <= hi as f64 * 1.04 + 1.0, "q above max: {us} > {hi}");
+            let us = snap.quantile_us(i as f64 / 20.0);
+            prop_assert!(us >= prev);
+            prev = us;
+            prop_assert!(us >= lo, "q below min: {us} < {lo}");
+            prop_assert!(us as f64 <= hi as f64 * (1.0 + 1.0 / 16.0), "q above max: {us} > {hi}");
         }
-        // Mean is exact (tracked outside buckets).
-        let exact: u128 = samples.iter().map(|&s| s as u128).sum::<u128>() / samples.len() as u128;
-        prop_assert_eq!(h.mean().as_micros(), exact);
+        let sum: u64 = samples.iter().sum();
+        prop_assert_eq!(snap.sum_us, sum);
+        prop_assert_eq!(snap.mean_us(), sum / samples.len() as u64);
     }
 
-    /// Merging histograms equals recording the union.
+    /// Merging two snapshots equals recording the union into one histogram.
     #[test]
-    fn hist_merge_associative(a in proptest::collection::vec(1u64..1_000_000, 0..100),
-                              b in proptest::collection::vec(1u64..1_000_000, 0..100)) {
-        let mut ha = LatencyHist::new();
-        let mut hb = LatencyHist::new();
-        let mut hu = LatencyHist::new();
-        for &s in &a { ha.record_us(s); hu.record_us(s); }
-        for &s in &b { hb.record_us(s); hu.record_us(s); }
-        ha.merge(&hb);
-        prop_assert_eq!(ha.count(), hu.count());
-        for i in 0..=10 {
-            prop_assert_eq!(ha.quantile(i as f64 / 10.0), hu.quantile(i as f64 / 10.0));
-        }
-        prop_assert_eq!(ha.min(), hu.min());
-        prop_assert_eq!(ha.max(), hu.max());
+    fn hist_merge_equals_union(a in proptest::collection::vec(1u64..1_000_000, 0..100),
+                               b in proptest::collection::vec(1u64..1_000_000, 0..100)) {
+        let (ha, hb, hu) = (Histogram::new(), Histogram::new(), Histogram::new());
+        for &s in &a { ha.observe_us(s); hu.observe_us(s); }
+        for &s in &b { hb.observe_us(s); hu.observe_us(s); }
+        let mut merged = ha.snapshot();
+        merged.merge(&hb.snapshot());
+        prop_assert_eq!(merged, hu.snapshot());
     }
 
     /// hash_bytes is a function (equal inputs → equal outputs) and

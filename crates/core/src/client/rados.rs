@@ -82,10 +82,10 @@ pub struct RadosClient {
     pub ordered_acks: bool,
     /// Retries for misdirected ops before giving up.
     max_retries: AtomicU64,
-    /// Per-attempt reply timeout, milliseconds; `0` waits forever (the
-    /// default — a healthy fixed topology never drops a request). Set it
-    /// when OSDs can die mid-op so the attempt fails typed and the retry
-    /// re-targets the refreshed map instead of hanging.
+    /// Per-attempt reply timeout, milliseconds (default 10 s). A lost
+    /// reply fails the attempt typed and the retry re-targets the
+    /// refreshed map; no op waits forever. Lower it when OSDs can die
+    /// mid-op so failover is prompt.
     op_timeout_ms: AtomicU64,
     /// QoS identity stamped on every submitted op. Defaults to
     /// [`QosTag::best_effort`]; [`RadosClient::open_volume`] replaces it.
@@ -116,7 +116,7 @@ impl RadosClient {
             next_op: AtomicU64::new(1),
             ordered_acks: false,
             max_retries: AtomicU64::new(8),
-            op_timeout_ms: AtomicU64::new(0),
+            op_timeout_ms: AtomicU64::new(10_000),
             qos: Mutex::new(QosTag::best_effort()),
         }))
     }
@@ -186,18 +186,18 @@ impl RadosClient {
         Ok(OpHandle { rx, op_id })
     }
 
-    /// One attempt: wait (optionally bounded) and abandon the pending
-    /// entry on timeout so a late reply cannot leak into a later attempt.
-    fn wait_attempt(&self, handle: OpHandle) -> Result<OpOutcome> {
-        let timeout_ms = self.op_timeout_ms.load(Ordering::Relaxed);
-        if timeout_ms == 0 {
-            return handle.wait();
+    /// One attempt: wait up to the op timeout, and on expiry abandon the
+    /// pending entry (so a late reply cannot leak into a later attempt)
+    /// and name the object and op id in the typed `Timeout`.
+    fn wait_attempt(&self, object: &str, handle: OpHandle) -> Result<OpOutcome> {
+        let timeout = Duration::from_millis(self.op_timeout_ms.load(Ordering::Relaxed));
+        match handle.wait_timeout(timeout) {
+            Err(AfcError::Timeout(what)) => {
+                self.shared.pending.lock().remove(&handle.op_id);
+                Err(AfcError::Timeout(format!("object {object}: {what}")))
+            }
+            r => r,
         }
-        let r = handle.wait_timeout(Duration::from_millis(timeout_ms));
-        if matches!(r, Err(AfcError::Timeout(_))) {
-            self.shared.pending.lock().remove(&handle.op_id);
-        }
-        r
     }
 
     /// Submit and wait, retrying transient failures with exponential
@@ -207,7 +207,7 @@ impl RadosClient {
     /// resubmitted against the refreshed epoch, re-targeting whatever
     /// primary it names now. [`AfcError::is_retryable`] transport/timeout
     /// errors (lost message, injected drop, replica-ack timeout, a dead
-    /// primary when an op timeout is set) retry the same way. Permanent
+    /// primary) retry the same way. Permanent
     /// errors — `NotFound`, `Corruption`, a device `Io` surfaced through
     /// the OSD — propagate typed after the bounded retries; nothing
     /// panics.
@@ -225,7 +225,7 @@ impl RadosClient {
                 }
                 Err(e) => return Err(e),
             };
-            match self.wait_attempt(handle) {
+            match self.wait_attempt(object, handle) {
                 Ok(o) => return Ok(o),
                 Err(e) if e.needs_map_refresh() => {
                     last = e;

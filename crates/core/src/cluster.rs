@@ -9,7 +9,7 @@ use crate::client::rados::RadosClient;
 use crate::client::rbd::RbdImage;
 use crate::messages::OsdMsg;
 use crate::monitor::{FailureConfig, Monitor};
-use crate::osd::{Osd, OsdParams, OsdStats};
+use crate::osd::{Osd, OsdParams};
 use crate::qos::QosSpec;
 use crate::tuning::OsdTuning;
 use afc_common::metrics::{Metrics, MetricsSnapshot};
@@ -412,7 +412,7 @@ impl Cluster {
         self.osds.iter().find(|o| o.id() == id)
     }
 
-    /// The network fabric (counters).
+    /// The network fabric.
     pub fn network(&self) -> &Arc<Network<OsdMsg>> {
         &self.net
     }
@@ -437,11 +437,6 @@ impl Cluster {
     /// Node hosting an OSD.
     pub fn node_of(&self, osd: OsdId) -> Option<NodeId> {
         self.monitor.map().crush().host_of(osd)
-    }
-
-    /// Per-OSD statistics.
-    pub fn osd_stats(&self) -> Vec<(OsdId, OsdStats)> {
-        self.osds.iter().map(|o| (o.id(), o.stats())).collect()
     }
 
     /// The cluster-wide metric registry. Every subsystem registers into

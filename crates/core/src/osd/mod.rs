@@ -38,10 +38,8 @@ use afc_common::{AfcError, ClientId, ObjectId, OpId, OsdId, PgId, PoolId, Result
 use afc_crush::OsdMap;
 use afc_device::BlockDev;
 use afc_filestore::throttle::OwnedPermit;
-use afc_filestore::{
-    FileStore, FileStoreConfig, FileStoreStats, Throttle, Transaction, TxOp, TxnProfile,
-};
-use afc_journal::{Journal, JournalConfig, JournalStats};
+use afc_filestore::{FileStore, FileStoreConfig, Throttle, Transaction, TxOp, TxnProfile};
+use afc_journal::{Journal, JournalConfig};
 use afc_logging::{Level, Logger};
 use afc_messenger::{Addr, Dispatcher, Messenger, Network};
 use bytes::Bytes;
@@ -72,46 +70,6 @@ pub struct OsdParams {
     /// Monitor handle for failure reports and `pg_temp` requests. `None`
     /// disables the self-healing loop regardless of the tuning interval.
     pub monitor: Option<Arc<Monitor>>,
-}
-
-/// Aggregated per-OSD statistics.
-#[derive(Debug, Clone, Default)]
-pub struct OsdStats {
-    /// Client requests received.
-    pub client_ops: u64,
-    /// Writes acknowledged.
-    pub writes: u64,
-    /// Reads served.
-    pub reads: u64,
-    /// Replication sub-ops received (replica role).
-    pub repops: u64,
-    /// Replica acks processed (primary role).
-    pub repacks: u64,
-    /// Contended PG-lock acquisitions.
-    pub pg_lock_waits: u64,
-    /// Total PG-lock wait, microseconds.
-    pub pg_lock_wait_us: u64,
-    /// `osd_client_message_cap` throttle blocks.
-    pub client_throttle_waits: u64,
-    /// Total client-throttle wait, microseconds.
-    pub client_throttle_wait_us: u64,
-    /// Journal statistics.
-    pub journal: JournalStats,
-    /// Filestore statistics.
-    pub filestore: FileStoreStats,
-    /// KV store statistics.
-    pub kv: afc_kvstore::DbStats,
-    /// Data-device statistics.
-    pub device: afc_device::DevStats,
-    /// Debug-log entries submitted.
-    pub log_submitted: u64,
-    /// Debug-log submit wait, microseconds (blocking mode).
-    pub log_wait_us: u64,
-    /// Filestore applies that failed (injected/device faults). The journal
-    /// entry is retained for `replay_journal` to re-apply.
-    pub apply_failures: u64,
-    /// Replication sub-ops retransmitted after an ack timeout.
-    pub rep_resends: u64,
 }
 
 struct Progress {
@@ -377,6 +335,8 @@ struct OsdInner {
     repacks: MetricCounter,
     apply_failures: MetricCounter,
     rep_resends: MetricCounter,
+    pg_lock_waits: MetricCounter,
+    pg_lock_wait_us: MetricCounter,
     hb_pings: MetricCounter,
     hb_reports: MetricCounter,
     peering_rounds: MetricCounter,
@@ -473,6 +433,8 @@ impl Osd {
             repacks: MetricCounter::new(),
             apply_failures: MetricCounter::new(),
             rep_resends: MetricCounter::new(),
+            pg_lock_waits: MetricCounter::new(),
+            pg_lock_wait_us: MetricCounter::new(),
             hb_pings: MetricCounter::new(),
             hb_reports: MetricCounter::new(),
             peering_rounds: MetricCounter::new(),
@@ -625,8 +587,10 @@ impl Osd {
     /// Register this OSD's instrumentation into a cluster metric
     /// registry:
     ///
-    /// - op counters under `osd<N>.op.*` (plus client-throttle waits
-    ///   under `osd<N>.op.client_throttle.*`),
+    /// - op counters under `osd<N>.op.*` (including the PG-lock wait pair
+    ///   `pg_lock_waits` / `pg_lock_wait_us` shared by all of this OSD's
+    ///   PGs, plus client-throttle waits under
+    ///   `osd<N>.op.client_throttle.*`),
     /// - write-path stage histograms under `osd<N>.stage.*` (fed from
     ///   the sampled stage recorder),
     /// - filestore under `osd<N>.fs.*`, its KV DB under `osd<N>.kv.*`,
@@ -636,7 +600,7 @@ impl Osd {
     pub fn attach_metrics(&self, m: &Metrics, journal_prefix: &str) {
         let inner = &self.inner;
         let op = format!("osd{}.op", inner.id.0);
-        let fields: [(&str, &MetricCounter); 7] = [
+        let fields: [(&str, &MetricCounter); 9] = [
             ("client_ops", &inner.client_ops),
             ("writes", &inner.writes),
             ("reads", &inner.reads),
@@ -644,6 +608,8 @@ impl Osd {
             ("repacks", &inner.repacks),
             ("apply_failures", &inner.apply_failures),
             ("rep_resends", &inner.rep_resends),
+            ("pg_lock_waits", &inner.pg_lock_waits),
+            ("pg_lock_wait_us", &inner.pg_lock_wait_us),
         ];
         for (name, cell) in fields {
             m.register_counter(format!("{op}.{name}"), cell);
@@ -680,37 +646,6 @@ impl Osd {
             .logger
             .attach_metrics(m, &format!("osd{}", inner.id.0));
         inner.journal.register_metrics(m, journal_prefix);
-    }
-
-    /// Aggregated statistics.
-    pub fn stats(&self) -> OsdStats {
-        let inner = &self.inner;
-        let (plw, plwu) = {
-            let pgs = inner.pgs.read();
-            pgs.values()
-                .map(|p| p.lock_stats())
-                .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
-        };
-        let (ctw, ctwu) = inner.client_throttle.wait_stats();
-        OsdStats {
-            client_ops: inner.client_ops.get(),
-            writes: inner.writes.get(),
-            reads: inner.reads.get(),
-            repops: inner.repops.get(),
-            repacks: inner.repacks.get(),
-            pg_lock_waits: plw,
-            pg_lock_wait_us: plwu,
-            client_throttle_waits: ctw,
-            client_throttle_wait_us: ctwu,
-            journal: inner.journal.stats(),
-            filestore: inner.store.stats(),
-            kv: inner.store.kv_stats(),
-            device: inner.store.fs().device().stats(),
-            log_submitted: inner.logger.counters().get("log.submitted"),
-            log_wait_us: inner.logger.counters().get("log.block_wait_us"),
-            apply_failures: inner.apply_failures.get(),
-            rep_resends: inner.rep_resends.get(),
-        }
     }
 
     /// Re-apply journal entries that had not reached the filestore (crash
@@ -1024,7 +959,9 @@ impl OsdInner {
             return Arc::clone(pg);
         }
         let mut w = self.pgs.write();
-        Arc::clone(w.entry(id).or_insert_with(|| Pg::new(id)))
+        Arc::clone(w.entry(id).or_insert_with(|| {
+            Pg::with_lock_counters(id, self.pg_lock_waits.clone(), self.pg_lock_wait_us.clone())
+        }))
     }
 
     /// Enqueue *internal* work (replication, acks, recovery) on the plain

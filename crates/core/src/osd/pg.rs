@@ -16,6 +16,7 @@
 //! invariant the paper insists on preserving.
 
 use afc_common::lockdep::{classes, TrackedMutex, TrackedMutexGuard};
+use afc_common::metrics::Counter;
 use afc_common::{Epoch, OsdId, PgId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -109,20 +110,27 @@ pub struct Pg {
     id: PgId,
     state: TrackedMutex<PgState>,
     pending: TrackedMutex<VecDeque<PgWork>>,
-    lock_waits: AtomicU64,
-    lock_wait_us: AtomicU64,
+    /// Contended PG-lock acquisitions and their total wait, µs. An OSD
+    /// shares one pair across all its PGs (`osdN.op.pg_lock_*`).
+    lock_waits: Counter,
+    lock_wait_us: Counter,
     processed: AtomicU64,
 }
 
 impl Pg {
-    /// Create a PG.
+    /// Create a PG that accounts lock waits into its own counters.
     pub fn new(id: PgId) -> Arc<Self> {
+        Self::with_lock_counters(id, Counter::new(), Counter::new())
+    }
+
+    /// Create a PG that accounts lock waits into the caller's counters.
+    pub fn with_lock_counters(id: PgId, lock_waits: Counter, lock_wait_us: Counter) -> Arc<Self> {
         Arc::new(Pg {
             id,
             state: TrackedMutex::new(&classes::PG_STATE, PgState::default()),
             pending: TrackedMutex::new(&classes::PG_PENDING, VecDeque::new()),
-            lock_waits: AtomicU64::new(0),
-            lock_wait_us: AtomicU64::new(0),
+            lock_waits,
+            lock_wait_us,
             processed: AtomicU64::new(0),
         })
     }
@@ -180,11 +188,10 @@ impl Pg {
         if let Some(g) = self.state.try_lock() {
             return g;
         }
-        self.lock_waits.fetch_add(1, Ordering::Relaxed);
+        self.lock_waits.inc();
         let t0 = Instant::now();
         let g = self.state.lock();
-        self.lock_wait_us
-            .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+        self.lock_wait_us.add(t0.elapsed().as_micros() as u64);
         g
     }
 
@@ -196,14 +203,6 @@ impl Pg {
     /// Currently queued (undrained) work items.
     pub fn pending_len(&self) -> usize {
         self.pending.lock().len()
-    }
-
-    /// `(contended acquisitions, total wait µs)`.
-    pub fn lock_stats(&self) -> (u64, u64) {
-        (
-            self.lock_waits.load(Ordering::Relaxed),
-            self.lock_wait_us.load(Ordering::Relaxed),
-        )
     }
 }
 
@@ -302,8 +301,8 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         drop(g);
         h.join().unwrap();
-        let (waits, wait_us) = pg.lock_stats();
-        assert_eq!(waits, 1);
+        assert_eq!(pg.lock_waits.get(), 1);
+        let wait_us = pg.lock_wait_us.get();
         assert!(wait_us >= 15_000, "wait_us={wait_us}");
     }
 

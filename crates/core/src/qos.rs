@@ -33,9 +33,8 @@
 //! an idle volume never accumulates more than one bounded burst of
 //! credit on either level.
 
-use afc_common::counters::{Counter, CounterSet};
 use afc_common::lockdep::classes;
-use afc_common::metrics::{Histogram, HistogramSet};
+use afc_common::metrics::{Counter, CounterSet, Histogram, HistogramSet};
 use afc_common::{TrackedMutex, VolumeId};
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};

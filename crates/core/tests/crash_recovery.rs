@@ -64,7 +64,7 @@ fn crash_point_a_torn_journal_tail_never_surfaces() {
         .write_object_async("torn_obj", 0, Bytes::from_static(b"never"))
         .unwrap();
     wait_until("torn journal write", || {
-        osd.journal().stats().torn_writes >= 1
+        osd.journal().stats().torn_writes.get() >= 1
     });
     assert!(
         handle.try_wait().is_none(),
@@ -105,7 +105,9 @@ fn crash_point_b_acked_write_survives_apply_failure() {
     // Every apply fails, but journal commits still ack the client.
     reg.install(FaultSpec::new("osd0.fs.apply", FaultKind::Error).forever());
     client.write_object("obj_b", 0, b"acked-data").unwrap();
-    wait_until("apply failure", || osd.stats().apply_failures >= 1);
+    wait_until("apply failure", || {
+        cluster.metrics_snapshot().counter("osd0.op.apply_failures") >= Some(1)
+    });
     reg.clear();
 
     osd.simulate_crash().unwrap();
@@ -138,7 +140,9 @@ fn run_crash_point_c(seed: u64) -> (usize, Vec<u8>, u64) {
     client
         .write_object("obj_c", 0, b"partially-applied")
         .unwrap();
-    wait_until("mid-apply failure", || osd.stats().apply_failures >= 1);
+    wait_until("mid-apply failure", || {
+        cluster.metrics_snapshot().counter("osd0.op.apply_failures") >= Some(1)
+    });
     reg.clear();
 
     osd.simulate_crash().unwrap();

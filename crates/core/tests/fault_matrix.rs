@@ -40,7 +40,7 @@ fn dropped_repack_recovered_by_primary_resend() {
     reg.install(FaultSpec::new("net.repack", FaultKind::Drop).times(1));
     client.write_object("lost_ack", 0, b"payload").unwrap();
 
-    let resends: u64 = cluster.osd_stats().iter().map(|(_, s)| s.rep_resends).sum();
+    let resends = cluster.metrics_snapshot().site_sum("op.rep_resends");
     assert!(resends >= 1, "primary never retransmitted the sub-op");
     assert!(reg.hits("net.repack") >= 1, "fault never fired");
 
@@ -64,11 +64,7 @@ fn duplicated_replicate_and_delayed_ack_apply_once() {
     cluster.quiesce();
     // One client write ⇒ one primary apply + one replica apply, even
     // though the Replicate arrived twice.
-    let txns: u64 = cluster
-        .osd_stats()
-        .iter()
-        .map(|(_, s)| s.filestore.txns_applied)
-        .sum();
+    let txns = cluster.metrics_snapshot().site_sum("fs.txns_applied");
     assert_eq!(txns, 2, "duplicate Replicate must not re-apply");
     let report = cluster.deep_scrub().unwrap();
     assert!(report.is_clean(), "inconsistent: {:?}", report.inconsistent);
@@ -146,7 +142,6 @@ fn write_path_device_error_does_not_wedge_the_osd() {
         .unwrap();
     let reg = cluster.fault_registry().unwrap().clone();
     let client = cluster.client().unwrap();
-    let osd = &cluster.osds()[0];
 
     // Data-device writes fail during apply: the apply is accounted as a
     // failure, the journal keeps the entry, and later healthy traffic
@@ -162,8 +157,7 @@ fn write_path_device_error_does_not_wedge_the_osd() {
     );
     // The faulted apply either failed (counted) or the fault fired on
     // another device op; either way nothing hung and stats are coherent.
-    let stats = osd.stats();
-    assert!(stats.writes >= 2);
+    assert!(cluster.metrics_snapshot().counter("osd0.op.writes") >= Some(2));
     cluster.shutdown();
 }
 
@@ -246,5 +240,33 @@ fn delayed_request_and_reply_surface_as_latency_not_errors() {
         client.read_object("slow_legs", 0, 15).unwrap(),
         b"late but intact"
     );
+    cluster.shutdown();
+}
+
+#[test]
+fn lost_replies_surface_as_a_typed_timeout_not_a_hang() {
+    let cluster = replicated_cluster(0x08);
+    let reg = cluster.fault_registry().unwrap().clone();
+    let client = cluster.client().unwrap();
+    client.set_op_timeout(Duration::from_millis(50));
+    client.set_max_retries(2);
+
+    // Every reply is lost: the write lands, but the client can never
+    // learn so. Each attempt must expire and the last error must say
+    // which object and op went unanswered.
+    reg.install(FaultSpec::new("net.reply", FaultKind::Drop).forever());
+    let err = client.write_object("unanswered", 0, b"x").unwrap_err();
+    match &err {
+        AfcError::Timeout(what) => {
+            assert!(what.contains("object unanswered"), "{what}");
+            assert!(what.contains("op 2"), "second attempt's op id: {what}");
+        }
+        other => panic!("expected Timeout, got {other:?}"),
+    }
+    assert_eq!(reg.hits("net.reply"), 2, "one lost reply per attempt");
+
+    // The session is still usable once replies flow again.
+    reg.clear();
+    client.write_object("unanswered", 0, b"y").unwrap();
     cluster.shutdown();
 }

@@ -200,7 +200,7 @@ fn shutdown_drains_inflight_faulted_ops_without_hanging() {
     // Let the op reach the primary and start burning resend attempts.
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let resends: u64 = cluster.osd_stats().iter().map(|(_, s)| s.rep_resends).sum();
+        let resends = cluster.metrics_snapshot().site_sum("op.rep_resends");
         if resends >= 2 {
             break;
         }

@@ -201,11 +201,7 @@ fn flapping_osd_converges_without_duplicate_applies() {
 
     // Cycle 2: an idle flap — nothing written while down, so convergence
     // must not replay or re-apply anything.
-    let applies_before: u64 = c
-        .osd_stats()
-        .iter()
-        .map(|(_, s)| s.filestore.txns_applied)
-        .sum();
+    let applies_before = c.metrics_snapshot().site_sum("fs.txns_applied");
     c.osd(victim).unwrap().pause();
     wait_until("victim down (2)", Duration::from_secs(10), || {
         !c.monitor().map().osd_status(victim).up
@@ -216,11 +212,7 @@ fn flapping_osd_converges_without_duplicate_applies() {
     });
     wait_converged(&c);
     c.quiesce();
-    let applies_after: u64 = c
-        .osd_stats()
-        .iter()
-        .map(|(_, s)| s.filestore.txns_applied)
-        .sum();
+    let applies_after = c.metrics_snapshot().site_sum("fs.txns_applied");
     assert_eq!(
         applies_before, applies_after,
         "an idle flap must not re-apply anything"

@@ -64,11 +64,7 @@ fn writes_are_replicated() {
     cluster.quiesce();
     // Each write lands on a primary and one replica: total filestore
     // transactions across OSDs ≈ 2 × ops.
-    let total_txns: u64 = cluster
-        .osd_stats()
-        .iter()
-        .map(|(_, s)| s.filestore.txns_applied)
-        .sum();
+    let total_txns = cluster.metrics_snapshot().site_sum("fs.txns_applied");
     assert!(total_txns >= 40, "only {total_txns} transactions applied");
     cluster.shutdown();
 }
@@ -93,7 +89,7 @@ fn journal_trims_after_applies() {
         );
         let s = osd.journal().stats();
         assert!(
-            s.trimmed_bytes > 0 || s.submits == 0,
+            s.trimmed_bytes.get() > 0 || s.submits.get() == 0,
             "{}: nothing trimmed",
             osd.id()
         );
@@ -112,20 +108,23 @@ fn osd_stats_account_the_pipeline() {
         let _ = client.read_object(&format!("s{i}"), 0, 2048).unwrap();
     }
     cluster.quiesce();
-    let stats = cluster.osd_stats();
-    let sum = |f: &dyn Fn(&afc_core::OsdStats) -> u64| stats.iter().map(|(_, s)| f(s)).sum::<u64>();
-    assert_eq!(sum(&|s| s.writes), 24);
-    assert_eq!(sum(&|s| s.reads), 24);
-    assert_eq!(sum(&|s| s.repops), 24, "each write replicates once at rf=2");
-    assert_eq!(sum(&|s| s.repacks), 24);
+    let snap = cluster.metrics_snapshot();
+    assert_eq!(snap.site_sum("op.writes"), 24);
+    assert_eq!(snap.site_sum("op.reads"), 24);
+    assert_eq!(
+        snap.site_sum("op.repops"),
+        24,
+        "each write replicates once at rf=2"
+    );
+    assert_eq!(snap.site_sum("op.repacks"), 24);
     // Community blocking logging accounted real wait time.
-    assert!(sum(&|s| s.log_submitted) > 0);
+    assert!(snap.site_sum("log.submitted") > 0);
     assert!(
-        sum(&|s| s.journal.commits) >= 48,
+        snap.site_sum("journal.commits") >= 48,
         "primary + replica journal commits"
     );
-    assert!(sum(&|s| s.filestore.txns_applied) >= 48);
-    assert!(sum(&|s| s.device.bytes_written) > 0);
+    assert!(snap.site_sum("fs.txns_applied") >= 48);
+    assert!(snap.site_sum("data.bytes_written") > 0);
     cluster.shutdown();
 }
 

@@ -56,14 +56,6 @@ pub struct SsdConfig {
     pub write_bw: u64,
     /// Multiplier applied to write service time in the sustained state.
     pub sustained_write_factor: f64,
-    /// Deprecated alias, ignored: GC no longer fires on a write-count
-    /// modulo. Kept so existing configs and tuning labels still parse;
-    /// the FTL's free-block pressure threshold
-    /// ([`FtlConfig::gc_free_blocks`]) replaces it.
-    pub gc_every: u64,
-    /// Deprecated alias, ignored: GC stalls are now charged per copied
-    /// page ([`FtlConfig::gc_page_cost`]) instead of a fixed pause.
-    pub gc_pause: Duration,
     /// Flash-translation-layer model (allocation groups, valid-page
     /// accounting, pressure-driven GC).
     pub ftl: FtlConfig,
@@ -88,8 +80,6 @@ impl SsdConfig {
             read_bw: 500 * MIB,
             write_bw: 450 * MIB,
             sustained_write_factor: 3.0,
-            gc_every: 32,
-            gc_pause: Duration::from_millis(3),
             rw_interference: Duration::from_micros(250),
             jitter: 0.10,
             seed: 0x55d_f1a5,
@@ -323,13 +313,12 @@ mod tests {
     #[test]
     fn gc_fires_under_free_block_pressure_not_on_a_modulo() {
         // A clean drive never collects while the modeled window has free
-        // blocks — regardless of write count (the old model stalled every
-        // `gc_every`-th write no matter what).
+        // blocks — regardless of write count.
         let ssd = Ssd::new(quiet(SsdConfig::sata3()));
         for i in 0..64u64 {
             ssd.plan(IoReq::write(i * 4096, 4096)).unwrap();
         }
-        assert_eq!(ssd.stats().gc_pauses, 0);
+        assert_eq!(ssd.stats().gc_passes, 0);
         // A pre-aged drive is already at the pressure threshold: writing a
         // couple of erase blocks' worth must trigger GC, and the copied
         // pages both stall the triggering write and show up in the stats.
@@ -342,7 +331,7 @@ mod tests {
             max_service = max_service.max(p.service);
         }
         let s = aged.stats();
-        assert!(s.gc_pauses > 0, "pressure never triggered GC");
+        assert!(s.gc_passes > 0, "pressure never triggered GC");
         assert!(s.gc_copied_bytes > 0);
         assert!(s.flash_write_amplification() > 1.0);
         // Copy-forward stall is visible in service time: the worst write

@@ -30,7 +30,7 @@ pub struct DevStats {
     /// writes beyond the host's). Zero on devices without an FTL model.
     pub gc_copied_bytes: u64,
     /// Garbage-collection passes that stalled a host write.
-    pub gc_pauses: u64,
+    pub gc_passes: u64,
 }
 
 /// Thread-safe accumulator backing [`DevStats`]. Fields are shared
@@ -47,7 +47,7 @@ pub struct StatsCell {
     interfered_reads: Counter,
     stream_bytes: [Counter; 6],
     gc_copied_bytes: Counter,
-    gc_pauses: Counter,
+    gc_passes: Counter,
 }
 
 impl StatsCell {
@@ -84,7 +84,7 @@ impl StatsCell {
     /// Account `passes` GC passes that copied `copied_bytes` of live data
     /// forward (one host write can trigger a chain of passes).
     pub fn on_gc(&self, passes: u64, copied_bytes: u64) {
-        self.gc_pauses.add(passes);
+        self.gc_passes.add(passes);
         self.gc_copied_bytes.add(copied_bytes);
     }
 
@@ -100,7 +100,7 @@ impl StatsCell {
             interfered_reads: self.interfered_reads.get(),
             stream_bytes: core::array::from_fn(|i| self.stream_bytes[i].get()),
             gc_copied_bytes: self.gc_copied_bytes.get(),
-            gc_pauses: self.gc_pauses.get(),
+            gc_passes: self.gc_passes.get(),
         }
     }
 
@@ -118,7 +118,7 @@ impl StatsCell {
             ("busy_us", &self.busy_us),
             ("interfered_reads", &self.interfered_reads),
             ("gc.copied_bytes", &self.gc_copied_bytes),
-            ("gc.pauses", &self.gc_pauses),
+            ("gc.pauses", &self.gc_passes),
         ];
         for (name, cell) in fields {
             m.register_counter(format!("{prefix}.{name}"), cell);
@@ -159,7 +159,7 @@ impl DevStats {
             interfered_reads: self.interfered_reads + other.interfered_reads,
             stream_bytes: core::array::from_fn(|i| self.stream_bytes[i] + other.stream_bytes[i]),
             gc_copied_bytes: self.gc_copied_bytes + other.gc_copied_bytes,
-            gc_pauses: self.gc_pauses + other.gc_pauses,
+            gc_passes: self.gc_passes + other.gc_passes,
         }
     }
 }
@@ -196,7 +196,7 @@ mod tests {
         c.on_write(4096, StreamId::DataCold, Duration::from_micros(50));
         c.on_gc(1, 8192);
         let s = c.snapshot();
-        assert_eq!(s.gc_pauses, 1);
+        assert_eq!(s.gc_passes, 1);
         assert_eq!(s.gc_copied_bytes, 8192);
         assert!((s.flash_write_amplification() - 3.0).abs() < 1e-9);
     }
@@ -213,7 +213,7 @@ mod tests {
             interfered_reads: 7,
             stream_bytes: [1, 2, 3, 4, 5, 6],
             gc_copied_bytes: 8,
-            gc_pauses: 9,
+            gc_passes: 9,
         };
         let b = a;
         let c = a.combined(&b);
@@ -221,7 +221,7 @@ mod tests {
         assert_eq!(c.interfered_reads, 14);
         assert_eq!(c.stream_bytes, [2, 4, 6, 8, 10, 12]);
         assert_eq!(c.gc_copied_bytes, 16);
-        assert_eq!(c.gc_pauses, 18);
+        assert_eq!(c.gc_passes, 18);
         assert_eq!(c.total_ops(), 12);
     }
 }

@@ -32,6 +32,6 @@ pub mod txn;
 
 pub use metacache::{MetaCache, ObjectMeta};
 pub use simfs::SimFs;
-pub use store::{FileStore, FileStoreConfig, FileStoreStats, TxnProfile};
+pub use store::{FileStore, FileStoreConfig, TxnProfile};
 pub use throttle::Throttle;
 pub use txn::{Transaction, TxOp};

@@ -33,8 +33,8 @@ struct Inner {
 pub struct MetaCache {
     inner: Mutex<Inner>,
     capacity: usize,
-    hits: afc_common::metrics::Counter,
-    misses: afc_common::metrics::Counter,
+    pub(crate) hits: afc_common::metrics::Counter,
+    pub(crate) misses: afc_common::metrics::Counter,
 }
 
 impl MetaCache {
@@ -103,11 +103,6 @@ impl MetaCache {
         self.len() == 0
     }
 
-    /// `(hits, misses)`.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits.get(), self.misses.get())
-    }
-
     /// Register hit/miss counters under `<prefix>.cache_hits` /
     /// `<prefix>.cache_misses`.
     pub fn register_into(&self, m: &afc_common::metrics::Metrics, prefix: &str) {
@@ -133,7 +128,7 @@ mod tests {
             },
         );
         assert_eq!(c.get("a").unwrap().size, 42);
-        assert_eq!(c.stats(), (1, 1));
+        assert_eq!((c.hits.get(), c.misses.get()), (1, 1));
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! device. Per-type syscall counters let benchmark harnesses print the
 //! syscall-reduction table.
 
-use afc_common::{AfcError, CounterSet, Result};
+use afc_common::metrics::{Counter, Metrics};
+use afc_common::{AfcError, Result};
 use afc_device::{BlockDev, IoKind, IoReq, StreamId};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
@@ -74,7 +75,16 @@ struct FileNode {
 pub struct SimFs {
     dev: Arc<dyn BlockDev>,
     files: RwLock<HashMap<String, Arc<Mutex<FileNode>>>>,
-    counters: CounterSet,
+    // Per-type syscall counts.
+    pub(crate) sys_open: Counter,
+    pub(crate) sys_stat: Counter,
+    pub(crate) sys_write: Counter,
+    pub(crate) sys_read: Counter,
+    pub(crate) sys_ftruncate: Counter,
+    pub(crate) sys_setxattr: Counter,
+    pub(crate) sys_getxattr: Counter,
+    pub(crate) sys_fallocate: Counter,
+    pub(crate) sys_unlink: Counter,
     /// Bump allocator for extents and inode blocks (wraps at capacity).
     cursor: std::sync::atomic::AtomicU64,
 }
@@ -85,7 +95,15 @@ impl SimFs {
         SimFs {
             dev,
             files: RwLock::new(HashMap::new()),
-            counters: CounterSet::new(),
+            sys_open: Counter::new(),
+            sys_stat: Counter::new(),
+            sys_write: Counter::new(),
+            sys_read: Counter::new(),
+            sys_ftruncate: Counter::new(),
+            sys_setxattr: Counter::new(),
+            sys_getxattr: Counter::new(),
+            sys_fallocate: Counter::new(),
+            sys_unlink: Counter::new(),
             cursor: Default::default(),
         }
     }
@@ -95,15 +113,28 @@ impl SimFs {
         &self.dev
     }
 
-    /// Per-type syscall counters (`sys.open`, `sys.write`, `sys.read`,
-    /// `sys.stat`, `sys.setxattr`, `sys.getxattr`, `sys.fallocate`,
-    /// `sys.unlink`, `sys.ftruncate`).
-    pub fn counters(&self) -> &CounterSet {
-        &self.counters
+    /// Register the per-type syscall counters under `<prefix>.sys.<call>`
+    /// (`open`, `stat`, `write`, `read`, `ftruncate`, `setxattr`,
+    /// `getxattr`, `fallocate`, `unlink`).
+    pub fn register_into(&self, m: &Metrics, prefix: &str) {
+        let fields: [(&str, &Counter); 9] = [
+            ("open", &self.sys_open),
+            ("stat", &self.sys_stat),
+            ("write", &self.sys_write),
+            ("read", &self.sys_read),
+            ("ftruncate", &self.sys_ftruncate),
+            ("setxattr", &self.sys_setxattr),
+            ("getxattr", &self.sys_getxattr),
+            ("fallocate", &self.sys_fallocate),
+            ("unlink", &self.sys_unlink),
+        ];
+        for (name, cell) in fields {
+            m.register_counter(format!("{prefix}.sys.{name}"), cell);
+        }
     }
 
-    fn syscall(&self, name: &str) {
-        self.counters.counter(name).inc();
+    fn syscall(&self, calls: &Counter) {
+        calls.inc();
         if SYSCALL_COST > Duration::ZERO {
             afc_common::sleep_for(SYSCALL_COST);
         }
@@ -120,7 +151,7 @@ impl SimFs {
     /// `open(O_CREAT)`: ensure the file exists. Counted per call — the
     /// community transaction path re-opens per op; the LWT opens once.
     pub fn open_create(&self, path: &str) -> Result<()> {
-        self.syscall("sys.open");
+        self.syscall(&self.sys_open);
         let mut files = self.files.write();
         files.entry(path.to_string()).or_insert_with(|| {
             Arc::new(Mutex::new(FileNode {
@@ -137,7 +168,7 @@ impl SimFs {
 
     /// `stat`: file size, or `NotFound`.
     pub fn stat(&self, path: &str) -> Result<u64> {
-        self.syscall("sys.stat");
+        self.syscall(&self.sys_stat);
         Ok(self.node(path)?.lock().data.len() as u64)
     }
 
@@ -149,7 +180,7 @@ impl SimFs {
     /// `pwrite`: store bytes and charge the device write, tagged hot or
     /// cold by the object's write count (per-object heat tracker).
     pub fn write(&self, path: &str, offset: u64, data: &[u8]) -> Result<()> {
-        self.syscall("sys.write");
+        self.syscall(&self.sys_write);
         if data.is_empty() {
             return Err(AfcError::InvalidArgument("zero-length write".into()));
         }
@@ -179,7 +210,7 @@ impl SimFs {
     /// `pread`: fetch bytes and charge the device read. Reads past EOF
     /// return the available prefix (zero-filled holes included).
     pub fn read(&self, path: &str, offset: u64, len: usize) -> Result<Vec<u8>> {
-        self.syscall("sys.read");
+        self.syscall(&self.sys_read);
         let node = self.node(path)?;
         let (out, spans) = {
             let mut n = node.lock();
@@ -197,7 +228,7 @@ impl SimFs {
 
     /// `ftruncate`.
     pub fn truncate(&self, path: &str, size: u64) -> Result<()> {
-        self.syscall("sys.ftruncate");
+        self.syscall(&self.sys_ftruncate);
         let node = self.node(path)?;
         node.lock().data.resize(size as usize, 0);
         Ok(())
@@ -207,7 +238,7 @@ impl SimFs {
     /// Charges a small device write: xattr updates dirty the inode and hit
     /// the filesystem journal — real metadata write traffic on the flash.
     pub fn setxattr(&self, path: &str, name: &str, value: Bytes) -> Result<()> {
-        self.syscall("sys.setxattr");
+        self.syscall(&self.sys_setxattr);
         let node = self.node(path)?;
         let off = {
             let mut n = node.lock();
@@ -220,7 +251,7 @@ impl SimFs {
     /// `getxattr`: charges a small device read (inode/xattr block fetch) —
     /// the §3.4 metadata-read traffic (~15 MB/s per disk during writes).
     pub fn getxattr(&self, path: &str, name: &str) -> Result<Option<Bytes>> {
-        self.syscall("sys.getxattr");
+        self.syscall(&self.sys_getxattr);
         let node = self.node(path)?;
         let (v, off) = {
             let n = node.lock();
@@ -233,7 +264,7 @@ impl SimFs {
     /// `fallocate(FALLOC_FL_KEEP_SIZE)` — the `set-alloc-hint` the LWT
     /// skips for small random writes. Charges a small metadata write.
     pub fn fallocate_hint(&self, path: &str) -> Result<()> {
-        self.syscall("sys.fallocate");
+        self.syscall(&self.sys_fallocate);
         let node = self.node(path)?;
         let off = {
             let mut n = node.lock();
@@ -245,7 +276,7 @@ impl SimFs {
 
     /// `unlink`.
     pub fn unlink(&self, path: &str) -> Result<()> {
-        self.syscall("sys.unlink");
+        self.syscall(&self.sys_unlink);
         self.files
             .write()
             .remove(path)
@@ -342,12 +373,11 @@ mod tests {
         fs.stat("o").unwrap();
         fs.setxattr("o", "a", Bytes::new()).unwrap();
         fs.fallocate_hint("o").unwrap();
-        let c = fs.counters();
-        assert_eq!(c.get("sys.open"), 2);
-        assert_eq!(c.get("sys.write"), 1);
-        assert_eq!(c.get("sys.stat"), 1);
-        assert_eq!(c.get("sys.setxattr"), 1);
-        assert_eq!(c.get("sys.fallocate"), 1);
+        assert_eq!(fs.sys_open.get(), 2);
+        assert_eq!(fs.sys_write.get(), 1);
+        assert_eq!(fs.sys_stat.get(), 1);
+        assert_eq!(fs.sys_setxattr.get(), 1);
+        assert_eq!(fs.sys_fallocate.get(), 1);
         assert!(fs.alloc_hint("o").unwrap());
     }
 

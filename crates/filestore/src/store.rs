@@ -81,30 +81,6 @@ struct Job {
     done: ApplyFn,
 }
 
-/// Aggregated filestore statistics.
-#[derive(Debug, Clone, Default)]
-pub struct FileStoreStats {
-    /// Transactions applied.
-    pub txns_applied: u64,
-    /// Object data bytes written.
-    pub data_bytes: u64,
-    /// Metadata reads performed during the write path (the §3.4 RMW reads).
-    pub meta_reads: u64,
-    /// Alloc hints skipped by the LWT small-write rule.
-    pub hints_skipped: u64,
-    /// Throttle block events.
-    pub throttle_waits: u64,
-    /// Total throttle block time, microseconds.
-    pub throttle_wait_us: u64,
-    /// Metadata cache hits/misses (LWT).
-    pub cache_hits: u64,
-    /// Metadata cache misses (LWT).
-    pub cache_misses: u64,
-    /// Transactions whose application failed (injected or device faults).
-    /// These are surfaced to the `done` callback, never swallowed.
-    pub apply_errors: u64,
-}
-
 /// The object store backend. One per OSD, over that OSD's RAID-0 device
 /// (shared with its KV DB, so metadata reads genuinely interfere with data
 /// writes on the flash model).
@@ -378,27 +354,10 @@ impl FileStore {
         self.kv.flush()
     }
 
-    /// Aggregated statistics.
-    pub fn stats(&self) -> FileStoreStats {
-        let (tw, twu) = self.throttle.wait_stats();
-        let (ch, cm) = self.cache.stats();
-        FileStoreStats {
-            txns_applied: self.txns_applied.get(),
-            data_bytes: self.data_bytes.get(),
-            meta_reads: self.meta_reads.get(),
-            hints_skipped: self.hints_skipped.get(),
-            throttle_waits: tw,
-            throttle_wait_us: twu,
-            cache_hits: ch,
-            cache_misses: cm,
-            apply_errors: self.apply_errors.get(),
-        }
-    }
-
     /// Register the filestore's counters into a cluster metric registry:
-    /// apply-path counters, throttle waits and metadata-cache hit/miss
-    /// under `<prefix>.<field>` (e.g. `osd0.fs.txns_applied`,
-    /// `osd0.fs.throttle.waits`, `osd0.fs.cache_hits`).
+    /// apply-path counters, throttle waits, metadata-cache hit/miss and
+    /// syscall counts under `<prefix>.<field>` (e.g. `osd0.fs.txns_applied`,
+    /// `osd0.fs.throttle.waits`, `osd0.fs.cache_hits`, `osd0.fs.sys.open`).
     pub fn register_metrics(&self, m: &Metrics, prefix: &str) {
         let fields: [(&str, &Counter); 5] = [
             ("txns_applied", &self.txns_applied),
@@ -413,6 +372,7 @@ impl FileStore {
         self.throttle
             .register_into(m, &format!("{prefix}.throttle"));
         self.cache.register_into(m, prefix);
+        self.fs.register_into(m, prefix);
     }
 
     /// Register the backing KV database's counters under `<kv_prefix>`
@@ -422,12 +382,7 @@ impl FileStore {
         self.kv.register_metrics(m, kv_prefix);
     }
 
-    /// The KV DB (write-amplification stats for the §3.4 analysis).
-    pub fn kv_stats(&self) -> afc_kvstore::DbStats {
-        self.kv.stats()
-    }
-
-    /// The simulated filesystem (syscall counters).
+    /// The simulated filesystem.
     pub fn fs(&self) -> &Arc<SimFs> {
         &self.fs
     }
@@ -683,7 +638,7 @@ mod tests {
             100
         );
         assert!(fs.getattr("obj", "snapset").unwrap().is_some());
-        assert_eq!(fs.stats().txns_applied, 1);
+        assert_eq!(fs.txns_applied.get(), 1);
     }
 
     #[test]
@@ -692,7 +647,7 @@ mod tests {
         fs.apply_sync(write_txn("obj", 4096, true)).unwrap();
         assert_eq!(fs.read("obj", 0, 4096).unwrap(), vec![7u8; 4096]);
         assert_eq!(fs.stat("obj").unwrap().size, 4096);
-        assert_eq!(fs.stats().hints_skipped, 1, "small-write hint not skipped");
+        assert_eq!(fs.hints_skipped.get(), 1, "small-write hint not skipped");
         assert!(!fs.fs().alloc_hint("obj").unwrap());
     }
 
@@ -704,32 +659,26 @@ mod tests {
             comm.apply_sync(write_txn("obj", 4096 + i, true)).unwrap();
             lwt.apply_sync(write_txn("obj", 4096 + i, true)).unwrap();
         }
-        let sys_comm: u64 = [
-            "sys.open",
-            "sys.stat",
-            "sys.setxattr",
-            "sys.fallocate",
-            "sys.getxattr",
-        ]
-        .iter()
-        .map(|s| comm.fs().counters().get(s))
-        .sum();
-        let sys_lwt: u64 = [
-            "sys.open",
-            "sys.stat",
-            "sys.setxattr",
-            "sys.fallocate",
-            "sys.getxattr",
-        ]
-        .iter()
-        .map(|s| lwt.fs().counters().get(s))
-        .sum();
+        let syscalls = |s: &FileStore| -> u64 {
+            let fs = s.fs();
+            [
+                &fs.sys_open,
+                &fs.sys_stat,
+                &fs.sys_setxattr,
+                &fs.sys_fallocate,
+                &fs.sys_getxattr,
+            ]
+            .iter()
+            .map(|c| c.get())
+            .sum()
+        };
+        let (sys_comm, sys_lwt) = (syscalls(&comm), syscalls(&lwt));
         assert!(sys_lwt * 2 < sys_comm, "lwt={sys_lwt} comm={sys_comm}");
         assert!(
-            lwt.kv_stats().commits * 2 <= comm.kv_stats().commits,
+            lwt.kv.stats().commits.get() * 2 <= comm.kv.stats().commits.get(),
             "lwt={} comm={}",
-            lwt.kv_stats().commits,
-            comm.kv_stats().commits
+            lwt.kv.stats().commits.get(),
+            comm.kv.stats().commits.get()
         );
     }
 
@@ -741,9 +690,9 @@ mod tests {
             comm.apply_sync(write_txn("obj", 4096, false)).unwrap();
             lwt.apply_sync(write_txn("obj", 4096, false)).unwrap();
         }
-        assert_eq!(comm.stats().meta_reads, 20);
-        assert_eq!(lwt.stats().meta_reads, 1, "only the cold miss");
-        assert!(lwt.stats().cache_hits >= 19);
+        assert_eq!(comm.meta_reads.get(), 20);
+        assert_eq!(lwt.meta_reads.get(), 1, "only the cold miss");
+        assert!(lwt.cache.hits.get() >= 19);
     }
 
     #[test]
@@ -824,9 +773,8 @@ mod tests {
             .unwrap();
         }
         fs.wait_idle();
-        let s = fs.stats();
-        assert!(s.throttle_waits > 0, "queue never filled: {s:?}");
-        assert_eq!(s.txns_applied, 12);
+        assert!(fs.throttle.waits.get() > 0, "queue never filled");
+        assert_eq!(fs.txns_applied.get(), 12);
     }
 
     #[test]
@@ -856,11 +804,11 @@ mod tests {
         ));
         let err = fs.apply_sync(write_txn("o", 64, false)).unwrap_err();
         assert_eq!(err.kind(), "io");
-        assert_eq!(fs.stats().apply_errors, 1);
-        assert_eq!(fs.stats().txns_applied, 0);
+        assert_eq!(fs.apply_errors.get(), 1);
+        assert_eq!(fs.txns_applied.get(), 0);
         // One-shot spec is exhausted: the retry applies cleanly.
         fs.apply_sync(write_txn("o", 64, false)).unwrap();
-        assert_eq!(fs.stats().txns_applied, 1);
+        assert_eq!(fs.txns_applied.get(), 1);
         assert_eq!(reg.hits("fs0.apply"), 1);
     }
 

@@ -26,8 +26,8 @@ pub struct Throttle {
     name: &'static str,
     state: TrackedMutex<State>,
     cv: TrackedCondvar,
-    waits: Counter,
-    wait_us: Counter,
+    pub(crate) waits: Counter,
+    pub(crate) wait_us: Counter,
 }
 
 /// RAII permit; releases on drop.
@@ -158,11 +158,6 @@ impl Throttle {
         self.state.lock().max
     }
 
-    /// `(block events, total blocked µs)`.
-    pub fn wait_stats(&self) -> (u64, u64) {
-        (self.waits.get(), self.wait_us.get())
-    }
-
     /// Register the wait accounting under `<prefix>.waits` /
     /// `<prefix>.wait_us`.
     pub fn register_into(&self, m: &Metrics, prefix: &str) {
@@ -206,8 +201,8 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         drop(held);
         h.join().unwrap();
-        let (waits, wait_us) = t.wait_stats();
-        assert_eq!(waits, 1);
+        assert_eq!(t.waits.get(), 1);
+        let wait_us = t.wait_us.get();
         assert!(wait_us >= 15_000, "wait_us={wait_us}");
     }
 

@@ -46,13 +46,12 @@
 
 pub mod stats;
 
-pub use stats::JournalStats;
+pub use stats::JournalStatsCell;
 
 use afc_common::lockdep::{self, classes, TrackedCondvar, TrackedMutex};
 use afc_common::{sleep_for, AfcError, Result};
 use afc_device::{BlockDev, IoReq, StreamId};
 use bytes::Bytes;
-use stats::JournalStatsCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -421,9 +420,9 @@ impl Journal {
         ring.used as f64 / self.inner.cfg.capacity as f64
     }
 
-    /// Statistics snapshot.
-    pub fn stats(&self) -> JournalStats {
-        self.inner.stats.snapshot()
+    /// The journal's live counters.
+    pub fn stats(&self) -> &JournalStatsCell {
+        &self.inner.stats
     }
 
     /// Register this journal's stat counters into a cluster metric
@@ -436,8 +435,8 @@ impl Journal {
     /// tails, been dropped (their callbacks never fire). Test helper.
     pub fn quiesce(&self) {
         loop {
-            let s = self.inner.stats.snapshot();
-            if s.commits + s.torn_writes >= s.submits {
+            let s = &self.inner.stats;
+            if s.commits.get() + s.torn_writes.get() >= s.submits.get() {
                 return;
             }
             sleep_for(Duration::from_micros(200));
@@ -636,10 +635,10 @@ mod tests {
         j.quiesce();
         assert_eq!(fired.load(AOrd::SeqCst), seq);
         let s = j.stats();
-        assert_eq!(s.submits, 1);
-        assert_eq!(s.commits, 1);
-        assert!(s.bytes_written >= 4096);
-        assert_eq!(s.flushes, 1, "one barrier per record");
+        assert_eq!(s.submits.get(), 1);
+        assert_eq!(s.commits.get(), 1);
+        assert!(s.bytes_written.get() >= 4096);
+        assert_eq!(s.flushes.get(), 1, "one barrier per record");
     }
 
     #[test]
@@ -666,13 +665,13 @@ mod tests {
         j.quiesce();
         let s = j.stats();
         assert!(
-            s.batches < s.submits,
+            s.batches.get() < s.submits.get(),
             "batches={} submits={}",
-            s.batches,
-            s.submits
+            s.batches.get(),
+            s.submits.get()
         );
         // One flush per record, not per entry: the group-commit payoff.
-        assert_eq!(s.flushes, s.batches);
+        assert_eq!(s.flushes.get(), s.batches.get());
     }
 
     #[test]
@@ -693,8 +692,12 @@ mod tests {
         }
         j.quiesce();
         let s = j.stats();
-        assert_eq!(s.commits, 10);
-        assert!(s.batches >= 5, "bytes cap ignored: {} batches", s.batches);
+        assert_eq!(s.commits.get(), 10);
+        assert!(
+            s.batches.get() >= 5,
+            "bytes cap ignored: {} batches",
+            s.batches.get()
+        );
     }
 
     #[test]
@@ -713,9 +716,9 @@ mod tests {
         // No quiesce: the callback ran on *this* thread before return.
         assert_eq!(fired.load(AOrd::SeqCst), seq);
         let s = j.stats();
-        assert_eq!(s.inline_commits, 1);
-        assert_eq!(s.commits, 1);
-        assert_eq!(s.flushes, 1);
+        assert_eq!(s.inline_commits.get(), 1);
+        assert_eq!(s.commits.get(), 1);
+        assert_eq!(s.flushes.get(), 1);
         assert_eq!(j.replay().len(), 1);
     }
 
@@ -768,8 +771,12 @@ mod tests {
         }
         j.quiesce();
         let s = j.stats();
-        assert_eq!(s.commits, 64);
-        assert!(s.batches <= 8, "linger did not coalesce: {}", s.batches);
+        assert_eq!(s.commits.get(), 64);
+        assert!(
+            s.batches.get() <= 8,
+            "linger did not coalesce: {}",
+            s.batches.get()
+        );
     }
 
     #[test]
@@ -792,8 +799,8 @@ mod tests {
         j.submit(payload(1000), Box::new(|_| {})).unwrap();
         assert!(t0.elapsed() >= Duration::from_millis(25), "did not block");
         t.join().unwrap();
-        assert!(j.stats().full_stalls > 0);
-        assert!(j.stats().full_stall_us > 0);
+        assert!(j.stats().full_stalls.get() > 0);
+        assert!(j.stats().full_stall_us.get() > 0);
     }
 
     #[test]
@@ -860,7 +867,7 @@ mod tests {
         let j = journal(16 * MIB);
         let seq = j.submit_and_wait(payload(2048)).unwrap();
         assert_eq!(seq, 1);
-        assert_eq!(j.stats().commits, 1);
+        assert_eq!(j.stats().commits.get(), 1);
     }
 
     #[test]
@@ -877,8 +884,8 @@ mod tests {
             }
         });
         let s = j.stats();
-        assert_eq!(s.submits, 800);
-        assert_eq!(s.commits, 800);
+        assert_eq!(s.submits.get(), 800);
+        assert_eq!(s.commits.get(), 800);
     }
 
     #[test]
@@ -943,7 +950,7 @@ mod fault_tests {
         .unwrap();
         j.quiesce();
         assert_eq!(acked.load(AOrd::SeqCst), 0, "torn write was acked");
-        assert_eq!(j.stats().torn_writes, 1);
+        assert_eq!(j.stats().torn_writes.get(), 1);
 
         // Crash: the image keeps the torn tail as-written...
         let image = j.crash_image();
@@ -957,7 +964,7 @@ mod fault_tests {
         let r1 = j2.replay();
         assert_eq!(r1.len(), 3, "garbage tail must not be replayed");
         assert!(r1.iter().all(JournalEntry::is_valid));
-        assert_eq!(j2.stats().replay_truncated, 1);
+        assert_eq!(j2.stats().replay_truncated.get(), 1);
         let r2 = j2.replay();
         assert_eq!(
             r1.iter().map(|e| e.seq).collect::<Vec<_>>(),
@@ -986,8 +993,12 @@ mod fault_tests {
         .unwrap();
         j.quiesce();
         assert_eq!(acked.load(AOrd::SeqCst), 0, "torn inline write was acked");
-        assert_eq!(j.stats().torn_writes, 1);
-        assert_eq!(j.stats().flushes, 0, "torn record must not be flushed");
+        assert_eq!(j.stats().torn_writes.get(), 1);
+        assert_eq!(
+            j.stats().flushes.get(),
+            0,
+            "torn record must not be flushed"
+        );
         // The poisoned entry truncates on replay; the journal keeps working.
         assert!(j.replay().is_empty());
         let seq = j.submit_and_wait(Bytes::from_static(b"after")).unwrap();
@@ -1004,7 +1015,11 @@ mod fault_tests {
             j.submit_and_wait(Bytes::from(vec![0u8; 512])).unwrap();
         }
         let s = j.stats();
-        assert_eq!(s.commits, 6, "entries must commit despite device faults");
-        assert!(s.write_errors >= 1, "faults not accounted: {s:?}");
+        assert_eq!(
+            s.commits.get(),
+            6,
+            "entries must commit despite device faults"
+        );
+        assert!(s.write_errors.get() >= 1, "faults not accounted: {s:?}");
     }
 }

@@ -2,82 +2,44 @@
 
 use afc_common::metrics::{Counter, Metrics};
 
-/// Snapshot of journal activity.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct JournalStats {
-    /// Entries submitted.
-    pub submits: u64,
-    /// Entries committed (callbacks fired).
-    pub commits: u64,
-    /// Entries committed on the submitter's thread via the inline
-    /// low-queue-depth fast path (subset of `commits`).
-    pub inline_commits: u64,
-    /// Device writes issued (each covers a batch).
-    pub batches: u64,
-    /// Group-commit flush barriers issued (one per intact record).
-    pub flushes: u64,
-    /// Bytes written to the device (aligned footprints).
-    pub bytes_written: u64,
-    /// Bytes released by trims.
-    pub trimmed_bytes: u64,
-    /// Times a submitter blocked on a full ring.
-    pub full_stalls: u64,
-    /// Total time submitters spent blocked, microseconds.
-    pub full_stall_us: u64,
-    /// Device write errors absorbed (fault injection).
-    pub write_errors: u64,
-    /// Torn device writes: the batch tail was poisoned and its commit
-    /// callback dropped (fault injection / power-loss model).
-    pub torn_writes: u64,
-    /// Entries discarded by replay checksum validation (torn tails).
-    pub replay_truncated: u64,
-}
-
-impl JournalStats {
-    /// Mean entries per device write.
-    pub fn avg_batch(&self) -> f64 {
-        if self.batches == 0 {
-            return 0.0;
-        }
-        self.commits as f64 / self.batches as f64
-    }
-}
-
-/// Thread-safe accumulator behind [`JournalStats`]. Each field is a
-/// shared metric cell, so the same counters the journal mutates on its
-/// hot path can be registered into a cluster [`Metrics`] registry.
+/// The journal's counters: the cells the hot path mutates, registered into
+/// a cluster [`Metrics`] registry by [`JournalStatsCell::register_into`].
 #[derive(Debug, Default)]
 pub struct JournalStatsCell {
-    pub(crate) submits: Counter,
-    pub(crate) commits: Counter,
-    pub(crate) inline_commits: Counter,
-    pub(crate) batches: Counter,
-    pub(crate) flushes: Counter,
-    pub(crate) bytes_written: Counter,
-    pub(crate) trimmed_bytes: Counter,
-    pub(crate) full_stalls: Counter,
-    pub(crate) full_stall_us: Counter,
-    pub(crate) write_errors: Counter,
-    pub(crate) torn_writes: Counter,
-    pub(crate) replay_truncated: Counter,
+    /// Entries submitted.
+    pub submits: Counter,
+    /// Entries committed (callbacks fired).
+    pub commits: Counter,
+    /// Entries committed on the submitter's thread via the inline
+    /// low-queue-depth fast path (subset of `commits`).
+    pub inline_commits: Counter,
+    /// Device writes issued (each covers a batch).
+    pub batches: Counter,
+    /// Group-commit flush barriers issued (one per intact record).
+    pub flushes: Counter,
+    /// Bytes written to the device (aligned footprints).
+    pub bytes_written: Counter,
+    /// Bytes released by trims.
+    pub trimmed_bytes: Counter,
+    /// Times a submitter blocked on a full ring.
+    pub full_stalls: Counter,
+    /// Total time submitters spent blocked, microseconds.
+    pub full_stall_us: Counter,
+    /// Device write errors absorbed (fault injection).
+    pub write_errors: Counter,
+    /// Torn device writes: the batch tail was poisoned and its commit
+    /// callback dropped (fault injection / power-loss model).
+    pub torn_writes: Counter,
+    /// Entries discarded by replay checksum validation (torn tails).
+    pub replay_truncated: Counter,
 }
 
 impl JournalStatsCell {
-    /// Snapshot current values.
-    pub fn snapshot(&self) -> JournalStats {
-        JournalStats {
-            submits: self.submits.get(),
-            commits: self.commits.get(),
-            inline_commits: self.inline_commits.get(),
-            batches: self.batches.get(),
-            flushes: self.flushes.get(),
-            bytes_written: self.bytes_written.get(),
-            trimmed_bytes: self.trimmed_bytes.get(),
-            full_stalls: self.full_stalls.get(),
-            full_stall_us: self.full_stall_us.get(),
-            write_errors: self.write_errors.get(),
-            torn_writes: self.torn_writes.get(),
-            replay_truncated: self.replay_truncated.get(),
+    /// Mean entries per device write.
+    pub fn avg_batch(&self) -> f64 {
+        match self.batches.get() {
+            0 => 0.0,
+            batches => self.commits.get() as f64 / batches as f64,
         }
     }
 
@@ -111,23 +73,11 @@ mod tests {
 
     #[test]
     fn avg_batch_math() {
-        let s = JournalStats {
-            commits: 100,
-            batches: 25,
-            ..Default::default()
-        };
-        assert!((s.avg_batch() - 4.0).abs() < 1e-9);
-        assert_eq!(JournalStats::default().avg_batch(), 0.0);
-    }
-
-    #[test]
-    fn snapshot_reflects_cell() {
         let c = JournalStatsCell::default();
-        c.submits.add(3);
-        c.full_stalls.inc();
-        let s = c.snapshot();
-        assert_eq!(s.submits, 3);
-        assert_eq!(s.full_stalls, 1);
+        assert_eq!(c.avg_batch(), 0.0);
+        c.commits.add(100);
+        c.batches.add(25);
+        assert!((c.avg_batch() - 4.0).abs() < 1e-9);
     }
 
     #[test]

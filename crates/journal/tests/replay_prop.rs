@@ -57,7 +57,7 @@ proptest! {
             reg.install(FaultSpec::new("jdev.write", FaultKind::Torn));
             j.submit(payload_for(committed + 1, 512), Box::new(|_| {})).unwrap();
             j.quiesce();
-            prop_assert_eq!(j.stats().torn_writes, 1);
+            prop_assert_eq!(j.stats().torn_writes.get(), 1);
         }
 
         // Crash + recover onto a fresh device.
@@ -113,7 +113,7 @@ proptest! {
                 // Record 1 is in flight before anything else is queued, so
                 // entries 2.. coalesce deterministically behind its slow
                 // barrier.
-                while grouped.stats().batches < 1 {
+                while grouped.stats().batches.get() < 1 {
                     std::thread::sleep(Duration::from_micros(100));
                 }
             }
@@ -123,10 +123,10 @@ proptest! {
         }
         let gs = grouped.stats();
         prop_assert!(
-            gs.batches < gs.submits,
-            "no coalescing: {} records for {} submits", gs.batches, gs.submits
+            gs.batches.get() < gs.submits.get(),
+            "no coalescing: {} records for {} submits", gs.batches.get(), gs.submits.get()
         );
-        prop_assert_eq!(gs.flushes, gs.batches, "one barrier per record");
+        prop_assert_eq!(gs.flushes.get(), gs.batches.get(), "one barrier per record");
         let order = acked.lock().clone();
         let expect_order: Vec<u64> = (1..=lens.len() as u64).collect();
         prop_assert_eq!(&order, &expect_order, "callbacks left submission order");
@@ -139,7 +139,7 @@ proptest! {
         for (i, len) in lens.iter().enumerate() {
             solo.submit_and_wait(payload_for(i as u64 + 1, *len as usize)).unwrap();
         }
-        prop_assert_eq!(solo.stats().batches, lens.len() as u64);
+        prop_assert_eq!(solo.stats().batches.get(), lens.len() as u64);
 
         // Crash both; the recovered logs must replay identically.
         let (gi, si) = (grouped.crash_image(), solo.crash_image());
@@ -181,7 +181,7 @@ fn torn_batch_tail_poisons_only_the_tail() {
     let a = Arc::clone(&acked);
     j.submit(payload_for(1, 256), Box::new(move |s| a.lock().push(s)))
         .unwrap();
-    while j.stats().batches < 1 {
+    while j.stats().batches.get() < 1 {
         std::thread::sleep(Duration::from_micros(100));
     }
     // Record 2 (entries 2..=5) tears at its tail mid-write.
@@ -197,9 +197,9 @@ fn torn_batch_tail_poisons_only_the_tail() {
     }
 
     let st = j.stats();
-    assert_eq!(st.torn_writes, 1);
-    assert_eq!(st.batches, 2, "entries 2..=5 must share one record");
-    assert_eq!(st.flushes, 1, "a torn record must never be flushed");
+    assert_eq!(st.torn_writes.get(), 1);
+    assert_eq!(st.batches.get(), 2, "entries 2..=5 must share one record");
+    assert_eq!(st.flushes.get(), 1, "a torn record must never be flushed");
     // Entries 2..=4 of the torn record are durable and acked in order;
     // only the tail (5) is dropped.
     assert_eq!(acked.lock().clone(), vec![1, 2, 3, 4]);
@@ -215,7 +215,7 @@ fn torn_batch_tail_poisons_only_the_tail() {
     );
     let seqs: Vec<u64> = j2.replay().iter().map(|e| e.seq).collect();
     assert_eq!(seqs, vec![1, 2, 3, 4]);
-    assert_eq!(j2.stats().replay_truncated, 1);
+    assert_eq!(j2.stats().replay_truncated.get(), 1);
     assert_eq!(
         j2.replay().len(),
         4,

@@ -134,6 +134,6 @@ mod tests {
         let _ = db.pick_job_for_test();
         db.flush().unwrap();
         db.wait_idle();
-        assert!(db.stats().flushes >= 1);
+        assert!(db.stats().flushes.get() >= 1);
     }
 }

@@ -6,7 +6,7 @@ use crate::compaction;
 use crate::compaction::CompactionJob;
 use crate::memtable::MemTable;
 use crate::sstable::{merge_runs, SsTable};
-use crate::stats::{DbStats, DbStatsCell};
+use crate::stats::DbStatsCell;
 use crate::wal::Wal;
 use crate::{Key, Value};
 use afc_common::{AfcError, Result, KIB, MIB};
@@ -408,9 +408,9 @@ impl Db {
         Ok(n)
     }
 
-    /// Statistics snapshot.
-    pub fn stats(&self) -> DbStats {
-        self.inner.stats.snapshot()
+    /// The database's live counters.
+    pub fn stats(&self) -> &DbStatsCell {
+        &self.inner.stats
     }
 
     /// Register this database's stat counters into a cluster metric
@@ -519,7 +519,7 @@ mod tests {
         assert!(l0 >= 1);
         let (k, v) = kv(25);
         assert_eq!(db.get(&k).unwrap().unwrap(), v);
-        assert!(db.stats().flushes >= 1);
+        assert!(db.stats().flushes.get() >= 1);
     }
 
     #[test]
@@ -539,7 +539,7 @@ mod tests {
         let (_, _, l0, l1_bytes) = db.shape();
         assert!(l0 < 2, "l0={l0}");
         assert!(l1_bytes > 0);
-        assert!(db.stats().compactions >= 1);
+        assert!(db.stats().compactions.get() >= 1);
         for i in 0..150 {
             let (k, v) = kv(i);
             assert_eq!(db.get(&k).unwrap().unwrap(), v, "key {i}");
@@ -561,13 +561,13 @@ mod tests {
         db.flush().unwrap();
         db.wait_idle();
         let s = db.stats();
-        assert!(s.user_bytes > 0);
+        assert!(s.user_bytes.get() > 0);
         assert!(
             s.write_amplification() > 1.0,
             "wa={}",
             s.write_amplification()
         );
-        assert!(s.compact_write_bytes > 0);
+        assert!(s.compact_write_bytes.get() > 0);
     }
 
     #[test]
@@ -660,8 +660,8 @@ mod tests {
                 .unwrap();
         }
         let s = db.stats();
-        assert!(s.stalls > 0, "expected stalls, got {s:?}");
-        assert!(s.stall_us > 0);
+        assert!(s.stalls.get() > 0, "expected stalls, got {s:?}");
+        assert!(s.stall_us.get() > 0);
     }
 
     #[test]

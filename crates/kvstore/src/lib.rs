@@ -8,7 +8,7 @@
 //!   using 4MB block size, 30MB of additional data is written. However, if
 //!   the block size is 4KB instead, 2GB of additional data is written."
 //!   Compaction rewrites resident data; the smaller the entries, the more
-//!   often levels churn. [`DbStats::write_amplification`] exposes the ratio.
+//!   often levels churn. [`DbStatsCell::write_amplification`] exposes the ratio.
 //! - **Unstable latency**: "latency of each requested operation becomes
 //!   unstable because key-value DB performs compaction or construction of
 //!   immutable table". We reproduce this with real background flush and
@@ -33,7 +33,7 @@ pub mod wal;
 
 pub use batch::WriteBatch;
 pub use db::{Db, DbConfig, WriteOptions};
-pub use stats::DbStats;
+pub use stats::DbStatsCell;
 
 /// Key type (cheaply clonable).
 pub type Key = bytes::Bytes;

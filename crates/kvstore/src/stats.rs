@@ -2,97 +2,49 @@
 
 use afc_common::metrics::{Counter, Metrics};
 
-/// Snapshot of database activity.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DbStats {
+/// The database's counters: the cells the hot path mutates, registered
+/// into a cluster [`Metrics`] registry by [`DbStatsCell::register_into`].
+#[derive(Debug, Default)]
+pub struct DbStatsCell {
     /// Payload bytes handed to `put`/`write_batch` by callers.
-    pub user_bytes: u64,
+    pub user_bytes: Counter,
     /// Batches committed.
-    pub commits: u64,
+    pub commits: Counter,
     /// WAL bytes written to the device.
-    pub wal_bytes: u64,
+    pub wal_bytes: Counter,
     /// Memtable flushes to L0.
-    pub flushes: u64,
+    pub flushes: Counter,
     /// Bytes written flushing memtables.
-    pub flush_bytes: u64,
+    pub flush_bytes: Counter,
     /// L0→L1 compactions performed.
-    pub compactions: u64,
+    pub compactions: Counter,
     /// Bytes read by compaction inputs.
-    pub compact_read_bytes: u64,
+    pub compact_read_bytes: Counter,
     /// Bytes written by compaction outputs.
-    pub compact_write_bytes: u64,
+    pub compact_write_bytes: Counter,
     /// Writer stalls (memtable/L0 backpressure events).
-    pub stalls: u64,
+    pub stalls: Counter,
     /// Total time writers spent stalled, microseconds.
-    pub stall_us: u64,
+    pub stall_us: Counter,
     /// Point lookups served.
-    pub gets: u64,
+    pub gets: Counter,
     /// SSTable probes that charged a device read.
-    pub table_reads: u64,
+    pub table_reads: Counter,
     /// Background table I/O charges that failed (injected device faults).
     /// The data itself is safe (tables are built in memory before the
     /// charge), so the worker proceeds — but loudly, not silently.
-    pub table_io_errors: u64,
-}
-
-impl DbStats {
-    /// Total bytes the device saw for writes (WAL + flush + compaction).
-    pub fn device_write_bytes(&self) -> u64 {
-        self.wal_bytes + self.flush_bytes + self.compact_write_bytes
-    }
-
-    /// Write amplification: device write bytes per user byte. The paper's
-    /// §3.4 observation (4 KB blocks → ~2 GB extra per 2 GB user data) is
-    /// this ratio climbing for small entries.
-    pub fn write_amplification(&self) -> f64 {
-        if self.user_bytes == 0 {
-            return 0.0;
-        }
-        self.device_write_bytes() as f64 / self.user_bytes as f64
-    }
-
-    /// Extra (non-user) bytes written.
-    pub fn extra_bytes(&self) -> u64 {
-        self.device_write_bytes().saturating_sub(self.user_bytes)
-    }
-}
-
-/// Thread-safe accumulator behind [`DbStats`]. Fields are shared metric
-/// cells registrable into a cluster [`Metrics`] registry.
-#[derive(Debug, Default)]
-pub struct DbStatsCell {
-    pub(crate) user_bytes: Counter,
-    pub(crate) commits: Counter,
-    pub(crate) wal_bytes: Counter,
-    pub(crate) flushes: Counter,
-    pub(crate) flush_bytes: Counter,
-    pub(crate) compactions: Counter,
-    pub(crate) compact_read_bytes: Counter,
-    pub(crate) compact_write_bytes: Counter,
-    pub(crate) stalls: Counter,
-    pub(crate) stall_us: Counter,
-    pub(crate) gets: Counter,
-    pub(crate) table_reads: Counter,
-    pub(crate) table_io_errors: Counter,
+    pub table_io_errors: Counter,
 }
 
 impl DbStatsCell {
-    /// Snapshot current values.
-    pub fn snapshot(&self) -> DbStats {
-        DbStats {
-            user_bytes: self.user_bytes.get(),
-            commits: self.commits.get(),
-            wal_bytes: self.wal_bytes.get(),
-            flushes: self.flushes.get(),
-            flush_bytes: self.flush_bytes.get(),
-            compactions: self.compactions.get(),
-            compact_read_bytes: self.compact_read_bytes.get(),
-            compact_write_bytes: self.compact_write_bytes.get(),
-            stalls: self.stalls.get(),
-            stall_us: self.stall_us.get(),
-            gets: self.gets.get(),
-            table_reads: self.table_reads.get(),
-            table_io_errors: self.table_io_errors.get(),
+    /// Write amplification: device write bytes (WAL + flush + compaction)
+    /// per user byte. The paper's §3.4 observation (4 KB blocks → ~2 GB
+    /// extra per 2 GB user data) is this ratio climbing for small entries.
+    pub fn write_amplification(&self) -> f64 {
+        let device = self.wal_bytes.get() + self.flush_bytes.get() + self.compact_write_bytes.get();
+        match self.user_bytes.get() {
+            0 => 0.0,
+            user => device as f64 / user as f64,
         }
     }
 
@@ -126,32 +78,12 @@ mod tests {
 
     #[test]
     fn write_amplification_math() {
-        let s = DbStats {
-            user_bytes: 100,
-            wal_bytes: 120,
-            flush_bytes: 100,
-            compact_write_bytes: 80,
-            ..Default::default()
-        };
-        assert_eq!(s.device_write_bytes(), 300);
-        assert!((s.write_amplification() - 3.0).abs() < 1e-9);
-        assert_eq!(s.extra_bytes(), 200);
-    }
-
-    #[test]
-    fn zero_user_bytes_safe() {
-        let s = DbStats::default();
-        assert_eq!(s.write_amplification(), 0.0);
-        assert_eq!(s.extra_bytes(), 0);
-    }
-
-    #[test]
-    fn cell_snapshot() {
         let c = DbStatsCell::default();
-        c.user_bytes.add(5);
-        c.stalls.inc();
-        let s = c.snapshot();
-        assert_eq!(s.user_bytes, 5);
-        assert_eq!(s.stalls, 1);
+        assert_eq!(c.write_amplification(), 0.0, "zero user bytes is safe");
+        c.user_bytes.add(100);
+        c.wal_bytes.add(120);
+        c.flush_bytes.add(100);
+        c.compact_write_bytes.add(80);
+        assert!((c.write_amplification() - 3.0).abs() < 1e-9);
     }
 }

@@ -7,8 +7,7 @@
 //! one consumer, and two context switches per entry.
 
 use crate::entry::{LogEntry, LogRing};
-use afc_common::counters::Counter;
-use afc_common::CounterSet;
+use afc_common::metrics::Counter;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -39,8 +38,9 @@ pub struct BlockingLogger {
 }
 
 impl BlockingLogger {
-    /// Start the logger thread.
-    pub fn new(ring_entries: usize, counters: &CounterSet) -> Self {
+    /// Start the logger thread; `submitted` and `wait_us` are the caller's
+    /// `log.submitted` / `log.block_wait_us` cells.
+    pub fn new(ring_entries: usize, submitted: Counter, wait_us: Counter) -> Self {
         let shared = Arc::new(Shared {
             queue: Mutex::new(QueueState {
                 queue: VecDeque::new(),
@@ -63,8 +63,8 @@ impl BlockingLogger {
         BlockingLogger {
             shared,
             ring,
-            submitted: counters.counter("log.submitted"),
-            wait_us: counters.counter("log.block_wait_us"),
+            submitted,
+            wait_us,
             worker: Some(worker),
         }
     }
@@ -141,18 +141,17 @@ mod tests {
 
     #[test]
     fn submit_blocks_until_consumed() {
-        let cs = CounterSet::new();
-        let l = BlockingLogger::new(100, &cs);
+        let submitted = Counter::new();
+        let l = BlockingLogger::new(100, submitted.clone(), Counter::new());
         l.submit(LogEntry::new(Level::Debug, "t", "one".into()));
         // Entry must be visible immediately after submit returns.
         assert_eq!(l.dump().len(), 1);
-        assert_eq!(cs.get("log.submitted"), 1);
+        assert_eq!(submitted.get(), 1);
     }
 
     #[test]
     fn order_preserved_across_threads_per_thread() {
-        let cs = CounterSet::new();
-        let l = BlockingLogger::new(10_000, &cs);
+        let l = BlockingLogger::new(10_000, Counter::new(), Counter::new());
         std::thread::scope(|s| {
             for t in 0..4 {
                 let l = &l;
@@ -179,8 +178,7 @@ mod tests {
 
     #[test]
     fn drop_is_clean_with_pending_state() {
-        let cs = CounterSet::new();
-        let l = BlockingLogger::new(10, &cs);
+        let l = BlockingLogger::new(10, Counter::new(), Counter::new());
         l.submit(LogEntry::new(Level::Debug, "t", "x".into()));
         drop(l); // must not hang
     }

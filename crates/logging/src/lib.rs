@@ -32,7 +32,7 @@ pub mod nonblocking;
 pub use cache::LogCache;
 pub use entry::{LogEntry, LogRing};
 
-use afc_common::CounterSet;
+use afc_common::metrics::{Counter, Metrics};
 use std::sync::Arc;
 
 /// Verbosity level, ordered.
@@ -116,30 +116,39 @@ enum Backend {
 pub struct Logger {
     cfg: LogConfig,
     backend: Backend,
-    counters: CounterSet,
+    submitted: Counter,
+    dropped: Counter,
+    skipped: Counter,
+    block_wait_us: Counter,
     cache: LogCache,
 }
 
 impl Logger {
     /// Build a logger for `cfg`.
     pub fn new(cfg: LogConfig) -> Arc<Self> {
-        let counters = CounterSet::new();
+        let (submitted, dropped, block_wait_us) = (Counter::new(), Counter::new(), Counter::new());
         let backend = match cfg.mode {
             LogMode::Off => Backend::Off,
-            LogMode::Blocking => {
-                Backend::Blocking(blocking::BlockingLogger::new(cfg.ring_entries, &counters))
-            }
+            LogMode::Blocking => Backend::Blocking(blocking::BlockingLogger::new(
+                cfg.ring_entries,
+                submitted.clone(),
+                block_wait_us.clone(),
+            )),
             LogMode::NonBlocking => Backend::NonBlocking(nonblocking::NonBlockingLogger::new(
                 cfg.ring_entries,
                 cfg.queue_entries,
                 cfg.flushers.max(1),
-                &counters,
+                submitted.clone(),
+                dropped.clone(),
             )),
         };
         Arc::new(Logger {
             cfg,
             backend,
-            counters,
+            submitted,
+            dropped,
+            skipped: Counter::new(),
+            block_wait_us,
             cache: LogCache::new(),
         })
     }
@@ -155,7 +164,7 @@ impl Logger {
     #[inline]
     pub fn log(&self, level: Level, subsys: &'static str, msg: &'static str) {
         if !self.enabled(level) {
-            self.counters.counter("log.skipped").inc();
+            self.skipped.inc();
             return;
         }
         match &self.backend {
@@ -174,7 +183,7 @@ impl Logger {
     /// Log a dynamically-formatted message; `f` runs only when enabled.
     pub fn logf(&self, level: Level, subsys: &'static str, f: impl FnOnce() -> String) {
         if !self.enabled(level) {
-            self.counters.counter("log.skipped").inc();
+            self.skipped.inc();
             return;
         }
         let msg = f();
@@ -202,17 +211,19 @@ impl Logger {
         }
     }
 
-    /// Instrumentation counters: `log.submitted`, `log.dropped`,
-    /// `log.skipped`, `log.block_wait_us`.
-    pub fn counters(&self) -> &CounterSet {
-        &self.counters
-    }
-
-    /// Attach this logger's live counters to a cluster metric registry;
-    /// they appear in snapshots as `<prefix>.log.*` (e.g.
+    /// Register this logger's counters into a cluster metric registry as
+    /// `<prefix>.log.{submitted,dropped,skipped,block_wait_us}` (e.g.
     /// `osd0.log.dropped`).
-    pub fn attach_metrics(&self, m: &afc_common::metrics::Metrics, prefix: &str) {
-        m.attach_set(prefix, &self.counters);
+    pub fn attach_metrics(&self, m: &Metrics, prefix: &str) {
+        let fields: [(&str, &Counter); 4] = [
+            ("submitted", &self.submitted),
+            ("dropped", &self.dropped),
+            ("skipped", &self.skipped),
+            ("block_wait_us", &self.block_wait_us),
+        ];
+        for (name, cell) in fields {
+            m.register_counter(format!("{prefix}.log.{name}"), cell);
+        }
     }
 
     /// The configured mode.
@@ -232,8 +243,8 @@ mod tests {
         l.log(Level::Error, "osd", "boom");
         l.logf(Level::Debug, "osd", || panic!("must not format when off"));
         assert!(l.dump().is_empty());
-        assert_eq!(l.counters().get("log.submitted"), 0);
-        assert_eq!(l.counters().get("log.skipped"), 2);
+        assert_eq!(l.submitted.get(), 0);
+        assert_eq!(l.skipped.get(), 2);
     }
 
     #[test]
@@ -258,7 +269,7 @@ mod tests {
         assert_eq!(d.len(), 50);
         assert!(d[0].message().contains("op 0"));
         assert!(d[49].message().contains("op 49"));
-        assert_eq!(l.counters().get("log.submitted"), 50);
+        assert_eq!(l.submitted.get(), 50);
     }
 
     #[test]
@@ -273,7 +284,7 @@ mod tests {
         }
         l.drain();
         assert_eq!(l.dump().len(), 100);
-        assert_eq!(l.counters().get("log.submitted"), 100);
+        assert_eq!(l.submitted.get(), 100);
     }
 
     #[test]
@@ -305,6 +316,6 @@ mod tests {
                 });
             }
         });
-        assert!(l.counters().get("log.block_wait_us") > 0);
+        assert!(l.block_wait_us.get() > 0);
     }
 }

@@ -7,8 +7,7 @@
 //! notes the throttle bounds outstanding operations anyway) and counts them.
 
 use crate::entry::{LogEntry, LogRing};
-use afc_common::counters::Counter;
-use afc_common::CounterSet;
+use afc_common::metrics::Counter;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -25,12 +24,15 @@ pub struct NonBlockingLogger {
 }
 
 impl NonBlockingLogger {
-    /// Start `flushers` flusher threads over a queue of `queue_entries`.
+    /// Start `flushers` flusher threads over a queue of `queue_entries`;
+    /// `submitted` and `dropped` are the caller's `log.submitted` /
+    /// `log.dropped` cells.
     pub fn new(
         ring_entries: usize,
         queue_entries: usize,
         flushers: usize,
-        counters: &CounterSet,
+        submitted: Counter,
+        dropped: Counter,
     ) -> Self {
         let (tx, rx): (Sender<LogEntry>, Receiver<LogEntry>) = bounded(queue_entries.max(1));
         let ring = Arc::new(LogRing::new(ring_entries));
@@ -55,8 +57,8 @@ impl NonBlockingLogger {
         NonBlockingLogger {
             tx,
             ring,
-            submitted: counters.counter("log.submitted"),
-            dropped: counters.counter("log.dropped"),
+            submitted,
+            dropped,
             enqueued,
             flushed,
             workers,
@@ -111,37 +113,36 @@ mod tests {
 
     #[test]
     fn entries_flow_to_ring() {
-        let cs = CounterSet::new();
-        let l = NonBlockingLogger::new(1000, 256, 2, &cs);
+        let (submitted, dropped) = (Counter::new(), Counter::new());
+        let l = NonBlockingLogger::new(1000, 256, 2, submitted.clone(), dropped.clone());
         for i in 0..100 {
             l.submit(LogEntry::new(Level::Debug, "t", format!("{i}")));
         }
         l.drain();
         assert_eq!(l.dump().len(), 100);
-        assert_eq!(cs.get("log.submitted"), 100);
-        assert_eq!(cs.get("log.dropped"), 0);
+        assert_eq!(submitted.get(), 100);
+        assert_eq!(dropped.get(), 0);
     }
 
     #[test]
     fn overflow_drops_and_counts() {
-        let cs = CounterSet::new();
+        let (submitted, dropped) = (Counter::new(), Counter::new());
         // A single very slow consumer can't be arranged portably, so use a
         // tiny queue and submit in a burst before flushers catch up.
-        let l = NonBlockingLogger::new(10, 1, 1, &cs);
+        let l = NonBlockingLogger::new(10, 1, 1, submitted.clone(), dropped.clone());
         for i in 0..10_000 {
             l.submit(LogEntry::new(Level::Debug, "t", format!("{i}")));
         }
         l.drain();
-        let dropped = cs.get("log.dropped");
-        let submitted = cs.get("log.submitted");
+        let (dropped, submitted) = (dropped.get(), submitted.get());
         assert_eq!(dropped + submitted, 10_000);
         assert!(dropped > 0, "expected overflow drops");
     }
 
     #[test]
     fn concurrent_submitters_never_block_forever() {
-        let cs = CounterSet::new();
-        let l = NonBlockingLogger::new(1000, 128, 2, &cs);
+        let (submitted, dropped) = (Counter::new(), Counter::new());
+        let l = NonBlockingLogger::new(1000, 128, 2, submitted.clone(), dropped.clone());
         std::thread::scope(|s| {
             for _ in 0..8 {
                 let l = &l;
@@ -153,13 +154,13 @@ mod tests {
             }
         });
         l.drain();
-        assert_eq!(cs.get("log.submitted") + cs.get("log.dropped"), 4000);
+        assert_eq!(submitted.get() + dropped.get(), 4000);
     }
 
     #[test]
     fn drop_joins_flushers() {
-        let cs = CounterSet::new();
-        let l = NonBlockingLogger::new(100, 64, 3, &cs);
+        let (submitted, dropped) = (Counter::new(), Counter::new());
+        let l = NonBlockingLogger::new(100, 64, 3, submitted.clone(), dropped.clone());
         l.submit(LogEntry::new(Level::Info, "t", "bye".into()));
         drop(l); // must not hang
     }

@@ -25,7 +25,8 @@ pub mod addr;
 pub use addr::Addr;
 
 use afc_common::faults::{FaultKind, FaultRegistry};
-use afc_common::{sleep_for, AfcError, CounterSet, Result};
+use afc_common::metrics::{Counter, Metrics};
+use afc_common::{sleep_for, AfcError, Result};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -164,7 +165,13 @@ struct FaultHook<M> {
 pub struct Network<M: Send + 'static> {
     cfg: NetConfig,
     inner: Mutex<NetInner<M>>,
-    counters: CounterSet,
+    msgs: Counter,
+    bytes: Counter,
+    conns: Counter,
+    lanes: Counter,
+    nagled: Counter,
+    dropped: Counter,
+    duplicated: Counter,
     faults: OnceLock<FaultHook<M>>,
 }
 
@@ -179,7 +186,13 @@ impl<M: Send + 'static> Network<M> {
                 lane_threads: Vec::new(),
                 shutdown: false,
             }),
-            counters: CounterSet::new(),
+            msgs: Counter::new(),
+            bytes: Counter::new(),
+            conns: Counter::new(),
+            lanes: Counter::new(),
+            nagled: Counter::new(),
+            dropped: Counter::new(),
+            duplicated: Counter::new(),
             faults: OnceLock::new(),
         })
     }
@@ -267,15 +280,21 @@ impl<M: Send + 'static> Network<M> {
         }
     }
 
-    /// Instrumentation: `net.msgs`, `net.bytes`, `net.conns`.
-    pub fn counters(&self) -> &CounterSet {
-        &self.counters
-    }
-
-    /// Attach the network's live counters to a cluster metric registry;
-    /// they appear in snapshots under their own `net.*` names.
-    pub fn attach_metrics(&self, m: &afc_common::metrics::Metrics) {
-        m.attach_set("", &self.counters);
+    /// Register the network's counters into a cluster metric registry as
+    /// `net.{msgs,bytes,conns,lanes,nagled,dropped,duplicated}`.
+    pub fn attach_metrics(&self, m: &Metrics) {
+        let fields: [(&str, &Counter); 7] = [
+            ("msgs", &self.msgs),
+            ("bytes", &self.bytes),
+            ("conns", &self.conns),
+            ("lanes", &self.lanes),
+            ("nagled", &self.nagled),
+            ("dropped", &self.dropped),
+            ("duplicated", &self.duplicated),
+        ];
+        for (name, cell) in fields {
+            m.register_counter(format!("net.{name}"), cell);
+        }
     }
 
     fn deliver(&self, from: Addr, to: Addr, msg: M, wire_bytes: u32) -> Result<()> {
@@ -291,12 +310,12 @@ impl<M: Send + 'static> Network<M> {
                     match hook.registry.check(&site) {
                         None => {}
                         Some(FaultKind::Drop) => {
-                            self.counters.counter("net.dropped").inc();
+                            self.dropped.inc();
                             return Ok(());
                         }
                         Some(FaultKind::Delay(d)) => extra_delay = d,
                         Some(FaultKind::Duplicate) => {
-                            self.counters.counter("net.duplicated").inc();
+                            self.duplicated.inc();
                             duplicate = Some((hook.clone_msg)(&msg));
                         }
                         Some(FaultKind::Error) | Some(FaultKind::Torn) => {
@@ -311,7 +330,6 @@ impl<M: Send + 'static> Network<M> {
             return Err(AfcError::ShutDown("network".into()));
         }
         let cfg = self.cfg.clone();
-        let counters = self.counters.clone();
         // Async mode: ensure the shared lanes exist and pick this
         // connection's lane (sharded by connection id so per-connection
         // FIFO ordering is preserved) before borrowing the endpoint.
@@ -327,7 +345,7 @@ impl<M: Send + 'static> Network<M> {
                             .spawn(move || receive_loop(rx, cfg))
                             .expect("spawn async messenger worker"),
                     );
-                    counters.counter("net.lanes").inc();
+                    self.lanes.inc();
                 }
             }
             use std::hash::{Hash, Hasher};
@@ -346,7 +364,7 @@ impl<M: Send + 'static> Network<M> {
         let tx = match lane_tx {
             None => {
                 let conn = state.conns.entry(from).or_insert_with(|| {
-                    counters.counter("net.conns").inc();
+                    self.conns.inc();
                     let (tx, rx): (Sender<WorkItem<M>>, Receiver<WorkItem<M>>) = unbounded();
                     let thread = std::thread::Builder::new()
                         .name(format!("msgr-{from}-{to}"))
@@ -361,7 +379,7 @@ impl<M: Send + 'static> Network<M> {
             }
             Some(lane_tx) => {
                 state.conns.entry(from).or_insert_with(|| {
-                    counters.counter("net.conns").inc();
+                    self.conns.inc();
                     ConnHandle {
                         tx: lane_tx.clone(),
                         thread: None,
@@ -374,10 +392,10 @@ impl<M: Send + 'static> Network<M> {
         if self.cfg.nagle && wire_bytes <= self.cfg.nagle_threshold {
             // Small payload held back by the coalescing window.
             departed += self.cfg.nagle_delay;
-            self.counters.counter("net.nagled").inc();
+            self.nagled.inc();
         }
-        self.counters.counter("net.msgs").inc();
-        self.counters.counter("net.bytes").add(wire_bytes as u64);
+        self.msgs.inc();
+        self.bytes.add(wire_bytes as u64);
         tx.send(WorkItem {
             env: Envelope {
                 from,
@@ -556,7 +574,7 @@ mod tests {
             "small not delayed: {:?}",
             lat[1]
         );
-        assert_eq!(net.counters().get("net.nagled"), 1);
+        assert_eq!(net.nagled.get(), 1);
         net.shutdown();
     }
 
@@ -569,8 +587,8 @@ mod tests {
         a.send(osd(0), (), 1).unwrap();
         b.send(osd(0), (), 1).unwrap();
         std::thread::sleep(Duration::from_millis(5));
-        assert_eq!(net.counters().get("net.conns"), 2);
-        assert_eq!(net.counters().get("net.msgs"), 2);
+        assert_eq!(net.conns.get(), 2);
+        assert_eq!(net.msgs.get(), 2);
         net.shutdown();
     }
 
@@ -624,7 +642,7 @@ mod tests {
         while count.load(Ordering::Relaxed) < 1600 {
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(net.counters().get("net.msgs"), 1600);
+        assert_eq!(net.msgs.get(), 1600);
         net.shutdown();
     }
 
@@ -651,7 +669,7 @@ mod tests {
             "async lanes broke FIFO"
         );
         // Fixed pool regardless of connection count.
-        assert_eq!(net.counters().get("net.lanes"), 3);
+        assert_eq!(net.lanes.get(), 3);
         net.shutdown();
     }
 
@@ -678,12 +696,8 @@ mod tests {
         while count.load(Ordering::Relaxed) < 12 {
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(net.counters().get("net.conns"), 12);
-        assert_eq!(
-            net.counters().get("net.lanes"),
-            2,
-            "pool must not grow with connections"
-        );
+        assert_eq!(net.conns.get(), 12);
+        assert_eq!(net.lanes.get(), 2, "pool must not grow with connections");
         net.shutdown();
     }
 
@@ -726,8 +740,8 @@ mod tests {
             "delay not applied"
         );
         assert_eq!(*got.lock(), vec![2, 3, 3, 7]);
-        assert_eq!(net.counters().get("net.dropped"), 1);
-        assert_eq!(net.counters().get("net.duplicated"), 1);
+        assert_eq!(net.dropped.get(), 1);
+        assert_eq!(net.duplicated.get(), 1);
         assert!(!reg.is_armed(), "all specs exhausted");
         net.shutdown();
     }

@@ -6,8 +6,9 @@
 //! describes such a job; [`run`] executes it against any
 //! [`BlockTarget`] (an RBD image, a SolidFire volume, a raw device wrapper)
 //! with one OS thread per `numjobs × iodepth` in-flight op (FIO's sync
-//! engine semantics), per-thread deterministic offset streams, latency
-//! histograms and windowed-IOPS time series for the fluctuation figures.
+//! engine semantics), per-thread deterministic offset streams, one shared
+//! latency histogram and windowed-IOPS time series for the fluctuation
+//! figures.
 
 pub mod report;
 pub mod spec;
@@ -18,7 +19,7 @@ pub use spec::{JobSpec, Rw};
 pub use tenants::{run_tenants, Tenant};
 
 use afc_common::rng::{child_seed, seeded};
-use afc_common::{BlockTarget, IopsSampler, LatencyHist};
+use afc_common::{BlockTarget, Histogram, IopsSampler};
 use rand::Rng;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
@@ -35,19 +36,19 @@ pub fn run(spec: &JobSpec, target: &(impl BlockTarget + ?Sized)) -> Report {
     let total_ops = AtomicU64::new(0);
     let start = Instant::now();
     let deadline = start + spec.runtime;
-    let mut hists: Vec<LatencyHist> = Vec::new();
+    let lat = Histogram::new();
     std::thread::scope(|s| {
-        let mut handles = Vec::new();
         for t in 0..threads {
             let stop = &stop;
             let sampler = &sampler;
             let errors = &errors;
             let total_ops = &total_ops;
-            handles.push(s.spawn(move || {
+            let lat = &lat;
+            s.spawn(move || {
                 worker(
-                    spec, target, t, span, deadline, stop, sampler, errors, total_ops,
+                    spec, target, t, span, deadline, stop, sampler, errors, total_ops, lat,
                 )
-            }));
+            });
         }
         // Sampling loop on the coordinating thread.
         if let Some(interval) = spec.sample_interval {
@@ -58,24 +59,15 @@ pub fn run(spec: &JobSpec, target: &(impl BlockTarget + ?Sized)) -> Report {
                 sampler.sample();
             }
         }
-        for h in handles {
-            if let Ok(h) = h.join() {
-                hists.push(h);
-            }
-        }
     });
     let elapsed = start.elapsed();
-    let mut lat = LatencyHist::new();
-    for h in &hists {
-        lat.merge(h);
-    }
     let ops = total_ops.load(Ordering::Relaxed);
     Report {
         ops,
         errors: errors.load(Ordering::Relaxed),
         runtime: elapsed,
         bs: spec.bs,
-        lat,
+        lat: lat.snapshot(),
         series: sampler.series(),
         label: spec.label.clone(),
     }
@@ -92,9 +84,9 @@ fn worker(
     sampler: &IopsSampler,
     errors: &AtomicU64,
     total_ops: &AtomicU64,
-) -> LatencyHist {
+    lat: &Histogram,
+) {
     let mut rng = seeded(child_seed(spec.seed, thread_idx as u64));
-    let mut hist = LatencyHist::new();
     let blocks = span / spec.bs;
     let threads = (spec.numjobs * spec.iodepth.max(1)) as u64;
     // Sequential jobs partition the span so streams don't collide.
@@ -130,7 +122,7 @@ fn worker(
         };
         match res {
             Ok(()) => {
-                hist.record(t0.elapsed());
+                lat.observe(t0.elapsed());
                 sampler.tick(1);
                 total_ops.fetch_add(1, Ordering::Relaxed);
                 ops_done += 1;
@@ -144,7 +136,6 @@ fn worker(
             }
         }
     }
-    hist
 }
 
 #[cfg(test)]
@@ -170,7 +161,7 @@ mod tests {
         assert!(r.ops > 100, "ops={}", r.ops);
         assert_eq!(r.errors, 0);
         assert!(r.iops() > 0.0);
-        assert!(r.lat.count() == r.ops);
+        assert!(r.lat.count == r.ops);
         assert!(r.bandwidth() > 0.0);
     }
 

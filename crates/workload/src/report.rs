@@ -1,7 +1,7 @@
 //! Job results.
 
 use afc_common::timeutil::fmt_dur;
-use afc_common::{LatencyHist, TimeSeries};
+use afc_common::{HistSnapshot, TimeSeries};
 use std::fmt;
 use std::time::Duration;
 
@@ -16,8 +16,8 @@ pub struct Report {
     pub runtime: Duration,
     /// Block size used.
     pub bs: u64,
-    /// Merged latency histogram.
-    pub lat: LatencyHist,
+    /// Latency histogram of every completed op.
+    pub lat: HistSnapshot,
     /// Windowed IOPS series (when sampling was enabled).
     pub series: TimeSeries,
     /// Job label.
@@ -40,12 +40,12 @@ impl Report {
 
     /// Mean latency.
     pub fn mean_lat(&self) -> Duration {
-        self.lat.mean()
+        Duration::from_micros(self.lat.mean_us())
     }
 
     /// 99th-percentile latency.
     pub fn p99(&self) -> Duration {
-        self.lat.p99()
+        Duration::from_micros(self.lat.p99_us())
     }
 
     /// Bandwidth in MiB/s (figure tables).
@@ -75,9 +75,9 @@ impl fmt::Display for Report {
             fmt_dur(self.runtime),
             self.iops(),
             self.mibps(),
-            fmt_dur(self.lat.mean()),
-            fmt_dur(self.lat.p50()),
-            fmt_dur(self.lat.p99()),
+            fmt_dur(self.mean_lat()),
+            fmt_dur(Duration::from_micros(self.lat.p50_us())),
+            fmt_dur(self.p99()),
             if self.errors > 0 {
                 format!(", {} ERRORS", self.errors)
             } else {
@@ -92,14 +92,14 @@ mod tests {
     use super::*;
 
     fn report(ops: u64, secs: f64) -> Report {
-        let mut lat = LatencyHist::new();
-        lat.record_us(500);
+        let lat = afc_common::Histogram::new();
+        lat.observe_us(500);
         Report {
             ops,
             errors: 0,
             runtime: Duration::from_secs_f64(secs),
             bs: 4096,
-            lat,
+            lat: lat.snapshot(),
             series: TimeSeries::new(),
             label: "test".into(),
         }

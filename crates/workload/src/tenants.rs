@@ -64,7 +64,7 @@ fn empty_report(job: &JobSpec) -> Report {
         errors: 0,
         runtime: job.runtime,
         bs: job.bs,
-        lat: afc_common::LatencyHist::new(),
+        lat: afc_common::HistSnapshot::default(),
         series: afc_common::TimeSeries::new(),
         label: job.label.clone(),
     }

@@ -9,8 +9,6 @@
 //!   catalog). Exits non-zero on violations, so CI and pre-commit hooks
 //!   can gate on it. `--json` emits the `afc-analyze/1` schema on
 //!   stdout; `--write-report PATH` additionally writes it to a file.
-//! - `lint` — deprecated alias for `analyze` (kept for muscle memory
-//!   and old scripts).
 //! - `bench-check` — re-run the deterministic smoke workload and compare
 //!   against the committed `BENCH_baseline.json`; exits non-zero when any
 //!   write-path stage, IOPS, logical write amplification, or device-level
@@ -99,13 +97,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("analyze") => run_analyze(&args[1..]),
-        Some("lint") => {
-            eprintln!(
-                "xtask lint: deprecated alias — use `cargo xtask analyze` \
-                 (same rules and exit codes, plus --json)"
-            );
-            run_analyze(&args[1..])
-        }
         Some("bench-check") => {
             // Delegate to the bench crate's baseline binary so xtask stays
             // lean; --release because debug-build timings would trip the
@@ -134,11 +125,11 @@ fn main() -> ExitCode {
             }
         }
         Some(other) => {
-            eprintln!("xtask: unknown command '{other}' (expected: analyze, lint, bench-check)");
+            eprintln!("xtask: unknown command '{other}' (expected: analyze, bench-check)");
             ExitCode::from(2)
         }
         None => {
-            eprintln!("usage: cargo xtask <analyze|lint|bench-check>");
+            eprintln!("usage: cargo xtask <analyze|bench-check>");
             ExitCode::from(2)
         }
     }

@@ -1,5 +1,5 @@
 //! Quickstart: bring up an all-flash cluster, store objects, use a block
-//! image, inspect statistics.
+//! image, read the metric registry.
 //!
 //! Run: `cargo run --release --example quickstart`
 
@@ -38,25 +38,31 @@ fn main() -> afcstore::common::Result<()> {
     assert_eq!(img.read_at(4 * MIB - 2048, 4096)?, block);
     println!("image I/O ok ({} byte objects)", img.object_size());
 
-    // --- Introspection -------------------------------------------------
-    cluster.quiesce();
-    for (id, s) in cluster.osd_stats() {
-        if s.client_ops > 0 || s.repops > 0 {
-            println!(
-                "{id}: {} client ops ({} writes, {} reads), {} repops, journal avg batch {:.1}",
-                s.client_ops,
-                s.writes,
-                s.reads,
-                s.repops,
-                s.journal.avg_batch()
-            );
-        }
-    }
-
     // --- Metrics snapshot ----------------------------------------------
     // Every subsystem registers into one cluster-wide registry; a snapshot
     // is a stable name → value tree (see DESIGN.md "Observability").
+    cluster.quiesce();
     let snap = cluster.metrics_snapshot();
+    for osd in cluster.osds() {
+        let op = |name: &str| {
+            snap.counter(&format!("osd{}.op.{name}", osd.id().0))
+                .unwrap_or(0)
+        };
+        if op("client_ops") > 0 || op("repops") > 0 {
+            println!(
+                "{}: {} client ops ({} writes, {} reads), {} repops",
+                osd.id(),
+                op("client_ops"),
+                op("writes"),
+                op("reads"),
+                op("repops"),
+            );
+        }
+    }
+    println!(
+        "journal: {:.1} entries per device write",
+        snap.site_sum("journal.commits") as f64 / snap.site_sum("journal.batches").max(1) as f64
+    );
     println!(
         "metrics: {} series; osd0 data SSDs wrote {} bytes, node0 journal committed {} entries",
         snap.len(),

@@ -91,15 +91,13 @@ fn main() {
             ]);
         }
         // The counters behind the story.
-        let stats = cluster.osd_stats();
-        let sum =
-            |f: &dyn Fn(&afcstore::OsdStats) -> u64| stats.iter().map(|(_, s)| f(s)).sum::<u64>();
+        let snap = cluster.metrics_snapshot();
         println!(
             "[{name}] pg-lock wait {} ms | blocking-log wait {} ms | meta reads {} | throttle blocks {}",
-            sum(&|s| s.pg_lock_wait_us) / 1000,
-            sum(&|s| s.log_wait_us) / 1000,
-            sum(&|s| s.filestore.meta_reads),
-            sum(&|s| s.filestore.throttle_waits),
+            snap.site_sum("op.pg_lock_wait_us") / 1000,
+            snap.site_sum("log.block_wait_us") / 1000,
+            snap.site_sum("fs.meta_reads"),
+            snap.site_sum("fs.throttle.waits"),
         );
         cluster.shutdown();
     }

@@ -63,6 +63,12 @@ maybe_step cargo clippy --version -- cargo clippy --workspace --all-targets --qu
 step cargo build --workspace --quiet
 step cargo test --workspace --quiet
 
+# 4b. The repo benchmark is a package of its own (benchmark/, empty
+#     [workspace]) that path-depends on nine of these crates; the workspace
+#     steps above never compile it, so an API removal here would only
+#     surface when the benchmark driver builds it.
+step cargo test --offline --quiet --manifest-path benchmark/Cargo.toml
+
 # 5. Fault matrix: the crash-recovery harness, injected-fault suite and
 #    the failure-detection/recovery suite (heartbeats, peering, degraded
 #    I/O, backfill) run as an explicit pass so a fault-handling

@@ -221,6 +221,6 @@ fn async_messenger_cluster_is_equivalent() {
     );
     cluster.quiesce();
     assert!(cluster.deep_scrub().unwrap().is_clean());
-    assert_eq!(cluster.network().counters().get("net.lanes"), 3);
+    assert_eq!(cluster.metrics_snapshot().counter("net.lanes"), Some(3));
     cluster.shutdown();
 }
