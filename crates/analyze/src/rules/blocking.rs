@@ -6,10 +6,11 @@
 //! tail latency long before it shows up as a hang. Blocking belongs in
 //! the dedicated worker loops that exist for it:
 //!
-//! - `Osd::spawn` — ticker/timer closures (rep timer sleep, reader
-//!   worker recv) are set up here by design;
-//! - `completion_worker_loop` — the journal-completion drain loop
-//!   blocks on its channel, that is its job.
+//! - `reader_loop`, `completion_worker_loop` — the disk-reader pool and
+//!   the journal-completion drain block on their channels, that is their
+//!   job;
+//! - `reptimer_loop`, `heartbeat_loop` — tickers that sleep between
+//!   sweeps, off the op path.
 //!
 //! Anything else needs a `// blocking-ok:` comment on or above the line
 //! saying why the wait is bounded or off the op path.
@@ -22,7 +23,12 @@ const SCOPE: &str = "crates/core/src/osd";
 
 /// Functions (by name, within [`SCOPE`]) whose bodies may block: the
 /// worker/ticker entry points.
-const SANCTIONED_FNS: &[&str] = &["spawn", "completion_worker_loop"];
+const SANCTIONED_FNS: &[&str] = &[
+    "reader_loop",
+    "completion_worker_loop",
+    "reptimer_loop",
+    "heartbeat_loop",
+];
 
 /// Comment marker that waives a specific line.
 const WAIVER: &str = "blocking-ok:";
@@ -125,7 +131,7 @@ mod tests {
 
     #[test]
     fn sleep_in_sanctioned_fns_is_clean() {
-        let src = "impl Osd {\n    pub fn spawn(&self) {\n        std::thread::sleep(t);\n        let m = self.rx.recv();\n    }\n}\nfn completion_worker_loop(rx: &Receiver<u32>) {\n    while let Ok(x) = rx.recv() {}\n}\n";
+        let src = "fn reptimer_loop(inner: Arc<OsdInner>) {\n    std::thread::sleep(t);\n}\nfn completion_worker_loop(rx: &Receiver<u32>) {\n    while let Ok(x) = rx.recv() {}\n}\n";
         assert!(run("crates/core/src/osd/mod.rs", src).is_empty());
     }
 

@@ -1,7 +1,7 @@
 //! `pg-state-confinement`: `Pg::state` may be locked only inside the
-//! pending-queue entry points (`Pg::drain`, `Pg::lock_measured` in
-//! `pg.rs`); every other path must go through the pending FIFO so
-//! per-PG ordering is preserved.
+//! pending-queue entry points (`Pg::drain` and `Pg::lock_raw`, the
+//! acquisition behind `Pg::lock_measured`, in `pg.rs`); every other path
+//! must go through the pending FIFO so per-PG ordering is preserved.
 //!
 //! Re-expressed on the token stream (the original line-grep version
 //! matched `.state.lock()` textually and misfired on comments and
@@ -16,7 +16,7 @@ use crate::{Diag, Severity};
 const SCOPE: &str = "crates/core/src/osd";
 
 /// (file suffix, function names) whose bodies may lock `state` directly.
-const SANCTIONED: (&str, &[&str]) = ("/pg.rs", &["drain", "lock_measured"]);
+const SANCTIONED: (&str, &[&str]) = ("/pg.rs", &["drain", "lock_raw"]);
 
 pub fn check(f: &SourceFile, out: &mut Vec<Diag>) {
     if !f.path.starts_with(SCOPE) {
@@ -77,8 +77,8 @@ mod tests {
     }
 
     #[test]
-    fn pg_state_lock_inside_drain_and_lock_measured_is_sanctioned() {
-        let src = "impl Pg {\n    pub fn drain(&self) {\n        let g = self.state.try_lock();\n    }\n    pub fn lock_measured(&self) {\n        let g = self.state.lock();\n    }\n}\n";
+    fn pg_state_lock_inside_drain_and_lock_raw_is_sanctioned() {
+        let src = "impl Pg {\n    pub fn drain(&self) {\n        let g = self.state.try_lock();\n    }\n    fn lock_raw(&self) {\n        let g = self.state.lock();\n    }\n}\n";
         assert!(run("crates/core/src/osd/pg.rs", src).is_empty());
     }
 

@@ -171,23 +171,13 @@ pub mod classes {
         rank: 455,
         no_block_while_held: true,
     };
-    /// `WriteOp::trace` — per-op trace timestamps (leaf).
-    pub static OP_TRACE: LockClass = LockClass {
-        name: "op.trace",
-        rank: 470,
-        no_block_while_held: true,
-    };
-    /// `WriteOp::progress` — per-op completion bookkeeping (leaf).
-    pub static OP_PROGRESS: LockClass = LockClass {
-        name: "op.progress",
+    /// `WriteOp::op_lock` — the per-op (OP) lock of §3.1: completion
+    /// bookkeeping, the throttle permit slot and sampled trace timestamps
+    /// (leaf; the permit is taken out under it and dropped after release,
+    /// so `Throttle::release` is never re-entered while it is held).
+    pub static OP_LOCK: LockClass = LockClass {
+        name: "op.lock",
         rank: 480,
-        no_block_while_held: true,
-    };
-    /// `WriteOp::permit` — per-op throttle permit slot. Ranks *below* the
-    /// throttle: dropping the permit re-enters `Throttle::release`.
-    pub static OP_PERMIT: LockClass = LockClass {
-        name: "op.permit",
-        rank: 490,
         no_block_while_held: true,
     };
     /// `Journal` ring state (waits on its own work/space condvars). Also
@@ -239,9 +229,7 @@ pub static DECLARED_ORDER: &[&LockClass] = &[
     &classes::OSD_CHANNEL_TX,
     &classes::ACK_LANES,
     &classes::HB_PEERS,
-    &classes::OP_TRACE,
-    &classes::OP_PROGRESS,
-    &classes::OP_PERMIT,
+    &classes::OP_LOCK,
     &classes::JOURNAL_RING,
     &classes::THROTTLE,
     &classes::OSD_WORKERS,

@@ -14,6 +14,14 @@
 //! Both paths drain the same FIFO, so per-PG ordering — including
 //! write-after-write and read-after-write — is identical, which is the
 //! invariant the paper insists on preserving.
+//!
+//! **One release rule.** "The holder drains it" must hold for *every*
+//! holder: a non-blocking drain that loses the `try_lock` leaves a note
+//! next to the FIFO, and whoever releases the PG lock — `drain` itself or
+//! the guard handed out by [`Pg::lock_measured`] (completion worker,
+//! community finisher, peering/recovery handlers) — drains on finding it.
+//! Without the second half an op deferred to a `lock_measured` holder sat
+//! in the FIFO until the *next* op on that PG happened to drain it.
 
 use afc_common::lockdep::{classes, TrackedMutex, TrackedMutexGuard};
 use afc_common::metrics::Counter;
@@ -62,8 +70,6 @@ pub struct PgState {
     pub next_pg_seq: u64,
     /// Highest journal-committed PG sequence.
     pub last_committed: u64,
-    /// Highest filestore-applied PG sequence.
-    pub last_applied: u64,
     /// PG info version (bumped per mutation).
     pub info_version: u64,
     /// Current health (primary's view; replicas stay `Active`).
@@ -105,15 +111,54 @@ impl PgState {
 /// Work executed under the PG lock.
 pub type PgWork = Box<dyn FnOnce(&mut PgState) + Send>;
 
+/// The FIFO next to the PG lock, plus the note a non-blocking drain leaves
+/// when the lock was held. Both live under one mutex so "release, then
+/// look" on the holder's side can never miss "note, then retry" on the
+/// deferring side.
+#[derive(Default)]
+struct Pending {
+    fifo: VecDeque<PgWork>,
+    deferred: bool,
+}
+
+/// The PG lock as handed out by [`Pg::lock_measured`]: dropping it releases
+/// the lock and then drains the FIFO if an op was deferred to this holder.
+pub struct PgGuard<'a> {
+    pg: &'a Pg,
+    held: Option<TrackedMutexGuard<'a, PgState>>,
+}
+
+impl std::ops::Deref for PgGuard<'_> {
+    type Target = PgState;
+    fn deref(&self) -> &PgState {
+        self.held.as_ref().expect("held until drop")
+    }
+}
+
+impl std::ops::DerefMut for PgGuard<'_> {
+    fn deref_mut(&mut self) -> &mut PgState {
+        self.held.as_mut().expect("held until drop")
+    }
+}
+
+impl Drop for PgGuard<'_> {
+    fn drop(&mut self) {
+        self.held = None; // release first: the drain below re-takes it
+        if std::mem::take(&mut self.pg.pending.lock().deferred) {
+            self.pg.drain(false);
+        }
+    }
+}
+
 /// A placement group: lock + state + pending FIFO + wait accounting.
 pub struct Pg {
     id: PgId,
     state: TrackedMutex<PgState>,
-    pending: TrackedMutex<VecDeque<PgWork>>,
+    pending: TrackedMutex<Pending>,
     /// Contended PG-lock acquisitions and their total wait, µs. An OSD
     /// shares one pair across all its PGs (`osdN.op.pg_lock_*`).
-    lock_waits: Counter,
-    lock_wait_us: Counter,
+    pg_lock_waits: Counter,
+    pg_lock_wait_us: Counter,
     processed: AtomicU64,
 }
 
@@ -124,13 +169,13 @@ impl Pg {
     }
 
     /// Create a PG that accounts lock waits into the caller's counters.
-    pub fn with_lock_counters(id: PgId, lock_waits: Counter, lock_wait_us: Counter) -> Arc<Self> {
+    pub fn with_lock_counters(id: PgId, waits: Counter, wait_us: Counter) -> Arc<Self> {
         Arc::new(Pg {
             id,
             state: TrackedMutex::new(&classes::PG_STATE, PgState::default()),
-            pending: TrackedMutex::new(&classes::PG_PENDING, VecDeque::new()),
-            lock_waits,
-            lock_wait_us,
+            pending: TrackedMutex::new(&classes::PG_PENDING, Pending::default()),
+            pg_lock_waits: waits,
+            pg_lock_wait_us: wait_us,
             processed: AtomicU64::new(0),
         })
     }
@@ -143,7 +188,7 @@ impl Pg {
     /// Append work to the pending FIFO without draining. Dispatch threads
     /// use this so arrival order is fixed before op workers race to drain.
     pub fn queue(&self, work: PgWork) {
-        self.pending.lock().push_back(work);
+        self.pending.lock().fifo.push_back(work);
     }
 
     /// Queue `work` and drain the FIFO.
@@ -161,13 +206,18 @@ impl Pg {
     pub fn drain(&self, blocking: bool) {
         loop {
             let guard = if blocking {
-                Some(self.lock_measured())
+                Some(self.lock_raw())
             } else {
-                self.state.try_lock()
+                self.state.try_lock().or_else(|| {
+                    // Leave the note, then look once more: a holder that
+                    // released before the note was written never saw it.
+                    self.pending.lock().deferred = true;
+                    self.state.try_lock()
+                })
             };
             let Some(mut guard) = guard else { return };
             loop {
-                let next = self.pending.lock().pop_front();
+                let next = self.pending.lock().fifo.pop_front();
                 let Some(w) = next else { break };
                 w(&mut guard);
                 self.processed.fetch_add(1, Ordering::Relaxed);
@@ -176,22 +226,30 @@ impl Pg {
             // Work may have arrived between the final drain check and the
             // unlock; if so, retry (otherwise it could strand until the
             // next submission).
-            if self.pending.lock().is_empty() {
+            if self.pending.lock().fifo.is_empty() {
                 return;
             }
         }
     }
 
-    /// Acquire the PG lock directly (completion handlers in the community
-    /// path), accounting the wait.
-    pub fn lock_measured(&self) -> TrackedMutexGuard<'_, PgState> {
+    /// Acquire the PG lock directly (completion handlers, peering and
+    /// recovery), accounting the wait. Releasing the guard drains any op
+    /// that was deferred to it meanwhile.
+    pub fn lock_measured(&self) -> PgGuard<'_> {
+        PgGuard {
+            pg: self,
+            held: Some(self.lock_raw()),
+        }
+    }
+
+    fn lock_raw(&self) -> TrackedMutexGuard<'_, PgState> {
         if let Some(g) = self.state.try_lock() {
             return g;
         }
-        self.lock_waits.inc();
+        self.pg_lock_waits.inc();
         let t0 = Instant::now();
         let g = self.state.lock();
-        self.lock_wait_us.add(t0.elapsed().as_micros() as u64);
+        self.pg_lock_wait_us.add(t0.elapsed().as_micros() as u64);
         g
     }
 
@@ -202,7 +260,7 @@ impl Pg {
 
     /// Currently queued (undrained) work items.
     pub fn pending_len(&self) -> usize {
-        self.pending.lock().len()
+        self.pending.lock().fifo.len()
     }
 }
 
@@ -301,8 +359,8 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         drop(g);
         h.join().unwrap();
-        assert_eq!(pg.lock_waits.get(), 1);
-        let wait_us = pg.lock_wait_us.get();
+        assert_eq!(pg.pg_lock_waits.get(), 1);
+        let wait_us = pg.pg_lock_wait_us.get();
         assert!(wait_us >= 15_000, "wait_us={wait_us}");
     }
 

@@ -1,0 +1,527 @@
+//! The one mutation path. A client write or delete on the primary, its
+//! mirror on a replica and a recovery install all do the same three
+//! things: build a filestore transaction ([`mutation_txn`] /
+//! [`install_txn`]), journal it ([`OsdInner::submit_commit`]) and, once it
+//! is durable, run one continuation — queue the filestore apply, advance
+//! the PG's `last_committed`, tell the waiter ([`OsdInner::complete`]).
+//!
+//! The §3.1 switches choose *where* that continuation runs, never *what*
+//! it does (see [`OsdInner::on_local_commit`]).
+
+use super::ack::OrderedAcker;
+use super::pg::{Pg, PgState};
+use super::trace::{StageHists, StageRecorder, TraceTimes};
+use super::trim::TrimTracker;
+use super::OsdInner;
+use crate::messages::{ClientReply, ObjectOp, OpOutcome, OsdMsg, RepOp};
+use afc_common::lockdep::{classes, TrackedMutex};
+use afc_common::metrics::{Counter, Metrics};
+use afc_common::{AfcError, ClientId, ObjectId, OpId, OsdId, PgId, Result};
+use afc_filestore::throttle::OwnedPermit;
+use afc_filestore::{Transaction, TxOp};
+use afc_logging::Level;
+use afc_messenger::Addr;
+use bytes::Bytes;
+use crossbeam::channel::{Receiver, Sender};
+use std::collections::HashMap;
+use std::sync::Arc;
+use std::time::Instant;
+
+/// What the per-op (OP) lock guards: completion bookkeeping, the client
+/// throttle permit and, for a sampled op, its stage timestamps.
+#[derive(Default)]
+pub(super) struct OpState {
+    pub(super) local_commit: bool,
+    pub(super) acks: usize,
+    pub(super) replied: bool,
+    pub(super) permit: Option<OwnedPermit>,
+    pub(super) trace: Option<TraceTimes>,
+}
+
+/// An in-flight replicated mutation on the primary.
+pub(super) struct WriteOp {
+    pub(super) client: ClientId,
+    pub(super) op_id: OpId,
+    pub(super) reply_to: Addr,
+    pub(super) pg: Arc<Pg>,
+    pub(super) needed_acks: usize,
+    /// Whether `OpState::trace` is set — readable without the lock, so the
+    /// 15-in-16 unsampled ops never take it just to find `None`.
+    pub(super) traced: bool,
+    pub(super) ack_lane: Option<u64>,
+    pub(super) op_lock: TrackedMutex<OpState>,
+}
+
+impl WriteOp {
+    /// Stamp one stage of a sampled op with the current time.
+    pub(super) fn mark(&self, stage: fn(&mut TraceTimes) -> &mut Option<Instant>) {
+        if self.traced {
+            if let Some(t) = self.op_lock.lock().trace.as_mut() {
+                *stage(t) = Some(Instant::now());
+            }
+        }
+    }
+}
+
+/// Who is told once a mutation is durable here.
+pub(super) enum Waiter {
+    /// The primary's own op: counts as its local commit.
+    Primary(Arc<WriteOp>),
+    /// A replica sub-op (mirror or recovery install): ack `primary`.
+    Replica { primary: Addr, rep_id: u64 },
+}
+
+/// A journal-committed mutation whose continuation has yet to run.
+pub(super) struct LocalCommit {
+    pg: Arc<Pg>,
+    pg_seq: u64,
+    jseq: u64,
+    txn: Transaction,
+    /// The txn's journal encoding, shared (refcounted) with the journal
+    /// entry — retained for `pending_apply` without a deep transaction
+    /// clone.
+    payload: Bytes,
+    waiter: Waiter,
+}
+
+pub(super) struct WritePath {
+    pub(super) trim: TrackedMutex<TrimTracker>,
+    /// Journaled-but-unapplied entries: apply-gate object → the entry's
+    /// journal encoding (shared with the journal's copy, refcount only —
+    /// never a deep transaction clone). Decoded only on the cold replay
+    /// path.
+    pub(super) pending_apply: TrackedMutex<HashMap<u64, (String, Bytes)>>,
+    pub(super) completion_tx: TrackedMutex<Option<Sender<LocalCommit>>>,
+    pub(super) recorder: StageRecorder,
+    pub(super) acker: OrderedAcker,
+    writes: Counter,
+    apply_failures: Counter,
+}
+
+impl WritePath {
+    pub(super) fn new() -> Self {
+        WritePath {
+            trim: TrackedMutex::new(&classes::TRIM, TrimTracker::new()),
+            pending_apply: TrackedMutex::new(&classes::PENDING_APPLY, HashMap::new()),
+            completion_tx: TrackedMutex::new(&classes::OSD_CHANNEL_TX, None),
+            recorder: StageRecorder::new(16, 4096),
+            acker: OrderedAcker::new(),
+            writes: Counter::new(),
+            apply_failures: Counter::new(),
+        }
+    }
+
+    pub(super) fn register(&self, m: &Metrics, osd: &str) {
+        m.register_counter(format!("{osd}.op.writes"), &self.writes);
+        m.register_counter(format!("{osd}.op.apply_failures"), &self.apply_failures);
+        self.recorder
+            .attach_hists(StageHists::register(m, &format!("{osd}.stage")));
+    }
+}
+
+/// The filestore transaction for one replicated mutation, identical on the
+/// primary and on every replica: for a write, data + alloc hint + object
+/// metadata attrs (Figure 7); for a delete, the remove; then the PG-log
+/// omap append. `None` for an op that mutates nothing.
+pub(super) fn mutation_txn(
+    pg: PgId,
+    object: &str,
+    pg_seq: u64,
+    op: &ObjectOp,
+) -> Option<Transaction> {
+    let obj = || object.to_string();
+    let mut txn = Transaction::new();
+    match op {
+        ObjectOp::Write { offset, data } => {
+            txn.push(TxOp::Touch { object: obj() });
+            txn.push(TxOp::SetAllocHint { object: obj() });
+            txn.push(TxOp::Write {
+                object: obj(),
+                offset: *offset,
+                // zero-copy-ok: Bytes refcount bump into the txn
+                data: data.clone(),
+            });
+            txn.push(TxOp::SetAttrs {
+                object: obj(),
+                attrs: vec![("snapset".to_string(), Bytes::from_static(b"{}"))],
+            });
+        }
+        ObjectOp::Delete => {
+            txn.push(TxOp::Remove { object: obj() });
+        }
+        ObjectOp::Read { .. } | ObjectOp::Stat => return None,
+    }
+    txn.push(pg_log_op(pg, pg_seq, object));
+    Some(txn)
+}
+
+/// The transaction a recovery push installs: truncate-then-write puts
+/// exactly the primary's full copy in place regardless of local state.
+pub(super) fn install_txn(pg: PgId, object: &str, pg_seq: u64, data: &Bytes) -> Transaction {
+    let obj = || object.to_string();
+    let mut txn = Transaction::new();
+    txn.push(TxOp::Touch { object: obj() });
+    txn.push(TxOp::Truncate {
+        object: obj(),
+        size: 0,
+    });
+    txn.push(TxOp::Write {
+        object: obj(),
+        offset: 0,
+        // zero-copy-ok: Bytes refcount bump into the txn
+        data: data.clone(),
+    });
+    txn.push(pg_log_op(pg, pg_seq, object));
+    txn
+}
+
+/// The PG-log entry (omap insert on the PG's meta object): entry + info.
+fn pg_log_op(pg: PgId, pg_seq: u64, object: &str) -> TxOp {
+    let log_key = Bytes::from(format!("pglog.{pg_seq:016x}"));
+    let log_val = Bytes::from(format!("op write {object} v{pg_seq}"));
+    let info_val = Bytes::from(format!("last_update={pg_seq}"));
+    TxOp::OmapSetKeys {
+        object: format!("pgmeta_{pg}"),
+        keys: vec![(log_key, log_val), (Bytes::from_static(b"info"), info_val)],
+    }
+}
+
+pub(super) fn completion_worker_loop(inner: Arc<OsdInner>, rx: Receiver<LocalCommit>) {
+    while let Ok(first) = rx.recv() {
+        // Batch everything immediately available (§3.1: "Multiple
+        // completion per PG can be processed at once").
+        let mut batch = vec![first];
+        while batch.len() < 128 {
+            match rx.try_recv() {
+                Ok(c) => batch.push(c),
+                Err(_) => break,
+            }
+        }
+        // Pass 1: filestore hand-off, acks and replies — no PG lock (the
+        // §3.1 point: completion no longer serializes on PG locks, and a
+        // full filestore throttle cannot wedge readers holding them).
+        let mut by_pg: HashMap<PgId, (Arc<Pg>, u64)> = HashMap::new();
+        for c in batch {
+            let e = by_pg.entry(c.pg.id()).or_insert((c.pg, 0));
+            e.1 = e.1.max(c.pg_seq);
+            inner.enqueue_filestore(c.jseq, c.txn, c.payload);
+            inner.complete(c.waiter);
+        }
+        // Pass 2: batched PG bookkeeping, one lock acquisition per PG.
+        for (pg, max_seq) in by_pg.into_values() {
+            let mut st = pg.lock_measured();
+            st.last_committed = st.last_committed.max(max_seq);
+        }
+    }
+}
+
+impl OsdInner {
+    /// A client mutation under the PG lock: log, replicate, metadata read
+    /// (community), PG-log append, journal submit.
+    pub(super) fn process_mutation(
+        self: &Arc<Self>,
+        st: &mut PgState,
+        op: &Arc<WriteOp>,
+        object: ObjectId,
+        mutation: ObjectOp,
+        replicas: &[OsdId],
+        absent: &[OsdId],
+    ) {
+        self.log("do_op: write enter");
+        self.alloc_overhead();
+        let pg = op.pg.id();
+        let obj_name = object.to_string();
+        st.next_pg_seq += 1;
+        st.info_version += 1;
+        let pg_seq = st.next_pg_seq;
+        self.record_degraded_write(st, absent, &obj_name);
+        // Replicate FIRST (splay replication, Figure 2) — before the
+        // metadata read, txn build and journal submit, so each replica's
+        // journal round trip overlaps the primary's own pipeline instead
+        // of queueing behind it. The payload `Bytes` is refcount-shared
+        // with the client decode, never copied.
+        let mut skipped = 0usize;
+        for &r in replicas {
+            if self.defer_to_recovery(st, r, &obj_name) {
+                // The peer's copy of this object is stale/absent: a partial
+                // write on that base would corrupt it (and a `Remove` of a
+                // missing object errors). Leave the object in
+                // `peer_missing`; the recovery pump pushes the full,
+                // up-to-date copy — or the deletion — instead. Count the
+                // ack as satisfied.
+                skipped += 1;
+                continue;
+            }
+            self.log("send repop");
+            let rep = RepOp {
+                rep_id: self.alloc_rep_id(pg),
+                pg,
+                object: object.clone(),
+                op: mutation.clone(), // a `Bytes` refcount bump, no byte copy
+                pg_seq,
+            };
+            self.replicate(op, Addr::Osd(r), rep);
+        }
+        if skipped > 0 {
+            op.op_lock.lock().acks += skipped;
+        }
+        self.log("get object context");
+        // Object-context metadata: community reads it back from storage
+        // (device read under the PG lock — Figure 3's large stage (2));
+        // the LWT profile serves it from the write-through cache.
+        if self.tuning.lightweight_txn {
+            let _ = self.store.stat(&obj_name);
+        } else {
+            let _ = self.store.getattr(&obj_name, "_");
+        }
+        self.log("append pg log");
+        let Some(txn) = mutation_txn(pg, &obj_name, pg_seq, &mutation) else {
+            return self.fail_op(op, AfcError::InvalidArgument("not a mutation".into()));
+        };
+        // Later reads of this object must wait for the apply (gate is
+        // released in on_applied).
+        self.read.gate.add(&obj_name);
+        op.mark(|t| &mut t.jsubmit);
+        self.log("journal submit");
+        self.log("waiting for subops");
+        let waiter = Waiter::Primary(Arc::clone(op));
+        if let Err(e) = self.submit_commit(&op.pg, pg_seq, txn, waiter, false) {
+            self.read.gate.done(&obj_name);
+            self.fail_op(op, e);
+        }
+        self.write.writes.inc();
+    }
+
+    /// Journal `txn`; its commit callback is the continuation's entry
+    /// point. The journal carries the real transaction encoding: replay
+    /// after a crash decodes and re-applies exactly what was acknowledged.
+    /// `inline` is the fast-ack replica path: commit through the journal's
+    /// idle fast path on the calling thread, which holds the PG guard.
+    pub(super) fn submit_commit(
+        self: &Arc<Self>,
+        pg: &Arc<Pg>,
+        pg_seq: u64,
+        txn: Transaction,
+        waiter: Waiter,
+        inline: bool,
+    ) -> Result<u64> {
+        let payload = txn.encode();
+        // zero-copy-ok: Bytes refcount bump shared with the journal record
+        let (inner, pg, payload2) = (Arc::clone(self), Arc::clone(pg), payload.clone());
+        let on_commit = Box::new(move |jseq| {
+            let payload = payload2;
+            let c = LocalCommit {
+                pg,
+                pg_seq,
+                jseq,
+                txn,
+                payload,
+                waiter,
+            };
+            inner.on_local_commit(c, inline);
+        });
+        if inline {
+            self.journal.submit_inline(payload, on_commit)
+        } else {
+            self.journal.submit(payload, on_commit)
+        }
+    }
+
+    /// *Where* the commit continuation runs — the three §3.1 switches.
+    /// Every branch queues the filestore apply, advances `last_committed`
+    /// and calls [`Self::complete`]; they differ in thread and locking.
+    fn on_local_commit(self: &Arc<Self>, c: LocalCommit, inline: bool) {
+        if let Waiter::Primary(op) = &c.waiter {
+            op.mark(|t| &mut t.jcommit);
+        }
+        if inline {
+            // fast_ack replica: right here, on the dispatch thread (idle
+            // journal) or the committer (busy journal). Neither re-locks
+            // the PG — the sub-op bumps `last_committed` under the guard
+            // it already holds.
+            self.enqueue_filestore(c.jseq, c.txn, c.payload);
+            self.log("replica commit ack (inline)");
+            self.complete(c.waiter);
+        } else if self.tuning.dedicated_completion {
+            // AFCeph: nothing but a channel send on the journal's thread;
+            // the batching completion worker does the rest and takes each
+            // PG lock once per batch.
+            let tx = self.write.completion_tx.lock().clone();
+            if let Some(tx) = tx {
+                let _ = tx.send(c);
+            }
+        } else {
+            // Community: the single journal finisher queues the filestore
+            // transaction — when the filestore throttle is full this blocks
+            // the finisher, serializing every completion behind it (Figure 3
+            // stage (5), Figure 4's collapse) — and then re-acquires the PG
+            // lock for completion bookkeeping, contending with op workers,
+            // before anyone is told.
+            self.enqueue_filestore(c.jseq, c.txn, c.payload);
+            let mut st = c.pg.lock_measured();
+            self.log("journal commit -> pg backend");
+            st.last_committed = st.last_committed.max(c.pg_seq);
+            drop(st);
+            self.complete(c.waiter);
+        }
+    }
+
+    /// *What* a local commit means to its waiter.
+    pub(super) fn complete(&self, waiter: Waiter) {
+        match waiter {
+            Waiter::Primary(op) => {
+                op.mark(|t| &mut t.handled);
+                op.op_lock.lock().local_commit = true;
+                self.maybe_reply(&op);
+            }
+            Waiter::Replica { primary, rep_id } => {
+                // Flip the dedup entry to "committed" so retransmits re-ack.
+                self.rep.mark_done(primary, rep_id);
+                self.send_rep_ack(primary, rep_id);
+            }
+        }
+    }
+
+    fn enqueue_filestore(self: &Arc<Self>, jseq: u64, txn: Transaction, payload: Bytes) {
+        // `payload` is the txn's journal encoding — a refcounted slice of
+        // the same buffer the journal holds, so this insert is O(1) and
+        // copy-free.
+        let gate_obj = txn
+            .ops()
+            .first()
+            .map(|o| o.object().to_string())
+            .unwrap_or_default();
+        self.write
+            .pending_apply
+            .lock()
+            .insert(jseq, (gate_obj, payload));
+        let inner = Arc::clone(self);
+        let res = self.store.queue_transaction(
+            txn,
+            Box::new(move |r| match r {
+                Ok(()) => inner.on_applied(jseq),
+                Err(e) => inner.on_apply_failed(jseq, "apply", e),
+            }),
+        );
+        if let Err(e) = res {
+            self.on_apply_failed(jseq, "apply enqueue", e);
+        }
+    }
+
+    /// A filestore apply failed. Keep the txn in `pending_apply` (journal
+    /// replay after a crash/recover re-applies it) and don't trim, but
+    /// release the apply gate fail-open so readers of the object aren't
+    /// wedged behind a txn that will never complete on this incarnation.
+    fn on_apply_failed(&self, jseq: u64, what: &str, e: AfcError) {
+        self.logger
+            .logf(Level::Error, "osd", || format!("{what} failed: {e}"));
+        self.write.apply_failures.inc();
+        let pending = self.write.pending_apply.lock();
+        let obj = pending.get(&jseq).map(|(o, _)| o.clone());
+        drop(pending);
+        if let Some(obj) = obj.filter(|o| !o.is_empty()) {
+            self.read.gate.done(&obj);
+        }
+    }
+
+    pub(super) fn on_applied(&self, jseq: u64) {
+        self.log("filestore applied");
+        let entry = self.write.pending_apply.lock().remove(&jseq);
+        if let Some((obj, _)) = entry.filter(|(o, _)| !o.is_empty()) {
+            self.read.gate.done(&obj);
+        }
+        let watermark = self.write.trim.lock().mark(jseq);
+        if let Some(w) = watermark {
+            self.journal.trim_through(w);
+        }
+    }
+
+    pub(super) fn maybe_reply(&self, op: &Arc<WriteOp>) {
+        let permit = {
+            let mut s = op.op_lock.lock();
+            let ready = !s.replied && s.local_commit && s.acks >= op.needed_acks;
+            s.replied |= ready;
+            ready.then(|| s.permit.take())
+        };
+        self.log("op commit ready");
+        let Some(permit) = permit else { return };
+        self.log("send client reply");
+        if op.traced {
+            let mut s = op.op_lock.lock();
+            if let Some(t) = s.trace.as_mut() {
+                t.reply = Some(Instant::now());
+                self.write.recorder.finish(t);
+            }
+        }
+        let reply = ClientReply {
+            op_id: op.op_id,
+            result: Ok(OpOutcome::Done),
+        };
+        if let Some(lane) = op.ack_lane {
+            // Ordered acks: hold back until every earlier op on this
+            // (client, pg) lane has been released.
+            let acker = &self.write.acker;
+            for (to, r) in acker.release(op.client, op.pg.id(), lane, op.reply_to, reply) {
+                self.send(to, OsdMsg::Reply(r));
+            }
+        } else {
+            self.send(op.reply_to, OsdMsg::Reply(reply));
+        }
+        drop(permit); // release osd_client_message_cap, after the send
+    }
+
+    pub(super) fn fail_op(&self, op: &Arc<WriteOp>, err: AfcError) {
+        let permit = {
+            let mut s = op.op_lock.lock();
+            if std::mem::replace(&mut s.replied, true) {
+                return;
+            }
+            s.permit.take()
+        };
+        self.reply(op.reply_to, op.op_id, Err(err));
+        drop(permit);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn txn_shapes() {
+        let pg = PgId {
+            pool: afc_common::PoolId(0),
+            seq: 7,
+        };
+        let data = Bytes::from(vec![0u8; 4096]);
+        let kinds = |t: &Transaction| -> Vec<&'static str> {
+            t.ops()
+                .iter()
+                .map(|o| match o {
+                    TxOp::Touch { .. } => "touch",
+                    TxOp::SetAllocHint { .. } => "hint",
+                    TxOp::Write { .. } => "write",
+                    TxOp::SetAttrs { .. } => "attrs",
+                    TxOp::Truncate { .. } => "truncate",
+                    TxOp::Remove { .. } => "remove",
+                    TxOp::OmapSetKeys { object, .. } if object.starts_with("pgmeta_") => "pglog",
+                    _ => "other",
+                })
+                .collect()
+        };
+        let write = ObjectOp::Write {
+            offset: 0,
+            data: data.clone(),
+        };
+        let txn = mutation_txn(pg, "obj", 3, &write).unwrap();
+        assert_eq!(kinds(&txn), ["touch", "hint", "write", "attrs", "pglog"]);
+        assert_eq!(txn.data_bytes(), 4096);
+        assert!(txn.encoded_bytes() > 4096);
+        let txn = mutation_txn(pg, "obj", 4, &ObjectOp::Delete).unwrap();
+        assert_eq!(kinds(&txn), ["remove", "pglog"]);
+        assert!(mutation_txn(pg, "obj", 5, &ObjectOp::Stat).is_none());
+        let txn = install_txn(pg, "obj", 6, &data);
+        assert_eq!(kinds(&txn), ["touch", "truncate", "write", "pglog"]);
+        assert_eq!(txn.data_bytes(), 4096);
+    }
+}

@@ -105,10 +105,6 @@ pub struct OsdTuning {
     /// §3.4: light-weight transactions (dedup, batch KV, FD reuse, skip
     /// alloc hints on small writes, write-through metadata cache).
     pub lightweight_txn: bool,
-    /// Op worker (OP_WQ) threads per OSD.
-    pub op_threads: usize,
-    /// Filestore apply threads per OSD.
-    pub apply_threads: usize,
     /// Primary-side replication sub-op timeout, milliseconds: a `Replicate`
     /// without a matching `RepAck` for this long is retransmitted (lost-ack
     /// recovery). Generous next to healthy in-process RTTs so it never
@@ -124,14 +120,6 @@ pub struct OsdTuning {
     /// Silence tolerated from a peer before this OSD reports it down to
     /// the monitor (Ceph's `osd_heartbeat_grace`).
     pub heartbeat_grace_ms: u64,
-    /// Max concurrent recovery pushes per PG — the throttle keeping
-    /// backfill traffic from starving client I/O (Ceph's
-    /// `osd_recovery_max_active`).
-    pub recovery_max_inflight: usize,
-    /// Group commit: max entries coalesced into one journal record.
-    pub journal_batch_max_ops: usize,
-    /// Group commit: max aligned bytes coalesced into one journal record.
-    pub journal_batch_max_bytes: u64,
     /// Group commit: adaptive linger window, microseconds. A batch that
     /// already holds ≥2 entries waits up to this long to fill before the
     /// single flush; a lone entry never waits (no added latency at low
@@ -162,15 +150,10 @@ impl OsdTuning {
             nagle: true,
             logging: LoggingMode::Blocking,
             lightweight_txn: false,
-            op_threads: 2,
-            apply_threads: 2,
             rep_resend_after_ms: 150,
             rep_max_resends: 5,
             heartbeat_interval_ms: 0,
             heartbeat_grace_ms: 200,
-            recovery_max_inflight: 16,
-            journal_batch_max_ops: 64,
-            journal_batch_max_bytes: 8 * 1024 * 1024,
             journal_batch_max_wait_us: 0,
             streams_enabled: false,
             qos_enabled: false,
@@ -189,15 +172,10 @@ impl OsdTuning {
             nagle: false,
             logging: LoggingMode::NonBlocking,
             lightweight_txn: true,
-            op_threads: 2,
-            apply_threads: 2,
             rep_resend_after_ms: 150,
             rep_max_resends: 5,
             heartbeat_interval_ms: 0,
             heartbeat_grace_ms: 200,
-            recovery_max_inflight: 16,
-            journal_batch_max_ops: 64,
-            journal_batch_max_bytes: 8 * 1024 * 1024,
             journal_batch_max_wait_us: 50,
             streams_enabled: true,
             qos_enabled: true,
@@ -313,7 +291,6 @@ mod tests {
         let (c, a) = (OsdTuning::community(), OsdTuning::afceph());
         assert_eq!(c.journal_batch_max_wait_us, 0);
         assert_eq!(a.journal_batch_max_wait_us, 50);
-        assert!(a.journal_batch_max_ops >= 2 && a.journal_batch_max_bytes > 0);
         // Multi-stream separation ships on in afceph, off in community
         // (and does not affect the optimization label — it's a device
         // placement policy, not one of the Figure 9 steps).

@@ -94,6 +94,121 @@ fn pending_queue_loses_no_completions_under_contention() {
     assert_eq!(pg.pending_len(), 0);
 }
 
+/// The release rule: an op submitted non-blocking while a
+/// `lock_measured()` guard holds the PG lock (completion worker, community
+/// finisher, peering/recovery handlers) is left "for the holder" — and
+/// that holder must run it on release. Before the rule covered the guard,
+/// the op sat in the FIFO until the next op on the PG happened to drain it,
+/// which a synchronous client on one hot object never sends.
+#[test]
+fn work_deferred_to_a_lock_measured_holder_runs_on_release() {
+    let pg = Pg::new(PgId {
+        pool: PoolId(0),
+        seq: 9,
+    });
+    let ran = Arc::new(AtomicBool::new(false));
+    let guard = pg.lock_measured();
+    thread::scope(|s| {
+        let ran = Arc::clone(&ran);
+        let pg = &pg;
+        s.spawn(move || pg.submit(Box::new(move |_| ran.store(true, Ordering::SeqCst)), false))
+            .join()
+            .expect("non-blocking submit returns while the lock is held");
+    });
+    assert_eq!(
+        pg.pending_len(),
+        1,
+        "deferred, not run, while the lock is held"
+    );
+    drop(guard);
+    assert!(ran.load(Ordering::SeqCst), "releasing the guard must drain");
+    assert_eq!((pg.pending_len(), pg.processed()), (0, 1));
+}
+
+/// Blocking submitters wait for the lock themselves, so a guard release
+/// has nothing to pick up and must not run their work on its own thread
+/// (on the community path that thread is the journal finisher, and PG work
+/// there may wait on applies only the finisher can queue).
+#[test]
+fn guard_release_leaves_blocking_submitters_their_own_work() {
+    let pg = Pg::new(PgId {
+        pool: PoolId(0),
+        seq: 10,
+    });
+    let guard = pg.lock_measured();
+    let holder = thread::current().id();
+    let (tx, rx) = std::sync::mpsc::channel();
+    thread::scope(|s| {
+        let pg = &pg;
+        s.spawn(move || {
+            pg.submit(
+                Box::new(move |_| tx.send(thread::current().id()).unwrap()),
+                true,
+            )
+        });
+        while pg.pending_len() == 0 {
+            thread::yield_now();
+        }
+        drop(guard);
+    });
+    assert_ne!(rx.recv().unwrap(), holder);
+}
+
+/// ROADMAP item 0's hang, end to end: synchronous clients, each on its own
+/// hot object (write, ack, read — `overwrites_are_strongly_consistent`'s
+/// shape), so nothing else ever touches that PG. Every write's completion
+/// worker takes the PG lock through `lock_measured()` for the batched
+/// `last_committed` bump; if the client's next op lost its `try_lock` to
+/// that holder and the holder did not drain, the op sat there forever.
+/// One attempt, no retry: a stranded op surfaces as `Timeout`.
+#[test]
+fn hot_object_write_then_read_never_strands_an_op() {
+    const CLIENTS: usize = 3;
+    const ROUNDS: usize = 1500;
+    let cluster = Cluster::builder()
+        .nodes(2)
+        .osds_per_node(2)
+        .replication(2)
+        .pg_num(16)
+        .tuning(OsdTuning::afceph())
+        .devices(DeviceProfile::clean())
+        .build()
+        .unwrap();
+    let done = AtomicBool::new(false);
+    thread::scope(|s| {
+        // Spinners keep both cores busy so holders get preempted inside
+        // their critical sections, which is what opens the window.
+        for _ in 0..4 {
+            s.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    std::hint::spin_loop();
+                }
+            });
+        }
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let client = cluster.client().unwrap();
+                client.set_op_timeout(Duration::from_secs(1));
+                client.set_max_retries(1);
+                s.spawn(move || {
+                    let name = format!("hot-{c}");
+                    for v in 0..ROUNDS {
+                        let body = [v as u8; 64];
+                        client.write_object(&name, 0, &body).unwrap();
+                        assert_eq!(client.read_object(&name, 0, 64).unwrap(), body);
+                    }
+                })
+            })
+            .collect();
+        let results: Vec<_> = clients.into_iter().map(|c| c.join()).collect();
+        done.store(true, Ordering::Relaxed);
+        for r in results {
+            r.expect("an op was stranded in a PG's pending FIFO");
+        }
+    });
+    cluster.shutdown();
+}
+
 #[test]
 fn cluster_survives_concurrent_writers_and_quiesce() {
     const WRITERS: usize = 4;

@@ -69,6 +69,25 @@ step cargo test --workspace --quiet
 #     surface when the benchmark driver builds it.
 step cargo test --offline --quiet --manifest-path benchmark/Cargo.toml
 
+# 4c. Tier-1 must pass every time, not most times (ROADMAP item 0): build
+#     the root `consistency` binary once, run it 25 times (all eight tests
+#     in parallel, nine tunings each), and stop at the first failure with
+#     the iteration number and that run's output.
+consistency_loop() {
+    local bin out i
+    bin=$(cargo test --quiet --test consistency --no-run --message-format=json 2>/dev/null |
+        sed -n 's/.*"executable":"\([^"]*consistency-[^"]*\)".*/\1/p' | tail -n 1)
+    [ -x "$bin" ] || { echo "    consistency test binary not found"; return 1; }
+    for i in $(seq 1 25); do
+        if ! out=$("$bin" --quiet 2>&1); then
+            echo "    consistency run $i of 25 failed:"
+            echo "$out"
+            return 1
+        fi
+    done
+}
+step consistency_loop
+
 # 5. Fault matrix: the crash-recovery harness, injected-fault suite and
 #    the failure-detection/recovery suite (heartbeats, peering, degraded
 #    I/O, backfill) run as an explicit pass so a fault-handling

@@ -20,16 +20,44 @@ fn cluster(tuning: OsdTuning) -> Cluster {
         .unwrap()
 }
 
-/// Every configuration must give identical, correct results.
+/// Every configuration must give identical, correct results: the two
+/// evaluated profiles, Figure 9's cumulative steps, and AFCeph minus each
+/// §3.1 switch (the configurations `abl_pending_queue` benches) — between
+/// them every place the commit continuation can run, on both sides.
 fn tunings() -> Vec<(&'static str, OsdTuning)> {
+    let afceph = OsdTuning::afceph;
     vec![
         ("community", OsdTuning::community()),
-        ("afceph", OsdTuning::afceph()),
+        ("step_lock_opt", OsdTuning::step_lock_opt()),
+        ("step_tuning", OsdTuning::step_tuning()),
+        ("step_logging", OsdTuning::step_logging()),
+        ("afceph", afceph()),
         (
             "afceph+ordered",
             OsdTuning {
                 ordered_acks: true,
-                ..OsdTuning::afceph()
+                ..afceph()
+            },
+        ),
+        (
+            "afceph-pending_queue",
+            OsdTuning {
+                pending_queue: false,
+                ..afceph()
+            },
+        ),
+        (
+            "afceph-dedicated_completion",
+            OsdTuning {
+                dedicated_completion: false,
+                ..afceph()
+            },
+        ),
+        (
+            "afceph-fast_ack",
+            OsdTuning {
+                fast_ack: false,
+                ..afceph()
             },
         ),
     ]
@@ -165,16 +193,31 @@ fn rbd_image_data_integrity_random_pattern() {
 
 #[test]
 fn object_api_full_lifecycle() {
-    let cluster = cluster(OsdTuning::afceph());
-    let client = cluster.client().unwrap();
-    client.write_object("life", 100, b"xyz").unwrap();
-    assert_eq!(client.stat_object("life").unwrap(), 103);
-    client.delete_object("life").unwrap();
-    assert!(matches!(
-        client.submit("life", ObjectOp::Stat).unwrap().wait(),
-        Err(afcstore::common::AfcError::NotFound(_))
-    ));
-    cluster.shutdown();
+    for (name, tuning) in tunings() {
+        let cluster = cluster(tuning);
+        let client = cluster.client().unwrap();
+        client.write_object("life", 100, b"xyz").unwrap();
+        assert_eq!(client.stat_object("life").unwrap(), 103, "{name}");
+        client.delete_object("life").unwrap();
+        assert!(
+            matches!(
+                client.submit("life", ObjectOp::Stat).unwrap().wait(),
+                Err(afcstore::common::AfcError::NotFound(_))
+            ),
+            "{name}: stat after delete"
+        );
+        // Re-create after delete: the new object is the new bytes only.
+        client.write_object("life", 0, b"again").unwrap();
+        assert_eq!(client.stat_object("life").unwrap(), 5, "{name}");
+        assert_eq!(
+            client.read_object("life", 0, 5).unwrap(),
+            b"again",
+            "{name}"
+        );
+        cluster.quiesce();
+        assert!(cluster.deep_scrub().unwrap().is_clean(), "{name}: scrub");
+        cluster.shutdown();
+    }
 }
 
 #[test]
