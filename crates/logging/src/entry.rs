@@ -99,6 +99,19 @@ impl LogRing {
         b.push_back(e);
     }
 
+    /// Append `batch` in order under one lock, evicting the oldest entries
+    /// at capacity. On return `batch` holds the evicted entries instead, so
+    /// the caller can drop them after the lock is released.
+    pub fn push_batch(&self, batch: &mut VecDeque<LogEntry>) {
+        let mut b = self.buf.lock();
+        for _ in 0..batch.len() {
+            if b.len() == self.capacity {
+                batch.extend(b.pop_front());
+            }
+            b.extend(batch.pop_front());
+        }
+    }
+
     /// Snapshot oldest-first.
     pub fn dump(&self) -> Vec<LogEntry> {
         self.buf.lock().iter().cloned().collect()
@@ -143,6 +156,27 @@ mod tests {
         assert_eq!(d[2].message(), "4");
         assert!(!r.is_empty());
         assert_eq!(r.len(), 3);
+    }
+
+    #[test]
+    fn push_batch_appends_in_order_and_hands_back_the_evicted() {
+        let r = LogRing::new(3);
+        let entries = |range: std::ops::Range<u32>| -> VecDeque<LogEntry> {
+            range
+                .map(|i| LogEntry::new(Level::Debug, "t", format!("{i}")))
+                .collect()
+        };
+        let texts = |es: Vec<LogEntry>| -> Vec<String> {
+            es.iter().map(|e| e.message().to_string()).collect()
+        };
+        let mut batch = entries(0..2);
+        r.push_batch(&mut batch);
+        assert!(batch.is_empty());
+        // Longer than the ring: the batch's own head is evicted too.
+        let mut batch = entries(2..7);
+        r.push_batch(&mut batch);
+        assert_eq!(texts(r.dump()), ["4", "5", "6"]);
+        assert_eq!(texts(batch.into()), ["0", "1", "2", "3"]);
     }
 
     #[test]

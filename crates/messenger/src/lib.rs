@@ -7,6 +7,10 @@
 //! reproduces that shape in-process:
 //!
 //! - A [`Network`] is a registry of endpoints plus a timing configuration.
+//!   Sending reads the registry shared (`RwLock` read) and hands the message
+//!   to the connection's queue; only `register`/`unregister`/`shutdown` and
+//!   the first message of a connection (which creates its thread) take it
+//!   exclusively, so senders do not serialise on the fabric.
 //! - Each `(sender → receiver)` pair gets a dedicated **connection thread**
 //!   that enforces per-connection FIFO ordering, models wire latency, and
 //!   optionally burns per-message CPU (protocol/checksum work) so host CPU
@@ -28,7 +32,7 @@ use afc_common::faults::{FaultKind, FaultRegistry};
 use afc_common::metrics::{Counter, Metrics};
 use afc_common::{sleep_for, AfcError, Result};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
+use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -164,7 +168,7 @@ struct FaultHook<M> {
 /// The in-process network fabric.
 pub struct Network<M: Send + 'static> {
     cfg: NetConfig,
-    inner: Mutex<NetInner<M>>,
+    inner: RwLock<NetInner<M>>,
     msgs: Counter,
     bytes: Counter,
     conns: Counter,
@@ -180,7 +184,7 @@ impl<M: Send + 'static> Network<M> {
     pub fn new(cfg: NetConfig) -> Arc<Self> {
         Arc::new(Network {
             cfg,
-            inner: Mutex::new(NetInner {
+            inner: RwLock::new(NetInner {
                 endpoints: HashMap::new(),
                 lanes: Vec::new(),
                 lane_threads: Vec::new(),
@@ -222,7 +226,7 @@ impl<M: Send + 'static> Network<M> {
         addr: Addr,
         dispatcher: Arc<dyn Dispatcher<M>>,
     ) -> Result<Messenger<M>> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.write();
         if inner.shutdown {
             return Err(AfcError::ShutDown("network".into()));
         }
@@ -244,7 +248,7 @@ impl<M: Send + 'static> Network<M> {
 
     /// Remove an endpoint; its inbound connection threads wind down.
     pub fn unregister(&self, addr: Addr) {
-        let state = self.inner.lock().endpoints.remove(&addr);
+        let state = self.inner.write().endpoints.remove(&addr);
         if let Some(state) = state {
             for (_, c) in state.conns {
                 drop(c.tx);
@@ -258,7 +262,7 @@ impl<M: Send + 'static> Network<M> {
     /// Shut the whole fabric down, joining every connection thread.
     pub fn shutdown(&self) {
         let (eps, lanes, lane_threads) = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.write();
             inner.shutdown = true;
             (
                 std::mem::take(&mut inner.endpoints),
@@ -325,26 +329,81 @@ impl<M: Send + 'static> Network<M> {
                 }
             }
         }
-        let mut inner = self.inner.lock();
+        // Steady state reads the endpoint/connection table shared; only the
+        // first message of a connection takes the table exclusively.
+        loop {
+            let inner = self.inner.read();
+            if inner.shutdown {
+                return Err(AfcError::ShutDown("network".into()));
+            }
+            let state = inner
+                .endpoints
+                .get(&to)
+                .ok_or_else(|| AfcError::NotFound(format!("endpoint {to}")))?;
+            let Some(conn) = state.conns.get(&from) else {
+                drop(inner);
+                self.connect(from, to)?;
+                continue;
+            };
+            let mut departed = Instant::now() + extra_delay;
+            if self.cfg.nagle && wire_bytes <= self.cfg.nagle_threshold {
+                // Small payload held back by the coalescing window.
+                departed += self.cfg.nagle_delay;
+                self.nagled.inc();
+            }
+            self.msgs.inc();
+            self.bytes.add(wire_bytes as u64);
+            let item = |msg| WorkItem {
+                env: Envelope {
+                    from,
+                    departed,
+                    msg,
+                },
+                dispatcher: Arc::clone(&state.dispatcher),
+            };
+            conn.tx
+                .send(item(msg))
+                .map_err(|_| AfcError::Disconnected(format!("connection {from}->{to}")))?;
+            if let Some(copy) = duplicate {
+                // Best-effort second copy on the same FIFO lane; if the lane
+                // closed after the first send the duplicate is moot.
+                let _ = conn.tx.send(item(copy));
+            }
+            return Ok(());
+        }
+    }
+
+    /// Create the `from → to` connection if it is not there yet: its own
+    /// thread in Simple mode, a slot on one of the shared lanes in Async
+    /// mode (sharded by connection id, so per-connection FIFO holds).
+    fn connect(&self, from: Addr, to: Addr) -> Result<()> {
+        let mut guard = self.inner.write();
+        let inner = &mut *guard;
         if inner.shutdown {
             return Err(AfcError::ShutDown("network".into()));
         }
-        let cfg = self.cfg.clone();
-        // Async mode: ensure the shared lanes exist and pick this
-        // connection's lane (sharded by connection id so per-connection
-        // FIFO ordering is preserved) before borrowing the endpoint.
-        let lane_tx = if let MessengerMode::Async { workers } = self.cfg.mode {
+        let state = inner
+            .endpoints
+            .get_mut(&to)
+            .ok_or_else(|| AfcError::NotFound(format!("endpoint {to}")))?;
+        if state.conns.contains_key(&from) {
+            return Ok(());
+        }
+        let spawn = |name: String| {
+            let (tx, rx): (Sender<WorkItem<M>>, Receiver<WorkItem<M>>) = unbounded();
+            let cfg = self.cfg.clone();
+            let thread = std::thread::Builder::new()
+                .name(name)
+                .spawn(move || receive_loop(rx, cfg))
+                .expect("spawn messenger thread");
+            (tx, thread)
+        };
+        let conn = if let MessengerMode::Async { workers } = self.cfg.mode {
             if inner.lanes.is_empty() {
                 for i in 0..workers.max(1) {
-                    let (tx, rx): (Sender<WorkItem<M>>, Receiver<WorkItem<M>>) = unbounded();
-                    let cfg = self.cfg.clone();
+                    let (tx, thread) = spawn(format!("msgr-async-{i}"));
                     inner.lanes.push(tx);
-                    inner.lane_threads.push(
-                        std::thread::Builder::new()
-                            .name(format!("msgr-async-{i}"))
-                            .spawn(move || receive_loop(rx, cfg))
-                            .expect("spawn async messenger worker"),
-                    );
+                    inner.lane_threads.push(thread);
                     self.lanes.inc();
                 }
             }
@@ -352,71 +411,19 @@ impl<M: Send + 'static> Network<M> {
             let mut h = std::collections::hash_map::DefaultHasher::new();
             (from, to).hash(&mut h);
             let lane = (h.finish() as usize) % inner.lanes.len();
-            Some(inner.lanes[lane].clone())
+            ConnHandle {
+                tx: inner.lanes[lane].clone(),
+                thread: None,
+            }
         } else {
-            None
-        };
-        let state = inner
-            .endpoints
-            .get_mut(&to)
-            .ok_or_else(|| AfcError::NotFound(format!("endpoint {to}")))?;
-        let dispatcher = Arc::clone(&state.dispatcher);
-        let tx = match lane_tx {
-            None => {
-                let conn = state.conns.entry(from).or_insert_with(|| {
-                    self.conns.inc();
-                    let (tx, rx): (Sender<WorkItem<M>>, Receiver<WorkItem<M>>) = unbounded();
-                    let thread = std::thread::Builder::new()
-                        .name(format!("msgr-{from}-{to}"))
-                        .spawn(move || receive_loop(rx, cfg))
-                        .expect("spawn connection thread");
-                    ConnHandle {
-                        tx,
-                        thread: Some(thread),
-                    }
-                });
-                conn.tx.clone()
-            }
-            Some(lane_tx) => {
-                state.conns.entry(from).or_insert_with(|| {
-                    self.conns.inc();
-                    ConnHandle {
-                        tx: lane_tx.clone(),
-                        thread: None,
-                    }
-                });
-                lane_tx
+            let (tx, thread) = spawn(format!("msgr-{from}-{to}"));
+            ConnHandle {
+                tx,
+                thread: Some(thread),
             }
         };
-        let mut departed = Instant::now() + extra_delay;
-        if self.cfg.nagle && wire_bytes <= self.cfg.nagle_threshold {
-            // Small payload held back by the coalescing window.
-            departed += self.cfg.nagle_delay;
-            self.nagled.inc();
-        }
-        self.msgs.inc();
-        self.bytes.add(wire_bytes as u64);
-        tx.send(WorkItem {
-            env: Envelope {
-                from,
-                departed,
-                msg,
-            },
-            dispatcher: Arc::clone(&dispatcher),
-        })
-        .map_err(|_| AfcError::Disconnected(format!("connection {from}->{to}")))?;
-        if let Some(copy) = duplicate {
-            // Best-effort second copy on the same FIFO lane; if the lane
-            // closed after the first send the duplicate is moot.
-            let _ = tx.send(WorkItem {
-                env: Envelope {
-                    from,
-                    departed,
-                    msg: copy,
-                },
-                dispatcher,
-            });
-        }
+        self.conns.inc();
+        state.conns.insert(from, conn);
         Ok(())
     }
 }
@@ -485,6 +492,7 @@ impl<M: Send + 'static> Clone for Messenger<M> {
 mod tests {
     use super::*;
     use afc_common::{ClientId, OsdId};
+    use parking_lot::Mutex;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn client(n: u64) -> Addr {

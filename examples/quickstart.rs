@@ -64,6 +64,10 @@ fn main() -> afcstore::common::Result<()> {
         snap.site_sum("journal.commits") as f64 / snap.site_sum("journal.batches").max(1) as f64
     );
     println!(
+        "logger: {:.1} records per flusher wake-up",
+        snap.site_sum("log.submitted") as f64 / snap.site_sum("log.flushes").max(1) as f64
+    );
+    println!(
         "metrics: {} series; osd0 data SSDs wrote {} bytes, node0 journal committed {} entries",
         snap.len(),
         snap.counter("osd0.data.bytes_written").unwrap_or(0),

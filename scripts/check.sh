@@ -69,6 +69,23 @@ step cargo test --workspace --quiet
 #     surface when the benchmark driver builds it.
 step cargo test --offline --quiet --manifest-path benchmark/Cargo.toml
 
+# 4b'. The tool that found the logger's wake-up per record
+#      (scripts/thread-cpu.sh: CPU ticks and context switches per thread
+#      group, from /proc) must keep working: run it once around a quick
+#      benchmark run and require a table with the flushers' row in it.
+thread_cpu_table() {
+    local out
+    if ! out=$(scripts/thread-cpu.sh -c afc-benchmark -d 1 -i 1 \
+        cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        run --workload w4k_qd1 --seed 7 --quick 2>&1); then
+        echo "$out"
+        return 1
+    fi
+    echo "$out" | sed -n '/^thread-cpu:/,$p'
+    echo "$out" | grep -q '^log-flush' || { echo "    no log-flush row"; return 1; }
+}
+step thread_cpu_table
+
 # 4c. Tier-1 must pass every time, not most times (ROADMAP item 0): build
 #     the root `consistency` binary once, run it 25 times (all eight tests
 #     in parallel, nine tunings each), and stop at the first failure with
