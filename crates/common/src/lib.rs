@@ -11,7 +11,8 @@
 //! - [`metrics`]: the unified, label-aware cluster metric registry
 //!   (counters, gauges, latency histograms, Prometheus export).
 //! - [`rng`]: seeded RNG construction and a fast 64-bit mixing hash.
-//! - [`timeutil`]: precise sleeping helpers used by the device models.
+//! - [`timeutil`]: the calibrated wait every modeled service time goes
+//!   through, and the ledger of what those waits slept and spun.
 //! - [`table`]: fixed-width table rendering for benchmark harness output.
 //! - [`bytesize`]: byte-size constants and formatting.
 //! - [`blocktarget`]: the [`blocktarget::BlockTarget`] trait that workload
@@ -47,4 +48,4 @@ pub use lockdep::{
 };
 pub use series::{IopsSampler, TimeSeries};
 pub use table::Table;
-pub use timeutil::sleep_for;
+pub use timeutil::{sleep_for, wait_until, WaitClass};

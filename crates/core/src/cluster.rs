@@ -259,6 +259,10 @@ impl ClusterBuilder {
         }
         let metrics = Arc::new(Metrics::new());
         net.attach_metrics(&metrics);
+        // The modeled-wait ledger is process-wide (a wait does not know
+        // whose cluster it serves): two clusters alive in one process see
+        // each other's waits under `model.*`.
+        afc_common::timeutil::ledger().register_into(&metrics);
         let crush = CrushMap::uniform(self.nodes, self.osds_per_node);
         let monitor = Arc::new(Monitor::new(crush));
         if let Some(cfg) = self.failure {
@@ -444,7 +448,9 @@ impl Cluster {
     /// `nodeN.journal.dev.*`), journal rings (`nodeN.journal.*`),
     /// filestore (`osdN.fs.*`), KV DBs (`osdN.kv.*`), per-OSD op counters
     /// (`osdN.op.*`), write-path stage histograms (`osdN.stage.*`),
-    /// loggers (`osdN.log.*`) and the fabric (`net.*`).
+    /// loggers (`osdN.log.*`), the fabric (`net.*`) and the process-wide
+    /// modeled-wait ledger (`model.*`: process CPU minus the sum of
+    /// `model.*.spin_us` is the CPU the software used).
     pub fn metrics(&self) -> &Arc<Metrics> {
         &self.metrics
     }

@@ -44,6 +44,9 @@ pub(super) struct Dispatch {
     pub(super) qos: QosScheduler<ClientWork>,
     pub(super) client_throttle: Arc<Throttle>,
     client_ops: Counter,
+    /// Messages dropped because they arrived before the daemon had its
+    /// messenger handle.
+    pub(super) unready_drops: Counter,
 }
 
 impl Dispatch {
@@ -57,11 +60,13 @@ impl Dispatch {
                 tuning.client_message_cap(),
             )),
             client_ops: Counter::new(),
+            unready_drops: Counter::new(),
         }
     }
 
     pub(super) fn register(&self, m: &Metrics, osd: &str) {
         m.register_counter(format!("{osd}.op.client_ops"), &self.client_ops);
+        m.register_counter(format!("{osd}.op.unready_drops"), &self.unready_drops);
         m.attach_set(&format!("{osd}.qos"), self.qos.counters());
         m.attach_hist_set(&format!("{osd}.qos"), self.qos.hists());
         self.client_throttle

@@ -98,6 +98,17 @@ pub(super) fn heartbeat_loop(inner: Arc<OsdInner>) {
     }
 }
 
+/// Hand a picked push back to the pump (PG lock held): unless a newer
+/// generation superseded it, the object leaves `recovering` for
+/// `peer_missing`, so the next pump pass reads and pushes fresh bytes.
+fn requeue_push(st: &mut PgState, peer: OsdId, object: String, gen: u64) {
+    let key = (peer, object);
+    if st.recovering.get(&key) == Some(&gen) {
+        st.recovering.remove(&key);
+        st.peer_missing.entry(peer).or_default().insert(key.1);
+    }
+}
+
 /// Recover an [`ObjectId`] from its store name (`pool<N>/<name>`). PG meta
 /// objects (`pgmeta_*`) and any other non-object files yield `None`, so
 /// backfill enumeration skips them.
@@ -547,8 +558,12 @@ impl OsdInner {
     /// generation under the lock, so a push superseded by a concurrent
     /// write is dropped (the pump re-pushes fresh data later).
     fn send_push(self: &Arc<Self>, pg: &Arc<Pg>, peer: OsdId, obj_name: String, gen: u64) {
-        // Every acked write must be in the pushed bytes.
-        self.read.gate.wait_ordered(&obj_name);
+        // Every acked write must be in the pushed bytes; if its apply is
+        // wedged, push nothing and let the pump pick the object again.
+        if self.read.gate.wait_ordered(&obj_name).is_err() {
+            requeue_push(&mut pg.lock_measured(), peer, obj_name, gen);
+            return;
+        }
         let data = match self.store.stat(&obj_name) {
             Ok(m) => self
                 .store
@@ -645,15 +660,7 @@ impl OsdInner {
         }
         for pw in expired {
             self.heal.c.recovery_requeues.inc();
-            let mut st = pw.pg.lock_measured();
-            let key = (pw.peer, pw.object.clone());
-            if st.recovering.get(&key) == Some(&pw.gen) {
-                st.recovering.remove(&key);
-                st.peer_missing
-                    .entry(pw.peer)
-                    .or_default()
-                    .insert(pw.object);
-            }
+            requeue_push(&mut pw.pg.lock_measured(), pw.peer, pw.object, pw.gen);
         }
     }
 

@@ -113,45 +113,10 @@ impl Osd {
     /// network, and starts the op-worker (and, in AFCeph mode, completion)
     /// threads.
     pub fn spawn(params: OsdParams) -> Result<Arc<Osd>> {
-        let tuning = params.tuning;
-        let logger = Logger::new(tuning.logging.log_config());
-        let fs_cfg = FileStoreConfig {
-            queue_max_ops: tuning.filestore_queue_max_ops(),
-            ..if tuning.lightweight_txn {
-                FileStoreConfig::lightweight()
-            } else {
-                FileStoreConfig::community()
-            }
-        };
-        let store = FileStore::new(Arc::clone(&params.data_dev), fs_cfg)?;
-        let journal = Journal::new(
-            Arc::clone(&params.journal_dev),
-            JournalConfig {
-                capacity: params.journal_capacity,
-                batch_max_wait: Duration::from_micros(tuning.journal_batch_max_wait_us),
-                ..JournalConfig::default()
-            },
-        );
-        let inner = Arc::new(OsdInner {
-            id: params.id,
-            logger,
-            store,
-            journal,
-            msgr: OnceLock::new(),
-            map: params.map,
-            monitor: params.monitor,
-            pgs: TrackedRwLock::new(&classes::OSD_PG_MAP, HashMap::new()),
-            pg_lock_waits: Counter::new(),
-            pg_lock_wait_us: Counter::new(),
-            dispatch: dispatch::Dispatch::new(&tuning),
-            write: write::WritePath::new(),
-            rep: replication::Replication::new(),
-            read: read::ReadPath::new(),
-            heal: healing::Healing::new(),
-            shutdown: AtomicBool::new(false),
-            paused: AtomicBool::new(false),
-            tuning,
-        });
+        let inner = OsdInner::open(&params)?;
+        // From `register` on, connection threads may call the dispatcher;
+        // until `msgr.set` below it has no handle to answer with and drops
+        // what arrives (see `OsdDispatcher::dispatch`).
         let msgr = params.net.register(
             Addr::Osd(params.id),
             Arc::new(OsdDispatcher(Arc::clone(&inner))),
@@ -381,6 +346,14 @@ impl Dispatcher<OsdMsg> for OsdDispatcher {
         if inner.shutdown.load(Ordering::Relaxed) || inner.paused.load(Ordering::Relaxed) {
             return;
         }
+        if inner.msgr.get().is_none() {
+            // Registered with the network but not yet handed its sending
+            // handle (`Osd::spawn`): every handler may reply, so the
+            // message is dropped like one to a booting daemon — the
+            // sender's resend/heartbeat timers cover it.
+            inner.dispatch.unready_drops.inc();
+            return;
+        }
         match msg {
             OsdMsg::Request(op) => inner.handle_request(from, op),
             OsdMsg::Replicate(rep) => inner.handle_repop(from, rep),
@@ -400,6 +373,50 @@ impl Dispatcher<OsdMsg> for OsdDispatcher {
 }
 
 impl OsdInner {
+    /// Open the filestore and journal and assemble the daemon's state, not
+    /// yet on the network (`msgr` unset) and with no threads of its own.
+    fn open(params: &OsdParams) -> Result<Arc<OsdInner>> {
+        let tuning = params.tuning.clone();
+        let logger = Logger::new(tuning.logging.log_config());
+        let fs_cfg = FileStoreConfig {
+            queue_max_ops: tuning.filestore_queue_max_ops(),
+            ..if tuning.lightweight_txn {
+                FileStoreConfig::lightweight()
+            } else {
+                FileStoreConfig::community()
+            }
+        };
+        let store = FileStore::new(Arc::clone(&params.data_dev), fs_cfg)?;
+        let journal = Journal::new(
+            Arc::clone(&params.journal_dev),
+            JournalConfig {
+                capacity: params.journal_capacity,
+                batch_max_wait: Duration::from_micros(tuning.journal_batch_max_wait_us),
+                ..JournalConfig::default()
+            },
+        );
+        Ok(Arc::new(OsdInner {
+            id: params.id,
+            logger,
+            store,
+            journal,
+            msgr: OnceLock::new(),
+            map: params.map.clone(),
+            monitor: params.monitor.clone(),
+            pgs: TrackedRwLock::new(&classes::OSD_PG_MAP, HashMap::new()),
+            pg_lock_waits: Counter::new(),
+            pg_lock_wait_us: Counter::new(),
+            dispatch: dispatch::Dispatch::new(&tuning),
+            write: write::WritePath::new(),
+            rep: replication::Replication::new(),
+            read: read::ReadPath::new(),
+            heal: healing::Healing::new(),
+            shutdown: AtomicBool::new(false),
+            paused: AtomicBool::new(false),
+            tuning,
+        }))
+    }
+
     fn msgr(&self) -> &Messenger<OsdMsg> {
         self.msgr.get().expect("messenger registered at spawn")
     }
@@ -455,5 +472,43 @@ impl OsdInner {
         *self.write.completion_tx.lock() = None;
         *self.read.tx.lock() = None;
         drop(self.dispatch.qos.clear());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::messages::PingMsg;
+    use afc_common::Epoch;
+    use afc_crush::CrushMap;
+    use afc_device::{Nvram, NvramConfig, Ssd, SsdConfig};
+    use afc_messenger::NetConfig;
+
+    /// `Osd::spawn` registers the dispatcher with the network before it can
+    /// install the messenger handle; a peer's ping delivered in between
+    /// used to panic the connection thread in `msgr()`.
+    #[test]
+    fn message_before_the_messenger_is_set_is_dropped_and_counted() {
+        let monitor = Monitor::new(CrushMap::uniform(1, 2));
+        let inner = OsdInner::open(&OsdParams {
+            id: OsdId(0),
+            tuning: OsdTuning::afceph(),
+            data_dev: Arc::new(Ssd::new(SsdConfig::sata3())),
+            journal_dev: Arc::new(Nvram::new(NvramConfig::pmc_8g())),
+            journal_capacity: 64 * afc_common::MIB,
+            map: monitor.shared_map(),
+            net: Network::new(NetConfig::default()),
+            monitor: None,
+        })
+        .unwrap();
+        assert!(inner.msgr.get().is_none());
+        let ping = OsdMsg::Ping(PingMsg {
+            from: OsdId(1),
+            epoch: Epoch(1),
+        });
+        OsdDispatcher(Arc::clone(&inner)).dispatch(Addr::Osd(OsdId(1)), ping);
+        assert_eq!(inner.dispatch.unready_drops.get(), 1);
+        // Dropped whole: the ping left no trace in the failure detector.
+        assert!(inner.heal.hb_peers.lock().is_empty());
     }
 }

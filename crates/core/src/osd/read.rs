@@ -5,23 +5,34 @@ use super::OsdInner;
 use crate::messages::{ObjectOp, OpOutcome};
 use afc_common::lockdep::{classes, TrackedCondvar, TrackedMutex};
 use afc_common::metrics::{Counter, Metrics};
-use afc_common::OpId;
+use afc_common::{AfcError, OpId, Result};
 use afc_filestore::throttle::OwnedPermit;
 use afc_messenger::Addr;
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// How long a read waits for the applies ordered before it. Far beyond any
+/// healthy apply; a wait this long means an apply is wedged.
+const GATE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Read gate: a read must not observe the filestore before every write to
 /// its object that was *ordered before it* (journal-acked but not yet
 /// applied) has landed — Ceph's per-object sequencer behaviour that keeps
 /// read-after-acked-write strongly consistent. Writes ordered after the
 /// read do not delay it (no starvation under mixed workloads).
+///
+/// The gate fails *closed*: a waiter whose applies do not land by its
+/// deadline gets [`AfcError::Timeout`], never a look at the filestore —
+/// data older than an acked write must not be served just because an apply
+/// is wedged.
 pub(super) struct ApplyGate {
     objects: TrackedMutex<HashMap<String, (u64, u64)>>, // object → (enqueued, applied)
     cv: TrackedCondvar,
+    /// Waits that ended at their deadline instead of at the apply.
+    timeouts: Counter,
 }
 
 impl ApplyGate {
@@ -29,6 +40,7 @@ impl ApplyGate {
         ApplyGate {
             objects: TrackedMutex::new(&classes::APPLY_GATE, HashMap::new()),
             cv: TrackedCondvar::new(),
+            timeouts: Counter::new(),
         }
     }
 
@@ -60,26 +72,32 @@ impl ApplyGate {
         self.objects.lock().get(object).map(|e| e.0)
     }
 
-    /// Wait until applies for `object` reach `target` (from [`Self::snapshot`]).
-    fn wait_target(&self, object: &str, target: Option<u64>) {
-        let Some(target) = target else { return };
+    /// Wait until applies for `object` reach `target` (from
+    /// [`Self::snapshot`]), or fail with [`AfcError::Timeout`] at `deadline`:
+    /// a wedged apply must neither hang the reader nor let it read around
+    /// the write.
+    fn wait_target(&self, object: &str, target: Option<u64>, deadline: Instant) -> Result<()> {
+        let Some(target) = target else { return Ok(()) };
         let mut st = self.objects.lock();
-        let deadline = Instant::now() + std::time::Duration::from_secs(10);
         loop {
             match st.get(object) {
                 Some(&(_, applied)) if applied < target => {
                     if self.cv.wait_until(&mut st, deadline).timed_out() {
-                        return; // fail open: a wedged apply must not hang reads
+                        self.timeouts.inc();
+                        return Err(AfcError::Timeout(format!(
+                            "{object}: apply {applied} of {target} ordered before this read"
+                        )));
                     }
                 }
-                _ => return, // caught up or entry retired
+                _ => return Ok(()), // caught up or entry retired
             }
         }
     }
 
-    /// Wait until every write enqueued *before now* has applied.
-    pub(super) fn wait_ordered(&self, object: &str) {
-        self.wait_target(object, self.snapshot(object));
+    /// Wait until every write enqueued *before now* has applied (or fail
+    /// after [`GATE_TIMEOUT`]).
+    pub(super) fn wait_ordered(&self, object: &str) -> Result<()> {
+        self.wait_target(object, self.snapshot(object), Instant::now() + GATE_TIMEOUT)
     }
 
     /// Drop all gate state and release every waiter (crash simulation:
@@ -122,6 +140,7 @@ impl ReadPath {
 
     pub(super) fn register(&self, m: &Metrics, osd: &str) {
         m.register_counter(format!("{osd}.op.reads"), &self.reads);
+        m.register_counter(format!("{osd}.op.gate_timeouts"), &self.gate.timeouts);
     }
 }
 
@@ -158,9 +177,14 @@ impl OsdInner {
     }
 
     /// Complete a read: wait for ordered applies, hit the filestore, reply.
+    /// A gate timeout is the reply — the filestore is not consulted.
     fn execute_read(&self, job: ReadJob) {
-        self.read.gate.wait_target(&job.obj_name, job.gate_target);
-        let result = match job.query {
+        let gate = self.read.gate.wait_target(
+            &job.obj_name,
+            job.gate_target,
+            Instant::now() + GATE_TIMEOUT,
+        );
+        let result = gate.and_then(|()| match job.query {
             ObjectOp::Read { offset, len } => {
                 let data = self.store.read(&job.obj_name, offset, len as usize);
                 self.log("read reply");
@@ -170,7 +194,7 @@ impl OsdInner {
                 .store
                 .stat(&job.obj_name)
                 .map(|m| OpOutcome::Size(m.size)),
-        };
+        });
         self.reply(job.from, job.op_id, result);
         drop(job.permit);
     }
@@ -193,7 +217,7 @@ mod tests {
         let g2 = std::sync::Arc::clone(&g);
         let reader = std::thread::spawn(move || {
             let t0 = Instant::now();
-            g2.wait_target("obj", target);
+            g2.wait_target("obj", target, t0 + GATE_TIMEOUT).unwrap();
             t0.elapsed()
         });
         std::thread::sleep(std::time::Duration::from_millis(20));
@@ -213,10 +237,29 @@ mod tests {
     }
 
     #[test]
+    fn apply_gate_fails_closed_when_the_apply_is_held_back() {
+        let g = ApplyGate::new();
+        g.add("obj");
+        let target = g.snapshot("obj");
+        // The apply never lands within the (test-shortened) deadline: the
+        // waiter must get the typed error, not permission to read.
+        let err = g
+            .wait_target("obj", target, Instant::now() + Duration::from_millis(20))
+            .unwrap_err();
+        assert!(matches!(err, AfcError::Timeout(_)), "{err}");
+        assert_eq!(g.timeouts.get(), 1);
+        // Once it lands, the same target passes and nothing more is counted.
+        g.done("obj");
+        g.wait_target("obj", target, Instant::now() + Duration::from_millis(20))
+            .unwrap();
+        assert_eq!(g.timeouts.get(), 1);
+    }
+
+    #[test]
     fn apply_gate_untracked_object_passes() {
         let g = ApplyGate::new();
         assert_eq!(g.snapshot("ghost"), None);
-        g.wait_target("ghost", None); // returns immediately
+        g.wait_ordered("ghost").unwrap(); // returns immediately
         g.done("ghost"); // no-op
     }
 
@@ -225,7 +268,7 @@ mod tests {
         let g = ApplyGate::new();
         g.add("a");
         assert_eq!(g.snapshot("b"), None);
-        g.wait_target("b", g.snapshot("b")); // b is unaffected by a
+        g.wait_ordered("b").unwrap(); // b is unaffected by a
         g.done("a");
         assert_eq!(g.snapshot("a"), None);
     }

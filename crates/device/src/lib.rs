@@ -13,8 +13,10 @@
 //!
 //! - [`BlockDev::plan`] reserves time on an internal channel and returns the
 //!   completion instant *without sleeping*; [`BlockDev::submit`] plans and
-//!   sleeps. RAID-0 plans all stripe segments up front and sleeps until the
-//!   latest, so striped I/O genuinely overlaps with zero helper threads.
+//!   waits ([`afc_common::timeutil`]'s calibrated wait, booked to the
+//!   device's [`BlockDev::wait_class`]). RAID-0 plans all stripe segments
+//!   up front and waits for the latest, so striped I/O genuinely overlaps
+//!   with zero helper threads.
 //! - Devices store no data — data lives in the layers above (page cache,
 //!   journal buffer, memtables). Devices account bytes and time only.
 //! - All jitter is deterministic (seeded), so runs are reproducible.
@@ -35,7 +37,7 @@ pub use ssd::{Ssd, SsdConfig, SsdState};
 pub use stats::DevStats;
 
 use afc_common::faults::{FaultKind, FaultRegistry};
-use afc_common::{sleep_for, AfcError, Result};
+use afc_common::{wait_until, AfcError, Result, WaitClass};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -196,11 +198,13 @@ pub trait BlockDev: Send + Sync {
     fn submit(&self, req: IoReq) -> Result<Duration> {
         let start = Instant::now();
         let plan = self.plan(req)?;
-        let now = Instant::now();
-        if plan.completion > now {
-            sleep_for(plan.completion - now);
-        }
+        wait_until(self.wait_class(), plan.completion);
         Ok(start.elapsed())
+    }
+
+    /// The ledger row this device's modeled waits are booked to.
+    fn wait_class(&self) -> WaitClass {
+        WaitClass::Ssd
     }
 
     /// Snapshot of accumulated statistics.

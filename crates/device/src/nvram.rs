@@ -8,7 +8,7 @@
 use crate::plan::ChannelPool;
 use crate::stats::{DevStats, StatsCell};
 use crate::{validate, BlockDev, FaultInjector, IoKind, IoPlan, IoReq};
-use afc_common::{Result, GIB};
+use afc_common::{Result, WaitClass, GIB};
 use std::time::Duration;
 
 /// NVRAM model parameters.
@@ -85,13 +85,15 @@ impl BlockDev for Nvram {
         let xfer = Duration::from_secs_f64(req.len as f64 / self.cfg.bandwidth as f64);
         let service = self.cfg.access + xfer + spike;
         let completion = match req.kind {
-            IoKind::Flush => self.pool.reserve_barrier(self.cfg.access),
+            // A flush moves no bytes: `service` is the access time plus
+            // any injected latency spike.
+            IoKind::Flush => self.pool.reserve_barrier(service),
             _ => self.pool.reserve(service),
         };
         match req.kind {
             IoKind::Read => self.stats.on_read(req.len as u64, service, false),
             IoKind::Write => self.stats.on_write(req.len as u64, req.stream, service),
-            IoKind::Flush => self.stats.on_flush(self.cfg.access),
+            IoKind::Flush => self.stats.on_flush(service),
         }
         Ok(IoPlan {
             completion,
@@ -105,6 +107,10 @@ impl BlockDev for Nvram {
 
     fn model(&self) -> &str {
         "nvram-pmc8g"
+    }
+
+    fn wait_class(&self) -> WaitClass {
+        WaitClass::Nvram
     }
 }
 
@@ -156,6 +162,20 @@ mod tests {
         let pf = nv.plan(IoReq::flush()).unwrap();
         assert!(pf.completion >= pw.completion);
         assert_eq!(nv.stats().flushes, 1);
+    }
+
+    #[test]
+    fn injected_delay_stretches_a_flush_too() {
+        use afc_common::faults::{FaultKind, FaultRegistry, FaultSpec};
+        let nv = Nvram::new(NvramConfig::pmc_8g());
+        let reg = std::sync::Arc::new(FaultRegistry::new());
+        nv.faults().attach(std::sync::Arc::clone(&reg), "jdev");
+        let spike = Duration::from_millis(10);
+        reg.install(FaultSpec::new("jdev.flush", FaultKind::Delay(spike)));
+        let t0 = std::time::Instant::now();
+        let pf = nv.plan(IoReq::flush()).unwrap();
+        assert!(pf.completion >= t0 + spike, "the barrier ignored the spike");
+        assert!(pf.service >= spike);
     }
 
     const MIB_U32: u32 = 1024 * 1024;

@@ -49,7 +49,7 @@ pub mod stats;
 pub use stats::JournalStatsCell;
 
 use afc_common::lockdep::{self, classes, TrackedCondvar, TrackedMutex};
-use afc_common::{sleep_for, AfcError, Result};
+use afc_common::{sleep_for, wait_until, AfcError, Result};
 use afc_device::{BlockDev, IoReq, StreamId};
 use bytes::Bytes;
 use std::collections::VecDeque;
@@ -444,9 +444,15 @@ impl Journal {
     }
 }
 
-/// Write one coalesced record of `total` aligned bytes at the ring cursor,
-/// then issue the group-commit flush barrier. Returns whether the record's
-/// tail tore. Called with no locks held (device waits block).
+/// Write one coalesced record of `total` aligned bytes at the ring cursor
+/// and harden it with the group-commit flush barrier. Returns whether the
+/// record's tail tore. Called with no locks held (the device wait blocks).
+///
+/// One modeled event, one wait: the write and its barrier are both
+/// *planned* on the device, back to back, and the thread waits once, for
+/// the later completion — the barrier's, which the device orders behind
+/// the write it hardens. Faults surface at plan time exactly as
+/// [`BlockDev::submit`] surfaces them.
 fn write_record(inner: &Inner, total: u64) -> bool {
     let offset = {
         let mut ring = inner.ring.lock();
@@ -458,12 +464,18 @@ fn write_record(inner: &Inner, total: u64) -> bool {
         ring.write_cursor += total;
         off
     };
-    let torn = match inner.dev.submit(IoReq::write_stream(
+    // When the record is on media; `None` when a fault kept the device
+    // from taking the request at all (nothing to wait for).
+    let mut done = None;
+    let torn = match inner.dev.plan(IoReq::write_stream(
         offset,
         total.min(u32::MAX as u64) as u32,
         StreamId::Journal,
     )) {
-        Ok(_) => false,
+        Ok(p) => {
+            done = Some(p.completion);
+            false
+        }
         Err(AfcError::TornWrite(_)) => {
             // Power-loss model: a prefix of the record reached media, the
             // tail entry tore. The caller poisons the tail when publishing.
@@ -483,10 +495,16 @@ fn write_record(inner: &Inner, total: u64) -> bool {
         // One barrier makes the whole record durable — this is the flush
         // the group amortizes. A torn record never reached media whole,
         // so there is nothing to harden.
-        match inner.dev.submit(IoReq::flush()) {
-            Ok(_) => inner.stats.flushes.inc(),
+        match inner.dev.plan(IoReq::flush()) {
+            Ok(p) => {
+                inner.stats.flushes.inc();
+                done = done.max(Some(p.completion));
+            }
             Err(_) => inner.stats.write_errors.inc(),
         }
+    }
+    if let Some(done) = done {
+        wait_until(inner.dev.wait_class(), done);
     }
     torn
 }

@@ -30,7 +30,7 @@ pub use addr::Addr;
 
 use afc_common::faults::{FaultKind, FaultRegistry};
 use afc_common::metrics::{Counter, Metrics};
-use afc_common::{sleep_for, AfcError, Result};
+use afc_common::{wait_until, AfcError, Result, WaitClass};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -431,11 +431,7 @@ impl<M: Send + 'static> Network<M> {
 fn receive_loop<M: Send + 'static>(rx: Receiver<WorkItem<M>>, cfg: NetConfig) {
     while let Ok(item) = rx.recv() {
         // Wire latency relative to departure, preserving per-lane FIFO.
-        let arrival = item.env.departed + cfg.hop_latency;
-        let now = Instant::now();
-        if arrival > now {
-            sleep_for(arrival - now);
-        }
+        wait_until(WaitClass::Net, item.env.departed + cfg.hop_latency);
         if cfg.cpu_per_msg > Duration::ZERO {
             burn_cpu(cfg.cpu_per_msg);
         }

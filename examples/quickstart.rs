@@ -42,7 +42,36 @@ fn main() -> afcstore::common::Result<()> {
     // Every subsystem registers into one cluster-wide registry; a snapshot
     // is a stable name → value tree (see DESIGN.md "Observability").
     cluster.quiesce();
+    // What modeled time costs in CPU: a QD1 4 KiB write loop between two
+    // snapshots of the `model.*` ledger. Each write waits on four wire
+    // hops, two NVRAM records and its SSD applies; the spin is the part of
+    // those waits that burned a core (`scripts/check.sh` bounds it).
+    const QD1_WRITES: u64 = 2000;
+    let before = cluster.metrics_snapshot();
+    for i in 0..QD1_WRITES {
+        client.write_object(&format!("qd1-{}", i % 16), (i / 16) * 4096, &block)?;
+    }
+    cluster.quiesce();
     let snap = cluster.metrics_snapshot();
+    let spin_per_op = |class: &str| {
+        let spin = |s: &afcstore::common::MetricsSnapshot| {
+            s.counter(&format!("model.{class}.spin_us")).unwrap_or(0)
+        };
+        (spin(&snap) - spin(&before)) as f64 / QD1_WRITES as f64
+    };
+    let (net, nvram, ssd) = (spin_per_op("net"), spin_per_op("nvram"), spin_per_op("ssd"));
+    let overshoot = snap
+        .histogram("model.overshoot_us")
+        .cloned()
+        .unwrap_or_default();
+    println!(
+        "model: spin {:.1} us/op (net {net:.1}, nvram {nvram:.1}, ssd {ssd:.1}) over {QD1_WRITES} QD1 4 KiB writes; \
+         overshoot p50 {}us p99 {}us over {} waits",
+        net + nvram + ssd,
+        overshoot.p50_us(),
+        overshoot.p99_us(),
+        overshoot.count
+    );
     for osd in cluster.osds() {
         let op = |name: &str| {
             snap.counter(&format!("osd{}.op.{name}", osd.id().0))
