@@ -1,15 +1,13 @@
-//! The four path-scoped hygiene rules ported from the original
-//! `crates/xtask/src/lint.rs` line-grep linter onto the token stream:
-//! `no-std-sync`, `no-unwrap-on-sync`, `no-println-in-lib`,
-//! `no-discarded-io`. Being token-based, comments and string literals
-//! can no longer trigger them, and every finding carries a column.
+//! The two path-scoped hygiene rules clippy has no lint for:
+//! `no-unwrap-on-sync` and `no-discarded-io`. Being token-based,
+//! comments and string literals cannot trigger them, and every finding
+//! carries a column. (`std::sync` lock primitives and `println!` in
+//! library code are clippy's job now: `clippy.toml` `disallowed-types`
+//! and `clippy::print_stdout`/`print_stderr`.)
 
 use crate::lexer::Kind;
 use crate::source::SourceFile;
 use crate::{Diag, Severity};
-
-/// The one file allowed to use `std::sync` lock primitives.
-const STD_SYNC_EXEMPT: &[&str] = &["crates/common/src/lockdep.rs"];
 
 /// Crates whose non-test sources must not unwrap lock/channel results.
 const UNWRAP_SCOPES: &[&str] = &[
@@ -22,10 +20,6 @@ const UNWRAP_SCOPES: &[&str] = &[
 /// Receiver methods that make a same-line `.unwrap()`/`.expect()` a
 /// lock/channel unwrap.
 const SYNC_RESULT_METHODS: &[&str] = &["lock", "try_lock", "recv", "try_recv", "send", "join"];
-
-/// Crates exempt from the println rule: the bench harness prints result
-/// tables by design.
-const PRINTLN_EXEMPT: &[&str] = &["crates/bench"];
 
 /// Crates whose non-test sources must not discard fallible I/O results
 /// with `let _ =`.
@@ -52,74 +46,6 @@ const IO_METHODS: &[&str] = &[
     "omap_set",
     "truncate",
 ];
-
-// ---------------------------------------------------------------- //
-// no-std-sync
-// ---------------------------------------------------------------- //
-
-pub fn check_std_sync(f: &SourceFile, out: &mut Vec<Diag>) {
-    if STD_SYNC_EXEMPT.contains(&f.path.as_str()) {
-        return;
-    }
-    let t = &f.toks;
-    for i in 0..t.len() {
-        // std :: sync :: {Mutex | RwLock | Condvar} — fully qualified or
-        // imported; `use std::sync::{…}` grouped imports land here too
-        // because the banned ident still follows the `sync ::` path.
-        if !t[i].is_ident("std") {
-            continue;
-        }
-        if !(t.get(i + 1).is_some_and(|x| x.is_punct(':'))
-            && t.get(i + 2).is_some_and(|x| x.is_punct(':'))
-            && t.get(i + 3).is_some_and(|x| x.is_ident("sync")))
-        {
-            continue;
-        }
-        // Scan the rest of the path / import group on this statement.
-        let mut j = i + 4;
-        let mut hit = None;
-        let mut depth = 0i64;
-        while let Some(x) = t.get(j) {
-            if x.is_punct(';') || (depth == 0 && (x.is_punct('=') || x.is_punct(')'))) {
-                break;
-            }
-            if x.is_punct('{') {
-                depth += 1;
-            }
-            if x.is_punct('}') {
-                if depth == 0 {
-                    break;
-                }
-                depth -= 1;
-            }
-            if ["Mutex", "RwLock", "Condvar"].iter().any(|w| x.is_ident(w)) {
-                hit = Some(x.text.clone());
-                break;
-            }
-            // Stop at the end of a simple path (e.g. `std::sync::Arc`)
-            // unless we are inside an import group.
-            if depth == 0 && x.kind == Kind::Ident && !t.get(j + 1).is_some_and(|n| n.is_punct(':'))
-            {
-                break;
-            }
-            j += 1;
-        }
-        if let Some(name) = hit {
-            out.push(Diag {
-                file: f.path.clone(),
-                line: t[i].line,
-                col: t[i].col,
-                rule: "no-std-sync",
-                severity: Severity::Error,
-                msg: format!("std::sync::{name} is banned"),
-                suggestion: Some(
-                    "use parking_lot or afc_common::lockdep::Tracked* so lockdep sees the lock"
-                        .into(),
-                ),
-            });
-        }
-    }
-}
 
 // ---------------------------------------------------------------- //
 // no-unwrap-on-sync
@@ -160,41 +86,7 @@ pub fn check_unwrap_on_sync(f: &SourceFile, out: &mut Vec<Diag>) {
                 rule: "no-unwrap-on-sync",
                 severity: Severity::Error,
                 msg: format!(".{}() on a lock/channel result in hot-path code", t[i].text),
-                suggestion: Some(
-                    "handle the error (shutdown is not exceptional); sanctioned cases go in \
-                     analyze-baseline.txt"
-                        .into(),
-                ),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------- //
-// no-println-in-lib
-// ---------------------------------------------------------------- //
-
-pub fn check_println(f: &SourceFile, out: &mut Vec<Diag>) {
-    if !f.path.starts_with("crates/")
-        || PRINTLN_EXEMPT.iter().any(|p| f.path.starts_with(p))
-        || f.non_prod
-    {
-        return;
-    }
-    let t = &f.toks;
-    for i in 0..t.len() {
-        if (t[i].is_ident("println") || t[i].is_ident("eprintln"))
-            && t.get(i + 1).is_some_and(|x| x.is_punct('!'))
-            && !f.is_test(i)
-        {
-            out.push(Diag {
-                file: f.path.clone(),
-                line: t[i].line,
-                col: t[i].col,
-                rule: "no-println-in-lib",
-                severity: Severity::Error,
-                msg: format!("{}! in library code", t[i].text),
-                suggestion: Some("log through afc_logging or return an error".into()),
+                suggestion: Some("handle the error (shutdown is not exceptional)".into()),
             });
         }
     }
@@ -268,51 +160,6 @@ mod tests {
         out
     }
 
-    // -------- no-std-sync (migrated fixtures) -------- //
-
-    #[test]
-    fn std_sync_mutex_is_flagged() {
-        let src = "use std::sync::Mutex;\nstatic S: Mutex<u32> = Mutex::new(0);\n";
-        let v = run(check_std_sync, "crates/core/src/foo.rs", src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "no-std-sync");
-        assert_eq!((v[0].line, v[0].col), (1, 5));
-    }
-
-    #[test]
-    fn std_sync_fully_qualified_is_flagged_anywhere() {
-        let src = "fn f() { let m = std::sync::RwLock::new(5); }\n";
-        assert_eq!(
-            run(check_std_sync, "crates/device/src/lib.rs", src).len(),
-            1
-        );
-    }
-
-    #[test]
-    fn std_sync_grouped_import_is_flagged() {
-        let src = "use std::sync::{atomic::AtomicU64, Condvar};\n";
-        assert_eq!(run(check_std_sync, "crates/core/src/foo.rs", src).len(), 1);
-    }
-
-    #[test]
-    fn std_sync_atomics_arc_and_mpsc_are_fine() {
-        let src = "use std::sync::Arc;\nuse std::sync::atomic::AtomicU64;\nuse std::sync::mpsc;\nfn f() { let x: std::sync::mpsc::Receiver<Mutex<u8>>; }\n";
-        assert!(run(check_std_sync, "crates/core/src/foo.rs", src).is_empty());
-    }
-
-    #[test]
-    fn lockdep_itself_may_use_std_sync() {
-        let src = "use std::sync::Mutex;\n";
-        assert!(run(check_std_sync, "crates/common/src/lockdep.rs", src).is_empty());
-    }
-
-    #[test]
-    fn commented_and_quoted_mentions_are_not_flagged() {
-        let src =
-            "// std::sync::Mutex would poison here\nfn f() { let s = \"std::sync::Mutex\"; }\n";
-        assert!(run(check_std_sync, "crates/core/src/foo.rs", src).is_empty());
-    }
-
     // -------- no-unwrap-on-sync (migrated fixtures) -------- //
 
     #[test]
@@ -355,31 +202,6 @@ mod tests {
     fn lock_in_comment_does_not_make_an_unwrap_sync() {
         let src = "fn f(s: &str) -> u64 { /* lock() */ s.parse().unwrap() }\n";
         assert!(run(check_unwrap_on_sync, "crates/core/src/lib.rs", src).is_empty());
-    }
-
-    // -------- no-println-in-lib (migrated fixtures) -------- //
-
-    #[test]
-    fn println_in_lib_is_flagged() {
-        let src = "pub fn f() {\n    println!(\"debug\");\n}\n";
-        let v = run(check_println, "crates/journal/src/lib.rs", src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "no-println-in-lib");
-    }
-
-    #[test]
-    fn eprintln_in_lib_is_flagged() {
-        let src = "pub fn f() { eprintln!(\"oops\"); }\n";
-        assert_eq!(run(check_println, "crates/kvstore/src/db.rs", src).len(), 1);
-    }
-
-    #[test]
-    fn println_in_bench_harness_bin_and_tests_is_exempt() {
-        let src = "pub fn f() { println!(\"table\"); }\n";
-        assert!(run(check_println, "crates/bench/src/lib.rs", src).is_empty());
-        assert!(run(check_println, "crates/core/src/bin/tool.rs", src).is_empty());
-        let test_src = "#[cfg(test)]\nmod tests {\n    fn t() { println!(\"dbg\"); }\n}\n";
-        assert!(run(check_println, "crates/core/src/lib.rs", test_src).is_empty());
     }
 
     // -------- no-discarded-io (migrated fixtures) -------- //

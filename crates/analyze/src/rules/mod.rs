@@ -5,11 +5,7 @@ pub mod atomic_ordering;
 pub mod blocking;
 pub mod hygiene;
 pub mod lock_order;
-pub mod pg_state;
-pub mod qos_tag;
 pub mod site_names;
-pub mod stream_tag;
-pub mod zero_copy;
 
 use crate::{Diag, Workspace};
 
@@ -17,16 +13,10 @@ use crate::{Diag, Workspace};
 pub fn run_all(ws: &Workspace) -> Vec<Diag> {
     let mut out = Vec::new();
     for f in &ws.files {
-        hygiene::check_std_sync(f, &mut out);
         hygiene::check_unwrap_on_sync(f, &mut out);
-        hygiene::check_println(f, &mut out);
         hygiene::check_discarded_io(f, &mut out);
-        pg_state::check(f, &mut out);
         lock_order::check(ws, f, &mut out);
         blocking::check(f, &mut out);
-        zero_copy::check(f, &mut out);
-        stream_tag::check(f, &mut out);
-        qos_tag::check(f, &mut out);
     }
     atomic_ordering::check(ws, &mut out);
     site_names::check(ws, &mut out);

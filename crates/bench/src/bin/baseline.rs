@@ -1,268 +1,104 @@
-//! Generate or check the committed performance baseline.
+//! Refresh and gate the two records the figure benches do not cover.
 //!
 //! ```text
-//! cargo run --release -p afc-bench --bin baseline -- --write [path]
-//! cargo run --release -p afc-bench --bin baseline -- --check [path]
-//! cargo run --release -p afc-bench --bin baseline -- --write-degraded [path]
 //! cargo run --release -p afc-bench --bin baseline -- --write-streams
+//! cargo run --release -p afc-bench --bin baseline -- --write-qos
 //! ```
-//!
-//! With no mode flag the smoke workload runs and the record prints to
-//! stdout. `path` defaults to `BENCH_baseline.json` at the workspace root.
-//! `--check` exits non-zero when the fresh run regresses against the
-//! committed record (see `afc_bench::baseline::compare`).
-//!
-//! `--write-degraded` records the kill-one-OSD smoke run into
-//! `BENCH_degraded.json`. When that file exists, `--check` additionally
-//! re-runs the degraded workload and prints the comparison — purely
-//! informational: degraded throughput depends on failure-detection
-//! timing, so it never affects the exit code.
 //!
 //! `--write-streams` runs the sustained-device overwrite workload twice —
 //! multi-stream separation off, then on — prints both records side by
-//! side, and saves the comparison to `bench_results/streams.json`.
+//! side, saves the comparison to `bench_results/streams.json`, and exits
+//! non-zero unless separation lowered flash write amplification.
 //!
 //! `--write-qos` runs the multi-tenant QoS fairness experiment (solo,
-//! contended-with-QoS, contended-without) and saves
-//! `bench_results/qos.json`; it exits non-zero when the fresh run fails
-//! the isolation gate (protected p99 under contention within
-//! `AFC_QOS_P99_FACTOR`× of solo). When `bench_results/qos.json` exists,
-//! `--check` re-applies the same gate to the committed rows (no re-run),
-//! so `cargo xtask bench-check` also guards the isolation claim.
+//! contended-with-QoS, contended-without), saves `bench_results/qos.json`,
+//! and exits non-zero when the run fails the isolation gate
+//! (`afc_bench::qos::gate_rows`).
+//!
+//! (The per-op count gate, `cargo xtask bench-check`, runs the repo
+//! benchmark in `benchmark/` and lives in `crates/xtask`.)
 
-use afc_bench::baseline::{self, SmokeOpts};
-use afc_bench::qos;
-use std::path::PathBuf;
+use afc_bench::{qos, streams, FigRow};
 use std::process::ExitCode;
 
-fn default_path() -> PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_baseline.json")
-}
-
-fn default_degraded_path() -> PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_degraded.json")
-}
-
-/// Informational only: compare a fresh degraded run against the committed
-/// record, if one exists. Never changes the exit code.
-fn report_degraded() {
-    let path = default_degraded_path();
-    let Ok(committed) = std::fs::read_to_string(&path) else {
-        return; // no committed degraded record: nothing to report
-    };
-    let Some(committed) = baseline::parse(&committed) else {
-        println!(
-            "baseline: (degraded) {} is not a valid record — skipping",
-            path.display()
-        );
-        return;
-    };
-    let current = baseline::run_degraded_smoke(&SmokeOpts {
-        ops: committed.ops,
-        faults: None,
-    });
+fn write_streams() -> ExitCode {
+    let off = streams::run_streams_smoke(false);
+    let on = streams::run_streams_smoke(true);
     println!(
-        "baseline: (degraded, informational) committed {:.0} IOPS (commit {}), current {:.0} IOPS",
-        committed.iops, committed.commit, current.iops
+        "baseline: multi-stream separation, sustained devices, {} ops:",
+        streams::OPS
     );
-    for note in baseline::compare(&committed, &current, baseline::tolerance()) {
-        println!("baseline: (degraded, informational) {note}");
-    }
-}
-
-fn default_qos_path() -> PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results/qos.json")
-}
-
-/// Gate the committed qos.json rows (no re-run). Returns regression
-/// messages; warns (but passes) when the file is absent or empty, so
-/// repositories that have not generated the figure yet still check clean.
-fn check_qos() -> Vec<String> {
-    let path = default_qos_path();
-    let Ok(json) = std::fs::read_to_string(&path) else {
+    for r in [&off, &on] {
+        let streams: Vec<String> = r
+            .stream_bytes
+            .iter()
+            .filter(|(_, b)| *b > 0)
+            .map(|(n, b)| format!("{n}={b}"))
+            .collect();
         println!(
-            "baseline: (qos) no {} — run --write-qos to generate it",
-            path.display()
+            "  {:<28} logical WA {:.2}  flash WA {:.3}  ({})",
+            r.tuning,
+            r.write_amplification,
+            r.flash_write_amplification,
+            streams.join(" "),
         );
-        return Vec::new();
-    };
-    let rows = qos::parse_rows(&json);
-    if rows.is_empty() {
-        println!("baseline: (qos) {} has no rows — skipping", path.display());
-        return Vec::new();
     }
+    let rows: Vec<FigRow> = [("streams_off", &off), ("streams_on", &on)]
+        .into_iter()
+        .enumerate()
+        .map(|(i, (series, r))| FigRow {
+            series: series.to_string(),
+            x: i as f64,
+            value: r.flash_write_amplification,
+            lat_ms: 0.0,
+            p99_ms: 0.0,
+            unit: "flash_wa".to_string(),
+            tuning: r.tuning.clone(),
+        })
+        .collect();
+    afc_bench::save_rows("streams", &rows);
+    if on.flash_write_amplification < off.flash_write_amplification {
+        println!(
+            "baseline: separation cut flash WA by {:.1}%",
+            (1.0 - on.flash_write_amplification / off.flash_write_amplification) * 100.0
+        );
+        ExitCode::SUCCESS
+    } else {
+        eprintln!(
+            "baseline: STREAMS GATE: separation did not lower flash WA ({:.3} on vs {:.3} off)",
+            on.flash_write_amplification, off.flash_write_amplification
+        );
+        ExitCode::FAILURE
+    }
+}
+
+fn write_qos() -> ExitCode {
+    let rows = qos::run_fairness();
+    afc_bench::print_rows("QoS fairness (4 KiB randwrite)", "noisy", &rows);
+    afc_bench::save_rows("qos", &rows);
     let msgs = qos::gate_rows(&rows);
     if msgs.is_empty() {
         println!(
-            "baseline: (qos) OK — protected p99 within {}× of solo (+{}ms) in committed qos.json",
-            qos::p99_factor(),
-            qos::p99_slack_ms()
+            "baseline: qos gate OK — protected p99 within {}× of solo (+{}ms host-noise allowance)",
+            qos::P99_FACTOR,
+            qos::P99_SLACK_MS
         );
+        ExitCode::SUCCESS
+    } else {
+        for m in &msgs {
+            eprintln!("baseline: QOS GATE: {m}");
+        }
+        ExitCode::FAILURE
     }
-    msgs
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mode = args.first().map(String::as_str);
-    let path = args.get(1).map(PathBuf::from).unwrap_or_else(default_path);
-    match mode {
-        Some("--write") => {
-            let record = baseline::run_smoke(&SmokeOpts::default());
-            let json = baseline::to_json(&record);
-            if let Err(e) = std::fs::write(&path, &json) {
-                eprintln!("baseline: cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            print!("{json}");
-            println!("(wrote {})", path.display());
-            ExitCode::SUCCESS
-        }
-        Some("--check") => {
-            let committed = match std::fs::read_to_string(&path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("baseline: cannot read {}: {e}", path.display());
-                    eprintln!("baseline: run with --write to create it");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let Some(committed) = baseline::parse(&committed) else {
-                eprintln!(
-                    "baseline: {} is not a valid {} record",
-                    path.display(),
-                    baseline::SCHEMA
-                );
-                return ExitCode::FAILURE;
-            };
-            let current = baseline::run_smoke(&SmokeOpts::default());
-            let tol = baseline::tolerance();
-            let regressions = baseline::compare(&committed, &current, tol);
-            println!(
-                "baseline: committed {:.0} IOPS (commit {}), current {:.0} IOPS",
-                committed.iops, committed.commit, current.iops
-            );
-            for st in &current.stages {
-                let b = committed.stages.iter().find(|b| b.stage == st.stage);
-                println!(
-                    "  {:<10} p50 {:>6}us  p95 {:>6}us  p99 {:>6}us  (baseline p95 {}us)",
-                    st.stage,
-                    st.p50_us,
-                    st.p95_us,
-                    st.p99_us,
-                    b.map(|b| b.p95_us).unwrap_or(0),
-                );
-            }
-            report_degraded();
-            let qos_regressions = check_qos();
-            if regressions.is_empty() && qos_regressions.is_empty() {
-                println!("baseline: OK (tolerance {:.0}%)", tol * 100.0);
-                ExitCode::SUCCESS
-            } else {
-                for r in regressions.iter().chain(&qos_regressions) {
-                    eprintln!("baseline: REGRESSION: {r}");
-                }
-                ExitCode::FAILURE
-            }
-        }
-        Some("--write-streams") => {
-            let opts = SmokeOpts::default();
-            let off = baseline::run_streams_smoke(false, &opts);
-            let on = baseline::run_streams_smoke(true, &opts);
-            println!(
-                "baseline: multi-stream separation, sustained devices, {} ops:",
-                off.ops
-            );
-            for r in [&off, &on] {
-                let streams: Vec<String> = r
-                    .stream_bytes
-                    .iter()
-                    .filter(|(_, b)| *b > 0)
-                    .map(|(n, b)| format!("{n}={b}"))
-                    .collect();
-                println!(
-                    "  {:<28} logical WA {:.2}  flash WA {:.3}  ({})",
-                    r.tuning,
-                    r.write_amplification,
-                    r.flash_write_amplification,
-                    streams.join(" "),
-                );
-            }
-            let rows: Vec<afc_bench::FigRow> = [("streams_off", &off), ("streams_on", &on)]
-                .into_iter()
-                .enumerate()
-                .map(|(i, (series, r))| afc_bench::FigRow {
-                    series: series.to_string(),
-                    x: i as f64,
-                    value: r.flash_write_amplification,
-                    lat_ms: 0.0,
-                    p99_ms: 0.0,
-                    unit: "flash_wa".to_string(),
-                    tuning: r.tuning.clone(),
-                })
-                .collect();
-            afc_bench::save_rows("streams", &rows);
-            if on.flash_write_amplification < off.flash_write_amplification {
-                println!(
-                    "baseline: separation cut flash WA by {:.1}%",
-                    (1.0 - on.flash_write_amplification / off.flash_write_amplification) * 100.0
-                );
-            } else {
-                println!("baseline: WARNING: streams-on flash WA did not improve");
-            }
-            ExitCode::SUCCESS
-        }
-        Some("--write-qos") => {
-            let rows = qos::run_fairness();
-            afc_bench::print_rows("QoS fairness (4 KiB randwrite)", "noisy", &rows);
-            afc_bench::save_rows("qos", &rows);
-            let parsed: Vec<qos::QosRow> = rows
-                .iter()
-                .map(|r| qos::QosRow {
-                    series: r.series.clone(),
-                    value: r.value,
-                    p99_ms: r.p99_ms,
-                })
-                .collect();
-            let msgs = qos::gate_rows(&parsed);
-            if msgs.is_empty() {
-                println!(
-                    "baseline: qos gate OK — protected p99 within {}× of solo (+{}ms host-noise allowance)",
-                    qos::p99_factor(),
-                    qos::p99_slack_ms()
-                );
-                ExitCode::SUCCESS
-            } else {
-                for m in &msgs {
-                    eprintln!("baseline: QOS GATE: {m}");
-                }
-                ExitCode::FAILURE
-            }
-        }
-        Some("--write-degraded") => {
-            let path = args
-                .get(1)
-                .map(PathBuf::from)
-                .unwrap_or_else(default_degraded_path);
-            let record = baseline::run_degraded_smoke(&SmokeOpts::default());
-            let json = baseline::to_json(&record);
-            if let Err(e) = std::fs::write(&path, &json) {
-                eprintln!("baseline: cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            print!("{json}");
-            println!("(wrote {})", path.display());
-            ExitCode::SUCCESS
-        }
-        None => {
-            let record = baseline::run_smoke(&SmokeOpts::default());
-            print!("{}", baseline::to_json(&record));
-            ExitCode::SUCCESS
-        }
-        Some(other) => {
-            eprintln!(
-                "baseline: unknown mode '{other}' (expected --write, --check, --write-degraded, --write-streams or --write-qos)"
-            );
+    match args.as_slice() {
+        [mode] if mode == "--write-streams" => write_streams(),
+        [mode] if mode == "--write-qos" => write_qos(),
+        _ => {
+            eprintln!("usage: baseline <--write-streams|--write-qos>");
             ExitCode::from(2)
         }
     }

@@ -10,8 +10,8 @@
 //! `AFC_BENCH_SECS` to lengthen each measurement window and
 //! `AFC_BENCH_VMS_MAX` to raise the fleet sizes.
 
-pub mod baseline;
 pub mod qos;
+pub mod streams;
 
 use afc_common::{BlockTarget, HistSnapshot, Table, MIB};
 use afc_core::{Cluster, DeviceProfile, OsdTuning, RbdImage};
@@ -20,8 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// `git rev-parse --short HEAD`, or `"unknown"` outside a work tree;
-/// stamped into every saved result row and baseline record so JSON files
-/// are self-describing.
+/// stamped into every saved result row so JSON files are self-describing.
 pub fn commit_hash() -> String {
     std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])

@@ -20,15 +20,13 @@
 //! All jobs are seed-pinned 4 KiB random writes through
 //! [`afc_workload::run_tenants`], so runs are comparable. The gate
 //! ([`gate_rows`]): contended protected p99 must stay within
-//! [`p99_factor`]× of solo protected p99 plus an absolute
-//! [`p99_slack_ms`] allowance (the same ratio-plus-absolute-slack design
-//! as the baseline stage gates, and for the same reason: solo p99 on the
-//! 1-core CI host is a quiet-box number in the hundreds of µs, and the
-//! mere presence of neighbor *threads* — measured with near-idle,
-//! 50-IOPS-capped neighbors — adds ~2 ms of wakeup-scheduling noise the
-//! op-queue scheduler cannot see). QoS-on must also strictly beat the
-//! qos-off arm. `cargo xtask bench-check` applies the same gates to the
-//! committed `bench_results/qos.json`.
+//! [`P99_FACTOR`]× of solo protected p99 plus an absolute
+//! [`P99_SLACK_MS`] allowance (solo p99 on the CI host is a quiet-box
+//! number in the hundreds of µs, and the mere presence of neighbor
+//! *threads* — measured with near-idle, 50-IOPS-capped neighbors — adds
+//! ~2 ms of wakeup-scheduling noise the op-queue scheduler cannot see).
+//! QoS-on must also strictly beat the qos-off arm. `baseline --write-qos`
+//! (check.sh step 9) applies the gate to a fresh run.
 
 use crate::FigRow;
 use afc_core::{Cluster, DeviceProfile, OsdTuning, QosSpec};
@@ -74,26 +72,15 @@ pub fn qos_secs() -> f64 {
         .unwrap_or(3.0)
 }
 
-/// Allowed contended-p99 inflation over solo p99
-/// (`AFC_QOS_P99_FACTOR` overrides).
-pub fn p99_factor() -> f64 {
-    std::env::var("AFC_QOS_P99_FACTOR")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2.0)
-}
+/// Allowed contended-p99 inflation over solo p99.
+pub const P99_FACTOR: f64 = 2.0;
 
-/// Absolute allowance added on top of the ratio ceiling, milliseconds
-/// (`AFC_QOS_P99_SLACK_MS` overrides). Calibrated to the 1-core host's
-/// thread-wakeup noise floor: with four *near-idle* capped neighbors
-/// (50 IOPS, iodepth 1) the protected p99 already sits ~2 ms above solo
-/// before any interference the op-queue scheduler could control.
-pub fn p99_slack_ms() -> f64 {
-    std::env::var("AFC_QOS_P99_SLACK_MS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3.0)
-}
+/// Absolute allowance added on top of the ratio ceiling, milliseconds.
+/// Calibrated to the host's thread-wakeup noise floor: with four
+/// *near-idle* capped neighbors (50 IOPS, iodepth 1) the protected p99
+/// already sits ~2 ms above solo before any interference the op-queue
+/// scheduler could control.
+pub const P99_SLACK_MS: f64 = 3.0;
 
 const IMAGE_SIZE: u64 = 8 * afc_common::MIB;
 
@@ -202,71 +189,27 @@ pub fn run_fairness() -> Vec<FigRow> {
     ]
 }
 
-/// A row read back from `bench_results/qos.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QosRow {
-    /// Series name (`protected_solo`, `protected_qos`, ...).
-    pub series: String,
-    /// IOPS.
-    pub value: f64,
-    /// p99 latency, milliseconds.
-    pub p99_ms: f64,
-}
-
-/// Parse the JSON written by [`crate::save_rows`] for the qos figure.
-/// Line-oriented like `baseline::parse`: one field per line, `"series"`
-/// opens a new row.
-pub fn parse_rows(s: &str) -> Vec<QosRow> {
-    let mut rows = Vec::new();
-    let mut cur: Option<QosRow> = None;
-    for line in s.lines() {
-        let line = line.trim();
-        if line.starts_with("\"series\"") {
-            if let Some(r) = cur.take() {
-                rows.push(r);
-            }
-            if let Some(series) = field_str(line, "series") {
-                cur = Some(QosRow {
-                    series,
-                    value: 0.0,
-                    p99_ms: 0.0,
-                });
-            }
-        } else if let Some(r) = &mut cur {
-            if line.starts_with("\"value\"") {
-                r.value = field_num(line, "value").unwrap_or(0.0);
-            } else if line.starts_with("\"p99_ms\"") {
-                r.p99_ms = field_num(line, "p99_ms").unwrap_or(0.0);
-            }
-        }
-    }
-    rows.extend(cur);
-    rows
-}
-
-/// Apply the fairness gate to a parsed row set; returns one message per
-/// violation (empty = pass).
+/// Apply the fairness gate to the rows of one [`run_fairness`]; returns
+/// one message per violation (empty = pass).
 ///
-/// - `protected_qos` p99 must not exceed `p99_factor() ×` the
-///   `protected_solo` p99 plus the [`p99_slack_ms`] absolute allowance
+/// - `protected_qos` p99 must not exceed [`P99_FACTOR`] × the
+///   `protected_solo` p99 plus the [`P99_SLACK_MS`] absolute allowance
 ///   (the isolation claim, host noise floored out).
 /// - `protected_qos` p99 must strictly beat `protected_noqos` p99: the
 ///   scheduler must be doing better than no scheduler at all.
 /// - Both `protected_qos` and `noisy_qos` must have made progress
 ///   (nonzero IOPS): isolation by starving someone is not a pass.
-pub fn gate_rows(rows: &[QosRow]) -> Vec<String> {
+pub fn gate_rows(rows: &[FigRow]) -> Vec<String> {
     let mut out = Vec::new();
     let find = |name: &str| rows.iter().find(|r| r.series == name);
     let (Some(solo), Some(prot)) = (find("protected_solo"), find("protected_qos")) else {
-        out.push("qos.json missing protected_solo/protected_qos rows".into());
+        out.push("missing protected_solo/protected_qos rows".into());
         return out;
     };
-    let factor = p99_factor();
-    let slack = p99_slack_ms();
-    let ceiling = solo.p99_ms * factor + slack;
+    let ceiling = solo.p99_ms * P99_FACTOR + P99_SLACK_MS;
     if prot.p99_ms > ceiling {
         out.push(format!(
-            "protected p99 under contention regressed: {:.2}ms > {:.2}ms (solo {:.2}ms × {factor} + {slack}ms)",
+            "protected p99 under contention regressed: {:.2}ms > {:.2}ms (solo {:.2}ms × {P99_FACTOR} + {P99_SLACK_MS}ms)",
             prot.p99_ms, ceiling, solo.p99_ms
         ));
     }
@@ -285,45 +228,29 @@ pub fn gate_rows(rows: &[QosRow]) -> Vec<String> {
         Some(noisy) if noisy.value <= 0.0 => {
             out.push("noisy tenants starved under QoS (best-effort must progress)".into());
         }
-        None => out.push("qos.json missing noisy_qos row".into()),
+        None => out.push("missing noisy_qos row".into()),
         _ => {}
     }
     out
-}
-
-/// Extract the string value of `"key": "..."` from `line`.
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":");
-    let rest = &line[line.find(&pat)? + pat.len()..];
-    let rest = rest.trim_start().strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// Extract the numeric value of `"key": <num>` from `line`.
-fn field_num(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let rest = &line[line.find(&pat)? + pat.len()..];
-    let num: String = rest
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
-        .collect();
-    num.parse().ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn row(series: &str, value: f64, p99_ms: f64) -> QosRow {
-        QosRow {
+    fn row(series: &str, value: f64, p99_ms: f64) -> FigRow {
+        FigRow {
             series: series.into(),
+            x: 4.0,
             value,
+            lat_ms: 0.5,
             p99_ms,
+            unit: "IOPS".into(),
+            tuning: "afceph".into(),
         }
     }
 
-    fn passing() -> Vec<QosRow> {
+    fn passing() -> Vec<FigRow> {
         vec![
             row("protected_solo", 2000.0, 1.0),
             row("protected_qos", 1600.0, 1.5),
@@ -368,29 +295,7 @@ mod tests {
     }
 
     #[test]
-    fn parse_roundtrips_saved_rows() {
-        let fig: Vec<FigRow> = passing()
-            .iter()
-            .map(|r| FigRow {
-                series: r.series.clone(),
-                x: 4.0,
-                value: r.value,
-                lat_ms: 0.5,
-                p99_ms: r.p99_ms,
-                unit: "IOPS".into(),
-                tuning: "afceph".into(),
-            })
-            .collect();
-        // save_rows writes via rows_to_json; parse its exact output.
-        let json = crate::rows_to_json(&fig);
-        let parsed = parse_rows(&json);
-        assert_eq!(parsed, passing());
-    }
-
-    #[test]
     fn env_defaults_sane() {
         assert!(qos_secs() > 0.0);
-        assert!(p99_factor() > 1.0);
-        assert!(p99_slack_ms() >= 0.0);
     }
 }

@@ -20,6 +20,8 @@
 //! - [`lockdep`]: runtime lock-order checking and the declared lock
 //!   hierarchy for the OSD hot path (debug builds only).
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod blocktarget;
 pub mod bytesize;
 pub mod error;

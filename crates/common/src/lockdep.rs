@@ -246,13 +246,14 @@ impl fmt::Debug for LockClass {
 // Debug-build runtime
 // ------------------------------------------------------------------ //
 
+// Sanctioned std::sync exception: the checker's own state must not go
+// through the tracked types it implements.
 #[cfg(debug_assertions)]
+#[allow(clippy::disallowed_types)]
 mod rt {
     use super::LockClass;
     use std::cell::RefCell;
     use std::collections::{BTreeMap, BTreeSet};
-    // Sanctioned std::sync exception: the checker's own state must not go
-    // through the tracked types it implements (xtask lint skips this file).
     use std::sync::Mutex;
 
     struct Held {

@@ -73,7 +73,9 @@ impl Table {
         out
     }
 
-    /// Print the rendered table to stdout.
+    /// Print the rendered table to stdout (what the figure benches and
+    /// examples call; the one sanctioned print in a library crate).
+    #[allow(clippy::print_stdout)]
     pub fn print(&self) {
         print!("{}", self.render());
     }

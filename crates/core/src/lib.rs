@@ -30,6 +30,8 @@
 //! img.write_at(0, &vec![0u8; 4096]).unwrap();
 //! ```
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod client;
 pub mod cluster;
 pub mod messages;

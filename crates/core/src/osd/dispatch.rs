@@ -143,7 +143,6 @@ impl OsdInner {
     /// QoS scheduler when enabled, else straight onto the plain queue.
     fn queue_client(&self, qos: &QosTag, pg: Arc<Pg>, work: PgWork) {
         if !self.tuning.qos_enabled {
-            // qos-ok: QoS disabled by tuning — legacy arrival-order path.
             self.queue_pg(pg, work);
             return;
         }

@@ -232,7 +232,6 @@ impl OsdInner {
         if inline {
             pg.submit(work, true);
         } else {
-            // qos-ok: sub-op or recovery install — internal, never shaped.
             self.queue_pg(pg, work);
         }
     }
@@ -268,7 +267,6 @@ impl OsdInner {
             // Community: the ack competes with data ops for the PG queue
             // and the PG lock.
             let inner = Arc::clone(self);
-            // qos-ok: replica ack on the community path — internal traffic.
             self.queue_pg(
                 pg,
                 Box::new(move |_st| {

@@ -138,7 +138,6 @@ pub(super) fn mutation_txn(
             txn.push(TxOp::Write {
                 object: obj(),
                 offset: *offset,
-                // zero-copy-ok: Bytes refcount bump into the txn
                 data: data.clone(),
             });
             txn.push(TxOp::SetAttrs {
@@ -168,7 +167,6 @@ pub(super) fn install_txn(pg: PgId, object: &str, pg_seq: u64, data: &Bytes) -> 
     txn.push(TxOp::Write {
         object: obj(),
         offset: 0,
-        // zero-copy-ok: Bytes refcount bump into the txn
         data: data.clone(),
     });
     txn.push(pg_log_op(pg, pg_seq, object));
@@ -306,7 +304,6 @@ impl OsdInner {
         inline: bool,
     ) -> Result<u64> {
         let payload = txn.encode();
-        // zero-copy-ok: Bytes refcount bump shared with the journal record
         let (inner, pg, payload2) = (Arc::clone(self), Arc::clone(pg), payload.clone());
         let on_commit = Box::new(move |jseq| {
             let payload = payload2;

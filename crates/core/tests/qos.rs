@@ -1,10 +1,12 @@
 //! End-to-end per-volume QoS: tagged client ops flow through the OSD-side
 //! scheduler, the metric taxonomy appears in the cluster snapshot, ceilings
-//! hold, and a reserved tenant keeps its latency under noisy neighbors.
+//! hold, and a reserved tenant's ops are served from its reservation under
+//! noisy neighbors.
 //!
 //! Wall-clock-dependent assertions here are deliberately generous (these
 //! run in debug CI on a loaded box); the tight policy properties are
-//! covered by the synthetic-clock unit tests in `afc_core::qos`.
+//! covered by the synthetic-clock unit tests in `afc_core::qos`, and the
+//! protected tenant's p99 by the release-mode `baseline --write-qos` run.
 
 use afc_core::{Cluster, DeviceProfile, OsdTuning, QosSpec, RbdImage};
 use afc_workload::{JobSpec, Rw, Tenant};
@@ -13,8 +15,8 @@ use std::time::{Duration, Instant};
 
 const IMAGE_SIZE: u64 = 8 * afc_common::MIB;
 
-/// The latency-comparison test is meaningless while sibling tests hog the
-/// box with their own clusters; every test here takes this lock so the
+/// The rate-ceiling test is meaningless while sibling tests hog the box
+/// with their own clusters; every test here takes this lock so the
 /// timing-sensitive ones always run against a quiet machine.
 static SERIAL: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
@@ -124,29 +126,11 @@ fn max_iops_ceiling_holds_end_to_end() {
 fn reserved_tenant_keeps_latency_under_noisy_neighbors() {
     // Seed-pinned fairness check, the same shape as the qos bench but
     // smoke-sized. The protected tenant holds a floor; four untagged
-    // neighbors flood the same cluster.
+    // neighbors flood the same cluster. Counts only: the calibrated p99
+    // claim needs a release build and a longer window, and is gated by
+    // `baseline --write-qos` (check.sh step 9).
     let _serial = SERIAL.lock();
     let window = Duration::from_millis(400);
-    let protected_job = || {
-        JobSpec::new(Rw::RandWrite)
-            .bs(4096)
-            .iodepth(1)
-            .runtime(window)
-            .seed(0x0905)
-            .label("protected")
-    };
-
-    // Solo reference.
-    let solo = {
-        let cluster = qos_cluster();
-        let client = cluster.open_volume(QosSpec::new(800, 0, 0)).unwrap();
-        let img = RbdImage::new(client, "prot", IMAGE_SIZE).unwrap();
-        let r = afc_workload::run(&protected_job(), &img);
-        cluster.shutdown();
-        r
-    };
-
-    // Contended run.
     let cluster = qos_cluster();
     let prot_client = cluster.open_volume(QosSpec::new(800, 0, 0)).unwrap();
     let prot_img = Arc::new(RbdImage::new(prot_client, "prot", IMAGE_SIZE).unwrap());
@@ -159,7 +143,15 @@ fn reserved_tenant_keeps_latency_under_noisy_neighbors() {
             )
         })
         .collect();
-    let mut tenants = vec![Tenant::new(protected_job(), prot_img.as_ref())];
+    let mut tenants = vec![Tenant::new(
+        JobSpec::new(Rw::RandWrite)
+            .bs(4096)
+            .iodepth(1)
+            .runtime(window)
+            .seed(0x0905)
+            .label("protected"),
+        prot_img.as_ref(),
+    )];
     for (i, img) in noisy_imgs.iter().enumerate() {
         tenants.push(Tenant::new(
             JobSpec::new(Rw::RandWrite)
@@ -173,39 +165,36 @@ fn reserved_tenant_keeps_latency_under_noisy_neighbors() {
     }
     let reports = afc_workload::run_tenants(&tenants);
     let snap = cluster.metrics_snapshot();
-    let reserved: u64 = (0..cluster.osds().len())
-        .map(|n| {
-            snap.counter(&format!("osd{n}.qos.served_reservation"))
-                .unwrap_or(0)
-        })
-        .sum();
+    let sum = |name: &str| -> u64 {
+        (0..cluster.osds().len())
+            .map(|n| snap.counter(&format!("osd{n}.qos.{name}")).unwrap_or(0))
+            .sum()
+    };
+    let (reserved, vol1_reserved, vol1_enqueued) = (
+        sum("served_reservation"),
+        sum("vol1.served_reservation"),
+        sum("vol1.enqueued"),
+    );
     cluster.shutdown();
 
-    let protected = &reports[0];
     let noisy_ops: u64 = reports[1..].iter().map(|r| r.ops).sum();
-    // The floor actually engaged…
+    eprintln!(
+        "qos fairness: vol1 {vol1_reserved} of {vol1_enqueued} ops served from the reservation, protected {} noisy {noisy_ops}",
+        reports[0].ops
+    );
+    // The floor actually engaged, and only for the volume that has one…
     assert!(
         reserved > 0,
         "no reservation-phase dispatches under contention"
     );
-    // …nobody starved…
-    assert!(protected.ops > 0, "protected tenant did no work");
-    assert!(noisy_ops > 0, "noisy tenants starved");
-    // …and the protected p99 stays within a generous factor of solo.
-    // The calibrated 2× claim is gated by the release-mode bench; debug CI
-    // on this 1-core box runs 17 threads in the contended phase, so the
-    // wall-clock ratio here only guards against order-of-magnitude blowups.
-    let solo_p99 = solo.p99().max(Duration::from_micros(500));
-    let factor = protected.p99().as_secs_f64() / solo_p99.as_secs_f64();
-    eprintln!(
-        "qos fairness: factor {factor:.2} (solo {:?} contended {:?})",
-        solo.p99(),
-        protected.p99()
-    );
+    assert_eq!(vol1_reserved, reserved, "only vol1 holds a reservation");
+    // …it carried the protected volume's ops rather than leaving them to
+    // compete by weight with the flood…
     assert!(
-        factor <= 20.0,
-        "protected p99 blew out under contention: solo {:?} vs contended {:?} ({factor:.1}×)",
-        solo.p99(),
-        protected.p99()
+        vol1_reserved * 2 >= vol1_enqueued,
+        "reservation served {vol1_reserved} of vol1's {vol1_enqueued} ops"
     );
+    // …and nobody starved.
+    assert!(reports[0].ops > 0, "protected tenant did no work");
+    assert!(noisy_ops > 0, "noisy tenants starved");
 }

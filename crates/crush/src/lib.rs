@@ -13,6 +13,8 @@
 //! property — changing one bucket's weight only moves data into or out of
 //! that bucket — is what keeps rebalancing traffic proportional to change.
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod map;
 pub mod osdmap;
 pub mod straw2;

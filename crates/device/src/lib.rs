@@ -21,6 +21,8 @@
 //!   journal buffer, memtables). Devices account bytes and time only.
 //! - All jitter is deterministic (seeded), so runs are reproducible.
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod ftl;
 pub mod hdd;
 pub mod nvram;
@@ -141,10 +143,10 @@ impl IoReq {
         }
     }
 
-    /// A write request with no stream tag (defaults to [`StreamId::DataCold`]).
-    /// Production write paths should use [`IoReq::write_stream`] — the
-    /// `stream-tag` analyze rule polices this in journal/kvstore/filestore.
-    pub fn write(offset: u64, len: u32) -> Self {
+    /// A write request with no stream tag (defaults to [`StreamId::DataCold`]),
+    /// for this crate's unit tests only.
+    #[cfg(test)]
+    pub(crate) fn write(offset: u64, len: u32) -> Self {
         IoReq {
             kind: IoKind::Write,
             offset,
@@ -153,7 +155,14 @@ impl IoReq {
         }
     }
 
-    /// A write request tagged with the producer's stream.
+    /// A write request tagged with the producer's stream. There is no
+    /// untagged write constructor outside this crate's unit tests: a
+    /// producer that forgot its stream would silently re-mix lifetimes
+    /// into the cold-data erase blocks.
+    ///
+    /// ```compile_fail
+    /// afc_device::IoReq::write(0, 4096);
+    /// ```
     pub fn write_stream(offset: u64, len: u32, stream: StreamId) -> Self {
         IoReq {
             kind: IoKind::Write,

@@ -24,6 +24,8 @@
 //! default is the source of the Figure 4 backlog; the paper retunes it for
 //! SSDs (§3.2).
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod metacache;
 pub mod simfs;
 pub mod store;

@@ -44,6 +44,8 @@
 //! media-durable entries (in-flight submissions are lost, like DRAM
 //! contents at power loss).
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod stats;
 
 pub use stats::JournalStatsCell;

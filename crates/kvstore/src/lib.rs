@@ -23,6 +23,8 @@
 //! compaction reads/writes) is charged to the underlying [`afc_device::BlockDev`] so
 //! upper layers see realistic timing and the stats see real amplification.
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod batch;
 pub mod compaction;
 pub mod db;

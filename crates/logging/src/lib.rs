@@ -25,6 +25,8 @@
 //! The in-memory ring (`dump()`) mirrors Ceph's crash-dump log buffer, and
 //! an optional device sink models "filestore logging" to `/var/log`.
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod blocking;
 pub mod cache;
 pub mod entry;

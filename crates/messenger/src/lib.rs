@@ -24,6 +24,8 @@
 //! The message payload type is generic; `afc-core` instantiates it with its
 //! OSD message enum.
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod addr;
 
 pub use addr::Addr;

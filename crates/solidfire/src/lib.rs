@@ -19,6 +19,8 @@
 //! global dedup; real content hashing ([`afc_common::rng::hash_bytes`])
 //! keeps dedup behaviour honest under the benchmark's data patterns.
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod chunk;
 pub mod cluster;
 pub mod node;

@@ -8,7 +8,7 @@
 
 use crate::chunk::CHUNK;
 use afc_common::{AfcError, Result};
-use afc_device::{BlockDev, IoReq};
+use afc_device::{BlockDev, IoReq, StreamId};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
@@ -81,7 +81,9 @@ impl SfNode {
         let cap = self.data_dev.capacity();
         let off = self.log_head.fetch_add(CHUNK, Ordering::Relaxed) % (cap - CHUNK);
         // Log append on flash.
-        let _ = self.data_dev.submit(IoReq::write(off, CHUNK as u32));
+        let _ = self
+            .data_dev
+            .submit(IoReq::write_stream(off, CHUNK as u32, StreamId::DataCold));
         let mut st = self.state.lock();
         if let Some(rec) = st.chunks.get_mut(&hash) {
             if rec.log_off.is_none() {
@@ -98,8 +100,11 @@ impl SfNode {
     pub fn put_chunk(&self, hash: u64, data: Bytes) -> Result<()> {
         debug_assert_eq!(data.len() as u64, CHUNK);
         // Metadata (LBA map + fingerprint table) update in NVRAM.
-        self.nvram
-            .submit(IoReq::write(hash % (self.nvram.capacity() - 256), 256))?;
+        self.nvram.submit(IoReq::write_stream(
+            hash % (self.nvram.capacity() - 256),
+            256,
+            StreamId::DataCold,
+        ))?;
         let is_new = {
             let mut st = self.state.lock();
             match st.chunks.get_mut(&hash) {
@@ -125,9 +130,10 @@ impl SfNode {
         };
         if is_new {
             // Chunk payload into NVRAM (the fast ack), then queue the flush.
-            self.nvram.submit(IoReq::write(
+            self.nvram.submit(IoReq::write_stream(
                 hash % (self.nvram.capacity() - CHUNK),
                 CHUNK as u32,
+                StreamId::DataCold,
             ))?;
             self.flush_tx
                 .send(hash)

@@ -10,6 +10,8 @@
 //! latency histogram and windowed-IOPS time series for the fluctuation
 //! figures.
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod report;
 pub mod spec;
 pub mod tenants;

@@ -4,17 +4,18 @@
 //! Commands:
 //!
 //! - `analyze` — the cross-file static-analysis pass over the workspace
-//!   sources (lock order, site names, memory-ordering hygiene, plus the
-//!   original hygiene rules; see the `analyze` crate for the rule
-//!   catalog). Exits non-zero on violations, so CI and pre-commit hooks
-//!   can gate on it. `--json` emits the `afc-analyze/1` schema on
-//!   stdout; `--write-report PATH` additionally writes it to a file.
-//! - `bench-check` — re-run the deterministic smoke workload and compare
-//!   against the committed `BENCH_baseline.json`; exits non-zero when any
-//!   write-path stage, IOPS, logical write amplification, or device-level
-//!   flash write amplification regresses past the tolerance (see
-//!   `afc_bench::baseline`). Also applies the QoS fairness gate to the
-//!   committed `bench_results/qos.json` (see `afc_bench::qos::gate_rows`).
+//!   sources (lock order, site names, memory-ordering hygiene, blocking
+//!   calls in the op path, swallowed lock/I/O results; see the `analyze`
+//!   crate for the rule catalog). Exits non-zero on violations, so CI
+//!   and pre-commit hooks can gate on it.
+//! - `bench-check` — run the repo benchmark (`benchmark/`) in quick trace
+//!   mode and compare its per-op counts against the table in
+//!   [`bench_check`]; exits non-zero when a count moved, an op failed, a
+//!   read was wrong or the replicas differ.
+//!
+//! Neither command takes a flag.
+
+mod bench_check;
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -30,62 +31,23 @@ fn workspace_root() -> PathBuf {
         })
 }
 
-fn run_analyze(args: &[String]) -> ExitCode {
-    let mut json = false;
-    let mut write_report: Option<PathBuf> = None;
-    let mut root = workspace_root();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--write-report" => match it.next() {
-                Some(p) => write_report = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("xtask analyze: --write-report needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--root" => match it.next() {
-                Some(p) => root = PathBuf::from(p),
-                None => {
-                    eprintln!("xtask analyze: --root needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("xtask analyze: unknown flag '{other}'");
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    let report = match analyze::analyze(&root) {
+fn run_analyze() -> ExitCode {
+    let report = match analyze::analyze(&workspace_root()) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("xtask analyze: {e}");
             return ExitCode::from(2);
         }
     };
-    if let Some(path) = &write_report {
-        if let Err(e) = std::fs::write(path, analyze::to_json(&report)) {
-            eprintln!("xtask analyze: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
+    for d in &report.diags {
+        println!("{d}");
     }
-    if json {
-        print!("{}", analyze::to_json(&report));
-    } else {
-        for d in &report.diags {
-            println!("{d}");
-        }
-        println!(
-            "xtask analyze: {} file(s), {} finding(s), {} suppressed by baseline{}",
-            report.files_scanned,
-            report.diags.len(),
-            report.suppressed,
-            if report.is_clean() { " — clean" } else { "" }
-        );
-    }
+    println!(
+        "xtask analyze: {} file(s), {} finding(s){}",
+        report.files_scanned,
+        report.diags.len(),
+        if report.is_clean() { " — clean" } else { "" }
+    );
     if report.is_clean() {
         ExitCode::SUCCESS
     } else {
@@ -95,41 +57,11 @@ fn run_analyze(args: &[String]) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("analyze") => run_analyze(&args[1..]),
-        Some("bench-check") => {
-            // Delegate to the bench crate's baseline binary so xtask stays
-            // lean; --release because debug-build timings would trip the
-            // latency gates.
-            let status = std::process::Command::new("cargo")
-                .args([
-                    "run",
-                    "--release",
-                    "--quiet",
-                    "--package",
-                    "afc-bench",
-                    "--bin",
-                    "baseline",
-                    "--",
-                    "--check",
-                ])
-                .current_dir(workspace_root())
-                .status();
-            match status {
-                Ok(s) if s.success() => ExitCode::SUCCESS,
-                Ok(_) => ExitCode::FAILURE,
-                Err(e) => {
-                    eprintln!("xtask bench-check: cannot run cargo: {e}");
-                    ExitCode::from(2)
-                }
-            }
-        }
-        Some(other) => {
-            eprintln!("xtask: unknown command '{other}' (expected: analyze, bench-check)");
-            ExitCode::from(2)
-        }
-        None => {
-            eprintln!("usage: cargo xtask <analyze|bench-check>");
+    match args.as_slice() {
+        [cmd] if cmd == "analyze" => run_analyze(),
+        [cmd] if cmd == "bench-check" => bench_check::run(&workspace_root()),
+        _ => {
+            eprintln!("usage: cargo xtask <analyze|bench-check> (neither takes a flag)");
             ExitCode::from(2)
         }
     }
