@@ -55,14 +55,17 @@ pub mod classes {
     //! Order (must strictly increase along any nested acquisition):
     //! op queue → QoS scheduler → OSD maps → `Pg::state` → `Pg::pending`
     //! → OSD op tables
-    //! (rep_waits / pending_apply / apply gate / trim / channel handles /
-    //! ack lanes) → per-op leaf locks → journal → filestore throttle.
+    //! (rep_waits / push_waits / rep_seen / applied prefix / channel
+    //! handles / ack lanes) → per-op leaf locks → journal → filestore
+    //! throttle.
     //!
     //! `PG_STATE` deliberately allows blocking while held: the write path
-    //! submits to the journal (which can wait for ring space) and readers
-    //! wait on the apply gate under the PG lock — that is current,
-    //! intended behaviour. The queue/pending locks are pure FIFO guards
-    //! and must never be held across a blocking section.
+    //! submits to the journal (which can wait for ring space) and, without
+    //! the pending queue, a read waits for the applied prefix under it.
+    //! Both waits end on threads that never take a PG lock (journal commit
+    //! callbacks, the completion worker, filestore appliers). The
+    //! queue/pending locks are pure FIFO guards and must never be held
+    //! across a blocking section.
 
     use super::LockClass;
 
@@ -102,7 +105,7 @@ pub mod classes {
         no_block_while_held: true,
     };
     /// `Pg::state` — *the* PG lock. Blocking while held is allowed (journal
-    /// submit, apply-gate waits happen under it today).
+    /// submit; with `pending_queue` off, a read's applied-prefix wait).
     pub static PG_STATE: LockClass = LockClass {
         name: "pg.state",
         rank: 200,
@@ -134,21 +137,10 @@ pub mod classes {
         rank: 405,
         no_block_while_held: true,
     };
-    /// `OsdInner::pending_apply` — journal seq → transaction awaiting apply.
-    pub static PENDING_APPLY: LockClass = LockClass {
-        name: "osd.pending_apply",
-        rank: 410,
-        no_block_while_held: true,
-    };
-    /// `ApplyGate::state` — read-vs-apply ordering gate (waits on own cv).
-    pub static APPLY_GATE: LockClass = LockClass {
-        name: "osd.apply_gate",
-        rank: 420,
-        no_block_while_held: true,
-    };
-    /// `OsdInner::trim` — journal trim watermark tracker.
-    pub static TRIM: LockClass = LockClass {
-        name: "osd.trim",
+    /// `AppliedPrefix::marks` — which journal sequences the filestore has
+    /// applied: trim watermark and read-after-write waits (on its own cv).
+    pub static APPLIED: LockClass = LockClass {
+        name: "osd.applied",
         rank: 430,
         no_block_while_held: true,
     };
@@ -223,9 +215,7 @@ pub static DECLARED_ORDER: &[&LockClass] = &[
     &classes::REP_WAITS,
     &classes::PUSH_WAITS,
     &classes::REP_SEEN,
-    &classes::PENDING_APPLY,
-    &classes::APPLY_GATE,
-    &classes::TRIM,
+    &classes::APPLIED,
     &classes::OSD_CHANNEL_TX,
     &classes::ACK_LANES,
     &classes::HB_PEERS,

@@ -105,8 +105,8 @@ pub(super) fn op_worker_loop(inner: Arc<OsdInner>) {
                             // order one atomic step — admission after the
                             // unlock would let two workers race
                             // `Pg::queue` and invert same-volume op
-                            // order, which the read gate and ordered-ack
-                            // machinery assume cannot happen.
+                            // order, which read-after-write and ordered
+                            // acks assume cannot happen.
                             let ClientWork { pg, work } = cw;
                             pg.queue(work);
                             break pg;
@@ -210,7 +210,7 @@ impl OsdInner {
                         obj_name: object.to_string(),
                         query,
                         permit,
-                        gate_target: None,
+                        ordered_after: st.last_jseq,
                     });
                 })
             }

@@ -558,9 +558,9 @@ impl OsdInner {
     /// generation under the lock, so a push superseded by a concurrent
     /// write is dropped (the pump re-pushes fresh data later).
     fn send_push(self: &Arc<Self>, pg: &Arc<Pg>, peer: OsdId, obj_name: String, gen: u64) {
-        // Every acked write must be in the pushed bytes; if its apply is
-        // wedged, push nothing and let the pump pick the object again.
-        if self.read.gate.wait_ordered(&obj_name).is_err() {
+        // Every acked write must be in the pushed bytes: wait for all this
+        // OSD has journaled. If an apply is wedged, the pump picks again.
+        if self.write.applied.wait(self.journal.last_seq()).is_err() {
             requeue_push(&mut pg.lock_measured(), peer, obj_name, gen);
             return;
         }

@@ -11,8 +11,8 @@
 //!                                                │  replicate ▶ replicas
 //!                                                ▼  journal submit
 //!                               journal writer ▶ commit ▶ finisher
-//!             community: finisher takes PG lock, queues filestore (may
-//!                        block on throttle), handles acks via PG queue
+//!             community: finisher queues filestore (may block on
+//!                        throttle); commits and acks go via the PG queue
 //!             afceph:    OP-lock bookkeeping + dedicated batching
 //!                        completion worker; acks fast-pathed
 //! ```
@@ -22,9 +22,10 @@
 //! QoS admission, client requests, op workers), `write` (the one mutation
 //! path, its commit continuation, the completion worker, the client
 //! reply), `replication` (sub-op fan-out, the replica sub-op routine and
-//! its dedup window, acks, resends), `read` (apply gate, reader pool) and
-//! `healing` (heartbeats, peering, recovery). This file is the daemon
-//! itself: spawn, shutdown, crash/replay and the message dispatcher.
+//! its dedup window, acks, resends), `read` (reader pool), `trim` (the
+//! applied prefix: the one order after the journal commit) and `healing`
+//! (heartbeats, peering, recovery). This file is the daemon itself: spawn,
+//! shutdown, crash/replay and the message dispatcher.
 
 pub mod ack;
 mod dispatch;
@@ -33,7 +34,7 @@ pub mod pg;
 mod read;
 mod replication;
 pub mod trace;
-pub mod trim;
+mod trim;
 mod write;
 
 pub use trace::StageSample;
@@ -54,7 +55,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-use trim::TrimTracker;
 
 /// Parameters for spawning an OSD.
 pub struct OsdParams {
@@ -233,49 +233,32 @@ impl Osd {
     }
 
     /// Re-apply journal entries that had not reached the filestore (crash
-    /// recovery). Decodes every surviving (valid, untrimmed) journal entry
-    /// plus any in-memory pending applies and re-runs them in sequence
-    /// order. Safe to call repeatedly: each successful pass trims what it
-    /// applied, so a second pass is a no-op.
+    /// recovery): re-run every surviving (valid, untrimmed) entry in
+    /// sequence order — the trim never passes an unapplied entry, so that
+    /// covers them all — and declare void what the journal truncated. Each
+    /// successful pass trims what it applied: a second pass is a no-op.
     pub fn replay_journal(&self) -> Result<usize> {
-        let entries = self.inner.journal.replay();
-        // A crash loses the trim tracker; resynchronize it to the oldest
-        // surviving journal sequence so post-replay trims can advance.
-        if let Some(first) = entries.first() {
-            let mut t = self.inner.write.trim.lock();
-            if t.watermark() + 1 < first.seq {
-                *t = TrimTracker::resume_from(first.seq - 1);
-            }
+        let inner = &self.inner;
+        let replay = inner.journal.replay();
+        for e in &replay.entries {
+            inner
+                .store
+                .apply_sync(Transaction::decode_shared(&e.payload)?)?;
+            inner.on_applied(e.seq);
         }
-        let mut todo: Vec<(u64, Transaction)> = Vec::with_capacity(entries.len());
-        for e in &entries {
-            todo.push((e.seq, Transaction::decode_shared(&e.payload)?));
+        if let Some(w) = inner.write.applied.void(replay.truncated) {
+            inner.journal.trim_through(w);
         }
-        {
-            let p = self.inner.write.pending_apply.lock();
-            for (s, (_, payload)) in p.iter() {
-                if !todo.iter().any(|(s2, _)| s2 == s) {
-                    todo.push((*s, Transaction::decode_shared(payload)?));
-                }
-            }
-        }
-        todo.sort_by_key(|(s, _)| *s);
-        let n = todo.len();
-        for (seq, txn) in todo {
-            self.inner.store.apply_sync(txn)?;
-            self.inner.on_applied(seq);
-        }
-        Ok(n)
+        Ok(replay.entries.len())
     }
 
     /// Simulate a process crash + restart of this OSD's storage stack:
-    /// volatile state (pending-apply bookkeeping, read gates, unsynced
-    /// filestore KV records, metadata cache) is lost; the NVRAM journal
+    /// volatile state (applied marks beyond the journal's trim point,
+    /// unsynced filestore KV records, metadata cache) is lost; the NVRAM
     /// ring and applied object data survive. Call [`Self::replay_journal`]
-    /// afterwards, exactly as OSD init does after a real crash.
+    /// next, as OSD init does — until then reads behind a lost mark wait.
     pub fn simulate_crash(&self) -> Result<usize> {
-        self.inner.write.pending_apply.lock().clear();
-        self.inner.read.gate.reset();
+        self.inner.write.applied.resume_from_trim();
         self.inner.store.crash_volatile()
     }
 
@@ -318,14 +301,14 @@ impl Osd {
         inner.dispatch.client_throttle.close();
         // Fail writes still waiting on replica acks (e.g. acks lost to
         // injected faults) so nothing blocks on them across shutdown, and
-        // release any readers parked on their apply gates.
+        // release any readers parked on the applied prefix.
         for op in inner.rep.take_stranded() {
             inner.fail_op(&op, AfcError::ShutDown("osd stopping".into()));
         }
         for shard in &inner.heal.push_waits {
             shard.lock().clear();
         }
-        inner.read.gate.reset();
+        inner.write.applied.close();
         // Take the handles out first: joining while holding the workers
         // lock would block concurrent shutdown() callers on a lock held
         // across thread exit instead of on join itself.

@@ -18,8 +18,8 @@
 //! **One release rule.** "The holder drains it" must hold for *every*
 //! holder: a non-blocking drain that loses the `try_lock` leaves a note
 //! next to the FIFO, and whoever releases the PG lock — `drain` itself or
-//! the guard handed out by [`Pg::lock_measured`] (completion worker,
-//! community finisher, peering/recovery handlers) — drains on finding it.
+//! the guard handed out by [`Pg::lock_measured`] (peering/recovery
+//! handlers) — drains on finding it.
 //! Without the second half an op deferred to a `lock_measured` holder sat
 //! in the FIFO until the *next* op on that PG happened to drain it.
 
@@ -70,6 +70,10 @@ pub struct PgState {
     pub next_pg_seq: u64,
     /// Highest journal-committed PG sequence.
     pub last_committed: u64,
+    /// Journal sequence of the last mutation this PG submitted (primary
+    /// or replica); a read ordered here waits for the applied prefix to
+    /// reach it.
+    pub last_jseq: u64,
     /// PG info version (bumped per mutation).
     pub info_version: u64,
     /// Current health (primary's view; replicas stay `Active`).
@@ -232,9 +236,9 @@ impl Pg {
         }
     }
 
-    /// Acquire the PG lock directly (completion handlers, peering and
-    /// recovery), accounting the wait. Releasing the guard drains any op
-    /// that was deferred to it meanwhile.
+    /// Acquire the PG lock directly (peering and recovery handlers; never
+    /// a commit continuation, see `osd/write.rs`), accounting the wait.
+    /// Releasing the guard drains any op that was deferred to it meanwhile.
     pub fn lock_measured(&self) -> PgGuard<'_> {
         PgGuard {
             pg: self,

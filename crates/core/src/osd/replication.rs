@@ -188,10 +188,10 @@ impl OsdInner {
     /// cutting the PG-queue, committer and completion-worker hand-offs out
     /// of the primary-observed ack round trip. The commit callback runs
     /// either right there (idle journal) or later on the committer thread;
-    /// both contexts only take locks ranked above `PG_STATE` and neither
-    /// re-locks this PG — `last_committed` is bumped below, under the guard
-    /// already held (`next_pg_seq` was raised first, so peering answers are
-    /// identical either way).
+    /// like every commit continuation it takes no PG lock —
+    /// `last_committed` is bumped below, under the guard already held
+    /// (`next_pg_seq` was raised first, so peering answers are identical
+    /// either way).
     pub(super) fn handle_subop(
         self: &Arc<Self>,
         from: Addr,
@@ -224,7 +224,7 @@ impl OsdInner {
             let Some(txn) = build(&inner) else {
                 return inner.complete(waiter);
             };
-            let res = inner.submit_commit(&pgc, pg_seq, txn, waiter, inline);
+            let res = inner.submit_commit(st, &pgc, pg_seq, txn, waiter, inline);
             if inline && res.is_ok() {
                 st.last_committed = st.last_committed.max(pg_seq);
             }

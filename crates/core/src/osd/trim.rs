@@ -1,57 +1,180 @@
-//! Contiguous-prefix tracking for journal trimming.
+//! The applied prefix: the one structure that answers "has the filestore
+//! applied journal sequence *n*?".
 //!
-//! Filestore applies complete out of order across PGs, but the journal ring
-//! frees space front-to-back, so the OSD may only trim through the longest
-//! contiguous prefix of applied journal sequences.
+//! After the journal commit the journal sequence is the only order there
+//! is. Applies complete out of order across objects, so the OSD keeps the
+//! longest contiguous prefix of *settled* sequences, and everyone who needs
+//! an order waits on that one watermark: **journal trim** frees the ring
+//! through it; **a read** captures its PG's last submitted sequence at its
+//! PG order point and waits for `prefix >= captured` — never for a write
+//! submitted after it; **a recovery push** waits for everything submitted
+//! so far; **replay** re-marks what it re-applies (marks are a set).
+//!
+//! A sequence settles when its apply lands, when replay finds it was never
+//! durable (*void*: a torn tail — a tear models power loss, so nothing runs
+//! on past it but the replay that voids it) or when its apply *failed*,
+//! which releases waiters like the other two but pins the trim watermark
+//! below it, so the journal keeps the entry for replay.
 
+use afc_common::lockdep::{classes, TrackedCondvar, TrackedMutex};
+use afc_common::metrics::Counter;
+use afc_common::{AfcError, Result};
 use std::collections::BTreeSet;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
-/// Tracks applied journal sequences and yields the trim watermark.
-#[derive(Debug, Default)]
-pub struct TrimTracker {
-    /// Highest sequence such that all sequences `<= trimmed` are applied.
-    trimmed: u64,
-    /// Applied sequences beyond the contiguous prefix.
-    done: BTreeSet<u64>,
+#[derive(Default)]
+struct Marks {
+    /// Every sequence `<= settled` is settled.
+    settled: u64,
+    /// Settled sequences beyond the contiguous prefix.
+    ahead: BTreeSet<u64>,
+    /// Settled by a failed apply: the journal must keep them.
+    failed: BTreeSet<u64>,
+    /// Threads parked in `wait`; nobody is notified while this is zero.
+    waiters: usize,
+    closed: bool,
 }
 
-impl TrimTracker {
-    /// Create a tracker expecting sequences starting at 1.
-    pub fn new() -> Self {
-        Self::default()
+impl Marks {
+    /// Settle `seq`; false if it already was.
+    fn settle(&mut self, seq: u64) -> bool {
+        if seq <= self.settled || !self.ahead.insert(seq) {
+            return false;
+        }
+        while self.ahead.remove(&(self.settled + 1)) {
+            self.settled += 1;
+        }
+        true
     }
 
-    /// Create a tracker that treats everything `<= watermark` as already
-    /// trimmed (crash recovery: sequences below the journal's oldest
-    /// surviving entry were trimmed before the crash).
-    pub fn resume_from(watermark: u64) -> Self {
-        TrimTracker {
-            trimmed: watermark,
-            done: BTreeSet::new(),
+    /// Highest sequence the journal may free: the prefix, held below the
+    /// oldest failed apply.
+    fn trim_watermark(&self) -> u64 {
+        let pinned = self.failed.first().map_or(u64::MAX, |f| f - 1);
+        self.settled.min(pinned)
+    }
+}
+
+/// Per-OSD applied-prefix tracker. See the module docs.
+pub(super) struct AppliedPrefix {
+    marks: TrackedMutex<Marks>,
+    cv: TrackedCondvar,
+    /// `Marks::settled` without the lock: a wait with nothing pending is
+    /// one load. Stored `Release` after the apply it reports, loaded
+    /// `Acquire` before the filestore read that relies on it.
+    settled: AtomicU64,
+    /// How long `wait` waits: far beyond any healthy apply.
+    timeout: Duration,
+    /// Waits that ended at their deadline instead of at the apply.
+    pub(super) timeouts: Counter,
+}
+
+impl AppliedPrefix {
+    /// A tracker expecting sequences from 1.
+    pub(super) fn new(timeout: Duration) -> Self {
+        AppliedPrefix {
+            marks: TrackedMutex::new(&classes::APPLIED, Marks::default()),
+            cv: TrackedCondvar::new(),
+            settled: AtomicU64::new(0),
+            timeout,
+            timeouts: Counter::new(),
         }
     }
 
-    /// Mark `seq` applied. Returns the new watermark if it advanced.
-    pub fn mark(&mut self, seq: u64) -> Option<u64> {
-        if seq <= self.trimmed {
-            return None; // duplicate
+    /// Run `f` on the marks, publish the prefix and wake waiters if it
+    /// moved, and return the trim watermark if *that* advanced.
+    fn update(&self, f: impl FnOnce(&mut Marks)) -> Option<u64> {
+        let mut m = self.marks.lock();
+        let (settled, trim) = (m.settled, m.trim_watermark());
+        f(&mut m);
+        if m.settled != settled {
+            self.settled.store(m.settled, Ordering::Release);
+            if m.waiters > 0 {
+                self.cv.notify_all();
+            }
         }
-        self.done.insert(seq);
-        let before = self.trimmed;
-        while self.done.remove(&(self.trimmed + 1)) {
-            self.trimmed += 1;
-        }
-        (self.trimmed > before).then_some(self.trimmed)
+        Some(m.trim_watermark()).filter(|&after| after > trim)
     }
 
-    /// Current watermark.
-    pub fn watermark(&self) -> u64 {
-        self.trimmed
+    /// `seq` is in the filestore: its queued apply landed or replay
+    /// re-applied it (twice is harmless; success after a failure unpins the
+    /// trim). Returns the trim watermark if it advanced.
+    pub(super) fn applied(&self, seq: u64) -> Option<u64> {
+        self.update(|m| {
+            m.failed.remove(&seq);
+            m.settle(seq);
+        })
     }
 
-    /// Applied-but-untrimmable sequences (gap diagnostics).
-    pub fn stranded(&self) -> usize {
-        self.done.len()
+    /// `seqs` were never durable (replay truncated them): nothing will
+    /// apply them and the journal holds nothing to keep.
+    pub(super) fn void(&self, seqs: Range<u64>) -> Option<u64> {
+        self.update(|m| {
+            for s in seqs {
+                m.settle(s);
+            }
+        })
+    }
+
+    /// The apply of `seq` failed: waiters must not wedge behind a
+    /// transaction that will not complete on this incarnation, the journal
+    /// keeps the entry until replay applies it. A sequence that already
+    /// settled stays as it is — replay got there first.
+    pub(super) fn failed(&self, seq: u64) {
+        self.update(|m| {
+            if m.settle(seq) {
+                m.failed.insert(seq);
+            }
+        });
+    }
+
+    /// Wait until every sequence `<= target` has settled. Fails *closed*:
+    /// at the deadline the waiter gets [`AfcError::Timeout`] (counted),
+    /// never a look at the filestore — data older than an acked write must
+    /// not be served because an apply is wedged.
+    pub(super) fn wait(&self, target: u64) -> Result<()> {
+        if self.settled.load(Ordering::Acquire) >= target {
+            return Ok(());
+        }
+        let deadline = Instant::now() + self.timeout;
+        let mut m = self.marks.lock();
+        m.waiters += 1;
+        let res = loop {
+            if m.settled >= target {
+                break Ok(());
+            }
+            if m.closed {
+                break Err(AfcError::ShutDown("osd stopping".into()));
+            }
+            if self.cv.wait_until(&mut m, deadline).timed_out() && m.settled < target {
+                self.timeouts.inc();
+                break Err(AfcError::Timeout(format!(
+                    "applied through journal seq {} of {target} ordered before this read",
+                    m.settled
+                )));
+            }
+        };
+        m.waiters -= 1;
+        res
+    }
+
+    /// Crash: marks are volatile, what the journal was told to free is
+    /// not. Forget everything beyond the trim watermark; replay settles it
+    /// again.
+    pub(super) fn resume_from_trim(&self) {
+        let mut m = self.marks.lock();
+        m.settled = m.trim_watermark();
+        m.ahead.clear();
+        m.failed.clear();
+        self.settled.store(m.settled, Ordering::Release);
+    }
+
+    /// Fail every present and future waiter (shutdown).
+    pub(super) fn close(&self) {
+        self.marks.lock().closed = true;
+        self.cv.notify_all();
     }
 }
 
@@ -59,55 +182,135 @@ impl TrimTracker {
 mod tests {
     use super::*;
 
+    const SOON: Duration = Duration::from_millis(20);
+    const LONG: Duration = Duration::from_secs(10);
+
+    impl AppliedPrefix {
+        fn prefix(&self) -> u64 {
+            self.marks.lock().settled
+        }
+    }
+
     #[test]
     fn in_order_marks_advance_each_time() {
-        let mut t = TrimTracker::new();
-        assert_eq!(t.mark(1), Some(1));
-        assert_eq!(t.mark(2), Some(2));
-        assert_eq!(t.mark(3), Some(3));
-        assert_eq!(t.stranded(), 0);
+        let t = AppliedPrefix::new(SOON);
+        assert_eq!(t.applied(1), Some(1));
+        assert_eq!(t.applied(2), Some(2));
+        assert_eq!(t.applied(3), Some(3));
+        assert!(t.marks.lock().ahead.is_empty());
     }
 
     #[test]
-    fn out_of_order_waits_for_gap() {
-        let mut t = TrimTracker::new();
-        assert_eq!(t.mark(2), None);
-        assert_eq!(t.mark(3), None);
-        assert_eq!(t.stranded(), 2);
-        assert_eq!(t.mark(1), Some(3));
-        assert_eq!(t.stranded(), 0);
-        assert_eq!(t.watermark(), 3);
-    }
-
-    #[test]
-    fn resume_from_skips_pre_crash_prefix() {
-        let mut t = TrimTracker::resume_from(41);
-        assert_eq!(t.watermark(), 41);
-        assert_eq!(t.mark(41), None, "pre-crash seq is a duplicate");
-        assert_eq!(t.mark(43), None);
-        assert_eq!(t.mark(42), Some(43));
-    }
-
-    #[test]
-    fn duplicates_ignored() {
-        let mut t = TrimTracker::new();
-        t.mark(1);
-        assert_eq!(t.mark(1), None);
-        assert_eq!(t.watermark(), 1);
-    }
-
-    #[test]
-    fn interleaved_pattern() {
-        let mut t = TrimTracker::new();
-        let order = [5u64, 1, 3, 2, 7, 4, 6];
+    fn out_of_order_marks_wait_for_the_gap() {
+        let t = AppliedPrefix::new(SOON);
         let mut last = 0;
-        for s in order {
-            if let Some(w) = t.mark(s) {
+        for s in [5u64, 1, 3, 2, 7, 4, 6] {
+            if let Some(w) = t.applied(s) {
                 assert!(w > last);
                 last = w;
             }
         }
-        assert_eq!(t.watermark(), 7);
-        assert_eq!(t.stranded(), 0);
+        assert_eq!((last, t.prefix()), (7, 7));
+        assert!(t.marks.lock().ahead.is_empty());
+    }
+
+    /// Replay on a live OSD re-applies entries whose queued apply is still
+    /// in flight, so one sequence is marked twice. The second mark must not
+    /// stand in for the next sequence, as it would if marks were counted.
+    #[test]
+    fn duplicate_mark_releases_nobody_early() {
+        let t = AppliedPrefix::new(SOON);
+        assert_eq!(t.applied(1), Some(1));
+        assert_eq!(t.applied(1), None);
+        assert_eq!(t.prefix(), 1);
+        let err = t.wait(2).unwrap_err();
+        assert!(matches!(err, AfcError::Timeout(_)), "{err}");
+        assert_eq!(t.applied(3), None);
+        assert_eq!(t.applied(3), None);
+        assert_eq!(t.applied(2), Some(3));
+    }
+
+    /// A waiter parks until its captured sequence settles — and only that:
+    /// a write submitted after the capture (seq 3, never applied here) does
+    /// not delay it.
+    #[test]
+    fn waiter_is_released_by_its_own_prefix_not_by_later_writes() {
+        let t = AppliedPrefix::new(LONG);
+        t.wait(0).unwrap(); // nothing ordered before: no wait, no lock
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| t.wait(2));
+            while t.marks.lock().waiters == 0 {
+                std::thread::yield_now();
+            }
+            t.applied(2);
+            assert!(!reader.is_finished(), "released with seq 1 outstanding");
+            t.applied(1);
+            reader.join().unwrap().unwrap();
+        });
+        assert_eq!(t.marks.lock().waiters, 0);
+        assert_eq!(t.timeouts.get(), 0);
+    }
+
+    #[test]
+    fn deadline_fails_closed_and_is_counted() {
+        let t = AppliedPrefix::new(SOON);
+        let err = t.wait(1).unwrap_err();
+        assert!(matches!(err, AfcError::Timeout(_)), "{err}");
+        assert_eq!(t.timeouts.get(), 1);
+        // Once it lands, the same target passes and nothing more is counted.
+        t.applied(1);
+        t.wait(1).unwrap();
+        assert_eq!(t.timeouts.get(), 1);
+    }
+
+    #[test]
+    fn void_range_settles_for_waiters_and_for_trim() {
+        let t = AppliedPrefix::new(SOON);
+        t.applied(1);
+        assert_eq!(t.applied(4), None);
+        assert_eq!(t.void(2..4), Some(4));
+        t.wait(4).unwrap();
+        assert_eq!(t.void(2..4), None, "a second replay truncates nothing");
+        assert_eq!(t.void(9..9), None);
+    }
+
+    /// Every committed-but-unapplied entry is still in the journal: a
+    /// failed apply lets readers through but holds the trim below it until
+    /// an apply of the same sequence (replay) succeeds.
+    #[test]
+    fn failed_apply_releases_waiters_but_pins_the_trim() {
+        let t = AppliedPrefix::new(SOON);
+        assert_eq!(t.applied(1), Some(1));
+        t.failed(2);
+        assert_eq!(t.applied(3), None, "trim must not pass the failed entry");
+        t.wait(3).unwrap();
+        assert_eq!(t.applied(2), Some(3), "replay re-applied it");
+        // Replay first, the queued apply's failure second: already settled.
+        t.failed(3);
+        assert_eq!(t.applied(4), Some(4));
+    }
+
+    #[test]
+    fn crash_forgets_marks_beyond_the_trim_watermark() {
+        let t = AppliedPrefix::new(SOON);
+        for s in [1, 2, 4] {
+            t.applied(s);
+        }
+        t.failed(3);
+        assert_eq!((t.prefix(), t.marks.lock().trim_watermark()), (4, 2));
+        t.resume_from_trim();
+        assert_eq!(t.prefix(), 2);
+        assert!(matches!(t.wait(4), Err(AfcError::Timeout(_))));
+        assert_eq!(t.applied(2), None, "pre-crash seq is a duplicate");
+        assert_eq!(t.applied(4), None);
+        assert_eq!(t.applied(3), Some(4));
+    }
+
+    #[test]
+    fn close_fails_waiters_without_counting_a_timeout() {
+        let t = AppliedPrefix::new(LONG);
+        t.close();
+        assert!(matches!(t.wait(1), Err(AfcError::ShutDown(_))));
+        assert_eq!(t.timeouts.get(), 0);
     }
 }

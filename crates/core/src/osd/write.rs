@@ -7,11 +7,18 @@
 //!
 //! The §3.1 switches choose *where* that continuation runs, never *what*
 //! it does (see [`OsdInner::on_local_commit`]).
+//!
+//! **The one rule after the journal.** Queueing the filestore apply is the
+//! first thing a continuation does, in journal-sequence order, and no
+//! thread that queues applies (journal commit callback, completion worker)
+//! takes a PG lock or runs PG work: what it owes the PG goes through the
+//! PG's FIFO to an op worker. So a PG-lock holder may wait for applies
+//! ([`AppliedPrefix::wait`]) without blocking whoever queues them.
 
 use super::ack::OrderedAcker;
 use super::pg::{Pg, PgState};
 use super::trace::{StageHists, StageRecorder, TraceTimes};
-use super::trim::TrimTracker;
+use super::trim::AppliedPrefix;
 use super::OsdInner;
 use crate::messages::{ClientReply, ObjectOp, OpOutcome, OsdMsg, RepOp};
 use afc_common::lockdep::{classes, TrackedMutex};
@@ -25,7 +32,7 @@ use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// What the per-op (OP) lock guards: completion bookkeeping, the client
 /// throttle permit and, for a sampled op, its stage timestamps.
@@ -77,20 +84,15 @@ pub(super) struct LocalCommit {
     pg_seq: u64,
     jseq: u64,
     txn: Transaction,
-    /// The txn's journal encoding, shared (refcounted) with the journal
-    /// entry — retained for `pending_apply` without a deep transaction
-    /// clone.
-    payload: Bytes,
     waiter: Waiter,
 }
 
+/// A read or recovery push that waits this long for an apply is wedged.
+const APPLY_TIMEOUT: Duration = Duration::from_secs(10);
+
 pub(super) struct WritePath {
-    pub(super) trim: TrackedMutex<TrimTracker>,
-    /// Journaled-but-unapplied entries: apply-gate object → the entry's
-    /// journal encoding (shared with the journal's copy, refcount only —
-    /// never a deep transaction clone). Decoded only on the cold replay
-    /// path.
-    pub(super) pending_apply: TrackedMutex<HashMap<u64, (String, Bytes)>>,
+    /// Which journal sequences the filestore has applied.
+    pub(super) applied: AppliedPrefix,
     pub(super) completion_tx: TrackedMutex<Option<Sender<LocalCommit>>>,
     pub(super) recorder: StageRecorder,
     pub(super) acker: OrderedAcker,
@@ -101,8 +103,7 @@ pub(super) struct WritePath {
 impl WritePath {
     pub(super) fn new() -> Self {
         WritePath {
-            trim: TrackedMutex::new(&classes::TRIM, TrimTracker::new()),
-            pending_apply: TrackedMutex::new(&classes::PENDING_APPLY, HashMap::new()),
+            applied: AppliedPrefix::new(APPLY_TIMEOUT),
             completion_tx: TrackedMutex::new(&classes::OSD_CHANNEL_TX, None),
             recorder: StageRecorder::new(16, 4096),
             acker: OrderedAcker::new(),
@@ -114,6 +115,7 @@ impl WritePath {
     pub(super) fn register(&self, m: &Metrics, osd: &str) {
         m.register_counter(format!("{osd}.op.writes"), &self.writes);
         m.register_counter(format!("{osd}.op.apply_failures"), &self.apply_failures);
+        m.register_counter(format!("{osd}.op.gate_timeouts"), &self.applied.timeouts);
         self.recorder
             .attach_hists(StageHists::register(m, &format!("{osd}.stage")));
     }
@@ -195,20 +197,23 @@ pub(super) fn completion_worker_loop(inner: Arc<OsdInner>, rx: Receiver<LocalCom
                 Err(_) => break,
             }
         }
-        // Pass 1: filestore hand-off, acks and replies — no PG lock (the
-        // §3.1 point: completion no longer serializes on PG locks, and a
-        // full filestore throttle cannot wedge readers holding them).
+        // Pass 1: filestore hand-off, then acks and replies — no PG lock
+        // (the §3.1 point: completion no longer serializes on them, and a
+        // reader holding one cannot stop the apply it waits for).
         let mut by_pg: HashMap<PgId, (Arc<Pg>, u64)> = HashMap::new();
         for c in batch {
             let e = by_pg.entry(c.pg.id()).or_insert((c.pg, 0));
             e.1 = e.1.max(c.pg_seq);
-            inner.enqueue_filestore(c.jseq, c.txn, c.payload);
+            inner.enqueue_filestore(c.jseq, c.txn);
             inner.complete(c.waiter);
         }
-        // Pass 2: batched PG bookkeeping, one lock acquisition per PG.
+        // Pass 2: batched PG bookkeeping, one FIFO entry per PG, run by an
+        // op worker under the PG lock.
         for (pg, max_seq) in by_pg.into_values() {
-            let mut st = pg.lock_measured();
-            st.last_committed = st.last_committed.max(max_seq);
+            inner.queue_pg(
+                pg,
+                Box::new(move |st| st.last_committed = st.last_committed.max(max_seq)),
+            );
         }
     }
 }
@@ -276,90 +281,92 @@ impl OsdInner {
         let Some(txn) = mutation_txn(pg, &obj_name, pg_seq, &mutation) else {
             return self.fail_op(op, AfcError::InvalidArgument("not a mutation".into()));
         };
-        // Later reads of this object must wait for the apply (gate is
-        // released in on_applied).
-        self.read.gate.add(&obj_name);
         op.mark(|t| &mut t.jsubmit);
         self.log("journal submit");
         self.log("waiting for subops");
         let waiter = Waiter::Primary(Arc::clone(op));
-        if let Err(e) = self.submit_commit(&op.pg, pg_seq, txn, waiter, false) {
-            self.read.gate.done(&obj_name);
+        if let Err(e) = self.submit_commit(st, &op.pg, pg_seq, txn, waiter, false) {
             self.fail_op(op, e);
         }
         self.write.writes.inc();
     }
 
-    /// Journal `txn`; its commit callback is the continuation's entry
-    /// point. The journal carries the real transaction encoding: replay
-    /// after a crash decodes and re-applies exactly what was acknowledged.
-    /// `inline` is the fast-ack replica path: commit through the journal's
-    /// idle fast path on the calling thread, which holds the PG guard.
+    /// Journal `txn` (PG lock held); its commit callback is the
+    /// continuation's entry point. The journal carries the real transaction
+    /// encoding: replay after a crash decodes and re-applies exactly what
+    /// was acknowledged. The sequence it assigns becomes the PG's
+    /// `last_jseq`: a read ordered at this PG from here on is ordered
+    /// behind this mutation's apply. `inline` is the fast-ack replica
+    /// path: commit through the journal's idle fast path on this thread.
     pub(super) fn submit_commit(
         self: &Arc<Self>,
+        st: &mut PgState,
         pg: &Arc<Pg>,
         pg_seq: u64,
         txn: Transaction,
         waiter: Waiter,
         inline: bool,
-    ) -> Result<u64> {
+    ) -> Result<()> {
         let payload = txn.encode();
-        let (inner, pg, payload2) = (Arc::clone(self), Arc::clone(pg), payload.clone());
+        let (inner, pg) = (Arc::clone(self), Arc::clone(pg));
         let on_commit = Box::new(move |jseq| {
-            let payload = payload2;
             let c = LocalCommit {
                 pg,
                 pg_seq,
                 jseq,
                 txn,
-                payload,
                 waiter,
             };
             inner.on_local_commit(c, inline);
         });
-        if inline {
+        st.last_jseq = if inline {
             self.journal.submit_inline(payload, on_commit)
         } else {
             self.journal.submit(payload, on_commit)
-        }
+        }?;
+        Ok(())
     }
 
     /// *Where* the commit continuation runs — the three §3.1 switches.
-    /// Every branch queues the filestore apply, advances `last_committed`
-    /// and calls [`Self::complete`]; they differ in thread and locking.
+    /// Every branch queues the filestore apply first, advances
+    /// `last_committed` and calls [`Self::complete`]; they differ in thread
+    /// and in what stands between the commit and the waiter.
     fn on_local_commit(self: &Arc<Self>, c: LocalCommit, inline: bool) {
         if let Waiter::Primary(op) = &c.waiter {
             op.mark(|t| &mut t.jcommit);
         }
-        if inline {
-            // fast_ack replica: right here, on the dispatch thread (idle
-            // journal) or the committer (busy journal). Neither re-locks
-            // the PG — the sub-op bumps `last_committed` under the guard
-            // it already holds.
-            self.enqueue_filestore(c.jseq, c.txn, c.payload);
-            self.log("replica commit ack (inline)");
-            self.complete(c.waiter);
-        } else if self.tuning.dedicated_completion {
+        if !inline && self.tuning.dedicated_completion {
             // AFCeph: nothing but a channel send on the journal's thread;
-            // the batching completion worker does the rest and takes each
-            // PG lock once per batch.
+            // the batching completion worker does the rest.
             let tx = self.write.completion_tx.lock().clone();
             if let Some(tx) = tx {
                 let _ = tx.send(c);
             }
-        } else {
-            // Community: the single journal finisher queues the filestore
-            // transaction — when the filestore throttle is full this blocks
-            // the finisher, serializing every completion behind it (Figure 3
-            // stage (5), Figure 4's collapse) — and then re-acquires the PG
-            // lock for completion bookkeeping, contending with op workers,
-            // before anyone is told.
-            self.enqueue_filestore(c.jseq, c.txn, c.payload);
-            let mut st = c.pg.lock_measured();
-            self.log("journal commit -> pg backend");
-            st.last_committed = st.last_committed.max(c.pg_seq);
-            drop(st);
+            return;
+        }
+        self.enqueue_filestore(c.jseq, c.txn);
+        if inline {
+            // fast_ack replica: right here, on the dispatch thread (idle
+            // journal) or the committer (busy journal). The sub-op bumped
+            // `last_committed` under the guard it already held.
+            self.log("replica commit ack (inline)");
             self.complete(c.waiter);
+        } else {
+            // Community: the single journal finisher queued the filestore
+            // transaction itself — with the filestore throttle full that
+            // blocked it, serializing every completion behind it (Figure 3
+            // stage (5), Figure 4's collapse) — and nobody is told until the
+            // completion has been through the PG queue and the PG lock,
+            // contending with data ops like every Community ack does.
+            let inner = Arc::clone(self);
+            self.queue_pg(
+                c.pg,
+                Box::new(move |st| {
+                    inner.log("journal commit -> pg backend");
+                    st.last_committed = st.last_committed.max(c.pg_seq);
+                    inner.complete(c.waiter);
+                }),
+            );
         }
     }
 
@@ -379,19 +386,7 @@ impl OsdInner {
         }
     }
 
-    fn enqueue_filestore(self: &Arc<Self>, jseq: u64, txn: Transaction, payload: Bytes) {
-        // `payload` is the txn's journal encoding — a refcounted slice of
-        // the same buffer the journal holds, so this insert is O(1) and
-        // copy-free.
-        let gate_obj = txn
-            .ops()
-            .first()
-            .map(|o| o.object().to_string())
-            .unwrap_or_default();
-        self.write
-            .pending_apply
-            .lock()
-            .insert(jseq, (gate_obj, payload));
+    fn enqueue_filestore(self: &Arc<Self>, jseq: u64, txn: Transaction) {
         let inner = Arc::clone(self);
         let res = self.store.queue_transaction(
             txn,
@@ -405,30 +400,18 @@ impl OsdInner {
         }
     }
 
-    /// A filestore apply failed. Keep the txn in `pending_apply` (journal
-    /// replay after a crash/recover re-applies it) and don't trim, but
-    /// release the apply gate fail-open so readers of the object aren't
-    /// wedged behind a txn that will never complete on this incarnation.
+    /// A filestore apply failed: readers ordered behind it go on, the
+    /// journal keeps the entry for replay (see [`AppliedPrefix::failed`]).
     fn on_apply_failed(&self, jseq: u64, what: &str, e: AfcError) {
         self.logger
             .logf(Level::Error, "osd", || format!("{what} failed: {e}"));
         self.write.apply_failures.inc();
-        let pending = self.write.pending_apply.lock();
-        let obj = pending.get(&jseq).map(|(o, _)| o.clone());
-        drop(pending);
-        if let Some(obj) = obj.filter(|o| !o.is_empty()) {
-            self.read.gate.done(&obj);
-        }
+        self.write.applied.failed(jseq);
     }
 
     pub(super) fn on_applied(&self, jseq: u64) {
         self.log("filestore applied");
-        let entry = self.write.pending_apply.lock().remove(&jseq);
-        if let Some((obj, _)) = entry.filter(|(o, _)| !o.is_empty()) {
-            self.read.gate.done(&obj);
-        }
-        let watermark = self.write.trim.lock().mark(jseq);
-        if let Some(w) = watermark {
+        if let Some(w) = self.write.applied.applied(jseq) {
             self.journal.trim_through(w);
         }
     }

@@ -16,7 +16,7 @@
 //! (replay idempotence), and scenario C runs twice from the same seed to
 //! pin determinism.
 
-use afc_common::{FaultKind, FaultPlan, FaultSpec};
+use afc_common::{AfcError, FaultKind, FaultPlan, FaultSpec};
 use afc_core::{Cluster, DeviceProfile, OsdTuning};
 use bytes::Bytes;
 use std::time::{Duration, Instant};
@@ -75,10 +75,13 @@ fn crash_point_a_torn_journal_tail_never_surfaces() {
     osd.simulate_crash().unwrap();
     osd.replay_journal().unwrap();
 
-    // The torn entry was truncated, not replayed as garbage.
+    // The torn entry was truncated, not replayed as garbage — and declared
+    // void: its PG's `last_jseq` still names it, so a read that kept
+    // waiting for its apply would come back `Timeout` after 10 s.
+    let err = client.read_object("torn_obj", 0, 5).unwrap_err();
     assert!(
-        client.read_object("torn_obj", 0, 5).is_err(),
-        "torn-tail object must not exist after recovery"
+        matches!(err, AfcError::NotFound(_)),
+        "torn-tail object must not exist after recovery, got {err:?}"
     );
     for i in 0..4 {
         assert_eq!(
@@ -91,6 +94,21 @@ fn crash_point_a_torn_journal_tail_never_surfaces() {
         osd.replay_journal().unwrap(),
         0,
         "replay must be idempotent"
+    );
+
+    // The truncated sequence must not leave a hole in the applied prefix:
+    // everything written from here on applies, so the journal trims to
+    // empty instead of filling up behind an apply that will never come.
+    for i in 0..50 {
+        client
+            .write_object(&format!("after{i}"), 0, &[i as u8; 4096])
+            .unwrap();
+    }
+    cluster.quiesce();
+    assert_eq!(
+        osd.journal().used_fraction(),
+        0.0,
+        "journal stopped trimming after torn-tail recovery"
     );
     cluster.shutdown();
 }

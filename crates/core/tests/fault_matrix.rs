@@ -2,11 +2,11 @@
 //! the stack's recovery machinery (retransmit, dedup, bounded client
 //! retries) — never surfacing as a hang, a panic, or silent corruption.
 
-use afc_common::{AfcError, FaultKind, FaultPlan, FaultSpec};
-use afc_core::{Cluster, DeviceProfile, OsdTuning};
+use afc_common::{AfcError, FaultKind, FaultPlan, FaultSpec, ObjectId};
+use afc_core::{Cluster, DeviceProfile, OpOutcome, OsdTuning};
 use bytes::Bytes;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn fast_resend_tuning() -> OsdTuning {
     OsdTuning {
@@ -269,4 +269,80 @@ fn lost_replies_surface_as_a_typed_timeout_not_a_hang() {
     reg.clear();
     client.write_object("unanswered", 0, b"y").unwrap();
     cluster.shutdown();
+}
+
+/// A pipelined write, write, read on one PG. The read is ordered behind
+/// both applies; without the pending queue it waits for them on the op
+/// worker, holding the PG lock. Whoever queues those applies (the journal
+/// finisher, the completion worker) must therefore never want that lock:
+/// when it did, the second apply was never queued and the read sat out its
+/// 10 s deadline and answered `Timeout` — no fault injected. Every place
+/// the commit continuation can run is covered, with the read's object
+/// written twice and with the first write going to a neighbour in its PG.
+#[test]
+fn pipelined_write_write_read_cannot_wait_on_its_own_pg_lock() {
+    let afceph = OsdTuning::afceph;
+    let tunings = [
+        ("community", OsdTuning::community()),
+        (
+            "afceph-pending_queue",
+            OsdTuning {
+                pending_queue: false,
+                ..afceph()
+            },
+        ),
+        (
+            "afceph-dedicated_completion",
+            OsdTuning {
+                dedicated_completion: false,
+                ..afceph()
+            },
+        ),
+        ("afceph", afceph()),
+    ];
+    for (name, tuning) in tunings {
+        let cluster = Cluster::builder()
+            .nodes(2)
+            .osds_per_node(1)
+            .replication(2)
+            .pg_num(8)
+            .tuning(tuning)
+            .devices(DeviceProfile::clean())
+            .build()
+            .unwrap();
+        let client = cluster.client().unwrap();
+        client.set_max_retries(1);
+        let map = cluster.monitor().map();
+        let pg_of = |object: &str| {
+            let id = ObjectId::new(cluster.pool(), object);
+            map.object_placement(&id).unwrap().0
+        };
+        let neighbour = (0..)
+            .map(|i| format!("wwr-{i}"))
+            .find(|o| pg_of(o) == pg_of("wwr"))
+            .unwrap();
+        for first in ["wwr", &neighbour] {
+            for round in 0..200u32 {
+                let second = Bytes::from(vec![round as u8; 512]);
+                let t0 = Instant::now();
+                let w1 = client
+                    .write_object_async(first, 0, Bytes::from(vec![!(round as u8); 512]))
+                    .unwrap();
+                let w2 = client.write_object_async("wwr", 0, second.clone()).unwrap();
+                let r = client.read_object_async("wwr", 0, 512).unwrap();
+                w1.wait().unwrap();
+                w2.wait().unwrap();
+                match r.wait() {
+                    Ok(OpOutcome::Data(d)) => assert_eq!(d, second, "{name} round {round}"),
+                    other => panic!("{name} round {round} after {first}: {other:?}"),
+                }
+                let took = t0.elapsed();
+                assert!(
+                    took < Duration::from_secs(1),
+                    "{name} round {round} after {first} took {took:?}"
+                );
+            }
+        }
+        cluster.shutdown();
+    }
 }

@@ -55,6 +55,7 @@ use afc_common::{sleep_for, wait_until, AfcError, Result};
 use afc_device::{BlockDev, IoReq, StreamId};
 use bytes::Bytes;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -126,6 +127,15 @@ impl JournalEntry {
     pub fn is_valid(&self) -> bool {
         self.checksum == entry_checksum(self.seq, &self.payload)
     }
+}
+
+/// What [`Journal::replay`] found in the ring.
+pub struct Replay {
+    /// The valid committed-but-untrimmed entries, oldest first.
+    pub entries: Vec<JournalEntry>,
+    /// The sequences this call truncated (a torn tail and everything
+    /// behind it): never durable, never acknowledged. Empty: log was whole.
+    pub truncated: Range<u64>,
 }
 
 struct Pending {
@@ -215,8 +225,7 @@ impl Journal {
         raw.div_ceil(self.inner.cfg.align) * self.inner.cfg.align
     }
 
-    /// Reserve ring space and a sequence number, enqueueing nothing yet.
-    /// Shared by the queued and inline submit paths.
+    /// Reject an entry that could never fit the ring.
     fn check_footprint(&self, footprint: u64) -> Result<()> {
         if footprint > self.inner.cfg.capacity {
             return Err(AfcError::InvalidArgument(format!(
@@ -305,29 +314,16 @@ impl Journal {
             inner.stats.submits.inc();
             seq
         };
-        let torn = write_record(inner, footprint);
-        let mut checksum = entry_checksum(seq, &payload);
-        if torn {
-            checksum = !checksum;
-        }
-        {
-            let mut ring = inner.ring.lock();
-            ring.live.push_back(JournalEntry {
-                seq,
-                footprint,
-                payload,
-                checksum,
-            });
-        }
-        if !torn {
-            inner.stats.commits.inc();
+        // A batch of one, claimed by the caller instead of the committer.
+        let entry = Pending {
+            seq,
+            footprint,
+            payload,
+            on_commit,
+        };
+        if !commit_record(inner, vec![entry]) {
             inner.stats.inline_commits.inc();
-            on_commit(seq);
         }
-        // Only now may the committer (or another inline submitter) start
-        // the next record: our callback has fired, order is preserved.
-        inner.ring.lock().committing = false;
-        inner.work_cv.notify_all();
         Ok(seq)
     }
 
@@ -371,24 +367,30 @@ impl Journal {
     ///
     /// Checksums are validated oldest-first and the log is truncated at the
     /// first invalid entry: a torn tail (and anything structurally after
-    /// it) is discarded, never handed back for re-apply. Truncation frees
-    /// the garbage's ring space, so a second call returns the same valid
-    /// prefix — replay is idempotent.
-    pub fn replay(&self) -> Vec<JournalEntry> {
+    /// it) is discarded, never handed back for re-apply, and reported so
+    /// the caller stops waiting for it. Truncation frees the garbage's ring
+    /// space, so a second call returns the same valid prefix — idempotent.
+    pub fn replay(&self) -> Replay {
         let inner = &self.inner;
         let mut ring = inner.ring.lock();
         let valid = ring.live.iter().take_while(|e| e.is_valid()).count();
-        if valid < ring.live.len() {
-            let dropped = (ring.live.len() - valid) as u64;
-            let mut freed = 0u64;
-            while ring.live.len() > valid {
-                freed += ring.live.pop_back().map(|e| e.footprint).unwrap_or(0);
-            }
-            ring.used -= freed;
-            inner.stats.replay_truncated.add(dropped);
+        let garbage: Vec<JournalEntry> = ring.live.drain(valid..).collect();
+        let mut truncated = 0..0;
+        if let (Some(first), Some(last)) = (garbage.first(), garbage.last()) {
+            truncated = first.seq..last.seq + 1;
+            ring.used -= garbage.iter().map(|e| e.footprint).sum::<u64>();
+            inner.stats.replay_truncated.add(garbage.len() as u64);
             inner.space_cv.notify_all();
         }
-        ring.live.iter().cloned().collect()
+        Replay {
+            entries: ring.live.iter().cloned().collect(),
+            truncated,
+        }
+    }
+
+    /// The highest sequence number handed out so far (0: none yet).
+    pub fn last_seq(&self) -> u64 {
+        self.inner.ring.lock().next_seq - 1
     }
 
     /// The media-durable entry set as of *now*: what survives a simulated
@@ -511,6 +513,45 @@ fn write_record(inner: &Inner, total: u64) -> bool {
     torn
 }
 
+/// Commit one claimed batch (the caller set `committing` and took these
+/// entries out of `pending`): write one record, publish it to the replay
+/// set, fire the callbacks in submission order on this thread, and only
+/// then let the next record start. Returns whether the tail tore.
+fn commit_record(inner: &Inner, batch: Vec<Pending>) -> bool {
+    let torn = write_record(inner, batch.iter().map(|p| p.footprint).sum());
+    let n = batch.len();
+    let mut callbacks: Vec<(u64, CommitFn)> = Vec::with_capacity(n);
+    {
+        let mut ring = inner.ring.lock();
+        for (i, p) in batch.into_iter().enumerate() {
+            let tail_torn = torn && i + 1 == n;
+            let mut checksum = entry_checksum(p.seq, &p.payload);
+            if tail_torn {
+                // The tail is garbage on media: poison its checksum so
+                // replay truncates it. Never durable, so never
+                // acknowledged: its commit callback is dropped.
+                checksum = !checksum;
+            }
+            ring.live.push_back(JournalEntry {
+                seq: p.seq,
+                footprint: p.footprint,
+                payload: p.payload,
+                checksum,
+            });
+            if !tail_torn {
+                callbacks.push((p.seq, p.on_commit));
+            }
+        }
+    }
+    for (seq, cb) in callbacks {
+        inner.stats.commits.inc();
+        cb(seq);
+    }
+    inner.ring.lock().committing = false;
+    inner.work_cv.notify_all();
+    torn
+}
+
 fn committer_loop(inner: Arc<Inner>) {
     loop {
         // Claim a batch: wait for work and for any in-flight record
@@ -559,40 +600,7 @@ fn committer_loop(inner: Arc<Inner>) {
             ring.committing = true;
             ring.pending.drain(..n).collect()
         };
-        let total: u64 = batch.iter().map(|p| p.footprint).sum();
-        let torn = write_record(&inner, total);
-        // Publish to the replay set, then fire callbacks in submission
-        // order on this thread — no completion-channel hop.
-        let n = batch.len();
-        let mut callbacks: Vec<(u64, CommitFn)> = Vec::with_capacity(n);
-        {
-            let mut ring = inner.ring.lock();
-            for (i, p) in batch.into_iter().enumerate() {
-                let tail_torn = torn && i + 1 == n;
-                let mut checksum = entry_checksum(p.seq, &p.payload);
-                if tail_torn {
-                    // The tail is garbage on media: poison its checksum so
-                    // replay truncates it. Never durable, so never
-                    // acknowledged: its commit callback is dropped.
-                    checksum = !checksum;
-                }
-                ring.live.push_back(JournalEntry {
-                    seq: p.seq,
-                    footprint: p.footprint,
-                    payload: p.payload,
-                    checksum,
-                });
-                if !tail_torn {
-                    callbacks.push((p.seq, p.on_commit));
-                }
-            }
-        }
-        for (seq, cb) in callbacks {
-            inner.stats.commits.inc();
-            cb(seq);
-        }
-        inner.ring.lock().committing = false;
-        inner.work_cv.notify_all();
+        commit_record(&inner, batch);
     }
 }
 
@@ -739,7 +747,7 @@ mod tests {
         assert_eq!(s.inline_commits.get(), 1);
         assert_eq!(s.commits.get(), 1);
         assert_eq!(s.flushes.get(), 1);
-        assert_eq!(j.replay().len(), 1);
+        assert_eq!(j.replay().entries.len(), 1);
     }
 
     #[test]
@@ -859,15 +867,15 @@ mod tests {
             );
         }
         j.quiesce();
-        assert_eq!(j.replay().len(), 10);
+        assert_eq!(j.replay().entries.len(), 10);
         j.trim_through(seqs[4]);
-        let r = j.replay();
+        let r = j.replay().entries;
         assert_eq!(r.len(), 5);
         assert_eq!(r[0].seq, seqs[5]);
         assert_eq!(r[0].payload[0], 5u8);
         // Trim everything.
         j.trim_through(u64::MAX);
-        assert!(j.replay().is_empty());
+        assert!(j.replay().entries.is_empty());
         assert_eq!(j.used_fraction(), 0.0);
     }
 
@@ -982,14 +990,16 @@ mod fault_tests {
         let dev2 = Arc::new(Nvram::new(NvramConfig::pmc_8g()));
         let j2 = Journal::recover(dev2, JournalConfig::default(), image);
         let r1 = j2.replay();
-        assert_eq!(r1.len(), 3, "garbage tail must not be replayed");
-        assert!(r1.iter().all(JournalEntry::is_valid));
+        assert_eq!(r1.entries.len(), 3, "garbage tail must not be replayed");
+        assert!(r1.entries.iter().all(JournalEntry::is_valid));
+        assert_eq!(r1.truncated, 4..5, "the caller learns what was cut");
         assert_eq!(j2.stats().replay_truncated.get(), 1);
         let r2 = j2.replay();
         assert_eq!(
-            r1.iter().map(|e| e.seq).collect::<Vec<_>>(),
-            r2.iter().map(|e| e.seq).collect::<Vec<_>>()
+            r1.entries.iter().map(|e| e.seq).collect::<Vec<_>>(),
+            r2.entries.iter().map(|e| e.seq).collect::<Vec<_>>()
         );
+        assert!(r2.truncated.is_empty(), "nothing left to cut");
         // Sequencing resumes after the highest recovered entry.
         let seq = j2.submit_and_wait(Bytes::from_static(b"next")).unwrap();
         assert_eq!(seq, 5);
@@ -1020,7 +1030,7 @@ mod fault_tests {
             "torn record must not be flushed"
         );
         // The poisoned entry truncates on replay; the journal keeps working.
-        assert!(j.replay().is_empty());
+        assert!(j.replay().entries.is_empty());
         let seq = j.submit_and_wait(Bytes::from_static(b"after")).unwrap();
         assert_eq!(seq, 2);
     }

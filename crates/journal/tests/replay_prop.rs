@@ -69,7 +69,7 @@ proptest! {
             image,
         );
 
-        let replayed = j2.replay();
+        let replayed = j2.replay().entries;
         let expect: Vec<u64> = (trimmed + 1..=committed).collect();
         let got: Vec<u64> = replayed.iter().map(|e| e.seq).collect();
         prop_assert_eq!(&got, &expect, "replay must be the committed untrimmed prefix");
@@ -79,7 +79,7 @@ proptest! {
         }
 
         // Double replay = single replay.
-        let again: Vec<u64> = j2.replay().iter().map(|e| e.seq).collect();
+        let again: Vec<u64> = j2.replay().entries.iter().map(|e| e.seq).collect();
         prop_assert_eq!(&again, &expect, "second replay must be a no-op repeat");
     }
 
@@ -149,12 +149,12 @@ proptest! {
             JournalConfig::default(),
             si,
         );
-        let gr: Vec<(u64, Bytes)> = g2.replay().iter().map(|e| (e.seq, e.payload.clone())).collect();
-        let sr: Vec<(u64, Bytes)> = s2.replay().iter().map(|e| (e.seq, e.payload.clone())).collect();
+        let gr: Vec<(u64, Bytes)> = g2.replay().entries.iter().map(|e| (e.seq, e.payload.clone())).collect();
+        let sr: Vec<(u64, Bytes)> = s2.replay().entries.iter().map(|e| (e.seq, e.payload.clone())).collect();
         prop_assert_eq!(&gr, &sr, "group-commit replay diverges from per-op replay");
         // Double replay is a no-op repeat on both.
-        prop_assert_eq!(g2.replay().len(), gr.len());
-        prop_assert_eq!(s2.replay().len(), sr.len());
+        prop_assert_eq!(g2.replay().entries.len(), gr.len());
+        prop_assert_eq!(s2.replay().entries.len(), sr.len());
     }
 }
 
@@ -207,11 +207,11 @@ fn torn_batch_tail_poisons_only_the_tail() {
         JournalConfig::default(),
         image,
     );
-    let seqs: Vec<u64> = j2.replay().iter().map(|e| e.seq).collect();
+    let seqs: Vec<u64> = j2.replay().entries.iter().map(|e| e.seq).collect();
     assert_eq!(seqs, vec![1, 2, 3, 4]);
     assert_eq!(j2.stats().replay_truncated.get(), 1);
     assert_eq!(
-        j2.replay().len(),
+        j2.replay().entries.len(),
         4,
         "double replay must repeat the same prefix"
     );

@@ -3,7 +3,7 @@
 //! negatively because it preserves the basic semantics of Ceph").
 
 use afcstore::common::{BlockTarget, MIB};
-use afcstore::messages::ObjectOp;
+use afcstore::messages::{ObjectOp, OpOutcome};
 use afcstore::{Cluster, DeviceProfile, OsdTuning};
 use bytes::Bytes;
 use std::sync::Arc;
@@ -101,7 +101,9 @@ fn pipelined_writes_to_one_object_apply_in_order() {
     for (name, tuning) in tunings() {
         let cluster = cluster(tuning);
         let client = cluster.client().unwrap();
-        // Issue 30 async overwrites of the same object without waiting.
+        // Issue 30 async overwrites of the same object without waiting,
+        // and a read pipelined behind them: ordered after all 30 applies,
+        // it waits for them — without the pending queue, under the PG lock.
         let handles: Vec<_> = (0..30u8)
             .map(|v| {
                 client
@@ -109,12 +111,17 @@ fn pipelined_writes_to_one_object_apply_in_order() {
                     .unwrap()
             })
             .collect();
+        let read = client.read_object_async("seq", 0, 512).unwrap();
         for h in handles {
             h.wait().unwrap();
         }
         // Per-PG ordering: the final state must be the LAST issued write.
-        let back = client.read_object("seq", 0, 512).unwrap();
-        assert_eq!(back, vec![29u8; 512], "{name}: write order violated");
+        match read.wait() {
+            Ok(OpOutcome::Data(back)) => {
+                assert_eq!(&back[..], [29u8; 512], "{name}: write order violated")
+            }
+            other => panic!("{name}: pipelined read answered {other:?}"),
+        }
         cluster.shutdown();
     }
 }
