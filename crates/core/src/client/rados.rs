@@ -78,8 +78,6 @@ pub struct RadosClient {
     map: SharedMap,
     shared: Arc<ClientShared>,
     next_op: AtomicU64,
-    /// Request in-order ack delivery (exercises the §3.1 ordered-ack path).
-    pub ordered_acks: bool,
     /// Retries for misdirected ops before giving up.
     max_retries: AtomicU64,
     /// Per-attempt reply timeout, milliseconds (default 10 s). A lost
@@ -114,7 +112,6 @@ impl RadosClient {
             map,
             shared,
             next_op: AtomicU64::new(1),
-            ordered_acks: false,
             max_retries: AtomicU64::new(8),
             op_timeout_ms: AtomicU64::new(10_000),
             qos: Mutex::new(QosTag::best_effort()),
@@ -175,7 +172,6 @@ impl RadosClient {
             pg,
             object: obj,
             op,
-            ordered_ack: self.ordered_acks,
             epoch: map.epoch(),
             qos: self.qos_tag(),
         });

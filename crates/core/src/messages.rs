@@ -66,8 +66,6 @@ pub struct ClientOp {
     pub object: ObjectId,
     /// The operation.
     pub op: ObjectOp,
-    /// Client requests in-order ack delivery (§3.1 ordered-ack option).
-    pub ordered_ack: bool,
     /// Map epoch the client computed the placement under. A primary that
     /// has moved on rejects with `WrongEpoch`/`NotPrimary` so the client
     /// refreshes its snapshot instead of hammering a stale target.
@@ -265,7 +263,6 @@ mod tests {
             },
             object: ObjectId::new(PoolId(0), "o"),
             op: ObjectOp::Stat,
-            ordered_ack: false,
             epoch: Epoch(1),
             qos: QosTag::best_effort(),
         };

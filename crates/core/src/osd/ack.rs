@@ -1,16 +1,11 @@
-//! Ordered ack delivery (§3.1, last paragraph), sharded per PG shard.
+//! Ordered ack delivery (§3.1, last paragraph).
 //!
-//! The batching completion worker can finish acks out of order. "We added
+//! Local commits and replica acks can finish writes out of order. "We added
 //! logic that sends client sequential acks if a client wants to receive
 //! ordered acks as requested. Completion worker can sort these unordered
 //! acks before sending them to clients." Ordering is per `(client, PG)`
 //! lane in *arrival* order: an ack is released only after every
 //! earlier-arrived op on its lane has been released.
-//!
-//! Lanes live in [`COMPLETION_SHARDS`] independent tables keyed by the
-//! PG's completion shard ([`pg_shard`]), so acks on different PG shards
-//! never contend on one lock. A lane is always wholly contained in one
-//! shard (its key starts with the PG), so ordering is unaffected.
 
 use crate::messages::ClientReply;
 use afc_common::lockdep::{classes, TrackedMutex};
@@ -18,26 +13,15 @@ use afc_common::{ClientId, PgId};
 use afc_messenger::Addr;
 use std::collections::{BTreeMap, HashMap};
 
-/// Completion-path shard count. Power of two. Every per-PG completion
-/// structure (ack lanes, rep waits, push waits, replica dedup) is split
-/// this many ways; a PG's traffic always lands on [`pg_shard`]`(pg)`.
-pub const COMPLETION_SHARDS: usize = 16;
-
-/// The completion shard a PG's acks, rep-waits and dedup state live on.
-#[inline]
-pub fn pg_shard(pg: PgId) -> usize {
-    (pg.seq as usize) & (COMPLETION_SHARDS - 1)
-}
-
 struct Lane {
     next_assign: u64,
     next_release: u64,
     held: BTreeMap<u64, (Addr, ClientReply)>,
 }
 
-/// Per-(client, PG) ack sequencer, sharded by PG shard.
+/// Per-(client, PG) ack sequencer.
 pub struct OrderedAcker {
-    shards: Vec<TrackedMutex<HashMap<(ClientId, PgId), Lane>>>,
+    lanes: TrackedMutex<HashMap<(ClientId, PgId), Lane>>,
 }
 
 impl Default for OrderedAcker {
@@ -50,15 +34,13 @@ impl OrderedAcker {
     /// Create an empty sequencer.
     pub fn new() -> Self {
         OrderedAcker {
-            shards: (0..COMPLETION_SHARDS)
-                .map(|_| TrackedMutex::new(&classes::ACK_LANES, HashMap::new()))
-                .collect(),
+            lanes: TrackedMutex::new(&classes::ACK_LANES, HashMap::new()),
         }
     }
 
     /// Assign the next lane slot for an arriving op.
     pub fn assign(&self, client: ClientId, pg: PgId) -> u64 {
-        let mut lanes = self.shards[pg_shard(pg)].lock();
+        let mut lanes = self.lanes.lock();
         let lane = lanes.entry((client, pg)).or_insert(Lane {
             next_assign: 0,
             next_release: 0,
@@ -79,7 +61,7 @@ impl OrderedAcker {
         to: Addr,
         reply: ClientReply,
     ) -> Vec<(Addr, ClientReply)> {
-        let mut lanes = self.shards[pg_shard(pg)].lock();
+        let mut lanes = self.lanes.lock();
         let Some(lane) = lanes.get_mut(&(client, pg)) else {
             return vec![(to, reply)];
         };
@@ -92,13 +74,9 @@ impl OrderedAcker {
         out
     }
 
-    /// Acks currently held back (diagnostics). Shards are visited one at
-    /// a time — never two shard locks at once.
+    /// Acks currently held back (diagnostics).
     pub fn held(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().values().map(|l| l.held.len()).sum::<usize>())
-            .sum()
+        self.lanes.lock().values().map(|l| l.held.len()).sum()
     }
 }
 
@@ -123,20 +101,6 @@ mod tests {
 
     const CLIENT: ClientId = ClientId(1);
     const TO: Addr = Addr::Client(ClientId(1));
-
-    #[test]
-    fn shard_map_is_total_and_stable() {
-        for seq in 0..256u32 {
-            let pg = PgId {
-                pool: PoolId(0),
-                seq,
-            };
-            let s = pg_shard(pg);
-            assert!(s < COMPLETION_SHARDS);
-            assert_eq!(s, pg_shard(pg));
-        }
-        assert!(COMPLETION_SHARDS.is_power_of_two());
-    }
 
     #[test]
     fn in_order_completion_releases_immediately() {
@@ -177,24 +141,6 @@ mod tests {
         // pg2's later slot is blocked only by pg2's earlier slot, not pg()'s.
         assert!(a.release(CLIENT, pg2, y1, TO, reply(11)).is_empty());
         assert_eq!(a.release(CLIENT, pg(), x, TO, reply(0)).len(), 1);
-    }
-
-    #[test]
-    fn lanes_on_different_shards_are_independent() {
-        // seq 0 and seq 1 land on different shards (different locks); the
-        // behavior must match the same-shard case exactly.
-        let a = OrderedAcker::new();
-        let pg_a = pg();
-        let pg_b = PgId {
-            pool: PoolId(0),
-            seq: 17, // shard 1
-        };
-        assert_ne!(pg_shard(pg_a), pg_shard(pg_b));
-        let x = a.assign(CLIENT, pg_a);
-        let y = a.assign(CLIENT, pg_b);
-        assert_eq!(a.release(CLIENT, pg_b, y, TO, reply(1)).len(), 1);
-        assert_eq!(a.release(CLIENT, pg_a, x, TO, reply(0)).len(), 1);
-        assert_eq!(a.held(), 0);
     }
 
     #[test]

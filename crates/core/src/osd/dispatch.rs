@@ -218,10 +218,11 @@ impl OsdInner {
                 // Only writes feed the 1-in-16 stage sample.
                 let traced = matches!(mutation, ObjectOp::Write { .. })
                     && self.write.recorder.should_trace();
-                // §3.1: ordered acks when enabled OSD-wide or requested by
-                // the client ("sends client sequential acks if a client
-                // wants to receive ordered acks as requested").
-                let ack_lane = (self.tuning.ordered_acks || op.ordered_ack)
+                // §3.1: ordered acks ("sends client sequential acks if a
+                // client wants to receive ordered acks as requested").
+                let ack_lane = self
+                    .tuning
+                    .ordered_acks
                     .then(|| self.write.acker.assign(op.client, op.pg));
                 let wop = Arc::new(WriteOp {
                     client: op.client,

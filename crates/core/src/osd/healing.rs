@@ -4,7 +4,6 @@
 //! `defer_to_recovery`).
 
 use super::pg::{PeeringRound, Pg, PgHealth, PgState};
-use super::replication::rep_shard;
 use super::write::{install_txn, mutation_txn};
 use super::OsdInner;
 use crate::messages::{ObjectOp, OsdMsg, PgInfoMsg, PgQueryMsg, PingMsg, PushOp, RepOpReply};
@@ -52,8 +51,8 @@ struct HealCounters {
 }
 
 pub(super) struct Healing {
-    /// Outstanding recovery pushes, sharded like the replication waits.
-    pub(super) push_waits: Vec<TrackedMutex<HashMap<u64, PushWait>>>,
+    /// Outstanding recovery pushes by push id.
+    pub(super) push_waits: TrackedMutex<HashMap<u64, PushWait>>,
     /// Last heartbeat heard from each up peer (ping or pong).
     pub(super) hb_peers: TrackedMutex<HashMap<OsdId, Instant>>,
     c: HealCounters,
@@ -62,9 +61,7 @@ pub(super) struct Healing {
 impl Healing {
     pub(super) fn new() -> Self {
         Healing {
-            push_waits: (0..super::ack::COMPLETION_SHARDS)
-                .map(|_| TrackedMutex::new(&classes::PUSH_WAITS, HashMap::new()))
-                .collect(),
+            push_waits: TrackedMutex::new(&classes::PUSH_WAITS, HashMap::new()),
             hb_peers: TrackedMutex::new(&classes::HB_PEERS, HashMap::new()),
             c: HealCounters::default(),
         }
@@ -225,22 +222,22 @@ impl OsdInner {
             if acting.first() != Some(&self.id) {
                 // Replica (or unplaced): primary-side bookkeeping dies
                 // here; a later promotion re-peers from scratch.
-                let mut st = pg.lock_measured();
-                st.peering = None;
-                st.health = PgHealth::Active;
-                st.acting = acting;
-                st.peer_missing.clear();
-                st.recovering.clear();
-                st.backfill.clear();
-                st.want_pg_temp = None;
-                st.want_clear_temp = false;
+                pg.with_state(|st| {
+                    st.peering = None;
+                    st.health = PgHealth::Active;
+                    st.acting = acting;
+                    st.peer_missing.clear();
+                    st.recovering.clear();
+                    st.backfill.clear();
+                    st.want_pg_temp = None;
+                    st.want_clear_temp = false;
+                });
                 continue;
             }
             let placed = map.pg_placed(pg.id()).unwrap_or_default();
             let mut queries: Vec<OsdId> = Vec::new();
             let mut picks: Vec<(OsdId, String, u64)> = Vec::new();
-            {
-                let mut st = pg.lock_measured();
+            pg.with_state(|st| {
                 let round_current = st.peering.as_ref().is_some_and(|r| r.epoch == map.epoch());
                 if round_current {
                     // Round already in flight for this epoch: re-query the
@@ -250,10 +247,10 @@ impl OsdInner {
                     }
                 } else if st.peering.is_some() || st.acting != acting {
                     // Stale round, or the map moved this PG: (re)peer.
-                    self.start_peering(map, &pg, &mut st, &acting, &mut queries);
+                    self.start_peering(map, &pg, st, &acting, &mut queries);
                 }
                 if st.peering.is_none() {
-                    self.schedule_recovery_locked(map, pg.id(), &mut st, &mut picks);
+                    self.schedule_recovery_locked(map, pg.id(), st, &mut picks);
                     // pg_temp stewardship: pin ourselves while the placed
                     // primary is down or stale; hand primacy back (behind
                     // a peering fence) once it is owed nothing. A handoff
@@ -293,10 +290,10 @@ impl OsdInner {
                     if std::mem::take(&mut st.want_clear_temp) {
                         clears.push(pg.id());
                     } else if st.health != PgHealth::Peering {
-                        self.update_health_locked(map, &placed, &mut st);
+                        self.update_health_locked(map, &placed, st);
                     }
                 }
-            }
+            });
             for p in queries {
                 self.send(
                     Addr::Osd(p),
@@ -346,10 +343,7 @@ impl OsdInner {
     /// A peer answers a `GetInfo` with its highest known PG-log sequence.
     pub(super) fn handle_pgquery(self: &Arc<Self>, from: Addr, q: PgQueryMsg) {
         let pg = self.pg(q.pg);
-        let last_update = {
-            let st = pg.lock_measured();
-            st.next_pg_seq.max(st.last_committed)
-        };
+        let last_update = pg.with_state(|st| st.next_pg_seq);
         self.send(
             from,
             OsdMsg::PgInfo(PgInfoMsg {
@@ -370,18 +364,19 @@ impl OsdInner {
             return; // answer from a superseded round
         }
         let pg = self.pg(info.pg);
-        let mut st = pg.lock_measured();
-        let Some(round) = st.peering.as_mut() else {
-            return;
-        };
-        if round.epoch != info.epoch {
-            return;
-        }
-        round.awaiting.remove(&info.from);
-        round.infos.insert(info.from, info.last_update);
-        if round.awaiting.is_empty() {
-            self.complete_peering(&map, &pg, &mut st);
-        }
+        pg.with_state(|st| {
+            let Some(round) = st.peering.as_mut() else {
+                return;
+            };
+            if round.epoch != info.epoch {
+                return;
+            }
+            round.awaiting.remove(&info.from);
+            round.infos.insert(info.from, info.last_update);
+            if round.awaiting.is_empty() {
+                self.complete_peering(&map, &pg, st);
+            }
+        });
     }
 
     /// Close a peering round: agree on the authoritative log position,
@@ -392,7 +387,7 @@ impl OsdInner {
         };
         let acting = map.pg_acting(pg.id()).unwrap_or_default();
         let placed = map.pg_placed(pg.id()).unwrap_or_default();
-        let mine = st.next_pg_seq.max(st.last_committed);
+        let mine = st.next_pg_seq;
         let target = round.infos.values().copied().fold(mine, u64::max);
         if target > mine {
             // A peer holds history we lack (we were down, or we are a
@@ -561,8 +556,7 @@ impl OsdInner {
         // Every acked write must be in the pushed bytes: wait for all this
         // OSD has journaled. If an apply is wedged, the pump picks again.
         if self.write.applied.wait(self.journal.last_seq()).is_err() {
-            requeue_push(&mut pg.lock_measured(), peer, obj_name, gen);
-            return;
+            return pg.with_state(|st| requeue_push(st, peer, obj_name, gen));
         }
         let data = match self.store.stat(&obj_name) {
             Ok(m) => self
@@ -575,34 +569,34 @@ impl OsdInner {
         let Some(object) = parse_object_name(&obj_name) else {
             return;
         };
-        let st = pg.lock_measured();
-        if st.recovering.get(&(peer, obj_name.clone())) != Some(&gen) {
-            return; // superseded; the pump will push fresh data
-        }
-        let push_id = self.alloc_rep_id(pg.id());
-        let push = PushOp {
-            push_id,
-            pg: pg.id(),
-            object,
-            data,
-            pg_seq: st.next_pg_seq,
-        };
-        // PG_STATE → PUSH_WAITS ranks upward; holding the PG lock through
-        // the send keeps the ack from racing this bookkeeping.
-        self.heal.push_waits[rep_shard(push_id)].lock().insert(
-            push_id,
-            PushWait {
-                pg: Arc::clone(pg),
-                peer,
-                object: obj_name,
-                gen,
-                sent: Instant::now(),
-            },
-        );
-        self.heal.c.recovery_pushes.inc();
-        self.log("send recovery push");
-        self.send(Addr::Osd(peer), OsdMsg::Push(push));
-        drop(st);
+        pg.with_state(|st| {
+            if st.recovering.get(&(peer, obj_name.clone())) != Some(&gen) {
+                return; // superseded; the pump will push fresh data
+            }
+            let push_id = self.alloc_rep_id();
+            let push = PushOp {
+                push_id,
+                pg: pg.id(),
+                object,
+                data,
+                pg_seq: st.next_pg_seq,
+            };
+            // PG_STATE → PUSH_WAITS ranks upward; holding the PG lock
+            // through the send keeps the ack from racing this bookkeeping.
+            self.heal.push_waits.lock().insert(
+                push_id,
+                PushWait {
+                    pg: Arc::clone(pg),
+                    peer,
+                    object: obj_name,
+                    gen,
+                    sent: Instant::now(),
+                },
+            );
+            self.heal.c.recovery_pushes.inc();
+            self.log("send recovery push");
+            self.send(Addr::Osd(peer), OsdMsg::Push(push));
+        });
     }
 
     /// Replica side of a recovery push: install the full copy (or the
@@ -627,18 +621,16 @@ impl OsdInner {
     pub(super) fn handle_push_ack(&self, ack: RepOpReply) {
         // The push_waits guard drops before the PG lock (sequential, not
         // nested: the ranks would invert the declared order otherwise).
-        let Some(pw) = self.heal.push_waits[rep_shard(ack.rep_id)]
-            .lock()
-            .remove(&ack.rep_id)
-        else {
+        let Some(pw) = self.heal.push_waits.lock().remove(&ack.rep_id) else {
             return;
         };
         self.heal.c.recovery_push_acks.inc();
-        let mut st = pw.pg.lock_measured();
         let key = (pw.peer, pw.object);
-        if st.recovering.get(&key) == Some(&pw.gen) {
-            st.recovering.remove(&key);
-        }
+        pw.pg.with_state(|st| {
+            if st.recovering.get(&key) == Some(&pw.gen) {
+                st.recovering.remove(&key);
+            }
+        });
     }
 
     /// Requeue pushes whose ack is overdue (lost push or lost ack, or the
@@ -648,19 +640,17 @@ impl OsdInner {
     pub(super) fn requeue_expired_pushes(&self) {
         let timeout = Duration::from_millis(self.tuning.rep_resend_after_ms.max(1) * 4);
         let now = Instant::now();
-        let mut expired: Vec<PushWait> = Vec::new();
-        for shard in &self.heal.push_waits {
-            let mut waits = shard.lock();
-            let ids: Vec<u64> = waits
-                .iter()
-                .filter(|(_, w)| now.duration_since(w.sent) >= timeout)
-                .map(|(id, _)| *id)
-                .collect();
-            expired.extend(ids.into_iter().filter_map(|id| waits.remove(&id)));
-        }
+        let expired: Vec<PushWait> = self
+            .heal
+            .push_waits
+            .lock()
+            .extract_if(|_, w| now.duration_since(w.sent) >= timeout)
+            .map(|(_, w)| w)
+            .collect();
         for pw in expired {
             self.heal.c.recovery_requeues.inc();
-            requeue_push(&mut pw.pg.lock_measured(), pw.peer, pw.object, pw.gen);
+            pw.pg
+                .with_state(|st| requeue_push(st, pw.peer, pw.object, pw.gen));
         }
     }
 
@@ -669,7 +659,7 @@ impl OsdInner {
         let pgs: Vec<Arc<Pg>> = self.pgs.read().values().cloned().collect();
         let (mut deg, mut rec, mut peering) = (0i64, 0i64, 0i64);
         for pg in pgs {
-            match pg.lock_measured().health {
+            match pg.with_state(|st| st.health) {
                 PgHealth::Degraded => deg += 1,
                 PgHealth::Recovering => rec += 1,
                 PgHealth::Peering => peering += 1,

@@ -13,8 +13,8 @@
 //!                               journal writer ▶ commit ▶ finisher
 //!             community: finisher queues filestore (may block on
 //!                        throttle); commits and acks go via the PG queue
-//!             afceph:    OP-lock bookkeeping + dedicated batching
-//!                        completion worker; acks fast-pathed
+//!             afceph:    OP-lock bookkeeping + dedicated completion
+//!                        worker; acks fast-pathed
 //! ```
 //!
 //! The code is cut along the stages the trace names, each module holding
@@ -275,10 +275,11 @@ impl Osd {
     pub fn resume(&self) {
         let pgs: Vec<Arc<Pg>> = self.inner.pgs.read().values().cloned().collect();
         for pg in pgs {
-            let mut st = pg.lock_measured();
-            st.health = PgHealth::Peering;
-            st.peering = None;
-            st.acting.clear(); // force a fresh round on the next tick
+            pg.with_state(|st| {
+                st.health = PgHealth::Peering;
+                st.peering = None;
+                st.acting.clear(); // force a fresh round on the next tick
+            });
         }
         // Restart every peer's grace window from scratch.
         self.inner.heal.hb_peers.lock().clear();
@@ -305,9 +306,7 @@ impl Osd {
         for op in inner.rep.take_stranded() {
             inner.fail_op(&op, AfcError::ShutDown("osd stopping".into()));
         }
-        for shard in &inner.heal.push_waits {
-            shard.lock().clear();
-        }
+        inner.heal.push_waits.lock().clear();
         inner.write.applied.close();
         // Take the handles out first: joining while holding the workers
         // lock would block concurrent shutdown() callers on a lock held

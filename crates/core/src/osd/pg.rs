@@ -15,13 +15,10 @@
 //! write-after-write and read-after-write — is identical, which is the
 //! invariant the paper insists on preserving.
 //!
-//! **One release rule.** "The holder drains it" must hold for *every*
-//! holder: a non-blocking drain that loses the `try_lock` leaves a note
-//! next to the FIFO, and whoever releases the PG lock — `drain` itself or
-//! the guard handed out by [`Pg::lock_measured`] (peering/recovery
-//! handlers) — drains on finding it.
-//! Without the second half an op deferred to a `lock_measured` holder sat
-//! in the FIFO until the *next* op on that PG happened to drain it.
+//! **One door.** The PG lock is taken only by [`Pg::drain`] and
+//! [`Pg::with_state`], and both end in the same loop: run the FIFO,
+//! release, look again. Every holder drains on release, so work a
+//! non-blocking drain left "for the holder" always runs.
 
 use afc_common::lockdep::{classes, TrackedMutex, TrackedMutexGuard};
 use afc_common::metrics::Counter;
@@ -68,8 +65,6 @@ pub struct PeeringRound {
 pub struct PgState {
     /// Next PG-log sequence to assign.
     pub next_pg_seq: u64,
-    /// Highest journal-committed PG sequence.
-    pub last_committed: u64,
     /// Journal sequence of the last mutation this PG submitted (primary
     /// or replica); a read ordered here waits for the applied prefix to
     /// reach it.
@@ -115,50 +110,11 @@ impl PgState {
 /// Work executed under the PG lock.
 pub type PgWork = Box<dyn FnOnce(&mut PgState) + Send>;
 
-/// The FIFO next to the PG lock, plus the note a non-blocking drain leaves
-/// when the lock was held. Both live under one mutex so "release, then
-/// look" on the holder's side can never miss "note, then retry" on the
-/// deferring side.
-#[derive(Default)]
-struct Pending {
-    fifo: VecDeque<PgWork>,
-    deferred: bool,
-}
-
-/// The PG lock as handed out by [`Pg::lock_measured`]: dropping it releases
-/// the lock and then drains the FIFO if an op was deferred to this holder.
-pub struct PgGuard<'a> {
-    pg: &'a Pg,
-    held: Option<TrackedMutexGuard<'a, PgState>>,
-}
-
-impl std::ops::Deref for PgGuard<'_> {
-    type Target = PgState;
-    fn deref(&self) -> &PgState {
-        self.held.as_ref().expect("held until drop")
-    }
-}
-
-impl std::ops::DerefMut for PgGuard<'_> {
-    fn deref_mut(&mut self) -> &mut PgState {
-        self.held.as_mut().expect("held until drop")
-    }
-}
-
-impl Drop for PgGuard<'_> {
-    fn drop(&mut self) {
-        self.held = None; // release first: the drain below re-takes it
-        if std::mem::take(&mut self.pg.pending.lock().deferred) {
-            self.pg.drain(false);
-        }
-    }
-}
-
 /// A placement group: lock + state + pending FIFO + wait accounting.
 pub struct Pg {
     id: PgId,
     state: TrackedMutex<PgState>,
-    pending: TrackedMutex<Pending>,
+    pending: TrackedMutex<VecDeque<PgWork>>,
     /// Contended PG-lock acquisitions and their total wait, µs. An OSD
     /// shares one pair across all its PGs (`osdN.op.pg_lock_*`).
     pg_lock_waits: Counter,
@@ -177,7 +133,7 @@ impl Pg {
         Arc::new(Pg {
             id,
             state: TrackedMutex::new(&classes::PG_STATE, PgState::default()),
-            pending: TrackedMutex::new(&classes::PG_PENDING, Pending::default()),
+            pending: TrackedMutex::new(&classes::PG_PENDING, VecDeque::new()),
             pg_lock_waits: waits,
             pg_lock_wait_us: wait_us,
             processed: AtomicU64::new(0),
@@ -192,7 +148,7 @@ impl Pg {
     /// Append work to the pending FIFO without draining. Dispatch threads
     /// use this so arrival order is fixed before op workers race to drain.
     pub fn queue(&self, work: PgWork) {
-        self.pending.lock().fifo.push_back(work);
+        self.pending.lock().push_back(work);
     }
 
     /// Queue `work` and drain the FIFO.
@@ -208,45 +164,53 @@ impl Pg {
 
     /// Drain the pending FIFO under the PG lock (see [`Pg::submit`]).
     pub fn drain(&self, blocking: bool) {
+        if let Some(guard) = self.acquire(blocking) {
+            self.run_fifo(guard, blocking);
+        }
+    }
+
+    /// Run `f` under the PG lock, then drain like a blocking
+    /// [`Pg::drain`] (peering and recovery handlers; never a commit
+    /// continuation, see `osd/write.rs`).
+    pub fn with_state<R>(&self, f: impl FnOnce(&mut PgState) -> R) -> R {
+        let mut guard = self.lock_blocking();
+        let r = f(&mut guard);
+        self.run_fifo(guard, true);
+        r
+    }
+
+    /// Run the FIFO under `guard`, release, and look again: work queued
+    /// between the last pop and the unlock was left for this holder.
+    fn run_fifo<'a>(&'a self, mut guard: TrackedMutexGuard<'a, PgState>, blocking: bool) {
         loop {
-            let guard = if blocking {
-                Some(self.lock_raw())
-            } else {
-                self.state.try_lock().or_else(|| {
-                    // Leave the note, then look once more: a holder that
-                    // released before the note was written never saw it.
-                    self.pending.lock().deferred = true;
-                    self.state.try_lock()
-                })
-            };
-            let Some(mut guard) = guard else { return };
             loop {
-                let next = self.pending.lock().fifo.pop_front();
+                let next = self.pending.lock().pop_front();
                 let Some(w) = next else { break };
                 w(&mut guard);
                 self.processed.fetch_add(1, Ordering::Relaxed);
             }
             drop(guard);
-            // Work may have arrived between the final drain check and the
-            // unlock; if so, retry (otherwise it could strand until the
-            // next submission).
-            if self.pending.lock().fifo.is_empty() {
+            if self.pending.lock().is_empty() {
                 return;
             }
+            // A failed `try_lock` means another holder, which looks too.
+            let Some(g) = self.acquire(blocking) else {
+                return;
+            };
+            guard = g;
         }
     }
 
-    /// Acquire the PG lock directly (peering and recovery handlers; never
-    /// a commit continuation, see `osd/write.rs`), accounting the wait.
-    /// Releasing the guard drains any op that was deferred to it meanwhile.
-    pub fn lock_measured(&self) -> PgGuard<'_> {
-        PgGuard {
-            pg: self,
-            held: Some(self.lock_raw()),
+    fn acquire(&self, blocking: bool) -> Option<TrackedMutexGuard<'_, PgState>> {
+        if blocking {
+            Some(self.lock_blocking())
+        } else {
+            self.state.try_lock()
         }
     }
 
-    fn lock_raw(&self) -> TrackedMutexGuard<'_, PgState> {
+    /// Take the PG lock, accounting the wait.
+    fn lock_blocking(&self) -> TrackedMutexGuard<'_, PgState> {
         if let Some(g) = self.state.try_lock() {
             return g;
         }
@@ -264,7 +228,7 @@ impl Pg {
 
     /// Currently queued (undrained) work items.
     pub fn pending_len(&self) -> usize {
-        self.pending.lock().fifo.len()
+        self.pending.lock().len()
     }
 }
 
@@ -329,7 +293,7 @@ mod tests {
             t0.elapsed()
         );
         holder.join().unwrap();
-        // The holder drained our deferred work before releasing.
+        // The holder ran our work before releasing.
         assert_eq!(ran.load(Ordering::SeqCst), 2);
         assert_eq!(pg.pending_len(), 0);
     }
@@ -353,16 +317,19 @@ mod tests {
     }
 
     #[test]
-    fn lock_measured_accounts_contention() {
+    fn with_state_accounts_contention() {
         let pg = pg();
-        let g = pg.lock_measured();
-        let pg2 = Arc::clone(&pg);
-        let h = std::thread::spawn(move || {
-            let _g = pg2.lock_measured();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                pg.with_state(|_| {
+                    tx.send(()).unwrap();
+                    std::thread::sleep(Duration::from_millis(20));
+                })
+            });
+            rx.recv().unwrap();
+            pg.with_state(|_| {});
         });
-        std::thread::sleep(Duration::from_millis(20));
-        drop(g);
-        h.join().unwrap();
         assert_eq!(pg.pg_lock_waits.get(), 1);
         let wait_us = pg.pg_lock_wait_us.get();
         assert!(wait_us >= 15_000, "wait_us={wait_us}");
@@ -374,17 +341,12 @@ mod tests {
         pg.submit(
             Box::new(|st| {
                 st.next_pg_seq = 10;
-                st.last_committed = 5;
+                st.info_version = 5;
             }),
             true,
         );
-        pg.submit(
-            Box::new(|st| {
-                assert_eq!(st.next_pg_seq, 10);
-                assert_eq!(st.last_committed, 5);
-            }),
-            true,
-        );
+        let seen = pg.with_state(|st| (st.next_pg_seq, st.info_version));
+        assert_eq!(seen, (10, 5));
     }
 
     #[test]

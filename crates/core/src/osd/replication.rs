@@ -2,7 +2,6 @@
 //! sub-op routine (dedup window, journal, ack) on the replica, and the
 //! resend sweep for sub-ops whose ack went missing.
 
-use super::ack::{pg_shard, COMPLETION_SHARDS};
 use super::pg::PgWork;
 use super::write::{mutation_txn, Waiter, WriteOp};
 use super::OsdInner;
@@ -11,6 +10,7 @@ use afc_common::lockdep::{classes, TrackedMutex};
 use afc_common::metrics::{Counter, Metrics};
 use afc_common::{AfcError, PgId};
 use afc_filestore::Transaction;
+use afc_logging::Level;
 use afc_messenger::Addr;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,9 +38,9 @@ struct RepSeen {
 }
 
 impl RepSeen {
-    /// Per completion shard; a shard only sees its own PGs' ids, so the
-    /// effective window per primary matches the pre-sharding table.
-    const CAP: usize = 8192;
+    /// Ids remembered across all primaries: the horizon of the sixteen
+    /// 8 192-id per-shard windows this one table replaced.
+    const CAP: usize = 16 * 8192;
 
     /// What the window knows of `key`; an unknown key is recorded as in
     /// flight (evicting the oldest entry beyond [`Self::CAP`]).
@@ -59,24 +59,11 @@ impl RepSeen {
     }
 }
 
-/// Bits of a rep/push id reserved for the originating PG's completion
-/// shard (see [`OsdInner::alloc_rep_id`]).
-const SHARD_BITS: u32 = COMPLETION_SHARDS.trailing_zeros();
-
-/// The completion shard a rep/push id routes to. Acks carry only the id,
-/// so the shard must be recoverable from it alone: [`OsdInner::alloc_rep_id`]
-/// stamps the PG's shard into the low bits at allocation.
-#[inline]
-pub(super) fn rep_shard(rep_id: u64) -> usize {
-    (rep_id as usize) & (COMPLETION_SHARDS - 1)
-}
-
 pub(super) struct Replication {
-    /// Outstanding `Replicate` sub-ops, sharded by the rep id's embedded
-    /// PG shard so acks for different PG shards never contend on one lock.
-    waits: Vec<TrackedMutex<HashMap<u64, RepWait>>>,
-    /// Replica-side dedup windows, sharded like `waits`.
-    seen: Vec<TrackedMutex<RepSeen>>,
+    /// Outstanding `Replicate` sub-ops by rep id.
+    waits: TrackedMutex<HashMap<u64, RepWait>>,
+    /// Replica-side dedup window.
+    seen: TrackedMutex<RepSeen>,
     next_rep_id: AtomicU64,
     repops: Counter,
     repacks: Counter,
@@ -86,12 +73,8 @@ pub(super) struct Replication {
 impl Replication {
     pub(super) fn new() -> Self {
         Replication {
-            waits: (0..COMPLETION_SHARDS)
-                .map(|_| TrackedMutex::new(&classes::REP_WAITS, HashMap::new()))
-                .collect(),
-            seen: (0..COMPLETION_SHARDS)
-                .map(|_| TrackedMutex::new(&classes::REP_SEEN, RepSeen::default()))
-                .collect(),
+            waits: TrackedMutex::new(&classes::REP_WAITS, HashMap::new()),
+            seen: TrackedMutex::new(&classes::REP_SEEN, RepSeen::default()),
             next_rep_id: AtomicU64::new(1),
             repops: Counter::new(),
             repacks: Counter::new(),
@@ -107,17 +90,12 @@ impl Replication {
 
     /// Flip a replica-side rep_id to "committed" so retransmits re-ack.
     pub(super) fn mark_done(&self, primary: Addr, rep_id: u64) {
-        let mut seen = self.seen[rep_shard(rep_id)].lock();
-        seen.state.insert((primary, rep_id), true);
+        self.seen.lock().state.insert((primary, rep_id), true);
     }
 
-    /// Empty the wait tables (shutdown), handing back the stranded ops.
+    /// Empty the wait table (shutdown), handing back the stranded ops.
     pub(super) fn take_stranded(&self) -> Vec<Arc<WriteOp>> {
-        let mut ops = Vec::new();
-        for shard in &self.waits {
-            ops.extend(shard.lock().drain().map(|(_, w)| w.op));
-        }
-        ops
+        self.waits.lock().drain().map(|(_, w)| w.op).collect()
     }
 }
 
@@ -134,18 +112,15 @@ pub(super) fn reptimer_loop(inner: Arc<OsdInner>) {
 }
 
 impl OsdInner {
-    /// Allocate a replication/push sub-op id. The counter occupies the
-    /// high bits; the low [`SHARD_BITS`] carry the PG's completion shard,
-    /// so the eventual ack — which carries only the id — routes straight
-    /// to the right sharded wait table.
-    pub(super) fn alloc_rep_id(&self, pg: PgId) -> u64 {
-        (self.rep.next_rep_id.fetch_add(1, Ordering::Relaxed) << SHARD_BITS) | pg_shard(pg) as u64
+    /// Allocate a replication/push sub-op id (one id space for both).
+    pub(super) fn alloc_rep_id(&self) -> u64 {
+        self.rep.next_rep_id.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Send one `Replicate`, remembered with its wire form so the
     /// retransmit ticker can resend it if the ack never arrives.
     pub(super) fn replicate(&self, op: &Arc<WriteOp>, to: Addr, rep: RepOp) {
-        self.rep.waits[rep_shard(rep.rep_id)].lock().insert(
+        self.rep.waits.lock().insert(
             rep.rep_id,
             RepWait {
                 op: Arc::clone(op),
@@ -188,10 +163,7 @@ impl OsdInner {
     /// cutting the PG-queue, committer and completion-worker hand-offs out
     /// of the primary-observed ack round trip. The commit callback runs
     /// either right there (idle journal) or later on the committer thread;
-    /// like every commit continuation it takes no PG lock —
-    /// `last_committed` is bumped below, under the guard already held
-    /// (`next_pg_seq` was raised first, so peering answers are identical
-    /// either way).
+    /// like every commit continuation it takes no PG lock.
     pub(super) fn handle_subop(
         self: &Arc<Self>,
         from: Addr,
@@ -204,7 +176,7 @@ impl OsdInner {
         // Retransmit/duplicate dedup: an id we already committed gets a
         // fresh ack (the original was lost); one still in flight is
         // ignored (its commit will ack); only new ids are journaled.
-        let known = self.rep.seen[rep_shard(id)].lock().admit((from, id));
+        let known = self.rep.seen.lock().admit((from, id));
         match known {
             Some(true) => {
                 self.log("re-ack duplicate sub-op");
@@ -224,9 +196,10 @@ impl OsdInner {
             let Some(txn) = build(&inner) else {
                 return inner.complete(waiter);
             };
-            let res = inner.submit_commit(st, &pgc, pg_seq, txn, waiter, inline);
-            if inline && res.is_ok() {
-                st.last_committed = st.last_committed.max(pg_seq);
+            if let Err(e) = inner.submit_commit(st, &pgc, txn, waiter, inline) {
+                inner.logger.logf(Level::Error, "osd", || {
+                    format!("sub-op journal submit failed: {e}")
+                });
             }
         });
         if inline {
@@ -242,11 +215,7 @@ impl OsdInner {
 
     pub(super) fn handle_repack(self: &Arc<Self>, ack: RepOpReply) {
         self.rep.repacks.inc();
-        // The id's low bits name its completion shard: one sharded lock,
-        // no scan, no contention with acks on other PG shards.
-        let wait = self.rep.waits[rep_shard(ack.rep_id)]
-            .lock()
-            .remove(&ack.rep_id);
+        let wait = self.rep.waits.lock().remove(&ack.rep_id);
         let Some(RepWait { op, .. }) = wait else {
             // Not a replication sub-op: recovery-push acks share the id
             // space; anything left is a duplicate ack (retransmit raced
@@ -285,9 +254,8 @@ impl OsdInner {
         let now = Instant::now();
         let mut resend: Vec<(Addr, RepOp)> = Vec::new();
         let mut gave_up: Vec<Arc<WriteOp>> = Vec::new();
-        // Shards are swept one at a time — never two shard locks at once.
-        for shard in &self.rep.waits {
-            let mut waits = shard.lock();
+        {
+            let mut waits = self.rep.waits.lock();
             let mut dead: Vec<u64> = Vec::new();
             for (id, w) in waits.iter_mut() {
                 if now.duration_since(w.sent) < timeout {
@@ -301,11 +269,7 @@ impl OsdInner {
                     resend.push((w.to, w.rep.clone()));
                 }
             }
-            for id in dead {
-                if let Some(w) = waits.remove(&id) {
-                    gave_up.push(w.op);
-                }
-            }
+            gave_up.extend(dead.iter().filter_map(|id| waits.remove(id)).map(|w| w.op));
         }
         for (to, rep) in resend {
             self.rep.rep_resends.inc();

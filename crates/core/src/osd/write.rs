@@ -2,8 +2,8 @@
 //! mirror on a replica and a recovery install all do the same three
 //! things: build a filestore transaction ([`mutation_txn`] /
 //! [`install_txn`]), journal it ([`OsdInner::submit_commit`]) and, once it
-//! is durable, run one continuation — queue the filestore apply, advance
-//! the PG's `last_committed`, tell the waiter ([`OsdInner::complete`]).
+//! is durable, run one continuation — queue the filestore apply, tell
+//! the waiter ([`OsdInner::complete`]).
 //!
 //! The §3.1 switches choose *where* that continuation runs, never *what*
 //! it does (see [`OsdInner::on_local_commit`]).
@@ -11,8 +11,8 @@
 //! **The one rule after the journal.** Queueing the filestore apply is the
 //! first thing a continuation does, in journal-sequence order, and no
 //! thread that queues applies (journal commit callback, completion worker)
-//! takes a PG lock or runs PG work: what it owes the PG goes through the
-//! PG's FIFO to an op worker. So a PG-lock holder may wait for applies
+//! takes a PG lock or runs PG work; only the Community finisher hands its
+//! `complete` to the PG's FIFO. So a PG-lock holder may wait for applies
 //! ([`AppliedPrefix::wait`]) without blocking whoever queues them.
 
 use super::ack::OrderedAcker;
@@ -30,7 +30,6 @@ use afc_logging::Level;
 use afc_messenger::Addr;
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -81,7 +80,6 @@ pub(super) enum Waiter {
 /// A journal-committed mutation whose continuation has yet to run.
 pub(super) struct LocalCommit {
     pg: Arc<Pg>,
-    pg_seq: u64,
     jseq: u64,
     txn: Transaction,
     waiter: Waiter,
@@ -186,35 +184,12 @@ fn pg_log_op(pg: PgId, pg_seq: u64, object: &str) -> TxOp {
     }
 }
 
+/// The AFCeph continuation: filestore hand-off, then the waiter. No PG
+/// lock and no PG work (§3.1: completion no longer serializes on them).
 pub(super) fn completion_worker_loop(inner: Arc<OsdInner>, rx: Receiver<LocalCommit>) {
-    while let Ok(first) = rx.recv() {
-        // Batch everything immediately available (§3.1: "Multiple
-        // completion per PG can be processed at once").
-        let mut batch = vec![first];
-        while batch.len() < 128 {
-            match rx.try_recv() {
-                Ok(c) => batch.push(c),
-                Err(_) => break,
-            }
-        }
-        // Pass 1: filestore hand-off, then acks and replies — no PG lock
-        // (the §3.1 point: completion no longer serializes on them, and a
-        // reader holding one cannot stop the apply it waits for).
-        let mut by_pg: HashMap<PgId, (Arc<Pg>, u64)> = HashMap::new();
-        for c in batch {
-            let e = by_pg.entry(c.pg.id()).or_insert((c.pg, 0));
-            e.1 = e.1.max(c.pg_seq);
-            inner.enqueue_filestore(c.jseq, c.txn);
-            inner.complete(c.waiter);
-        }
-        // Pass 2: batched PG bookkeeping, one FIFO entry per PG, run by an
-        // op worker under the PG lock.
-        for (pg, max_seq) in by_pg.into_values() {
-            inner.queue_pg(
-                pg,
-                Box::new(move |st| st.last_committed = st.last_committed.max(max_seq)),
-            );
-        }
+    while let Ok(c) = rx.recv() {
+        inner.enqueue_filestore(c.jseq, c.txn);
+        inner.complete(c.waiter);
     }
 }
 
@@ -257,7 +232,7 @@ impl OsdInner {
             }
             self.log("send repop");
             let rep = RepOp {
-                rep_id: self.alloc_rep_id(pg),
+                rep_id: self.alloc_rep_id(),
                 pg,
                 object: object.clone(),
                 op: mutation.clone(), // a `Bytes` refcount bump, no byte copy
@@ -285,7 +260,7 @@ impl OsdInner {
         self.log("journal submit");
         self.log("waiting for subops");
         let waiter = Waiter::Primary(Arc::clone(op));
-        if let Err(e) = self.submit_commit(st, &op.pg, pg_seq, txn, waiter, false) {
+        if let Err(e) = self.submit_commit(st, &op.pg, txn, waiter, false) {
             self.fail_op(op, e);
         }
         self.write.writes.inc();
@@ -302,7 +277,6 @@ impl OsdInner {
         self: &Arc<Self>,
         st: &mut PgState,
         pg: &Arc<Pg>,
-        pg_seq: u64,
         txn: Transaction,
         waiter: Waiter,
         inline: bool,
@@ -312,7 +286,6 @@ impl OsdInner {
         let on_commit = Box::new(move |jseq| {
             let c = LocalCommit {
                 pg,
-                pg_seq,
                 jseq,
                 txn,
                 waiter,
@@ -328,16 +301,16 @@ impl OsdInner {
     }
 
     /// *Where* the commit continuation runs — the three §3.1 switches.
-    /// Every branch queues the filestore apply first, advances
-    /// `last_committed` and calls [`Self::complete`]; they differ in thread
-    /// and in what stands between the commit and the waiter.
+    /// Every branch queues the filestore apply first and calls
+    /// [`Self::complete`]; they differ in thread and in what stands between
+    /// the commit and the waiter.
     fn on_local_commit(self: &Arc<Self>, c: LocalCommit, inline: bool) {
         if let Waiter::Primary(op) = &c.waiter {
             op.mark(|t| &mut t.jcommit);
         }
         if !inline && self.tuning.dedicated_completion {
             // AFCeph: nothing but a channel send on the journal's thread;
-            // the batching completion worker does the rest.
+            // the completion worker does the rest.
             let tx = self.write.completion_tx.lock().clone();
             if let Some(tx) = tx {
                 let _ = tx.send(c);
@@ -347,8 +320,7 @@ impl OsdInner {
         self.enqueue_filestore(c.jseq, c.txn);
         if inline {
             // fast_ack replica: right here, on the dispatch thread (idle
-            // journal) or the committer (busy journal). The sub-op bumped
-            // `last_committed` under the guard it already held.
+            // journal) or the committer (busy journal).
             self.log("replica commit ack (inline)");
             self.complete(c.waiter);
         } else {
@@ -361,9 +333,8 @@ impl OsdInner {
             let inner = Arc::clone(self);
             self.queue_pg(
                 c.pg,
-                Box::new(move |st| {
+                Box::new(move |_st| {
                     inner.log("journal commit -> pg backend");
-                    st.last_committed = st.last_committed.max(c.pg_seq);
                     inner.complete(c.waiter);
                 }),
             );
@@ -416,17 +387,36 @@ impl OsdInner {
         }
     }
 
-    pub(super) fn maybe_reply(&self, op: &Arc<WriteOp>) {
+    pub(super) fn maybe_reply(&self, op: &WriteOp) {
+        self.log("op commit ready");
+        self.reply_once(op, Ok(OpOutcome::Done), |s| {
+            s.local_commit && s.acks >= op.needed_acks
+        });
+    }
+
+    pub(super) fn fail_op(&self, op: &WriteOp, err: AfcError) {
+        self.reply_once(op, Err(err), |_| true);
+    }
+
+    /// The one reply of a write, success or failure: at most once, and
+    /// through the op's ordered-ack lane when it has one, so a failure
+    /// takes its turn like a success and never wedges the lane.
+    fn reply_once(
+        &self,
+        op: &WriteOp,
+        result: Result<OpOutcome>,
+        ready: impl FnOnce(&OpState) -> bool,
+    ) {
         let permit = {
             let mut s = op.op_lock.lock();
-            let ready = !s.replied && s.local_commit && s.acks >= op.needed_acks;
-            s.replied |= ready;
-            ready.then(|| s.permit.take())
+            if s.replied || !ready(&s) {
+                return;
+            }
+            s.replied = true;
+            s.permit.take()
         };
-        self.log("op commit ready");
-        let Some(permit) = permit else { return };
         self.log("send client reply");
-        if op.traced {
+        if op.traced && result.is_ok() {
             let mut s = op.op_lock.lock();
             if let Some(t) = s.trace.as_mut() {
                 t.reply = Some(Instant::now());
@@ -435,7 +425,7 @@ impl OsdInner {
         }
         let reply = ClientReply {
             op_id: op.op_id,
-            result: Ok(OpOutcome::Done),
+            result,
         };
         if let Some(lane) = op.ack_lane {
             // Ordered acks: hold back until every earlier op on this
@@ -448,18 +438,6 @@ impl OsdInner {
             self.send(op.reply_to, OsdMsg::Reply(reply));
         }
         drop(permit); // release osd_client_message_cap, after the send
-    }
-
-    pub(super) fn fail_op(&self, op: &Arc<WriteOp>, err: AfcError) {
-        let permit = {
-            let mut s = op.op_lock.lock();
-            if std::mem::replace(&mut s.replied, true) {
-                return;
-            }
-            s.permit.take()
-        };
-        self.reply(op.reply_to, op.op_id, Err(err));
-        drop(permit);
     }
 }
 

@@ -84,15 +84,14 @@ pub struct OsdTuning {
     /// §3.1: per-PG pending queue — op workers never block on a held PG
     /// lock; queued ops are drained in FIFO order by the lock holder.
     pub pending_queue: bool,
-    /// §3.1: dedicated batching completion worker + per-op (OP) locks;
-    /// journal/filestore completion handlers touch the PG lock only in
-    /// batched, deferred work.
+    /// §3.1: dedicated completion worker + per-op (OP) locks;
+    /// journal/filestore completion handlers never touch a PG.
     pub dedicated_completion: bool,
     /// §3.1: replica acks are processed immediately on the messenger
     /// thread instead of being enqueued behind data ops in the PG queue.
     pub fast_ack: bool,
     /// §3.1 (last paragraph): re-sort client acks so each client observes
-    /// them in issue order even though the completion worker batches.
+    /// them in issue order even though writes complete out of order.
     pub ordered_acks: bool,
     /// §3.2: throttle sizing.
     pub throttle: ThrottleProfile,

@@ -271,6 +271,48 @@ fn lost_replies_surface_as_a_typed_timeout_not_a_hang() {
     cluster.shutdown();
 }
 
+/// With ordered acks, a write that fails takes its turn in its
+/// `(client, PG)` lane like one that succeeds. When the failure was
+/// replied around the lane, its slot was never released and every later
+/// ack on the lane was held until the client timed out.
+#[test]
+fn failed_write_releases_its_ordered_ack_lane() {
+    let cluster = Cluster::builder()
+        .nodes(2)
+        .osds_per_node(1)
+        .replication(2)
+        .pg_num(8)
+        .tuning(OsdTuning {
+            ordered_acks: true,
+            rep_max_resends: 1,
+            ..fast_resend_tuning()
+        })
+        .devices(DeviceProfile::clean())
+        .faults(FaultPlan::new(0x09))
+        .build()
+        .unwrap();
+    let reg = cluster.fault_registry().unwrap().clone();
+    let client = cluster.client().unwrap();
+    client.set_max_retries(1);
+    client.set_op_timeout(Duration::from_secs(2));
+
+    // Both the ack and the re-ack of the one resend are lost: the primary
+    // gives up and fails the write typed.
+    reg.install(FaultSpec::new("net.repack", FaultKind::Drop).times(2));
+    match client.write_object("lane", 0, b"lost").unwrap_err() {
+        AfcError::Timeout(what) => assert!(what.contains("resends exhausted"), "{what}"),
+        other => panic!("expected the replica-ack Timeout, got {other:?}"),
+    }
+    for v in 0..3u8 {
+        let t0 = Instant::now();
+        client.write_object("lane", 0, &[v; 4]).unwrap();
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(1), "write {v} took {took:?}");
+    }
+    assert_eq!(client.read_object("lane", 0, 4).unwrap(), [2u8; 4]);
+    cluster.shutdown();
+}
+
 /// A pipelined write, write, read on one PG. The read is ordered behind
 /// both applies; without the pending queue it waits for them on the op
 /// worker, holding the PG lock. Whoever queues those applies (the journal

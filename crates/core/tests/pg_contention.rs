@@ -72,7 +72,7 @@ fn pending_queue_loses_no_completions_under_contention() {
         s.join().expect("submitter must join cleanly");
     }
 
-    // Non-blocking submissions may have deferred work to a holder that
+    // Non-blocking submissions may have left work for a holder that
     // has since released; a final blocking drain must leave nothing.
     let deadline = Instant::now() + Duration::from_secs(5);
     while completions.load(Ordering::Relaxed) < THREADS * OPS_PER_THREAD {
@@ -94,73 +94,42 @@ fn pending_queue_loses_no_completions_under_contention() {
     assert_eq!(pg.pending_len(), 0);
 }
 
-/// The release rule: an op submitted non-blocking while a
-/// `lock_measured()` guard holds the PG lock (completion worker, community
-/// finisher, peering/recovery handlers) is left "for the holder" — and
-/// that holder must run it on release. Before the rule covered the guard,
-/// the op sat in the FIFO until the next op on the PG happened to drain it,
-/// which a synchronous client on one hot object never sends.
+/// One door: an op submitted non-blocking while `with_state` holds the PG
+/// lock (peering/recovery handlers) is left "for the holder", and that
+/// holder runs it before `with_state` returns. When the peering guard did
+/// not drain, the op sat in the FIFO until the next op on the PG happened
+/// to drain it, which a synchronous client on one hot object never sends.
 #[test]
-fn work_deferred_to_a_lock_measured_holder_runs_on_release() {
+fn work_left_for_a_with_state_holder_runs_before_it_returns() {
     let pg = Pg::new(PgId {
         pool: PoolId(0),
         seq: 9,
     });
     let ran = Arc::new(AtomicBool::new(false));
-    let guard = pg.lock_measured();
-    thread::scope(|s| {
-        let ran = Arc::clone(&ran);
-        let pg = &pg;
-        s.spawn(move || pg.submit(Box::new(move |_| ran.store(true, Ordering::SeqCst)), false))
-            .join()
-            .expect("non-blocking submit returns while the lock is held");
-    });
-    assert_eq!(
-        pg.pending_len(),
-        1,
-        "deferred, not run, while the lock is held"
-    );
-    drop(guard);
-    assert!(ran.load(Ordering::SeqCst), "releasing the guard must drain");
-    assert_eq!((pg.pending_len(), pg.processed()), (0, 1));
-}
-
-/// Blocking submitters wait for the lock themselves, so a guard release
-/// has nothing to pick up and must not run their work on its own thread
-/// (on the community path that thread is the journal finisher, and PG work
-/// there may wait on applies only the finisher can queue).
-#[test]
-fn guard_release_leaves_blocking_submitters_their_own_work() {
-    let pg = Pg::new(PgId {
-        pool: PoolId(0),
-        seq: 10,
-    });
-    let guard = pg.lock_measured();
-    let holder = thread::current().id();
-    let (tx, rx) = std::sync::mpsc::channel();
-    thread::scope(|s| {
-        let pg = &pg;
-        s.spawn(move || {
-            pg.submit(
-                Box::new(move |_| tx.send(thread::current().id()).unwrap()),
-                true,
-            )
+    pg.with_state(|_| {
+        thread::scope(|s| {
+            let ran = Arc::clone(&ran);
+            let pg = &pg;
+            s.spawn(move || pg.submit(Box::new(move |_| ran.store(true, Ordering::SeqCst)), false))
+                .join()
+                .expect("non-blocking submit returns while the lock is held");
         });
-        while pg.pending_len() == 0 {
-            thread::yield_now();
-        }
-        drop(guard);
+        assert_eq!(pg.pending_len(), 1, "left, not run, while the lock is held");
     });
-    assert_ne!(rx.recv().unwrap(), holder);
+    assert!(
+        ran.load(Ordering::SeqCst),
+        "the holder must drain on release"
+    );
+    assert_eq!((pg.pending_len(), pg.processed()), (0, 1));
 }
 
 /// ROADMAP item 0's hang, end to end: synchronous clients, each on its own
 /// hot object (write, ack, read — `overwrites_are_strongly_consistent`'s
-/// shape), so nothing else ever touches that PG. Every write's completion
-/// worker takes the PG lock through `lock_measured()` for the batched
-/// `last_committed` bump; if the client's next op lost its `try_lock` to
-/// that holder and the holder did not drain, the op sat there forever.
-/// One attempt, no retry: a stranded op surfaces as `Timeout`.
+/// shape), so nothing else ever touches that PG. Until PR 24 the
+/// completion worker took the PG lock after every write (it takes none
+/// now); before PR 18 that holder did not drain on release, so a client
+/// op that lost its `try_lock` to it sat there forever. One attempt, no
+/// retry: a stranded op surfaces as `Timeout`.
 #[test]
 fn hot_object_write_then_read_never_strands_an_op() {
     const CLIENTS: usize = 3;

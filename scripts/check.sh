@@ -125,12 +125,13 @@ consistency_loop() {
 }
 step consistency_loop
 
-# 5. Fault matrix: the crash-recovery harness, injected-fault suite and
-#    the failure-detection/recovery suite (heartbeats, peering, degraded
-#    I/O, backfill) run as an explicit pass so a fault-handling
+# 5. Fault matrix: the crash-recovery harness, injected-fault suite, the
+#    failure-detection/recovery suite (heartbeats, peering, degraded I/O,
+#    backfill) and the PG-lock contention suite (every holder drains)
+#    run as an explicit pass so a fault-handling or stranded-op
 #    regression is named in CI output even when the workspace test step
 #    is green-but-skipped.
-step cargo test --quiet --package afc-core --test crash_recovery --test fault_matrix --test recovery
+step cargo test --quiet --package afc-core --test crash_recovery --test fault_matrix --test recovery --test pg_contention
 
 # 6. API docs build clean (rustdoc warnings are errors: broken intra-doc
 #    links and malformed examples fail the gate).
