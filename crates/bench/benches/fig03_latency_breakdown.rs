@@ -4,16 +4,19 @@
 //! ≈1 ms, PG-queue dequeue → journal submit ≈3 ms (PG lock + replication
 //! send + metadata read), journal write ≈8 ms, journal-completion hand-off
 //! ≈1.1 ms, replica-commit handling ≈1.1 ms — PG-lock-related delay ≈9 ms
-//! of a ≈17 ms total. We print the same stages from the OSD's sampled
-//! stage recorder, community vs AFCeph, under load.
+//! of a ≈17 ms total. We print the mean of each `osdN.stage.*` histogram
+//! (one write in 16 sampled), merged over the OSDs, community vs AFCeph,
+//! under load. `ack` holds the paper's replica handling (6)(7) and the
+//! reply send.
 
 use afc_bench::{bench_secs, build_cluster, fio, run_fleet, vm_images};
 use afc_common::timeutil::fmt_dur;
-use afc_common::Table;
-use afc_core::osd::StageSample;
+use afc_common::{HistSnapshot, Table};
 use afc_core::{DeviceProfile, OsdTuning};
 use afc_workload::Rw;
 use std::time::Duration;
+
+const STAGES: [&str; 6] = ["pg_queue", "submit", "journal", "apply", "ack", "total"];
 
 fn main() {
     let mut table = Table::new(vec![
@@ -22,8 +25,7 @@ fn main() {
         "submit(2)",
         "journal(4)",
         "completion(5)",
-        "replica(6,7)",
-        "reply",
+        "ack(6,7)",
         "total",
         "pg-lock-wait/op",
     ]);
@@ -38,31 +40,25 @@ fn main() {
             .label("fig03");
         let r = run_fleet(&images, &spec);
         println!("{name}: {r}");
-        let mut samples: Vec<StageSample> = Vec::new();
-        for osd in cluster.osds() {
-            samples.extend(osd.stage_samples());
-        }
-        let m = StageSample::mean(&samples);
         let snap = cluster.metrics_snapshot();
+        let mean = |stage: &str| {
+            let mut merged = HistSnapshot::default();
+            for osd in cluster.osds() {
+                if let Some(h) = snap.histogram(&format!("osd{}.stage.{stage}", osd.id().0)) {
+                    merged.merge(h);
+                }
+            }
+            fmt_dur(Duration::from_micros(merged.mean_us()))
+        };
         let writes = snap.site_sum("op.writes").max(1);
         let lock_wait = snap.site_sum("op.pg_lock_wait_us");
-        table.row(vec![
-            name.to_string(),
-            fmt_dur(m.queue),
-            fmt_dur(m.submit),
-            fmt_dur(m.journal),
-            fmt_dur(m.completion),
-            fmt_dur(m.replica_wait),
-            fmt_dur(m.reply),
-            fmt_dur(m.total),
-            fmt_dur(Duration::from_micros(lock_wait / writes)),
-        ]);
+        let mut row = vec![name.to_string()];
+        row.extend(STAGES.map(mean));
+        row.push(fmt_dur(Duration::from_micros(lock_wait / writes)));
+        table.row(row);
         cluster.shutdown();
     }
-    println!(
-        "\n== Figure 3: write-path latency breakdown ({} samples/osd cap) ==",
-        4096
-    );
+    println!("\n== Figure 3: write-path latency breakdown (stage means, 1 write in 16) ==");
     table.print();
     println!("(paper, community: queue≈1ms submit≈3ms journal≈8ms completion≈1.1ms replica≈1.1ms of ≈17ms total)");
 }

@@ -56,8 +56,7 @@ pub mod classes {
     //! op queue → QoS scheduler → OSD maps → `Pg::state` → `Pg::pending`
     //! → OSD op tables
     //! (rep_waits / push_waits / rep_seen / applied prefix / channel
-    //! handles / ack lanes) → per-op leaf locks → journal → filestore
-    //! throttle.
+    //! handles / ack lanes) → journal → filestore throttle.
     //!
     //! `PG_STATE` deliberately allows blocking while held: the write path
     //! submits to the journal (which can wait for ring space) and, without
@@ -163,15 +162,6 @@ pub mod classes {
         rank: 455,
         no_block_while_held: true,
     };
-    /// `WriteOp::op_lock` — the per-op (OP) lock of §3.1: completion
-    /// bookkeeping, the throttle permit slot and sampled trace timestamps
-    /// (leaf; the permit is taken out under it and dropped after release,
-    /// so `Throttle::release` is never re-entered while it is held).
-    pub static OP_LOCK: LockClass = LockClass {
-        name: "op.lock",
-        rank: 480,
-        no_block_while_held: true,
-    };
     /// `Journal` ring state (waits on its own work/space condvars). Also
     /// serializes group-commit records: the `committing` flag guarded
     /// here is what keeps inline and batched commit callbacks in global
@@ -219,7 +209,6 @@ pub static DECLARED_ORDER: &[&LockClass] = &[
     &classes::OSD_CHANNEL_TX,
     &classes::ACK_LANES,
     &classes::HB_PEERS,
-    &classes::OP_LOCK,
     &classes::JOURNAL_RING,
     &classes::THROTTLE,
     &classes::OSD_WORKERS,

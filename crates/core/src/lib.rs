@@ -45,6 +45,6 @@ pub use client::rbd::RbdImage;
 pub use cluster::{Cluster, ClusterBuilder, DeviceProfile, ScrubReport};
 pub use messages::{ObjectOp, OpOutcome, OsdMsg};
 pub use monitor::{FailureConfig, Monitor};
-pub use osd::{Osd, StageSample};
+pub use osd::Osd;
 pub use qos::{QosSpec, QosTag};
 pub use tuning::{Allocator, LoggingMode, OsdTuning, ThrottleProfile};

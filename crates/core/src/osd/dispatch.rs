@@ -3,8 +3,8 @@
 
 use super::pg::{Pg, PgHealth, PgState, PgWork};
 use super::read::ReadJob;
-use super::trace::TraceTimes;
-use super::write::{OpState, WriteOp};
+use super::trace::Mark;
+use super::write::WriteOp;
 use super::OsdInner;
 use crate::messages::{ClientOp, ClientReply, ObjectOp, OpOutcome, OsdMsg};
 use crate::qos::{Deq, QosScheduler, QosTag};
@@ -15,7 +15,7 @@ use afc_common::{AfcError, OpId, OsdId, Result};
 use afc_filestore::Throttle;
 use afc_messenger::Addr;
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -131,8 +131,9 @@ pub(super) fn op_worker_loop(inner: Arc<OsdInner>) {
 
 impl OsdInner {
     /// Enqueue *internal* work (replication, acks, recovery) on the plain
-    /// op queue. Client ops must go through [`Self::queue_client`] so the
-    /// QoS scheduler sees them — the analyze `qos-tag` rule enforces this.
+    /// op queue. Client ops go through [`Self::queue_client`] so the QoS
+    /// scheduler sees them: `handle_request` is the only producer of client
+    /// work, and it hands every op there.
     pub(super) fn queue_pg(&self, pg: Arc<Pg>, work: PgWork) {
         pg.queue(work);
         self.dispatch.q.lock().push_back(pg);
@@ -216,8 +217,10 @@ impl OsdInner {
             }
             mutation @ (ObjectOp::Write { .. } | ObjectOp::Delete) => {
                 // Only writes feed the 1-in-16 stage sample.
-                let traced = matches!(mutation, ObjectOp::Write { .. })
-                    && self.write.recorder.should_trace();
+                let trace = match mutation {
+                    ObjectOp::Write { .. } => self.write.recorder.start(),
+                    _ => None,
+                };
                 // §3.1: ordered acks ("sends client sequential acks if a
                 // client wants to receive ordered acks as requested").
                 let ack_lane = self
@@ -229,21 +232,16 @@ impl OsdInner {
                     op_id,
                     reply_to: from,
                     pg: Arc::clone(&pg),
-                    needed_acks: acting.len().saturating_sub(1),
-                    traced,
                     ack_lane,
-                    op_lock: TrackedMutex::new(
-                        &classes::OP_LOCK,
-                        OpState {
-                            permit: Some(permit),
-                            trace: traced.then(TraceTimes::start),
-                            ..OpState::default()
-                        },
-                    ),
+                    // The local commit plus one per replica.
+                    remaining: AtomicUsize::new(acting.len().max(1)),
+                    replied: AtomicBool::new(false),
+                    _permit: permit,
+                    trace,
                 });
-                wop.mark(|t| &mut t.queued);
+                wop.mark(Mark::Queued);
                 Box::new(move |st| {
-                    wop.mark(|t| &mut t.dequeue);
+                    wop.mark(Mark::Dequeue);
                     if !inner.pg_ready(st, &acting) {
                         let err = AfcError::WrongEpoch(format!("pg {} is peering", wop.pg.id()));
                         return inner.fail_op(&wop, err);

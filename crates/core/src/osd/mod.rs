@@ -13,8 +13,8 @@
 //!                               journal writer ▶ commit ▶ finisher
 //!             community: finisher queues filestore (may block on
 //!                        throttle); commits and acks go via the PG queue
-//!             afceph:    OP-lock bookkeeping + dedicated completion
-//!                        worker; acks fast-pathed
+//!             afceph:    per-op completion count + dedicated
+//!                        completion worker; acks fast-pathed
 //! ```
 //!
 //! The code is cut along the stages the trace names, each module holding
@@ -33,11 +33,9 @@ mod healing;
 pub mod pg;
 mod read;
 mod replication;
-pub mod trace;
+mod trace;
 mod trim;
 mod write;
-
-pub use trace::StageSample;
 
 use crate::messages::OsdMsg;
 use crate::monitor::{Monitor, SharedMap};
@@ -197,11 +195,6 @@ impl Osd {
         &self.inner.journal
     }
 
-    /// Collected Figure-3 stage samples.
-    pub fn stage_samples(&self) -> Vec<StageSample> {
-        self.inner.write.recorder.samples()
-    }
-
     /// Register this OSD's instrumentation into a cluster metric
     /// registry:
     ///
@@ -210,8 +203,8 @@ impl Osd {
     ///   PGs, plus client-throttle waits under
     ///   `osd<N>.op.client_throttle.*`), per-volume QoS under
     ///   `osd<N>.qos.*`, self-healing under `osd<N>.{hb,peering,recovery}.*`,
-    /// - write-path stage histograms under `osd<N>.stage.*` (fed from
-    ///   the sampled stage recorder),
+    /// - write-path stage histograms under `osd<N>.stage.*` (one write in
+    ///   16 sampled),
     /// - filestore under `osd<N>.fs.*`, its KV DB under `osd<N>.kv.*`,
     /// - the debug logger's counters as `osd<N>.log.*`,
     /// - the journal's counters under `<journal_prefix>.*` (the caller

@@ -72,9 +72,9 @@ impl OsdInner {
         }
         // §3.1: executed on the disk-reader pool so the PG lock and the op
         // worker are released immediately. No pool means shutting down;
-        // dropping the job releases its permit.
-        let tx = self.read.tx.lock().clone();
-        if let Some(tx) = tx {
+        // dropping the job releases its permit. The send is unbounded, so
+        // it never blocks under the handle's no-block lock.
+        if let Some(tx) = &*self.read.tx.lock() {
             let _ = tx.send(job);
         }
     }

@@ -223,11 +223,7 @@ impl OsdInner {
             return self.handle_push_ack(ack);
         };
         let pg = Arc::clone(&op.pg);
-        let acked = move |me: &OsdInner| {
-            op.mark(|t| &mut t.replicas);
-            op.op_lock.lock().acks += 1;
-            me.maybe_reply(&op);
-        };
+        let acked = move |me: &OsdInner| me.settle(&op, 1);
         if self.tuning.fast_ack {
             // §3.1: "ack messages are processed right away without
             // enqueueing them to the PG queue."

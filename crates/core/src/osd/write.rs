@@ -17,7 +17,7 @@
 
 use super::ack::OrderedAcker;
 use super::pg::{Pg, PgState};
-use super::trace::{StageHists, StageRecorder, TraceTimes};
+use super::trace::{Mark, StageRecorder, Trace};
 use super::trim::AppliedPrefix;
 use super::OsdInner;
 use crate::messages::{ClientReply, ObjectOp, OpOutcome, OsdMsg, RepOp};
@@ -30,42 +30,51 @@ use afc_logging::Level;
 use afc_messenger::Addr;
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// What the per-op (OP) lock guards: completion bookkeeping, the client
-/// throttle permit and, for a sampled op, its stage timestamps.
-#[derive(Default)]
-pub(super) struct OpState {
-    pub(super) local_commit: bool,
-    pub(super) acks: usize,
-    pub(super) replied: bool,
-    pub(super) permit: Option<OwnedPermit>,
-    pub(super) trace: Option<TraceTimes>,
-}
-
-/// An in-flight replicated mutation on the primary.
+/// An in-flight replicated mutation on the primary. It holds no lock: the
+/// local commit and each replica settle a countdown, and whoever brings it
+/// to zero and then wins `replied` sends the `Ok`; a failure only has to
+/// win `replied`.
 pub(super) struct WriteOp {
     pub(super) client: ClientId,
     pub(super) op_id: OpId,
     pub(super) reply_to: Addr,
     pub(super) pg: Arc<Pg>,
-    pub(super) needed_acks: usize,
-    /// Whether `OpState::trace` is set — readable without the lock, so the
-    /// 15-in-16 unsampled ops never take it just to find `None`.
-    pub(super) traced: bool,
     pub(super) ack_lane: Option<u64>,
-    pub(super) op_lock: TrackedMutex<OpState>,
+    /// Completions still owed: the local commit plus one per replica.
+    pub(super) remaining: AtomicUsize,
+    pub(super) replied: AtomicBool,
+    /// `osd_client_message_cap` slot, released when the op drops — after
+    /// the reply, as the replier holds the op while it sends.
+    pub(super) _permit: OwnedPermit,
+    /// Set on the sampled writes.
+    pub(super) trace: Option<Box<Trace>>,
 }
 
 impl WriteOp {
-    /// Stamp one stage of a sampled op with the current time.
-    pub(super) fn mark(&self, stage: fn(&mut TraceTimes) -> &mut Option<Instant>) {
-        if self.traced {
-            if let Some(t) = self.op_lock.lock().trace.as_mut() {
-                *stage(t) = Some(Instant::now());
-            }
+    /// Stamp `m` if this op is sampled.
+    pub(super) fn mark(&self, m: Mark) {
+        if let Some(t) = &self.trace {
+            t.mark(m);
         }
+    }
+
+    /// Count `n` completions: true for the one caller that brings the
+    /// count to zero and wins the reply.
+    fn settle(&self, n: usize) -> bool {
+        // ordering: AcqRel — every settler releases the marks it stamped;
+        // the one that reaches zero acquires them all before it reads them.
+        self.remaining.fetch_sub(n, Ordering::AcqRel) == n && self.claim_reply()
+    }
+
+    /// Win the op's one reply, success or failure.
+    fn claim_reply(&self) -> bool {
+        // ordering: Relaxed — a swap on one atomic has one winner under any
+        // ordering, and nothing is published through the latch.
+        !self.replied.swap(true, Ordering::Relaxed)
     }
 }
 
@@ -103,7 +112,7 @@ impl WritePath {
         WritePath {
             applied: AppliedPrefix::new(APPLY_TIMEOUT),
             completion_tx: TrackedMutex::new(&classes::OSD_CHANNEL_TX, None),
-            recorder: StageRecorder::new(16, 4096),
+            recorder: StageRecorder::new(16),
             acker: OrderedAcker::new(),
             writes: Counter::new(),
             apply_failures: Counter::new(),
@@ -114,8 +123,37 @@ impl WritePath {
         m.register_counter(format!("{osd}.op.writes"), &self.writes);
         m.register_counter(format!("{osd}.op.apply_failures"), &self.apply_failures);
         m.register_counter(format!("{osd}.op.gate_timeouts"), &self.applied.timeouts);
-        self.recorder
-            .attach_hists(StageHists::register(m, &format!("{osd}.stage")));
+        self.recorder.register(m, &format!("{osd}.stage"));
+    }
+
+    /// The one reply of a write, success or failure, sent by whoever won it
+    /// ([`WriteOp::settle`], [`WriteOp::claim_reply`]): through the op's
+    /// ordered-ack lane when it has one, so a failure takes its turn like
+    /// a success and never wedges the lane. A sampled `Ok` feeds the stage
+    /// histograms.
+    pub(super) fn reply(
+        &self,
+        op: &WriteOp,
+        result: Result<OpOutcome>,
+        mut send: impl FnMut(Addr, ClientReply),
+    ) {
+        if let (Some(t), true) = (&op.trace, result.is_ok()) {
+            self.recorder.finish(t);
+        }
+        let reply = ClientReply {
+            op_id: op.op_id,
+            result,
+        };
+        if let Some(lane) = op.ack_lane {
+            // Ordered acks: hold back until every earlier op on this
+            // (client, pg) lane has been released.
+            let acker = &self.acker;
+            for (to, r) in acker.release(op.client, op.pg.id(), lane, op.reply_to, reply) {
+                send(to, r);
+            }
+        } else {
+            send(op.reply_to, reply);
+        }
     }
 }
 
@@ -241,7 +279,7 @@ impl OsdInner {
             self.replicate(op, Addr::Osd(r), rep);
         }
         if skipped > 0 {
-            op.op_lock.lock().acks += skipped;
+            self.settle(op, skipped);
         }
         self.log("get object context");
         // Object-context metadata: community reads it back from storage
@@ -256,7 +294,7 @@ impl OsdInner {
         let Some(txn) = mutation_txn(pg, &obj_name, pg_seq, &mutation) else {
             return self.fail_op(op, AfcError::InvalidArgument("not a mutation".into()));
         };
-        op.mark(|t| &mut t.jsubmit);
+        op.mark(Mark::JSubmit);
         self.log("journal submit");
         self.log("waiting for subops");
         let waiter = Waiter::Primary(Arc::clone(op));
@@ -306,13 +344,13 @@ impl OsdInner {
     /// the commit and the waiter.
     fn on_local_commit(self: &Arc<Self>, c: LocalCommit, inline: bool) {
         if let Waiter::Primary(op) = &c.waiter {
-            op.mark(|t| &mut t.jcommit);
+            op.mark(Mark::JCommit);
         }
         if !inline && self.tuning.dedicated_completion {
             // AFCeph: nothing but a channel send on the journal's thread;
-            // the completion worker does the rest.
-            let tx = self.write.completion_tx.lock().clone();
-            if let Some(tx) = tx {
+            // the completion worker does the rest. The send is unbounded,
+            // so it never blocks under the handle's no-block lock.
+            if let Some(tx) = &*self.write.completion_tx.lock() {
                 let _ = tx.send(c);
             }
             return;
@@ -345,9 +383,8 @@ impl OsdInner {
     pub(super) fn complete(&self, waiter: Waiter) {
         match waiter {
             Waiter::Primary(op) => {
-                op.mark(|t| &mut t.handled);
-                op.op_lock.lock().local_commit = true;
-                self.maybe_reply(&op);
+                op.mark(Mark::Handled);
+                self.settle(&op, 1);
             }
             Waiter::Replica { primary, rep_id } => {
                 // Flip the dedup entry to "committed" so retransmits re-ack.
@@ -387,63 +424,112 @@ impl OsdInner {
         }
     }
 
-    pub(super) fn maybe_reply(&self, op: &WriteOp) {
+    /// Settle `n` of `op`'s completions (its local commit, a replica ack,
+    /// skipped replicas); the last one replies.
+    pub(super) fn settle(&self, op: &WriteOp, n: usize) {
         self.log("op commit ready");
-        self.reply_once(op, Ok(OpOutcome::Done), |s| {
-            s.local_commit && s.acks >= op.needed_acks
-        });
+        if op.settle(n) {
+            let send = |to, r| self.send_reply(to, r);
+            self.write.reply(op, Ok(OpOutcome::Done), send);
+        }
     }
 
+    /// Fail `op` unless it has replied already.
     pub(super) fn fail_op(&self, op: &WriteOp, err: AfcError) {
-        self.reply_once(op, Err(err), |_| true);
+        if op.claim_reply() {
+            let send = |to, r| self.send_reply(to, r);
+            self.write.reply(op, Err(err), send);
+        }
     }
 
-    /// The one reply of a write, success or failure: at most once, and
-    /// through the op's ordered-ack lane when it has one, so a failure
-    /// takes its turn like a success and never wedges the lane.
-    fn reply_once(
-        &self,
-        op: &WriteOp,
-        result: Result<OpOutcome>,
-        ready: impl FnOnce(&OpState) -> bool,
-    ) {
-        let permit = {
-            let mut s = op.op_lock.lock();
-            if s.replied || !ready(&s) {
-                return;
-            }
-            s.replied = true;
-            s.permit.take()
-        };
+    fn send_reply(&self, to: Addr, reply: ClientReply) {
         self.log("send client reply");
-        if op.traced && result.is_ok() {
-            let mut s = op.op_lock.lock();
-            if let Some(t) = s.trace.as_mut() {
-                t.reply = Some(Instant::now());
-                self.write.recorder.finish(t);
-            }
-        }
-        let reply = ClientReply {
-            op_id: op.op_id,
-            result,
-        };
-        if let Some(lane) = op.ack_lane {
-            // Ordered acks: hold back until every earlier op on this
-            // (client, pg) lane has been released.
-            let acker = &self.write.acker;
-            for (to, r) in acker.release(op.client, op.pg.id(), lane, op.reply_to, reply) {
-                self.send(to, OsdMsg::Reply(r));
-            }
-        } else {
-            self.send(op.reply_to, OsdMsg::Reply(reply));
-        }
-        drop(permit); // release osd_client_message_cap, after the send
+        self.send(to, OsdMsg::Reply(reply));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use afc_filestore::Throttle;
+    use std::sync::Barrier;
+
+    /// Eight threads race on every op, 100 ops per round: seven settle one
+    /// completion each, the eighth fails every odd op. Each op replies
+    /// exactly once, and an op nobody fails replies `Ok`.
+    fn race_settle_against_fail(ordered_acks: bool) {
+        const OPS: u64 = 10_000;
+        const THREADS: usize = 8;
+        const ROUND: usize = 100;
+        let path = WritePath::new();
+        let throttle = Arc::new(Throttle::new("test", OPS));
+        let pg = Pg::new(PgId {
+            pool: afc_common::PoolId(0),
+            seq: 0,
+        });
+        let client = ClientId(1);
+        let ops: Vec<WriteOp> = (0..OPS)
+            .map(|i| WriteOp {
+                client,
+                op_id: OpId(i),
+                reply_to: Addr::Client(client),
+                pg: Arc::clone(&pg),
+                ack_lane: ordered_acks.then(|| path.acker.assign(client, pg.id())),
+                remaining: AtomicUsize::new(THREADS - 1),
+                replied: AtomicBool::new(false),
+                _permit: throttle.acquire_owned(1).unwrap(),
+                trace: path.recorder.start(),
+            })
+            .collect();
+        let replies: Vec<(AtomicUsize, AtomicBool)> =
+            (0..OPS).map(|_| Default::default()).collect();
+        let barrier = Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (path, ops, replies, barrier) = (&path, &ops, &replies, &barrier);
+                s.spawn(move || {
+                    let mut count = |_: Addr, r: ClientReply| {
+                        let (n, ok) = &replies[r.op_id.0 as usize];
+                        n.fetch_add(1, Ordering::Relaxed);
+                        ok.store(r.result.is_ok(), Ordering::Relaxed);
+                    };
+                    for round in ops.chunks(ROUND) {
+                        barrier.wait();
+                        // As `OsdInner::{settle, fail_op}` do.
+                        for op in round {
+                            if t + 1 < THREADS {
+                                if op.settle(1) {
+                                    path.reply(op, Ok(OpOutcome::Done), &mut count);
+                                }
+                            } else if op.op_id.0 % 2 == 1 && op.claim_reply() {
+                                let err = AfcError::Timeout("raced".into());
+                                path.reply(op, Err(err), &mut count);
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        for (i, (n, ok)) in replies.iter().enumerate() {
+            assert_eq!(n.load(Ordering::Relaxed), 1, "op {i} replies");
+            if i % 2 == 0 {
+                assert!(ok.load(Ordering::Relaxed), "op {i} was never failed");
+            }
+        }
+        assert_eq!(path.acker.held(), 0, "no lane is left waiting");
+        drop(ops);
+        assert_eq!(throttle.in_use(), 0, "every permit released on drop");
+    }
+
+    #[test]
+    fn settle_and_fail_race_to_exactly_one_reply() {
+        race_settle_against_fail(false);
+    }
+
+    #[test]
+    fn settle_and_fail_race_to_exactly_one_reply_on_an_ordered_lane() {
+        race_settle_against_fail(true);
+    }
 
     #[test]
     fn txn_shapes() {

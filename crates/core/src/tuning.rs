@@ -84,8 +84,8 @@ pub struct OsdTuning {
     /// §3.1: per-PG pending queue — op workers never block on a held PG
     /// lock; queued ops are drained in FIFO order by the lock holder.
     pub pending_queue: bool,
-    /// §3.1: dedicated completion worker + per-op (OP) locks;
-    /// journal/filestore completion handlers never touch a PG.
+    /// §3.1: dedicated completion worker; journal/filestore completion
+    /// handlers never touch a PG.
     pub dedicated_completion: bool,
     /// §3.1: replica acks are processed immediately on the messenger
     /// thread instead of being enqueued behind data ops in the PG queue.

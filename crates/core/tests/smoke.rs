@@ -128,27 +128,42 @@ fn osd_stats_account_the_pipeline() {
     cluster.shutdown();
 }
 
+/// The six consecutive write stages tile `total`: on every OSD each stage
+/// counts the same sampled writes, and their `sum_us` adds up to
+/// `total.sum_us` less at most the µs truncation (< 1 µs per stage and
+/// write).
 #[test]
-fn stage_traces_collected_for_writes() {
+fn sampled_write_stages_sum_to_the_total() {
+    const STAGES: [&str; 6] = ["messenger", "pg_queue", "submit", "journal", "apply", "ack"];
     let cluster = small_cluster(OsdTuning::afceph());
     let client = cluster.client().unwrap();
-    for i in 0..64 {
+    for i in 0..160 {
         client
             .write_object(&format!("tr{i}"), 0, &[3u8; 1024])
             .unwrap();
     }
-    let samples: usize = cluster.osds().iter().map(|o| o.stage_samples().len()).sum();
-    assert!(samples > 0, "sampled stage traces missing");
-    let all: Vec<_> = cluster
-        .osds()
-        .iter()
-        .flat_map(|o| o.stage_samples())
-        .collect();
-    let mean = afc_core::StageSample::mean(&all);
-    assert!(mean.total > std::time::Duration::ZERO);
-    assert!(
-        mean.total >= mean.journal,
-        "stage decomposition inconsistent"
-    );
+    let snap = cluster.metrics_snapshot();
+    let mut sampled = 0;
+    for osd in cluster.osds() {
+        let hist = |stage: &str| {
+            snap.histogram(&format!("osd{}.stage.{stage}", osd.id().0))
+                .unwrap()
+                .clone()
+        };
+        let total = hist("total");
+        let parts = STAGES.map(hist);
+        assert!(parts.iter().all(|h| h.count == total.count), "{}", osd.id());
+        let sum: u64 = parts.iter().map(|h| h.sum_us).sum();
+        let slack = STAGES.len() as u64 * total.count;
+        assert!(
+            sum <= total.sum_us && sum + slack >= total.sum_us,
+            "{}: stages sum to {sum} µs, total {} µs over {} writes",
+            osd.id(),
+            total.sum_us,
+            total.count
+        );
+        sampled += total.count;
+    }
+    assert!(sampled > 0, "no write was sampled");
     cluster.shutdown();
 }
