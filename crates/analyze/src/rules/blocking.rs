@@ -6,9 +6,8 @@
 //! tail latency long before it shows up as a hang. Blocking belongs in
 //! the dedicated worker loops that exist for it:
 //!
-//! - `reader_loop`, `completion_worker_loop` — the disk-reader pool and
-//!   the journal-completion drain block on their channels, that is their
-//!   job;
+//! - `completion_worker_loop` — the journal-completion drain blocks on
+//!   its channel, that is its job;
 //! - `reptimer_loop`, `heartbeat_loop` — tickers that sleep between
 //!   sweeps, off the op path.
 //!
@@ -23,12 +22,7 @@ const SCOPE: &str = "crates/core/src/osd";
 
 /// Functions (by name, within [`SCOPE`]) whose bodies may block: the
 /// worker/ticker entry points.
-const SANCTIONED_FNS: &[&str] = &[
-    "reader_loop",
-    "completion_worker_loop",
-    "reptimer_loop",
-    "heartbeat_loop",
-];
+const SANCTIONED_FNS: &[&str] = &["completion_worker_loop", "reptimer_loop", "heartbeat_loop"];
 
 /// Comment marker that waives a specific line.
 const WAIVER: &str = "blocking-ok:";

@@ -137,13 +137,14 @@ pub mod classes {
         no_block_while_held: true,
     };
     /// `AppliedPrefix::marks` — which journal sequences the filestore has
-    /// applied: trim watermark and read-after-write waits (on its own cv).
+    /// applied: trim watermark, parked reads and push waits (on its own
+    /// cv). A released read runs after the guard drops.
     pub static APPLIED: LockClass = LockClass {
         name: "osd.applied",
         rank: 430,
         no_block_while_held: true,
     };
-    /// `OsdInner::{completion_tx, reader_tx}` — worker channel handles.
+    /// `WritePath::completion_tx` — the completion worker's channel handle.
     pub static OSD_CHANNEL_TX: LockClass = LockClass {
         name: "osd.channel_tx",
         rank: 440,

@@ -38,6 +38,10 @@
 //! process-wide [`ledger`] is what the storage stack's waits are booked to;
 //! `Cluster` registers it as `model.{net,nvram,ssd}.{waits,sleep_us,spin_us}`
 //! and `model.overshoot_us`, so **software CPU = process CPU − Σ spin_us**.
+//!
+//! A thread that must be woken early when something falls due sooner (a
+//! messenger delivery thread) splits the wait at its kernel sleep with
+//! [`Ledger::begin`] and sleeps on its own condvar; see [`Wait`].
 
 use crate::metrics::{Counter, Histogram, Metrics};
 use std::cell::Cell;
@@ -149,7 +153,8 @@ thread_local! {
 pub struct ClassLedger {
     /// Waits whose deadline was still ahead when they were asked for.
     pub waits: Counter,
-    /// Wall time those waits spent in kernel sleep, microseconds.
+    /// Wall time those waits spent in kernel sleep, microseconds, plus
+    /// the sleep of split waits that were cut short ([`Wait::interrupted`]).
     pub sleep_us: Counter,
     /// Wall time those waits spent spinning — CPU the model burned.
     pub spin_us: Counter,
@@ -188,12 +193,64 @@ impl Ledger {
     /// deadline has already passed.
     pub fn wait_until(&self, class: WaitClass, deadline: Instant) {
         if let Some(w) = calibrated_wait(deadline) {
-            let row = self.class(class);
-            row.waits.inc();
-            row.sleep_us.add(round_us(w.woke - w.start));
-            row.spin_us.add(round_us(w.end - w.woke));
-            self.overshoot_us.observe(w.end - deadline);
+            self.book(class, deadline, w);
         }
+    }
+
+    /// Start a wait for `deadline` whose kernel sleep the caller performs
+    /// itself, on a condvar it can be woken from (see [`Wait`]). `None`
+    /// when the deadline has already passed: no wait, nothing booked.
+    pub fn begin(&self, class: WaitClass, deadline: Instant) -> Option<Wait<'_>> {
+        Some(Wait {
+            ledger: self,
+            class,
+            deadline,
+            sleep: Sleep::plan(deadline)?,
+        })
+    }
+
+    fn book(&self, class: WaitClass, deadline: Instant, w: Waited) {
+        let row = self.class(class);
+        row.waits.inc();
+        row.sleep_us.add(round_us(w.woke - w.start));
+        row.spin_us.add(round_us(w.end - w.woke));
+        self.overshoot_us.observe(w.end - deadline);
+    }
+}
+
+/// A calibrated wait split at its kernel sleep, for a thread that must be
+/// woken early when something falls due before `deadline` (a messenger
+/// delivery thread). The caller sleeps until [`Self::sleep_target`] on its
+/// own condvar, then either [`Self::finish`]es (spin the residual, book
+/// one wait) or, woken early, calls [`Self::interrupted`]: the time slept
+/// is booked as sleep, but no wait is counted and nothing is spun.
+#[must_use = "a begun wait is finished or interrupted"]
+pub struct Wait<'a> {
+    ledger: &'a Ledger,
+    class: WaitClass,
+    deadline: Instant,
+    sleep: Sleep,
+}
+
+impl Wait<'_> {
+    /// Where the kernel sleep should end: the deadline less this thread's
+    /// wake-error estimate. `None` when the wait is too short to sleep.
+    pub fn sleep_target(&self) -> Option<Instant> {
+        self.sleep.target
+    }
+
+    /// The kernel sleep reached its target (or there was none): learn the
+    /// wake error, spin to the deadline, book the wait. Never returns
+    /// before the deadline.
+    pub fn finish(self) {
+        let waited = self.sleep.spin(self.deadline);
+        self.ledger.book(self.class, self.deadline, waited);
+    }
+
+    /// The kernel sleep was cut short; the caller re-plans.
+    pub fn interrupted(self) {
+        let slept = self.sleep.start.elapsed();
+        self.ledger.class(self.class).sleep_us.add(round_us(slept));
     }
 }
 
@@ -217,39 +274,71 @@ struct Waited {
     end: Instant,
 }
 
-/// The one wait primitive: kernel-sleep to `deadline −` this thread's
-/// wake-error estimate, feed the estimate the error just measured, spin the
-/// residual. `None` when `deadline` is not in the future.
+/// The one wait primitive, in two halves around the kernel sleep: plan it
+/// to `deadline −` this thread's wake-error estimate; after it, feed the
+/// estimate the error just measured and spin the residual.
+struct Sleep {
+    start: Instant,
+    target: Option<Instant>,
+}
+
+impl Sleep {
+    /// `None` when `deadline` is not in the future.
+    fn plan(deadline: Instant) -> Option<Sleep> {
+        let start = Instant::now();
+        if deadline <= start {
+            return None;
+        }
+        let reserve = WAITER.with(|cell| {
+            let mut w = cell.get();
+            if !w.tightened {
+                // SAFETY: PR_SET_TIMERSLACK takes an integer argument and
+                // touches only the calling thread's timer slack. Best
+                // effort: a failure just means this thread's wake errors
+                // stay coarse.
+                unsafe { prctl(PR_SET_TIMERSLACK, 1_000, 0, 0, 0) };
+                w.tightened = true;
+                cell.set(w);
+            }
+            w.est.reserve()
+        });
+        let target = (deadline - start > reserve).then(|| deadline - reserve);
+        Some(Sleep { start, target })
+    }
+
+    /// Called once the kernel sleep to `target` is over.
+    fn spin(self, deadline: Instant) -> Waited {
+        let woke = match self.target {
+            Some(target) => {
+                let woke = Instant::now();
+                WAITER.with(|cell| {
+                    let mut w = cell.get();
+                    w.est.observe(woke.saturating_duration_since(target));
+                    cell.set(w);
+                });
+                woke
+            }
+            None => self.start,
+        };
+        let mut end = woke;
+        while end < deadline {
+            std::hint::spin_loop();
+            end = Instant::now();
+        }
+        Waited {
+            start: self.start,
+            woke,
+            end,
+        }
+    }
+}
+
 fn calibrated_wait(deadline: Instant) -> Option<Waited> {
-    let start = Instant::now();
-    if deadline <= start {
-        return None;
+    let s = Sleep::plan(deadline)?;
+    if let Some(target) = s.target {
+        std::thread::sleep(target - s.start);
     }
-    let mut woke = start;
-    WAITER.with(|cell| {
-        let mut w = cell.get();
-        if !w.tightened {
-            // SAFETY: PR_SET_TIMERSLACK takes an integer argument and
-            // touches only the calling thread's timer slack. Best effort: a
-            // failure just means this thread's wake errors stay coarse.
-            unsafe { prctl(PR_SET_TIMERSLACK, 1_000, 0, 0, 0) };
-            w.tightened = true;
-        }
-        let reserve = w.est.reserve();
-        if deadline - start > reserve {
-            let target = deadline - reserve;
-            std::thread::sleep(target - start);
-            woke = Instant::now();
-            w.est.observe(woke.saturating_duration_since(target));
-        }
-        cell.set(w);
-    });
-    let mut end = woke;
-    while end < deadline {
-        std::hint::spin_loop();
-        end = Instant::now();
-    }
-    Some(Waited { start, woke, end })
+    Some(s.spin(deadline))
 }
 
 /// Wait until `deadline` for a modeled event of `class`, booked to the
@@ -425,6 +514,27 @@ mod tests {
             (booked - wall).abs() < 0.05 * wall,
             "booked {booked} µs of {wall} µs waited"
         );
+    }
+
+    #[test]
+    fn split_wait_is_never_early_and_an_interrupted_one_is_no_wait() {
+        let l = Ledger::default();
+        let deadline = Instant::now() + Duration::from_millis(1);
+        let w = l.begin(WaitClass::Net, deadline).unwrap();
+        let target = w.sleep_target().expect("1 ms is long enough to sleep");
+        assert!(target < deadline);
+        std::thread::sleep(target.saturating_duration_since(Instant::now()));
+        w.finish();
+        assert!(Instant::now() >= deadline);
+        let net = l.class(WaitClass::Net);
+        assert_eq!((net.waits.get(), l.overshoot_us.count()), (1, 1));
+        let slept = net.sleep_us.get();
+        let w = l.begin(WaitClass::Net, Instant::now() + Duration::from_millis(50));
+        std::thread::sleep(Duration::from_millis(2));
+        w.unwrap().interrupted();
+        assert_eq!((net.waits.get(), l.overshoot_us.count()), (1, 1));
+        assert!(net.sleep_us.get() >= slept + 2_000);
+        assert!(l.begin(WaitClass::Net, Instant::now() - US).is_none());
     }
 
     #[test]

@@ -508,7 +508,7 @@ impl Cluster {
                 };
                 let hash = match osd.store().fs().stat(&name) {
                     Ok(size) => match osd.store().read(&name, 0, size as usize) {
-                        Ok(data) => afc_common::rng::hash_bytes(&data),
+                        Ok(read) => afc_common::rng::hash_bytes(&read.wait()),
                         Err(_) => u64::MAX, // unreadable copy
                     },
                     Err(_) => u64::MAX, // missing copy

@@ -35,7 +35,7 @@ pub(super) struct ClientWork {
 pub(super) struct Dispatch {
     /// The OSD-wide ready queue of PGs with pending work.
     q: TrackedMutex<VecDeque<Arc<Pg>>>,
-    pub(super) cv: TrackedCondvar,
+    cv: TrackedCondvar,
     /// Per-volume QoS scheduler for *client* ops (reservation-first +
     /// token-bucket limits; see `crate::qos`). Internal traffic —
     /// replication, acks, recovery, peering — bypasses it via the plain
@@ -62,6 +62,15 @@ impl Dispatch {
             client_ops: Counter::new(),
             unready_drops: Counter::new(),
         }
+    }
+
+    /// Wake every op worker to see the shutdown flag. A worker checks the
+    /// flag holding `q` and releases it only inside `cv.wait`, so taking
+    /// `q` first keeps the notify from falling between its check and its
+    /// wait.
+    pub(super) fn wake_all(&self) {
+        drop(self.q.lock());
+        self.cv.notify_all();
     }
 
     pub(super) fn register(&self, m: &Metrics, osd: &str) {

@@ -563,7 +563,7 @@ impl OsdInner {
                 .store
                 .read(&obj_name, 0, m.size as usize)
                 .ok()
-                .map(Bytes::from),
+                .map(|read| Bytes::from(read.wait())),
             Err(_) => None, // deleted (or never created): propagate absence
         };
         let Some(object) = parse_object_name(&obj_name) else {

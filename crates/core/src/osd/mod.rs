@@ -22,8 +22,9 @@
 //! QoS admission, client requests, op workers), `write` (the one mutation
 //! path, its commit continuation, the completion worker, the client
 //! reply), `replication` (sub-op fan-out, the replica sub-op routine and
-//! its dedup window, acks, resends), `read` (reader pool), `trim` (the
-//! applied prefix: the one order after the journal commit) and `healing`
+//! its dedup window, acks, resends), `read` (reads answered at their
+//! order point, or parked on the applied prefix), `trim` (the applied
+//! prefix: the one order after the journal commit) and `healing`
 //! (heartbeats, peering, recovery). This file is the daemon itself: spawn,
 //! shutdown, crash/replay and the message dispatcher.
 
@@ -52,7 +53,7 @@ use pg::{Pg, PgHealth};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Parameters for spawning an OSD.
 pub struct OsdParams {
@@ -141,17 +142,6 @@ impl Osd {
             };
             for i in 0..dispatch::OP_THREADS {
                 start(format!("op-{i}"), Box::new(dispatch::op_worker_loop))?;
-            }
-            if inner.tuning.pending_queue {
-                let (tx, rx) = crossbeam::channel::unbounded();
-                *inner.read.tx.lock() = Some(tx);
-                for i in 0..2 {
-                    let rx = rx.clone();
-                    start(
-                        format!("reader-{i}"),
-                        Box::new(move |inner| read::reader_loop(inner, rx)),
-                    )?;
-                }
             }
             if inner.tuning.dedicated_completion {
                 let (tx, rx) = crossbeam::channel::unbounded();
@@ -295,7 +285,7 @@ impl Osd {
         inner.dispatch.client_throttle.close();
         // Fail writes still waiting on replica acks (e.g. acks lost to
         // injected faults) so nothing blocks on them across shutdown, and
-        // release any readers parked on the applied prefix.
+        // fail the reads parked on the applied prefix.
         for op in inner.rep.take_stranded() {
             inner.fail_op(&op, AfcError::ShutDown("osd stopping".into()));
         }
@@ -397,8 +387,17 @@ impl OsdInner {
     }
 
     fn send(&self, to: Addr, msg: OsdMsg) {
-        let bytes = msg.wire_bytes();
-        if let Err(e) = self.msgr().send(to, msg, bytes) {
+        self.send_at(to, msg, None);
+    }
+
+    /// Send `msg`, to leave at `at` when given (see [`Messenger::send_at`]).
+    fn send_at(&self, to: Addr, msg: OsdMsg, at: Option<Instant>) {
+        let (msgr, bytes) = (self.msgr(), msg.wire_bytes());
+        let sent = match at {
+            Some(at) => msgr.send_at(to, msg, bytes, at),
+            None => msgr.send(to, msg, bytes),
+        };
+        if let Err(e) = sent {
             self.logger
                 .logf(Level::Error, "osd", || format!("send to {to} failed: {e}"));
         }
@@ -435,7 +434,7 @@ impl OsdInner {
     }
 
     /// Stop taking work: raise the flag, wake the op workers, close the
-    /// completion and reader channels and abandon undispatched QoS-queued
+    /// completion channel and abandon undispatched QoS-queued
     /// client ops (dropping the work closures releases their captured
     /// throttle permits). Shared by shutdown and a failed spawn.
     fn stop_intake(&self) {
@@ -443,9 +442,8 @@ impl OsdInner {
         // and channel teardown below in every thread's view (the worker
         // loops read it Relaxed).
         self.shutdown.store(true, Ordering::SeqCst);
-        self.dispatch.cv.notify_all();
+        self.dispatch.wake_all();
         *self.write.completion_tx.lock() = None;
-        *self.read.tx.lock() = None;
         drop(self.dispatch.qos.clear());
     }
 }

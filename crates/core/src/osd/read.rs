@@ -1,22 +1,19 @@
 //! Reads (and stats): ordered at the PG against earlier writes by the
-//! journal sequence captured there, then executed off the PG lock on the
-//! disk-reader pool.
+//! journal sequence captured there. A read's device time is planned, not
+//! slept through: its reply is stamped to leave when the SSD read
+//! completes, so one modeled wait on the reply's connection thread covers
+//! the device and the hop.
 
 use super::OsdInner;
-use crate::messages::{ObjectOp, OpOutcome};
-use afc_common::lockdep::{classes, TrackedMutex};
+use crate::messages::{ClientReply, ObjectOp, OpOutcome, OsdMsg};
 use afc_common::metrics::{Counter, Metrics};
-use afc_common::OpId;
+use afc_common::{OpId, Result};
 use afc_filestore::throttle::OwnedPermit;
 use afc_messenger::Addr;
 use bytes::Bytes;
-use crossbeam::channel::{Receiver, Sender};
 use std::sync::Arc;
 
-/// A read or stat handed off to the disk-reader pool (§3.1/§4.3: with the
-/// pending queue, "the read requests of other PG can be processed without
-/// delay" — reads leave the PG pipeline once ordered and execute off the
-/// op worker).
+/// A read or stat at its PG order point.
 pub(super) struct ReadJob {
     pub(super) from: Addr,
     pub(super) op_id: OpId,
@@ -31,70 +28,81 @@ pub(super) struct ReadJob {
 }
 
 pub(super) struct ReadPath {
-    pub(super) tx: TrackedMutex<Option<Sender<ReadJob>>>,
     reads: Counter,
+    /// Reads that found the applied prefix short of their order point.
+    parks: Counter,
 }
 
 impl ReadPath {
     pub(super) fn new() -> Self {
         ReadPath {
-            tx: TrackedMutex::new(&classes::OSD_CHANNEL_TX, None),
             reads: Counter::new(),
+            parks: Counter::new(),
         }
     }
 
     pub(super) fn register(&self, m: &Metrics, osd: &str) {
         m.register_counter(format!("{osd}.op.reads"), &self.reads);
-    }
-}
-
-/// One disk-reader pool thread.
-pub(super) fn reader_loop(inner: Arc<OsdInner>, rx: Receiver<ReadJob>) {
-    while let Ok(job) = rx.recv() {
-        inner.execute_read(job);
+        m.register_counter(format!("{osd}.op.read_parks"), &self.parks);
     }
 }
 
 impl OsdInner {
-    /// A read or stat at its PG order point (PG lock held): hand the job to
-    /// whoever executes it.
-    pub(super) fn process_read(&self, job: ReadJob) {
+    /// A read or stat at its PG order point (PG lock held).
+    pub(super) fn process_read(self: &Arc<Self>, job: ReadJob) {
         if matches!(job.query, ObjectOp::Read { .. }) {
             self.log("do_op: read");
             self.alloc_overhead();
             self.read.reads.inc();
         }
         if !self.tuning.pending_queue {
-            // Community: the device read happens right here, holding the PG
-            // lock for its whole duration (the behaviour the pending queue
-            // fixes: other requests to this PG — and this op worker — stall).
-            return self.execute_read(job);
+            // Community: the applies ordered before the read and the device
+            // read itself are waited for right here, holding the PG lock
+            // (the behaviour the pending queue fixes: other requests to
+            // this PG — and this op worker — stall).
+            let ordered = self.write.applied.wait(job.ordered_after);
+            return self.answer(job, ordered);
         }
-        // §3.1: executed on the disk-reader pool so the PG lock and the op
-        // worker are released immediately. No pool means shutting down;
-        // dropping the job releases its permit. The send is unbounded, so
-        // it never blocks under the handle's no-block lock.
-        if let Some(tx) = &*self.read.tx.lock() {
-            let _ = tx.send(job);
+        // §3.1/§4.3: "the read requests of other PG can be processed
+        // without delay". A read whose applies are not in yet is parked on
+        // the prefix; whoever settles it answers, and no thread waits.
+        let inner = Arc::clone(self);
+        let target = job.ordered_after;
+        let then = Box::new(move |ordered| inner.answer(job, ordered));
+        if self.write.applied.after(target, then) {
+            self.read.parks.inc();
         }
     }
 
-    /// Complete a read: wait for the applies ordered before it, hit the
-    /// filestore, reply. A timed-out wait is the reply; no filestore look.
-    fn execute_read(&self, job: ReadJob) {
-        let ordered = self.write.applied.wait(job.ordered_after);
+    /// Answer a read once its ordering wait is over: plan the device read
+    /// and stamp the reply to leave when it completes (Community waits for
+    /// it here, under the PG lock). A failed ordering wait is the reply; no
+    /// filestore look. The permit goes once the reply is handed to the
+    /// messenger.
+    fn answer(&self, job: ReadJob, ordered: Result<()>) {
+        let mut leaves = None;
         let result = ordered.and_then(|()| match job.query {
             ObjectOp::Read { offset, len } => {
-                let data = self.store.read(&job.obj_name, offset, len as usize);
+                let read = self.store.read(&job.obj_name, offset, len as usize)?;
                 self.log("read reply");
-                data.map(|v| OpOutcome::Data(Bytes::from(v)))
+                let data = if self.tuning.pending_queue {
+                    leaves = Some(read.done);
+                    read.data
+                } else {
+                    read.wait()
+                };
+                Ok(OpOutcome::Data(Bytes::from(data)))
             }
             _ => self
                 .store
                 .stat(&job.obj_name)
                 .map(|m| OpOutcome::Size(m.size)),
         });
-        self.reply(job.from, job.op_id, result);
+        let reply = ClientReply {
+            op_id: job.op_id,
+            result,
+        };
+        self.send_at(job.from, OsdMsg::Reply(reply), leaves);
         drop(job.permit);
     }
 }

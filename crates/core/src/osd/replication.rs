@@ -102,12 +102,14 @@ impl Replication {
 /// Replication retransmit ticker: sweeps the wait tables for sub-ops whose
 /// ack is overdue (lost Replicate or RepAck) and resends, failing the op
 /// after `rep_max_resends` attempts. Also sweeps the recovery pushes,
-/// requeueing overdue ones.
+/// requeueing overdue ones, and fails reads parked on the applied prefix
+/// past their deadline.
 pub(super) fn reptimer_loop(inner: Arc<OsdInner>) {
     while !inner.shutdown.load(Ordering::Relaxed) {
         std::thread::sleep(Duration::from_millis(10));
         inner.resend_expired_reps();
         inner.requeue_expired_pushes();
+        inner.write.applied.expire(Instant::now());
     }
 }
 

@@ -6,9 +6,11 @@
 //! longest contiguous prefix of *settled* sequences, and everyone who needs
 //! an order waits on that one watermark: **journal trim** frees the ring
 //! through it; **a read** captures its PG's last submitted sequence at its
-//! PG order point and waits for `prefix >= captured` — never for a write
-//! submitted after it; **a recovery push** waits for everything submitted
-//! so far; **replay** re-marks what it re-applies (marks are a set).
+//! PG order point and runs once `prefix >= captured` — never after a write
+//! submitted after it — parked here, not on a sleeping thread, when it
+//! must wait ([`AppliedPrefix::after`]); **a recovery push** waits for
+//! everything submitted so far; **replay** re-marks what it re-applies
+//! (marks are a set).
 //!
 //! A sequence settles when its apply lands, when replay finds it was never
 //! durable (*void*: a torn tail — a tear models power loss, so nothing runs
@@ -24,6 +26,17 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+/// What runs once a parked target settles, with `Ok`, or fails closed
+/// (`Timeout`, `ShutDown`).
+pub(super) type Then = Box<dyn FnOnce(Result<()>) + Send>;
+
+/// A continuation parked until the prefix reaches `target`.
+struct Parked {
+    target: u64,
+    deadline: Instant,
+    then: Then,
+}
+
 #[derive(Default)]
 struct Marks {
     /// Every sequence `<= settled` is settled.
@@ -34,6 +47,8 @@ struct Marks {
     failed: BTreeSet<u64>,
     /// Threads parked in `wait`; nobody is notified while this is zero.
     waiters: usize,
+    /// Continuations parked by `after`, in park order.
+    parked: Vec<Parked>,
     closed: bool,
 }
 
@@ -65,9 +80,11 @@ pub(super) struct AppliedPrefix {
     /// one load. Stored `Release` after the apply it reports, loaded
     /// `Acquire` before the filestore read that relies on it.
     settled: AtomicU64,
-    /// How long `wait` waits: far beyond any healthy apply.
+    /// How long `wait` waits and a park stays parked: far beyond any
+    /// healthy apply.
     timeout: Duration,
-    /// Waits that ended at their deadline instead of at the apply.
+    /// Waits and parks that ended at their deadline instead of at the
+    /// apply.
     pub(super) timeouts: Counter,
 }
 
@@ -84,18 +101,29 @@ impl AppliedPrefix {
     }
 
     /// Run `f` on the marks, publish the prefix and wake waiters if it
-    /// moved, and return the trim watermark if *that* advanced.
+    /// moved, run the continuations it released (on this thread, after
+    /// the lock), and return the trim watermark if *that* advanced.
     fn update(&self, f: impl FnOnce(&mut Marks)) -> Option<u64> {
-        let mut m = self.marks.lock();
-        let (settled, trim) = (m.settled, m.trim_watermark());
-        f(&mut m);
-        if m.settled != settled {
-            self.settled.store(m.settled, Ordering::Release);
-            if m.waiters > 0 {
-                self.cv.notify_all();
+        let (trim, released) = {
+            let mut m = self.marks.lock();
+            let (settled, trim) = (m.settled, m.trim_watermark());
+            f(&mut m);
+            let mut released = Vec::new();
+            if m.settled != settled {
+                self.settled.store(m.settled, Ordering::Release);
+                if m.waiters > 0 {
+                    self.cv.notify_all();
+                }
+                let reached = m.settled;
+                released.extend(m.parked.extract_if(.., |p| p.target <= reached));
             }
+            let after = m.trim_watermark();
+            ((after > trim).then_some(after), released)
+        };
+        for p in released {
+            (p.then)(Ok(()));
         }
-        Some(m.trim_watermark()).filter(|&after| after > trim)
+        trim
     }
 
     /// `seq` is in the filestore: its queued apply landed or replay
@@ -150,14 +178,58 @@ impl AppliedPrefix {
             }
             if self.cv.wait_until(&mut m, deadline).timed_out() && m.settled < target {
                 self.timeouts.inc();
-                break Err(AfcError::Timeout(format!(
-                    "applied through journal seq {} of {target} ordered before this read",
-                    m.settled
-                )));
+                break Err(timed_out(m.settled, target));
             }
         };
         m.waiters -= 1;
         res
+    }
+
+    /// Run `then` once every sequence `<= target` has settled: right here
+    /// when it has (one atomic load), else parked — no thread waits — and
+    /// run by whoever settles the last of them. Fails closed like
+    /// [`Self::wait`]: [`Self::expire`] times a park out, [`Self::close`]
+    /// shuts it down. True when `then` was parked.
+    pub(super) fn after(&self, target: u64, then: Then) -> bool {
+        if self.settled.load(Ordering::Acquire) >= target {
+            then(Ok(()));
+            return false;
+        }
+        let now = {
+            let mut m = self.marks.lock();
+            if m.settled >= target {
+                Ok(())
+            } else if m.closed {
+                Err(AfcError::ShutDown("osd stopping".into()))
+            } else {
+                let deadline = Instant::now() + self.timeout;
+                m.parked.push(Parked {
+                    target,
+                    deadline,
+                    then,
+                });
+                return true;
+            }
+        };
+        then(now);
+        false
+    }
+
+    /// Fail every park whose deadline has passed with a counted
+    /// [`AfcError::Timeout`] (the replication ticker's sweep).
+    pub(super) fn expire(&self, now: Instant) {
+        let (settled, expired) = {
+            let mut m = self.marks.lock();
+            if m.parked.is_empty() {
+                return;
+            }
+            let expired: Vec<Parked> = m.parked.extract_if(.., |p| p.deadline <= now).collect();
+            (m.settled, expired)
+        };
+        for p in expired {
+            self.timeouts.inc();
+            (p.then)(Err(timed_out(settled, p.target)));
+        }
     }
 
     /// Crash: marks are volatile, what the journal was told to free is
@@ -171,16 +243,31 @@ impl AppliedPrefix {
         self.settled.store(m.settled, Ordering::Release);
     }
 
-    /// Fail every present and future waiter (shutdown).
+    /// Fail every present and future waiter and park (shutdown).
     pub(super) fn close(&self) {
-        self.marks.lock().closed = true;
+        let parked = {
+            let mut m = self.marks.lock();
+            m.closed = true;
+            std::mem::take(&mut m.parked)
+        };
         self.cv.notify_all();
+        for p in parked {
+            (p.then)(Err(AfcError::ShutDown("osd stopping".into())));
+        }
     }
+}
+
+fn timed_out(settled: u64, target: u64) -> AfcError {
+    AfcError::Timeout(format!(
+        "applied through journal seq {settled} of {target} ordered before this read"
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use afc_filestore::Throttle;
+    use std::sync::Arc;
 
     const SOON: Duration = Duration::from_millis(20);
     const LONG: Duration = Duration::from_secs(10);
@@ -304,6 +391,77 @@ mod tests {
         assert_eq!(t.applied(2), None, "pre-crash seq is a duplicate");
         assert_eq!(t.applied(4), None);
         assert_eq!(t.applied(3), Some(4));
+    }
+
+    /// Park a continuation that holds a throttle slot, as a read holds its
+    /// client permit; its outcome arrives on the returned channel.
+    fn park(
+        t: &AppliedPrefix,
+        target: u64,
+        throttle: &Arc<Throttle>,
+    ) -> (bool, crossbeam::channel::Receiver<Result<()>>) {
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let permit = throttle.acquire_owned(1).unwrap();
+        let parked = t.after(
+            target,
+            Box::new(move |r| {
+                let _ = tx.send(r);
+                drop(permit);
+            }),
+        );
+        (parked, rx)
+    }
+
+    #[test]
+    fn parked_continuations_are_released_by_applied_failed_and_void() {
+        let throttle = Arc::new(Throttle::new("test", 8));
+        let t = AppliedPrefix::new(LONG);
+        let (parked, now) = park(&t, 0, &throttle);
+        assert!(!parked, "nothing ordered before: runs at once");
+        assert!(matches!(now.try_recv(), Ok(Ok(()))));
+        let (_, one) = park(&t, 1, &throttle);
+        let (_, two) = park(&t, 2, &throttle);
+        let (parked, four) = park(&t, 4, &throttle);
+        assert!(parked);
+        assert_eq!(throttle.in_use(), 3);
+        t.applied(2);
+        assert!(one.try_recv().is_err() && two.try_recv().is_err());
+        t.applied(1);
+        assert!(matches!(one.try_recv(), Ok(Ok(()))));
+        assert!(matches!(two.try_recv(), Ok(Ok(()))));
+        t.failed(3);
+        assert!(four.try_recv().is_err(), "released with seq 4 outstanding");
+        t.void(4..5);
+        assert!(matches!(four.try_recv(), Ok(Ok(()))));
+        assert_eq!(throttle.in_use(), 0);
+        assert_eq!(t.timeouts.get(), 0);
+    }
+
+    #[test]
+    fn expired_park_fails_closed_and_is_counted() {
+        let throttle = Arc::new(Throttle::new("test", 8));
+        let t = AppliedPrefix::new(SOON);
+        let (_, r) = park(&t, 1, &throttle);
+        t.expire(Instant::now());
+        assert!(r.try_recv().is_err(), "expired before its deadline");
+        t.expire(Instant::now() + SOON);
+        assert!(matches!(r.try_recv(), Ok(Err(AfcError::Timeout(_)))));
+        assert_eq!((t.timeouts.get(), throttle.in_use()), (1, 0));
+        t.applied(1);
+        assert!(r.try_recv().is_err(), "ran twice");
+    }
+
+    #[test]
+    fn close_fails_parks_present_and_future() {
+        let throttle = Arc::new(Throttle::new("test", 8));
+        let t = AppliedPrefix::new(LONG);
+        let (_, before) = park(&t, 1, &throttle);
+        t.close();
+        assert!(matches!(before.try_recv(), Ok(Err(AfcError::ShutDown(_)))));
+        let (parked, after) = park(&t, 1, &throttle);
+        assert!(!parked);
+        assert!(matches!(after.try_recv(), Ok(Err(AfcError::ShutDown(_)))));
+        assert_eq!((t.timeouts.get(), throttle.in_use()), (0, 0));
     }
 
     #[test]

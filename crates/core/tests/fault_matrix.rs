@@ -388,3 +388,40 @@ fn pipelined_write_write_read_cannot_wait_on_its_own_pg_lock() {
         cluster.shutdown();
     }
 }
+
+/// A read ordered behind a write whose apply is held up parks on the
+/// applied prefix — no thread waits for it — and is answered by the apply
+/// thread once the apply lands: with the new bytes, never the old ones.
+#[test]
+fn read_behind_a_delayed_apply_parks_and_returns_the_new_bytes() {
+    let cluster = Cluster::builder()
+        .nodes(1)
+        .osds_per_node(1)
+        .replication(1)
+        .pg_num(8)
+        .tuning(OsdTuning::afceph())
+        .devices(DeviceProfile::clean())
+        .faults(FaultPlan::new(0x0a))
+        .build()
+        .unwrap();
+    let reg = cluster.fault_registry().unwrap().clone();
+    let client = cluster.client().unwrap();
+    client.write_object("parked", 0, b"old bytes").unwrap();
+    cluster.quiesce();
+
+    let hold = Duration::from_millis(300);
+    reg.install(FaultSpec::new("osd0.fs.apply", FaultKind::Delay(hold)).times(1));
+    let t0 = Instant::now();
+    // Acked at the journal commit, long before its apply.
+    client.write_object("parked", 0, b"new bytes").unwrap();
+    assert_eq!(client.read_object("parked", 0, 9).unwrap(), b"new bytes");
+    assert!(
+        t0.elapsed() >= hold,
+        "read answered before the apply landed"
+    );
+    assert_eq!(reg.hits("osd0.fs.apply"), 1);
+    let snap = cluster.metrics_snapshot();
+    assert_eq!(snap.counter("osd0.op.read_parks"), Some(1));
+    assert_eq!(snap.counter("osd0.op.gate_timeouts"), Some(0));
+    cluster.shutdown();
+}

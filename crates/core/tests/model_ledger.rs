@@ -1,33 +1,62 @@
 //! The modeled-wait ledger as the cluster reports it: `model.*` in
-//! `Cluster::metrics_snapshot()` after a QD1 write loop.
+//! `Cluster::metrics_snapshot()` after a QD1 write loop, and where a read's
+//! device time is booked.
 //!
 //! Alone in its test binary: the ledger is process-wide, so a second
-//! cluster in this process would book its waits to the same rows while
-//! `net.msgs` stayed per cluster.
+//! cluster running in this process would book its waits to the same rows
+//! while `net.msgs` stayed per cluster. The clusters below run one after
+//! the other.
 
-use afc_core::{Cluster, DeviceProfile, OsdTuning};
+use afc_core::{Cluster, DeviceProfile, OsdTuning, RadosClient};
 
-#[test]
-fn qd1_writes_show_up_in_the_model_ledger() {
-    let cluster = Cluster::builder()
+const READS: u64 = 64;
+
+fn cluster(tuning: OsdTuning) -> Cluster {
+    Cluster::builder()
         .nodes(2)
         .osds_per_node(2)
         .replication(2)
         .pg_num(64)
-        .tuning(OsdTuning::afceph())
+        .tuning(tuning)
         .devices(DeviceProfile::clean())
         .build()
-        .unwrap();
-    let client = cluster.client().unwrap();
+        .unwrap()
+}
+
+fn write_loop(client: &RadosClient, n: u64) {
     let buf = vec![0x5au8; 4096];
-    for i in 0..200u64 {
+    for i in 0..n {
         client
             .write_object(&format!("obj{}", i % 16), (i / 16) * 4096, &buf)
             .unwrap();
     }
-    cluster.quiesce();
-    let snap = cluster.metrics_snapshot();
-    cluster.shutdown();
+}
+
+/// `model.ssd.waits` booked by [`READS`] QD1 reads of written objects.
+fn ssd_waits_of_reads(cluster: &Cluster, client: &RadosClient) -> u64 {
+    let ssd_waits = || {
+        cluster
+            .metrics_snapshot()
+            .counter("model.ssd.waits")
+            .unwrap()
+    };
+    let before = ssd_waits();
+    for i in 0..READS {
+        let data = client
+            .read_object(&format!("obj{}", i % 16), 0, 4096)
+            .unwrap();
+        assert_eq!(data, vec![0x5au8; 4096]);
+    }
+    ssd_waits() - before
+}
+
+#[test]
+fn qd1_writes_and_reads_show_up_in_the_model_ledger() {
+    let afceph = cluster(OsdTuning::afceph());
+    let client = afceph.client().unwrap();
+    write_loop(&client, 200);
+    afceph.quiesce();
+    let snap = afceph.metrics_snapshot();
 
     let c = |name: &str| {
         snap.counter(name)
@@ -58,4 +87,23 @@ fn qd1_writes_show_up_in_the_model_ledger() {
         c("model.net.waits") + c("model.nvram.waits") + c("model.ssd.waits")
     );
     assert!(overshoot.count > 0);
+
+    // An AFCeph read's SSD time sits inside its reply's `model.net` wait:
+    // no thread waits for the device.
+    assert_eq!(ssd_waits_of_reads(&afceph, &client), 0);
+    afceph.shutdown();
+
+    // A Community read waits for the device on its op worker, holding
+    // the PG lock: one SSD wait each. A wait whose deadline passed before
+    // it began books nothing, so a descheduled worker may book fewer.
+    let community = cluster(OsdTuning::community());
+    let client = community.client().unwrap();
+    write_loop(&client, 16);
+    community.quiesce();
+    let waits = ssd_waits_of_reads(&community, &client);
+    assert!(
+        waits <= READS && waits * 10 >= READS * 9,
+        "{waits} SSD waits for {READS} reads"
+    );
+    community.shutdown();
 }

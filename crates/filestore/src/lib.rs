@@ -33,7 +33,7 @@ pub mod throttle;
 pub mod txn;
 
 pub use metacache::{MetaCache, ObjectMeta};
-pub use simfs::SimFs;
+pub use simfs::{PlannedRead, SimFs};
 pub use store::{FileStore, FileStoreConfig, TxnProfile};
 pub use throttle::Throttle;
 pub use txn::{Transaction, TxOp};

@@ -13,13 +13,13 @@
 //! syscall-reduction table.
 
 use afc_common::metrics::{Counter, Metrics};
-use afc_common::{AfcError, Result};
+use afc_common::{wait_until, AfcError, Result, WaitClass};
 use afc_device::{BlockDev, IoKind, IoReq, StreamId};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Per-object heat threshold: an object rewritten this many times is
 /// classed hot and its data writes move to the [`StreamId::DataHot`]
@@ -69,6 +69,27 @@ struct FileNode {
     /// Stable inode/xattr block on the device (metadata writes overwrite
     /// in place, like a real filesystem journals the same inode).
     meta_block: u64,
+}
+
+/// Bytes read from a file, handed over once the device read is planned,
+/// and the instant the modeled device finishes reading them. The caller
+/// decides who waits for that instant: [`Self::wait`] for a blocking read,
+/// or a message stamped to leave then.
+#[derive(Debug)]
+pub struct PlannedRead {
+    /// The bytes.
+    pub data: Vec<u8>,
+    /// When the device read completes.
+    pub done: Instant,
+    class: WaitClass,
+}
+
+impl PlannedRead {
+    /// Wait for the device, then take the bytes.
+    pub fn wait(self) -> Vec<u8> {
+        wait_until(self.class, self.done);
+        self.data
+    }
 }
 
 /// The simulated filesystem: named files + xattrs over a device.
@@ -207,12 +228,13 @@ impl SimFs {
         Ok(())
     }
 
-    /// `pread`: fetch bytes and charge the device read. Reads past EOF
-    /// return the available prefix (zero-filled holes included).
-    pub fn read(&self, path: &str, offset: u64, len: usize) -> Result<Vec<u8>> {
+    /// `pread`: fetch bytes and plan the device read, without waiting for
+    /// it. Reads past EOF return the available prefix (zero-filled holes
+    /// included).
+    pub fn read(&self, path: &str, offset: u64, len: usize) -> Result<PlannedRead> {
         self.syscall(&self.sys_read);
         let node = self.node(path)?;
-        let (out, spans) = {
+        let (data, spans) = {
             let mut n = node.lock();
             let start = (offset as usize).min(n.data.len());
             let end = (offset as usize + len).min(n.data.len());
@@ -220,10 +242,15 @@ impl SimFs {
             self.ensure_extents(&mut n, offset + len as u64);
             (out, extent_spans(&n.extents, offset, len as u64))
         };
+        let mut done = Instant::now();
         for (off, l) in spans {
-            self.charge_at(IoKind::Read, off, l, StreamId::DataCold)?;
+            done = done.max(self.dev.plan(IoReq::read(off, l))?.completion);
         }
-        Ok(out)
+        Ok(PlannedRead {
+            data,
+            done,
+            class: self.dev.wait_class(),
+        })
     }
 
     /// `ftruncate`.
@@ -338,10 +365,10 @@ mod tests {
         let fs = fs();
         fs.open_create("obj1").unwrap();
         fs.write("obj1", 100, b"hello").unwrap();
-        assert_eq!(fs.read("obj1", 100, 5).unwrap(), b"hello");
-        assert_eq!(fs.read("obj1", 0, 4).unwrap(), vec![0u8; 4]);
+        assert_eq!(fs.read("obj1", 100, 5).unwrap().data, b"hello");
+        assert_eq!(fs.read("obj1", 0, 4).unwrap().data, vec![0u8; 4]);
         // Read past EOF returns prefix.
-        assert_eq!(fs.read("obj1", 103, 10).unwrap(), b"lo");
+        assert_eq!(fs.read("obj1", 103, 10).unwrap().data, b"lo");
         assert_eq!(fs.stat("obj1").unwrap(), 105);
     }
 

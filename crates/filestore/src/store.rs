@@ -1,7 +1,7 @@
 //! The filestore: transaction application over [`SimFs`] + the KV DB.
 
 use crate::metacache::{MetaCache, ObjectMeta};
-use crate::simfs::SimFs;
+use crate::simfs::{PlannedRead, SimFs};
 use crate::throttle::Throttle;
 use crate::txn::{Transaction, TxOp};
 use afc_common::faults::{FaultKind, FaultRegistry};
@@ -271,8 +271,9 @@ impl FileStore {
             .map_err(|_| AfcError::ShutDown("filestore".into()))?
     }
 
-    /// Read object data (charges the device).
-    pub fn read(&self, object: &str, offset: u64, len: usize) -> Result<Vec<u8>> {
+    /// Read object data: the bytes now, the device read planned (see
+    /// [`PlannedRead`]).
+    pub fn read(&self, object: &str, offset: u64, len: usize) -> Result<PlannedRead> {
         self.fs.read(object, offset, len)
     }
 
@@ -626,7 +627,7 @@ mod tests {
     fn apply_roundtrip_community() {
         let fs = nvram_store(FileStoreConfig::community());
         fs.apply_sync(write_txn("obj", 4096, true)).unwrap();
-        assert_eq!(fs.read("obj", 0, 4096).unwrap(), vec![7u8; 4096]);
+        assert_eq!(fs.read("obj", 0, 4096).unwrap().data, vec![7u8; 4096]);
         let meta = fs.stat("obj").unwrap();
         assert_eq!(meta.size, 4096);
         assert_eq!(meta.version, 1);
@@ -645,7 +646,7 @@ mod tests {
     fn apply_roundtrip_lightweight() {
         let fs = nvram_store(FileStoreConfig::lightweight());
         fs.apply_sync(write_txn("obj", 4096, true)).unwrap();
-        assert_eq!(fs.read("obj", 0, 4096).unwrap(), vec![7u8; 4096]);
+        assert_eq!(fs.read("obj", 0, 4096).unwrap().data, vec![7u8; 4096]);
         assert_eq!(fs.stat("obj").unwrap().size, 4096);
         assert_eq!(fs.hints_skipped.get(), 1, "small-write hint not skipped");
         assert!(!fs.fs().alloc_hint("obj").unwrap());
@@ -726,7 +727,7 @@ mod tests {
         });
         fs.apply_sync(t).unwrap();
         assert_eq!(fs.stat("o").unwrap().size, 10);
-        assert_eq!(fs.read("o", 0, 100).unwrap().len(), 10);
+        assert_eq!(fs.read("o", 0, 100).unwrap().data.len(), 10);
     }
 
     #[test]
@@ -823,7 +824,7 @@ mod tests {
         // Some ops landed, some didn't. Re-applying the journaled txn in
         // full is the recovery contract and must converge.
         fs.apply_sync(write_txn("o", 64, false)).unwrap();
-        assert_eq!(fs.read("o", 0, 64).unwrap(), vec![7u8; 64]);
+        assert_eq!(fs.read("o", 0, 64).unwrap().data, vec![7u8; 64]);
         assert_eq!(fs.stat("o").unwrap().size, 64);
     }
 
@@ -833,7 +834,7 @@ mod tests {
         fs.apply_sync(write_txn("o", 128, false)).unwrap();
         fs.sync().unwrap();
         fs.crash_volatile().unwrap();
-        assert_eq!(fs.read("o", 0, 128).unwrap().len(), 128);
+        assert_eq!(fs.read("o", 0, 128).unwrap().data.len(), 128);
         assert_eq!(fs.stat("o").unwrap().size, 128);
     }
 

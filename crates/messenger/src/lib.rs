@@ -12,9 +12,18 @@
 //!   the first message of a connection (which creates its thread) take it
 //!   exclusively, so senders do not serialise on the fabric.
 //! - Each `(sender → receiver)` pair gets a dedicated **connection thread**
-//!   that enforces per-connection FIFO ordering, models wire latency, and
-//!   optionally burns per-message CPU (protocol/checksum work) so host CPU
-//!   becomes the collective ceiling exactly as in the paper.
+//!   that models wire latency, delivers in departure order, and optionally
+//!   burns per-message CPU (protocol/checksum work) so host CPU becomes the
+//!   collective ceiling exactly as in the paper.
+//! - **Departure-ordered delivery.** A message arrives one hop after it
+//!   departs: at once for [`Messenger::send`], at a stated instant for
+//!   [`Messenger::send_at`] (a read reply that leaves when its SSD read
+//!   completes, so no thread sleeps through the device). A delivery thread
+//!   holds its messages by arrival, sleeps once for the earliest and
+//!   delivers everything due when it wakes. Plain sends on a connection
+//!   stay FIFO; a stamped one never holds back a message that leaves
+//!   before it. A sender wakes the thread only when its message arrives
+//!   before the one the thread sleeps for.
 //! - **Nagle modeling** (§3.2): with `nagle = true` (community KRBD on
 //!   CentOS 7), messages smaller than one MSS are delayed by the
 //!   small-packet coalescing window before they leave the sender. Large
@@ -32,11 +41,12 @@ pub use addr::Addr;
 
 use afc_common::faults::{FaultKind, FaultRegistry};
 use afc_common::metrics::{Counter, Metrics};
-use afc_common::{wait_until, AfcError, Result, WaitClass};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::RwLock;
-use std::collections::HashMap;
+use afc_common::timeutil::ledger;
+use afc_common::{AfcError, Result, WaitClass};
+use parking_lot::{Condvar, Mutex, RwLock};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Network timing/behaviour configuration.
@@ -64,8 +74,9 @@ pub struct NetConfig {
 /// is not scalable and have receiver and sender threads for each
 /// connection"). Ceph's eventual fix was AsyncMessenger: a fixed worker
 /// pool multiplexing all connections. Both are available here; connections
-/// are sharded onto async workers by connection id, so per-connection FIFO
-/// ordering is identical in both modes.
+/// are sharded onto async workers by connection id, and a worker orders
+/// its connections' messages by arrival, so delivery order is identical in
+/// both modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MessengerMode {
     /// Thread per inbound connection (Ceph SimpleMessenger; the default,
@@ -123,35 +134,183 @@ impl<M, F: Fn(Addr, M) + Send + Sync> Dispatcher<M> for F {
     }
 }
 
-struct Envelope<M> {
-    from: Addr,
-    departed: Instant,
-    msg: M,
-}
-
 struct ConnHandle<M> {
-    tx: Sender<WorkItem<M>>,
+    lane: Arc<Lane<M>>,
+    /// This connection's slot in its lane's plain-send floors.
+    slot: usize,
     /// Present only for Simple-mode per-connection threads; Async lanes are
     /// owned by the network.
-    thread: Option<std::thread::JoinHandle<()>>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl<M> ConnHandle<M> {
+    /// Wind the connection down: a Simple-mode thread delivers what it
+    /// holds and exits. An Async lane outlives its connections.
+    fn close(self) {
+        if let Some(t) = self.thread {
+            self.lane.close();
+            let _ = t.join();
+        }
+    }
 }
 
 struct WorkItem<M> {
-    env: Envelope<M>,
+    from: Addr,
+    msg: M,
     dispatcher: Arc<dyn Dispatcher<M>>,
+}
+
+/// What a delivery thread is doing, so a sender wakes it only when it
+/// must.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Activity {
+    /// Delivering, or about to look at its queue again.
+    Busy,
+    /// Nothing queued: any arrival wakes it.
+    Idle,
+    /// Asleep until this arrival: only an earlier one wakes it.
+    Until(Instant),
+}
+
+struct LaneState<M> {
+    /// Held messages by arrival; ties keep send order.
+    queue: BTreeMap<(Instant, u64), WorkItem<M>>,
+    next_seq: u64,
+    /// Per connection on the lane, the arrival of its last plain send: a
+    /// plain send never arrives before one sent earlier on its connection.
+    floors: Vec<Instant>,
+    activity: Activity,
+    closed: bool,
+}
+
+/// One delivery thread's queue: a connection's in Simple mode, a worker's
+/// shared by many connections in Async mode.
+struct Lane<M> {
+    state: Mutex<LaneState<M>>,
+    cv: Condvar,
+}
+
+impl<M> Lane<M> {
+    fn new() -> Arc<Self> {
+        Arc::new(Lane {
+            state: Mutex::new(LaneState {
+                queue: BTreeMap::new(),
+                next_seq: 0,
+                floors: Vec::new(),
+                activity: Activity::Busy,
+                closed: false,
+            }),
+            cv: Condvar::new(),
+        })
+    }
+
+    /// Give a new connection its slot.
+    fn add_conn(&self) -> usize {
+        let mut st = self.state.lock();
+        st.floors.push(Instant::now());
+        st.floors.len() - 1
+    }
+
+    /// Hold `item` until `arrival` (raised to the connection's floor for a
+    /// plain send). False once the lane is closed.
+    fn push(&self, slot: usize, mut arrival: Instant, stamped: bool, item: WorkItem<M>) -> bool {
+        let mut st = self.state.lock();
+        if st.closed {
+            return false;
+        }
+        if !stamped {
+            arrival = arrival.max(st.floors[slot]);
+            st.floors[slot] = arrival;
+        }
+        let seq = st.next_seq;
+        st.next_seq += 1;
+        st.queue.insert((arrival, seq), item);
+        let wake = match st.activity {
+            Activity::Busy => false,
+            Activity::Idle => true,
+            Activity::Until(t) => arrival < t,
+        };
+        if wake {
+            st.activity = Activity::Busy;
+            drop(st);
+            self.cv.notify_one();
+        }
+        true
+    }
+
+    /// Refuse further messages; the thread delivers what it holds, then
+    /// exits.
+    fn close(&self) {
+        self.state.lock().closed = true;
+        self.cv.notify_all();
+    }
+}
+
+/// A delivery thread: sleep once for the earliest arrival (the calibrated
+/// wait, booked to `model.net`, cut short by an earlier arrival), then
+/// deliver everything due.
+fn deliver_loop<M>(lane: &Lane<M>, cfg: &NetConfig) {
+    let mut due = Vec::new();
+    let mut st = lane.state.lock();
+    loop {
+        let now = Instant::now();
+        while let Some(head) = st.queue.first_entry() {
+            if head.key().0 > now {
+                break;
+            }
+            due.push(head.remove());
+        }
+        if !due.is_empty() {
+            st.activity = Activity::Busy;
+            drop(st);
+            for item in due.drain(..) {
+                if cfg.cpu_per_msg > Duration::ZERO {
+                    burn_cpu(cfg.cpu_per_msg);
+                }
+                item.dispatcher.dispatch(item.from, item.msg);
+            }
+            st = lane.state.lock();
+            continue;
+        }
+        let Some(&(next, _)) = st.queue.keys().next() else {
+            if st.closed {
+                return;
+            }
+            st.activity = Activity::Idle;
+            lane.cv.wait(&mut st);
+            continue;
+        };
+        let Some(wait) = ledger().begin(WaitClass::Net, next) else {
+            continue;
+        };
+        if let Some(target) = wait.sleep_target() {
+            st.activity = Activity::Until(next);
+            while st.activity == Activity::Until(next)
+                && !lane.cv.wait_until(&mut st, target).timed_out()
+            {}
+            if st.activity != Activity::Until(next) {
+                wait.interrupted();
+                continue;
+            }
+        }
+        st.activity = Activity::Busy;
+        drop(st);
+        wait.finish();
+        st = lane.state.lock();
+    }
 }
 
 struct EndpointState<M> {
     dispatcher: Arc<dyn Dispatcher<M>>,
-    /// Inbound connection lanes keyed by sender address.
+    /// Inbound connections keyed by sender address.
     conns: HashMap<Addr, ConnHandle<M>>,
 }
 
 struct NetInner<M> {
     endpoints: HashMap<Addr, EndpointState<M>>,
     /// Shared async-mode worker lanes (created on demand).
-    lanes: Vec<Sender<WorkItem<M>>>,
-    lane_threads: Vec<std::thread::JoinHandle<()>>,
+    lanes: Vec<Arc<Lane<M>>>,
+    lane_threads: Vec<JoinHandle<()>>,
     shutdown: bool,
 }
 
@@ -252,12 +411,7 @@ impl<M: Send + 'static> Network<M> {
     pub fn unregister(&self, addr: Addr) {
         let state = self.inner.write().endpoints.remove(&addr);
         if let Some(state) = state {
-            for (_, c) in state.conns {
-                drop(c.tx);
-                if let Some(t) = c.thread {
-                    let _ = t.join();
-                }
-            }
+            state.conns.into_values().for_each(ConnHandle::close);
         }
     }
 
@@ -273,14 +427,9 @@ impl<M: Send + 'static> Network<M> {
             )
         };
         for (_, state) in eps {
-            for (_, c) in state.conns {
-                drop(c.tx);
-                if let Some(t) = c.thread {
-                    let _ = t.join();
-                }
-            }
+            state.conns.into_values().for_each(ConnHandle::close);
         }
-        drop(lanes);
+        lanes.iter().for_each(|l| l.close());
         for t in lane_threads {
             let _ = t.join();
         }
@@ -303,10 +452,19 @@ impl<M: Send + 'static> Network<M> {
         }
     }
 
-    fn deliver(&self, from: Addr, to: Addr, msg: M, wire_bytes: u32) -> Result<()> {
+    /// Put `msg` on the `from → to` connection, to leave at `at` (now when
+    /// `None` or past) and arrive one hop later.
+    fn deliver(
+        &self,
+        from: Addr,
+        to: Addr,
+        msg: M,
+        wire_bytes: u32,
+        at: Option<Instant>,
+    ) -> Result<()> {
         // Fault injection happens "on the wire": a Drop is invisible to the
         // sender (it believes the send succeeded), a Delay stretches the
-        // hop, a Duplicate arrives twice on the same FIFO lane, and an
+        // hop, a Duplicate arrives twice on the same connection, and an
         // Error is a hard connection failure surfaced to the sender.
         let mut extra_delay = Duration::ZERO;
         let mut duplicate = None;
@@ -347,7 +505,8 @@ impl<M: Send + 'static> Network<M> {
                 self.connect(from, to)?;
                 continue;
             };
-            let mut departed = Instant::now() + extra_delay;
+            let now = Instant::now();
+            let mut departed = at.map_or(now, |at| at.max(now)) + extra_delay;
             if self.cfg.nagle && wire_bytes <= self.cfg.nagle_threshold {
                 // Small payload held back by the coalescing window.
                 departed += self.cfg.nagle_delay;
@@ -355,21 +514,22 @@ impl<M: Send + 'static> Network<M> {
             }
             self.msgs.inc();
             self.bytes.add(wire_bytes as u64);
-            let item = |msg| WorkItem {
-                env: Envelope {
+            let arrival = departed + self.cfg.hop_latency;
+            let push = |msg| {
+                let item = WorkItem {
                     from,
-                    departed,
                     msg,
-                },
-                dispatcher: Arc::clone(&state.dispatcher),
+                    dispatcher: Arc::clone(&state.dispatcher),
+                };
+                conn.lane.push(conn.slot, arrival, at.is_some(), item)
             };
-            conn.tx
-                .send(item(msg))
-                .map_err(|_| AfcError::Disconnected(format!("connection {from}->{to}")))?;
+            if !push(msg) {
+                return Err(AfcError::Disconnected(format!("connection {from}->{to}")));
+            }
             if let Some(copy) = duplicate {
-                // Best-effort second copy on the same FIFO lane; if the lane
+                // Best-effort second copy on the same connection; if it
                 // closed after the first send the duplicate is moot.
-                let _ = conn.tx.send(item(copy));
+                push(copy);
             }
             return Ok(());
         }
@@ -377,7 +537,7 @@ impl<M: Send + 'static> Network<M> {
 
     /// Create the `from → to` connection if it is not there yet: its own
     /// thread in Simple mode, a slot on one of the shared lanes in Async
-    /// mode (sharded by connection id, so per-connection FIFO holds).
+    /// mode (sharded by connection id).
     fn connect(&self, from: Addr, to: Addr) -> Result<()> {
         let mut guard = self.inner.write();
         let inner = &mut *guard;
@@ -392,19 +552,19 @@ impl<M: Send + 'static> Network<M> {
             return Ok(());
         }
         let spawn = |name: String| {
-            let (tx, rx): (Sender<WorkItem<M>>, Receiver<WorkItem<M>>) = unbounded();
-            let cfg = self.cfg.clone();
+            let lane = Lane::new();
+            let (l, cfg) = (Arc::clone(&lane), self.cfg.clone());
             let thread = std::thread::Builder::new()
                 .name(name)
-                .spawn(move || receive_loop(rx, cfg))
+                .spawn(move || deliver_loop(&l, &cfg))
                 .expect("spawn messenger thread");
-            (tx, thread)
+            (lane, thread)
         };
         let conn = if let MessengerMode::Async { workers } = self.cfg.mode {
             if inner.lanes.is_empty() {
                 for i in 0..workers.max(1) {
-                    let (tx, thread) = spawn(format!("msgr-async-{i}"));
-                    inner.lanes.push(tx);
+                    let (lane, thread) = spawn(format!("msgr-async-{i}"));
+                    inner.lanes.push(lane);
                     inner.lane_threads.push(thread);
                     self.lanes.inc();
                 }
@@ -412,32 +572,23 @@ impl<M: Send + 'static> Network<M> {
             use std::hash::{Hash, Hasher};
             let mut h = std::collections::hash_map::DefaultHasher::new();
             (from, to).hash(&mut h);
-            let lane = (h.finish() as usize) % inner.lanes.len();
+            let lane = Arc::clone(&inner.lanes[(h.finish() as usize) % inner.lanes.len()]);
             ConnHandle {
-                tx: inner.lanes[lane].clone(),
+                slot: lane.add_conn(),
+                lane,
                 thread: None,
             }
         } else {
-            let (tx, thread) = spawn(format!("msgr-{from}-{to}"));
+            let (lane, thread) = spawn(format!("msgr-{from}-{to}"));
             ConnHandle {
-                tx,
+                slot: lane.add_conn(),
+                lane,
                 thread: Some(thread),
             }
         };
         self.conns.inc();
         state.conns.insert(from, conn);
         Ok(())
-    }
-}
-
-fn receive_loop<M: Send + 'static>(rx: Receiver<WorkItem<M>>, cfg: NetConfig) {
-    while let Ok(item) = rx.recv() {
-        // Wire latency relative to departure, preserving per-lane FIFO.
-        wait_until(WaitClass::Net, item.env.departed + cfg.hop_latency);
-        if cfg.cpu_per_msg > Duration::ZERO {
-            burn_cpu(cfg.cpu_per_msg);
-        }
-        item.dispatcher.dispatch(item.env.from, item.env.msg);
     }
 }
 
@@ -466,9 +617,17 @@ impl<M: Send + 'static> Messenger<M> {
         self.addr
     }
 
-    /// Send `msg` (`wire_bytes` on the wire) to `to`.
+    /// Send `msg` (`wire_bytes` on the wire) to `to`. Plain sends on one
+    /// connection are delivered in send order.
     pub fn send(&self, to: Addr, msg: M, wire_bytes: u32) -> Result<()> {
-        self.net.deliver(self.addr, to, msg, wire_bytes)
+        self.net.deliver(self.addr, to, msg, wire_bytes, None)
+    }
+
+    /// Send `msg` to leave at `at` (now, if that has passed). It arrives
+    /// one hop later: after any message on its connection that leaves
+    /// earlier and before any that leaves later, whichever was sent first.
+    pub fn send_at(&self, to: Addr, msg: M, wire_bytes: u32, at: Instant) -> Result<()> {
+        self.net.deliver(self.addr, to, msg, wire_bytes, Some(at))
     }
 
     /// The owning network.
@@ -623,24 +782,38 @@ mod tests {
         assert!(net.register(osd(0), Arc::new(|_, ()| {})).is_err());
     }
 
+    /// Eight senders, every third message stamped up to 2 ms ahead. Each
+    /// message carries the earliest instant it may be delivered at.
     #[test]
     fn concurrent_senders_all_delivered() {
-        let net: Arc<Network<u64>> = Network::new(NetConfig::default());
-        let count = Arc::new(AtomicUsize::new(0));
-        let c = Arc::clone(&count);
+        let cfg = NetConfig::default();
+        let hop = cfg.hop_latency;
+        let net: Arc<Network<Instant>> = Network::new(cfg);
+        let (count, early) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let (c, e) = (Arc::clone(&count), Arc::clone(&early));
         net.register(
             osd(0),
-            Arc::new(move |_, _: u64| {
+            Arc::new(move |_, due: Instant| {
+                if Instant::now() < due {
+                    e.fetch_add(1, Ordering::Relaxed);
+                }
                 c.fetch_add(1, Ordering::Relaxed);
             }),
         )
         .unwrap();
         std::thread::scope(|s| {
             for t in 0..8u64 {
-                let m = net.register(client(t), Arc::new(|_, _: u64| {})).unwrap();
+                let m = net
+                    .register(client(t), Arc::new(|_, _: Instant| {}))
+                    .unwrap();
                 s.spawn(move || {
-                    for i in 0..200 {
-                        m.send(osd(0), i, 128).unwrap();
+                    for i in 0..200u64 {
+                        if i % 3 == 0 {
+                            let at = Instant::now() + Duration::from_micros(i * 10);
+                            m.send_at(osd(0), at + hop, 128, at).unwrap();
+                        } else {
+                            m.send(osd(0), Instant::now() + hop, 128).unwrap();
+                        }
                     }
                 });
             }
@@ -649,6 +822,103 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(net.msgs.get(), 1600);
+        assert_eq!(early.load(Ordering::Relaxed), 0, "delivered early");
+        net.shutdown();
+        assert_eq!(count.load(Ordering::Relaxed), 1600, "delivered twice");
+    }
+
+    #[test]
+    fn stamped_message_is_delivered_no_earlier_than_departure_plus_hop() {
+        let cfg = NetConfig::default();
+        let hop = cfg.hop_latency;
+        let net: Arc<Network<Instant>> = Network::new(cfg);
+        let got = Arc::new(Mutex::new(Vec::new()));
+        let g = Arc::clone(&got);
+        net.register(
+            osd(0),
+            Arc::new(move |_, due: Instant| g.lock().push((due, Instant::now()))),
+        )
+        .unwrap();
+        let m = net
+            .register(client(1), Arc::new(|_, _: Instant| {}))
+            .unwrap();
+        for ahead_us in [3_000u64, 0, 700, 150] {
+            let at = Instant::now() + Duration::from_micros(ahead_us);
+            m.send_at(osd(0), at + hop, 4096, at).unwrap();
+        }
+        // A stamp in the past leaves now.
+        let before = Instant::now();
+        m.send_at(osd(0), before + hop, 4096, before - Duration::from_secs(1))
+            .unwrap();
+        while got.lock().len() < 5 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for &(due, at) in got.lock().iter() {
+            assert!(at >= due, "delivered {:?} early", due - at);
+        }
+        net.shutdown();
+    }
+
+    #[test]
+    fn plain_send_overtakes_an_earlier_stamped_one_that_leaves_later() {
+        let net: Arc<Network<u64>> = Network::new(NetConfig::default());
+        let got = Arc::new(Mutex::new(Vec::new()));
+        let g = Arc::clone(&got);
+        net.register(osd(0), Arc::new(move |_, m: u64| g.lock().push(m)))
+            .unwrap();
+        let m = net.register(client(1), Arc::new(|_, _: u64| {})).unwrap();
+        let at = Instant::now() + Duration::from_millis(20);
+        m.send_at(osd(0), 1, 4096, at).unwrap();
+        for i in 2..=4 {
+            m.send(osd(0), i, 64).unwrap();
+        }
+        while got.lock().len() < 4 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(*got.lock(), vec![2, 3, 4, 1]);
+        net.shutdown();
+    }
+
+    /// Two connections on one Async lane: A's stamped message, due in
+    /// 200 ms, does not hold back B's plain one.
+    #[test]
+    fn async_lane_stamped_message_does_not_delay_another_connection() {
+        let cfg = NetConfig {
+            mode: MessengerMode::Async { workers: 1 },
+            ..NetConfig::default()
+        };
+        let net: Arc<Network<(u64, Instant)>> = Network::new(cfg);
+        let got = Arc::new(Mutex::new(Vec::new()));
+        let g = Arc::clone(&got);
+        net.register(
+            osd(0),
+            Arc::new(move |from, (_, sent): (u64, Instant)| {
+                g.lock().push((from, sent.elapsed()));
+            }),
+        )
+        .unwrap();
+        let a = net
+            .register(client(1), Arc::new(|_, _: (u64, Instant)| {}))
+            .unwrap();
+        let b = net
+            .register(client(2), Arc::new(|_, _: (u64, Instant)| {}))
+            .unwrap();
+        let now = Instant::now();
+        a.send_at(osd(0), (1, now), 4096, now + Duration::from_millis(200))
+            .unwrap();
+        b.send(osd(0), (2, Instant::now()), 64).unwrap();
+        while got.lock().len() < 2 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let got = got.lock();
+        assert_eq!(net.lanes.get(), 1);
+        assert_eq!(got[0].0, client(2), "B waited behind A");
+        assert!(
+            got[0].1 < Duration::from_millis(100),
+            "B took {:?}",
+            got[0].1
+        );
+        assert!(got[1].1 >= Duration::from_millis(200));
         net.shutdown();
     }
 
