@@ -163,10 +163,10 @@ pub mod classes {
         rank: 455,
         no_block_while_held: true,
     };
-    /// `Journal` ring state (waits on its own work/space condvars). Also
+    /// `Journal` ring state (waits on its own space condvar). Also
     /// serializes group-commit records: the `committing` flag guarded
-    /// here is what keeps inline and batched commit callbacks in global
-    /// sequence order.
+    /// here makes one submitter at a time the write group's leader, which
+    /// keeps commit callbacks in global sequence order.
     pub static JOURNAL_RING: LockClass = LockClass {
         name: "journal.ring",
         rank: 600,

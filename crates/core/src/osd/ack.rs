@@ -7,30 +7,28 @@
 //! lane in *arrival* order: an ack is released only after every
 //! earlier-arrived op on its lane has been released.
 
-use crate::messages::ClientReply;
 use afc_common::lockdep::{classes, TrackedMutex};
 use afc_common::{ClientId, PgId};
-use afc_messenger::Addr;
 use std::collections::{BTreeMap, HashMap};
 
-struct Lane {
+struct Lane<T> {
     next_assign: u64,
     next_release: u64,
-    held: BTreeMap<u64, (Addr, ClientReply)>,
+    held: BTreeMap<u64, T>,
 }
 
-/// Per-(client, PG) ack sequencer.
-pub struct OrderedAcker {
-    lanes: TrackedMutex<HashMap<(ClientId, PgId), Lane>>,
+/// Per-(client, PG) ack sequencer over acks of type `T`.
+pub struct OrderedAcker<T> {
+    lanes: TrackedMutex<HashMap<(ClientId, PgId), Lane<T>>>,
 }
 
-impl Default for OrderedAcker {
+impl<T> Default for OrderedAcker<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl OrderedAcker {
+impl<T> OrderedAcker<T> {
     /// Create an empty sequencer.
     pub fn new() -> Self {
         OrderedAcker {
@@ -53,19 +51,12 @@ impl OrderedAcker {
 
     /// Offer a completed ack. Returns every ack now releasable, in order
     /// (possibly empty if an earlier slot is still outstanding).
-    pub fn release(
-        &self,
-        client: ClientId,
-        pg: PgId,
-        idx: u64,
-        to: Addr,
-        reply: ClientReply,
-    ) -> Vec<(Addr, ClientReply)> {
+    pub fn release(&self, client: ClientId, pg: PgId, idx: u64, ack: T) -> Vec<T> {
         let mut lanes = self.lanes.lock();
         let Some(lane) = lanes.get_mut(&(client, pg)) else {
-            return vec![(to, reply)];
+            return vec![ack];
         };
-        lane.held.insert(idx, (to, reply));
+        lane.held.insert(idx, ack);
         let mut out = Vec::new();
         while let Some(entry) = lane.held.remove(&lane.next_release) {
             out.push(entry);
@@ -83,7 +74,9 @@ impl OrderedAcker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::ClientReply;
     use afc_common::{OpId, PoolId};
+    use afc_messenger::Addr;
 
     fn reply(n: u64) -> ClientReply {
         ClientReply {
@@ -104,25 +97,25 @@ mod tests {
 
     #[test]
     fn in_order_completion_releases_immediately() {
-        let a = OrderedAcker::new();
+        let a = OrderedAcker::<(Addr, ClientReply)>::new();
         let i0 = a.assign(CLIENT, pg());
         let i1 = a.assign(CLIENT, pg());
-        assert_eq!(a.release(CLIENT, pg(), i0, TO, reply(0)).len(), 1);
-        assert_eq!(a.release(CLIENT, pg(), i1, TO, reply(1)).len(), 1);
+        assert_eq!(a.release(CLIENT, pg(), i0, (TO, reply(0))).len(), 1);
+        assert_eq!(a.release(CLIENT, pg(), i1, (TO, reply(1))).len(), 1);
         assert_eq!(a.held(), 0);
     }
 
     #[test]
     fn out_of_order_completion_is_resequenced() {
-        let a = OrderedAcker::new();
+        let a = OrderedAcker::<(Addr, ClientReply)>::new();
         let i0 = a.assign(CLIENT, pg());
         let i1 = a.assign(CLIENT, pg());
         let i2 = a.assign(CLIENT, pg());
         // Completion worker finishes 2 and 1 before 0.
-        assert!(a.release(CLIENT, pg(), i2, TO, reply(2)).is_empty());
-        assert!(a.release(CLIENT, pg(), i1, TO, reply(1)).is_empty());
+        assert!(a.release(CLIENT, pg(), i2, (TO, reply(2))).is_empty());
+        assert!(a.release(CLIENT, pg(), i1, (TO, reply(1))).is_empty());
         assert_eq!(a.held(), 2);
-        let burst = a.release(CLIENT, pg(), i0, TO, reply(0));
+        let burst = a.release(CLIENT, pg(), i0, (TO, reply(0)));
         let ids: Vec<u64> = burst.iter().map(|(_, r)| r.op_id.0).collect();
         assert_eq!(ids, vec![0, 1, 2]);
         assert_eq!(a.held(), 0);
@@ -130,7 +123,7 @@ mod tests {
 
     #[test]
     fn lanes_are_independent() {
-        let a = OrderedAcker::new();
+        let a = OrderedAcker::<(Addr, ClientReply)>::new();
         let pg2 = PgId {
             pool: PoolId(0),
             seq: 1,
@@ -139,13 +132,13 @@ mod tests {
         let _y0 = a.assign(CLIENT, pg2);
         let y1 = a.assign(CLIENT, pg2);
         // pg2's later slot is blocked only by pg2's earlier slot, not pg()'s.
-        assert!(a.release(CLIENT, pg2, y1, TO, reply(11)).is_empty());
-        assert_eq!(a.release(CLIENT, pg(), x, TO, reply(0)).len(), 1);
+        assert!(a.release(CLIENT, pg2, y1, (TO, reply(11))).is_empty());
+        assert_eq!(a.release(CLIENT, pg(), x, (TO, reply(0))).len(), 1);
     }
 
     #[test]
     fn unknown_lane_passes_through() {
-        let a = OrderedAcker::new();
-        assert_eq!(a.release(CLIENT, pg(), 0, TO, reply(9)).len(), 1);
+        let a = OrderedAcker::<(Addr, ClientReply)>::new();
+        assert_eq!(a.release(CLIENT, pg(), 0, (TO, reply(9))).len(), 1);
     }
 }

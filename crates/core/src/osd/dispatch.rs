@@ -16,7 +16,7 @@ use afc_filestore::Throttle;
 use afc_messenger::Addr;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Op worker (OP_WQ) threads per OSD.
@@ -245,6 +245,7 @@ impl OsdInner {
                     // The local commit plus one per replica.
                     remaining: AtomicUsize::new(acting.len().max(1)),
                     replied: AtomicBool::new(false),
+                    durable: OnceLock::new(),
                     _permit: permit,
                     trace,
                 });

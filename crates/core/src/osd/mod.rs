@@ -10,11 +10,13 @@
 //!                                                │  pg-log append
 //!                                                │  replicate ▶ replicas
 //!                                                ▼  journal submit
-//!                               journal writer ▶ commit ▶ finisher
-//!             community: finisher queues filestore (may block on
+//!                      write-group leader plans record ▶ completion worker
+//!             community: worker queues filestore (may block on
 //!                        throttle); commits and acks go via the PG queue
-//!             afceph:    per-op completion count + dedicated
-//!                        completion worker; acks fast-pathed
+//!             afceph:    per-op completion count, worker tells the op;
+//!                        acks fast-pathed
+//!             both:      replies, RepAcks and applied marks no earlier
+//!                        than the journal record is durable
 //! ```
 //!
 //! The code is cut along the stages the trace names, each module holding
@@ -53,7 +55,7 @@ use pg::{Pg, PgHealth};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Parameters for spawning an OSD.
 pub struct OsdParams {
@@ -109,8 +111,7 @@ pub struct Osd {
 
 impl Osd {
     /// Spawn an OSD: opens the filestore and journal, registers with the
-    /// network, and starts the op-worker (and, in AFCeph mode, completion)
-    /// threads.
+    /// network, and starts the op-worker and completion threads.
     pub fn spawn(params: OsdParams) -> Result<Arc<Osd>> {
         let inner = OsdInner::open(&params)?;
         // From `register` on, connection threads may call the dispatcher;
@@ -143,14 +144,12 @@ impl Osd {
             for i in 0..dispatch::OP_THREADS {
                 start(format!("op-{i}"), Box::new(dispatch::op_worker_loop))?;
             }
-            if inner.tuning.dedicated_completion {
-                let (tx, rx) = crossbeam::channel::unbounded();
-                *inner.write.completion_tx.lock() = Some(tx);
-                start(
-                    "completion".into(),
-                    Box::new(move |inner| write::completion_worker_loop(inner, rx)),
-                )?;
-            }
+            let (tx, rx) = crossbeam::channel::unbounded();
+            *inner.write.completion_tx.lock() = Some(tx);
+            start(
+                "completion".into(),
+                Box::new(move |inner| write::completion_worker_loop(inner, rx)),
+            )?;
             start("reptimer".into(), Box::new(replication::reptimer_loop))?;
             if inner.healing_enabled() {
                 start("hb".into(), Box::new(healing::heartbeat_loop))?;
@@ -227,7 +226,8 @@ impl Osd {
             inner
                 .store
                 .apply_sync(Transaction::decode_shared(&e.payload)?)?;
-            inner.on_applied(e.seq);
+            // A surviving entry is durable by definition.
+            inner.on_applied(e.seq, Instant::now());
         }
         if let Some(w) = inner.write.applied.void(replay.truncated) {
             inner.journal.trim_through(w);
@@ -356,7 +356,6 @@ impl OsdInner {
             Arc::clone(&params.journal_dev),
             JournalConfig {
                 capacity: params.journal_capacity,
-                batch_max_wait: Duration::from_micros(tuning.journal_batch_max_wait_us),
                 ..JournalConfig::default()
             },
         );

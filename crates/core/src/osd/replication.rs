@@ -32,8 +32,10 @@ struct RepWait {
 /// Keyed by (primary addr, rep_id): rep_ids are only unique per primary.
 #[derive(Default)]
 struct RepSeen {
-    /// (primary, rep_id) → committed? (false: journal submit in flight).
-    state: HashMap<(Addr, u64), bool>,
+    /// (primary, rep_id) → when its journal record is durable (`None`:
+    /// journal submit in flight). A re-ack leaves no earlier than that,
+    /// like the original ack.
+    state: HashMap<(Addr, u64), Option<Instant>>,
     order: VecDeque<(Addr, u64)>,
 }
 
@@ -44,10 +46,10 @@ impl RepSeen {
 
     /// What the window knows of `key`; an unknown key is recorded as in
     /// flight (evicting the oldest entry beyond [`Self::CAP`]).
-    fn admit(&mut self, key: (Addr, u64)) -> Option<bool> {
+    fn admit(&mut self, key: (Addr, u64)) -> Option<Option<Instant>> {
         let known = self.state.get(&key).copied();
         if known.is_none() {
-            self.state.insert(key, false);
+            self.state.insert(key, None);
             self.order.push_back(key);
             while self.order.len() > Self::CAP {
                 if let Some(old) = self.order.pop_front() {
@@ -88,9 +90,13 @@ impl Replication {
         m.register_counter(format!("{osd}.op.rep_resends"), &self.rep_resends);
     }
 
-    /// Flip a replica-side rep_id to "committed" so retransmits re-ack.
-    pub(super) fn mark_done(&self, primary: Addr, rep_id: u64) {
-        self.seen.lock().state.insert((primary, rep_id), true);
+    /// Flip a replica-side rep_id to "committed", durable at `durable`,
+    /// so retransmits re-ack.
+    pub(super) fn mark_done(&self, primary: Addr, rep_id: u64, durable: Instant) {
+        self.seen
+            .lock()
+            .state
+            .insert((primary, rep_id), Some(durable));
     }
 
     /// Empty the wait table (shutdown), handing back the stranded ops.
@@ -135,9 +141,11 @@ impl OsdInner {
         self.send(to, OsdMsg::Replicate(rep));
     }
 
-    pub(super) fn send_rep_ack(&self, to: Addr, rep_id: u64) {
+    /// Ack sub-op `rep_id` to `to`, leaving when its record is durable.
+    pub(super) fn send_rep_ack(&self, to: Addr, rep_id: u64, durable: Instant) {
         let from = self.id;
-        self.send(to, OsdMsg::RepAck(RepOpReply { rep_id, from }));
+        let ack = OsdMsg::RepAck(RepOpReply { rep_id, from });
+        self.send_at(to, ack, Some(durable));
     }
 
     // ---------------------------------------------------------------- //
@@ -161,11 +169,13 @@ impl OsdInner {
     ///
     /// `inline` is §3.1's fast ack + group commit: the whole sub-op — PG
     /// bookkeeping, txn build, journal commit, `RepAck` — runs on the
-    /// messenger dispatch thread through the journal's inline fast path,
-    /// cutting the PG-queue, committer and completion-worker hand-offs out
-    /// of the primary-observed ack round trip. The commit callback runs
-    /// either right there (idle journal) or later on the committer thread;
-    /// like every commit continuation it takes no PG lock.
+    /// messenger dispatch thread, cutting the PG-queue and
+    /// completion-worker hand-offs out of the primary-observed ack round
+    /// trip. The commit callback runs on whichever thread commits the
+    /// record: this one when it leads the journal's write group (an idle
+    /// journal), else the leader; like every commit continuation it takes
+    /// no PG lock. Either way the `RepAck` leaves when the record is
+    /// durable, and no thread waits for that.
     pub(super) fn handle_subop(
         self: &Arc<Self>,
         from: Addr,
@@ -176,15 +186,16 @@ impl OsdInner {
         build: impl FnOnce(&OsdInner) -> Option<Transaction> + Send + 'static,
     ) {
         // Retransmit/duplicate dedup: an id we already committed gets a
-        // fresh ack (the original was lost); one still in flight is
-        // ignored (its commit will ack); only new ids are journaled.
+        // fresh ack (the original was lost), leaving no earlier than the
+        // original; one still in flight is ignored (its commit will ack);
+        // only new ids are journaled.
         let known = self.rep.seen.lock().admit((from, id));
         match known {
-            Some(true) => {
+            Some(Some(durable)) => {
                 self.log("re-ack duplicate sub-op");
-                return self.send_rep_ack(from, id);
+                return self.send_rep_ack(from, id, durable);
             }
-            Some(false) => return,
+            Some(None) => return,
             None => {}
         }
         let pg = self.pg(pg);
@@ -196,7 +207,7 @@ impl OsdInner {
                 rep_id: id,
             };
             let Some(txn) = build(&inner) else {
-                return inner.complete(waiter);
+                return inner.complete(waiter, Instant::now());
             };
             if let Err(e) = inner.submit_commit(st, &pgc, txn, waiter, inline) {
                 inner.logger.logf(Level::Error, "osd", || {
@@ -285,21 +296,108 @@ impl OsdInner {
 
 #[cfg(test)]
 mod tests {
+    use super::super::{OsdDispatcher, OsdParams};
     use super::*;
-    use afc_common::OsdId;
+    use crate::messages::ObjectOp;
+    use crate::monitor::Monitor;
+    use crate::tuning::OsdTuning;
+    use afc_common::{ObjectId, OsdId, PoolId};
+    use afc_crush::CrushMap;
+    use afc_device::{Nvram, NvramConfig, Ssd, SsdConfig};
+    use afc_messenger::{Dispatcher, NetConfig, Network};
+    use bytes::Bytes;
 
     #[test]
     fn rep_seen_admits_once_and_evicts_oldest() {
         let mut seen = RepSeen::default();
         let key = |id| (Addr::Osd(OsdId(1)), id);
+        let durable = Instant::now();
         assert_eq!(seen.admit(key(1)), None);
-        assert_eq!(seen.admit(key(1)), Some(false), "in flight: ignored");
-        seen.state.insert(key(1), true);
-        assert_eq!(seen.admit(key(1)), Some(true), "committed: re-acked");
+        assert_eq!(seen.admit(key(1)), Some(None), "in flight: ignored");
+        seen.state.insert(key(1), Some(durable));
+        assert_eq!(
+            seen.admit(key(1)),
+            Some(Some(durable)),
+            "committed: re-acked"
+        );
         for id in 2..=RepSeen::CAP as u64 + 1 {
             assert_eq!(seen.admit(key(id)), None);
         }
         assert_eq!(seen.state.len(), RepSeen::CAP);
         assert_eq!(seen.admit(key(1)), None, "evicted ids are new again");
+    }
+
+    /// Records when each `RepAck` reaches the primary.
+    struct AckTimes(Arc<parking_lot::Mutex<Vec<Instant>>>);
+
+    impl Dispatcher<OsdMsg> for AckTimes {
+        fn dispatch(&self, _from: Addr, msg: OsdMsg) {
+            if let OsdMsg::RepAck(_) = msg {
+                self.0.lock().push(Instant::now());
+            }
+        }
+    }
+
+    /// A duplicate `Replicate` that arrives while the original's journal
+    /// record is still being written is re-acked no earlier than that
+    /// record is durable, like the original: the dedup window hands the
+    /// re-ack the original's instant.
+    #[test]
+    fn duplicate_is_never_re_acked_before_the_record_is_durable() {
+        const NVRAM_ACCESS: Duration = Duration::from_millis(50);
+        let net = Network::new(NetConfig::default());
+        let inner = OsdInner::open(&OsdParams {
+            id: OsdId(1),
+            tuning: OsdTuning::afceph(),
+            data_dev: Arc::new(Ssd::new(SsdConfig::sata3())),
+            journal_dev: Arc::new(Nvram::new(NvramConfig {
+                access: NVRAM_ACCESS,
+                ..NvramConfig::pmc_8g()
+            })),
+            journal_capacity: 64 * afc_common::MIB,
+            map: Monitor::new(CrushMap::uniform(1, 2)).shared_map(),
+            net: Arc::clone(&net),
+            monitor: None,
+        })
+        .unwrap();
+        let me = Arc::new(OsdDispatcher(Arc::clone(&inner)));
+        let msgr = net.register(Addr::Osd(OsdId(1)), me).unwrap();
+        assert!(inner.msgr.set(msgr).is_ok());
+        let primary = Addr::Osd(OsdId(0));
+        let acks = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        net.register(primary, Arc::new(AckTimes(Arc::clone(&acks))))
+            .unwrap();
+
+        let rep = RepOp {
+            rep_id: 1,
+            pg: PgId {
+                pool: PoolId(0),
+                seq: 0,
+            },
+            object: ObjectId::new(PoolId(0), "obj"),
+            op: ObjectOp::Write {
+                offset: 0,
+                data: Bytes::from(vec![1u8; 4096]),
+            },
+            pg_seq: 1,
+        };
+        let t0 = Instant::now();
+        inner.handle_repop(primary, rep.clone());
+        inner.handle_repop(primary, rep);
+        assert!(
+            t0.elapsed() < NVRAM_ACCESS,
+            "the duplicate arrived after the record was durable"
+        );
+        assert_eq!(inner.journal.stats().submits.get(), 1, "journaled once");
+        let deadline = t0 + Duration::from_secs(5);
+        while acks.lock().len() < 2 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let acks = acks.lock().clone();
+        assert_eq!(acks.len(), 2, "the original and the re-ack");
+        for at in acks {
+            assert!(at >= t0 + NVRAM_ACCESS, "acked {:?} after t0", at - t0);
+        }
+        net.shutdown();
     }
 }

@@ -16,11 +16,15 @@
 //! durable (*void*: a torn tail — a tear models power loss, so nothing runs
 //! on past it but the replay that voids it) or when its apply *failed*,
 //! which releases waiters like the other two but pins the trim watermark
-//! below it, so the journal keeps the entry for replay.
+//! below it, so the journal keeps the entry for replay. A landed apply is
+//! published no earlier than its journal record is durable: the journal
+//! hands out that instant without waiting for it, and an apply that beat
+//! its record waits out the rest here, so nothing ordered behind the
+//! prefix observes a write that a crash could still lose.
 
 use afc_common::lockdep::{classes, TrackedCondvar, TrackedMutex};
 use afc_common::metrics::Counter;
-use afc_common::{AfcError, Result};
+use afc_common::{wait_until, AfcError, Result, WaitClass};
 use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -128,8 +132,11 @@ impl AppliedPrefix {
 
     /// `seq` is in the filestore: its queued apply landed or replay
     /// re-applied it (twice is harmless; success after a failure unpins the
-    /// trim). Returns the trim watermark if it advanced.
-    pub(super) fn applied(&self, seq: u64) -> Option<u64> {
+    /// trim). Published no earlier than `durable`, when its journal record
+    /// is: this thread waits out whatever is left. Returns the trim
+    /// watermark if it advanced.
+    pub(super) fn applied(&self, seq: u64, durable: Instant) -> Option<u64> {
+        wait_until(WaitClass::Nvram, durable);
         self.update(|m| {
             m.failed.remove(&seq);
             m.settle(seq);
@@ -281,9 +288,9 @@ mod tests {
     #[test]
     fn in_order_marks_advance_each_time() {
         let t = AppliedPrefix::new(SOON);
-        assert_eq!(t.applied(1), Some(1));
-        assert_eq!(t.applied(2), Some(2));
-        assert_eq!(t.applied(3), Some(3));
+        assert_eq!(t.applied(1, Instant::now()), Some(1));
+        assert_eq!(t.applied(2, Instant::now()), Some(2));
+        assert_eq!(t.applied(3, Instant::now()), Some(3));
         assert!(t.marks.lock().ahead.is_empty());
     }
 
@@ -292,7 +299,7 @@ mod tests {
         let t = AppliedPrefix::new(SOON);
         let mut last = 0;
         for s in [5u64, 1, 3, 2, 7, 4, 6] {
-            if let Some(w) = t.applied(s) {
+            if let Some(w) = t.applied(s, Instant::now()) {
                 assert!(w > last);
                 last = w;
             }
@@ -307,14 +314,14 @@ mod tests {
     #[test]
     fn duplicate_mark_releases_nobody_early() {
         let t = AppliedPrefix::new(SOON);
-        assert_eq!(t.applied(1), Some(1));
-        assert_eq!(t.applied(1), None);
+        assert_eq!(t.applied(1, Instant::now()), Some(1));
+        assert_eq!(t.applied(1, Instant::now()), None);
         assert_eq!(t.prefix(), 1);
         let err = t.wait(2).unwrap_err();
         assert!(matches!(err, AfcError::Timeout(_)), "{err}");
-        assert_eq!(t.applied(3), None);
-        assert_eq!(t.applied(3), None);
-        assert_eq!(t.applied(2), Some(3));
+        assert_eq!(t.applied(3, Instant::now()), None);
+        assert_eq!(t.applied(3, Instant::now()), None);
+        assert_eq!(t.applied(2, Instant::now()), Some(3));
     }
 
     /// A waiter parks until its captured sequence settles — and only that:
@@ -329,13 +336,29 @@ mod tests {
             while t.marks.lock().waiters == 0 {
                 std::thread::yield_now();
             }
-            t.applied(2);
+            t.applied(2, Instant::now());
             assert!(!reader.is_finished(), "released with seq 1 outstanding");
-            t.applied(1);
+            t.applied(1, Instant::now());
             reader.join().unwrap().unwrap();
         });
         assert_eq!(t.marks.lock().waiters, 0);
         assert_eq!(t.timeouts.get(), 0);
+    }
+
+    /// An apply that lands before its journal record is durable is not
+    /// published before `durable`: nobody waiting on the prefix sees it
+    /// sooner.
+    #[test]
+    fn early_apply_is_published_no_earlier_than_its_record_is_durable() {
+        let t = AppliedPrefix::new(LONG);
+        let durable = Instant::now() + SOON;
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| t.wait(1).map(|()| Instant::now()));
+            assert_eq!(t.applied(1, durable), Some(1));
+            assert!(Instant::now() >= durable);
+            let seen = reader.join().unwrap().unwrap();
+            assert!(seen >= durable, "published before its record was durable");
+        });
     }
 
     #[test]
@@ -345,7 +368,7 @@ mod tests {
         assert!(matches!(err, AfcError::Timeout(_)), "{err}");
         assert_eq!(t.timeouts.get(), 1);
         // Once it lands, the same target passes and nothing more is counted.
-        t.applied(1);
+        t.applied(1, Instant::now());
         t.wait(1).unwrap();
         assert_eq!(t.timeouts.get(), 1);
     }
@@ -353,8 +376,8 @@ mod tests {
     #[test]
     fn void_range_settles_for_waiters_and_for_trim() {
         let t = AppliedPrefix::new(SOON);
-        t.applied(1);
-        assert_eq!(t.applied(4), None);
+        t.applied(1, Instant::now());
+        assert_eq!(t.applied(4, Instant::now()), None);
         assert_eq!(t.void(2..4), Some(4));
         t.wait(4).unwrap();
         assert_eq!(t.void(2..4), None, "a second replay truncates nothing");
@@ -367,30 +390,42 @@ mod tests {
     #[test]
     fn failed_apply_releases_waiters_but_pins_the_trim() {
         let t = AppliedPrefix::new(SOON);
-        assert_eq!(t.applied(1), Some(1));
+        assert_eq!(t.applied(1, Instant::now()), Some(1));
         t.failed(2);
-        assert_eq!(t.applied(3), None, "trim must not pass the failed entry");
+        assert_eq!(
+            t.applied(3, Instant::now()),
+            None,
+            "trim must not pass the failed entry"
+        );
         t.wait(3).unwrap();
-        assert_eq!(t.applied(2), Some(3), "replay re-applied it");
+        assert_eq!(
+            t.applied(2, Instant::now()),
+            Some(3),
+            "replay re-applied it"
+        );
         // Replay first, the queued apply's failure second: already settled.
         t.failed(3);
-        assert_eq!(t.applied(4), Some(4));
+        assert_eq!(t.applied(4, Instant::now()), Some(4));
     }
 
     #[test]
     fn crash_forgets_marks_beyond_the_trim_watermark() {
         let t = AppliedPrefix::new(SOON);
         for s in [1, 2, 4] {
-            t.applied(s);
+            t.applied(s, Instant::now());
         }
         t.failed(3);
         assert_eq!((t.prefix(), t.marks.lock().trim_watermark()), (4, 2));
         t.resume_from_trim();
         assert_eq!(t.prefix(), 2);
         assert!(matches!(t.wait(4), Err(AfcError::Timeout(_))));
-        assert_eq!(t.applied(2), None, "pre-crash seq is a duplicate");
-        assert_eq!(t.applied(4), None);
-        assert_eq!(t.applied(3), Some(4));
+        assert_eq!(
+            t.applied(2, Instant::now()),
+            None,
+            "pre-crash seq is a duplicate"
+        );
+        assert_eq!(t.applied(4, Instant::now()), None);
+        assert_eq!(t.applied(3, Instant::now()), Some(4));
     }
 
     /// Park a continuation that holds a throttle slot, as a read holds its
@@ -424,9 +459,9 @@ mod tests {
         let (parked, four) = park(&t, 4, &throttle);
         assert!(parked);
         assert_eq!(throttle.in_use(), 3);
-        t.applied(2);
+        t.applied(2, Instant::now());
         assert!(one.try_recv().is_err() && two.try_recv().is_err());
-        t.applied(1);
+        t.applied(1, Instant::now());
         assert!(matches!(one.try_recv(), Ok(Ok(()))));
         assert!(matches!(two.try_recv(), Ok(Ok(()))));
         t.failed(3);
@@ -447,7 +482,7 @@ mod tests {
         t.expire(Instant::now() + SOON);
         assert!(matches!(r.try_recv(), Ok(Err(AfcError::Timeout(_)))));
         assert_eq!((t.timeouts.get(), throttle.in_use()), (1, 0));
-        t.applied(1);
+        t.applied(1, Instant::now());
         assert!(r.try_recv().is_err(), "ran twice");
     }
 

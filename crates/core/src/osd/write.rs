@@ -1,19 +1,28 @@
 //! The one mutation path. A client write or delete on the primary, its
 //! mirror on a replica and a recovery install all do the same three
 //! things: build a filestore transaction ([`mutation_txn`] /
-//! [`install_txn`]), journal it ([`OsdInner::submit_commit`]) and, once it
-//! is durable, run one continuation — queue the filestore apply, tell
-//! the waiter ([`OsdInner::complete`]).
+//! [`install_txn`]), journal it ([`OsdInner::submit_commit`]) and, once
+//! its record is written, run one continuation — queue the filestore
+//! apply, tell the waiter ([`OsdInner::complete`]).
 //!
 //! The §3.1 switches choose *where* that continuation runs, never *what*
 //! it does (see [`OsdInner::on_local_commit`]).
 //!
+//! **Durability is an instant.** The journal plans its record and hands
+//! the continuation the instant it is durable; no thread sleeps for it.
+//! Everything that makes the write visible waits for that instant instead:
+//! the `RepAck` and the client reply leave no earlier
+//! ([`Messenger::send_at`](afc_messenger::Messenger::send_at)), and the
+//! apply is published to the applied prefix no earlier
+//! ([`AppliedPrefix::applied`]) — so trim, read-after-write and push
+//! freshness follow durable records only.
+//!
 //! **The one rule after the journal.** Queueing the filestore apply is the
 //! first thing a continuation does, in journal-sequence order, and no
 //! thread that queues applies (journal commit callback, completion worker)
-//! takes a PG lock or runs PG work; only the Community finisher hands its
-//! `complete` to the PG's FIFO. So a PG-lock holder may wait for applies
-//! ([`AppliedPrefix::wait`]) without blocking whoever queues them.
+//! takes a PG lock or runs PG work; only the Community completion worker
+//! hands its `complete` to the PG's FIFO. So a PG-lock holder may wait for
+//! applies ([`AppliedPrefix::wait`]) without blocking whoever queues them.
 
 use super::ack::OrderedAcker;
 use super::pg::{Pg, PgState};
@@ -31,8 +40,8 @@ use afc_messenger::Addr;
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 /// An in-flight replicated mutation on the primary. It holds no lock: the
 /// local commit and each replica settle a countdown, and whoever brings it
@@ -47,6 +56,9 @@ pub(super) struct WriteOp {
     /// Completions still owed: the local commit plus one per replica.
     pub(super) remaining: AtomicUsize,
     pub(super) replied: AtomicBool,
+    /// When the local journal record is durable, set by the local commit:
+    /// the `Ok` leaves no earlier. (Replica acks arrive after theirs.)
+    pub(super) durable: OnceLock<Instant>,
     /// `osd_client_message_cap` slot, released when the op drops — after
     /// the reply, as the replier holds the op while it sends.
     pub(super) _permit: OwnedPermit,
@@ -90,9 +102,14 @@ pub(super) enum Waiter {
 pub(super) struct LocalCommit {
     pg: Arc<Pg>,
     jseq: u64,
+    /// When its journal record is durable.
+    durable: Instant,
     txn: Transaction,
     waiter: Waiter,
 }
+
+/// A client reply and the instant it leaves.
+type Outbound = (Addr, ClientReply, Instant);
 
 /// A read or recovery push that waits this long for an apply is wedged.
 const APPLY_TIMEOUT: Duration = Duration::from_secs(10);
@@ -102,7 +119,7 @@ pub(super) struct WritePath {
     pub(super) applied: AppliedPrefix,
     pub(super) completion_tx: TrackedMutex<Option<Sender<LocalCommit>>>,
     pub(super) recorder: StageRecorder,
-    pub(super) acker: OrderedAcker,
+    pub(super) acker: OrderedAcker<Outbound>,
     writes: Counter,
     apply_failures: Counter,
 }
@@ -127,32 +144,41 @@ impl WritePath {
     }
 
     /// The one reply of a write, success or failure, sent by whoever won it
-    /// ([`WriteOp::settle`], [`WriteOp::claim_reply`]): through the op's
-    /// ordered-ack lane when it has one, so a failure takes its turn like
-    /// a success and never wedges the lane. A sampled `Ok` feeds the stage
-    /// histograms.
+    /// ([`WriteOp::settle`], [`WriteOp::claim_reply`]): an `Ok` to leave
+    /// when the local record is durable, a failure at once; through the
+    /// op's ordered-ack lane when it has one, so a failure takes its turn
+    /// like a success and never wedges the lane. A sampled `Ok` feeds the
+    /// stage histograms.
     pub(super) fn reply(
         &self,
         op: &WriteOp,
         result: Result<OpOutcome>,
-        mut send: impl FnMut(Addr, ClientReply),
+        mut send: impl FnMut(Addr, ClientReply, Instant),
     ) {
         if let (Some(t), true) = (&op.trace, result.is_ok()) {
             self.recorder.finish(t);
         }
+        let at = match (&result, op.durable.get()) {
+            (Ok(_), Some(&durable)) => durable,
+            _ => Instant::now(),
+        };
         let reply = ClientReply {
             op_id: op.op_id,
             result,
         };
         if let Some(lane) = op.ack_lane {
             // Ordered acks: hold back until every earlier op on this
-            // (client, pg) lane has been released.
+            // (client, pg) lane has been released, and never let a later
+            // one leave first.
+            let mut after = at;
             let acker = &self.acker;
-            for (to, r) in acker.release(op.client, op.pg.id(), lane, op.reply_to, reply) {
-                send(to, r);
+            for (to, r, at) in acker.release(op.client, op.pg.id(), lane, (op.reply_to, reply, at))
+            {
+                after = after.max(at);
+                send(to, r, after);
             }
         } else {
-            send(op.reply_to, reply);
+            send(op.reply_to, reply, at);
         }
     }
 }
@@ -222,12 +248,29 @@ fn pg_log_op(pg: PgId, pg_seq: u64, object: &str) -> TxOp {
     }
 }
 
-/// The AFCeph continuation: filestore hand-off, then the waiter. No PG
-/// lock and no PG work (§3.1: completion no longer serializes on them).
+/// The paper's single finisher, in both profiles: filestore hand-off,
+/// then the waiter. AFCeph tells the waiter right here — no PG lock and no
+/// PG work (§3.1: completion no longer serializes on them). In Community
+/// the filestore hand-off blocks while the filestore throttle is full,
+/// serializing every completion behind it (Figure 3 stage (5), Figure 4's
+/// collapse), and nobody is told until the completion has been through
+/// the PG queue and the PG lock, contending with data ops like every
+/// Community ack does.
 pub(super) fn completion_worker_loop(inner: Arc<OsdInner>, rx: Receiver<LocalCommit>) {
     while let Ok(c) = rx.recv() {
-        inner.enqueue_filestore(c.jseq, c.txn);
-        inner.complete(c.waiter);
+        inner.enqueue_filestore(c.jseq, c.durable, c.txn);
+        if inner.tuning.dedicated_completion {
+            inner.complete(c.waiter, c.durable);
+        } else {
+            let me = Arc::clone(&inner);
+            inner.queue_pg(
+                c.pg,
+                Box::new(move |_st| {
+                    me.log("journal commit -> pg backend");
+                    me.complete(c.waiter, c.durable);
+                }),
+            );
+        }
     }
 }
 
@@ -310,7 +353,7 @@ impl OsdInner {
     /// was acknowledged. The sequence it assigns becomes the PG's
     /// `last_jseq`: a read ordered at this PG from here on is ordered
     /// behind this mutation's apply. `inline` is the fast-ack replica
-    /// path: commit through the journal's idle fast path on this thread.
+    /// path: the continuation runs on whichever thread commits the record.
     pub(super) fn submit_commit(
         self: &Arc<Self>,
         st: &mut PgState,
@@ -321,85 +364,64 @@ impl OsdInner {
     ) -> Result<()> {
         let payload = txn.encode();
         let (inner, pg) = (Arc::clone(self), Arc::clone(pg));
-        let on_commit = Box::new(move |jseq| {
+        let on_commit = Box::new(move |jseq, durable| {
             let c = LocalCommit {
                 pg,
                 jseq,
+                durable,
                 txn,
                 waiter,
             };
             inner.on_local_commit(c, inline);
         });
-        st.last_jseq = if inline {
-            self.journal.submit_inline(payload, on_commit)
-        } else {
-            self.journal.submit(payload, on_commit)
-        }?;
+        st.last_jseq = self.journal.submit(payload, on_commit)?;
         Ok(())
     }
 
-    /// *Where* the commit continuation runs — the three §3.1 switches.
-    /// Every branch queues the filestore apply first and calls
-    /// [`Self::complete`]; they differ in thread and in what stands between
-    /// the commit and the waiter.
+    /// *Where* the commit continuation runs — the §3.1 switches. It
+    /// runs on the journal's write-group leader, which may hold a PG lock
+    /// (its own submit's): a fast-ack replica's continuation runs right
+    /// there, every other one is a channel send to the completion worker
+    /// ([`completion_worker_loop`]), which queues the apply and tells the
+    /// waiter.
     fn on_local_commit(self: &Arc<Self>, c: LocalCommit, inline: bool) {
         if let Waiter::Primary(op) = &c.waiter {
             op.mark(Mark::JCommit);
         }
-        if !inline && self.tuning.dedicated_completion {
-            // AFCeph: nothing but a channel send on the journal's thread;
-            // the completion worker does the rest. The send is unbounded,
-            // so it never blocks under the handle's no-block lock.
-            if let Some(tx) = &*self.write.completion_tx.lock() {
-                let _ = tx.send(c);
-            }
-            return;
-        }
-        self.enqueue_filestore(c.jseq, c.txn);
         if inline {
-            // fast_ack replica: right here, on the dispatch thread (idle
-            // journal) or the committer (busy journal).
             self.log("replica commit ack (inline)");
-            self.complete(c.waiter);
-        } else {
-            // Community: the single journal finisher queued the filestore
-            // transaction itself — with the filestore throttle full that
-            // blocked it, serializing every completion behind it (Figure 3
-            // stage (5), Figure 4's collapse) — and nobody is told until the
-            // completion has been through the PG queue and the PG lock,
-            // contending with data ops like every Community ack does.
-            let inner = Arc::clone(self);
-            self.queue_pg(
-                c.pg,
-                Box::new(move |_st| {
-                    inner.log("journal commit -> pg backend");
-                    inner.complete(c.waiter);
-                }),
-            );
+            self.enqueue_filestore(c.jseq, c.durable, c.txn);
+            self.complete(c.waiter, c.durable);
+        } else if let Some(tx) = &*self.write.completion_tx.lock() {
+            // The send is unbounded, so it never blocks under the
+            // handle's no-block lock.
+            let _ = tx.send(c);
         }
     }
 
-    /// *What* a local commit means to its waiter.
-    pub(super) fn complete(&self, waiter: Waiter) {
+    /// *What* a local commit means to its waiter, whose record is durable
+    /// at `durable`.
+    pub(super) fn complete(&self, waiter: Waiter, durable: Instant) {
         match waiter {
             Waiter::Primary(op) => {
                 op.mark(Mark::Handled);
+                let _ = op.durable.set(durable);
                 self.settle(&op, 1);
             }
             Waiter::Replica { primary, rep_id } => {
                 // Flip the dedup entry to "committed" so retransmits re-ack.
-                self.rep.mark_done(primary, rep_id);
-                self.send_rep_ack(primary, rep_id);
+                self.rep.mark_done(primary, rep_id, durable);
+                self.send_rep_ack(primary, rep_id, durable);
             }
         }
     }
 
-    fn enqueue_filestore(self: &Arc<Self>, jseq: u64, txn: Transaction) {
+    fn enqueue_filestore(self: &Arc<Self>, jseq: u64, durable: Instant, txn: Transaction) {
         let inner = Arc::clone(self);
         let res = self.store.queue_transaction(
             txn,
             Box::new(move |r| match r {
-                Ok(()) => inner.on_applied(jseq),
+                Ok(()) => inner.on_applied(jseq, durable),
                 Err(e) => inner.on_apply_failed(jseq, "apply", e),
             }),
         );
@@ -417,9 +439,9 @@ impl OsdInner {
         self.write.applied.failed(jseq);
     }
 
-    pub(super) fn on_applied(&self, jseq: u64) {
+    pub(super) fn on_applied(&self, jseq: u64, durable: Instant) {
         self.log("filestore applied");
-        if let Some(w) = self.write.applied.applied(jseq) {
+        if let Some(w) = self.write.applied.applied(jseq, durable) {
             self.journal.trim_through(w);
         }
     }
@@ -429,7 +451,7 @@ impl OsdInner {
     pub(super) fn settle(&self, op: &WriteOp, n: usize) {
         self.log("op commit ready");
         if op.settle(n) {
-            let send = |to, r| self.send_reply(to, r);
+            let send = |to, r, at| self.send_reply(to, r, at);
             self.write.reply(op, Ok(OpOutcome::Done), send);
         }
     }
@@ -437,14 +459,14 @@ impl OsdInner {
     /// Fail `op` unless it has replied already.
     pub(super) fn fail_op(&self, op: &WriteOp, err: AfcError) {
         if op.claim_reply() {
-            let send = |to, r| self.send_reply(to, r);
+            let send = |to, r, at| self.send_reply(to, r, at);
             self.write.reply(op, Err(err), send);
         }
     }
 
-    fn send_reply(&self, to: Addr, reply: ClientReply) {
+    fn send_reply(&self, to: Addr, reply: ClientReply, at: Instant) {
         self.log("send client reply");
-        self.send(to, OsdMsg::Reply(reply));
+        self.send_at(to, OsdMsg::Reply(reply), Some(at));
     }
 }
 
@@ -477,6 +499,7 @@ mod tests {
                 ack_lane: ordered_acks.then(|| path.acker.assign(client, pg.id())),
                 remaining: AtomicUsize::new(THREADS - 1),
                 replied: AtomicBool::new(false),
+                durable: OnceLock::new(),
                 _permit: throttle.acquire_owned(1).unwrap(),
                 trace: path.recorder.start(),
             })
@@ -488,7 +511,7 @@ mod tests {
             for t in 0..THREADS {
                 let (path, ops, replies, barrier) = (&path, &ops, &replies, &barrier);
                 s.spawn(move || {
-                    let mut count = |_: Addr, r: ClientReply| {
+                    let mut count = |_: Addr, r: ClientReply, _: Instant| {
                         let (n, ok) = &replies[r.op_id.0 as usize];
                         n.fetch_add(1, Ordering::Relaxed);
                         ok.store(r.result.is_ok(), Ordering::Relaxed);

@@ -119,11 +119,6 @@ pub struct OsdTuning {
     /// Silence tolerated from a peer before this OSD reports it down to
     /// the monitor (Ceph's `osd_heartbeat_grace`).
     pub heartbeat_grace_ms: u64,
-    /// Group commit: adaptive linger window, microseconds. A batch that
-    /// already holds ≥2 entries waits up to this long to fill before the
-    /// single flush; a lone entry never waits (no added latency at low
-    /// queue depth). Zero disables lingering.
-    pub journal_batch_max_wait_us: u64,
     /// Multi-stream write separation on the data SSDs: each write stream
     /// (KV WAL, KV compaction, metadata, hot/cold data) gets its own FTL
     /// allocation group, so short-lived pages never share erase blocks
@@ -153,7 +148,6 @@ impl OsdTuning {
             rep_max_resends: 5,
             heartbeat_interval_ms: 0,
             heartbeat_grace_ms: 200,
-            journal_batch_max_wait_us: 0,
             streams_enabled: false,
             qos_enabled: false,
         }
@@ -175,7 +169,6 @@ impl OsdTuning {
             rep_max_resends: 5,
             heartbeat_interval_ms: 0,
             heartbeat_grace_ms: 200,
-            journal_batch_max_wait_us: 50,
             streams_enabled: true,
             qos_enabled: true,
         }
@@ -286,10 +279,7 @@ mod tests {
         assert_eq!(a.heartbeat_interval_ms, 0);
         assert_eq!(a.with_heartbeats(5).heartbeat_interval_ms, 5);
         assert_eq!(OsdTuning::afceph().with_heartbeats(5).label(), "afceph");
-        // Group commit is tuned on in afceph, conservative in community.
         let (c, a) = (OsdTuning::community(), OsdTuning::afceph());
-        assert_eq!(c.journal_batch_max_wait_us, 0);
-        assert_eq!(a.journal_batch_max_wait_us, 50);
         // Multi-stream separation ships on in afceph, off in community
         // (and does not affect the optimization label — it's a device
         // placement policy, not one of the Figure 9 steps).

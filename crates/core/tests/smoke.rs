@@ -2,6 +2,8 @@
 
 use afc_common::{BlockTarget, MIB};
 use afc_core::{Cluster, DeviceProfile, OsdTuning};
+use afc_device::NvramConfig;
+use std::time::{Duration, Instant};
 
 fn small_cluster(tuning: OsdTuning) -> Cluster {
     Cluster::builder()
@@ -40,6 +42,42 @@ fn afceph_write_read_roundtrip() {
     client.delete_object("obj1").unwrap();
     assert!(client.read_object("obj1", 0, 1).is_err());
     cluster.shutdown();
+}
+
+/// Durability still gates the ack although no thread sleeps for a
+/// journal record: on a 20 ms NVRAM a QD1 replicated write takes at least
+/// the record's 20 ms plus its four hops, in both profiles.
+#[test]
+fn a_write_is_acked_no_earlier_than_its_records_are_durable() {
+    const ACCESS: Duration = Duration::from_millis(20);
+    const HOP: Duration = Duration::from_micros(80);
+    for tuning in [OsdTuning::afceph(), OsdTuning::community()] {
+        let label = tuning.label();
+        let cluster = Cluster::builder()
+            .nodes(2)
+            .osds_per_node(1)
+            .replication(2)
+            .pg_num(8)
+            .hop_latency(HOP)
+            .tuning(tuning)
+            .devices(DeviceProfile {
+                nvram: NvramConfig {
+                    access: ACCESS,
+                    ..NvramConfig::pmc_8g()
+                },
+                ..DeviceProfile::clean()
+            })
+            .build()
+            .unwrap();
+        let client = cluster.client().unwrap();
+        for i in 0..3 {
+            let t0 = Instant::now();
+            client.write_object("obj", i * 4096, &[7u8; 4096]).unwrap();
+            let took = t0.elapsed();
+            assert!(took >= ACCESS + 4 * HOP, "{label}: acked after {took:?}");
+        }
+        cluster.shutdown();
+    }
 }
 
 #[test]

@@ -10,8 +10,8 @@ pub struct JournalStatsCell {
     pub submits: Counter,
     /// Entries committed (callbacks fired).
     pub commits: Counter,
-    /// Entries committed on the submitter's thread via the inline
-    /// low-queue-depth fast path (subset of `commits`).
+    /// Entries committed by the thread that submitted them — it found no
+    /// commit in progress and led the write group (subset of `commits`).
     pub inline_commits: Counter,
     /// Device writes issued (each covers a batch).
     pub batches: Counter,

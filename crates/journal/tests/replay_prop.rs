@@ -9,7 +9,6 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Deterministic per-entry payload so replayed bytes can be checked.
 fn payload_for(seq: u64, len: usize) -> Bytes {
@@ -55,7 +54,7 @@ proptest! {
             // Crash point: the last entry tears mid-write. It must be
             // recovered as garbage and truncated, never replayed.
             reg.install(FaultSpec::new("jdev.write", FaultKind::Torn));
-            j.submit(payload_for(committed + 1, 512), Box::new(|_| {})).unwrap();
+            j.submit(payload_for(committed + 1, 512), Box::new(|_, _| {})).unwrap();
             j.quiesce();
             prop_assert_eq!(j.stats().torn_writes.get(), 1);
         }
@@ -91,35 +90,34 @@ proptest! {
     fn group_commit_replay_equals_per_op_replay(
         lens in proptest::collection::vec(1u16..2048, 3..32),
     ) {
-        // Batched journal: the whole run is submitted as one burst, so the
-        // committer folds whatever queued behind the record in flight into
-        // multi-entry records. How many it folds depends on how the two
-        // threads interleave, so nothing here asserts a particular
-        // coalescing outcome — only what must hold for every outcome.
+        // Batched journal: entry 1's callback submits the rest while its
+        // record is still being committed, so they queue behind the leader
+        // and go out together in its next record.
         let grouped = Journal::new(
             Arc::new(Nvram::new(NvramConfig::pmc_8g())),
             JournalConfig::default(),
         );
         let acked = Arc::new(Mutex::new(Vec::new()));
-        for (i, len) in lens.iter().enumerate() {
-            let a = Arc::clone(&acked);
-            grouped
-                .submit(
-                    payload_for(i as u64 + 1, *len as usize),
-                    Box::new(move |s| a.lock().push(s)),
-                )
-                .unwrap();
-        }
-        // `commits` is bumped just before each callback runs, so wait on
-        // the callbacks themselves.
-        while acked.lock().len() < lens.len() {
-            std::thread::sleep(Duration::from_micros(100));
-        }
+        let (g, a, rest) = (Arc::clone(&grouped), Arc::clone(&acked), lens[1..].to_vec());
+        grouped
+            .submit(
+                payload_for(1, lens[0] as usize),
+                Box::new(move |s, _| {
+                    a.lock().push(s);
+                    for (i, len) in rest.iter().enumerate() {
+                        let a = Arc::clone(&a);
+                        g.submit(
+                            payload_for(i as u64 + 2, *len as usize),
+                            Box::new(move |s, _| a.lock().push(s)),
+                        )
+                        .unwrap();
+                    }
+                }),
+            )
+            .unwrap();
+        grouped.quiesce();
         let gs = grouped.stats();
-        prop_assert!(
-            gs.batches.get() <= gs.submits.get(),
-            "{} records for {} submits", gs.batches.get(), gs.submits.get()
-        );
+        prop_assert_eq!(gs.batches.get(), 2, "the followers share one record");
         prop_assert_eq!(gs.flushes.get(), gs.batches.get(), "one barrier per record");
         let order = acked.lock().clone();
         let expect_order: Vec<u64> = (1..=lens.len() as u64).collect();
@@ -168,27 +166,25 @@ fn torn_batch_tail_poisons_only_the_tail() {
     dev.faults().attach(Arc::clone(&reg), "jdev");
     let j = Journal::new(dev, JournalConfig::default());
 
-    // Hold the committer inside record 1's flush so entries 2..=5
-    // coalesce into one multi-entry record behind it.
-    reg.install(FaultSpec::new("jdev.flush", FaultKind::Delay(Duration::from_millis(25))).times(1));
+    // Entry 1's callback arms the tear and submits entries 2..=5 while
+    // its record is still being committed: they queue behind the leader
+    // and go out as one multi-entry record, which tears at its tail.
     let acked = Arc::new(Mutex::new(Vec::new()));
-    let a = Arc::clone(&acked);
-    j.submit(payload_for(1, 256), Box::new(move |s| a.lock().push(s)))
-        .unwrap();
-    while j.stats().batches.get() < 1 {
-        std::thread::sleep(Duration::from_micros(100));
-    }
-    // Record 2 (entries 2..=5) tears at its tail mid-write.
-    reg.install(FaultSpec::new("jdev.write", FaultKind::Torn).times(1));
-    for s in 2..=5u64 {
-        let a = Arc::clone(&acked);
-        j.submit(payload_for(s, 256), Box::new(move |q| a.lock().push(q)))
-            .unwrap();
-    }
+    let (j2, a) = (Arc::clone(&j), Arc::clone(&acked));
+    j.submit(
+        payload_for(1, 256),
+        Box::new(move |s, _| {
+            a.lock().push(s);
+            reg.install(FaultSpec::new("jdev.write", FaultKind::Torn).times(1));
+            for s in 2..=5u64 {
+                let a = Arc::clone(&a);
+                j2.submit(payload_for(s, 256), Box::new(move |q, _| a.lock().push(q)))
+                    .unwrap();
+            }
+        }),
+    )
+    .unwrap();
     j.quiesce();
-    while acked.lock().len() < 4 {
-        std::thread::sleep(Duration::from_micros(100));
-    }
 
     let st = j.stats();
     assert_eq!(st.torn_writes.get(), 1);

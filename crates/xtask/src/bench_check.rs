@@ -29,8 +29,11 @@ const EXPECTED: &[(&str, &[(&str, f64)])] = &[
     (
         // QD1 replicated 4 KiB overwrite: request, Replicate, RepAck,
         // reply; one 4 608 B journal record (the encoded txn rounded up to
-        // the 256 B alignment) per replica, half of them committed inline;
-        // one filestore txn and one 4 KiB data write per replica.
+        // the 256 B alignment) per replica, every one committed inline —
+        // `journal.inline_commits` counts entries committed by the thread
+        // that submitted them, and at QD1 every submitter finds the journal
+        // idle and leads its own record; one filestore txn and one 4 KiB
+        // data write per replica.
         "w4k_qd1",
         &[
             ("client.failed_ops", 0.0),
@@ -38,7 +41,7 @@ const EXPECTED: &[(&str, &[(&str, f64)])] = &[
             ("osd.repops_per_op", 1.0),
             ("osd.rep_resends_per_kop", 0.0),
             ("journal.entries_per_flush", 1.0),
-            ("journal.inline_commit_share", 0.5),
+            ("journal.inline_commit_share", 1.0),
             ("journal.bytes_per_op", 9216.0),
             ("filestore.txns_per_op", 2.0),
             ("filestore.meta_reads_per_op", 0.0),
@@ -209,7 +212,7 @@ mod tests {
         let names: Vec<&str> = got.iter().map(|(n, _)| *n).collect();
         assert_eq!(names.len(), 58);
         assert_eq!(names, declared_per_layer());
-        assert!(got.contains(&("journal.bytes_per_op", 9212.2074)));
+        assert!(got.contains(&("journal.bytes_per_op", 9219.3223)));
     }
 
     #[test]

@@ -44,8 +44,10 @@ fn main() -> afcstore::common::Result<()> {
     cluster.quiesce();
     // What modeled time costs in CPU: a QD1 4 KiB write loop between two
     // snapshots of the `model.*` ledger. Each write waits on four wire
-    // hops, two NVRAM records and its SSD applies; the spin is the part of
-    // those waits that burned a core (`scripts/check.sh` bounds it).
+    // hops and its SSD applies; its two NVRAM records are waited for by no
+    // thread (their durable instant rides on the RepAck and the reply), so
+    // `nvram` reads ~0. The spin is the part of those waits that burned a
+    // core (`scripts/check.sh` bounds it).
     const QD1_WRITES: u64 = 2000;
     let before = cluster.metrics_snapshot();
     for i in 0..QD1_WRITES {

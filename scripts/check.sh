@@ -91,18 +91,20 @@ step thread_cpu_table
 # 4b''. Modeled time must not go back to costing a core (ROADMAP item 1):
 #       the quickstart's QD1 4 KiB write loop prints the `model.*` ledger,
 #       and the spin per op it reports is bounded. On the 2-vCPU host the
-#       fixed 60 us reserve reads 250-310 us and the calibrated wait
-#       110-130 us (ISSUE 21's acceptance figure is 130); the gate sits
-#       between the two, far enough from both that a host in its slow
-#       state does not trip it.
+#       fixed 60 us reserve read 250-310 us and the calibrated wait
+#       110-130 us. With no thread waiting for a journal record the line
+#       reads 42-44 us with `nvram 0.0` (65-78 us, nvram ~22, while the
+#       committer and the replica waited for each record); the gate at
+#       100 us catches either wait coming back, with room for a host in its
+#       slow state.
 model_spin() {
     local line spin
     line=$(cargo run --release --quiet --example quickstart | grep '^model: spin ') ||
         { echo "    quickstart printed no 'model: spin' line"; return 1; }
     echo "    $line"
     spin=$(echo "$line" | sed -n 's/^model: spin \([0-9.]*\) us\/op.*/\1/p')
-    awk -v s="$spin" 'BEGIN { exit !(s != "" && s + 0 <= 160) }' ||
-        { echo "    spin per op '$spin' us is over 160 us"; return 1; }
+    awk -v s="$spin" 'BEGIN { exit !(s != "" && s + 0 <= 100) }' ||
+        { echo "    spin per op '$spin' us is over 100 us"; return 1; }
 }
 step model_spin
 
