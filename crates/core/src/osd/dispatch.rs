@@ -1,5 +1,13 @@
-//! Dispatch: client requests from the messenger, through QoS admission
-//! and the OSD-wide op queue, to the op workers that drain PG FIFOs.
+//! Dispatch: client requests from the messenger, through QoS admission,
+//! to their PG order point.
+//!
+//! Under the pending queue the messenger thread that receives a client op
+//! takes one op-worker turn itself ([`OsdInner::queue_client`]): it admits
+//! the op to its PG FIFO and drains the PG without blocking. Nothing at an
+//! AFCeph order point sleeps (a read and a journal record are planned),
+//! and a held PG lock leaves the op to its holder, so handing the op to
+//! another thread would only add a wake-up. The op workers serve the rest:
+//! a QoS backlog, internal work on the plain queue, and every Community op.
 
 use super::pg::{Pg, PgHealth, PgState, PgWork};
 use super::read::ReadJob;
@@ -9,7 +17,7 @@ use super::OsdInner;
 use crate::messages::{ClientOp, ClientReply, ObjectOp, OpOutcome, OsdMsg};
 use crate::qos::{Deq, QosScheduler, QosTag};
 use crate::tuning::OsdTuning;
-use afc_common::lockdep::{classes, TrackedCondvar, TrackedMutex};
+use afc_common::lockdep::{classes, TrackedCondvar, TrackedMutex, TrackedMutexGuard};
 use afc_common::metrics::{Counter, Metrics};
 use afc_common::{AfcError, OpId, OsdId, Result};
 use afc_filestore::Throttle;
@@ -19,7 +27,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// Op worker (OP_WQ) threads per OSD.
+/// Op worker (OP_WQ) threads per OSD. They serve client ops a QoS limit
+/// (or pending internal work) kept from the messenger's turn, internal work
+/// (replication, acks, recovery) and, in Community, every client op.
 pub(super) const OP_THREADS: usize = 2;
 
 /// A tagged client op parked in the QoS scheduler: the PG it targets plus
@@ -44,6 +54,9 @@ pub(super) struct Dispatch {
     pub(super) qos: QosScheduler<ClientWork>,
     pub(super) client_throttle: Arc<Throttle>,
     client_ops: Counter,
+    /// Client ops admitted to their PG FIFO on the receiving messenger
+    /// thread.
+    fast_dispatches: Counter,
     /// Messages dropped because they arrived before the daemon had its
     /// messenger handle.
     pub(super) unready_drops: Counter,
@@ -60,6 +73,7 @@ impl Dispatch {
                 tuning.client_message_cap(),
             )),
             client_ops: Counter::new(),
+            fast_dispatches: Counter::new(),
             unready_drops: Counter::new(),
         }
     }
@@ -73,8 +87,31 @@ impl Dispatch {
         self.cv.notify_all();
     }
 
+    /// Pop the QoS scheduler's next client op and admit it to its PG FIFO,
+    /// holding the op-queue lock (`q`). Every dequeue happens under `q`,
+    /// so this makes scheduler pop order and PG FIFO order one atomic step:
+    /// admission after the unlock would let two dispatching threads race
+    /// `Pg::queue` and invert same-volume op order, which read-after-write
+    /// and ordered acks assume cannot happen. Lock order: OP_QUEUE (held)
+    /// → OSD_QOS → PG_PENDING, ranks 100 → 102 → 300.
+    fn admit_next(
+        &self,
+        _q: &TrackedMutexGuard<'_, VecDeque<Arc<Pg>>>,
+        now: Instant,
+    ) -> Deq<Arc<Pg>> {
+        match self.qos.dequeue(now) {
+            Deq::Ready(ClientWork { pg, work }) => {
+                pg.queue(work);
+                Deq::Ready(pg)
+            }
+            Deq::Wait(at) => Deq::Wait(at),
+            Deq::Empty => Deq::Empty,
+        }
+    }
+
     pub(super) fn register(&self, m: &Metrics, osd: &str) {
         m.register_counter(format!("{osd}.op.client_ops"), &self.client_ops);
+        m.register_counter(format!("{osd}.op.fast_dispatches"), &self.fast_dispatches);
         m.register_counter(format!("{osd}.op.unready_drops"), &self.unready_drops);
         m.attach_set(&format!("{osd}.qos"), self.qos.counters());
         m.attach_hist_set(&format!("{osd}.qos"), self.qos.hists());
@@ -83,6 +120,12 @@ impl Dispatch {
     }
 }
 
+/// An op worker: internal work from the plain queue first, then client ops
+/// the QoS scheduler releases, each admitted to its PG FIFO and drained —
+/// blocking on the PG lock in Community, leaving the op to the holder under
+/// the pending queue. Under the pending queue a client op reaches a worker
+/// only when a QoS limit or pending internal work kept it from the
+/// receiving messenger's turn ([`OsdInner::queue_client`]).
 pub(super) fn op_worker_loop(inner: Arc<OsdInner>) {
     let blocking = !inner.tuning.pending_queue;
     let qos_on = inner.tuning.qos_enabled;
@@ -102,24 +145,8 @@ pub(super) fn op_worker_loop(inner: Arc<OsdInner>) {
                     return;
                 }
                 if qos_on {
-                    // Lock order: OP_QUEUE (held) → OSD_QOS inside
-                    // dequeue — ranks 100 → 102.
-                    match d.qos.dequeue(Instant::now()) {
-                        Deq::Ready(cw) => {
-                            // Admit into the PG pending FIFO *before*
-                            // releasing the op-queue lock (OP_QUEUE 100 →
-                            // PG_PENDING 300). Every QoS dequeue happens
-                            // under `q`, so admitting under the same
-                            // lock makes scheduler pop order and PG FIFO
-                            // order one atomic step — admission after the
-                            // unlock would let two workers race
-                            // `Pg::queue` and invert same-volume op
-                            // order, which read-after-write and ordered
-                            // acks assume cannot happen.
-                            let ClientWork { pg, work } = cw;
-                            pg.queue(work);
-                            break pg;
-                        }
+                    match d.admit_next(&q, Instant::now()) {
+                        Deq::Ready(pg) => break pg,
                         Deq::Wait(deadline) => {
                             // Every backlogged volume is at its IOPS
                             // limit: sleep until the earliest token (or
@@ -149,22 +176,45 @@ impl OsdInner {
         self.dispatch.cv.notify_one();
     }
 
-    /// Route a tagged client op to the op workers: through the per-volume
-    /// QoS scheduler when enabled, else straight onto the plain queue.
+    /// Admit a tagged client op to its PG FIFO, through the per-volume QoS
+    /// scheduler when enabled.
+    ///
+    /// Under the pending queue the calling messenger thread takes one
+    /// op-worker turn: with QoS on it enqueues the op and, when the plain
+    /// queue is empty, dequeues one item and admits it to its PG FIFO in
+    /// the same op-queue critical section as a worker would; it wakes a
+    /// worker only if the scheduler still holds work (a backlog, or a
+    /// volume at its limit), then drains the admitted PG without blocking,
+    /// so a held PG lock leaves the op to its holder. Community hands every
+    /// op to the op workers, which wait for the PG lock.
     fn queue_client(&self, qos: &QosTag, pg: Arc<Pg>, work: PgWork) {
-        if !self.tuning.qos_enabled {
-            self.queue_pg(pg, work);
-            return;
-        }
         let d = &self.dispatch;
-        d.qos.enqueue(qos, ClientWork { pg, work }, Instant::now());
-        // Serialize against a worker's empty-check: workers inspect the
-        // scheduler while holding `q` and release it only inside
-        // `cv.wait`, so acquiring the queue lock here (even empty-handed)
-        // guarantees our notify lands after their wait began — no lost
-        // wakeup.
-        drop(d.q.lock());
-        d.cv.notify_one();
+        let fast = self.tuning.pending_queue;
+        if !self.tuning.qos_enabled {
+            if !fast {
+                return self.queue_pg(pg, work);
+            }
+            d.fast_dispatches.inc();
+            return pg.submit(work, false);
+        }
+        let (admitted, backlog) = {
+            // Workers inspect the scheduler holding `q` and release it only
+            // inside `cv.wait`, so enqueueing under it puts the notify below
+            // after their wait began: no lost wake-up.
+            let q = d.q.lock();
+            let now = Instant::now();
+            d.qos.enqueue(qos, ClientWork { pg, work }, now);
+            // Internal work dispatches first, as in the worker loop.
+            let admitted = (fast && q.is_empty()).then(|| d.admit_next(&q, now));
+            (admitted, !d.qos.is_empty())
+        };
+        if backlog {
+            d.cv.notify_one();
+        }
+        if let Some(Deq::Ready(pg)) = admitted {
+            d.fast_dispatches.inc();
+            pg.drain(false);
+        }
     }
 
     /// Answer a client.
@@ -275,5 +325,85 @@ impl OsdInner {
     /// against the refreshed map once peering settles.
     fn pg_ready(&self, st: &PgState, acting: &[OsdId]) -> bool {
         st.health != PgHealth::Peering && (!self.healing_enabled() || st.acting == acting)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Cluster, DeviceProfile};
+    use afc_common::{ClientId, ObjectId};
+    use crossbeam::channel;
+    use std::time::Duration;
+
+    /// The messenger thread that receives an AFCeph client op never waits
+    /// for the op's PG lock: while another thread holds it, dispatch
+    /// returns, the op waits in the PG FIFO, and the holder runs it when it
+    /// releases. The holder gives up after 10 s, so a dispatch that waited
+    /// fails the test instead of hanging it.
+    #[test]
+    fn a_client_op_on_a_held_pg_is_left_to_the_holder() {
+        let cluster = Cluster::builder()
+            .nodes(1)
+            .osds_per_node(1)
+            .replication(1)
+            .pg_num(8)
+            .tuning(OsdTuning::afceph())
+            .devices(DeviceProfile::clean())
+            .build()
+            .unwrap();
+        cluster
+            .client()
+            .unwrap()
+            .write_object("held", 0, b"12345")
+            .unwrap();
+        let inner = &cluster.osds()[0].inner;
+        let map = cluster.monitor().map();
+        let object = ObjectId::new(cluster.pool(), "held");
+        let (pgid, _) = map.object_placement(&object).unwrap();
+        let pg = inner.pg(pgid);
+        let admitted = inner.dispatch.fast_dispatches.get();
+        // A client endpoint that hands each reply to the test.
+        let (reply_tx, replies) = channel::unbounded();
+        let me = Addr::Client(ClientId(1000));
+        let on_reply = move |_: Addr, msg: OsdMsg| {
+            if let OsdMsg::Reply(r) = msg {
+                let _ = reply_tx.send(r);
+            }
+        };
+        cluster.network().register(me, Arc::new(on_reply)).unwrap();
+        let (held_tx, held) = channel::bounded(1);
+        let (release, release_rx) = channel::bounded(1);
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                pg.with_state(|_| {
+                    held_tx.send(()).unwrap();
+                    release_rx.recv_timeout(Duration::from_secs(10)).is_ok()
+                })
+            });
+            held.recv().unwrap();
+            inner.handle_request(
+                me,
+                ClientOp {
+                    client: ClientId(1000),
+                    op_id: OpId(1),
+                    pg: pgid,
+                    object,
+                    op: ObjectOp::Stat,
+                    epoch: map.epoch(),
+                    qos: QosTag::best_effort(),
+                },
+            );
+            assert_eq!(pg.pending_len(), 1, "the op waits in the PG FIFO");
+            assert!(replies.try_recv().is_err(), "the op ran under a held lock");
+            release.send(()).unwrap();
+            assert!(holder.join().unwrap(), "dispatch waited for the PG lock");
+        });
+        assert_eq!(pg.pending_len(), 0);
+        let reply = replies.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!(reply.op_id, OpId(1));
+        assert!(matches!(reply.result, Ok(OpOutcome::Size(5))), "{reply:?}");
+        assert_eq!(inner.dispatch.fast_dispatches.get(), admitted + 1);
+        cluster.shutdown();
     }
 }

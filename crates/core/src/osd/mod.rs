@@ -6,10 +6,10 @@
 //! [`OsdTuning`]:
 //!
 //! ```text
-//! client ──▶ messenger dispatch ──▶ PG queue ──▶ OP_WQ worker (PG lock)
-//!                                                │  pg-log append
-//!                                                │  replicate ▶ replicas
-//!                                                ▼  journal submit
+//! client ──▶ messenger thread ──▶ QoS ──▶ PG FIFO ──▶ order point (PG lock)
+//!   afceph:    the receiving messenger thread         │  pg-log append
+//!              runs it (OP_WQ: QoS backlog only)      │  replicate ▶ replicas
+//!   community: an OP_WQ worker runs it                ▼  journal submit
 //!                      write-group leader plans record ▶ completion worker
 //!             community: worker queues filestore (may block on
 //!                        throttle); commits and acks go via the PG queue

@@ -1,7 +1,7 @@
 //! Write-path stage tracing (Figure 3).
 //!
 //! One write in 16 carries a [`Trace`]: a stamp per [`Mark`], taken as the
-//! op passes message processing → PG-queue dequeue → journal submit (PG
+//! op passes message processing → PG order point → journal submit (PG
 //! lock + replication send + metadata read) → journal commit → completion
 //! hand-off → client reply. When the write replies `Ok`, each row of
 //! [`STAGES`] is observed into its `osdN.stage.*` histogram; the registry
@@ -16,9 +16,13 @@ use std::time::{Duration, Instant};
 pub enum Mark {
     /// Message received by the messenger dispatch.
     Recv,
-    /// Enqueued on the PG op queue (messenger dispatch work done).
+    /// Handed to admission (messenger dispatch work done).
     Queued,
-    /// Dequeued by an op worker (PG work started).
+    /// PG work started under the PG lock. From `Queued` to here is QoS and
+    /// PG-FIFO admission plus the wait for the PG lock (or for its holder
+    /// to reach the op); under the pending queue the receiving messenger
+    /// thread does the admission itself, an op worker only for a QoS
+    /// backlog.
     Dequeue,
     /// Journal submit issued.
     JSubmit,

@@ -166,6 +166,37 @@ fn osd_stats_account_the_pipeline() {
     cluster.shutdown();
 }
 
+/// With no QoS backlog every AFCeph client op is admitted on the messenger
+/// thread that receives it, while the scheduler still sees and serves each
+/// one; Community hands every op to an op worker.
+#[test]
+fn qd1_client_ops_are_admitted_on_the_receiving_messenger_thread() {
+    for tuning in [OsdTuning::afceph(), OsdTuning::community()] {
+        let afceph = tuning.pending_queue;
+        let cluster = small_cluster(tuning);
+        let client = cluster.client().unwrap();
+        for i in 0..40 {
+            let name = format!("fd{i}");
+            client.write_object(&name, 0, &[4u8; 512]).unwrap();
+            assert_eq!(client.read_object(&name, 0, 512).unwrap(), [4u8; 512]);
+        }
+        let snap = cluster.metrics_snapshot();
+        assert_eq!(snap.site_sum("op.client_ops"), 80);
+        for osd in cluster.osds() {
+            let c = |name: &str| snap.counter(&format!("osd{}.{name}", osd.id().0)).unwrap();
+            let fast = c("op.fast_dispatches");
+            if afceph {
+                assert_eq!(fast, c("op.client_ops"), "{}", osd.id());
+                let served = c("qos.served_reservation") + c("qos.served_weight");
+                assert_eq!(served, c("qos.enqueued"), "{}", osd.id());
+            } else {
+                assert_eq!(fast, 0, "{}: community", osd.id());
+            }
+        }
+        cluster.shutdown();
+    }
+}
+
 /// The six consecutive write stages tile `total`: on every OSD each stage
 /// counts the same sampled writes, and their `sum_us` adds up to
 /// `total.sum_us` less at most the µs truncation (< 1 µs per stage and
