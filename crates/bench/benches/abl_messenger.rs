@@ -38,11 +38,8 @@ fn main() {
         println!("{r}");
         let snap = cluster.metrics_snapshot();
         let conns = snap.counter("net.conns").unwrap_or(0);
-        let lanes = snap.counter("net.lanes").unwrap_or(0);
-        println!(
-            "  connections={conns} receive threads={}",
-            if lanes > 0 { lanes } else { conns },
-        );
+        let threads = snap.counter("net.threads").unwrap_or(0);
+        println!("  connections={conns} receive threads={threads}");
         rows.push(FigRow::from_report(name, i as f64, &r, false).with_tuning("afceph"));
         cluster.shutdown();
     }

@@ -38,6 +38,8 @@
 //! process-wide [`ledger`] is what the storage stack's waits are booked to;
 //! `Cluster` registers it as `model.{net,nvram,ssd}.{waits,sleep_us,spin_us}`
 //! and `model.overshoot_us`, so **software CPU = process CPU − Σ spin_us**.
+//! A wait asked for after its deadline is no wait; it counts only in
+//! `model.<class>.late`, so `waits + late` is every wait asked for.
 //!
 //! A thread that must be woken early when something falls due sooner (a
 //! messenger delivery thread) splits the wait at its kernel sleep with
@@ -158,6 +160,9 @@ pub struct ClassLedger {
     pub sleep_us: Counter,
     /// Wall time those waits spent spinning — CPU the model burned.
     pub spin_us: Counter,
+    /// Waits asked for after their deadline had passed: no wait, nothing
+    /// else booked. `waits + late` counts every wait asked for.
+    pub late: Counter,
 }
 
 /// Account of modeled waits: per class, their count and how their wall
@@ -176,7 +181,7 @@ impl Ledger {
         &self.classes[class as usize]
     }
 
-    /// Register as `model.<class>.{waits,sleep_us,spin_us}` and
+    /// Register as `model.<class>.{waits,sleep_us,spin_us,late}` and
     /// `model.overshoot_us`.
     pub fn register_into(&self, m: &Metrics) {
         for class in WaitClass::ALL {
@@ -184,28 +189,35 @@ impl Ledger {
             m.register_counter(format!("model.{name}.waits"), &row.waits);
             m.register_counter(format!("model.{name}.sleep_us"), &row.sleep_us);
             m.register_counter(format!("model.{name}.spin_us"), &row.spin_us);
+            m.register_counter(format!("model.{name}.late"), &row.late);
         }
         m.register_histogram("model.overshoot_us", &self.overshoot_us);
     }
 
     /// Wait until `deadline` (see the module docs), booking the wait to
-    /// `class` in this ledger. Returns at once, uncounted, when the
-    /// deadline has already passed.
+    /// `class` in this ledger. Returns at once, counted only as `late`,
+    /// when the deadline has already passed.
     pub fn wait_until(&self, class: WaitClass, deadline: Instant) {
-        if let Some(w) = calibrated_wait(deadline) {
-            self.book(class, deadline, w);
+        match calibrated_wait(deadline) {
+            Some(w) => self.book(class, deadline, w),
+            None => self.class(class).late.inc(),
         }
     }
 
     /// Start a wait for `deadline` whose kernel sleep the caller performs
     /// itself, on a condvar it can be woken from (see [`Wait`]). `None`
-    /// when the deadline has already passed: no wait, nothing booked.
+    /// when the deadline has already passed: no wait, counted only as
+    /// `late`.
     pub fn begin(&self, class: WaitClass, deadline: Instant) -> Option<Wait<'_>> {
+        let Some(sleep) = Sleep::plan(deadline) else {
+            self.class(class).late.inc();
+            return None;
+        };
         Some(Wait {
             ledger: self,
             class,
             deadline,
-            sleep: Sleep::plan(deadline)?,
+            sleep,
         })
     }
 
@@ -397,10 +409,14 @@ mod tests {
     }
 
     #[test]
-    fn past_deadline_returns_uncounted() {
+    fn past_deadline_returns_counted_late_only() {
         let l = Ledger::default();
-        l.wait_until(WaitClass::Net, Instant::now() - Duration::from_secs(1));
-        assert_eq!(l.class(WaitClass::Net).waits.get(), 0);
+        let past = Instant::now() - Duration::from_secs(1);
+        l.wait_until(WaitClass::Net, past);
+        assert!(l.begin(WaitClass::Net, past).is_none());
+        let net = l.class(WaitClass::Net);
+        assert_eq!((net.waits.get(), net.late.get()), (0, 2));
+        assert_eq!(net.sleep_us.get() + net.spin_us.get(), 0);
         assert_eq!(l.overshoot_us.count(), 0);
     }
 

@@ -4,32 +4,53 @@
 //! determine each object's PG and primary OSD, requests go straight to the
 //! primary, and misdirected ops (stale map during failures/expansion) are
 //! retried after a map refresh.
+//!
+//! A session is its endpoint's [`Inbox`]: the OSD thread that sends a
+//! reply hands it over at once, stamped with its arrival, and the op's
+//! waiter waits out that instant itself (booked to `model.net`, as a
+//! connection thread's wait would be). No thread is woken to deliver a
+//! reply, and nothing observes one before it arrives.
 
 use crate::messages::{ClientOp, ClientReply, ObjectOp, OpOutcome, OsdMsg};
 use crate::monitor::SharedMap;
 use crate::qos::{QosSpec, QosTag};
-use afc_common::{AfcError, ClientId, ObjectId, OpId, PoolId, Result, VolumeId};
-use afc_messenger::{Addr, Dispatcher, Messenger, Network};
+use afc_common::{
+    wait_until, AfcError, ClientId, ObjectId, OpId, PoolId, Result, VolumeId, WaitClass,
+};
+use afc_messenger::{Addr, Inbox, Messenger, Network};
 use bytes::Bytes;
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-type ReplyTx = crossbeam::channel::Sender<Result<OpOutcome>>;
+/// An op's result and the instant its reply arrives at the client.
+type Reply = (Result<OpOutcome>, Instant);
 
 struct ClientShared {
-    pending: Mutex<HashMap<OpId, ReplyTx>>,
+    pending: Mutex<HashMap<OpId, Sender<Reply>>>,
 }
 
-struct ClientDispatcher(Arc<ClientShared>);
+impl ClientShared {
+    /// Await the reply to `op_id`.
+    fn expect(&self, op_id: OpId) -> OpHandle {
+        let (tx, rx) = crossbeam::channel::bounded(1);
+        self.pending.lock().insert(op_id, tx);
+        OpHandle {
+            rx,
+            held: Mutex::new(None),
+            op_id,
+        }
+    }
+}
 
-impl Dispatcher<OsdMsg> for ClientDispatcher {
-    fn dispatch(&self, _from: Addr, msg: OsdMsg) {
+impl Inbox<OsdMsg> for ClientShared {
+    fn post(&self, _from: Addr, msg: OsdMsg, arrival: Instant) {
         if let OsdMsg::Reply(ClientReply { op_id, result }) = msg {
-            if let Some(tx) = self.0.pending.lock().remove(&op_id) {
-                let _ = tx.send(result);
+            if let Some(tx) = self.pending.lock().remove(&op_id) {
+                let _ = tx.send((result, arrival));
             }
         }
     }
@@ -37,36 +58,60 @@ impl Dispatcher<OsdMsg> for ClientDispatcher {
 
 /// A pending asynchronous operation.
 pub struct OpHandle {
-    rx: crossbeam::channel::Receiver<Result<OpOutcome>>,
+    rx: Receiver<Reply>,
+    /// A reply taken before its arrival, kept until then.
+    held: Mutex<Option<Reply>>,
     op_id: OpId,
 }
 
 impl OpHandle {
+    fn disconnected() -> AfcError {
+        AfcError::Disconnected("client shut down".into())
+    }
+
     /// Block until the op completes.
     pub fn wait(self) -> Result<OpOutcome> {
-        self.rx
-            .recv()
-            .map_err(|_| AfcError::Disconnected("client shut down".into()))?
+        let (result, arrival) = match self.held.into_inner() {
+            Some(reply) => reply,
+            None => self.rx.recv().map_err(|_| Self::disconnected())?,
+        };
+        wait_until(WaitClass::Net, arrival);
+        result
     }
 
     /// Block until the op completes or `timeout` elapses (typed
-    /// `Timeout`; the caller should abandon the op via its op id).
+    /// `Timeout`; the caller should abandon the op via its op id). A reply
+    /// arriving after the timeout is kept for a later wait.
     pub fn wait_timeout(&self, timeout: Duration) -> Result<OpOutcome> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(r) => r,
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Err(AfcError::Timeout(format!(
-                "op {} unanswered after {timeout:?}",
-                self.op_id.0
-            ))),
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                Err(AfcError::Disconnected("client shut down".into()))
+        let deadline = Instant::now() + timeout;
+        let held = self.held.lock().take();
+        let reply = match held.map_or_else(|| self.rx.recv_timeout(timeout), Ok) {
+            Ok(reply) if reply.1 <= deadline => reply,
+            Ok(reply) => {
+                *self.held.lock() = Some(reply);
+                std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
+                return Err(self.timed_out(timeout));
             }
-        }
+            Err(RecvTimeoutError::Timeout) => return Err(self.timed_out(timeout)),
+            Err(RecvTimeoutError::Disconnected) => return Err(Self::disconnected()),
+        };
+        wait_until(WaitClass::Net, reply.1);
+        reply.0
     }
 
-    /// Non-blocking poll.
+    fn timed_out(&self, timeout: Duration) -> AfcError {
+        AfcError::Timeout(format!("op {} unanswered after {timeout:?}", self.op_id.0))
+    }
+
+    /// Non-blocking poll: `None` until the reply has arrived.
     pub fn try_wait(&self) -> Option<Result<OpOutcome>> {
-        self.rx.try_recv().ok()
+        let mut held = self.held.lock();
+        let (result, arrival) = held.take().or_else(|| self.rx.try_recv().ok())?;
+        if Instant::now() < arrival {
+            *held = Some((result, arrival));
+            return None;
+        }
+        Some(result)
     }
 }
 
@@ -101,10 +146,7 @@ impl RadosClient {
         let shared = Arc::new(ClientShared {
             pending: Mutex::new(HashMap::new()),
         });
-        let msgr = net.register(
-            Addr::Client(id),
-            Arc::new(ClientDispatcher(Arc::clone(&shared))),
-        )?;
+        let msgr = net.register_inbox(Addr::Client(id), Arc::clone(&shared) as _)?;
         Ok(Arc::new(RadosClient {
             id,
             pool,
@@ -163,8 +205,7 @@ impl RadosClient {
         let (pg, acting) = map.object_placement(&obj)?;
         let primary = acting[0];
         let op_id = OpId(self.next_op.fetch_add(1, Ordering::Relaxed));
-        let (tx, rx) = crossbeam::channel::bounded(1);
-        self.shared.pending.lock().insert(op_id, tx);
+        let handle = self.shared.expect(op_id);
         let wire = op.wire_bytes();
         let req = OsdMsg::Request(ClientOp {
             client: self.id,
@@ -179,7 +220,7 @@ impl RadosClient {
             self.shared.pending.lock().remove(&op_id);
             return Err(e);
         }
-        Ok(OpHandle { rx, op_id })
+        Ok(handle)
     }
 
     /// One attempt: wait up to the op timeout, and on expiry abandon the
@@ -292,5 +333,60 @@ impl RadosClient {
     /// Asynchronous read.
     pub fn read_object_async(&self, object: &str, offset: u64, len: u32) -> Result<OpHandle> {
         self.submit(object, ObjectOp::Read { offset, len })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use afc_common::OsdId;
+
+    const AHEAD: Duration = Duration::from_millis(30);
+
+    /// A handle whose reply is already posted, to arrive `AHEAD` from now.
+    fn posted() -> (OpHandle, Instant) {
+        let shared = ClientShared {
+            pending: Mutex::new(HashMap::new()),
+        };
+        let handle = shared.expect(OpId(1));
+        let arrival = Instant::now() + AHEAD;
+        let reply = ClientReply {
+            op_id: OpId(1),
+            result: Ok(OpOutcome::Done),
+        };
+        shared.post(Addr::Osd(OsdId(0)), OsdMsg::Reply(reply), arrival);
+        (handle, arrival)
+    }
+
+    #[test]
+    fn try_wait_sees_no_reply_before_its_arrival() {
+        let (h, arrival) = posted();
+        assert!(h.try_wait().is_none());
+        assert!(h.try_wait().is_none(), "a poll must not lose the reply");
+        std::thread::sleep(arrival.saturating_duration_since(Instant::now()));
+        assert!(matches!(h.try_wait(), Some(Ok(OpOutcome::Done))));
+    }
+
+    #[test]
+    fn wait_returns_no_earlier_than_the_arrival() {
+        let (h, arrival) = posted();
+        assert!(matches!(h.wait(), Ok(OpOutcome::Done)));
+        assert!(Instant::now() >= arrival);
+        // Also when an early poll took it off the channel.
+        let (h, arrival) = posted();
+        assert!(h.try_wait().is_none());
+        assert!(matches!(h.wait(), Ok(OpOutcome::Done)));
+        assert!(Instant::now() >= arrival);
+    }
+
+    #[test]
+    fn wait_timeout_short_of_the_arrival_times_out_no_earlier_than_its_timeout() {
+        let (h, arrival) = posted();
+        let (t0, timeout) = (Instant::now(), AHEAD / 3);
+        assert!(matches!(h.wait_timeout(timeout), Err(AfcError::Timeout(_))));
+        assert!(t0.elapsed() >= timeout);
+        // The reply is kept: a longer wait takes it at its arrival.
+        assert!(matches!(h.wait_timeout(AHEAD * 10), Ok(OpOutcome::Done)));
+        assert!(Instant::now() >= arrival);
     }
 }

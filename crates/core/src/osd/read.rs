@@ -1,8 +1,8 @@
 //! Reads (and stats): ordered at the PG against earlier writes by the
 //! journal sequence captured there. A read's device time is planned, not
 //! slept through: its reply is stamped to leave when the SSD read
-//! completes, so one modeled wait on the reply's connection thread covers
-//! the device and the hop.
+//! completes and is posted to the client's session at once, so one modeled
+//! wait by the client's waiter covers the device and the hop.
 
 use super::OsdInner;
 use crate::messages::{ClientReply, ObjectOp, OpOutcome, OsdMsg};

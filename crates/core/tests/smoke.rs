@@ -1,8 +1,9 @@
 //! End-to-end smoke tests for the cluster stack.
 
-use afc_common::{BlockTarget, MIB};
+use afc_common::{BlockTarget, ObjectId, MIB};
 use afc_core::{Cluster, DeviceProfile, OsdTuning};
 use afc_device::NvramConfig;
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 fn small_cluster(tuning: OsdTuning) -> Cluster {
@@ -234,5 +235,29 @@ fn sampled_write_stages_sum_to_the_total() {
         sampled += total.count;
     }
     assert!(sampled > 0, "no write was sampled");
+    cluster.shutdown();
+}
+
+/// A client session is an inbox: the OSD thread that sends a reply posts
+/// it, and no delivery thread serves a connection toward a client.
+#[test]
+fn replies_are_posted_to_the_client_and_no_thread_delivers_them() {
+    const OPS: u64 = 40;
+    let cluster = small_cluster(OsdTuning::afceph());
+    let client = cluster.client().unwrap();
+    let map = cluster.monitor().shared_map();
+    let mut primaries = BTreeSet::new();
+    for i in 0..OPS {
+        let name = format!("ib{i}");
+        client.write_object(&name, 0, &[5u8; 1024]).unwrap();
+        assert_eq!(client.read_object(&name, 0, 1024).unwrap(), [5u8; 1024]);
+        let obj = ObjectId::new(cluster.pool(), &name);
+        primaries.insert(map.read().object_placement(&obj).unwrap().1[0]);
+    }
+    let snap = cluster.metrics_snapshot();
+    let c = |name: &str| snap.counter(name).unwrap();
+    assert_eq!(c("net.posted"), 2 * OPS, "one posted reply per op");
+    let client_conns = primaries.len() as u64;
+    assert_eq!(c("net.threads"), c("net.conns") - client_conns);
     cluster.shutdown();
 }

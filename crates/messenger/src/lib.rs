@@ -11,7 +11,7 @@
 //!   to the connection's queue; only `register`/`unregister`/`shutdown` and
 //!   the first message of a connection (which creates its thread) take it
 //!   exclusively, so senders do not serialise on the fabric.
-//! - Each `(sender → receiver)` pair gets a dedicated **connection thread**
+//! - Each `(sender → daemon)` pair gets a dedicated **connection thread**
 //!   that models wire latency, delivers in departure order, and optionally
 //!   burns per-message CPU (protocol/checksum work) so host CPU becomes the
 //!   collective ceiling exactly as in the paper.
@@ -24,6 +24,11 @@
 //!   stay FIFO; a stamped one never holds back a message that leaves
 //!   before it. A sender wakes the thread only when its message arrives
 //!   before the one the thread sleeps for.
+//! - **Inboxes.** An endpoint registered with an [`Inbox`] (a client
+//!   session) gets no connection thread: the sending thread hands it each
+//!   message at once, stamped with the arrival a connection thread would
+//!   have delivered it at, and the endpoint's own waiter waits out that
+//!   instant. A daemon cannot be an inbox: its handlers act *at* arrival.
 //! - **Nagle modeling** (§3.2): with `nagle = true` (community KRBD on
 //!   CentOS 7), messages smaller than one MSS are delayed by the
 //!   small-packet coalescing window before they leave the sender. Large
@@ -60,7 +65,8 @@ pub struct NetConfig {
     pub nagle_threshold: u32,
     /// Extra delay Nagle imposes on small messages.
     pub nagle_delay: Duration,
-    /// Per-message CPU burned by the connection thread (protocol work,
+    /// Per-message CPU burned by the connection thread, or by the sending
+    /// thread for a message posted to an inbox (protocol work,
     /// checksumming). Zero by default; the scale-out harness raises it.
     pub cpu_per_msg: Duration,
     /// Receive-side threading model (§4.5 / extension).
@@ -120,8 +126,10 @@ impl NetConfig {
     }
 }
 
-/// Receives dispatched messages for one endpoint. Implementations must be
-/// thread-safe: every inbound connection dispatches from its own thread.
+/// Receives dispatched messages for one endpoint, at their arrival, on a
+/// delivery thread. Implementations must be thread-safe: in `Simple` mode
+/// every inbound connection dispatches from its own thread, in `Async`
+/// mode from whichever lane it is sharded onto.
 pub trait Dispatcher<M>: Send + Sync {
     /// Handle one message from `from`.
     fn dispatch(&self, from: Addr, msg: M);
@@ -134,24 +142,55 @@ impl<M, F: Fn(Addr, M) + Send + Sync> Dispatcher<M> for F {
     }
 }
 
-struct ConnHandle<M> {
-    lane: Arc<Lane<M>>,
-    /// This connection's slot in its lane's plain-send floors.
-    slot: usize,
-    /// Present only for Simple-mode per-connection threads; Async lanes are
-    /// owned by the network.
-    thread: Option<JoinHandle<()>>,
+/// Takes one endpoint's messages on the sending thread, before they
+/// arrive (see [`Network::register_inbox`]).
+pub trait Inbox<M>: Send + Sync {
+    /// Take `msg` from `from`, which arrives at `arrival`. Nothing may
+    /// observe it before then.
+    fn post(&self, from: Addr, msg: M, arrival: Instant);
 }
 
-impl<M> ConnHandle<M> {
+/// One inbound connection.
+enum Conn<M> {
+    /// Served by a delivery thread.
+    Lane {
+        lane: Arc<Lane<M>>,
+        /// This connection's slot in its lane's plain-send floors.
+        slot: usize,
+        /// Present only for Simple-mode per-connection threads; Async lanes
+        /// are owned by the network.
+        thread: Option<JoinHandle<()>>,
+        dispatcher: Arc<dyn Dispatcher<M>>,
+    },
+    /// To an inbox: no thread, only the arrival of the last plain send.
+    Inbox {
+        inbox: Arc<dyn Inbox<M>>,
+        floor: Mutex<Instant>,
+    },
+}
+
+impl<M> Conn<M> {
     /// Wind the connection down: a Simple-mode thread delivers what it
-    /// holds and exits. An Async lane outlives its connections.
+    /// holds and exits. An Async lane outlives its connections, and an
+    /// inbox connection has no thread.
     fn close(self) {
-        if let Some(t) = self.thread {
-            self.lane.close();
+        if let Conn::Lane {
+            lane,
+            thread: Some(t),
+            ..
+        } = self
+        {
+            lane.close();
             let _ = t.join();
         }
     }
+}
+
+/// A plain send arrives no earlier than the one sent before it on its
+/// connection: raise `arrival` to the connection's `floor` and move it.
+fn raise_to_floor(floor: &mut Instant, arrival: Instant) -> Instant {
+    *floor = arrival.max(*floor);
+    *floor
 }
 
 struct WorkItem<M> {
@@ -219,8 +258,7 @@ impl<M> Lane<M> {
             return false;
         }
         if !stamped {
-            arrival = arrival.max(st.floors[slot]);
-            st.floors[slot] = arrival;
+            arrival = raise_to_floor(&mut st.floors[slot], arrival);
         }
         let seq = st.next_seq;
         st.next_seq += 1;
@@ -300,10 +338,18 @@ fn deliver_loop<M>(lane: &Lane<M>, cfg: &NetConfig) {
     }
 }
 
+/// How an endpoint takes its messages.
+enum Receiver<M> {
+    /// At arrival, on delivery threads.
+    Dispatcher(Arc<dyn Dispatcher<M>>),
+    /// At send, stamped with the arrival.
+    Inbox(Arc<dyn Inbox<M>>),
+}
+
 struct EndpointState<M> {
-    dispatcher: Arc<dyn Dispatcher<M>>,
+    receiver: Receiver<M>,
     /// Inbound connections keyed by sender address.
-    conns: HashMap<Addr, ConnHandle<M>>,
+    conns: HashMap<Addr, Conn<M>>,
 }
 
 struct NetInner<M> {
@@ -334,6 +380,8 @@ pub struct Network<M: Send + 'static> {
     bytes: Counter,
     conns: Counter,
     lanes: Counter,
+    threads: Counter,
+    posted: Counter,
     nagled: Counter,
     dropped: Counter,
     duplicated: Counter,
@@ -355,6 +403,8 @@ impl<M: Send + 'static> Network<M> {
             bytes: Counter::new(),
             conns: Counter::new(),
             lanes: Counter::new(),
+            threads: Counter::new(),
+            posted: Counter::new(),
             nagled: Counter::new(),
             dropped: Counter::new(),
             duplicated: Counter::new(),
@@ -381,12 +431,31 @@ impl<M: Send + 'static> Network<M> {
         });
     }
 
-    /// Register an endpoint and get its sending handle.
+    /// Register an endpoint whose messages are dispatched at their arrival
+    /// by delivery threads, and get its sending handle.
     pub fn register(
         self: &Arc<Self>,
         addr: Addr,
         dispatcher: Arc<dyn Dispatcher<M>>,
     ) -> Result<Messenger<M>> {
+        self.add_endpoint(addr, Receiver::Dispatcher(dispatcher))
+    }
+
+    /// Register an endpoint whose messages are posted to `inbox` by the
+    /// sending thread, each with its arrival, and get its sending handle.
+    /// No delivery thread is ever spawned toward it. For an endpoint whose
+    /// only action on a message is to hand it to a waiter that honours the
+    /// arrival (a client session); a daemon, whose handlers act at
+    /// arrival, registers a [`Dispatcher`].
+    pub fn register_inbox(
+        self: &Arc<Self>,
+        addr: Addr,
+        inbox: Arc<dyn Inbox<M>>,
+    ) -> Result<Messenger<M>> {
+        self.add_endpoint(addr, Receiver::Inbox(inbox))
+    }
+
+    fn add_endpoint(self: &Arc<Self>, addr: Addr, receiver: Receiver<M>) -> Result<Messenger<M>> {
         let mut inner = self.inner.write();
         if inner.shutdown {
             return Err(AfcError::ShutDown("network".into()));
@@ -397,7 +466,7 @@ impl<M: Send + 'static> Network<M> {
         inner.endpoints.insert(
             addr,
             EndpointState {
-                dispatcher,
+                receiver,
                 conns: HashMap::new(),
             },
         );
@@ -411,7 +480,7 @@ impl<M: Send + 'static> Network<M> {
     pub fn unregister(&self, addr: Addr) {
         let state = self.inner.write().endpoints.remove(&addr);
         if let Some(state) = state {
-            state.conns.into_values().for_each(ConnHandle::close);
+            state.conns.into_values().for_each(Conn::close);
         }
     }
 
@@ -427,7 +496,7 @@ impl<M: Send + 'static> Network<M> {
             )
         };
         for (_, state) in eps {
-            state.conns.into_values().for_each(ConnHandle::close);
+            state.conns.into_values().for_each(Conn::close);
         }
         lanes.iter().for_each(|l| l.close());
         for t in lane_threads {
@@ -436,13 +505,18 @@ impl<M: Send + 'static> Network<M> {
     }
 
     /// Register the network's counters into a cluster metric registry as
-    /// `net.{msgs,bytes,conns,lanes,nagled,dropped,duplicated}`.
+    /// `net.{msgs,bytes,conns,lanes,threads,posted,nagled,dropped,duplicated}`:
+    /// `threads` counts delivery threads spawned (one per `Simple`
+    /// connection to a dispatcher, one per `Async` lane), `posted` messages
+    /// handed to an inbox.
     pub fn attach_metrics(&self, m: &Metrics) {
-        let fields: [(&str, &Counter); 7] = [
+        let fields: [(&str, &Counter); 9] = [
             ("msgs", &self.msgs),
             ("bytes", &self.bytes),
             ("conns", &self.conns),
             ("lanes", &self.lanes),
+            ("threads", &self.threads),
+            ("posted", &self.posted),
             ("nagled", &self.nagled),
             ("dropped", &self.dropped),
             ("duplicated", &self.duplicated),
@@ -453,7 +527,8 @@ impl<M: Send + 'static> Network<M> {
     }
 
     /// Put `msg` on the `from → to` connection, to leave at `at` (now when
-    /// `None` or past) and arrive one hop later.
+    /// `None` or past) and arrive one hop later: onto its delivery lane, or
+    /// posted to the receiver's inbox, after the registry lock is released.
     fn deliver(
         &self,
         from: Addr,
@@ -515,13 +590,37 @@ impl<M: Send + 'static> Network<M> {
             self.msgs.inc();
             self.bytes.add(wire_bytes as u64);
             let arrival = departed + self.cfg.hop_latency;
+            let (lane, slot, dispatcher) = match conn {
+                Conn::Lane {
+                    lane,
+                    slot,
+                    dispatcher,
+                    ..
+                } => (lane, *slot, dispatcher),
+                Conn::Inbox { inbox, floor } => {
+                    let arrival = match at {
+                        Some(_) => arrival,
+                        None => raise_to_floor(&mut floor.lock(), arrival),
+                    };
+                    let inbox = Arc::clone(inbox);
+                    drop(inner);
+                    for msg in std::iter::once(msg).chain(duplicate) {
+                        if self.cfg.cpu_per_msg > Duration::ZERO {
+                            burn_cpu(self.cfg.cpu_per_msg);
+                        }
+                        self.posted.inc();
+                        inbox.post(from, msg, arrival);
+                    }
+                    return Ok(());
+                }
+            };
             let push = |msg| {
                 let item = WorkItem {
                     from,
                     msg,
-                    dispatcher: Arc::clone(&state.dispatcher),
+                    dispatcher: Arc::clone(dispatcher),
                 };
-                conn.lane.push(conn.slot, arrival, at.is_some(), item)
+                lane.push(slot, arrival, at.is_some(), item)
             };
             if !push(msg) {
                 return Err(AfcError::Disconnected(format!("connection {from}->{to}")));
@@ -535,9 +634,10 @@ impl<M: Send + 'static> Network<M> {
         }
     }
 
-    /// Create the `from → to` connection if it is not there yet: its own
-    /// thread in Simple mode, a slot on one of the shared lanes in Async
-    /// mode (sharded by connection id).
+    /// Create the `from → to` connection if it is not there yet: to an
+    /// inbox only a floor; to a dispatcher its own thread in Simple mode, a
+    /// slot on one of the shared lanes in Async mode (sharded by connection
+    /// id). A thread that cannot be spawned is the sender's `Io` error.
     fn connect(&self, from: Addr, to: Addr) -> Result<()> {
         let mut guard = self.inner.write();
         let inner = &mut *guard;
@@ -557,33 +657,43 @@ impl<M: Send + 'static> Network<M> {
             let thread = std::thread::Builder::new()
                 .name(name)
                 .spawn(move || deliver_loop(&l, &cfg))
-                .expect("spawn messenger thread");
-            (lane, thread)
+                .map_err(|e| AfcError::Io(format!("spawn messenger thread: {e}")))?;
+            self.threads.inc();
+            Ok::<_, AfcError>((lane, thread))
         };
-        let conn = if let MessengerMode::Async { workers } = self.cfg.mode {
-            if inner.lanes.is_empty() {
-                for i in 0..workers.max(1) {
-                    let (lane, thread) = spawn(format!("msgr-async-{i}"));
-                    inner.lanes.push(lane);
-                    inner.lane_threads.push(thread);
-                    self.lanes.inc();
+        let conn = match (&state.receiver, self.cfg.mode) {
+            (Receiver::Inbox(inbox), _) => Conn::Inbox {
+                inbox: Arc::clone(inbox),
+                floor: Mutex::new(Instant::now()),
+            },
+            (Receiver::Dispatcher(d), MessengerMode::Async { workers }) => {
+                if inner.lanes.is_empty() {
+                    for i in 0..workers.max(1) {
+                        let (lane, thread) = spawn(format!("msgr-async-{i}"))?;
+                        inner.lanes.push(lane);
+                        inner.lane_threads.push(thread);
+                        self.lanes.inc();
+                    }
+                }
+                use std::hash::{Hash, Hasher};
+                let mut h = std::collections::hash_map::DefaultHasher::new();
+                (from, to).hash(&mut h);
+                let lane = Arc::clone(&inner.lanes[(h.finish() as usize) % inner.lanes.len()]);
+                Conn::Lane {
+                    slot: lane.add_conn(),
+                    lane,
+                    thread: None,
+                    dispatcher: Arc::clone(d),
                 }
             }
-            use std::hash::{Hash, Hasher};
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            (from, to).hash(&mut h);
-            let lane = Arc::clone(&inner.lanes[(h.finish() as usize) % inner.lanes.len()]);
-            ConnHandle {
-                slot: lane.add_conn(),
-                lane,
-                thread: None,
-            }
-        } else {
-            let (lane, thread) = spawn(format!("msgr-{from}-{to}"));
-            ConnHandle {
-                slot: lane.add_conn(),
-                lane,
-                thread: Some(thread),
+            (Receiver::Dispatcher(d), MessengerMode::Simple) => {
+                let (lane, thread) = spawn(format!("msgr-{from}-{to}"))?;
+                Conn::Lane {
+                    slot: lane.add_conn(),
+                    lane,
+                    thread: Some(thread),
+                    dispatcher: Arc::clone(d),
+                }
             }
         };
         self.conns.inc();
@@ -660,18 +770,58 @@ mod tests {
         Addr::Osd(OsdId(n))
     }
 
+    /// What an endpoint took in: sender, message, and the first instant it
+    /// could be observed — when a delivery thread dispatched it, or the
+    /// arrival an inbox was handed it with.
+    type Got<M> = Arc<Mutex<Vec<(Addr, M, Instant)>>>;
+
+    struct Collect<M>(Got<M>);
+
+    impl<M: Send> Inbox<M> for Collect<M> {
+        fn post(&self, from: Addr, msg: M, arrival: Instant) {
+            self.0.lock().push((from, msg, arrival));
+        }
+    }
+
+    /// Register `addr` to collect what it is sent: behind delivery threads,
+    /// or as an inbox.
+    fn collector<M: Send + 'static>(net: &Arc<Network<M>>, addr: Addr, inbox: bool) -> Got<M> {
+        let got: Got<M> = Arc::default();
+        if inbox {
+            net.register_inbox(addr, Arc::new(Collect(Arc::clone(&got))))
+                .unwrap();
+        } else {
+            let g = Arc::clone(&got);
+            net.register(
+                addr,
+                Arc::new(move |from, m| g.lock().push((from, m, Instant::now()))),
+            )
+            .unwrap();
+        }
+        got
+    }
+
+    /// Wait until `got` holds `n` messages; fail after 10 s.
+    fn wait_for<M>(got: &Got<M>, n: usize) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while got.lock().len() < n {
+            let len = got.lock().len();
+            assert!(
+                Instant::now() < deadline,
+                "{len} of {n} messages after 10 s"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn msgs<M: Clone>(got: &Got<M>) -> Vec<M> {
+        got.lock().iter().map(|(_, m, _)| m.clone()).collect()
+    }
+
     #[test]
     fn send_and_dispatch() {
         let net: Arc<Network<String>> = Network::new(NetConfig::default());
-        let got = Arc::new(Mutex::new(Vec::new()));
-        let g = Arc::clone(&got);
-        net.register(
-            osd(0),
-            Arc::new(move |from: Addr, m: String| {
-                g.lock().push((from, m));
-            }),
-        )
-        .unwrap();
+        let got = collector(&net, osd(0), false);
         let m = net
             .register(client(1), Arc::new(|_, _: String| {}))
             .unwrap();
@@ -679,68 +829,78 @@ mod tests {
         std::thread::sleep(Duration::from_millis(10));
         let got = got.lock();
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0], (client(1), "hello".to_string()));
+        assert_eq!((got[0].0, got[0].1.as_str()), (client(1), "hello"));
         net.shutdown();
     }
 
     #[test]
     fn per_connection_fifo_order() {
-        let net: Arc<Network<u64>> = Network::new(NetConfig::default());
-        let got = Arc::new(Mutex::new(Vec::new()));
-        let g = Arc::clone(&got);
-        net.register(osd(0), Arc::new(move |_, m: u64| g.lock().push(m)))
-            .unwrap();
-        let m = net.register(client(1), Arc::new(|_, _: u64| {})).unwrap();
-        for i in 0..500u64 {
-            m.send(osd(0), i, 64).unwrap();
+        for inbox in [false, true] {
+            let net: Arc<Network<u64>> = Network::new(NetConfig::default());
+            let got = collector(&net, osd(0), inbox);
+            let m = net.register(client(1), Arc::new(|_, _: u64| {})).unwrap();
+            for i in 0..500u64 {
+                m.send(osd(0), i, 64).unwrap();
+            }
+            wait_for(&got, 500);
+            let got = got.lock();
+            assert!(
+                got.windows(2).all(|w| w[0].1 < w[1].1 && w[0].2 <= w[1].2),
+                "inbox={inbox}: order violated"
+            );
+            net.shutdown();
         }
-        while got.lock().len() < 500 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let got = got.lock();
-        assert!(got.windows(2).all(|w| w[0] < w[1]), "order violated");
-        net.shutdown();
     }
 
+    /// Large then small on one connection: only the small one is held
+    /// back. Small then large on another: the large one waits behind it.
     #[test]
     fn nagle_delays_small_messages_only() {
-        let cfg = NetConfig {
-            nagle: true,
-            nagle_delay: Duration::from_millis(20),
-            ..NetConfig::default()
-        };
-        let net: Arc<Network<Instant>> = Network::new(cfg);
-        let lat = Arc::new(Mutex::new(Vec::new()));
-        let l = Arc::clone(&lat);
-        net.register(
-            osd(0),
-            Arc::new(move |_, sent: Instant| {
-                l.lock().push(sent.elapsed());
-            }),
-        )
-        .unwrap();
-        let m = net
-            .register(client(1), Arc::new(|_, _: Instant| {}))
-            .unwrap();
-        // Large first (direct), then small (nagled) — same FIFO connection.
-        m.send(osd(0), Instant::now(), 64 * 1024).unwrap();
-        m.send(osd(0), Instant::now(), 512).unwrap();
-        while lat.lock().len() < 2 {
-            std::thread::sleep(Duration::from_millis(1));
+        const DELAY: Duration = Duration::from_millis(20);
+        for inbox in [false, true] {
+            let cfg = NetConfig {
+                nagle: true,
+                nagle_delay: DELAY,
+                ..NetConfig::default()
+            };
+            let net: Arc<Network<Instant>> = Network::new(cfg);
+            let got = collector(&net, osd(0), inbox);
+            let a = net
+                .register(client(1), Arc::new(|_, _: Instant| {}))
+                .unwrap();
+            let b = net
+                .register(client(2), Arc::new(|_, _: Instant| {}))
+                .unwrap();
+            a.send(osd(0), Instant::now(), 64 * 1024).unwrap();
+            a.send(osd(0), Instant::now(), 512).unwrap();
+            b.send(osd(0), Instant::now(), 512).unwrap();
+            b.send(osd(0), Instant::now(), 64 * 1024).unwrap();
+            wait_for(&got, 4);
+            let lat = |from: Addr| -> Vec<Duration> {
+                let got = got.lock();
+                let of = got.iter().filter(|(f, ..)| *f == from);
+                of.map(|&(_, sent, seen)| seen - sent).collect()
+            };
+            let a = lat(client(1));
+            assert!(a[0] < DELAY, "inbox={inbox}: large delayed: {:?}", a[0]);
+            assert!(
+                a[1] >= DELAY,
+                "inbox={inbox}: small not delayed: {:?}",
+                a[1]
+            );
+            assert!(
+                lat(client(2))[0] >= DELAY,
+                "inbox={inbox}: small not delayed"
+            );
+            let got = got.lock();
+            let b: Vec<_> = got.iter().filter(|(f, ..)| *f == client(2)).collect();
+            assert!(
+                b[0].1 < b[1].1 && b[0].2 <= b[1].2,
+                "inbox={inbox}: large overtook a nagled small one"
+            );
+            assert_eq!(net.nagled.get(), 2);
+            net.shutdown();
         }
-        let lat = lat.lock();
-        assert!(
-            lat[0] < Duration::from_millis(20),
-            "large delayed: {:?}",
-            lat[0]
-        );
-        assert!(
-            lat[1] >= Duration::from_millis(20),
-            "small not delayed: {:?}",
-            lat[1]
-        );
-        assert_eq!(net.nagled.get(), 1);
-        net.shutdown();
     }
 
     #[test]
@@ -753,8 +913,39 @@ mod tests {
         b.send(osd(0), (), 1).unwrap();
         std::thread::sleep(Duration::from_millis(5));
         assert_eq!(net.conns.get(), 2);
+        assert_eq!(net.threads.get(), 2);
         assert_eq!(net.msgs.get(), 2);
         net.shutdown();
+    }
+
+    /// Connections to an inbox get no thread: posting happens on the
+    /// sender, and unregistering or shutting down has nothing to join.
+    #[test]
+    fn inbox_connections_spawn_no_thread() {
+        let net: Arc<Network<u64>> = Network::new(NetConfig::default());
+        let got = collector(&net, client(1), true);
+        let osds: Vec<_> = (0..3)
+            .map(|n| net.register(osd(n), Arc::new(|_, _: u64| {})).unwrap())
+            .collect();
+        for (i, m) in osds.iter().enumerate() {
+            m.send(client(1), i as u64, 64).unwrap();
+            m.send_at(client(1), 10 + i as u64, 64, Instant::now())
+                .unwrap();
+        }
+        // Posted before `send` returned.
+        assert_eq!(got.lock().len(), 6);
+        assert_eq!((net.conns.get(), net.posted.get()), (3, 6));
+        assert_eq!(net.threads.get(), 0);
+        net.unregister(client(1));
+        assert!(matches!(
+            osds[0].send(client(1), 9, 64),
+            Err(AfcError::NotFound(_))
+        ));
+        let got = collector(&net, client(1), true);
+        osds[1].send(client(1), 7, 64).unwrap();
+        net.shutdown();
+        assert_eq!(msgs(&got), vec![7]);
+        assert_eq!(net.threads.get(), 0);
     }
 
     #[test]
@@ -770,6 +961,10 @@ mod tests {
         let net: Arc<Network<()>> = Network::new(NetConfig::default());
         net.register(osd(0), Arc::new(|_, ()| {})).unwrap();
         assert!(net.register(osd(0), Arc::new(|_, ()| {})).is_err());
+        let inbox: Got<()> = Arc::default();
+        assert!(net
+            .register_inbox(osd(0), Arc::new(Collect(inbox)))
+            .is_err());
         net.shutdown();
     }
 
@@ -783,99 +978,82 @@ mod tests {
     }
 
     /// Eight senders, every third message stamped up to 2 ms ahead. Each
-    /// message carries the earliest instant it may be delivered at.
+    /// message carries the earliest instant it may be observed at.
     #[test]
     fn concurrent_senders_all_delivered() {
-        let cfg = NetConfig::default();
-        let hop = cfg.hop_latency;
-        let net: Arc<Network<Instant>> = Network::new(cfg);
-        let (count, early) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
-        let (c, e) = (Arc::clone(&count), Arc::clone(&early));
-        net.register(
-            osd(0),
-            Arc::new(move |_, due: Instant| {
-                if Instant::now() < due {
-                    e.fetch_add(1, Ordering::Relaxed);
-                }
-                c.fetch_add(1, Ordering::Relaxed);
-            }),
-        )
-        .unwrap();
-        std::thread::scope(|s| {
-            for t in 0..8u64 {
-                let m = net
-                    .register(client(t), Arc::new(|_, _: Instant| {}))
-                    .unwrap();
-                s.spawn(move || {
-                    for i in 0..200u64 {
-                        if i % 3 == 0 {
-                            let at = Instant::now() + Duration::from_micros(i * 10);
-                            m.send_at(osd(0), at + hop, 128, at).unwrap();
-                        } else {
-                            m.send(osd(0), Instant::now() + hop, 128).unwrap();
+        for inbox in [false, true] {
+            let cfg = NetConfig::default();
+            let hop = cfg.hop_latency;
+            let net: Arc<Network<Instant>> = Network::new(cfg);
+            let got = collector(&net, osd(0), inbox);
+            std::thread::scope(|s| {
+                for t in 0..8u64 {
+                    let m = net
+                        .register(client(t), Arc::new(|_, _: Instant| {}))
+                        .unwrap();
+                    s.spawn(move || {
+                        for i in 0..200u64 {
+                            if i % 3 == 0 {
+                                let at = Instant::now() + Duration::from_micros(i * 10);
+                                m.send_at(osd(0), at + hop, 128, at).unwrap();
+                            } else {
+                                m.send(osd(0), Instant::now() + hop, 128).unwrap();
+                            }
                         }
-                    }
-                });
-            }
-        });
-        while count.load(Ordering::Relaxed) < 1600 {
-            std::thread::sleep(Duration::from_millis(1));
+                    });
+                }
+            });
+            wait_for(&got, 1600);
+            assert_eq!(net.msgs.get(), 1600);
+            net.shutdown();
+            let got = got.lock();
+            assert_eq!(got.len(), 1600, "inbox={inbox}: delivered twice");
+            let early = got.iter().filter(|&&(_, due, seen)| seen < due).count();
+            assert_eq!(early, 0, "inbox={inbox}: observable early");
         }
-        assert_eq!(net.msgs.get(), 1600);
-        assert_eq!(early.load(Ordering::Relaxed), 0, "delivered early");
-        net.shutdown();
-        assert_eq!(count.load(Ordering::Relaxed), 1600, "delivered twice");
     }
 
+    /// Every message, plain or stamped, is observable no earlier than its
+    /// departure plus the hop.
     #[test]
     fn stamped_message_is_delivered_no_earlier_than_departure_plus_hop() {
-        let cfg = NetConfig::default();
-        let hop = cfg.hop_latency;
-        let net: Arc<Network<Instant>> = Network::new(cfg);
-        let got = Arc::new(Mutex::new(Vec::new()));
-        let g = Arc::clone(&got);
-        net.register(
-            osd(0),
-            Arc::new(move |_, due: Instant| g.lock().push((due, Instant::now()))),
-        )
-        .unwrap();
-        let m = net
-            .register(client(1), Arc::new(|_, _: Instant| {}))
-            .unwrap();
-        for ahead_us in [3_000u64, 0, 700, 150] {
-            let at = Instant::now() + Duration::from_micros(ahead_us);
-            m.send_at(osd(0), at + hop, 4096, at).unwrap();
+        for inbox in [false, true] {
+            let cfg = NetConfig::default();
+            let hop = cfg.hop_latency;
+            let net: Arc<Network<Instant>> = Network::new(cfg);
+            let got = collector(&net, osd(0), inbox);
+            let m = net
+                .register(client(1), Arc::new(|_, _: Instant| {}))
+                .unwrap();
+            for ahead_us in [3_000u64, 0, 700, 150] {
+                let at = Instant::now() + Duration::from_micros(ahead_us);
+                m.send_at(osd(0), at + hop, 4096, at).unwrap();
+                m.send(osd(0), Instant::now() + hop, 64).unwrap();
+            }
+            // A stamp in the past leaves now.
+            let before = Instant::now();
+            m.send_at(osd(0), before + hop, 4096, before - Duration::from_secs(1))
+                .unwrap();
+            wait_for(&got, 9);
+            for &(_, due, seen) in got.lock().iter() {
+                assert!(seen >= due, "inbox={inbox}: {:?} early", due - seen);
+            }
+            net.shutdown();
         }
-        // A stamp in the past leaves now.
-        let before = Instant::now();
-        m.send_at(osd(0), before + hop, 4096, before - Duration::from_secs(1))
-            .unwrap();
-        while got.lock().len() < 5 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        for &(due, at) in got.lock().iter() {
-            assert!(at >= due, "delivered {:?} early", due - at);
-        }
-        net.shutdown();
     }
 
     #[test]
     fn plain_send_overtakes_an_earlier_stamped_one_that_leaves_later() {
         let net: Arc<Network<u64>> = Network::new(NetConfig::default());
-        let got = Arc::new(Mutex::new(Vec::new()));
-        let g = Arc::clone(&got);
-        net.register(osd(0), Arc::new(move |_, m: u64| g.lock().push(m)))
-            .unwrap();
+        let got = collector(&net, osd(0), false);
         let m = net.register(client(1), Arc::new(|_, _: u64| {})).unwrap();
         let at = Instant::now() + Duration::from_millis(20);
         m.send_at(osd(0), 1, 4096, at).unwrap();
         for i in 2..=4 {
             m.send(osd(0), i, 64).unwrap();
         }
-        while got.lock().len() < 4 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(*got.lock(), vec![2, 3, 4, 1]);
+        wait_for(&got, 4);
+        assert_eq!(msgs(&got), vec![2, 3, 4, 1]);
         net.shutdown();
     }
 
@@ -929,23 +1107,18 @@ mod tests {
             ..NetConfig::default()
         };
         let net: Arc<Network<u64>> = Network::new(cfg);
-        let got = Arc::new(Mutex::new(Vec::new()));
-        let g = Arc::clone(&got);
-        net.register(osd(0), Arc::new(move |_, m: u64| g.lock().push(m)))
-            .unwrap();
+        let got = collector(&net, osd(0), false);
         let m = net.register(client(1), Arc::new(|_, _: u64| {})).unwrap();
         for i in 0..300u64 {
             m.send(osd(0), i, 64).unwrap();
         }
-        while got.lock().len() < 300 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        wait_for(&got, 300);
         assert!(
-            got.lock().windows(2).all(|w| w[0] < w[1]),
+            msgs(&got).windows(2).all(|w| w[0] < w[1]),
             "async lanes broke FIFO"
         );
         // Fixed pool regardless of connection count.
-        assert_eq!(net.lanes.get(), 3);
+        assert_eq!((net.lanes.get(), net.threads.get()), (3, 3));
         net.shutdown();
     }
 
@@ -974,84 +1147,68 @@ mod tests {
         }
         assert_eq!(net.conns.get(), 12);
         assert_eq!(net.lanes.get(), 2, "pool must not grow with connections");
+        assert_eq!(net.threads.get(), 2);
         net.shutdown();
     }
 
     #[test]
     fn injected_drop_dup_delay_and_error() {
         use afc_common::faults::{FaultKind, FaultRegistry, FaultSpec};
-        let net: Arc<Network<u64>> = Network::new(NetConfig {
-            hop_latency: Duration::ZERO,
-            ..NetConfig::default()
-        });
-        let got = Arc::new(Mutex::new(Vec::new()));
-        let g = Arc::clone(&got);
-        net.register(osd(0), Arc::new(move |_, m: u64| g.lock().push(m)))
-            .unwrap();
-        let m = net.register(client(1), Arc::new(|_, _: u64| {})).unwrap();
-        let reg = Arc::new(FaultRegistry::new());
-        // Only odd payloads are injectable; evens are exempt (classify
-        // returning None must bypass the registry entirely).
-        net.attach_faults(Arc::clone(&reg), |_, _, m: &u64| {
-            (m % 2 == 1).then(|| "net.test".to_string())
-        });
-        reg.install(FaultSpec::new("net.test", FaultKind::Drop));
-        m.send(osd(0), 1, 64).unwrap(); // dropped silently
-        m.send(osd(0), 2, 64).unwrap(); // exempt, delivered
-        reg.install(FaultSpec::new("net.test", FaultKind::Duplicate));
-        m.send(osd(0), 3, 64).unwrap(); // delivered twice
-        reg.install(FaultSpec::new("net.test", FaultKind::Error));
-        assert!(m.send(osd(0), 5, 64).is_err()); // surfaced to sender
-        reg.install(FaultSpec::new(
-            "net.test",
-            FaultKind::Delay(Duration::from_millis(30)),
-        ));
-        let t0 = Instant::now();
-        m.send(osd(0), 7, 64).unwrap();
-        while got.lock().len() < 4 {
-            std::thread::sleep(Duration::from_millis(1));
+        const DELAY: Duration = Duration::from_millis(30);
+        for inbox in [false, true] {
+            let net: Arc<Network<u64>> = Network::new(NetConfig {
+                hop_latency: Duration::ZERO,
+                ..NetConfig::default()
+            });
+            let got = collector(&net, osd(0), inbox);
+            let m = net.register(client(1), Arc::new(|_, _: u64| {})).unwrap();
+            let reg = Arc::new(FaultRegistry::new());
+            // Only odd payloads are injectable; evens are exempt (classify
+            // returning None must bypass the registry entirely).
+            net.attach_faults(Arc::clone(&reg), |_, _, m: &u64| {
+                (m % 2 == 1).then(|| "net.test".to_string())
+            });
+            reg.install(FaultSpec::new("net.test", FaultKind::Drop));
+            m.send(osd(0), 1, 64).unwrap(); // dropped silently
+            m.send(osd(0), 2, 64).unwrap(); // exempt, delivered
+            reg.install(FaultSpec::new("net.test", FaultKind::Duplicate));
+            m.send(osd(0), 3, 64).unwrap(); // delivered twice
+            reg.install(FaultSpec::new("net.test", FaultKind::Error));
+            assert!(m.send(osd(0), 5, 64).is_err()); // surfaced to sender
+            reg.install(FaultSpec::new("net.test", FaultKind::Delay(DELAY)));
+            let t0 = Instant::now();
+            m.send(osd(0), 7, 64).unwrap();
+            wait_for(&got, 4);
+            let seen = got.lock()[3].2;
+            assert!(seen >= t0 + DELAY, "inbox={inbox}: delay not applied");
+            assert_eq!(msgs(&got), vec![2, 3, 3, 7], "inbox={inbox}");
+            assert_eq!(net.dropped.get(), 1);
+            assert_eq!(net.duplicated.get(), 1);
+            assert_eq!(net.posted.get(), if inbox { 4 } else { 0 });
+            assert!(!reg.is_armed(), "all specs exhausted");
+            net.shutdown();
         }
-        assert!(
-            t0.elapsed() >= Duration::from_millis(30),
-            "delay not applied"
-        );
-        assert_eq!(*got.lock(), vec![2, 3, 3, 7]);
-        assert_eq!(net.dropped.get(), 1);
-        assert_eq!(net.duplicated.get(), 1);
-        assert!(!reg.is_armed(), "all specs exhausted");
-        net.shutdown();
     }
 
     #[test]
     fn cpu_burn_slows_delivery() {
-        let cfg = NetConfig {
-            cpu_per_msg: Duration::from_micros(500),
-            hop_latency: Duration::ZERO,
-            ..NetConfig::default()
-        };
-        let net: Arc<Network<()>> = Network::new(cfg);
-        let count = Arc::new(AtomicUsize::new(0));
-        let c = Arc::clone(&count);
-        net.register(
-            osd(0),
-            Arc::new(move |_, ()| {
-                c.fetch_add(1, Ordering::Relaxed);
-            }),
-        )
-        .unwrap();
-        let m = net.register(client(1), Arc::new(|_, ()| {})).unwrap();
-        let t0 = Instant::now();
-        for _ in 0..20 {
-            m.send(osd(0), (), 1).unwrap();
+        for inbox in [false, true] {
+            let cfg = NetConfig {
+                cpu_per_msg: Duration::from_micros(500),
+                hop_latency: Duration::ZERO,
+                ..NetConfig::default()
+            };
+            let net: Arc<Network<()>> = Network::new(cfg);
+            let got = collector(&net, osd(0), inbox);
+            let m = net.register(client(1), Arc::new(|_, ()| {})).unwrap();
+            let t0 = Instant::now();
+            for _ in 0..20 {
+                m.send(osd(0), (), 1).unwrap();
+            }
+            wait_for(&got, 20);
+            let took = t0.elapsed();
+            assert!(took >= Duration::from_millis(10), "inbox={inbox}: {took:?}");
+            net.shutdown();
         }
-        while count.load(Ordering::Relaxed) < 20 {
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        assert!(
-            t0.elapsed() >= Duration::from_millis(10),
-            "{:?}",
-            t0.elapsed()
-        );
-        net.shutdown();
     }
 }
