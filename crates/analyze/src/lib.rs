@@ -6,17 +6,21 @@
 //! severity, suggestion).
 //!
 //! A rule lives here only if rustc, clippy, the runtime lockdep and the
-//! test suite cannot check the same thing (DESIGN.md, "Static analysis",
-//! gives the reason per rule). Rule catalog (see [`rules`]):
+//! test suite cannot catch the same defect: each rule's module doc names
+//! the canary it exists for and the gates that miss it, and a unit test
+//! plants that canary. Rule catalog (see [`rules`]):
 //!
 //! | rule id               | checks                                                    |
 //! |-----------------------|-----------------------------------------------------------|
-//! | `lock-order`          | nested Tracked* acquisitions contradicting `DECLARED_ORDER` |
 //! | `site-names`          | fault/metric site naming, unarmed fault sites, dead metrics |
 //! | `atomic-ordering`     | unjustified `SeqCst`, unpaired Acquire/Release            |
 //! | `hot-path-blocking`   | sleeps / blocking recv / file I/O in the OSD op path      |
-//! | `no-unwrap-on-sync`   | unwrap/expect on lock/channel results in hot-path crates  |
-//! | `no-discarded-io`     | `let _ =` on fallible I/O results in storage crates       |
+//!
+//! Lock order is the runtime lockdep's (every nesting in this tree
+//! crosses a function call, which a token scan cannot follow), and
+//! unwraps and discarded `#[must_use]` results are clippy's
+//! (`unwrap_used`, `expect_used`, `let_underscore_must_use`, denied at
+//! the storage crates' roots).
 //!
 //! The whole pass is plain-text + tokenizer work: no rustc plumbing, no
 //! network, and it finishes in well under a second on this workspace.

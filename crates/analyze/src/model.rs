@@ -2,41 +2,13 @@
 //!
 //! Built in one pass over every scanned file *before* rules run:
 //!
-//! - the declared lock hierarchy, parsed out of
-//!   `crates/common/src/lockdep.rs` (`LockClass` statics + the
-//!   `DECLARED_ORDER` listing) so the analysis can never drift from the
-//!   runtime lockdep's source of truth;
-//! - a field → lock-class map resolved from `TrackedMutex::new(&classes::X, …)`
-//!   / `TrackedRwLock::new(&classes::X, …)` constructor calls, kept
-//!   per-file with a global unambiguous fallback;
 //! - every atomic operation carrying an explicit `Ordering::…` argument,
 //!   keyed by the receiver field name;
-//! - metric-typed struct fields, where they are registered and where
-//!   they are recorded;
 //! - fault/metric site-name literals: attach templates, armed
 //!   `FaultSpec::new` sites, and registered metric names.
 
 use crate::lexer::{Kind, Tok};
 use crate::source::SourceFile;
-use std::collections::{BTreeMap, BTreeSet};
-
-/// Path of the runtime lockdep declarations the model is parsed from.
-pub const LOCKDEP_PATH: &str = "crates/common/src/lockdep.rs";
-
-/// Rank value that opts a class out of rank checking (mirrors
-/// `afc_common::lockdep::UNRANKED`).
-pub const UNRANKED: u32 = 0;
-
-/// One `LockClass` static parsed from the lockdep module.
-#[derive(Debug, Clone)]
-pub struct LockClassInfo {
-    /// The static's identifier (`PG_STATE`).
-    pub ident: String,
-    /// The runtime label (`"pg.state"`).
-    pub site: String,
-    /// Declared rank; [`UNRANKED`] is graph-only.
-    pub rank: u32,
-}
 
 /// One atomic operation with an explicit memory ordering.
 #[derive(Debug)]
@@ -75,22 +47,8 @@ pub struct SiteLit {
 
 #[derive(Debug, Default)]
 pub struct Model {
-    /// Lock classes by ident.
-    pub classes: BTreeMap<String, LockClassInfo>,
-    /// Class idents in `DECLARED_ORDER` listing order.
-    pub declared_order: Vec<String>,
-    /// (file, field) → class ident, from Tracked* constructors.
-    pub field_class: BTreeMap<(String, String), String>,
-    /// field → class ident when unambiguous workspace-wide, else `None`.
-    pub field_class_global: BTreeMap<String, Option<String>>,
     /// Every explicit-ordering atomic op in production code.
     pub atomics: Vec<AtomicUse>,
-    /// Metric-typed struct field names declared anywhere.
-    pub metric_fields: BTreeSet<String>,
-    /// Metric field name → first registration site.
-    pub metric_registered: BTreeMap<String, (String, u32, u32)>,
-    /// Field/variable names a record method is called on anywhere.
-    pub metric_recorded: BTreeSet<String>,
     /// Fault-site templates from `attach(…)` / `attach_faults(…)` calls.
     pub fault_templates: Vec<SiteLit>,
     /// Sites armed via `FaultSpec::new("…", …)`.
@@ -127,12 +85,6 @@ pub const ATOMIC_SCOPES: &[&str] = &[
     "crates/logging/src",
 ];
 
-/// Struct-field types treated as metric handles.
-const METRIC_TYPES: &[&str] = &["Counter", "Gauge", "Histogram", "MetricCounter"];
-
-/// Methods that record into a metric handle.
-const RECORD_METHODS: &[&str] = &["inc", "add", "sub", "set", "observe", "observe_us"];
-
 /// Registry calls whose string argument is a metric site name.
 const METRIC_REGISTER_CALLS: &[&str] = &[
     "counter",
@@ -146,165 +98,10 @@ const METRIC_REGISTER_CALLS: &[&str] = &[
 pub fn build(files: &[SourceFile]) -> Model {
     let mut m = Model::default();
     for f in files {
-        if f.path == LOCKDEP_PATH || f.path.ends_with("/common/src/lockdep.rs") {
-            parse_lockdep(f, &mut m);
-        }
-    }
-    for f in files {
-        collect_field_classes(f, &mut m);
         collect_atomics(f, &mut m);
-        collect_metric_fields(f, &mut m);
         collect_sites(f, &mut m);
     }
-    // Global fallback map: a field name maps workspace-wide only when
-    // every constructor agrees on its class.
-    for ((_, field), class) in &m.field_class {
-        m.field_class_global
-            .entry(field.clone())
-            .and_modify(|c| {
-                if c.as_deref() != Some(class) {
-                    *c = None;
-                }
-            })
-            .or_insert_with(|| Some(class.clone()));
-    }
     m
-}
-
-impl Model {
-    /// Resolve an acquisition receiver field to a lock class: the file's
-    /// own constructors win, then the global unambiguous map.
-    pub fn resolve_class(&self, file: &str, field: &str) -> Option<&LockClassInfo> {
-        let ident = self
-            .field_class
-            .get(&(file.to_string(), field.to_string()))
-            .or_else(|| self.field_class_global.get(field).and_then(|c| c.as_ref()))?;
-        self.classes.get(ident)
-    }
-}
-
-/// Parse `pub static IDENT: LockClass = LockClass { name: "…", rank: N, … }`
-/// statics and the `DECLARED_ORDER` slice from the lockdep source.
-fn parse_lockdep(f: &SourceFile, m: &mut Model) {
-    let t = &f.toks;
-    for i in 0..t.len() {
-        // IDENT : LockClass = LockClass { … name … "site" … rank … N … }
-        if t[i].is_ident("LockClass")
-            && i >= 2
-            && t[i - 1].is_punct(':')
-            && t[i - 2].kind == Kind::Ident
-            && t.get(i + 1).is_some_and(|x| x.is_punct('='))
-        {
-            let ident = t[i - 2].text.clone();
-            let Some(open) = t[i..].iter().position(|x| x.is_punct('{')).map(|p| i + p) else {
-                continue;
-            };
-            let close = crate::source::match_brace(t, open);
-            let body = &t[open..=close];
-            let mut site = None;
-            let mut rank = None;
-            for j in 0..body.len() {
-                if body[j].is_ident("name") {
-                    site = body[j + 1..]
-                        .iter()
-                        .find(|x| x.kind == Kind::Str)
-                        .map(|x| x.str_value().to_string());
-                }
-                if body[j].is_ident("rank") && body.get(j + 1).is_some_and(|x| x.is_punct(':')) {
-                    rank = body.get(j + 2).and_then(|x| match x.kind {
-                        Kind::Num => x.text.replace('_', "").parse::<u32>().ok(),
-                        // `rank: UNRANKED`
-                        Kind::Ident if x.text == "UNRANKED" => Some(UNRANKED),
-                        _ => None,
-                    });
-                }
-            }
-            if let (Some(site), Some(rank)) = (site, rank) {
-                m.classes
-                    .insert(ident.clone(), LockClassInfo { ident, site, rank });
-            }
-        }
-        // DECLARED_ORDER … = &[ &classes::A, &classes::B, … ] — find the
-        // `[` after the `=` (the type annotation also contains brackets).
-        if t[i].is_ident("DECLARED_ORDER") {
-            let Some(eq) = t[i..].iter().position(|x| x.is_punct('=')).map(|p| i + p) else {
-                continue;
-            };
-            let Some(open) = t[eq..].iter().position(|x| x.is_punct('[')).map(|p| eq + p) else {
-                continue;
-            };
-            let mut j = open;
-            while j < t.len() && !t[j].is_punct(']') {
-                if t[j].is_ident("classes")
-                    && t.get(j + 1).is_some_and(|x| x.is_punct(':'))
-                    && t.get(j + 2).is_some_and(|x| x.is_punct(':'))
-                {
-                    if let Some(c) = t.get(j + 3) {
-                        if c.kind == Kind::Ident {
-                            m.declared_order.push(c.text.clone());
-                        }
-                    }
-                    j += 4;
-                    continue;
-                }
-                j += 1;
-            }
-        }
-    }
-}
-
-/// `field: TrackedMutex::new(&classes::CLASS, …)` (wrappers like
-/// `Arc::new(…)` between the field and the constructor are skipped).
-fn collect_field_classes(f: &SourceFile, m: &mut Model) {
-    let t = &f.toks;
-    for i in 0..t.len() {
-        if !(t[i].is_ident("TrackedMutex") || t[i].is_ident("TrackedRwLock")) {
-            continue;
-        }
-        // …::new(&classes::CLASS
-        if t.len() <= i + 9 {
-            continue;
-        }
-        let shape = t[i + 1].is_punct(':')
-            && t[i + 2].is_punct(':')
-            && t[i + 3].is_ident("new")
-            && t[i + 4].is_punct('(')
-            && t[i + 5].is_punct('&')
-            && t[i + 6].is_ident("classes")
-            && t[i + 7].is_punct(':')
-            && t[i + 8].is_punct(':')
-            && t[i + 9].kind == Kind::Ident;
-        if !shape {
-            continue;
-        }
-        let class = t[i + 9].text.clone();
-        // Walk back over constructor wrappers to the `field:` anchor. A
-        // single `:` (not part of `::`) preceded by an ident is the
-        // struct-literal field.
-        let mut j = i;
-        let mut field = None;
-        while j >= 2 && i - j < 12 {
-            if t[j - 1].is_punct(':')
-                && !t[j].is_punct(':')
-                && !t[j - 2].is_punct(':')
-                && t[j - 2].kind == Kind::Ident
-            {
-                field = Some(t[j - 2].text.clone());
-                break;
-            }
-            let wrapper = t[j - 1].kind == Kind::Ident
-                || t[j - 1].is_punct('(')
-                || t[j - 1].is_punct(':')
-                || t[j - 1].is_punct('&');
-            if !wrapper {
-                break;
-            }
-            j -= 1;
-        }
-        if let Some(field) = field {
-            m.field_class.insert((f.path.clone(), field), class.clone());
-        }
-    }
 }
 
 fn atomic_kind(name: &str) -> Option<AtomicKind> {
@@ -382,59 +179,6 @@ pub fn match_paren(toks: &[Tok], open: usize) -> usize {
     toks.len().saturating_sub(1)
 }
 
-/// Metric-handle struct fields: declaration, registration, recording.
-fn collect_metric_fields(f: &SourceFile, m: &mut Model) {
-    let t = &f.toks;
-    for i in 0..t.len() {
-        // `field: Counter,` / `pub field: Gauge,` struct declarations —
-        // require a bare type path ending the field (next token `,` or
-        // `}`), which excludes `&Counter` params and generic uses.
-        if t[i].kind == Kind::Ident
-            && METRIC_TYPES.contains(&t[i].text.as_str())
-            && i >= 2
-            && t[i - 1].is_punct(':')
-            && !t[i - 2].is_punct(':')
-            && t[i - 2].kind == Kind::Ident
-            && t.get(i + 1)
-                .is_none_or(|x| x.is_punct(',') || x.is_punct('}'))
-        {
-            m.metric_fields.insert(t[i - 2].text.clone());
-        }
-        // `x.inc(` / `x.observe(` — recording through a handle.
-        if t[i].kind == Kind::Ident
-            && RECORD_METHODS.contains(&t[i].text.as_str())
-            && i >= 2
-            && t[i - 1].is_punct('.')
-            && t[i - 2].kind == Kind::Ident
-            && t.get(i + 1).is_some_and(|x| x.is_punct('('))
-        {
-            m.metric_recorded.insert(t[i - 2].text.clone());
-        }
-        // `m.register_counter(…, &self.field)` — the last ident before
-        // the closing paren is the registered handle. Require the
-        // method-call form (skips the registry's own `fn register_*`
-        // definitions) and a field-path handle (`x.field`): bare locals
-        // like the `cell` loop variable in `attach_metrics` are
-        // indirection the name-join cannot follow.
-        if t[i].kind == Kind::Ident
-            && t[i].text.starts_with("register_")
-            && METRIC_REGISTER_CALLS.contains(&t[i].text.as_str())
-            && i >= 1
-            && t[i - 1].is_punct('.')
-            && t.get(i + 1).is_some_and(|x| x.is_punct('('))
-        {
-            let close = match_paren(t, i + 1);
-            if let Some(k) = (i + 2..close).rev().find(|&k| t[k].kind == Kind::Ident) {
-                if t[k - 1].is_punct('.') {
-                    m.metric_registered
-                        .entry(t[k].text.clone())
-                        .or_insert_with(|| (f.path.clone(), t[k].line, t[k].col));
-                }
-            }
-        }
-    }
-}
-
 /// Collect site-name literals from attach calls, `FaultSpec::new`, and
 /// metric registry registration calls.
 fn collect_sites(f: &SourceFile, m: &mut Model) {
@@ -496,71 +240,6 @@ mod tests {
         SourceFile::parse(path.into(), src.into())
     }
 
-    const LOCKDEP_SRC: &str = r#"
-        pub static FIRST: LockClass = LockClass { name: "mini.first", rank: 10, no_block_while_held: true };
-        pub static SECOND: LockClass = LockClass { name: "mini.second", rank: 20, no_block_while_held: false };
-        pub static LOOSE: LockClass = LockClass { name: "mini.loose", rank: UNRANKED, no_block_while_held: false };
-        pub static DECLARED_ORDER: &[&LockClass] = &[&classes::FIRST, &classes::SECOND];
-    "#;
-
-    #[test]
-    fn lockdep_classes_and_order_are_parsed() {
-        let f = file("crates/common/src/lockdep.rs", LOCKDEP_SRC);
-        let m = build(std::slice::from_ref(&f));
-        assert_eq!(m.classes.len(), 3);
-        assert_eq!(m.classes["FIRST"].rank, 10);
-        assert_eq!(m.classes["SECOND"].site, "mini.second");
-        assert_eq!(m.classes["LOOSE"].rank, UNRANKED);
-        assert_eq!(m.declared_order, vec!["FIRST", "SECOND"]);
-    }
-
-    #[test]
-    fn field_class_resolves_through_wrappers() {
-        let src = "fn build() { Foo {\n  state: TrackedMutex::new(&classes::FIRST, 0),\n  map: Arc::new(TrackedRwLock::new(&classes::SECOND, 0)),\n} }";
-        let lockdep = file("crates/common/src/lockdep.rs", LOCKDEP_SRC);
-        let f = file("crates/core/src/x.rs", src);
-        let m = build(&[lockdep, f]);
-        assert_eq!(
-            m.resolve_class("crates/core/src/x.rs", "state")
-                .unwrap()
-                .ident,
-            "FIRST"
-        );
-        assert_eq!(
-            m.resolve_class("crates/core/src/x.rs", "map")
-                .unwrap()
-                .ident,
-            "SECOND"
-        );
-    }
-
-    #[test]
-    fn ambiguous_global_field_is_dropped_but_per_file_wins() {
-        let lockdep = file("crates/common/src/lockdep.rs", LOCKDEP_SRC);
-        let a = file(
-            "crates/core/src/a.rs",
-            "fn f() { X { state: TrackedMutex::new(&classes::FIRST, 0) } }",
-        );
-        let b = file(
-            "crates/journal/src/b.rs",
-            "fn f() { Y { state: TrackedMutex::new(&classes::SECOND, 0) } }",
-        );
-        let m = build(&[lockdep, a, b]);
-        assert_eq!(
-            m.resolve_class("crates/core/src/a.rs", "state")
-                .unwrap()
-                .ident,
-            "FIRST"
-        );
-        assert_eq!(
-            m.resolve_class("crates/journal/src/b.rs", "state")
-                .unwrap()
-                .ident,
-            "SECOND"
-        );
-        assert!(m.resolve_class("crates/device/src/c.rs", "state").is_none());
-    }
-
     #[test]
     fn atomics_are_collected_with_kind_and_orderings() {
         let src = "fn f(&self) {\n  self.shutdown.store(true, Ordering::SeqCst);\n  let x = self.armed.load(Ordering::Relaxed);\n  self.n.compare_exchange(a, b, Ordering::AcqRel, Ordering::Acquire).ok();\n  self.store.flush();\n}";
@@ -575,17 +254,12 @@ mod tests {
     }
 
     #[test]
-    fn metric_fields_registration_and_recording() {
-        let src = "struct S { writes: Counter, depth: Gauge }\nimpl S {\n  fn reg(&self, m: &Metrics) {\n    m.register_counter(\"osd0.data.writes\", &self.writes);\n    m.register_gauge(\"osd0.data.depth\", &self.depth);\n  }\n  fn hit(&self) { self.writes.inc(1); }\n}";
+    fn metric_names_are_collected_from_registrations() {
+        let src = "fn reg(&self, m: &Metrics) {\n    m.register_counter(\"osd0.data.writes\", &self.writes);\n    m.register_gauge(\"osd0.data.depth\", &self.depth);\n}";
         let f = file("crates/device/src/x.rs", src);
         let m = build(std::slice::from_ref(&f));
-        assert!(m.metric_fields.contains("writes"));
-        assert!(m.metric_fields.contains("depth"));
-        assert!(m.metric_registered.contains_key("writes"));
-        assert!(m.metric_registered.contains_key("depth"));
-        assert!(m.metric_recorded.contains("writes"));
-        assert!(!m.metric_recorded.contains("depth"));
-        assert_eq!(m.metric_names.len(), 2);
+        let names: Vec<&str> = m.metric_names.iter().map(|s| s.template.as_str()).collect();
+        assert_eq!(names, vec!["osd0.data.writes", "osd0.data.depth"]);
     }
 
     #[test]

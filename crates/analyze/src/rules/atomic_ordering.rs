@@ -15,6 +15,12 @@
 //!   needs a `// ordering:` justification (e.g. deliberately Relaxed
 //!   readers on an advisory flag). Pairing is cross-file on the field
 //!   name, so a store in one crate pairs with a load in another.
+//!
+//! Canary: `Osd::pause` storing `paused` with a bare `SeqCst`, and
+//! `Osd::resume` storing it with `Release` while every load stays
+//! `Relaxed`. Both pass clippy (it has no ordering lint) and every
+//! test: x86-64 orders plain loads and stores, so a too-weak or
+//! unpaired ordering behaves like a correct one on this host.
 
 use crate::model::{AtomicKind, AtomicUse};
 use crate::{Diag, Severity, Workspace};
@@ -122,14 +128,20 @@ mod tests {
         out
     }
 
+    /// The canaries no other gate catches: `Osd::pause` and
+    /// `Osd::resume` with their `Relaxed` stores of `paused` changed.
     #[test]
-    fn unjustified_seqcst_is_flagged() {
+    fn canary_pause_flag_orderings() {
         let v = run(&[(
-            "crates/core/src/x.rs",
-            "fn f(&self) { self.seq.store(1, Ordering::SeqCst); }\n",
+            "crates/core/src/osd/mod.rs",
+            "fn pause(&self) {\n    self.inner.paused.store(true, Ordering::SeqCst);\n}\nfn resume(&self) {\n    self.inner.paused.store(false, Ordering::Release);\n}\nfn dispatch(&self) -> bool {\n    inner.paused.load(Ordering::Relaxed)\n}\n",
         )]);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].msg.contains("SeqCst"));
+        let got: Vec<u32> = v.iter().map(|d| d.line).collect();
+        assert_eq!(got, vec![2, 5], "{v:?}");
+        assert!(v[0].msg.contains("`Ordering::SeqCst` on `paused`"));
+        assert!(v[1]
+            .msg
+            .contains("`Release` ordering on `paused` has no matching `Acquire`"));
     }
 
     #[test]
@@ -154,17 +166,6 @@ mod tests {
             ),
         ]);
         assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn release_store_with_only_relaxed_loads_is_flagged() {
-        let v = run(&[(
-            "crates/core/src/a.rs",
-            "fn f(&self) {\n    self.armed.store(true, Ordering::Release);\n    let _x = self.armed.load(Ordering::Relaxed);\n}\n",
-        )]);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].msg.contains("no matching `Acquire` load"));
-        assert_eq!(v[0].line, 2);
     }
 
     #[test]

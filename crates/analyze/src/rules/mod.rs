@@ -3,8 +3,6 @@
 
 pub mod atomic_ordering;
 pub mod blocking;
-pub mod hygiene;
-pub mod lock_order;
 pub mod site_names;
 
 use crate::{Diag, Workspace};
@@ -13,9 +11,6 @@ use crate::{Diag, Workspace};
 pub fn run_all(ws: &Workspace) -> Vec<Diag> {
     let mut out = Vec::new();
     for f in &ws.files {
-        hygiene::check_unwrap_on_sync(f, &mut out);
-        hygiene::check_discarded_io(f, &mut out);
-        lock_order::check(ws, f, &mut out);
         blocking::check(f, &mut out);
     }
     atomic_ordering::check(ws, &mut out);

@@ -15,9 +15,14 @@
 //!   with one trailing `.verb` segment — `check_io` semantics).
 //! - **Fault sites must be armed.** A production template no test ever
 //!   arms is dead fault-injection surface; it rots unverified.
-//! - **Registered metrics must be recorded.** A handle registered with
-//!   the metrics registry but never `inc`/`add`/`observe`d anywhere is
-//!   a dashboard lie.
+//!
+//! Canary: `fault_matrix`'s delayed-ack test arming `net.rep_ack` where
+//! the site is `net.repack`. The delay never happens, and the test
+//! still passes, because an undelayed ack gives the outcome it asserts.
+//! clippy and every test pass. A test that checks its fault fired
+//! (`reg.hits(..)`, a resend count) catches the same typo on its own,
+//! and a metric handle that is registered but never recorded fails the
+//! tests that read it, so that check is not here.
 
 use crate::model::SiteLit;
 use crate::{Diag, Severity, Workspace};
@@ -175,25 +180,6 @@ pub fn check(ws: &Workspace, out: &mut Vec<Diag>) {
             ));
         }
     }
-
-    // 4. Registered metric handles must be recorded somewhere.
-    for (field, (file, line, col)) in &m.metric_registered {
-        if !m.metric_recorded.contains(field) {
-            out.push(Diag {
-                file: file.clone(),
-                line: *line,
-                col: *col,
-                rule: "site-names",
-                severity: Severity::Error,
-                msg: format!(
-                    "metric handle `{field}` is registered but never recorded (no inc/add/set/observe call)"
-                ),
-                suggestion: Some(
-                    "record into the handle on the relevant path, or drop the registration".into(),
-                ),
-            });
-        }
-    }
 }
 
 #[cfg(test)]
@@ -291,23 +277,35 @@ mod tests {
         );
     }
 
+    /// The canary no other gate catches: `fault_matrix`'s delayed-ack
+    /// test arming `net.rep_ack` where the site is `net.repack`. The
+    /// delay never happens and the test still passes, because an
+    /// undelayed ack gives the outcome it asserts.
     #[test]
-    fn armed_site_with_no_template_is_flagged() {
+    fn canary_misspelled_arm_of_an_attached_site() {
         let v = run(&[
             (
                 "crates/core/src/cluster.rs",
-                "fn wire(reg: &R) { dev.attach(reg, format!(\"osd{}.data\", id)); }\n",
+                "fn wire(reg: &R) {\n    net.attach_faults(reg, |m| Some(match m { A => \"net.replicate\", B => \"net.repack\" }));\n}\n",
             ),
             (
-                "crates/core/tests/faults.rs",
-                "#[test]\nfn t() { reg.install(FaultSpec::new(\"osd0.jornal.write\", FaultKind::Torn)); }\n",
+                "crates/core/tests/fault_matrix.rs",
+                "#[test]\nfn dup() {\n    reg.install(FaultSpec::new(\"net.replicate\", FaultKind::Duplicate).times(1));\n    reg.install(FaultSpec::new(\"net.rep_ack\", FaultKind::Delay(d)).times(2));\n}\n",
             ),
         ]);
-        assert!(
-            v.iter()
-                .any(|d| d.msg.contains("`osd0.jornal.write` matches no attached")),
+        let got: Vec<(&str, u32)> = v.iter().map(|d| (d.file.as_str(), d.line)).collect();
+        assert_eq!(
+            got,
+            vec![
+                ("crates/core/tests/fault_matrix.rs", 4),
+                ("crates/core/src/cluster.rs", 2),
+            ],
             "{v:?}"
         );
+        assert!(v[0].msg.contains("`net.rep_ack` matches no attached"));
+        assert!(v[1]
+            .msg
+            .contains("`net.repack` is attached but never armed"));
     }
 
     #[test]
@@ -351,17 +349,5 @@ mod tests {
         let unarmed: Vec<_> = v.iter().filter(|d| d.msg.contains("never armed")).collect();
         assert_eq!(unarmed.len(), 1, "{v:?}");
         assert!(unarmed[0].msg.contains("`net.push`"), "{v:?}");
-    }
-
-    #[test]
-    fn registered_but_never_recorded_metric_is_flagged() {
-        let v = run(&[(
-            "crates/device/src/lib.rs",
-            "struct S { writes: Counter, depth: Gauge }\nimpl S {\n  fn reg(&self, m: &M) {\n    m.register_counter(\"dev.writes\", &self.writes);\n    m.register_gauge(\"dev.depth\", &self.depth);\n  }\n  fn hit(&self) { self.writes.inc(1); }\n}\n",
-        )]);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0]
-            .msg
-            .contains("`depth` is registered but never recorded"));
     }
 }

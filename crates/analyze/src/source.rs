@@ -161,7 +161,7 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) -> Result<(), String> {
 
 /// Index of the `}` matching the `{` at `open` (falls back to the last
 /// token on unbalanced input).
-pub fn match_brace(toks: &[Tok], open: usize) -> usize {
+fn match_brace(toks: &[Tok], open: usize) -> usize {
     let mut depth = 0i64;
     for (i, t) in toks.iter().enumerate().skip(open) {
         if t.is_punct('{') {

@@ -1,28 +1,9 @@
-//! Deliberately buggy op-path code: one lock-order inversion and one
-//! blocking sleep, each expected to produce exactly one diagnostic.
+//! Deliberately stalling op-path code: one blocking sleep, expected to
+//! produce exactly one diagnostic.
 
-use crate::lockdep::{classes, TrackedMutex};
-
-pub struct Engine {
-    lo: TrackedMutex<u32>,
-    hi: TrackedMutex<u32>,
-}
+pub struct Engine;
 
 impl Engine {
-    pub fn new() -> Self {
-        Self {
-            lo: TrackedMutex::new(&classes::FIRST, 0),
-            hi: TrackedMutex::new(&classes::SECOND, 0),
-        }
-    }
-
-    /// Takes `SECOND` then `FIRST`: contradicts DECLARED_ORDER.
-    pub fn inverted(&self) -> u32 {
-        let b = self.hi.lock();
-        let a = self.lo.lock();
-        *a + *b
-    }
-
     /// Sleeps on the op path outside a sanctioned worker loop.
     pub fn stalls(&self) {
         std::thread::sleep(std::time::Duration::from_millis(5));

@@ -7,10 +7,7 @@
 //!
 //! - a misnamed fault site (`Mini.Data`),
 //! - an unjustified `Ordering::SeqCst`,
-//! - a lock-order inversion (`SECOND` held while `FIRST` is acquired),
-//! - a `thread::sleep` in the OSD op path,
-//! - an `.unwrap()` on a channel receive in the journal,
-//! - a `let _ =` that swallows a device write in the journal.
+//! - a `thread::sleep` in the OSD op path.
 
 use std::path::PathBuf;
 
@@ -22,7 +19,7 @@ fn fixture_root() -> PathBuf {
 fn mini_workspace_produces_exact_diagnostics() {
     let report = analyze::analyze(&fixture_root()).expect("analysis runs");
 
-    assert_eq!(report.files_scanned, 5);
+    assert_eq!(report.files_scanned, 3);
     assert!(!report.is_clean());
 
     // One finding per rule, nothing else.
@@ -36,22 +33,14 @@ fn mini_workspace_produces_exact_diagnostics() {
         vec![
             ("crates/core/src/cluster.rs", "site-names", 5, 21),
             ("crates/core/src/flags.rs", "atomic-ordering", 12, 18),
-            ("crates/core/src/osd/engine.rs", "lock-order", 22, 22),
-            ("crates/core/src/osd/engine.rs", "hot-path-blocking", 28, 22),
-            ("crates/journal/src/lib.rs", "no-unwrap-on-sync", 5, 15),
-            ("crates/journal/src/lib.rs", "no-discarded-io", 9, 5),
+            ("crates/core/src/osd/engine.rs", "hot-path-blocking", 9, 22),
         ]
     );
 
-    // Messages name the offending classes/sites precisely.
+    // Messages name the offending site, field and call precisely.
     assert!(report.diags[0].msg.contains("`Mini.Data`"));
     assert!(report.diags[1].msg.contains("`Ordering::SeqCst` on `seq`"));
-    assert!(report.diags[2]
-        .msg
-        .contains("acquiring `FIRST` (rank 10) while holding `SECOND` (rank 20"));
-    assert!(report.diags[3].msg.contains("thread::sleep"));
-    assert!(report.diags[4].msg.contains(".unwrap()"));
-    assert!(report.diags[5].msg.contains(".submit("));
+    assert!(report.diags[2].msg.contains("thread::sleep"));
 }
 
 #[test]
@@ -60,8 +49,8 @@ fn mini_workspace_diagnostics_render_with_spans_and_help() {
     let rendered: Vec<String> = report.diags.iter().map(|d| d.to_string()).collect();
     assert_eq!(
         rendered[2],
-        "crates/core/src/osd/engine.rs:22:22: error [lock-order] acquiring `FIRST` \
-         (rank 10) while holding `SECOND` (rank 20, guard `b`) contradicts \
-         lockdep::DECLARED_ORDER\n    help: acquire `FIRST` before `SECOND`, or drop `b` first"
+        "crates/core/src/osd/engine.rs:9:22: error [hot-path-blocking] thread::sleep \
+         in the OSD op path\n    help: use a timer wheel or an event, not a stalled \
+         worker; or waive with a `// blocking-ok:` comment explaining why the wait is bounded"
     );
 }

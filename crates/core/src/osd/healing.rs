@@ -14,6 +14,7 @@ use afc_common::{ObjectId, OsdId, PgId, PoolId};
 use afc_crush::OsdMap;
 use afc_messenger::Addr;
 use bytes::Bytes;
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -388,21 +389,15 @@ impl OsdInner {
         let acting = map.pg_acting(pg.id()).unwrap_or_default();
         let placed = map.pg_placed(pg.id()).unwrap_or_default();
         let mine = st.next_pg_seq;
-        let target = round.infos.values().copied().fold(mine, u64::max);
-        if target > mine {
+        // The most advanced peer, the lowest id among equals.
+        let ahead = round.infos.iter().map(|(p, lu)| (*lu, Reverse(*p))).max();
+        if let Some((_, Reverse(best))) = ahead.filter(|(lu, _)| *lu > mine) {
             // A peer holds history we lack (we were down, or we are a
             // fresh member promoted by a re-placement): hand primacy to
             // the most advanced peer via `pg_temp` and stay fenced until
             // the map reflects it — serving I/O without the data would
             // fabricate `NotFound`s for acked writes. The interim primary
             // then backfills us and hands primacy back (see `pump_pgs`).
-            let best = round
-                .infos
-                .iter()
-                .filter(|(_, lu)| **lu == target)
-                .map(|(p, _)| *p)
-                .min()
-                .expect("target came from infos");
             let mut temp = vec![best];
             temp.extend(acting.iter().copied().filter(|o| *o != best));
             st.want_pg_temp = Some(temp);
@@ -411,8 +406,9 @@ impl OsdInner {
             self.heal.c.peering_completed.inc();
             return;
         }
+        // No peer is ahead, so our position is the authoritative one.
         for (&peer, &lu) in &round.infos {
-            if lu != target {
+            if lu != mine {
                 // Stale (or divergent) copy: full backfill — every local
                 // object is pushed, converging the peer without a per-op
                 // log diff.

@@ -381,6 +381,11 @@ impl OsdInner {
         }))
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "`Osd::spawn` sets the messenger before it starts a thread, and \
+                  `OsdDispatcher::dispatch` drops what arrives before that"
+    )]
     fn msgr(&self) -> &Messenger<OsdMsg> {
         self.msgr.get().expect("messenger registered at spawn")
     }

@@ -298,6 +298,22 @@ impl<T> VolState<T> {
     fn limit_ok(&self) -> bool {
         self.limit.as_ref().is_none_or(TokenBucket::has_token)
     }
+
+    /// Take the head item for dispatch at `now`: spends a limit token and
+    /// books the item's queue wait.
+    #[expect(
+        clippy::expect_used,
+        reason = "`dequeue` picks only volumes whose queue is non-empty"
+    )]
+    fn pop(&mut self, now: Instant) -> T {
+        if let Some(b) = &mut self.limit {
+            b.take();
+        }
+        let (item, enq) = self.queue.pop_front().expect("picked volume backlogged");
+        self.limited_counted = false;
+        self.h_wait.observe(now.duration_since(enq));
+        item
+    }
 }
 
 struct SchedState<T> {
@@ -469,16 +485,12 @@ impl<T> QosScheduler<T> {
         let mut forced = false;
         if let Some((vol, _)) = res_pick {
             if !weight_waiting || st.streak < RESERVATION_STREAK_MAX {
+                #[expect(clippy::expect_used, reason = "`vol` was just read from `vols`")]
                 let vs = st.vols.get_mut(&vol).expect("picked volume exists");
                 if let Some(r) = &mut vs.reservation {
                     r.on_dispatch();
                 }
-                if let Some(b) = &mut vs.limit {
-                    b.take();
-                }
-                let (item, enq) = vs.queue.pop_front().expect("picked volume backlogged");
-                vs.limited_counted = false;
-                vs.h_wait.observe(now.duration_since(enq));
+                let item = vs.pop(now);
                 vs.c_res.inc();
                 self.c_res.inc();
                 st.queued -= 1;
@@ -504,13 +516,9 @@ impl<T> QosScheduler<T> {
             .map(|(v, _)| *v)
             .collect();
         if let Some(vol) = pick_round_robin(&candidates, st.rr_last) {
+            #[expect(clippy::expect_used, reason = "`vol` was just read from `vols`")]
             let vs = st.vols.get_mut(&vol).expect("picked volume exists");
-            if let Some(b) = &mut vs.limit {
-                b.take();
-            }
-            let (item, enq) = vs.queue.pop_front().expect("picked volume backlogged");
-            vs.limited_counted = false;
-            vs.h_wait.observe(now.duration_since(enq));
+            let item = vs.pop(now);
             vs.c_weight.inc();
             self.c_weight.inc();
             st.queued -= 1;

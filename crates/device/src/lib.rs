@@ -22,6 +22,7 @@
 //! - All jitter is deterministic (seeded), so runs are reproducible.
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(clippy::let_underscore_must_use)]
 
 pub mod ftl;
 pub mod hdd;
@@ -256,6 +257,10 @@ impl FaultInjector {
     /// (`"osd0.journal"`, all I/O) or a verb (`"osd0.journal.write"`).
     /// A second attach is ignored (first one wins).
     pub fn attach(&self, registry: Arc<FaultRegistry>, site: impl Into<String>) {
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "first attach wins: a second registry is ignored"
+        )]
         let _ = self.registry.set((registry, site.into()));
     }
 

@@ -25,6 +25,8 @@
 //! SSDs (§3.2).
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::let_underscore_must_use)]
 
 pub mod metacache;
 pub mod simfs;

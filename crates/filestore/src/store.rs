@@ -219,6 +219,10 @@ impl FileStore {
     /// front) and `{site}.mid_apply` (fail between ops, leaving a partial
     /// apply behind for recovery to clean up). First attach wins.
     pub fn attach_faults(&self, registry: Arc<FaultRegistry>, site: impl Into<String>) {
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "first attach wins: a second registry is ignored"
+        )]
         let _ = self.faults.set((registry, site.into()));
     }
 
@@ -264,6 +268,10 @@ impl FileStore {
         self.queue_transaction(
             txn,
             Box::new(move |r| {
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "a send fails only once the waiter has gone, and then no one wants the result"
+                )]
                 let _ = tx.send(r);
             }),
         )?;
@@ -401,6 +409,10 @@ impl Drop for FileStore {
         self.shards.clear();
         for h in self.workers.drain(..) {
             if h.thread().id() != std::thread::current().id() {
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "a worker that panicked has already reported it; drop goes on"
+                )]
                 let _ = h.join();
             }
         }

@@ -407,12 +407,18 @@ impl Cursor<'_> {
         Ok(self.take(1)?[0])
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let mut a = [0; N];
+        a.copy_from_slice(self.take(N)?);
+        Ok(a)
+    }
+
     fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
+        self.array().map(u32::from_le_bytes)
     }
 
     fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+        self.array().map(u64::from_le_bytes)
     }
 
     fn bytes(&mut self) -> Result<Bytes> {

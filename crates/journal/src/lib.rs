@@ -46,6 +46,8 @@
 //! being written are lost, like DRAM contents at power loss).
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::let_underscore_must_use)]
 
 pub mod stats;
 
@@ -270,6 +272,10 @@ impl Journal {
         let seq = self.submit(
             payload,
             Box::new(move |_, durable| {
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "a send fails only once the waiter has gone, and then no one wants the instant"
+                )]
                 let _ = tx.send(durable);
             }),
         )?;

@@ -24,6 +24,7 @@
 //! upper layers see realistic timing and the stats see real amplification.
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod batch;
 pub mod compaction;

@@ -4,9 +4,8 @@
 //! Commands:
 //!
 //! - `analyze` — the cross-file static-analysis pass over the workspace
-//!   sources (lock order, site names, memory-ordering hygiene, blocking
-//!   calls in the op path, swallowed lock/I/O results; see the `analyze`
-//!   crate for the rule catalog). Exits non-zero on violations, so CI
+//!   sources (site names, memory-ordering hygiene, blocking calls in the
+//!   op path; see the `analyze` crate for the rule catalog). Exits non-zero on violations, so CI
 //!   and pre-commit hooks can gate on it.
 //! - `bench-check` — run the repo benchmark (`benchmark/`) in quick trace
 //!   mode and compare its per-op counts against the table in

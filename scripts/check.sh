@@ -5,7 +5,8 @@
 # root:   ./scripts/check.sh        (or: bash scripts/check.sh)
 #
 # rustfmt is optional (its step is skipped with a warning when it is not
-# installed); clippy is not — it carries the std::sync and println bans.
+# installed); clippy is not — it carries the std::sync, println, unwrap and
+# discarded-result bans.
 
 set -u
 cd "$(dirname "$0")/.."
@@ -36,10 +37,11 @@ maybe_step() {
     fi
 }
 
-# 1. Cross-file static analysis (lock order, site names, memory-ordering
-#    hygiene; see crates/analyze). Dependency-free, so it works even when
-#    the rest of the workspace is broken. Runs before clippy and fails
-#    fast.
+# 1. Cross-file static analysis (site names, memory-ordering hygiene,
+#    op-path blocking; see crates/analyze). Dependency-free, so it works
+#    even when the rest of the workspace is broken. Runs before clippy and
+#    fails fast. Lock order is checked by lockdep in the debug tests of
+#    step 4; unwraps and discarded results by clippy in step 3.
 step cargo run --quiet --package xtask -- analyze
 if [ "$failures" -ne 0 ]; then
     # Fail fast: span-accurate diagnostics are the most actionable output
@@ -53,10 +55,13 @@ fi
 maybe_step cargo fmt --version -- cargo fmt --all --check
 
 # 3. Clippy, warnings as errors. Mandatory: besides its own lints it
-#    enforces what two analyzer rules used to — clippy.toml's
+#    enforces what four analyzer rules used to — clippy.toml's
 #    `disallowed-types` bans std::sync::{Mutex,RwLock,Condvar} outside
-#    lockdep.rs, and every library crate denies `clippy::print_stdout` /
-#    `print_stderr`.
+#    lockdep.rs; every library crate denies `clippy::print_stdout` /
+#    `print_stderr`; afc-core, afc-journal, afc-filestore and afc-kvstore
+#    deny `clippy::unwrap_used` / `expect_used` outside tests
+#    (clippy.toml `allow-*-in-tests`); afc-journal, afc-filestore and
+#    afc-device deny `clippy::let_underscore_must_use`.
 step cargo clippy --workspace --all-targets --quiet -- -D warnings
 
 # 4. Build + tests (includes the lockdep stress tests and the PG
