@@ -8,8 +8,8 @@
 //!   registry components consult at their injection sites.
 //! - [`ids`]: strongly-typed identifiers (OSDs, PGs, objects, clients, epochs).
 //! - [`series`]: wall-clock time-series recording for fluctuation plots.
-//! - [`metrics`]: the unified, label-aware cluster metric registry
-//!   (counters, gauges, latency histograms, Prometheus export).
+//! - [`metrics`]: the unified cluster metric registry, keyed by dotted
+//!   site name (counters, gauges, latency histograms, Prometheus rendering).
 //! - [`rng`]: seeded RNG construction and a fast 64-bit mixing hash.
 //! - [`timeutil`]: the calibrated wait every modeled service time goes
 //!   through, and the ledger of what those waits slept and spun.
@@ -40,8 +40,8 @@ pub use error::{AfcError, Result};
 pub use faults::{FaultKind, FaultPlan, FaultRegistry, FaultSpec};
 pub use ids::{ClientId, Epoch, NodeId, ObjectId, OpId, OsdId, PgId, PoolId, VolumeId};
 pub use metrics::{
-    Counter, CounterSet, Gauge, HistSnapshot, Histogram, HistogramSet, MetricId, MetricValue,
-    Metrics, MetricsSnapshot,
+    Counter, Gauge, HistSnapshot, Histogram, MetricId, MetricSet, MetricValue, Metrics,
+    MetricsSnapshot,
 };
 
 pub use lockdep::{

@@ -1,4 +1,5 @@
-//! Unified, label-aware metric registry for the whole cluster.
+//! Unified metric registry for the whole cluster: a metric is its dotted
+//! site name.
 //!
 //! Every subsystem (devices, journal, filestore, kvstore, messenger,
 //! logging, the OSD op path) registers its counters, gauges and latency
@@ -14,8 +15,7 @@
 //!
 //! Snapshots are a stable, sorted tree ([`MetricsSnapshot`]) that can be
 //! diffed, queried by name, or rendered to the Prometheus text exposition
-//! format ([`MetricsSnapshot::to_prometheus`]) and parsed back
-//! ([`MetricsSnapshot::from_prometheus`]) without loss.
+//! format ([`MetricsSnapshot::to_prometheus`]).
 //!
 //! ```
 //! use afc_common::metrics::Metrics;
@@ -250,27 +250,36 @@ impl Histogram {
     }
 }
 
-/// A live, dynamically growing set of named [`Counter`]s, for the one
-/// subsystem whose names are not known at construction: per-volume QoS
-/// counters, where a volume appears with its first tagged op. Everything
+/// A live, dynamically growing set of named counters and histograms, for
+/// the one subsystem whose names are not known at construction: per-volume
+/// QoS series, where a volume appears with its first tagged op. Everything
 /// else holds fixed [`Counter`] fields. Attaching the set once via
 /// [`Metrics::attach_set`] makes every present *and future* member visible
 /// in snapshots.
 ///
 /// ```
-/// use afc_common::metrics::{CounterSet, Metrics};
-/// let set = CounterSet::new();
+/// use afc_common::metrics::{MetricSet, Metrics};
+/// let set = MetricSet::new();
 /// let m = Metrics::new();
 /// m.attach_set("osd0.qos", &set);
 /// set.counter("vol1.limited").add(4); // created after attach
-/// assert_eq!(m.snapshot().counter("osd0.qos.vol1.limited"), Some(4));
+/// set.histogram("vol1.queue_wait").observe_us(250);
+/// let snap = m.snapshot();
+/// assert_eq!(snap.counter("osd0.qos.vol1.limited"), Some(4));
+/// assert_eq!(snap.histogram("osd0.qos.vol1.queue_wait").unwrap().count, 1);
 /// ```
 #[derive(Clone, Debug, Default)]
-pub struct CounterSet {
-    inner: Arc<RwLock<BTreeMap<String, Counter>>>,
+pub struct MetricSet {
+    inner: Arc<RwLock<SetCells>>,
 }
 
-impl CounterSet {
+#[derive(Debug, Default)]
+struct SetCells {
+    counters: BTreeMap<String, Counter>,
+    histograms: BTreeMap<String, Histogram>,
+}
+
+impl MetricSet {
     /// Create an empty set.
     pub fn new() -> Self {
         Self::default()
@@ -279,121 +288,64 @@ impl CounterSet {
     /// Get-or-create the counter named `name`. Callers cache the returned
     /// handle; the set is not meant to be hit per event.
     pub fn counter(&self, name: &str) -> Counter {
-        if let Some(c) = self.inner.read().get(name) {
+        if let Some(c) = self.inner.read().counters.get(name) {
             return c.clone();
         }
-        self.inner
-            .write()
-            .entry(name.to_string())
-            .or_default()
-            .clone()
-    }
-
-    /// Current value of `name` (0 if never created).
-    pub fn get(&self, name: &str) -> u64 {
-        self.inner.read().get(name).map_or(0, Counter::get)
-    }
-
-    /// The current members as `(name, handle)` pairs (sorted by name).
-    pub fn entries(&self) -> Vec<(String, Counter)> {
-        self.inner
-            .read()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
-    }
-}
-
-/// The histogram analogue of [`CounterSet`]: per-volume QoS latency
-/// histograms are created on demand with [`HistogramSet::hist`];
-/// attaching the set once via [`Metrics::attach_hist_set`] makes every
-/// present *and future* member visible in snapshots.
-///
-/// ```
-/// use afc_common::metrics::{HistogramSet, Metrics};
-/// let set = HistogramSet::new();
-/// let m = Metrics::new();
-/// m.attach_hist_set("osd0.qos", &set);
-/// set.hist("vol1.queue_wait").observe_us(250); // created after attach
-/// assert!(m.snapshot().histogram("osd0.qos.vol1.queue_wait").is_some());
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct HistogramSet {
-    inner: Arc<RwLock<BTreeMap<String, Histogram>>>,
-}
-
-impl HistogramSet {
-    /// Create an empty set.
-    pub fn new() -> Self {
-        Self::default()
+        let mut cells = self.inner.write();
+        cells.counters.entry(name.to_string()).or_default().clone()
     }
 
     /// Get-or-create the histogram named `name`. Callers cache the
     /// returned handle; the set is not meant to be hit per sample.
-    pub fn hist(&self, name: &str) -> Histogram {
-        if let Some(h) = self.inner.read().get(name) {
+    pub fn histogram(&self, name: &str) -> Histogram {
+        if let Some(h) = self.inner.read().histograms.get(name) {
             return h.clone();
         }
-        self.inner
-            .write()
+        let mut cells = self.inner.write();
+        cells
+            .histograms
             .entry(name.to_string())
             .or_default()
             .clone()
     }
 
-    /// The current members as `(name, handle)` pairs (sorted by name).
-    pub fn entries(&self) -> Vec<(String, Histogram)> {
-        self.inner
-            .read()
+    /// Every member, as `(name, source)`.
+    fn sources(&self) -> Vec<(String, Source)> {
+        let cells = self.inner.read();
+        let counters = cells
+            .counters
             .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
+            .map(|(k, c)| (k.clone(), Source::Counter(c.clone())));
+        let histograms = cells
+            .histograms
+            .iter()
+            .map(|(k, h)| (k.clone(), Source::Histogram(h.clone())));
+        counters.chain(histograms).collect()
     }
 }
 
-/// A metric's identity: a dotted site name plus optional key/value labels.
+/// A metric's identity: its dotted site name.
 ///
 /// Site names follow the fault-injection convention: subsystem instances
 /// are path components (`osd2.fs.txns_applied`, `node0.journal.commits`).
-/// Labels are for orthogonal dimensions (e.g. an operation kind) and are
-/// kept sorted so identity is stable.
 ///
 /// ```
 /// use afc_common::metrics::MetricId;
-/// let id = MetricId::new("osd0.op.writes").with_label("kind", "4k");
+/// let id = MetricId::new("osd0.op.writes");
 /// assert_eq!(id.name(), "osd0.op.writes");
-/// assert_eq!(id.labels(), &[("kind".to_string(), "4k".to_string())]);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct MetricId {
-    name: String,
-    labels: Vec<(String, String)>,
-}
+pub struct MetricId(String);
 
 impl MetricId {
-    /// Identity with no labels.
+    /// The identity of the metric named `name`.
     pub fn new(name: impl Into<String>) -> Self {
-        MetricId {
-            name: name.into(),
-            labels: Vec::new(),
-        }
-    }
-
-    /// Add one label, keeping the label list sorted by key.
-    pub fn with_label(mut self, k: impl Into<String>, v: impl Into<String>) -> Self {
-        self.labels.push((k.into(), v.into()));
-        self.labels.sort();
-        self
+        MetricId(name.into())
     }
 
     /// The dotted site name.
     pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The sorted label pairs.
-    pub fn labels(&self) -> &[(String, String)] {
-        &self.labels
+        &self.0
     }
 }
 
@@ -409,6 +361,7 @@ impl From<String> for MetricId {
     }
 }
 
+#[derive(Clone)]
 enum Source {
     Counter(Counter),
     Gauge(Gauge),
@@ -438,8 +391,7 @@ enum Source {
 #[derive(Default)]
 pub struct Metrics {
     sources: RwLock<BTreeMap<MetricId, Vec<Source>>>,
-    sets: RwLock<Vec<(String, CounterSet)>>,
-    hist_sets: RwLock<Vec<(String, HistogramSet)>>,
+    sets: RwLock<Vec<(String, MetricSet)>>,
 }
 
 impl Metrics {
@@ -497,28 +449,28 @@ impl Metrics {
             .push(Source::Histogram(h.clone()));
     }
 
-    /// Attach a live [`CounterSet`]: every counter in the set — including
+    /// Attach a live [`MetricSet`]: every member of the set — including
     /// ones created after the attach — appears in snapshots as
-    /// `<prefix>.<name>`.
-    pub fn attach_set(&self, prefix: &str, set: &CounterSet) {
+    /// `<prefix>.<name>`, summed or merged with any same-named
+    /// registration.
+    pub fn attach_set(&self, prefix: &str, set: &MetricSet) {
         self.sets.write().push((prefix.to_string(), set.clone()));
-    }
-
-    /// Attach a live [`HistogramSet`]: every histogram in the set —
-    /// including ones created after the attach — appears in snapshots as
-    /// `<prefix>.<name>`.
-    pub fn attach_hist_set(&self, prefix: &str, set: &HistogramSet) {
-        self.hist_sets
-            .write()
-            .push((prefix.to_string(), set.clone()));
     }
 
     /// Point-in-time snapshot of every registered metric, as a stable
     /// sorted tree. Duplicate registrations are summed (counters, gauges)
     /// or merged (histograms).
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let mut all = self.sources.read().clone();
+        for (prefix, set) in self.sets.read().iter() {
+            for (name, source) in set.sources() {
+                all.entry(MetricId::new(format!("{prefix}.{name}")))
+                    .or_default()
+                    .push(source);
+            }
+        }
         let mut out: BTreeMap<MetricId, MetricValue> = BTreeMap::new();
-        for (id, sources) in self.sources.read().iter() {
+        for (id, sources) in all {
             let mut counter_sum: Option<u64> = None;
             let mut gauge_sum: Option<i64> = None;
             let mut hist_raw: Option<(Vec<u64>, u64)> = None;
@@ -555,37 +507,7 @@ impl Metrics {
             } else {
                 continue;
             };
-            out.insert(id.clone(), value);
-        }
-        for (prefix, set) in self.sets.read().iter() {
-            for (name, c) in set.entries() {
-                // On a name collision with a non-counter registration the
-                // typed registration wins.
-                if let MetricValue::Counter(acc) = out
-                    .entry(MetricId::new(format!("{prefix}.{name}")))
-                    .or_insert(MetricValue::Counter(0))
-                {
-                    *acc += c.get();
-                }
-            }
-        }
-        for (prefix, set) in self.hist_sets.read().iter() {
-            for (name, h) in set.entries() {
-                let (raw, sum_us) = h.load_raw();
-                let snap = HistSnapshot::from_raw(&raw, sum_us);
-                match out.entry(MetricId::new(format!("{prefix}.{name}"))) {
-                    std::collections::btree_map::Entry::Vacant(e) => {
-                        e.insert(MetricValue::Histogram(snap));
-                    }
-                    std::collections::btree_map::Entry::Occupied(mut e) => {
-                        // Merge with a same-named histogram registration;
-                        // on a kind collision the typed registration wins.
-                        if let MetricValue::Histogram(acc) = e.get_mut() {
-                            acc.merge(&snap);
-                        }
-                    }
-                }
-            }
+            out.insert(id, value);
         }
         MetricsSnapshot { metrics: out }
     }
@@ -596,7 +518,6 @@ impl std::fmt::Debug for Metrics {
         f.debug_struct("Metrics")
             .field("registered", &self.sources.read().len())
             .field("sets", &self.sets.read().len())
-            .field("hist_sets", &self.hist_sets.read().len())
             .finish()
     }
 }
@@ -739,21 +660,16 @@ impl HistSnapshot {
 /// A stable, sorted point-in-time view of every metric in a registry.
 ///
 /// Obtained from [`Metrics::snapshot`]; query it by name, iterate it, or
-/// render/parse the Prometheus text format.
+/// render it in the Prometheus text format.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MetricsSnapshot {
     metrics: BTreeMap<MetricId, MetricValue>,
 }
 
 impl MetricsSnapshot {
-    /// Look up the value registered under the unlabeled `name`.
+    /// Look up the value registered under `name`.
     pub fn get(&self, name: &str) -> Option<&MetricValue> {
         self.metrics.get(&MetricId::new(name))
-    }
-
-    /// Look up a metric by full identity (name + labels).
-    pub fn get_id(&self, id: &MetricId) -> Option<&MetricValue> {
-        self.metrics.get(id)
     }
 
     /// Counter value under `name`, if present and a counter.
@@ -795,7 +711,7 @@ impl MetricsSnapshot {
     pub fn site_sum(&self, key: &str) -> u64 {
         self.metrics
             .iter()
-            .filter(|(id, _)| id.name.split_once('.').is_some_and(|(_, k)| k == key))
+            .filter(|(id, _)| id.0.split_once('.').is_some_and(|(_, k)| k == key))
             .filter_map(|(_, v)| match v {
                 MetricValue::Counter(c) => Some(*c),
                 _ => None,
@@ -822,9 +738,8 @@ impl MetricsSnapshot {
     ///
     /// Dotted site names are not valid Prometheus metric names, so each
     /// series gets a sanitized name (dots → underscores) and carries the
-    /// exact site name in a `site` label; [`Self::from_prometheus`]
-    /// rebuilds the original identities from that label, making the
-    /// encoding lossless. Histogram `le` bounds and sums are microseconds.
+    /// exact site name in a `site` label. Histogram `le` bounds and sums
+    /// are microseconds.
     ///
     /// ```
     /// use afc_common::metrics::Metrics;
@@ -837,7 +752,7 @@ impl MetricsSnapshot {
         let mut out = String::new();
         for (id, v) in &self.metrics {
             let san = sanitize(id.name());
-            let labels = render_labels(id);
+            let labels = format!("site=\"{}\"", escape_label(id.name()));
             match v {
                 MetricValue::Counter(c) => {
                     let _ = writeln!(out, "# TYPE {san} counter");
@@ -867,114 +782,6 @@ impl MetricsSnapshot {
         }
         out
     }
-
-    /// Parse text produced by [`Self::to_prometheus`] back into a
-    /// snapshot. Series identity comes from the `site` label, so the
-    /// round trip is exact: `from_prometheus(s.to_prometheus()) == s`.
-    pub fn from_prometheus(text: &str) -> crate::Result<MetricsSnapshot> {
-        use crate::AfcError;
-        // Buckets, sum and count of a histogram under (re)construction.
-        type PartialHist = (Vec<(u64, u64)>, u64, u64);
-        let mut kinds: BTreeMap<String, String> = BTreeMap::new();
-        let mut hists: BTreeMap<MetricId, PartialHist> = BTreeMap::new();
-        let mut metrics: BTreeMap<MetricId, MetricValue> = BTreeMap::new();
-        let bad = |line: &str| AfcError::InvalidArgument(format!("bad prometheus line: {line}"));
-
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("# TYPE ") {
-                let mut it = rest.split_whitespace();
-                if let (Some(name), Some(kind)) = (it.next(), it.next()) {
-                    kinds.insert(name.to_string(), kind.to_string());
-                }
-                continue;
-            }
-            if line.starts_with('#') {
-                continue;
-            }
-            let brace = line.find('{').ok_or_else(|| bad(line))?;
-            let close = line.rfind('}').ok_or_else(|| bad(line))?;
-            let series = &line[..brace];
-            let label_str = &line[brace + 1..close];
-            let value_str = line[close + 1..].trim();
-            let mut site = None;
-            let mut le = None;
-            let mut labels = Vec::new();
-            for part in split_labels(label_str) {
-                let (k, v) = part.ok_or_else(|| bad(line))?;
-                match k.as_str() {
-                    "site" => site = Some(v),
-                    "le" => le = Some(v),
-                    _ => labels.push((k, v)),
-                }
-            }
-            let site = site.ok_or_else(|| bad(line))?;
-            labels.sort();
-            let mut id = MetricId::new(site);
-            id.labels = labels;
-
-            // Histogram series carry a suffix on the sanitized name.
-            let kind_of = |series: &str, suffix: &str| {
-                series
-                    .strip_suffix(suffix)
-                    .map(|base| kinds.get(base).map(|k| k == "histogram").unwrap_or(false))
-                    .unwrap_or(false)
-            };
-            if kind_of(series, "_bucket") {
-                let le = le.ok_or_else(|| bad(line))?;
-                let le_us = if le == "+Inf" {
-                    u64::MAX
-                } else {
-                    le.parse().map_err(|_| bad(line))?
-                };
-                let cum: u64 = value_str.parse().map_err(|_| bad(line))?;
-                hists.entry(id).or_default().0.push((le_us, cum));
-            } else if kind_of(series, "_sum") {
-                let v: u64 = value_str.parse().map_err(|_| bad(line))?;
-                hists.entry(id).or_default().1 = v;
-            } else if kind_of(series, "_count") {
-                let v: u64 = value_str.parse().map_err(|_| bad(line))?;
-                hists.entry(id).or_default().2 = v;
-            } else {
-                let kind = kinds.get(series).map(String::as_str).unwrap_or("counter");
-                let value = match kind {
-                    "gauge" => MetricValue::Gauge(value_str.parse().map_err(|_| bad(line))?),
-                    _ => MetricValue::Counter(value_str.parse().map_err(|_| bad(line))?),
-                };
-                metrics.insert(id, value);
-            }
-        }
-        for (id, (mut buckets, sum_us, count)) in hists {
-            buckets.sort();
-            // Drop a synthetic +Inf bucket that merely repeats the count.
-            if let Some(&(le, cum)) = buckets.last() {
-                if le == u64::MAX {
-                    // Real overflow buckets strictly increase the running
-                    // count; a repeat (or lone zero) is synthetic.
-                    let prev = buckets
-                        .len()
-                        .checked_sub(2)
-                        .map(|i| buckets[i].1)
-                        .unwrap_or(0);
-                    if prev == cum {
-                        buckets.pop();
-                    }
-                }
-            }
-            metrics.insert(
-                id,
-                MetricValue::Histogram(HistSnapshot {
-                    buckets,
-                    count,
-                    sum_us,
-                }),
-            );
-        }
-        Ok(MetricsSnapshot { metrics })
-    }
 }
 
 /// Sanitize a dotted site name into a Prometheus-legal metric name.
@@ -995,68 +802,8 @@ fn sanitize(name: &str) -> String {
     s
 }
 
-fn render_labels(id: &MetricId) -> String {
-    let mut out = format!("site=\"{}\"", escape_label(id.name()));
-    for (k, v) in id.labels() {
-        let _ = write!(out, ",{}=\"{}\"", sanitize(k), escape_label(v));
-    }
-    out
-}
-
 fn escape_label(v: &str) -> String {
     v.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Split `k="v",k2="v2"` into pairs, honouring escaped quotes.
-fn split_labels(s: &str) -> impl Iterator<Item = Option<(String, String)>> + '_ {
-    let mut rest = s;
-    std::iter::from_fn(move || {
-        rest = rest.trim_start_matches(',').trim();
-        if rest.is_empty() {
-            return None;
-        }
-        let eq = match rest.find('=') {
-            Some(i) => i,
-            None => {
-                rest = "";
-                return Some(None);
-            }
-        };
-        let key = rest[..eq].trim().to_string();
-        let after = &rest[eq + 1..];
-        if !after.starts_with('"') {
-            rest = "";
-            return Some(None);
-        }
-        let body = &after[1..];
-        let mut val = String::new();
-        let mut chars = body.char_indices();
-        let mut end = None;
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '\\' => {
-                    if let Some((_, n)) = chars.next() {
-                        val.push(n);
-                    }
-                }
-                '"' => {
-                    end = Some(i);
-                    break;
-                }
-                c => val.push(c),
-            }
-        }
-        match end {
-            Some(i) => {
-                rest = &body[i + 1..];
-                Some(Some((key, val)))
-            }
-            None => {
-                rest = "";
-                Some(None)
-            }
-        }
-    })
 }
 
 #[cfg(test)]
@@ -1100,67 +847,41 @@ mod tests {
     }
 
     #[test]
-    fn labels_distinguish_series() {
-        let m = Metrics::new();
-        let a = m.counter(MetricId::new("ops").with_label("kind", "read"));
-        let b = m.counter(MetricId::new("ops").with_label("kind", "write"));
-        a.add(1);
-        b.add(2);
-        let s = m.snapshot();
-        assert_eq!(
-            s.get_id(&MetricId::new("ops").with_label("kind", "read")),
-            Some(&MetricValue::Counter(1))
-        );
-        assert_eq!(
-            s.get_id(&MetricId::new("ops").with_label("kind", "write")),
-            Some(&MetricValue::Counter(2))
-        );
-        assert_eq!(s.len(), 2);
-    }
-
-    #[test]
     fn attached_sets_appear_with_prefix() {
         let m = Metrics::new();
-        let set = CounterSet::new();
-        m.attach_set("osd1.qos", &set);
-        // Created after the attach, through two handles to one cell.
+        let set = MetricSet::new();
+        m.attach_set("osd0.qos", &set);
+        // Members created *after* the attach are still visible — the whole
+        // point of the live set — and each name is one cell however many
+        // handles were taken.
         set.counter("vol1.limited").add(3);
         set.counter("vol1.limited").inc();
-        assert_eq!(m.snapshot().counter("osd1.qos.vol1.limited"), Some(4));
-        assert_eq!(set.get("vol1.limited"), 4);
-        assert_eq!(set.get("never.created"), 0);
-    }
-
-    #[test]
-    fn attached_hist_sets_appear_with_prefix() {
-        let m = Metrics::new();
-        let set = HistogramSet::new();
-        m.attach_hist_set("osd0.qos", &set);
-        // Members created *after* the attach are still visible — the whole
-        // point of the live set.
-        set.hist("vol1.queue_wait").observe_us(100);
-        set.hist("vol1.queue_wait").observe_us(300);
-        set.hist("vol2.queue_wait").observe_us(50);
+        set.histogram("vol1.queue_wait").observe_us(100);
+        set.histogram("vol1.queue_wait").observe_us(300);
+        set.histogram("vol2.queue_wait").observe_us(50);
         let s = m.snapshot();
+        assert_eq!(s.counter("osd0.qos.vol1.limited"), Some(4));
         let h1 = s.histogram("osd0.qos.vol1.queue_wait").expect("vol1 hist");
         assert_eq!(h1.count, 2);
         let h2 = s.histogram("osd0.qos.vol2.queue_wait").expect("vol2 hist");
         assert_eq!(h2.count, 1);
-        // hist() returns the same underlying cell each call.
-        assert_eq!(set.hist("vol1.queue_wait").count(), 2);
-        assert_eq!(set.entries().len(), 2);
+        assert_eq!(s.len(), 3);
+        assert_eq!(set.counter("vol1.limited").get(), 4);
+        assert_eq!(set.histogram("vol1.queue_wait").count(), 2);
     }
 
     #[test]
-    fn hist_set_merges_with_typed_registration() {
+    fn set_merges_with_typed_registration() {
         let m = Metrics::new();
-        let typed = m.histogram("qos.lat");
-        typed.observe_us(10);
-        let set = HistogramSet::new();
-        set.hist("lat").observe_us(20);
-        m.attach_hist_set("qos", &set);
+        m.histogram("qos.lat").observe_us(10);
+        m.counter("qos.limited").add(1);
+        let set = MetricSet::new();
+        set.histogram("lat").observe_us(20);
+        set.counter("limited").add(2);
+        m.attach_set("qos", &set);
         let s = m.snapshot();
         assert_eq!(s.histogram("qos.lat").expect("merged").count, 2);
+        assert_eq!(s.counter("qos.limited"), Some(3));
     }
 
     #[test]
@@ -1207,32 +928,34 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_roundtrip_is_lossless() {
+    fn prometheus_rendering_keeps_the_site_name() {
         let m = Metrics::new();
         m.counter("osd0.data.writes").add(12);
-        m.counter(MetricId::new("osd0.op.client_ops").with_label("kind", "4k\"quoted\""))
-            .add(9);
-        let g = m.gauge("node0.journal.depth");
-        g.set(-4);
+        m.gauge("node0.journal.depth").set(-4);
         let h = m.histogram("osd0.stage.journal");
-        for us in [3u64, 90, 90, 1500, 700_000] {
+        for us in [3u64, 90, 90] {
             h.observe_us(us);
         }
-        // An empty histogram must also survive the trip.
+        // An empty histogram still renders its +Inf bucket, sum and count.
         m.histogram("osd0.stage.ack");
-        let snap = m.snapshot();
-        let text = snap.to_prometheus();
-        let back = MetricsSnapshot::from_prometheus(&text).unwrap();
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn prometheus_rejects_garbage() {
-        assert!(MetricsSnapshot::from_prometheus("what is this").is_err());
-        assert!(MetricsSnapshot::from_prometheus("x{le=\"3\"} 1").is_err());
-        // Valid empty input parses to an empty snapshot.
-        let s = MetricsSnapshot::from_prometheus("# just a comment\n").unwrap();
-        assert!(s.is_empty());
+        let text = m.snapshot().to_prometheus();
+        let want = "\
+# TYPE node0_journal_depth gauge
+node0_journal_depth{site=\"node0.journal.depth\"} -4
+# TYPE osd0_data_writes counter
+osd0_data_writes{site=\"osd0.data.writes\"} 12
+# TYPE osd0_stage_ack histogram
+osd0_stage_ack_bucket{site=\"osd0.stage.ack\",le=\"+Inf\"} 0
+osd0_stage_ack_sum{site=\"osd0.stage.ack\"} 0
+osd0_stage_ack_count{site=\"osd0.stage.ack\"} 0
+# TYPE osd0_stage_journal histogram
+osd0_stage_journal_bucket{site=\"osd0.stage.journal\",le=\"3\"} 1
+osd0_stage_journal_bucket{site=\"osd0.stage.journal\",le=\"91\"} 3
+osd0_stage_journal_bucket{site=\"osd0.stage.journal\",le=\"+Inf\"} 3
+osd0_stage_journal_sum{site=\"osd0.stage.journal\"} 183
+osd0_stage_journal_count{site=\"osd0.stage.journal\"} 3
+";
+        assert_eq!(text, want);
     }
 
     #[test]

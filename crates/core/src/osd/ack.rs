@@ -5,7 +5,9 @@
 //! ordered acks as requested. Completion worker can sort these unordered
 //! acks before sending them to clients." Ordering is per `(client, PG)`
 //! lane in *arrival* order: an ack is released only after every
-//! earlier-arrived op on its lane has been released.
+//! earlier-arrived op on its lane has been released. A lane lives only
+//! while it has ops outstanding: the release that drains it drops it, and
+//! the next op on that `(client, PG)` starts a fresh one.
 
 use afc_common::lockdep::{classes, TrackedMutex};
 use afc_common::{ClientId, PgId};
@@ -50,7 +52,10 @@ impl<T> OrderedAcker<T> {
     }
 
     /// Offer a completed ack. Returns every ack now releasable, in order
-    /// (possibly empty if an earlier slot is still outstanding).
+    /// (possibly empty if an earlier slot is still outstanding). A lane
+    /// with nothing held and nothing outstanding is dropped; `assign`
+    /// takes the same lock, so no op can be between its slot and a lane
+    /// that no longer exists.
     pub fn release(&self, client: ClientId, pg: PgId, idx: u64, ack: T) -> Vec<T> {
         let mut lanes = self.lanes.lock();
         let Some(lane) = lanes.get_mut(&(client, pg)) else {
@@ -61,6 +66,9 @@ impl<T> OrderedAcker<T> {
         while let Some(entry) = lane.held.remove(&lane.next_release) {
             out.push(entry);
             lane.next_release += 1;
+        }
+        if lane.held.is_empty() && lane.next_release == lane.next_assign {
+            lanes.remove(&(client, pg));
         }
         out
     }
@@ -134,6 +142,35 @@ mod tests {
         // pg2's later slot is blocked only by pg2's earlier slot, not pg()'s.
         assert!(a.release(CLIENT, pg2, y1, (TO, reply(11))).is_empty());
         assert_eq!(a.release(CLIENT, pg(), x, (TO, reply(0))).len(), 1);
+    }
+
+    #[test]
+    fn drained_lanes_are_dropped() {
+        let a = OrderedAcker::<(Addr, ClientReply)>::new();
+        let pg2 = PgId {
+            pool: PoolId(0),
+            seq: 1,
+        };
+        for c in 1..=4u64 {
+            let client = ClientId(c);
+            let i0 = a.assign(client, pg());
+            let i1 = a.assign(client, pg());
+            let j0 = a.assign(client, pg2);
+            assert!(a.release(client, pg(), i1, (TO, reply(1))).is_empty());
+            assert_eq!(a.release(client, pg2, j0, (TO, reply(2))).len(), 1);
+            assert_eq!(a.release(client, pg(), i0, (TO, reply(0))).len(), 2);
+        }
+        assert_eq!(a.lanes.lock().len(), 0, "drained lanes leaked");
+        // A later op on a dropped lane starts a fresh one and goes out at
+        // once.
+        let i = a.assign(CLIENT, pg());
+        assert_eq!(a.release(CLIENT, pg(), i, (TO, reply(3))).len(), 1);
+        let i0 = a.assign(CLIENT, pg());
+        let i1 = a.assign(CLIENT, pg());
+        assert!(a.release(CLIENT, pg(), i1, (TO, reply(5))).is_empty());
+        assert_eq!(a.lanes.lock().len(), 1, "a lane with a held ack stays");
+        assert_eq!(a.release(CLIENT, pg(), i0, (TO, reply(4))).len(), 2);
+        assert_eq!(a.lanes.lock().len(), 0);
     }
 
     #[test]

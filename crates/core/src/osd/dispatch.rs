@@ -113,8 +113,7 @@ impl Dispatch {
         m.register_counter(format!("{osd}.op.client_ops"), &self.client_ops);
         m.register_counter(format!("{osd}.op.fast_dispatches"), &self.fast_dispatches);
         m.register_counter(format!("{osd}.op.unready_drops"), &self.unready_drops);
-        m.attach_set(&format!("{osd}.qos"), self.qos.counters());
-        m.attach_hist_set(&format!("{osd}.qos"), self.qos.hists());
+        m.attach_set(&format!("{osd}.qos"), self.qos.metrics());
         self.client_throttle
             .register_into(m, &format!("{osd}.op.client_throttle"));
     }

@@ -223,9 +223,7 @@ impl Osd {
         let inner = &self.inner;
         let replay = inner.journal.replay();
         for e in &replay.entries {
-            inner
-                .store
-                .apply_sync(Transaction::decode_shared(&e.payload)?)?;
+            inner.store.apply_sync(Transaction::decode(&e.payload)?)?;
             // A surviving entry is durable by definition.
             inner.on_applied(e.seq, Instant::now());
         }

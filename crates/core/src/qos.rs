@@ -34,7 +34,7 @@
 //! credit on either level.
 
 use afc_common::lockdep::classes;
-use afc_common::metrics::{Counter, CounterSet, Histogram, HistogramSet};
+use afc_common::metrics::{Counter, Histogram, MetricSet};
 use afc_common::{TrackedMutex, VolumeId};
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
@@ -240,7 +240,7 @@ struct VolState<T> {
 }
 
 impl<T> VolState<T> {
-    fn new(vol: VolumeId, spec: QosSpec, now: Instant, cs: &CounterSet, hs: &HistogramSet) -> Self {
+    fn new(vol: VolumeId, spec: QosSpec, now: Instant, set: &MetricSet) -> Self {
         let (reservation, limit) = Self::buckets(&spec, now);
         VolState {
             spec,
@@ -248,11 +248,11 @@ impl<T> VolState<T> {
             reservation,
             limit,
             limited_counted: false,
-            c_res: cs.counter(&format!("{vol}.served_reservation")),
-            c_weight: cs.counter(&format!("{vol}.served_weight")),
-            c_limited: cs.counter(&format!("{vol}.limited")),
-            c_enq: cs.counter(&format!("{vol}.enqueued")),
-            h_wait: hs.hist(&format!("{vol}.queue_wait")),
+            c_res: set.counter(&format!("{vol}.served_reservation")),
+            c_weight: set.counter(&format!("{vol}.served_weight")),
+            c_limited: set.counter(&format!("{vol}.limited")),
+            c_enq: set.counter(&format!("{vol}.enqueued")),
+            h_wait: set.histogram(&format!("{vol}.queue_wait")),
         }
     }
 
@@ -343,8 +343,7 @@ pub enum Deq<T> {
 /// module docs for the policy; all methods are safe to call concurrently.
 pub struct QosScheduler<T> {
     state: TrackedMutex<SchedState<T>>,
-    counters: CounterSet,
-    hists: HistogramSet,
+    metrics: MetricSet,
     c_res: Counter,
     c_weight: Counter,
     c_limited: Counter,
@@ -360,8 +359,7 @@ impl<T> Default for QosScheduler<T> {
 impl<T> QosScheduler<T> {
     /// Create an empty scheduler.
     pub fn new() -> Self {
-        let counters = CounterSet::new();
-        let hists = HistogramSet::new();
+        let metrics = MetricSet::new();
         QosScheduler {
             state: TrackedMutex::new(
                 &classes::OSD_QOS,
@@ -372,26 +370,19 @@ impl<T> QosScheduler<T> {
                     rr_last: None,
                 },
             ),
-            c_res: counters.counter("served_reservation"),
-            c_weight: counters.counter("served_weight"),
-            c_limited: counters.counter("limited"),
-            c_enq: counters.counter("enqueued"),
-            counters,
-            hists,
+            c_res: metrics.counter("served_reservation"),
+            c_weight: metrics.counter("served_weight"),
+            c_limited: metrics.counter("limited"),
+            c_enq: metrics.counter("enqueued"),
+            metrics,
         }
     }
 
-    /// The live counter set (`served_reservation`, `served_weight`,
-    /// `limited`, `enqueued`, plus `volN.*` per volume) for
-    /// `Metrics::attach_set`.
-    pub fn counters(&self) -> &CounterSet {
-        &self.counters
-    }
-
-    /// The live histogram set (`volN.queue_wait`) for
-    /// `Metrics::attach_hist_set`.
-    pub fn hists(&self) -> &HistogramSet {
-        &self.hists
+    /// The live metric set (`served_reservation`, `served_weight`,
+    /// `limited`, `enqueued`, plus `volN.*` and the `volN.queue_wait`
+    /// histogram per volume) for `Metrics::attach_set`.
+    pub fn metrics(&self) -> &MetricSet {
+        &self.metrics
     }
 
     /// Queue `item` for `tag.volume`, creating (or re-speccing) the
@@ -404,13 +395,9 @@ impl<T> QosScheduler<T> {
                 vs.set_spec(tag.spec, now);
                 vs
             }
-            std::collections::btree_map::Entry::Vacant(e) => e.insert(VolState::new(
-                tag.volume,
-                tag.spec,
-                now,
-                &self.counters,
-                &self.hists,
-            )),
+            std::collections::btree_map::Entry::Vacant(e) => {
+                e.insert(VolState::new(tag.volume, tag.spec, now, &self.metrics))
+            }
         };
         if vs.queue.is_empty() {
             // Going busy after an idle spell: bound the banked credit.
@@ -636,7 +623,7 @@ mod tests {
         // After the deadline a token has accrued.
         let later = now + Duration::from_millis(1);
         assert_eq!(drain_at(&s, later, 10).len(), 1);
-        assert!(s.counters().get("vol1.limited") > 0);
+        assert!(s.metrics().counter("vol1.limited").get() > 0);
     }
 
     #[test]
@@ -776,12 +763,12 @@ mod tests {
         // Consumes the whole 250 ms catch-up window of reservation
         // credit; the tail dispatches via the weight phase.
         drain_at(&s, now, 400);
-        let before = s.counters().get("vol1.served_reservation");
+        let before = s.metrics().counter("vol1.served_reservation").get();
         assert!(before > 0);
         // Re-opening with a different floor must not re-arm the window.
         s.enqueue(&QosTag::new(v, QosSpec::new(2000, 0, 0)), 999u32, now);
         drain_at(&s, now, 1);
-        assert_eq!(s.counters().get("vol1.served_reservation"), before);
+        assert_eq!(s.metrics().counter("vol1.served_reservation").get(), before);
     }
 
     #[test]
@@ -797,14 +784,14 @@ mod tests {
         for _ in 0..5 {
             assert!(matches!(s.dequeue(now), Deq::Wait(_)));
         }
-        assert_eq!(s.counters().get("vol1.limited"), 1);
-        assert_eq!(s.counters().get("limited"), 1);
+        assert_eq!(s.metrics().counter("vol1.limited").get(), 1);
+        assert_eq!(s.metrics().counter("limited").get(), 1);
         // Once the head dispatches, the next deferred head counts anew.
         let later = now + Duration::from_millis(2);
         assert_eq!(drain_at(&s, later, 1).len(), 1);
         assert!(matches!(s.dequeue(later), Deq::Wait(_)));
         assert!(matches!(s.dequeue(later), Deq::Wait(_)));
-        assert_eq!(s.counters().get("vol1.limited"), 2);
+        assert_eq!(s.metrics().counter("vol1.limited").get(), 2);
     }
 
     #[test]
@@ -838,12 +825,12 @@ mod tests {
         );
         s.enqueue(&QosTag::best_effort(), 2u32, now);
         drain_at(&s, now, 2);
-        assert_eq!(s.counters().get("served_reservation"), 1);
-        assert_eq!(s.counters().get("served_weight"), 1);
-        assert_eq!(s.counters().get("vol1.served_reservation"), 1);
-        assert_eq!(s.counters().get("vol0.served_weight"), 1);
-        assert_eq!(s.counters().get("enqueued"), 2);
+        assert_eq!(s.metrics().counter("served_reservation").get(), 1);
+        assert_eq!(s.metrics().counter("served_weight").get(), 1);
+        assert_eq!(s.metrics().counter("vol1.served_reservation").get(), 1);
+        assert_eq!(s.metrics().counter("vol0.served_weight").get(), 1);
+        assert_eq!(s.metrics().counter("enqueued").get(), 2);
         // Queue-wait histograms exist per volume.
-        assert_eq!(s.hists().hist("vol1.queue_wait").count(), 1);
+        assert_eq!(s.metrics().histogram("vol1.queue_wait").count(), 1);
     }
 }

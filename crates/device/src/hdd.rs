@@ -8,7 +8,7 @@
 //! replacement exposes the software stack instead.
 
 use crate::plan::ChannelPool;
-use crate::stats::{DevStats, StatsCell};
+use crate::stats::StatsCell;
 use crate::{validate, BlockDev, FaultInjector, IoKind, IoPlan, IoReq};
 use afc_common::rng::mix64;
 use afc_common::{Result, GIB, MIB};
@@ -79,6 +79,11 @@ impl Hdd {
         &self.faults
     }
 
+    /// This device's activity counters.
+    pub fn stats(&self) -> &StatsCell {
+        &self.stats
+    }
+
     /// Register this device's stat counters into a cluster metric
     /// registry under `<prefix>.<field>` (e.g. `osd0.data.writes`).
     pub fn register_metrics(&self, m: &afc_common::metrics::Metrics, prefix: &str) {
@@ -138,10 +143,6 @@ impl BlockDev for Hdd {
         })
     }
 
-    fn stats(&self) -> DevStats {
-        self.stats.snapshot()
-    }
-
     fn model(&self) -> &str {
         "hdd-7k2"
     }
@@ -199,11 +200,14 @@ mod tests {
 
     #[test]
     fn stats_and_faults() {
+        use afc_common::faults::{FaultKind, FaultRegistry, FaultSpec};
         let hdd = Hdd::new(quiet());
-        hdd.faults().inject(1);
+        let reg = std::sync::Arc::new(FaultRegistry::new());
+        hdd.faults().attach(std::sync::Arc::clone(&reg), "hdd0");
+        reg.install(FaultSpec::new("hdd0", FaultKind::Error).times(1));
         assert!(hdd.plan(IoReq::read(0, 512)).is_err());
         hdd.plan(IoReq::write(0, 512)).unwrap();
-        assert_eq!(hdd.stats().writes, 1);
+        assert_eq!(hdd.stats().writes.get(), 1);
         assert_eq!(hdd.model(), "hdd-7k2");
     }
 }

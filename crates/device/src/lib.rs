@@ -37,11 +37,9 @@ pub use hdd::{Hdd, HddConfig};
 pub use nvram::{Nvram, NvramConfig};
 pub use raid::Raid0;
 pub use ssd::{Ssd, SsdConfig, SsdState};
-pub use stats::DevStats;
 
 use afc_common::faults::{FaultKind, FaultRegistry};
 use afc_common::{wait_until, AfcError, Result, WaitClass};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -217,24 +215,17 @@ pub trait BlockDev: Send + Sync {
         WaitClass::Ssd
     }
 
-    /// Snapshot of accumulated statistics.
-    fn stats(&self) -> DevStats;
-
     /// Human-readable model name for reports.
     fn model(&self) -> &str;
 }
 
-/// Per-device fault-injection hook.
-///
-/// Two sources feed it: a legacy countdown ([`inject`](Self::inject) fails
-/// the next `n` requests — kept for simple unit tests), and an optional
-/// [`FaultRegistry`] attached with a site name, which drives kind-aware
-/// faults (errors, latency spikes, torn writes) from a deterministic
+/// Per-device fault-injection hook: an optional [`FaultRegistry`] attached
+/// with a site name, which drives kind-aware faults (errors, latency
+/// spikes, torn writes) from a deterministic
 /// [`afc_common::faults::FaultPlan`]. Unattached or disarmed, the check
 /// costs one atomic load.
 #[derive(Debug, Default)]
 pub struct FaultInjector {
-    remaining: AtomicU64,
     registry: OnceLock<(Arc<FaultRegistry>, String)>,
 }
 
@@ -242,15 +233,6 @@ impl FaultInjector {
     /// Create an injector with no pending faults.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Fail the next `n` requests (legacy countdown, kind-blind).
-    pub fn inject(&self, n: u64) {
-        // ordering: test-only countdown. SeqCst keeps the inject visible to
-        // the very next request regardless of how the test thread and the
-        // device thread are (or aren't) otherwise synchronized; the op is a
-        // cold path guarded by the zero check in `check`.
-        self.remaining.store(n, Ordering::SeqCst);
     }
 
     /// Attach a fault registry under `site`. Specs may target the bare site
@@ -264,25 +246,11 @@ impl FaultInjector {
         let _ = self.registry.set((registry, site.into()));
     }
 
-    /// Consult both fault sources for `req`. `Ok(Some(d))` asks the caller
+    /// Consult the attached registry for `req`. `Ok(Some(d))` asks the caller
     /// to stretch the request's service time by `d` (latency spike);
     /// `Err(..)` fails the request — [`AfcError::TornWrite`] for torn
     /// writes, [`AfcError::Io`] otherwise.
     pub fn check(&self, req: &IoReq) -> Result<Option<Duration>> {
-        // ordering: matches `inject` — SeqCst so concurrent injectors and the
-        // countdown CAS agree on one total order (n injected faults fire
-        // exactly n times); on the fast path this is a single uncontended load.
-        let mut cur = self.remaining.load(Ordering::SeqCst);
-        while cur != 0 {
-            match self
-                .remaining
-                // ordering: see the load above — one total order for the countdown.
-                .compare_exchange(cur, cur - 1, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => return Err(AfcError::Io("injected device fault".into())),
-                Err(actual) => cur = actual,
-            }
-        }
         let Some((reg, site)) = self.registry.get() else {
             return Ok(None);
         };
@@ -331,14 +299,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fault_injector_counts_down() {
+    fn error_spec_fails_n_requests_of_any_kind() {
+        use afc_common::faults::FaultSpec;
         let f = FaultInjector::new();
         let r = IoReq::read(0, 4096);
+        assert!(f.check(&r).is_ok(), "unattached: free pass");
+        let reg = Arc::new(FaultRegistry::new());
+        f.attach(Arc::clone(&reg), "dev0");
+        reg.install(FaultSpec::new("dev0", FaultKind::Error).times(2));
+        assert!(matches!(f.check(&r), Err(AfcError::Io(_))));
+        assert!(f.check(&IoReq::flush()).is_err());
         assert!(f.check(&r).is_ok());
-        f.inject(2);
-        assert!(f.check(&r).is_err());
-        assert!(f.check(&r).is_err());
-        assert!(f.check(&r).is_ok());
+        assert_eq!(reg.hits("dev0"), 2);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! journal has no impact because writing journal (NVRAM) is very fast".
 
 use crate::plan::ChannelPool;
-use crate::stats::{DevStats, StatsCell};
+use crate::stats::StatsCell;
 use crate::{validate, BlockDev, FaultInjector, IoKind, IoPlan, IoReq};
 use afc_common::{Result, WaitClass, GIB};
 use std::time::Duration;
@@ -67,6 +67,11 @@ impl Nvram {
         &self.faults
     }
 
+    /// This device's activity counters.
+    pub fn stats(&self) -> &StatsCell {
+        &self.stats
+    }
+
     /// Register this device's stat counters into a cluster metric
     /// registry under `<prefix>.<field>` (e.g. `osd0.data.writes`).
     pub fn register_metrics(&self, m: &afc_common::metrics::Metrics, prefix: &str) {
@@ -99,10 +104,6 @@ impl BlockDev for Nvram {
             completion,
             service,
         })
-    }
-
-    fn stats(&self) -> DevStats {
-        self.stats.snapshot()
     }
 
     fn model(&self) -> &str {
@@ -161,7 +162,7 @@ mod tests {
         let pw = nv.plan(IoReq::write(0, MIB_U32)).unwrap();
         let pf = nv.plan(IoReq::flush()).unwrap();
         assert!(pf.completion >= pw.completion);
-        assert_eq!(nv.stats().flushes, 1);
+        assert_eq!(nv.stats().flushes.get(), 1);
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! time on each) and the aggregate completes at the latest member completion,
 //! so stripe parallelism is real without helper threads.
 
-use crate::stats::DevStats;
 use crate::{validate, BlockDev, IoKind, IoPlan, IoReq};
 use afc_common::{AfcError, Result};
 use std::sync::Arc;
@@ -105,13 +104,6 @@ impl BlockDev for Raid0 {
         })
     }
 
-    fn stats(&self) -> DevStats {
-        self.members
-            .iter()
-            .map(|m| m.stats())
-            .fold(DevStats::default(), |acc, s| acc.combined(&s))
-    }
-
     fn model(&self) -> &str {
         "raid0"
     }
@@ -124,16 +116,27 @@ mod tests {
     use afc_common::{KIB, MIB};
     use std::time::Instant;
 
-    fn raid(width: usize) -> Raid0 {
-        let members: Vec<Arc<dyn BlockDev>> = (0..width)
+    fn ssds(width: usize, cfg: SsdConfig) -> Vec<Arc<Ssd>> {
+        (0..width)
             .map(|i| {
                 Arc::new(Ssd::new(SsdConfig {
                     jitter: 0.0,
-                    ..SsdConfig::sata3().with_seed(i as u64)
-                })) as Arc<dyn BlockDev>
+                    ..cfg.clone().with_seed(i as u64)
+                }))
             })
+            .collect()
+    }
+
+    fn raid_of(members: &[Arc<Ssd>]) -> Raid0 {
+        let members = members
+            .iter()
+            .map(|m| Arc::clone(m) as Arc<dyn BlockDev>)
             .collect();
         Raid0::new(members, 64 * KIB).unwrap()
+    }
+
+    fn raid(width: usize) -> Raid0 {
+        raid_of(&ssds(width, SsdConfig::sata3()))
     }
 
     #[test]
@@ -184,20 +187,62 @@ mod tests {
         assert!(d3 < d1.mul_f64(0.5), "d1={d1:?} d3={d3:?}");
     }
 
+    /// The registry's same-name sum is the only RAID-0 aggregate: members
+    /// registered under one prefix, as a cluster builds `osdN.data.*`, read
+    /// back as the sum of what each member counted, field by field.
     #[test]
-    fn stats_aggregate_members() {
-        let r = raid(2);
-        r.plan(IoReq::write(0, (128 * KIB) as u32)).unwrap();
-        let s = r.stats();
-        assert_eq!(s.writes, 2); // one 64K segment per member
-        assert_eq!(s.bytes_written, 128 * KIB);
+    fn registry_sums_members_under_one_prefix() {
+        use crate::StreamId;
+        use afc_common::metrics::{MetricValue, Metrics};
+        // Sustained members: the FTL arrives pre-aged, so the GC counters
+        // move too.
+        let members = ssds(2, SsdConfig::sata3_sustained());
+        let r = raid_of(&members);
+        let shared = Metrics::new();
+        let solo: Vec<Metrics> = members.iter().map(|_| Metrics::new()).collect();
+        for (m, own) in members.iter().zip(&solo) {
+            m.register_metrics(&shared, "osd0.data");
+            m.register_metrics(own, "osd0.data");
+        }
+        // Every stream, striped over both members, then reads behind the
+        // writes (interfered) and a flush.
+        for (i, s) in StreamId::ALL.into_iter().enumerate() {
+            for j in 0..64u64 {
+                let off = (i as u64 * 64 + j) * 128 * KIB;
+                r.plan(IoReq::write_stream(off, (128 * KIB) as u32, s))
+                    .unwrap();
+            }
+        }
+        r.plan(IoReq::read(0, (192 * KIB) as u32)).unwrap();
+        r.plan(IoReq::flush()).unwrap();
+
+        let sum = shared.snapshot();
+        let parts: Vec<_> = solo.iter().map(Metrics::snapshot).collect();
+        assert_eq!(sum.len(), 15, "every StatsCell counter is registered");
+        for (id, v) in sum.iter() {
+            let each: Vec<u64> = parts
+                .iter()
+                .map(|p| p.counter(id.name()).expect("member registered it"))
+                .collect();
+            assert_eq!(*v, MetricValue::Counter(each.iter().sum()), "{}", id.name());
+            if !id.name().starts_with("osd0.data.gc.") {
+                assert!(
+                    each.iter().all(|&n| n > 0),
+                    "{} idle on a member",
+                    id.name()
+                );
+            }
+        }
+        assert_eq!(sum.counter("osd0.data.writes"), Some(6 * 64 * 2));
+        assert_eq!(sum.counter("osd0.data.flushes"), Some(2));
+        assert!(sum.counter("osd0.data.gc.copied_bytes") > Some(0));
     }
 
     #[test]
     fn flush_fans_out() {
-        let r = raid(3);
-        r.plan(IoReq::flush()).unwrap();
-        assert_eq!(r.stats().flushes, 3);
+        let members = ssds(3, SsdConfig::sata3());
+        raid_of(&members).plan(IoReq::flush()).unwrap();
+        assert!(members.iter().all(|m| m.stats().flushes.get() == 1));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 use crate::ftl::{Ftl, FtlConfig};
 use crate::plan::ChannelPool;
-use crate::stats::{DevStats, StatsCell};
+use crate::stats::StatsCell;
 use crate::{validate, BlockDev, FaultInjector, IoKind, IoPlan, IoReq};
 use afc_common::rng::mix64;
 use afc_common::{Result, GIB, MIB};
@@ -180,6 +180,11 @@ impl Ssd {
         &self.faults
     }
 
+    /// This device's activity counters.
+    pub fn stats(&self) -> &StatsCell {
+        &self.stats
+    }
+
     /// Register this device's stat counters into a cluster metric
     /// registry under `<prefix>.<field>` (e.g. `osd0.data.writes`).
     pub fn register_metrics(&self, m: &afc_common::metrics::Metrics, prefix: &str) {
@@ -270,10 +275,6 @@ impl BlockDev for Ssd {
         })
     }
 
-    fn stats(&self) -> DevStats {
-        self.stats.snapshot()
-    }
-
     fn model(&self) -> &str {
         "ssd-sata3"
     }
@@ -318,7 +319,7 @@ mod tests {
         for i in 0..64u64 {
             ssd.plan(IoReq::write(i * 4096, 4096)).unwrap();
         }
-        assert_eq!(ssd.stats().gc_passes, 0);
+        assert_eq!(ssd.stats().gc_passes.get(), 0);
         // A pre-aged drive is already at the pressure threshold: writing a
         // couple of erase blocks' worth must trigger GC, and the copied
         // pages both stall the triggering write and show up in the stats.
@@ -331,8 +332,8 @@ mod tests {
             max_service = max_service.max(p.service);
         }
         let s = aged.stats();
-        assert!(s.gc_passes > 0, "pressure never triggered GC");
-        assert!(s.gc_copied_bytes > 0);
+        assert!(s.gc_passes.get() > 0, "pressure never triggered GC");
+        assert!(s.gc_copied_bytes.get() > 0);
         assert!(s.flash_write_amplification() > 1.0);
         // Copy-forward stall is visible in service time: the worst write
         // paid well over the plain sustained-write service.
@@ -368,20 +369,21 @@ mod tests {
                 ))
                 .unwrap();
             }
-            ssd.stats()
+            ssd
         };
-        let mixed = run(false);
-        let separated = run(true);
-        assert_eq!(mixed.bytes_written, separated.bytes_written);
+        let (mixed, separated) = (run(false), run(true));
+        let (mixed, separated) = (mixed.stats(), separated.stats());
+        assert_eq!(mixed.bytes_written.get(), separated.bytes_written.get());
         // Per-stream accounting conserves bytes.
-        for s in [&mixed, &separated] {
-            assert_eq!(s.stream_bytes.iter().sum::<u64>(), s.bytes_written);
+        for s in [mixed, separated] {
+            let streams: u64 = s.stream_bytes.iter().map(|c| c.get()).sum();
+            assert_eq!(streams, s.bytes_written.get());
         }
         assert!(
-            separated.gc_copied_bytes < mixed.gc_copied_bytes,
+            separated.gc_copied_bytes.get() < mixed.gc_copied_bytes.get(),
             "separation did not reduce copy-forward: {} vs {}",
-            separated.gc_copied_bytes,
-            mixed.gc_copied_bytes
+            separated.gc_copied_bytes.get(),
+            mixed.gc_copied_bytes.get()
         );
         assert!(
             separated.flash_write_amplification() < mixed.flash_write_amplification(),
@@ -402,7 +404,7 @@ mod tests {
             "service={:?}",
             p.service
         );
-        assert_eq!(ssd.stats().interfered_reads, 1);
+        assert_eq!(ssd.stats().interfered_reads.get(), 1);
         // A read after the write completes is clean.
         std::thread::sleep(Duration::from_millis(25));
         let p2 = ssd.plan(IoReq::read(0, 4096)).unwrap();
@@ -447,8 +449,11 @@ mod tests {
 
     #[test]
     fn fault_injection_fails_plan() {
+        use afc_common::faults::{FaultKind, FaultRegistry, FaultSpec};
         let ssd = Ssd::new(quiet(SsdConfig::sata3()));
-        ssd.faults().inject(1);
+        let reg = std::sync::Arc::new(FaultRegistry::new());
+        ssd.faults().attach(std::sync::Arc::clone(&reg), "ssd0");
+        reg.install(FaultSpec::new("ssd0", FaultKind::Error).times(1));
         assert!(ssd.plan(IoReq::read(0, 4096)).is_err());
         assert!(ssd.plan(IoReq::read(0, 4096)).is_ok());
     }
@@ -468,9 +473,9 @@ mod tests {
         ssd.submit(IoReq::read(0, 4096)).unwrap();
         ssd.submit(IoReq::flush()).unwrap();
         let s = ssd.stats();
-        assert_eq!((s.reads, s.writes, s.flushes), (1, 1, 1));
-        assert_eq!(s.bytes_written, 4096);
-        assert!(s.busy_us > 0);
+        assert_eq!((s.reads.get(), s.writes.get(), s.flushes.get()), (1, 1, 1));
+        assert_eq!(s.bytes_written.get(), 4096);
+        assert!(s.busy_us.get() > 0);
     }
 }
 

@@ -4,50 +4,37 @@ use crate::StreamId;
 use afc_common::metrics::{Counter, Metrics};
 use std::time::Duration;
 
-/// Snapshot of device activity counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DevStats {
+/// A device's activity counters, as shared metric cells. The owning device
+/// updates them; [`StatsCell::register_into`] registers the same cells
+/// into a cluster [`Metrics`] registry, which is how everything outside
+/// the device reads them. A device's own unit tests read them with
+/// `.get()`.
+#[derive(Debug, Default)]
+pub struct StatsCell {
     /// Completed read requests.
-    pub reads: u64,
+    pub reads: Counter,
     /// Completed write requests.
-    pub writes: u64,
+    pub writes: Counter,
     /// Completed flush requests.
-    pub flushes: u64,
+    pub flushes: Counter,
     /// Bytes read.
-    pub bytes_read: u64,
+    pub bytes_read: Counter,
     /// Bytes written (host writes; GC copy-forward excluded).
-    pub bytes_written: u64,
+    pub bytes_written: Counter,
     /// Accumulated service time in microseconds (busy time across channels).
-    pub busy_us: u64,
+    pub busy_us: Counter,
     /// Reads that were planned while at least one write was in flight —
     /// the read/write interference events the light-weight transaction
     /// optimization removes from the write path.
-    pub interfered_reads: u64,
+    pub interfered_reads: Counter,
     /// Host bytes written per stream, indexed by [`StreamId::index`].
     /// Sums to `bytes_written` on stream-aware devices.
-    pub stream_bytes: [u64; 6],
+    pub stream_bytes: [Counter; 6],
     /// Bytes the FTL copied forward during garbage collection (flash
     /// writes beyond the host's). Zero on devices without an FTL model.
-    pub gc_copied_bytes: u64,
+    pub gc_copied_bytes: Counter,
     /// Garbage-collection passes that stalled a host write.
-    pub gc_passes: u64,
-}
-
-/// Thread-safe accumulator backing [`DevStats`]. Fields are shared
-/// metric cells so device counters can be registered into a cluster
-/// [`Metrics`] registry ([`StatsCell::register_into`]).
-#[derive(Debug, Default)]
-pub struct StatsCell {
-    reads: Counter,
-    writes: Counter,
-    flushes: Counter,
-    bytes_read: Counter,
-    bytes_written: Counter,
-    busy_us: Counter,
-    interfered_reads: Counter,
-    stream_bytes: [Counter; 6],
-    gc_copied_bytes: Counter,
-    gc_passes: Counter,
+    pub gc_passes: Counter,
 }
 
 impl StatsCell {
@@ -88,26 +75,21 @@ impl StatsCell {
         self.gc_copied_bytes.add(copied_bytes);
     }
 
-    /// Take a consistent-enough snapshot (relaxed reads; counters only).
-    pub fn snapshot(&self) -> DevStats {
-        DevStats {
-            reads: self.reads.get(),
-            writes: self.writes.get(),
-            flushes: self.flushes.get(),
-            bytes_read: self.bytes_read.get(),
-            bytes_written: self.bytes_written.get(),
-            busy_us: self.busy_us.get(),
-            interfered_reads: self.interfered_reads.get(),
-            stream_bytes: core::array::from_fn(|i| self.stream_bytes[i].get()),
-            gc_copied_bytes: self.gc_copied_bytes.get(),
-            gc_passes: self.gc_passes.get(),
+    /// Device-level write amplification: flash page writes (host +
+    /// GC copy-forward) over host writes. 1.0 when GC never copied a
+    /// live page (or the device has no FTL model / saw no writes).
+    pub fn flash_write_amplification(&self) -> f64 {
+        let host = self.bytes_written.get();
+        if host == 0 {
+            return 1.0;
         }
+        (host + self.gc_copied_bytes.get()) as f64 / host as f64
     }
 
     /// Register every cell under `<prefix>.<field>` (e.g.
     /// `osd0.data.writes`, `osd0.data.stream.journal.bytes`,
     /// `osd0.data.gc.copied_bytes`). RAID-0 members registered under one
-    /// prefix are summed in snapshots, matching [`DevStats::combined`].
+    /// prefix are summed in snapshots: that sum is the RAID-0 aggregate.
     pub fn register_into(&self, m: &Metrics, prefix: &str) {
         let fields: [(&str, &Counter); 9] = [
             ("reads", &self.reads),
@@ -130,40 +112,6 @@ impl StatsCell {
     }
 }
 
-impl DevStats {
-    /// Total requests of all kinds.
-    pub fn total_ops(&self) -> u64 {
-        self.reads + self.writes + self.flushes
-    }
-
-    /// Device-level write amplification: flash page writes (host +
-    /// GC copy-forward) over host writes. 1.0 when GC never copied a
-    /// live page (or the device has no FTL model / saw no writes).
-    pub fn flash_write_amplification(&self) -> f64 {
-        if self.bytes_written == 0 {
-            return 1.0;
-        }
-        (self.bytes_written + self.gc_copied_bytes) as f64 / self.bytes_written as f64
-    }
-
-    /// Sum two snapshots (used by RAID-0 to aggregate members).
-    #[must_use]
-    pub fn combined(&self, other: &DevStats) -> DevStats {
-        DevStats {
-            reads: self.reads + other.reads,
-            writes: self.writes + other.writes,
-            flushes: self.flushes + other.flushes,
-            bytes_read: self.bytes_read + other.bytes_read,
-            bytes_written: self.bytes_written + other.bytes_written,
-            busy_us: self.busy_us + other.busy_us,
-            interfered_reads: self.interfered_reads + other.interfered_reads,
-            stream_bytes: core::array::from_fn(|i| self.stream_bytes[i] + other.stream_bytes[i]),
-            gc_copied_bytes: self.gc_copied_bytes + other.gc_copied_bytes,
-            gc_passes: self.gc_passes + other.gc_passes,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,53 +123,30 @@ mod tests {
         c.on_read(4096, Duration::from_micros(100), true);
         c.on_write(8192, StreamId::Journal, Duration::from_micros(50));
         c.on_flush(Duration::from_micros(10));
-        let s = c.snapshot();
-        assert_eq!(s.reads, 2);
-        assert_eq!(s.writes, 1);
-        assert_eq!(s.flushes, 1);
-        assert_eq!(s.bytes_read, 8192);
-        assert_eq!(s.bytes_written, 8192);
-        assert_eq!(s.busy_us, 260);
-        assert_eq!(s.interfered_reads, 1);
-        assert_eq!(s.stream_bytes[StreamId::Journal.index()], 8192);
-        assert_eq!(s.stream_bytes.iter().sum::<u64>(), s.bytes_written);
-        assert_eq!(s.total_ops(), 4);
+        assert_eq!(c.reads.get(), 2);
+        assert_eq!(c.writes.get(), 1);
+        assert_eq!(c.flushes.get(), 1);
+        assert_eq!(c.bytes_read.get(), 8192);
+        assert_eq!(c.bytes_written.get(), 8192);
+        assert_eq!(c.busy_us.get(), 260);
+        assert_eq!(c.interfered_reads.get(), 1);
+        assert_eq!(c.stream_bytes[StreamId::Journal.index()].get(), 8192);
+        let streams: u64 = c.stream_bytes.iter().map(Counter::get).sum();
+        assert_eq!(streams, c.bytes_written.get());
     }
 
     #[test]
     fn gc_accounting_and_flash_wa() {
         let c = StatsCell::new();
-        // No writes yet: WA degenerates to 1.0, not NaN.
-        assert_eq!(c.snapshot().flash_write_amplification(), 1.0);
+        // No writes yet: WA degenerates to 1.0, not NaN, even when GC
+        // copied bytes with no host write to divide by.
+        assert_eq!(c.flash_write_amplification(), 1.0);
+        c.on_gc(1, 4096);
+        assert_eq!(c.flash_write_amplification(), 1.0);
         c.on_write(4096, StreamId::DataCold, Duration::from_micros(50));
-        c.on_gc(1, 8192);
-        let s = c.snapshot();
-        assert_eq!(s.gc_passes, 1);
-        assert_eq!(s.gc_copied_bytes, 8192);
-        assert!((s.flash_write_amplification() - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn combined_sums_fields() {
-        let a = DevStats {
-            reads: 1,
-            writes: 2,
-            flushes: 3,
-            bytes_read: 4,
-            bytes_written: 5,
-            busy_us: 6,
-            interfered_reads: 7,
-            stream_bytes: [1, 2, 3, 4, 5, 6],
-            gc_copied_bytes: 8,
-            gc_passes: 9,
-        };
-        let b = a;
-        let c = a.combined(&b);
-        assert_eq!(c.reads, 2);
-        assert_eq!(c.interfered_reads, 14);
-        assert_eq!(c.stream_bytes, [2, 4, 6, 8, 10, 12]);
-        assert_eq!(c.gc_copied_bytes, 16);
-        assert_eq!(c.gc_passes, 18);
-        assert_eq!(c.total_ops(), 12);
+        c.on_gc(1, 4096);
+        assert_eq!(c.gc_passes.get(), 2);
+        assert_eq!(c.gc_copied_bytes.get(), 8192);
+        assert!((c.flash_write_amplification() - 3.0).abs() < 1e-9);
     }
 }

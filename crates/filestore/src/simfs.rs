@@ -129,11 +129,6 @@ impl SimFs {
         }
     }
 
-    /// The backing device.
-    pub fn device(&self) -> &Arc<dyn BlockDev> {
-        &self.dev
-    }
-
     /// Register the per-type syscall counters under `<prefix>.sys.<call>`
     /// (`open`, `stat`, `write`, `read`, `ftruncate`, `setxattr`,
     /// `getxattr`, `fallocate`, `unlink`).
@@ -357,7 +352,15 @@ mod tests {
     use afc_device::{Nvram, NvramConfig};
 
     fn fs() -> SimFs {
-        SimFs::new(Arc::new(Nvram::new(NvramConfig::pmc_8g())))
+        fs_with_metrics().0
+    }
+
+    /// A filesystem whose device is registered as `osd0.data.*`.
+    fn fs_with_metrics() -> (SimFs, Metrics) {
+        let dev = Nvram::new(NvramConfig::pmc_8g());
+        let m = Metrics::new();
+        dev.register_metrics(&m, "osd0.data");
+        (SimFs::new(Arc::new(dev)), m)
     }
 
     #[test]
@@ -410,35 +413,39 @@ mod tests {
 
     #[test]
     fn device_charged_for_data_and_xattr_reads() {
-        let fs = fs();
+        let (fs, m) = fs_with_metrics();
         fs.open_create("o").unwrap();
         fs.write("o", 0, &vec![1u8; 8192]).unwrap();
         fs.read("o", 0, 4096).unwrap();
         fs.getxattr("o", "x").unwrap();
         fs.setxattr("o", "x", Bytes::new()).unwrap();
-        let s = fs.device().stats();
-        assert_eq!(s.bytes_written, 8192 + 4096); // data + xattr/inode write
-        assert_eq!(s.bytes_read, 4096 + 4096);
+        let s = m.snapshot();
+        // data + xattr/inode write
+        assert_eq!(s.counter("osd0.data.bytes_written"), Some(8192 + 4096));
+        assert_eq!(s.counter("osd0.data.bytes_read"), Some(4096 + 4096));
     }
 
     #[test]
     fn heat_tracker_promotes_rewritten_objects() {
-        let fs = fs();
+        let (fs, m) = fs_with_metrics();
+        let bytes = |stream: &str| {
+            m.snapshot()
+                .counter(&format!("osd0.data.stream.{stream}.bytes"))
+                .unwrap()
+        };
         fs.open_create("hot").unwrap();
         // First writes are cold; from the threshold on, writes tag hot.
         for _ in 0..HOT_WRITE_THRESHOLD + 2 {
             fs.write("hot", 0, &[7u8; 4096]).unwrap();
         }
-        let s = fs.device().stats();
-        let hot = s.stream_bytes[StreamId::DataHot.index()];
-        let cold = s.stream_bytes[StreamId::DataCold.index()];
-        assert_eq!(cold, (HOT_WRITE_THRESHOLD - 1) * 4096);
-        assert_eq!(hot, 3 * 4096);
+        assert_eq!(bytes("cold"), (HOT_WRITE_THRESHOLD - 1) * 4096);
+        assert_eq!(bytes("hot"), 3 * 4096);
         // Metadata writes go to the meta stream, not data streams.
         fs.setxattr("hot", "_", Bytes::new()).unwrap();
-        let s = fs.device().stats();
-        assert_eq!(s.stream_bytes[StreamId::Meta.index()], 4096);
-        assert_eq!(s.stream_bytes.iter().sum::<u64>(), s.bytes_written);
+        assert_eq!(bytes("meta"), 4096);
+        let streams: u64 = StreamId::ALL.iter().map(|s| bytes(s.metric_name())).sum();
+        let written = m.snapshot().counter("osd0.data.bytes_written");
+        assert_eq!(Some(streams), written);
     }
 
     #[test]

@@ -219,32 +219,13 @@ impl Transaction {
         Bytes::from(buf)
     }
 
-    /// Decode a serialized transaction (journal replay). Fails with
+    /// Decode a serialized transaction (journal replay), slicing each
+    /// `Bytes` field (write payloads, omap keys/values, attr values) out of
+    /// `buf` instead of copying it: a decoded write shares its data with
+    /// the journal entry that carried it. Fails with
     /// [`AfcError::Corruption`] on any structural damage.
-    pub fn decode(buf: &[u8]) -> Result<Transaction> {
-        let mut cur = Cursor {
-            buf,
-            shared: None,
-            pos: 0,
-        };
-        Self::decode_from(&mut cur)
-    }
-
-    /// Decode from a refcounted buffer, slicing each `Bytes` field (write
-    /// payloads, omap keys/values, attr values) out of `buf` instead of
-    /// copying it — the zero-copy replay path: a decoded write shares its
-    /// data with the journal entry that carried it.
-    pub fn decode_shared(buf: &Bytes) -> Result<Transaction> {
-        let mut cur = Cursor {
-            buf,
-            shared: Some(buf),
-            pos: 0,
-        };
-        Self::decode_from(&mut cur)
-    }
-
-    fn decode_from(cur: &mut Cursor) -> Result<Transaction> {
-        let buf = cur.buf;
+    pub fn decode(buf: &Bytes) -> Result<Transaction> {
+        let mut cur = Cursor { buf, pos: 0 };
         let n = cur.u32()? as usize;
         let mut ops = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
@@ -384,10 +365,7 @@ fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
 }
 
 struct Cursor<'a> {
-    buf: &'a [u8],
-    /// When decoding from a refcounted buffer, `bytes()` slices it
-    /// (O(1), shared ownership) instead of copying.
-    shared: Option<&'a Bytes>,
+    buf: &'a Bytes,
     pos: usize,
 }
 
@@ -421,14 +399,13 @@ impl Cursor<'_> {
         self.array().map(u64::from_le_bytes)
     }
 
+    /// A length-prefixed field, sliced out of the buffer (O(1), shared
+    /// ownership) rather than copied.
     fn bytes(&mut self) -> Result<Bytes> {
         let n = self.u32()? as usize;
-        if let Some(shared) = self.shared {
-            let start = self.pos;
-            self.take(n)?; // bounds check + advance
-            return Ok(shared.slice(start..start + n));
-        }
-        Ok(Bytes::copy_from_slice(self.take(n)?))
+        let start = self.pos;
+        self.take(n)?; // bounds check + advance
+        Ok(self.buf.slice(start..start + n))
     }
 
     fn string(&mut self) -> Result<String> {
@@ -599,7 +576,7 @@ mod tests {
     }
 
     #[test]
-    fn decode_shared_is_zero_copy_and_identical() {
+    fn decode_is_zero_copy() {
         let mut t = Transaction::new();
         t.push(TxOp::Touch { object: "o".into() });
         t.push(TxOp::Write {
@@ -612,11 +589,10 @@ mod tests {
             keys: vec![(Bytes::from_static(b"k"), Bytes::from_static(b"v"))],
         });
         let enc = t.encode();
-        let copied = Transaction::decode(&enc).unwrap();
-        let shared = Transaction::decode_shared(&enc).unwrap();
-        assert_eq!(format!("{:?}", shared.ops()), format!("{:?}", copied.ops()));
+        let decoded = Transaction::decode(&enc).unwrap();
+        assert_eq!(format!("{:?}", decoded.ops()), format!("{:?}", t.ops()));
         // The write payload must alias the encoding, not a fresh allocation.
-        let data = shared
+        let data = decoded
             .ops()
             .iter()
             .find_map(|o| match o {
@@ -626,9 +602,6 @@ mod tests {
             .unwrap();
         let enc_range = enc.as_ptr() as usize..enc.as_ptr() as usize + enc.len();
         assert!(enc_range.contains(&(data.as_ptr() as usize)));
-        // Damage is rejected identically on both paths.
-        let torn = enc.slice(..enc.len() - 3);
-        assert!(Transaction::decode_shared(&torn).is_err());
     }
 
     #[test]
@@ -637,13 +610,13 @@ mod tests {
         t.push(w("obj", 100));
         let enc = t.encode();
         // Truncation, trailing garbage, and a bad tag all fail loudly.
-        assert!(Transaction::decode(&enc[..enc.len() - 3]).is_err());
+        assert!(Transaction::decode(&enc.slice(..enc.len() - 3)).is_err());
         let mut garbage = enc.to_vec();
         garbage.push(0xff);
-        assert!(Transaction::decode(&garbage).is_err());
+        assert!(Transaction::decode(&Bytes::from(garbage)).is_err());
         let mut bad_tag = enc.to_vec();
         bad_tag[4] = 0x7f;
-        assert!(Transaction::decode(&bad_tag).is_err());
+        assert!(Transaction::decode(&Bytes::from(bad_tag)).is_err());
         // Empty txn round-trips.
         let e = Transaction::new().encode();
         assert_eq!(Transaction::decode(&e).unwrap().len(), 0);

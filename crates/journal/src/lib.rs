@@ -861,9 +861,10 @@ mod fault_tests {
     #[test]
     fn injected_device_faults_are_absorbed_and_counted() {
         let dev = Arc::new(Nvram::new(NvramConfig::pmc_8g()));
-        let faults = Arc::clone(&dev);
+        let reg = Arc::new(FaultRegistry::new());
+        dev.faults().attach(Arc::clone(&reg), "jdev");
         let j = Journal::new(dev, JournalConfig::default());
-        faults.faults().inject(2);
+        reg.install(FaultSpec::new("jdev", FaultKind::Error).times(2));
         for _ in 0..6 {
             j.submit_and_wait(Bytes::from(vec![0u8; 512])).unwrap();
         }
@@ -874,5 +875,6 @@ mod fault_tests {
             "entries must commit despite device faults"
         );
         assert!(s.write_errors.get() >= 1, "faults not accounted: {s:?}");
+        assert_eq!(reg.hits("jdev"), 2);
     }
 }

@@ -3,6 +3,7 @@
 use crate::chunk::{chunk_extents, CHUNK};
 use crate::node::SfNode;
 use afc_common::blocktarget::check_range;
+use afc_common::metrics::{Metrics, MetricsSnapshot};
 use afc_common::rng::hash_bytes;
 use afc_common::{sleep_for, AfcError, BlockTarget, Result};
 use afc_device::{BlockDev, Nvram, NvramConfig, Raid0, Ssd, SsdConfig};
@@ -69,14 +70,13 @@ pub struct SfStats {
     pub dedup_misses: u64,
     /// Distinct chunks resident.
     pub chunks: u64,
-    /// Flash stats across nodes.
-    pub flash: afc_device::DevStats,
 }
 
 /// A SolidFire-style cluster.
 pub struct SfCluster {
     cfg: SfConfig,
     nodes: Vec<Arc<SfNode>>,
+    metrics: Metrics,
 }
 
 impl SfCluster {
@@ -87,19 +87,26 @@ impl SfCluster {
                 "solidfire needs nodes and ssds".into(),
             ));
         }
+        let metrics = Metrics::new();
         let mut nodes = Vec::new();
         for n in 0..cfg.nodes {
             let members: Vec<Arc<dyn BlockDev>> = (0..cfg.ssds_per_node)
                 .map(|d| {
                     let seed = SEED_BASE ^ ((n as u64) << 8) ^ d as u64;
-                    Arc::new(Ssd::new(cfg.ssd.clone().with_seed(seed))) as Arc<dyn BlockDev>
+                    let ssd = Ssd::new(cfg.ssd.clone().with_seed(seed));
+                    ssd.register_metrics(&metrics, &format!("node{n}.data"));
+                    Arc::new(ssd) as Arc<dyn BlockDev>
                 })
                 .collect();
             let data: Arc<dyn BlockDev> = Arc::new(Raid0::new(members, 64 * 1024)?);
             let nvram: Arc<dyn BlockDev> = Arc::new(Nvram::new(cfg.nvram.clone()));
             nodes.push(SfNode::new(data, nvram, cfg.stage_limit));
         }
-        Ok(Arc::new(SfCluster { cfg, nodes }))
+        Ok(Arc::new(SfCluster {
+            cfg,
+            nodes,
+            metrics,
+        }))
     }
 
     /// Create a volume.
@@ -134,9 +141,14 @@ impl SfCluster {
             s.dedup_hits += h;
             s.dedup_misses += m;
             s.chunks += n.chunk_count() as u64;
-            s.flash = s.flash.combined(&n.data_dev().stats());
         }
         s
+    }
+
+    /// Snapshot of the cluster's device counters: each node's flash
+    /// members summed under `nodeN.data.*`.
+    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        self.metrics.snapshot()
     }
 
     /// Wait for all staged chunks to flush.
@@ -316,9 +328,9 @@ mod tests {
             v.write_at(i * 4096, &data).unwrap();
         }
         c.quiesce();
-        let before = c.stats().flash.reads;
+        let before = c.metrics_snapshot().site_sum("data.reads");
         v.read_at(0, MIB as usize).unwrap();
-        let after = c.stats().flash.reads;
+        let after = c.metrics_snapshot().site_sum("data.reads");
         // One flash read per 4K chunk — no large-transfer coalescing.
         assert_eq!(after - before, 256);
     }

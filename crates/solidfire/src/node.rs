@@ -191,11 +191,6 @@ impl SfNode {
         self.state.lock().chunks.len()
     }
 
-    /// The flash device (stats).
-    pub fn data_dev(&self) -> &Arc<dyn BlockDev> {
-        &self.data_dev
-    }
-
     /// Wait until all staged chunks are flushed (test helper).
     pub fn quiesce(&self) {
         while self.state.lock().staged > 0 {
@@ -219,16 +214,24 @@ impl Drop for SfNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use afc_common::metrics::Metrics;
     use afc_common::rng::hash_bytes;
     use afc_device::{Nvram, NvramConfig, Ssd, SsdConfig};
 
-    fn node() -> Arc<SfNode> {
-        let ssd = Arc::new(Ssd::new(SsdConfig {
+    /// A node whose flash device is registered as `node0.data.*`.
+    fn node_with_metrics() -> (Arc<SfNode>, Metrics) {
+        let ssd = Ssd::new(SsdConfig {
             jitter: 0.0,
             ..SsdConfig::sata3()
-        }));
+        });
+        let m = Metrics::new();
+        ssd.register_metrics(&m, "node0.data");
         let nv = Arc::new(Nvram::new(NvramConfig::pmc_8g()));
-        SfNode::new(ssd, nv, 64)
+        (SfNode::new(Arc::new(ssd), nv, 64), m)
+    }
+
+    fn node() -> Arc<SfNode> {
+        node_with_metrics().0
     }
 
     fn chunk(fill: u8) -> Bytes {
@@ -247,7 +250,7 @@ mod tests {
 
     #[test]
     fn duplicate_chunks_dedup() {
-        let n = node();
+        let (n, m) = node_with_metrics();
         let data = chunk(9);
         let h = hash_bytes(&data);
         for _ in 0..10 {
@@ -259,7 +262,7 @@ mod tests {
         assert_eq!(n.chunk_count(), 1);
         n.quiesce();
         // Only one flash log write happened for ten puts.
-        assert_eq!(n.data_dev().stats().writes, 1);
+        assert_eq!(m.snapshot().counter("node0.data.writes"), Some(1));
     }
 
     #[test]
@@ -277,13 +280,14 @@ mod tests {
 
     #[test]
     fn flushed_reads_hit_flash() {
-        let n = node();
+        let (n, m) = node_with_metrics();
         let data = chunk(1);
         let h = hash_bytes(&data);
         n.put_chunk(h, data).unwrap();
         n.quiesce();
-        let before = n.data_dev().stats().reads;
+        let reads = || m.snapshot().counter("node0.data.reads").unwrap();
+        let before = reads();
         n.get_chunk(h).unwrap();
-        assert_eq!(n.data_dev().stats().reads, before + 1);
+        assert_eq!(reads(), before + 1);
     }
 }

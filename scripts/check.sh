@@ -141,8 +141,9 @@ step consistency_loop
 step cargo test --quiet --package afc-core --test crash_recovery --test fault_matrix --test recovery --test pg_contention
 
 # 6. API docs build clean (rustdoc warnings are errors: broken intra-doc
-#    links and malformed examples fail the gate).
-step env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+#    links — such as one naming an item a change deleted — and malformed
+#    examples fail the gate). Offline like every other cargo step here.
+step env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
 
 # 7. Count gate: run the repo benchmark's own binary (benchmark/, the one
 #    the pipeline judges the PR with) in quick trace mode on w4k_qd1 and

@@ -9,6 +9,7 @@
 //! consistency, no live pages on free blocks, flash WA >= 1.0 — plus
 //! per-stream byte conservation at the device layer.
 
+use afc_common::metrics::Metrics;
 use afc_device::{BlockDev, Ftl, FtlConfig, IoReq, Ssd, SsdConfig, StreamId};
 use proptest::prelude::*;
 use std::time::Duration;
@@ -112,6 +113,8 @@ proptest! {
         // live from the first overwrite and WA accounting is exercised.
         let cfg = SsdConfig::sata3_sustained().with_seed(7).with_streams(true);
         let ssd = Ssd::new(cfg);
+        let m = Metrics::new();
+        ssd.register_metrics(&m, "osd0.data");
         for (page, pages, stream) in &writes {
             ssd.submit(IoReq::write_stream(
                 page * 4096,
@@ -120,8 +123,15 @@ proptest! {
             ))
             .unwrap();
         }
-        let s = ssd.stats();
-        prop_assert_eq!(s.stream_bytes.iter().sum::<u64>(), s.bytes_written);
-        prop_assert!(s.flash_write_amplification() >= 1.0);
+        let s = m.snapshot();
+        let get = |name: &str| s.counter(&format!("osd0.data.{name}")).unwrap();
+        let streams: u64 = STREAMS
+            .iter()
+            .map(|st| get(&format!("stream.{}.bytes", st.metric_name())))
+            .sum();
+        let host = get("bytes_written");
+        prop_assert_eq!(streams, host);
+        let flash_wa = (host + get("gc.copied_bytes")) as f64 / host as f64;
+        prop_assert!(flash_wa >= 1.0);
     }
 }
