@@ -19,11 +19,13 @@ use afc_workload::{JobSpec, Report};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// `git rev-parse --short HEAD`, or `"unknown"` outside a work tree;
-/// stamped into every saved result row so JSON files are self-describing.
+/// The short hash of `HEAD`, suffixed `-dirty` when the work tree has
+/// uncommitted changes (the record was made on top of that commit), or
+/// `"unknown"` outside a work tree; stamped into every saved result row so
+/// JSON files are self-describing.
 pub fn commit_hash() -> String {
     std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
+        .args(["describe", "--always", "--dirty", "--exclude=*"])
         .output()
         .ok()
         .filter(|o| o.status.success())

@@ -56,13 +56,14 @@ pub mod classes {
     //! op queue → QoS scheduler → OSD maps → `Pg::state` → `Pg::pending`
     //! → OSD op tables
     //! (rep_waits / push_waits / rep_seen / applied prefix / channel
-    //! handles / ack lanes) → journal → filestore throttle.
+    //! handles / ack lanes) → journal → filestore throttle → filestore
+    //! lanes.
     //!
     //! `PG_STATE` deliberately allows blocking while held: the write path
     //! submits to the journal (which can wait for ring space) and, without
     //! the pending queue, a read waits for the applied prefix under it.
     //! Both waits end on threads that never take a PG lock (journal commit
-    //! callbacks, the completion worker, filestore appliers). The
+    //! callbacks, the completion worker, whoever plans a filestore apply). The
     //! queue/pending locks are pure FIFO guards and must never be held
     //! across a blocking section.
 
@@ -178,6 +179,15 @@ pub mod classes {
         rank: 700,
         no_block_while_held: false,
     };
+    /// `FileStore` apply lanes — each lane's free-at instant and FIFO, and
+    /// the backstop's sleep (on its own cv). Pure bookkeeping: a
+    /// transaction is planned, and its callback run, after the guard
+    /// drops.
+    pub static FS_LANES: LockClass = LockClass {
+        name: "filestore.lanes",
+        rank: 710,
+        no_block_while_held: true,
+    };
     /// `Osd::workers` — join handles; shutdown path only, joins while held.
     pub static OSD_WORKERS: LockClass = LockClass {
         name: "osd.workers",
@@ -212,6 +222,7 @@ pub static DECLARED_ORDER: &[&LockClass] = &[
     &classes::HB_PEERS,
     &classes::JOURNAL_RING,
     &classes::THROTTLE,
+    &classes::FS_LANES,
     &classes::OSD_WORKERS,
     &classes::FAULTS,
 ];

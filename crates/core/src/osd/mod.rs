@@ -267,11 +267,16 @@ impl Osd {
         self.inner.paused.store(false, Ordering::Relaxed);
     }
 
-    /// Drain in-flight work (test/bench helper): waits until the filestore
-    /// queue empties and the journal has committed everything submitted.
+    /// Drain in-flight work (test/bench helper): waits until the journal
+    /// has committed everything submitted and the filestore has applied
+    /// it, then trims what the last applies completed.
     pub fn quiesce(&self) {
-        self.inner.journal.quiesce();
-        self.inner.store.wait_idle();
+        let inner = &self.inner;
+        inner.journal.quiesce();
+        inner.store.wait_idle();
+        if let Some(w) = inner.write.applied.expire(Instant::now()) {
+            inner.journal.trim_through(w);
+        }
     }
 
     /// Stop the op/completion threads. The OSD stops consuming its queue;

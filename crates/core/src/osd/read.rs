@@ -1,8 +1,10 @@
 //! Reads (and stats): ordered at the PG against earlier writes by the
 //! journal sequence captured there. A read's device time is planned, not
 //! slept through: its reply is stamped to leave when the SSD read
-//! completes and is posted to the client's session at once, so one modeled
-//! wait by the client's waiter covers the device and the hop.
+//! completes — and no earlier than the applies it is ordered after, whose
+//! completions may still be ahead — and is posted to the client's session
+//! at once, so one modeled wait by the client's waiter covers the device
+//! and the hop.
 
 use super::OsdInner;
 use crate::messages::{ClientReply, ObjectOp, OpOutcome, OsdMsg};
@@ -12,6 +14,7 @@ use afc_filestore::throttle::OwnedPermit;
 use afc_messenger::Addr;
 use bytes::Bytes;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// A read or stat at its PG order point.
 pub(super) struct ReadJob {
@@ -61,7 +64,7 @@ impl OsdInner {
             // (the behaviour the pending queue fixes: other requests to
             // this PG — and this op worker — stall).
             let ordered = self.write.applied.wait(job.ordered_after);
-            return self.answer(job, ordered);
+            return self.answer(job, ordered.map(|()| Instant::now()));
         }
         // §3.1/§4.3: "the read requests of other PG can be processed
         // without delay". A read whose applies are not in yet is parked on
@@ -74,29 +77,32 @@ impl OsdInner {
         }
     }
 
-    /// Answer a read once its ordering wait is over: plan the device read
-    /// and stamp the reply to leave when it completes (Community waits for
-    /// it here, under the PG lock). A failed ordering wait is the reply; no
-    /// filestore look. The permit goes once the reply is handed to the
-    /// messenger.
-    fn answer(&self, job: ReadJob, ordered: Result<()>) {
+    /// Answer a read once the applies it is ordered after have settled,
+    /// completing at `ordered`: plan the device read and stamp the reply
+    /// to leave when both are done (Community waits for the device here,
+    /// under the PG lock, having waited out the applies). A failed
+    /// ordering wait is the reply; no filestore look. The permit goes once
+    /// the reply is handed to the messenger.
+    fn answer(&self, job: ReadJob, ordered: Result<Instant>) {
         let mut leaves = None;
-        let result = ordered.and_then(|()| match job.query {
+        let result = ordered.and_then(|applied| match job.query {
             ObjectOp::Read { offset, len } => {
                 let read = self.store.read(&job.obj_name, offset, len as usize)?;
                 self.log("read reply");
                 let data = if self.tuning.pending_queue {
-                    leaves = Some(read.done);
+                    leaves = Some(read.done.max(applied));
                     read.data
                 } else {
                     read.wait()
                 };
                 Ok(OpOutcome::Data(Bytes::from(data)))
             }
-            _ => self
-                .store
-                .stat(&job.obj_name)
-                .map(|m| OpOutcome::Size(m.size)),
+            _ => {
+                leaves = Some(applied);
+                self.store
+                    .stat(&job.obj_name)
+                    .map(|m| OpOutcome::Size(m.size))
+            }
         });
         let reply = ClientReply {
             op_id: job.op_id,

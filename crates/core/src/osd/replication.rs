@@ -115,7 +115,9 @@ pub(super) fn reptimer_loop(inner: Arc<OsdInner>) {
         std::thread::sleep(Duration::from_millis(10));
         inner.resend_expired_reps();
         inner.requeue_expired_pushes();
-        inner.write.applied.expire(Instant::now());
+        if let Some(w) = inner.write.applied.expire(Instant::now()) {
+            inner.journal.trim_through(w);
+        }
     }
 }
 

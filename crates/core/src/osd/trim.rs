@@ -16,23 +16,30 @@
 //! durable (*void*: a torn tail — a tear models power loss, so nothing runs
 //! on past it but the replay that voids it) or when its apply *failed*,
 //! which releases waiters like the other two but pins the trim watermark
-//! below it, so the journal keeps the entry for replay. A landed apply is
-//! published no earlier than its journal record is durable: the journal
-//! hands out that instant without waiting for it, and an apply that beat
-//! its record waits out the rest here, so nothing ordered behind the
-//! prefix observes a write that a crash could still lose.
+//! below it, so the journal keeps the entry for replay.
+//!
+//! **A landed apply is an instant.** The filestore plans an apply without
+//! any thread waiting for it, and the journal hands out the instant its
+//! record is durable the same way; a sequence settles at once with the
+//! later of the two, its *completion*. Nothing ordered behind it observes
+//! it sooner: a released read is handed the latest completion among the
+//! sequences it is ordered after and leaves no earlier, [`AppliedPrefix::wait`]
+//! waits that completion out, and the trim watermark stops below any
+//! sequence whose completion is still ahead — a crash before it could
+//! still lose the apply.
 
 use afc_common::lockdep::{classes, TrackedCondvar, TrackedMutex};
 use afc_common::metrics::Counter;
 use afc_common::{wait_until, AfcError, Result, WaitClass};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// What runs once a parked target settles, with `Ok`, or fails closed
+/// What runs once a parked target settles, with the latest completion it
+/// is ordered after (now, when all have passed), or fails closed
 /// (`Timeout`, `ShutDown`).
-pub(super) type Then = Box<dyn FnOnce(Result<()>) + Send>;
+pub(super) type Then = Box<dyn FnOnce(Result<Instant>) + Send>;
 
 /// A continuation parked until the prefix reaches `target`.
 struct Parked {
@@ -49,6 +56,10 @@ struct Marks {
     ahead: BTreeSet<u64>,
     /// Settled by a failed apply: the journal must keep them.
     failed: BTreeSet<u64>,
+    /// Settled sequences whose completion may still be ahead.
+    due: BTreeMap<u64, Instant>,
+    /// The trim watermark last handed out.
+    trimmed: u64,
     /// Threads parked in `wait`; nobody is notified while this is zero.
     waiters: usize,
     /// Continuations parked by `after`, in park order.
@@ -69,11 +80,21 @@ impl Marks {
     }
 
     /// Highest sequence the journal may free: the prefix, held below the
-    /// oldest failed apply.
+    /// oldest failed apply and the oldest completion still ahead.
     fn trim_watermark(&self) -> u64 {
         let pinned = self.failed.first().map_or(u64::MAX, |f| f - 1);
-        self.settled.min(pinned)
+        let ahead = self.due.keys().next().map_or(u64::MAX, |s| s - 1);
+        self.settled.min(pinned).min(ahead)
     }
+}
+
+/// The latest completion still ahead of `now` among the sequences of `due`
+/// up to `target`.
+fn done_by(due: &BTreeMap<u64, Instant>, target: u64, now: Instant) -> Option<Instant> {
+    due.range(..=target)
+        .map(|(_, &at)| at)
+        .filter(|&at| at > now)
+        .max()
 }
 
 /// Per-OSD applied-prefix tracker. See the module docs.
@@ -81,9 +102,12 @@ pub(super) struct AppliedPrefix {
     marks: TrackedMutex<Marks>,
     cv: TrackedCondvar,
     /// `Marks::settled` without the lock: a wait with nothing pending is
-    /// one load. Stored `Release` after the apply it reports, loaded
+    /// two loads. Stored `Release` after the apply it reports, loaded
     /// `Acquire` before the filestore read that relies on it.
     settled: AtomicU64,
+    /// Whether `Marks::due` holds anything. Stored before `settled`, so a
+    /// reader that acquires a settled prefix sees its completions.
+    any_due: AtomicBool,
     /// How long `wait` waits and a park stays parked: far beyond any
     /// healthy apply.
     timeout: Duration,
@@ -99,19 +123,27 @@ impl AppliedPrefix {
             marks: TrackedMutex::new(&classes::APPLIED, Marks::default()),
             cv: TrackedCondvar::new(),
             settled: AtomicU64::new(0),
+            any_due: AtomicBool::new(false),
             timeout,
             timeouts: Counter::new(),
         }
     }
 
-    /// Run `f` on the marks, publish the prefix and wake waiters if it
-    /// moved, run the continuations it released (on this thread, after
-    /// the lock), and return the trim watermark if *that* advanced.
+    /// Run `f` on the marks, forget completions that have passed, publish
+    /// the prefix and wake waiters if it moved, run the continuations it
+    /// released (on this thread, after the lock, each with the completion
+    /// it is ordered after), and return the trim watermark if *that*
+    /// advanced.
     fn update(&self, f: impl FnOnce(&mut Marks)) -> Option<u64> {
+        let now = Instant::now();
         let (trim, released) = {
             let mut m = self.marks.lock();
-            let (settled, trim) = (m.settled, m.trim_watermark());
+            let settled = m.settled;
             f(&mut m);
+            m.due.retain(|_, at| *at > now);
+            // ordering: Relaxed — published by the `settled` Release store
+            // below, or read under the lock.
+            self.any_due.store(!m.due.is_empty(), Ordering::Relaxed);
             let mut released = Vec::new();
             if m.settled != settled {
                 self.settled.store(m.settled, Ordering::Release);
@@ -119,27 +151,39 @@ impl AppliedPrefix {
                     self.cv.notify_all();
                 }
                 let reached = m.settled;
-                released.extend(m.parked.extract_if(.., |p| p.target <= reached));
+                let Marks { parked, due, .. } = &mut *m;
+                for p in parked.extract_if(.., |p| p.target <= reached) {
+                    let done = done_by(due, p.target, now).unwrap_or(now);
+                    released.push((p.then, done));
+                }
             }
-            let after = m.trim_watermark();
-            ((after > trim).then_some(after), released)
+            let w = m.trim_watermark();
+            let trim = (w > m.trimmed).then(|| {
+                m.trimmed = w;
+                w
+            });
+            (trim, released)
         };
-        for p in released {
-            (p.then)(Ok(()));
+        for (then, done) in released {
+            then(Ok(done));
         }
         trim
     }
 
-    /// `seq` is in the filestore: its queued apply landed or replay
-    /// re-applied it (twice is harmless; success after a failure unpins the
-    /// trim). Published no earlier than `durable`, when its journal record
-    /// is: this thread waits out whatever is left. Returns the trim
-    /// watermark if it advanced.
-    pub(super) fn applied(&self, seq: u64, durable: Instant) -> Option<u64> {
-        wait_until(WaitClass::Nvram, durable);
+    /// `seq` is in the filestore and completes at `at` — the later of its
+    /// apply's last device request and its journal record's durability,
+    /// possibly still ahead: its queued apply was planned or replay
+    /// re-applied it (twice is harmless; success after a failure unpins
+    /// the trim). Nobody waits here. Returns the trim watermark if it
+    /// advanced.
+    pub(super) fn applied(&self, seq: u64, at: Instant) -> Option<u64> {
         self.update(|m| {
             m.failed.remove(&seq);
             m.settle(seq);
+            if at > Instant::now() {
+                let due = m.due.entry(seq).or_insert(at);
+                *due = (*due).max(at);
+            }
         })
     }
 
@@ -165,12 +209,21 @@ impl AppliedPrefix {
         });
     }
 
-    /// Wait until every sequence `<= target` has settled. Fails *closed*:
-    /// at the deadline the waiter gets [`AfcError::Timeout`] (counted),
-    /// never a look at the filestore — data older than an acked write must
-    /// not be served because an apply is wedged.
+    /// Whether `target` has settled with every completion up to it past,
+    /// read without the lock.
+    fn passed(&self, target: u64) -> bool {
+        // ordering: Relaxed — `any_due` is stored before the `settled`
+        // Release store this Acquire load synchronizes with.
+        self.settled.load(Ordering::Acquire) >= target && !self.any_due.load(Ordering::Relaxed)
+    }
+
+    /// Wait until every sequence `<= target` has settled, then wait out
+    /// the latest completion among them. Fails *closed*: at the deadline
+    /// the waiter gets [`AfcError::Timeout`] (counted), never a look at the
+    /// filestore — data older than an acked write must not be served
+    /// because an apply is wedged.
     pub(super) fn wait(&self, target: u64) -> Result<()> {
-        if self.settled.load(Ordering::Acquire) >= target {
+        if self.passed(target) {
             return Ok(());
         }
         let deadline = Instant::now() + self.timeout;
@@ -178,7 +231,7 @@ impl AppliedPrefix {
         m.waiters += 1;
         let res = loop {
             if m.settled >= target {
-                break Ok(());
+                break Ok(done_by(&m.due, target, Instant::now()));
             }
             if m.closed {
                 break Err(AfcError::ShutDown("osd stopping".into()));
@@ -189,23 +242,29 @@ impl AppliedPrefix {
             }
         };
         m.waiters -= 1;
-        res
+        drop(m);
+        if let Some(done) = res? {
+            wait_until(WaitClass::Ssd, done);
+        }
+        Ok(())
     }
 
-    /// Run `then` once every sequence `<= target` has settled: right here
-    /// when it has (one atomic load), else parked — no thread waits — and
-    /// run by whoever settles the last of them. Fails closed like
-    /// [`Self::wait`]: [`Self::expire`] times a park out, [`Self::close`]
-    /// shuts it down. True when `then` was parked.
+    /// Run `then` once every sequence `<= target` has settled, with the
+    /// latest completion among them: right here when they have (two
+    /// atomic loads when every completion has passed), else parked — no
+    /// thread waits — and run by whoever settles the last of them. Fails
+    /// closed like [`Self::wait`]: [`Self::expire`] times a park out,
+    /// [`Self::close`] shuts it down. True when `then` was parked.
     pub(super) fn after(&self, target: u64, then: Then) -> bool {
-        if self.settled.load(Ordering::Acquire) >= target {
-            then(Ok(()));
+        if self.passed(target) {
+            then(Ok(Instant::now()));
             return false;
         }
         let now = {
             let mut m = self.marks.lock();
+            let now = Instant::now();
             if m.settled >= target {
-                Ok(())
+                Ok(done_by(&m.due, target, now).unwrap_or(now))
             } else if m.closed {
                 Err(AfcError::ShutDown("osd stopping".into()))
             } else {
@@ -223,13 +282,12 @@ impl AppliedPrefix {
     }
 
     /// Fail every park whose deadline has passed with a counted
-    /// [`AfcError::Timeout`] (the replication ticker's sweep).
-    pub(super) fn expire(&self, now: Instant) {
+    /// [`AfcError::Timeout`], and return the trim watermark if completions
+    /// that have passed since the last mark advanced it (the replication
+    /// ticker's sweep; a quiesce's last look).
+    pub(super) fn expire(&self, now: Instant) -> Option<u64> {
         let (settled, expired) = {
             let mut m = self.marks.lock();
-            if m.parked.is_empty() {
-                return;
-            }
             let expired: Vec<Parked> = m.parked.extract_if(.., |p| p.deadline <= now).collect();
             (m.settled, expired)
         };
@@ -237,16 +295,20 @@ impl AppliedPrefix {
             self.timeouts.inc();
             (p.then)(Err(timed_out(settled, p.target)));
         }
+        self.update(|_| {})
     }
 
     /// Crash: marks are volatile, what the journal was told to free is
-    /// not. Forget everything beyond the trim watermark; replay settles it
-    /// again.
+    /// not. Forget everything beyond the trim watermark handed out; replay
+    /// settles it again.
     pub(super) fn resume_from_trim(&self) {
         let mut m = self.marks.lock();
-        m.settled = m.trim_watermark();
+        m.settled = m.trimmed;
         m.ahead.clear();
         m.failed.clear();
+        m.due.clear();
+        // ordering: Relaxed — published by the `settled` Release store.
+        self.any_due.store(false, Ordering::Relaxed);
         self.settled.store(m.settled, Ordering::Release);
     }
 
@@ -278,6 +340,9 @@ mod tests {
 
     const SOON: Duration = Duration::from_millis(20);
     const LONG: Duration = Duration::from_secs(10);
+    /// A completion still ahead through a test's checks, and short enough
+    /// to wait out.
+    const AHEAD: Duration = Duration::from_millis(200);
 
     impl AppliedPrefix {
         fn prefix(&self) -> u64 {
@@ -345,20 +410,67 @@ mod tests {
         assert_eq!(t.timeouts.get(), 0);
     }
 
-    /// An apply that lands before its journal record is durable is not
-    /// published before `durable`: nobody waiting on the prefix sees it
-    /// sooner.
+    /// A sequence settles at once with a completion still ahead (a record
+    /// not yet durable, an apply still on the device): a waiter ordered
+    /// after it returns no earlier, and nobody waited in `applied`.
     #[test]
-    fn early_apply_is_published_no_earlier_than_its_record_is_durable() {
+    fn a_waiter_returns_no_earlier_than_the_completion_it_is_ordered_after() {
         let t = AppliedPrefix::new(LONG);
-        let durable = Instant::now() + SOON;
-        std::thread::scope(|s| {
-            let reader = s.spawn(|| t.wait(1).map(|()| Instant::now()));
-            assert_eq!(t.applied(1, durable), Some(1));
-            assert!(Instant::now() >= durable);
-            let seen = reader.join().unwrap().unwrap();
-            assert!(seen >= durable, "published before its record was durable");
-        });
+        let done = Instant::now() + AHEAD;
+        assert_eq!(t.applied(1, done), None, "trimmed a completion still ahead");
+        assert!(Instant::now() < done, "applied waited for the completion");
+        assert_eq!(t.prefix(), 1);
+        t.wait(1).unwrap();
+        assert!(
+            Instant::now() >= done,
+            "waiter returned before the completion"
+        );
+    }
+
+    /// A read released by the prefix leaves no earlier than the latest
+    /// completion among the sequences it is ordered after — not the
+    /// OSD-wide latest, which a later write on a slow lane may hold.
+    #[test]
+    fn a_released_read_gets_the_latest_completion_up_to_its_target() {
+        let throttle = Arc::new(Throttle::new("test", 8));
+        let t = AppliedPrefix::new(LONG);
+        // Nothing here waits for these instants: far ahead, they stay due.
+        let now = Instant::now();
+        let (early, late) = (now + 2 * LONG, now + 5 * LONG);
+        let (parked, two) = park(&t, 2, &throttle);
+        assert!(parked);
+        t.applied(3, late);
+        t.applied(2, early);
+        assert!(two.try_recv().is_err(), "released with seq 1 outstanding");
+        t.applied(1, now + LONG);
+        assert_eq!(two.try_recv().unwrap().unwrap(), early);
+        // Unparked: the same rule, and a target past every completion
+        // gets the latest.
+        let (parked, one) = park(&t, 1, &throttle);
+        assert!(!parked);
+        assert_eq!(one.try_recv().unwrap().unwrap(), now + LONG);
+        let (_, three) = park(&t, 3, &throttle);
+        assert_eq!(three.try_recv().unwrap().unwrap(), late);
+    }
+
+    /// The journal is told to free a sequence only once its completion has
+    /// passed: until then a crash could still lose the apply.
+    #[test]
+    fn trim_never_passes_a_completion_still_ahead() {
+        let t = AppliedPrefix::new(LONG);
+        let done = Instant::now() + AHEAD;
+        assert_eq!(t.applied(1, Instant::now()), Some(1));
+        assert_eq!(t.applied(2, done), None);
+        assert_eq!(t.applied(3, Instant::now()), None, "trim passed seq 2");
+        assert_eq!(t.expire(Instant::now()), None);
+        assert_eq!(t.marks.lock().trim_watermark(), 1);
+        std::thread::sleep(done.saturating_duration_since(Instant::now()));
+        assert_eq!(t.expire(Instant::now()), Some(3));
+        assert_eq!(t.expire(Instant::now()), None, "handed out twice");
+        // A crash resumes from what the journal was told, not beyond.
+        t.applied(4, Instant::now() + LONG);
+        t.resume_from_trim();
+        assert_eq!(t.prefix(), 3);
     }
 
     #[test]
@@ -434,7 +546,7 @@ mod tests {
         t: &AppliedPrefix,
         target: u64,
         throttle: &Arc<Throttle>,
-    ) -> (bool, crossbeam::channel::Receiver<Result<()>>) {
+    ) -> (bool, crossbeam::channel::Receiver<Result<Instant>>) {
         let (tx, rx) = crossbeam::channel::unbounded();
         let permit = throttle.acquire_owned(1).unwrap();
         let parked = t.after(
@@ -453,7 +565,7 @@ mod tests {
         let t = AppliedPrefix::new(LONG);
         let (parked, now) = park(&t, 0, &throttle);
         assert!(!parked, "nothing ordered before: runs at once");
-        assert!(matches!(now.try_recv(), Ok(Ok(()))));
+        assert!(matches!(now.try_recv(), Ok(Ok(_))));
         let (_, one) = park(&t, 1, &throttle);
         let (_, two) = park(&t, 2, &throttle);
         let (parked, four) = park(&t, 4, &throttle);
@@ -462,12 +574,12 @@ mod tests {
         t.applied(2, Instant::now());
         assert!(one.try_recv().is_err() && two.try_recv().is_err());
         t.applied(1, Instant::now());
-        assert!(matches!(one.try_recv(), Ok(Ok(()))));
-        assert!(matches!(two.try_recv(), Ok(Ok(()))));
+        assert!(matches!(one.try_recv(), Ok(Ok(_))));
+        assert!(matches!(two.try_recv(), Ok(Ok(_))));
         t.failed(3);
         assert!(four.try_recv().is_err(), "released with seq 4 outstanding");
         t.void(4..5);
-        assert!(matches!(four.try_recv(), Ok(Ok(()))));
+        assert!(matches!(four.try_recv(), Ok(Ok(_))));
         assert_eq!(throttle.in_use(), 0);
         assert_eq!(t.timeouts.get(), 0);
     }

@@ -8,14 +8,16 @@
 //! The §3.1 switches choose *where* that continuation runs, never *what*
 //! it does (see [`OsdInner::on_local_commit`]).
 //!
-//! **Durability is an instant.** The journal plans its record and hands
-//! the continuation the instant it is durable; no thread sleeps for it.
-//! Everything that makes the write visible waits for that instant instead:
-//! the `RepAck` and the client reply leave no earlier
+//! **Durability is an instant, and so is an apply.** The journal plans its
+//! record and hands the continuation the instant it is durable; the
+//! filestore plans the apply and hands its callback the instant the apply
+//! completes; no thread sleeps for either. Everything that makes the write
+//! visible waits for those instants instead: the `RepAck` and the client
+//! reply leave no earlier than the record is durable
 //! ([`Messenger::send_at`](afc_messenger::Messenger::send_at)), and the
-//! apply is published to the applied prefix no earlier
+//! applied prefix carries the later of the two
 //! ([`AppliedPrefix::applied`]) — so trim, read-after-write and push
-//! freshness follow durable records only.
+//! freshness follow durable records and completed applies only.
 //!
 //! **The one rule after the journal.** Queueing the filestore apply is the
 //! first thing a continuation does, in journal-sequence order, and no
@@ -416,12 +418,14 @@ impl OsdInner {
         }
     }
 
+    /// Queue the apply; it may be planned, and its callback run, right
+    /// here.
     fn enqueue_filestore(self: &Arc<Self>, jseq: u64, durable: Instant, txn: Transaction) {
         let inner = Arc::clone(self);
         let res = self.store.queue_transaction(
             txn,
             Box::new(move |r| match r {
-                Ok(()) => inner.on_applied(jseq, durable),
+                Ok(done) => inner.on_applied(jseq, done.max(durable)),
                 Err(e) => inner.on_apply_failed(jseq, "apply", e),
             }),
         );
@@ -439,9 +443,10 @@ impl OsdInner {
         self.write.applied.failed(jseq);
     }
 
-    pub(super) fn on_applied(&self, jseq: u64, durable: Instant) {
+    /// `jseq` is applied, complete at `at` (see [`AppliedPrefix::applied`]).
+    pub(super) fn on_applied(&self, jseq: u64, at: Instant) {
         self.log("filestore applied");
-        if let Some(w) = self.write.applied.applied(jseq, durable) {
+        if let Some(w) = self.write.applied.applied(jseq, at) {
             self.journal.trim_through(w);
         }
     }

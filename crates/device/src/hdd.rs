@@ -14,7 +14,7 @@ use afc_common::rng::mix64;
 use afc_common::{Result, GIB, MIB};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// HDD model parameters.
 #[derive(Debug, Clone)]
@@ -123,14 +123,14 @@ impl BlockDev for Hdd {
         self.cfg.capacity
     }
 
-    fn plan(&self, req: IoReq) -> Result<IoPlan> {
+    fn plan_at(&self, req: IoReq, not_before: Instant) -> Result<IoPlan> {
         validate(&req, self.cfg.capacity)?;
         let spike = self.faults.check(&req)?.unwrap_or_default();
         let op_n = self.op_seq.fetch_add(1, Ordering::Relaxed);
         let service = self.service_time(&req, op_n) + spike;
         let completion = match req.kind {
-            IoKind::Flush => self.pool.reserve_barrier(service),
-            _ => self.pool.reserve(service),
+            IoKind::Flush => self.pool.reserve_barrier(service, not_before),
+            _ => self.pool.reserve(service, not_before),
         };
         match req.kind {
             IoKind::Read => self.stats.on_read(req.len as u64, service, false),

@@ -4,19 +4,28 @@
 //! (journal) and — implicitly, as the design baseline — HDDs. We do not have
 //! that hardware, so this crate provides *timing models*: a device computes a
 //! service time from its internal state (channel occupancy, clean/sustained
-//! flash state, read/write interference, seek position) and the calling
-//! thread **sleeps** for it. Upper layers are ordinary blocking code, which
-//! preserves exactly the behaviour the paper studies: lock-hold times around
-//! device waits, queue backlogs and throttle interactions.
+//! flash state, read/write interference, seek position) and hands out the
+//! instant the request completes. No thread has to sleep for it: the
+//! caller carries the instant on — into the next request of the same
+//! chain, onto a message stamped to leave then, into a throttle permit
+//! released then — and only a caller that must observe the completion
+//! itself waits it out. That keeps what the paper studies (queue backlogs,
+//! throttle interactions, lock-hold times around a device wait that a
+//! caller does take) without a thread standing in for every queue slot.
 //!
 //! Design notes:
 //!
-//! - [`BlockDev::plan`] reserves time on an internal channel and returns the
-//!   completion instant *without sleeping*; [`BlockDev::submit`] plans and
-//!   waits ([`afc_common::timeutil`]'s calibrated wait, booked to the
-//!   device's [`BlockDev::wait_class`]). RAID-0 plans all stripe segments
-//!   up front and waits for the latest, so striped I/O genuinely overlaps
-//!   with zero helper threads.
+//! - [`BlockDev::plan_at`] reserves time on an internal channel, starting
+//!   no earlier than a not-before instant, and returns the completion
+//!   instant *without sleeping*. A request that follows another of the same
+//!   chain (the ops of one filestore apply) is planned from the completion
+//!   of the one before it, so the chain takes the modeled time it would
+//!   take a thread issuing them one by one. [`BlockDev::plan`] plans from
+//!   now; [`BlockDev::submit`] plans and waits ([`afc_common::timeutil`]'s
+//!   calibrated wait, booked to the device's [`BlockDev::wait_class`]) —
+//!   left to the kvstore's compaction thread and the SolidFire baseline.
+//!   RAID-0 plans all stripe segments up front and completes at the
+//!   latest, so striped I/O genuinely overlaps with zero helper threads.
 //! - Devices store no data — data lives in the layers above (page cache,
 //!   journal buffer, memtables). Devices account bytes and time only.
 //! - All jitter is deterministic (seeded), so runs are reproducible.
@@ -197,9 +206,17 @@ pub trait BlockDev: Send + Sync {
     /// Device capacity in bytes.
     fn capacity(&self) -> u64;
 
-    /// Reserve device time for `req` and return its completion plan without
-    /// blocking. Accounting (byte/op counters) happens here.
-    fn plan(&self, req: IoReq) -> Result<IoPlan>;
+    /// Reserve device time for `req`, starting no earlier than
+    /// `not_before`, and return its completion plan without blocking.
+    /// Accounting (byte/op counters) happens here. `not_before` may lie in
+    /// the past: a request planned late keeps the modeled start it was
+    /// due.
+    fn plan_at(&self, req: IoReq, not_before: Instant) -> Result<IoPlan>;
+
+    /// [`Self::plan_at`] from now.
+    fn plan(&self, req: IoReq) -> Result<IoPlan> {
+        self.plan_at(req, Instant::now())
+    }
 
     /// Submit `req`, blocking the calling thread until the modeled
     /// completion. Returns total request latency (queue wait + service).

@@ -9,7 +9,7 @@ use crate::plan::ChannelPool;
 use crate::stats::StatsCell;
 use crate::{validate, BlockDev, FaultInjector, IoKind, IoPlan, IoReq};
 use afc_common::{Result, WaitClass, GIB};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// NVRAM model parameters.
 #[derive(Debug, Clone)]
@@ -84,7 +84,7 @@ impl BlockDev for Nvram {
         self.cfg.capacity
     }
 
-    fn plan(&self, req: IoReq) -> Result<IoPlan> {
+    fn plan_at(&self, req: IoReq, not_before: Instant) -> Result<IoPlan> {
         validate(&req, self.cfg.capacity)?;
         let spike = self.faults.check(&req)?.unwrap_or_default();
         let xfer = Duration::from_secs_f64(req.len as f64 / self.cfg.bandwidth as f64);
@@ -92,8 +92,8 @@ impl BlockDev for Nvram {
         let completion = match req.kind {
             // A flush moves no bytes: `service` is the access time plus
             // any injected latency spike.
-            IoKind::Flush => self.pool.reserve_barrier(service),
-            _ => self.pool.reserve(service),
+            IoKind::Flush => self.pool.reserve_barrier(service, not_before),
+            _ => self.pool.reserve(service, not_before),
         };
         match req.kind {
             IoKind::Read => self.stats.on_read(req.len as u64, service, false),

@@ -8,7 +8,7 @@
 use crate::{validate, BlockDev, IoKind, IoPlan, IoReq};
 use afc_common::{AfcError, Result};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A RAID-0 (striping) aggregate of homogeneous members.
 pub struct Raid0 {
@@ -70,12 +70,12 @@ impl BlockDev for Raid0 {
         self.capacity
     }
 
-    fn plan(&self, req: IoReq) -> Result<IoPlan> {
+    fn plan_at(&self, req: IoReq, not_before: Instant) -> Result<IoPlan> {
         validate(&req, self.capacity)?;
         if req.kind == IoKind::Flush {
             let mut latest: Option<IoPlan> = None;
             for m in &self.members {
-                let p = m.plan(IoReq::flush())?;
+                let p = m.plan_at(IoReq::flush(), not_before)?;
                 latest = Some(match latest {
                     Some(prev) if prev.completion >= p.completion => prev,
                     _ => p,
@@ -86,12 +86,15 @@ impl BlockDev for Raid0 {
         let mut completion = None;
         let mut service = Duration::ZERO;
         for (member, off, len) in self.segments(req.offset, req.len as u64) {
-            let p = self.members[member].plan(IoReq {
-                kind: req.kind,
-                offset: off,
-                len,
-                stream: req.stream,
-            })?;
+            let p = self.members[member].plan_at(
+                IoReq {
+                    kind: req.kind,
+                    offset: off,
+                    len,
+                    stream: req.stream,
+                },
+                not_before,
+            )?;
             service = service.max(p.service);
             completion = Some(match completion {
                 Some(prev) if prev >= p.completion => prev,
@@ -114,7 +117,6 @@ mod tests {
     use super::*;
     use crate::{Ssd, SsdConfig};
     use afc_common::{KIB, MIB};
-    use std::time::Instant;
 
     fn ssds(width: usize, cfg: SsdConfig) -> Vec<Arc<Ssd>> {
         (0..width)

@@ -130,7 +130,7 @@ pub struct Ssd {
     /// pressure-driven GC. Every write consults it; GC copy-forward work
     /// is charged into that write's service time.
     ftl: Mutex<Ftl>,
-    /// Completion instant of the most recently planned write; a read planned
+    /// Completion instant of the most recently planned write; a read issued
     /// before this instant counts as interfered.
     last_write_end: Mutex<Instant>,
 }
@@ -201,7 +201,9 @@ impl Ssd {
         1.0 + self.cfg.jitter * (2.0 * unit - 1.0)
     }
 
-    fn service_time(&self, req: &IoReq, op_n: u64) -> (Duration, bool) {
+    /// Service time of `req` issued at `issued`, and whether a read is
+    /// interfered (issued before the latest planned write completes).
+    fn service_time(&self, req: &IoReq, op_n: u64, issued: Instant) -> (Duration, bool) {
         let sustained = self.state() == SsdState::Sustained;
         match req.kind {
             IoKind::Read => {
@@ -209,7 +211,7 @@ impl Ssd {
                 let mut t = self.cfg.read_base + xfer;
                 let interfered = {
                     let lw = self.last_write_end.lock();
-                    Instant::now() < *lw
+                    issued < *lw
                 };
                 if interfered {
                     t += self.cfg.rw_interference;
@@ -248,15 +250,15 @@ impl BlockDev for Ssd {
         self.cfg.capacity
     }
 
-    fn plan(&self, req: IoReq) -> Result<IoPlan> {
+    fn plan_at(&self, req: IoReq, not_before: Instant) -> Result<IoPlan> {
         validate(&req, self.cfg.capacity)?;
         let spike = self.faults.check(&req)?.unwrap_or_default();
         let op_n = self.op_seq.fetch_add(1, Ordering::Relaxed);
-        let (service, interfered) = self.service_time(&req, op_n);
+        let (service, interfered) = self.service_time(&req, op_n, not_before);
         let service = service + spike;
         let completion = match req.kind {
-            IoKind::Flush => self.pool.reserve_barrier(service),
-            _ => self.pool.reserve(service),
+            IoKind::Flush => self.pool.reserve_barrier(service, not_before),
+            _ => self.pool.reserve(service, not_before),
         };
         match req.kind {
             IoKind::Read => self.stats.on_read(req.len as u64, service, interfered),

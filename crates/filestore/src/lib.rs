@@ -19,10 +19,10 @@
 //!   writes, and a **write-through metadata cache** eliminates the
 //!   metadata reads entirely.
 //!
-//! Apply concurrency is provided by a small worker pool fed through the
-//! **filestore throttle** (`filestore_queue_max_ops`) — the HDD-sized
-//! default is the source of the Figure 4 backlog; the paper retunes it for
-//! SSDs (§3.2).
+//! Apply concurrency is `apply_threads` lanes planned in modeled time (see
+//! [`store`]; no thread runs per lane), fed through the **filestore
+//! throttle** (`filestore_queue_max_ops`) — the HDD-sized default is the
+//! source of the Figure 4 backlog; the paper retunes it for SSDs (§3.2).
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]

@@ -11,6 +11,13 @@
 //! a short deterministic delay; data reads/writes additionally charge the
 //! device. Per-type syscall counters let benchmark harnesses print the
 //! syscall-reduction table.
+//!
+//! A call that charges the device is one step of its caller's chain: it
+//! takes the chain's instant (`at`), plans its device requests one after
+//! the other from there and moves `at` to the last completion — the time a
+//! thread issuing the same syscalls would have slept through, with no
+//! thread sleeping. [`SimFs::read`] plans from now and hands the instant
+//! back with the bytes.
 
 use afc_common::metrics::{Counter, Metrics};
 use afc_common::{wait_until, AfcError, Result, WaitClass};
@@ -193,9 +200,9 @@ impl SimFs {
         self.files.read().contains_key(path)
     }
 
-    /// `pwrite`: store bytes and charge the device write, tagged hot or
-    /// cold by the object's write count (per-object heat tracker).
-    pub fn write(&self, path: &str, offset: u64, data: &[u8]) -> Result<()> {
+    /// `pwrite`: store bytes and charge the device write from `at`, tagged
+    /// hot or cold by the object's write count (per-object heat tracker).
+    pub fn write(&self, path: &str, offset: u64, data: &[u8], at: &mut Instant) -> Result<()> {
         self.syscall(&self.sys_write);
         if data.is_empty() {
             return Err(AfcError::InvalidArgument("zero-length write".into()));
@@ -218,7 +225,7 @@ impl SimFs {
             (stream, extent_spans(&n.extents, offset, data.len() as u64))
         };
         for (off, len) in spans {
-            self.charge_at(IoKind::Write, off, len, stream)?;
+            self.charge(IoKind::Write, off, len, stream, at)?;
         }
         Ok(())
     }
@@ -257,9 +264,10 @@ impl SimFs {
     }
 
     /// `setxattr` (one syscall per attribute, as the community path does).
-    /// Charges a small device write: xattr updates dirty the inode and hit
-    /// the filesystem journal — real metadata write traffic on the flash.
-    pub fn setxattr(&self, path: &str, name: &str, value: Bytes) -> Result<()> {
+    /// Charges a small device write from `at`: xattr updates dirty the
+    /// inode and hit the filesystem journal — real metadata write traffic
+    /// on the flash.
+    pub fn setxattr(&self, path: &str, name: &str, value: Bytes, at: &mut Instant) -> Result<()> {
         self.syscall(&self.sys_setxattr);
         let node = self.node(path)?;
         let off = {
@@ -267,25 +275,27 @@ impl SimFs {
             n.xattrs.insert(name.to_string(), value);
             n.meta_block
         };
-        self.charge_at(IoKind::Write, off, 4096, StreamId::Meta)
+        self.charge(IoKind::Write, off, 4096, StreamId::Meta, at)
     }
 
-    /// `getxattr`: charges a small device read (inode/xattr block fetch) —
-    /// the §3.4 metadata-read traffic (~15 MB/s per disk during writes).
-    pub fn getxattr(&self, path: &str, name: &str) -> Result<Option<Bytes>> {
+    /// `getxattr`: charges a small device read from `at` (inode/xattr block
+    /// fetch) — the §3.4 metadata-read traffic (~15 MB/s per disk during
+    /// writes).
+    pub fn getxattr(&self, path: &str, name: &str, at: &mut Instant) -> Result<Option<Bytes>> {
         self.syscall(&self.sys_getxattr);
         let node = self.node(path)?;
         let (v, off) = {
             let n = node.lock();
             (n.xattrs.get(name).cloned(), n.meta_block)
         };
-        self.charge_at(IoKind::Read, off, 4096, StreamId::Meta)?;
+        self.charge(IoKind::Read, off, 4096, StreamId::Meta, at)?;
         Ok(v)
     }
 
     /// `fallocate(FALLOC_FL_KEEP_SIZE)` — the `set-alloc-hint` the LWT
-    /// skips for small random writes. Charges a small metadata write.
-    pub fn fallocate_hint(&self, path: &str) -> Result<()> {
+    /// skips for small random writes. Charges a small metadata write from
+    /// `at`.
+    pub fn fallocate_hint(&self, path: &str, at: &mut Instant) -> Result<()> {
         self.syscall(&self.sys_fallocate);
         let node = self.node(path)?;
         let off = {
@@ -293,7 +303,7 @@ impl SimFs {
             n.alloc_hint = true;
             n.meta_block
         };
-        self.charge_at(IoKind::Write, off, 4096, StreamId::Meta)
+        self.charge(IoKind::Write, off, 4096, StreamId::Meta, at)
     }
 
     /// `unlink`.
@@ -334,15 +344,29 @@ impl SimFs {
         }
     }
 
-    /// Submit one device I/O at a stable offset.
-    fn charge_at(&self, kind: IoKind, offset: u64, len: u32, stream: StreamId) -> Result<()> {
-        self.dev.submit(IoReq {
+    /// Plan one device I/O at a stable offset from `at`; `at` moves to its
+    /// completion.
+    fn charge(
+        &self,
+        kind: IoKind,
+        offset: u64,
+        len: u32,
+        stream: StreamId,
+        at: &mut Instant,
+    ) -> Result<()> {
+        let req = IoReq {
             kind,
             offset,
             len,
             stream,
-        })?;
+        };
+        *at = self.dev.plan_at(req, *at)?.completion;
         Ok(())
+    }
+
+    /// The ledger row a caller that waits out a chain books it to.
+    pub fn wait_class(&self) -> WaitClass {
+        self.dev.wait_class()
     }
 }
 
@@ -367,7 +391,8 @@ mod tests {
     fn write_read_roundtrip_with_holes() {
         let fs = fs();
         fs.open_create("obj1").unwrap();
-        fs.write("obj1", 100, b"hello").unwrap();
+        fs.write("obj1", 100, b"hello", &mut Instant::now())
+            .unwrap();
         assert_eq!(fs.read("obj1", 100, 5).unwrap().data, b"hello");
         assert_eq!(fs.read("obj1", 0, 4).unwrap().data, vec![0u8; 4]);
         // Read past EOF returns prefix.
@@ -379,7 +404,7 @@ mod tests {
     fn missing_file_errors() {
         let fs = fs();
         assert!(fs.read("nope", 0, 1).is_err());
-        assert!(fs.write("nope", 0, b"x").is_err());
+        assert!(fs.write("nope", 0, b"x", &mut Instant::now()).is_err());
         assert!(fs.stat("nope").is_err());
         assert!(fs.unlink("nope").is_err());
         assert!(!fs.exists("nope"));
@@ -389,9 +414,19 @@ mod tests {
     fn xattrs_roundtrip() {
         let fs = fs();
         fs.open_create("o").unwrap();
-        fs.setxattr("o", "_", Bytes::from_static(b"meta")).unwrap();
-        assert_eq!(fs.getxattr("o", "_").unwrap().unwrap().as_ref(), b"meta");
-        assert!(fs.getxattr("o", "missing").unwrap().is_none());
+        fs.setxattr("o", "_", Bytes::from_static(b"meta"), &mut Instant::now())
+            .unwrap();
+        assert_eq!(
+            fs.getxattr("o", "_", &mut Instant::now())
+                .unwrap()
+                .unwrap()
+                .as_ref(),
+            b"meta"
+        );
+        assert!(fs
+            .getxattr("o", "missing", &mut Instant::now())
+            .unwrap()
+            .is_none());
     }
 
     #[test]
@@ -399,10 +434,11 @@ mod tests {
         let fs = fs();
         fs.open_create("o").unwrap();
         fs.open_create("o").unwrap(); // re-open counts again
-        fs.write("o", 0, b"abc").unwrap();
+        fs.write("o", 0, b"abc", &mut Instant::now()).unwrap();
         fs.stat("o").unwrap();
-        fs.setxattr("o", "a", Bytes::new()).unwrap();
-        fs.fallocate_hint("o").unwrap();
+        fs.setxattr("o", "a", Bytes::new(), &mut Instant::now())
+            .unwrap();
+        fs.fallocate_hint("o", &mut Instant::now()).unwrap();
         assert_eq!(fs.sys_open.get(), 2);
         assert_eq!(fs.sys_write.get(), 1);
         assert_eq!(fs.sys_stat.get(), 1);
@@ -415,10 +451,12 @@ mod tests {
     fn device_charged_for_data_and_xattr_reads() {
         let (fs, m) = fs_with_metrics();
         fs.open_create("o").unwrap();
-        fs.write("o", 0, &vec![1u8; 8192]).unwrap();
+        fs.write("o", 0, &vec![1u8; 8192], &mut Instant::now())
+            .unwrap();
         fs.read("o", 0, 4096).unwrap();
-        fs.getxattr("o", "x").unwrap();
-        fs.setxattr("o", "x", Bytes::new()).unwrap();
+        fs.getxattr("o", "x", &mut Instant::now()).unwrap();
+        fs.setxattr("o", "x", Bytes::new(), &mut Instant::now())
+            .unwrap();
         let s = m.snapshot();
         // data + xattr/inode write
         assert_eq!(s.counter("osd0.data.bytes_written"), Some(8192 + 4096));
@@ -436,12 +474,14 @@ mod tests {
         fs.open_create("hot").unwrap();
         // First writes are cold; from the threshold on, writes tag hot.
         for _ in 0..HOT_WRITE_THRESHOLD + 2 {
-            fs.write("hot", 0, &[7u8; 4096]).unwrap();
+            fs.write("hot", 0, &[7u8; 4096], &mut Instant::now())
+                .unwrap();
         }
         assert_eq!(bytes("cold"), (HOT_WRITE_THRESHOLD - 1) * 4096);
         assert_eq!(bytes("hot"), 3 * 4096);
         // Metadata writes go to the meta stream, not data streams.
-        fs.setxattr("hot", "_", Bytes::new()).unwrap();
+        fs.setxattr("hot", "_", Bytes::new(), &mut Instant::now())
+            .unwrap();
         assert_eq!(bytes("meta"), 4096);
         let streams: u64 = StreamId::ALL.iter().map(|s| bytes(s.metric_name())).sum();
         let written = m.snapshot().counter("osd0.data.bytes_written");
@@ -452,7 +492,8 @@ mod tests {
     fn truncate_and_unlink() {
         let fs = fs();
         fs.open_create("o").unwrap();
-        fs.write("o", 0, &[1, 2, 3, 4]).unwrap();
+        fs.write("o", 0, &[1, 2, 3, 4], &mut Instant::now())
+            .unwrap();
         fs.truncate("o", 2).unwrap();
         assert_eq!(fs.stat("o").unwrap(), 2);
         fs.unlink("o").unwrap();
@@ -478,7 +519,8 @@ mod tests {
                     let path = format!("f{t}");
                     fs.open_create(&path).unwrap();
                     for i in 0..50u64 {
-                        fs.write(&path, i * 8, &i.to_le_bytes()).unwrap();
+                        fs.write(&path, i * 8, &i.to_le_bytes(), &mut Instant::now())
+                            .unwrap();
                     }
                 });
             }

@@ -1,24 +1,44 @@
 //! The filestore: transaction application over [`SimFs`] + the KV DB.
+//!
+//! **An apply sleeps on no thread.** Ceph runs `filestore_op_threads`
+//! apply workers, each issuing one transaction's syscalls at a time; here
+//! each of [`FileStoreConfig::apply_threads`] is a *lane* — a FIFO and the
+//! instant its last planned transaction completes — and no thread stands
+//! in for it. A transaction is sharded to a lane by its first object (so
+//! applies to one object stay in queue order) and is *planned* once the
+//! lane is free: its state changes land in [`SimFs`], the KV memtable and
+//! the metadata cache at once, and its device requests are reserved one
+//! after the other, each from the completion of the one before (data,
+//! xattr and hint writes, metadata reads, the KV log writes it triggers),
+//! starting at `max(lane free-at, time queued)`. Its callback gets the
+//! instant the last of them completes, which the caller carries on; its
+//! throttle permit is released at that instant.
+//!
+//! Planning is done by whichever thread next touches the filestore — the
+//! one queueing a transaction, [`FileStore::apply_sync`],
+//! [`FileStore::wait_idle`] — and, for the tail nobody else gets to, by one
+//! *backstop* thread that sleeps until the earliest lane with queued work
+//! falls free, and sleeps untimed while none has any. A lane is planned no
+//! earlier than it is free, so a backlog waits in the FIFO, not on the
+//! device's channels; and because the start instant is fixed by the lane
+//! and the queue time, planning late moves no modeled time.
 
 use crate::metacache::{MetaCache, ObjectMeta};
 use crate::simfs::{PlannedRead, SimFs};
-use crate::throttle::Throttle;
+use crate::throttle::{OwnedPermit, Throttle};
 use crate::txn::{Transaction, TxOp};
 use afc_common::faults::{FaultKind, FaultRegistry};
-use afc_common::lockdep;
+use afc_common::lockdep::{self, classes, TrackedCondvar, TrackedMutex};
 use afc_common::metrics::{Counter, Metrics};
-use afc_common::{AfcError, Result};
+use afc_common::timeutil::sleep_until;
+use afc_common::{wait_until, AfcError, Result};
 use afc_device::BlockDev;
 use afc_kvstore::{Db, DbConfig, WriteBatch, WriteOptions};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::collections::HashSet;
+use crossbeam::channel::RecvTimeoutError;
+use std::collections::{HashSet, VecDeque};
 use std::sync::{Arc, OnceLock};
-
-/// Late-bound fault hookup shared between the store and its apply workers.
-/// Workers are spawned in `new()` before any registry can be attached, so
-/// the handle is a `OnceLock` they all observe once `attach_faults` runs.
-type FaultHandle = Arc<OnceLock<(Arc<FaultRegistry>, String)>>;
+use std::time::{Duration, Instant};
 
 /// Transaction execution profile (§3.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,10 +56,12 @@ pub enum TxnProfile {
 pub struct FileStoreConfig {
     /// Execution profile.
     pub profile: TxnProfile,
-    /// `filestore_queue_max_ops`: in-flight transaction cap. The community
-    /// default (50) is sized for HDDs; §3.2 retunes it for flash.
+    /// `filestore_queue_max_ops`: in-flight transaction cap — queued, or
+    /// planned with a completion still ahead. The community default (50) is
+    /// sized for HDDs; §3.2 retunes it for flash.
     pub queue_max_ops: u64,
-    /// Apply worker threads.
+    /// `filestore_op_threads`: apply lanes. Each applies one transaction
+    /// at a time, in modeled time; no thread runs per lane.
     pub apply_threads: usize,
     /// Metadata cache capacity (objects); only consulted in `Lightweight`.
     pub meta_cache_entries: usize,
@@ -73,47 +95,94 @@ impl FileStoreConfig {
     }
 }
 
-/// Completion callback for an applied transaction.
-pub type ApplyFn = Box<dyn FnOnce(Result<()>) + Send>;
+/// Completion callback for a queued transaction: `Ok(at)` once it is
+/// applied, with the instant its last device request completes (often
+/// still ahead), or the error it failed with. Runs on whichever thread
+/// planned it.
+pub type ApplyFn = Box<dyn FnOnce(Result<Instant>) + Send>;
 
 struct Job {
     txn: Transaction,
     done: ApplyFn,
+    /// The throttle slot, released at the transaction's completion.
+    permit: OwnedPermit,
+    queued_at: Instant,
+    /// The `apply` fault point has been consulted for this job.
+    checked: bool,
+}
+
+struct Lane {
+    /// When the lane's latest planned transaction completes.
+    free_at: Instant,
+    /// A thread is planning the lane's head.
+    planning: bool,
+    queue: VecDeque<Job>,
+}
+
+impl Lane {
+    /// Its head may be planned now.
+    fn ready(&self, now: Instant) -> bool {
+        !self.planning && self.free_at <= now && !self.queue.is_empty()
+    }
+
+    /// When someone must next plan this lane: its free-at, if work waits
+    /// behind it and nobody is planning it already.
+    fn due(&self) -> Option<Instant> {
+        (!self.planning && !self.queue.is_empty()).then_some(self.free_at)
+    }
+}
+
+/// What the backstop is doing, so a planner knows whether to wake it.
+#[derive(Clone, Copy)]
+enum Backstop {
+    /// Awake: it looks at the lanes before it sleeps again.
+    Running,
+    /// Asleep untimed: no lane had queued work.
+    Parked,
+    /// Asleep until this instant.
+    Until(Instant),
+}
+
+struct Lanes {
+    lanes: Vec<Lane>,
+    backstop: Backstop,
+    closed: bool,
+}
+
+impl Lanes {
+    fn next_due(&self) -> Option<Instant> {
+        self.lanes.iter().filter_map(Lane::due).min()
+    }
+
+    fn idle(&self) -> bool {
+        self.lanes.iter().all(|l| !l.planning && l.queue.is_empty())
+    }
 }
 
 /// The object store backend. One per OSD, over that OSD's RAID-0 device
 /// (shared with its KV DB, so metadata reads genuinely interfere with data
 /// writes on the flash model).
 pub struct FileStore {
+    core: Arc<Core>,
+    backstop: Option<std::thread::JoinHandle<()>>,
+}
+
+/// Everything the apply path needs, shared with the backstop thread.
+struct Core {
     cfg: FileStoreConfig,
     fs: Arc<SimFs>,
     kv: Arc<Db>,
     throttle: Arc<Throttle>,
     cache: Arc<MetaCache>,
-    /// One queue per apply worker; transactions are sharded by object so
-    /// applies to the same object stay ordered (Ceph's per-PG op
-    /// sequencer).
-    shards: Vec<Sender<Job>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    faults: FaultHandle,
+    faults: OnceLock<(Arc<FaultRegistry>, String)>,
+    lanes: TrackedMutex<Lanes>,
+    /// The backstop sleeps on it.
+    cv: TrackedCondvar,
     txns_applied: Counter,
     data_bytes: Counter,
     meta_reads: Counter,
     hints_skipped: Counter,
     apply_errors: Counter,
-}
-
-/// Everything the apply path needs, shared with worker threads.
-struct ApplyCtx {
-    cfg: FileStoreConfig,
-    fs: Arc<SimFs>,
-    kv: Arc<Db>,
-    cache: Arc<MetaCache>,
-    faults: FaultHandle,
-    txns_applied: Counter,
-    data_bytes: Counter,
-    meta_reads: Counter,
-    hints_skipped: Counter,
 }
 
 fn meta_key(object: &str) -> Bytes {
@@ -157,73 +226,60 @@ impl FileStore {
     pub fn new(dev: Arc<dyn BlockDev>, cfg: FileStoreConfig) -> Result<Arc<Self>> {
         let fs = Arc::new(SimFs::new(Arc::clone(&dev)));
         let kv = Arc::new(Db::open(dev, cfg.kv.clone())?);
-        let throttle = Arc::new(Throttle::new("filestore_queue_max_ops", cfg.queue_max_ops));
-        let cache = Arc::new(MetaCache::new(cfg.meta_cache_entries.max(1)));
-        let faults: FaultHandle = Arc::new(OnceLock::new());
-        let txns_applied = Counter::new();
-        let data_bytes = Counter::new();
-        let meta_reads = Counter::new();
-        let hints_skipped = Counter::new();
-        let apply_errors = Counter::new();
-        let mut workers = Vec::new();
-        let mut shards = Vec::new();
-        for i in 0..cfg.apply_threads.max(1) {
-            let (tx, rx): (Sender<Job>, Receiver<Job>) = unbounded();
-            shards.push(tx);
-            let ctx = ApplyCtx {
-                cfg: cfg.clone(),
-                fs: Arc::clone(&fs),
-                kv: Arc::clone(&kv),
-                cache: Arc::clone(&cache),
-                faults: Arc::clone(&faults),
-                txns_applied: txns_applied.clone(),
-                data_bytes: data_bytes.clone(),
-                meta_reads: meta_reads.clone(),
-                hints_skipped: hints_skipped.clone(),
-            };
-            let errs = apply_errors.clone();
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("fs-apply-{i}"))
-                    .spawn(move || {
-                        while let Ok(job) = rx.recv() {
-                            let res = apply_txn(&ctx, job.txn);
-                            if res.is_err() {
-                                errs.inc();
-                            }
-                            (job.done)(res);
-                        }
-                    })
-                    .map_err(|e| AfcError::Io(format!("spawn apply worker: {e}")))?,
-            );
-        }
-        Ok(Arc::new(FileStore {
+        let now = Instant::now();
+        let lanes = (0..cfg.apply_threads.max(1))
+            .map(|_| Lane {
+                free_at: now,
+                planning: false,
+                queue: VecDeque::new(),
+            })
+            .collect();
+        let core = Arc::new(Core {
+            throttle: Arc::new(Throttle::new("filestore_queue_max_ops", cfg.queue_max_ops)),
+            cache: Arc::new(MetaCache::new(cfg.meta_cache_entries.max(1))),
             cfg,
             fs,
             kv,
-            throttle,
-            cache,
-            shards,
-            workers,
-            faults,
-            txns_applied,
-            data_bytes,
-            meta_reads,
-            hints_skipped,
-            apply_errors,
+            faults: OnceLock::new(),
+            lanes: TrackedMutex::new(
+                &classes::FS_LANES,
+                Lanes {
+                    lanes,
+                    backstop: Backstop::Running,
+                    closed: false,
+                },
+            ),
+            cv: TrackedCondvar::new(),
+            txns_applied: Counter::new(),
+            data_bytes: Counter::new(),
+            meta_reads: Counter::new(),
+            hints_skipped: Counter::new(),
+            apply_errors: Counter::new(),
+        });
+        let backstop = {
+            let core = Arc::clone(&core);
+            std::thread::Builder::new()
+                .name("fs-backstop".into())
+                .spawn(move || core.backstop())
+                .map_err(|e| AfcError::Io(format!("spawn filestore backstop: {e}")))?
+        };
+        Ok(Arc::new(FileStore {
+            core,
+            backstop: Some(backstop),
         }))
     }
 
     /// Wire a fault registry into the apply path. `site` is the base name;
-    /// the workers consult `{site}.apply` (fail the whole transaction up
-    /// front) and `{site}.mid_apply` (fail between ops, leaving a partial
-    /// apply behind for recovery to clean up). First attach wins.
+    /// the apply consults `{site}.apply` (fail the whole transaction up
+    /// front, or hold its lane for a `Delay`) and `{site}.mid_apply` (fail
+    /// between ops, leaving a partial apply behind for recovery to clean
+    /// up, or add a `Delay` to the chain). First attach wins.
     pub fn attach_faults(&self, registry: Arc<FaultRegistry>, site: impl Into<String>) {
         #[expect(
             clippy::let_underscore_must_use,
             reason = "first attach wins: a second registry is ignored"
         )]
-        let _ = self.faults.set((registry, site.into()));
+        let _ = self.core.faults.set((registry, site.into()));
     }
 
     /// Simulate power loss on the backing store: volatile KV state (open
@@ -233,36 +289,46 @@ impl FileStore {
     /// lost KV records described. Returns the number of WAL records the KV
     /// recovery replayed.
     pub fn crash_volatile(&self) -> Result<usize> {
-        self.cache.clear();
-        self.kv.crash_and_recover()
+        self.core.cache.clear();
+        self.core.kv.crash_and_recover()
     }
 
-    /// Queue a transaction for application. Blocks on the filestore
-    /// throttle when `queue_max_ops` transactions are in flight — the
-    /// §2.4/Figure 4 backpressure point. `done` runs on an apply worker.
+    /// Queue a transaction for application on its lane. Blocks on the
+    /// filestore throttle when `queue_max_ops` transactions are in flight —
+    /// the §2.4/Figure 4 backpressure point — until the earliest of them
+    /// completes; never for the device. `done` runs on whichever thread
+    /// plans the transaction: often this one, right here.
     pub fn queue_transaction(&self, txn: Transaction, done: ApplyFn) -> Result<()> {
         // Blocks on the filestore queue throttle when the apply backlog is
         // at `filestore_queue_max_ops` (the §3.2 stall this crate models).
         lockdep::assert_blockable("filestore queue_transaction");
-        let permit = self.throttle.acquire_owned(1)?;
-        let done: ApplyFn = Box::new(move |r| {
-            drop(permit);
-            done(r);
-        });
-        // Shard by the transaction's first object so same-object applies
-        // are ordered (one worker = one sequence).
-        let shard = match txn.ops().first() {
-            Some(op) => {
-                afc_common::rng::hash_bytes(op.object().as_bytes()) as usize % self.shards.len()
-            }
-            None => 0,
+        let core = &self.core;
+        let permit = core.throttle.acquire_owned(1)?;
+        let job = Job {
+            txn,
+            done,
+            permit,
+            queued_at: Instant::now(),
+            checked: false,
         };
-        self.shards[shard]
-            .send(Job { txn, done })
-            .map_err(|_| AfcError::ShutDown("filestore".into()))
+        {
+            let mut ls = core.lanes.lock();
+            // Shard by the transaction's first object so same-object
+            // applies stay in queue order (one lane = one sequence).
+            let lane = match job.txn.ops().first() {
+                Some(op) => {
+                    afc_common::rng::hash_bytes(op.object().as_bytes()) as usize % ls.lanes.len()
+                }
+                None => 0,
+            };
+            ls.lanes[lane].queue.push_back(job);
+        }
+        core.pump();
+        Ok(())
     }
 
-    /// Queue and wait for application (tests, recovery replay).
+    /// Queue, wait until applied and wait out its completion (tests,
+    /// recovery replay). Plans the lanes itself while it waits.
     pub fn apply_sync(&self, txn: Transaction) -> Result<()> {
         let (tx, rx) = crossbeam::channel::bounded(1);
         self.queue_transaction(
@@ -275,24 +341,38 @@ impl FileStore {
                 let _ = tx.send(r);
             }),
         )?;
-        rx.recv()
-            .map_err(|_| AfcError::ShutDown("filestore".into()))?
+        let at = loop {
+            let next = self.core.lanes.lock().next_due();
+            let wait = next.map_or(Duration::from_millis(1), |t| {
+                t.saturating_duration_since(Instant::now())
+            });
+            match rx.recv_timeout(wait) {
+                Ok(r) => break r?,
+                Err(RecvTimeoutError::Timeout) => self.core.pump(),
+                Err(RecvTimeoutError::Disconnected) => {
+                    return Err(AfcError::ShutDown("filestore".into()))
+                }
+            }
+        };
+        wait_until(self.core.fs.wait_class(), at);
+        Ok(())
     }
 
     /// Read object data: the bytes now, the device read planned (see
     /// [`PlannedRead`]).
     pub fn read(&self, object: &str, offset: u64, len: usize) -> Result<PlannedRead> {
-        self.fs.read(object, offset, len)
+        self.core.fs.read(object, offset, len)
     }
 
     /// Object metadata via cache → KV → `NotFound`.
     pub fn stat(&self, object: &str) -> Result<ObjectMeta> {
-        if self.cfg.profile == TxnProfile::Lightweight {
-            if let Some(m) = self.cache.get(object) {
+        let core = &self.core;
+        if core.cfg.profile == TxnProfile::Lightweight {
+            if let Some(m) = core.cache.get(object) {
                 return Ok(m);
             }
         }
-        match self.kv.get(&meta_key(object))? {
+        match core.kv.get(&meta_key(object))? {
             Some(v) => {
                 decode_meta(&v).ok_or_else(|| AfcError::Corruption(format!("meta {object}")))
             }
@@ -302,18 +382,18 @@ impl FileStore {
 
     /// Whether the object exists.
     pub fn exists(&self, object: &str) -> bool {
-        self.fs.exists(object)
+        self.core.fs.exists(object)
     }
 
     /// Read one omap value.
     pub fn omap_get(&self, object: &str, key: &[u8]) -> Result<Option<Bytes>> {
-        self.kv.get(&omap_key(object, key))
+        self.core.kv.get(&omap_key(object, key))
     }
 
     /// All omap pairs of an object (key order).
     pub fn omap_scan(&self, object: &str) -> Result<Vec<(Bytes, Bytes)>> {
         let prefix = omap_key(object, b"");
-        let items = self.kv.scan_prefix(&prefix)?;
+        let items = self.core.kv.scan_prefix(&prefix)?;
         Ok(items
             .into_iter()
             .map(|(k, v)| (Bytes::copy_from_slice(&k[prefix.len()..]), v))
@@ -321,46 +401,65 @@ impl FileStore {
     }
 
     /// Read an object xattr (filesystem first, then the KV store where the
-    /// light-weight path keeps attrs).
+    /// light-weight path keeps attrs). Waits for the device read it takes.
     pub fn getattr(&self, object: &str, name: &str) -> Result<Option<Bytes>> {
-        if self.cfg.profile == TxnProfile::Lightweight {
-            if let Some(v) = self.kv.get(&attr_key(object, name))? {
+        let core = &self.core;
+        if core.cfg.profile == TxnProfile::Lightweight {
+            if let Some(v) = core.kv.get(&attr_key(object, name))? {
                 return Ok(Some(v));
             }
-            if !self.fs.exists(object) {
+            if !core.fs.exists(object) {
                 return Err(AfcError::NotFound(format!("object {object}")));
             }
             return Ok(None);
         }
-        self.fs.getxattr(object, name)
+        let mut at = Instant::now();
+        let v = core.fs.getxattr(object, name, &mut at)?;
+        wait_until(core.fs.wait_class(), at);
+        Ok(v)
     }
 
     /// List every object (recovery/scrub).
     pub fn list_objects(&self) -> Vec<String> {
-        self.fs.list()
+        self.core.fs.list()
     }
 
-    /// In-flight (queued + applying) transactions.
+    /// In-flight transactions: queued, or planned with a completion still
+    /// ahead.
     pub fn queue_len(&self) -> u64 {
-        self.throttle.in_use()
+        self.core.throttle.in_use()
     }
 
-    /// Block until the apply queue drains (test/bench helper).
+    /// Plan every queued transaction as its lane falls free and wait out
+    /// the last lane's completion (test/bench helper).
     pub fn wait_idle(&self) {
-        while self.throttle.in_use() > 0 {
-            std::thread::sleep(std::time::Duration::from_micros(200));
+        loop {
+            self.core.pump();
+            let (idle, next, last) = {
+                let ls = self.core.lanes.lock();
+                let last = ls.lanes.iter().map(|l| l.free_at).max();
+                (ls.idle(), ls.next_due(), last)
+            };
+            if idle {
+                if let Some(last) = last {
+                    sleep_until(last);
+                }
+                return;
+            }
+            // Work queued behind a busy lane, or another thread planning.
+            sleep_until(next.unwrap_or_else(|| Instant::now() + Duration::from_micros(50)));
         }
     }
 
     /// Retune the throttle at runtime (§3.2 system tuning).
     pub fn set_queue_max_ops(&self, max: u64) {
-        self.throttle.set_max(max);
+        self.core.throttle.set_max(max);
     }
 
     /// Filestore `sync_entry`: force buffered KV state durable (WAL sync +
     /// memtable flush). Benchmarks call this before reading WA counters.
     pub fn sync(&self) -> Result<()> {
-        self.kv.flush()
+        self.core.kv.flush()
     }
 
     /// Register the filestore's counters into a cluster metric registry:
@@ -368,50 +467,52 @@ impl FileStore {
     /// syscall counts under `<prefix>.<field>` (e.g. `osd0.fs.txns_applied`,
     /// `osd0.fs.throttle.waits`, `osd0.fs.cache_hits`, `osd0.fs.sys.open`).
     pub fn register_metrics(&self, m: &Metrics, prefix: &str) {
+        let core = &self.core;
         let fields: [(&str, &Counter); 5] = [
-            ("txns_applied", &self.txns_applied),
-            ("data_bytes", &self.data_bytes),
-            ("meta_reads", &self.meta_reads),
-            ("hints_skipped", &self.hints_skipped),
-            ("apply_errors", &self.apply_errors),
+            ("txns_applied", &core.txns_applied),
+            ("data_bytes", &core.data_bytes),
+            ("meta_reads", &core.meta_reads),
+            ("hints_skipped", &core.hints_skipped),
+            ("apply_errors", &core.apply_errors),
         ];
         for (name, cell) in fields {
             m.register_counter(format!("{prefix}.{name}"), cell);
         }
-        self.throttle
+        core.throttle
             .register_into(m, &format!("{prefix}.throttle"));
-        self.cache.register_into(m, prefix);
-        self.fs.register_into(m, prefix);
+        core.cache.register_into(m, prefix);
+        core.fs.register_into(m, prefix);
     }
 
     /// Register the backing KV database's counters under `<kv_prefix>`
     /// (e.g. `osd0.kv.wal_bytes`); kept separate from the filestore's own
     /// prefix because write amplification is a KV-level measure.
     pub fn register_kv_metrics(&self, m: &Metrics, kv_prefix: &str) {
-        self.kv.register_metrics(m, kv_prefix);
+        self.core.kv.register_metrics(m, kv_prefix);
     }
 
     /// The simulated filesystem.
     pub fn fs(&self) -> &Arc<SimFs> {
-        &self.fs
+        &self.core.fs
     }
 
     /// The configured profile.
     pub fn profile(&self) -> TxnProfile {
-        self.cfg.profile
+        self.core.cfg.profile
     }
 }
 
 impl Drop for FileStore {
     fn drop(&mut self) {
-        self.throttle.close();
-        // Closing the channels stops the workers once drained.
-        self.shards.clear();
-        for h in self.workers.drain(..) {
+        self.core.throttle.close();
+        // The backstop plans what is still queued, then exits.
+        self.core.lanes.lock().closed = true;
+        self.core.cv.notify_all();
+        if let Some(h) = self.backstop.take() {
             if h.thread().id() != std::thread::current().id() {
                 #[expect(
                     clippy::let_underscore_must_use,
-                    reason = "a worker that panicked has already reported it; drop goes on"
+                    reason = "a backstop that panicked has already reported it; drop goes on"
                 )]
                 let _ = h.join();
             }
@@ -419,91 +520,223 @@ impl Drop for FileStore {
     }
 }
 
-/// Consult the attached fault registry (if any) at `{base}.{point}`.
-/// `Error` and `Torn` both fail the apply; `Delay` stalls the worker;
-/// `Drop`/`Duplicate` have no meaning here and are ignored.
-fn check_apply_fault(ctx: &ApplyCtx, point: &str) -> Result<()> {
-    let Some((reg, site)) = ctx.faults.get() else {
-        return Ok(());
-    };
-    match reg.check_io(site, point) {
-        None | Some(FaultKind::Drop) | Some(FaultKind::Duplicate) => Ok(()),
-        Some(FaultKind::Delay(d)) => {
-            std::thread::sleep(d);
-            Ok(())
+/// What an armed fault point asks of the apply.
+enum Fault {
+    None,
+    Delay(Duration),
+    Fail(AfcError),
+}
+
+impl Core {
+    /// Plan every lane whose head can start by now, until none can; then
+    /// make sure the backstop wakes for the earliest one that will.
+    fn pump(&self) {
+        loop {
+            let now = Instant::now();
+            let (lane, job, free_at) = {
+                let mut ls = self.lanes.lock();
+                let Some(i) = ls.lanes.iter().position(|l| l.ready(now)) else {
+                    self.nudge_backstop(&ls);
+                    return;
+                };
+                let l = &mut ls.lanes[i];
+                let Some(job) = l.queue.pop_front() else {
+                    continue;
+                };
+                l.planning = true;
+                (i, job, l.free_at)
+            };
+            self.plan(lane, job, free_at);
         }
-        Some(FaultKind::Error) | Some(FaultKind::Torn) => Err(AfcError::Io(format!(
-            "injected apply fault at {site}.{point}"
-        ))),
+    }
+
+    /// Wake the backstop if a lane falls due before it would look.
+    fn nudge_backstop(&self, ls: &Lanes) {
+        let Some(due) = ls.next_due() else {
+            return;
+        };
+        let late = match ls.backstop {
+            Backstop::Running => false,
+            Backstop::Parked => true,
+            Backstop::Until(wake) => due < wake,
+        };
+        if late {
+            self.cv.notify_one();
+        }
+    }
+
+    /// Apply `job`, the head of `lane`, from `max(free_at, queued)`: the
+    /// lane is free from the completion on, the throttle slot is released
+    /// then, and the callback gets it. A `Delay` at the `apply` point
+    /// holds the lane that long with the job still at its head.
+    fn plan(&self, lane: usize, mut job: Job, free_at: Instant) {
+        let start = free_at.max(job.queued_at);
+        let mut at = start;
+        // The `apply` point is consulted once per job, however often the
+        // job comes back to the head of its lane.
+        let fault = if std::mem::replace(&mut job.checked, true) {
+            Fault::None
+        } else {
+            self.check_fault("apply")
+        };
+        let res = match fault {
+            Fault::None => apply_txn(self, job.txn, &mut at),
+            Fault::Fail(e) => Err(e),
+            Fault::Delay(d) => {
+                let mut ls = self.lanes.lock();
+                let l = &mut ls.lanes[lane];
+                l.planning = false;
+                l.free_at = start + d;
+                l.queue.push_front(job);
+                return;
+            }
+        };
+        {
+            let mut ls = self.lanes.lock();
+            let l = &mut ls.lanes[lane];
+            l.planning = false;
+            l.free_at = at;
+        }
+        job.permit.release_at(at);
+        if res.is_err() {
+            self.apply_errors.inc();
+        }
+        (job.done)(res.map(|()| at));
+    }
+
+    /// The backstop: plan lanes nobody else gets to as they fall free;
+    /// asleep untimed while no lane has queued work. Exits once closed and
+    /// drained.
+    fn backstop(&self) {
+        let mut ls = self.lanes.lock();
+        loop {
+            let now = Instant::now();
+            if ls.lanes.iter().any(|l| l.ready(now)) {
+                ls.backstop = Backstop::Running;
+                drop(ls);
+                self.pump();
+                ls = self.lanes.lock();
+                continue;
+            }
+            if ls.closed && ls.lanes.iter().all(|l| l.queue.is_empty()) {
+                return;
+            }
+            match ls.next_due() {
+                None => {
+                    ls.backstop = Backstop::Parked;
+                    self.cv.wait(&mut ls);
+                }
+                Some(due) => {
+                    ls.backstop = Backstop::Until(due);
+                    // Woken early or at `due`, it looks again either way.
+                    let _timed_out = self.cv.wait_until(&mut ls, due);
+                }
+            }
+            ls.backstop = Backstop::Running;
+        }
+    }
+
+    /// Consult the attached fault registry (if any) at `{base}.{point}`.
+    /// `Error` and `Torn` both fail the apply; `Delay` is modeled time
+    /// added to the lane; `Drop`/`Duplicate` have no meaning here and are
+    /// ignored.
+    fn check_fault(&self, point: &str) -> Fault {
+        let Some((reg, site)) = self.faults.get() else {
+            return Fault::None;
+        };
+        match reg.check_io(site, point) {
+            None | Some(FaultKind::Drop) | Some(FaultKind::Duplicate) => Fault::None,
+            Some(FaultKind::Delay(d)) => Fault::Delay(d),
+            Some(FaultKind::Error) | Some(FaultKind::Torn) => Fault::Fail(AfcError::Io(format!(
+                "injected apply fault at {site}.{point}"
+            ))),
+        }
     }
 }
 
-fn apply_txn(ctx: &ApplyCtx, txn: Transaction) -> Result<()> {
-    // Fail before any op touches state: the clean "apply never started"
-    // fault. Recovery just re-applies the journaled transaction.
-    check_apply_fault(ctx, "apply")?;
-    let lightweight = ctx.cfg.profile == TxnProfile::Lightweight;
+/// One KV commit of a single put (Community's per-key commit), as a step
+/// of the apply's chain.
+fn kv_put(core: &Core, key: Bytes, value: Bytes, at: &mut Instant) -> Result<()> {
+    let mut b = WriteBatch::new();
+    b.put(key, value);
+    core.kv.write_batch_at(&b, WriteOptions::async_(), at)
+}
+
+/// One KV commit of a single delete, as a step of the apply's chain.
+fn kv_delete(core: &Core, key: Bytes, at: &mut Instant) -> Result<()> {
+    let mut b = WriteBatch::new();
+    b.delete(key);
+    core.kv.write_batch_at(&b, WriteOptions::async_(), at)
+}
+
+/// Apply `txn` from `at`: every device request is planned from the
+/// completion of the one before, and `at` ends at the last completion (or
+/// where the apply failed).
+fn apply_txn(core: &Core, txn: Transaction, at: &mut Instant) -> Result<()> {
+    let lightweight = core.cfg.profile == TxnProfile::Lightweight;
     let txn = if lightweight { txn.dedup() } else { txn };
     // LWT: FD cache (first open wins) and one KV batch for the whole txn.
     let mut opened: HashSet<String> = HashSet::new();
     let mut batch = WriteBatch::new();
-    let small_txn = txn.data_bytes() < ctx.cfg.small_write_threshold;
+    let small_txn = txn.data_bytes() < core.cfg.small_write_threshold;
     for (ops_done, op) in txn.ops().iter().enumerate() {
         if ops_done > 0 {
             // The dirty fault: some ops already hit the store. Surfaced so
             // the caller keeps the journal entry and re-applies after
             // recovery (applies are idempotent by construction).
-            check_apply_fault(ctx, "mid_apply")?;
+            match core.check_fault("mid_apply") {
+                Fault::None => {}
+                Fault::Delay(d) => *at += d,
+                Fault::Fail(e) => return Err(e),
+            }
         }
         match op {
             TxOp::Touch { object } => {
-                ensure_open(ctx, &mut opened, object, lightweight)?;
+                ensure_open(core, &mut opened, object, lightweight)?;
             }
             TxOp::Write {
                 object,
                 offset,
                 data,
             } => {
-                ensure_open(ctx, &mut opened, object, lightweight)?;
+                ensure_open(core, &mut opened, object, lightweight)?;
                 // Metadata read-modify-write (community) or cache (LWT).
-                let mut meta = read_meta_for_write(ctx, object, lightweight)?;
-                ctx.fs.write(object, *offset, data)?;
-                ctx.data_bytes.add(data.len() as u64);
+                let mut meta = read_meta_for_write(core, object, lightweight, at)?;
+                core.fs.write(object, *offset, data, at)?;
+                core.data_bytes.add(data.len() as u64);
                 meta.size = meta.size.max(offset + data.len() as u64);
                 meta.version += 1;
                 let encoded = encode_meta(&meta);
                 if lightweight {
                     batch.put(meta_key(object), encoded);
-                    ctx.cache.put(object, meta);
+                    core.cache.put(object, meta);
                 } else {
                     // Separate synchronous-ish KV commit + xattr write.
-                    ctx.kv
-                        .put(meta_key(object), encoded.clone(), WriteOptions::async_())?;
-                    ctx.fs.setxattr(object, "_", encoded)?;
+                    kv_put(core, meta_key(object), encoded.clone(), at)?;
+                    core.fs.setxattr(object, "_", encoded, at)?;
                 }
             }
             TxOp::Truncate { object, size } => {
-                ensure_open(ctx, &mut opened, object, lightweight)?;
-                ctx.fs.truncate(object, *size)?;
-                let mut meta = read_meta_for_write(ctx, object, lightweight)?;
+                ensure_open(core, &mut opened, object, lightweight)?;
+                core.fs.truncate(object, *size)?;
+                let mut meta = read_meta_for_write(core, object, lightweight, at)?;
                 meta.size = *size;
                 meta.version += 1;
                 let encoded = encode_meta(&meta);
                 if lightweight {
                     batch.put(meta_key(object), encoded);
-                    ctx.cache.put(object, meta);
+                    core.cache.put(object, meta);
                 } else {
-                    ctx.kv
-                        .put(meta_key(object), encoded, WriteOptions::async_())?;
+                    kv_put(core, meta_key(object), encoded, at)?;
                 }
             }
             TxOp::Remove { object } => {
-                ctx.fs.unlink(object)?;
-                ctx.cache.invalidate(object);
+                core.fs.unlink(object)?;
+                core.cache.invalidate(object);
                 if lightweight {
                     batch.delete(meta_key(object));
                 } else {
-                    ctx.kv.delete(meta_key(object), WriteOptions::async_())?;
+                    kv_delete(core, meta_key(object), at)?;
                 }
             }
             TxOp::SetAttrs { object, attrs } => {
@@ -514,9 +747,9 @@ fn apply_txn(ctx: &ApplyCtx, txn: Transaction) -> Result<()> {
                         batch.put(attr_key(object, name), value.clone());
                     }
                 } else {
-                    ensure_open(ctx, &mut opened, object, lightweight)?;
+                    ensure_open(core, &mut opened, object, lightweight)?;
                     for (name, value) in attrs {
-                        ctx.fs.setxattr(object, name, value.clone())?;
+                        core.fs.setxattr(object, name, value.clone(), at)?;
                     }
                 }
             }
@@ -528,8 +761,7 @@ fn apply_txn(ctx: &ApplyCtx, txn: Transaction) -> Result<()> {
                 } else {
                     // One KV commit per key — the pre-batching behaviour.
                     for (k, v) in keys {
-                        ctx.kv
-                            .put(omap_key(object, k), v.clone(), WriteOptions::async_())?;
+                        kv_put(core, omap_key(object, k), v.clone(), at)?;
                     }
                 }
             }
@@ -540,62 +772,70 @@ fn apply_txn(ctx: &ApplyCtx, txn: Transaction) -> Result<()> {
                     }
                 } else {
                     for k in keys {
-                        ctx.kv.delete(omap_key(object, k), WriteOptions::async_())?;
+                        kv_delete(core, omap_key(object, k), at)?;
                     }
                 }
             }
             TxOp::SetAllocHint { object } => {
                 if lightweight && small_txn {
-                    ctx.hints_skipped.inc();
+                    core.hints_skipped.inc();
                 } else {
-                    ensure_open(ctx, &mut opened, object, lightweight)?;
-                    ctx.fs.fallocate_hint(object)?;
+                    ensure_open(core, &mut opened, object, lightweight)?;
+                    core.fs.fallocate_hint(object, at)?;
                 }
             }
         }
     }
     if !batch.is_empty() {
-        ctx.kv.write_batch(&batch, WriteOptions::async_())?;
+        core.kv.write_batch_at(&batch, WriteOptions::async_(), at)?;
     }
-    ctx.txns_applied.inc();
+    core.txns_applied.inc();
     Ok(())
 }
 
 fn ensure_open(
-    ctx: &ApplyCtx,
+    core: &Core,
     opened: &mut HashSet<String>,
     object: &str,
     lightweight: bool,
 ) -> Result<()> {
     if lightweight {
         if opened.insert(object.to_string()) {
-            ctx.fs.open_create(object)?;
+            core.fs.open_create(object)?;
         }
         Ok(())
     } else {
         // Community path re-opens for every op.
-        ctx.fs.open_create(object)
+        core.fs.open_create(object)
     }
 }
 
 /// The §3.4 metadata read: community always reads meta back from storage
 /// (KV probe + xattr fetch → device reads → flash read/write interference);
 /// LWT consults the write-through cache and only reads on a cold miss.
-fn read_meta_for_write(ctx: &ApplyCtx, object: &str, lightweight: bool) -> Result<ObjectMeta> {
+fn read_meta_for_write(
+    core: &Core,
+    object: &str,
+    lightweight: bool,
+    at: &mut Instant,
+) -> Result<ObjectMeta> {
     if lightweight {
-        if let Some(m) = ctx.cache.get(object) {
+        if let Some(m) = core.cache.get(object) {
             return Ok(m);
         }
     }
-    ctx.meta_reads.inc();
-    let from_kv = ctx.kv.get(&meta_key(object))?.and_then(|v| decode_meta(&v));
+    core.meta_reads.inc();
+    let from_kv = core
+        .kv
+        .get_at(&meta_key(object), at)?
+        .and_then(|v| decode_meta(&v));
     if !lightweight {
         // xattr fetch (device read) — part of the community RMW.
-        let _ = ctx.fs.getxattr(object, "_")?;
+        let _ = core.fs.getxattr(object, "_", at)?;
     }
     let meta = from_kv.unwrap_or_default();
     if lightweight {
-        ctx.cache.put(object, meta.clone());
+        core.cache.put(object, meta.clone());
     }
     Ok(meta)
 }
@@ -651,7 +891,7 @@ mod tests {
             100
         );
         assert!(fs.getattr("obj", "snapset").unwrap().is_some());
-        assert_eq!(fs.txns_applied.get(), 1);
+        assert_eq!(fs.core.txns_applied.get(), 1);
     }
 
     #[test]
@@ -660,7 +900,11 @@ mod tests {
         fs.apply_sync(write_txn("obj", 4096, true)).unwrap();
         assert_eq!(fs.read("obj", 0, 4096).unwrap().data, vec![7u8; 4096]);
         assert_eq!(fs.stat("obj").unwrap().size, 4096);
-        assert_eq!(fs.hints_skipped.get(), 1, "small-write hint not skipped");
+        assert_eq!(
+            fs.core.hints_skipped.get(),
+            1,
+            "small-write hint not skipped"
+        );
         assert!(!fs.fs().alloc_hint("obj").unwrap());
     }
 
@@ -688,10 +932,10 @@ mod tests {
         let (sys_comm, sys_lwt) = (syscalls(&comm), syscalls(&lwt));
         assert!(sys_lwt * 2 < sys_comm, "lwt={sys_lwt} comm={sys_comm}");
         assert!(
-            lwt.kv.stats().commits.get() * 2 <= comm.kv.stats().commits.get(),
+            lwt.core.kv.stats().commits.get() * 2 <= comm.core.kv.stats().commits.get(),
             "lwt={} comm={}",
-            lwt.kv.stats().commits.get(),
-            comm.kv.stats().commits.get()
+            lwt.core.kv.stats().commits.get(),
+            comm.core.kv.stats().commits.get()
         );
     }
 
@@ -703,9 +947,9 @@ mod tests {
             comm.apply_sync(write_txn("obj", 4096, false)).unwrap();
             lwt.apply_sync(write_txn("obj", 4096, false)).unwrap();
         }
-        assert_eq!(comm.meta_reads.get(), 20);
-        assert_eq!(lwt.meta_reads.get(), 1, "only the cold miss");
-        assert!(lwt.cache.hits.get() >= 19);
+        assert_eq!(comm.core.meta_reads.get(), 20);
+        assert_eq!(lwt.core.meta_reads.get(), 1, "only the cold miss");
+        assert!(lwt.core.cache.hits.get() >= 19);
     }
 
     #[test]
@@ -781,13 +1025,15 @@ mod tests {
         for i in 0..12 {
             fs.queue_transaction(
                 write_txn(&format!("o{i}"), 32 * 1024, true),
-                Box::new(|r| r.unwrap()),
+                Box::new(|r| {
+                    r.unwrap();
+                }),
             )
             .unwrap();
         }
         fs.wait_idle();
-        assert!(fs.throttle.waits.get() > 0, "queue never filled");
-        assert_eq!(fs.txns_applied.get(), 12);
+        assert!(fs.core.throttle.waits.get() > 0, "queue never filled");
+        assert_eq!(fs.core.txns_applied.get(), 12);
     }
 
     #[test]
@@ -817,11 +1063,11 @@ mod tests {
         ));
         let err = fs.apply_sync(write_txn("o", 64, false)).unwrap_err();
         assert_eq!(err.kind(), "io");
-        assert_eq!(fs.apply_errors.get(), 1);
-        assert_eq!(fs.txns_applied.get(), 0);
+        assert_eq!(fs.core.apply_errors.get(), 1);
+        assert_eq!(fs.core.txns_applied.get(), 0);
         // One-shot spec is exhausted: the retry applies cleanly.
         fs.apply_sync(write_txn("o", 64, false)).unwrap();
-        assert_eq!(fs.txns_applied.get(), 1);
+        assert_eq!(fs.core.txns_applied.get(), 1);
         assert_eq!(reg.hits("fs0.apply"), 1);
     }
 

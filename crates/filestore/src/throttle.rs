@@ -7,18 +7,43 @@
 //! [`Throttle`] is a counting semaphore that records how often and how long
 //! acquirers block, so harnesses can show exactly where HDD-sized limits
 //! bite.
+//!
+//! A permit may be released *at an instant* ([`OwnedPermit::release_at`]):
+//! the filestore knows when a planned transaction completes without any
+//! thread waiting for it, and its slot stays taken until then. An acquirer
+//! that finds the throttle full waits for the earliest such instant — a
+//! modeled device wait on its own thread, not a wake-up from whoever
+//! finishes.
 
 use afc_common::lockdep::{self, classes, TrackedCondvar, TrackedMutex};
 use afc_common::metrics::{Counter, Metrics};
-use afc_common::{AfcError, Result};
+use afc_common::{wait_until, AfcError, Result, WaitClass};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 #[cfg(test)]
 use std::time::Duration;
 use std::time::Instant;
 
 struct State {
+    /// Units held, counting those whose release instant is still ahead.
     in_use: u64,
     max: u64,
     closed: bool,
+    /// Releases due at an instant: `(when, units)`, earliest first.
+    due: BinaryHeap<Reverse<(Instant, u64)>>,
+}
+
+impl State {
+    /// Give back every unit whose release instant has passed.
+    fn reap(&mut self, now: Instant) {
+        while let Some(&Reverse((at, count))) = self.due.peek() {
+            if at > now {
+                break;
+            }
+            self.due.pop();
+            self.in_use = self.in_use.saturating_sub(count);
+        }
+    }
 }
 
 /// A counting semaphore with wait accounting and a runtime-adjustable limit.
@@ -45,7 +70,26 @@ pub struct OwnedPermit {
 
 impl Drop for OwnedPermit {
     fn drop(&mut self) {
-        self.throttle.release(self.count);
+        if self.count > 0 {
+            self.throttle.release(self.count);
+        }
+    }
+}
+
+impl OwnedPermit {
+    /// Release the units at `at` instead of now: they stay taken, and an
+    /// acquirer that needs them waits until `at` (at once if it has
+    /// passed).
+    pub fn release_at(mut self, at: Instant) {
+        let count = std::mem::take(&mut self.count);
+        let mut st = self.throttle.state.lock();
+        if at <= Instant::now() {
+            st.in_use = st.in_use.saturating_sub(count);
+        } else {
+            st.due.push(Reverse((at, count)));
+        }
+        drop(st);
+        self.throttle.cv.notify_all();
     }
 }
 
@@ -61,6 +105,7 @@ impl Throttle {
                     in_use: 0,
                     max,
                     closed: false,
+                    due: BinaryHeap::new(),
                 },
             ),
             cv: TrackedCondvar::new(),
@@ -69,7 +114,9 @@ impl Throttle {
         }
     }
 
-    /// Acquire `count` units, blocking while over the limit.
+    /// Acquire `count` units, blocking while over the limit: until the
+    /// earliest release instant when one is due, else until a holder
+    /// releases.
     pub fn acquire(&self, count: u64) -> Result<Permit<'_>> {
         // May park until another holder releases; callers must not hold
         // any no-block lock class across this.
@@ -82,7 +129,11 @@ impl Throttle {
             )));
         }
         let mut waited: Option<Instant> = None;
-        while st.in_use + count > st.max {
+        loop {
+            st.reap(Instant::now());
+            if st.in_use + count <= st.max {
+                break;
+            }
             if st.closed {
                 return Err(AfcError::ShutDown(format!("throttle {}", self.name)));
             }
@@ -90,7 +141,14 @@ impl Throttle {
                 waited = Some(Instant::now());
                 self.waits.inc();
             }
-            self.cv.wait(&mut st);
+            match st.due.peek() {
+                Some(&Reverse((at, _))) => {
+                    drop(st);
+                    wait_until(WaitClass::Ssd, at);
+                    st = self.state.lock();
+                }
+                None => self.cv.wait(&mut st),
+            }
         }
         if st.closed {
             return Err(AfcError::ShutDown(format!("throttle {}", self.name)));
@@ -118,6 +176,7 @@ impl Throttle {
     /// Try to acquire without blocking.
     pub fn try_acquire(&self, count: u64) -> Option<Permit<'_>> {
         let mut st = self.state.lock();
+        st.reap(Instant::now());
         if st.closed || st.in_use + count > st.max {
             return None;
         }
@@ -148,9 +207,12 @@ impl Throttle {
         self.cv.notify_all();
     }
 
-    /// Units currently held.
+    /// Units currently held (a unit released at an instant still ahead
+    /// counts).
     pub fn in_use(&self) -> u64 {
-        self.state.lock().in_use
+        let mut st = self.state.lock();
+        st.reap(Instant::now());
+        st.in_use
     }
 
     /// Current limit.
@@ -204,6 +266,26 @@ mod tests {
         assert_eq!(t.waits.get(), 1);
         let wait_us = t.wait_us.get();
         assert!(wait_us >= 15_000, "wait_us={wait_us}");
+    }
+
+    /// A unit released at an instant stays taken until then, and the
+    /// acquirer that needs it waits it out, counted once — with no other
+    /// thread to wake it.
+    #[test]
+    fn release_at_an_instant_is_waited_out() {
+        let t = Arc::new(Throttle::new("test", 1));
+        let held = t.acquire_owned(1).unwrap();
+        let at = Instant::now() + Duration::from_millis(20);
+        held.release_at(at);
+        assert_eq!(t.in_use(), 1);
+        assert!(t.try_acquire(1).is_none());
+        let p = t.acquire(1).unwrap();
+        assert!(Instant::now() >= at, "acquired before the release instant");
+        assert_eq!(t.waits.get(), 1);
+        drop(p);
+        // An instant already past releases at once.
+        t.acquire_owned(1).unwrap().release_at(Instant::now());
+        assert_eq!(t.in_use(), 0);
     }
 
     #[test]

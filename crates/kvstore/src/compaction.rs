@@ -12,6 +12,7 @@ use crate::memtable::MemTable;
 use crate::sstable::{merge_runs, SsTable};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// A unit of background work.
 pub(crate) enum CompactionJob {
@@ -75,8 +76,11 @@ pub(crate) fn run(inner: Arc<Inner>) {
             CompactionJob::Compact(l0s, l1) => {
                 let read_bytes: u64 = l0s.iter().map(|t| t.bytes()).sum::<u64>()
                     + l1.as_ref().map(|t| t.bytes()).unwrap_or(0);
-                if inner.charge_table_read(read_bytes).is_err() {
-                    inner.stats.table_io_errors.inc();
+                let start = Instant::now();
+                let mut at = start;
+                match inner.charge_table_read(read_bytes, &mut at) {
+                    Ok(()) => inner.wait(start, at),
+                    Err(_) => inner.stats.table_io_errors.inc(),
                 }
                 // Newest first: L0 back-to-front, then L1.
                 let mut runs: Vec<&[_]> = l0s.iter().rev().map(|t| t.entries()).collect();

@@ -9,7 +9,7 @@ use crate::sstable::{merge_runs, SsTable};
 use crate::stats::DbStatsCell;
 use crate::wal::Wal;
 use crate::{Key, Value};
-use afc_common::{AfcError, Result, KIB, MIB};
+use afc_common::{wait_until, AfcError, Result, KIB, MIB};
 use afc_device::{BlockDev, IoReq, StreamId};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, VecDeque};
@@ -109,18 +109,27 @@ impl Inner {
         Ok(())
     }
 
-    /// Charge a device read of `bytes` in ≤1 MiB chunks.
-    pub(crate) fn charge_table_read(&self, bytes: u64) -> Result<()> {
+    /// Plan a device read of `bytes` in ≤1 MiB chunks, one after the
+    /// other from `at`, and move `at` to the last completion.
+    pub(crate) fn charge_table_read(&self, bytes: u64, at: &mut Instant) -> Result<()> {
         let region = self.dev.capacity().saturating_sub(self.data_base).max(MIB);
         let mut remaining = bytes;
         while remaining > 0 {
             let chunk = remaining.min(MIB);
             let off = self.data_cursor.load(Ordering::Relaxed) % (region - chunk).max(1);
-            self.dev
-                .submit(IoReq::read(self.data_base + off, chunk as u32))?;
+            let req = IoReq::read(self.data_base + off, chunk as u32);
+            *at = self.dev.plan_at(req, *at)?.completion;
             remaining -= chunk;
         }
         Ok(())
+    }
+
+    /// Wait out a chain planned from `start` to `at` (the blocking entry
+    /// points); no wait when it planned nothing.
+    pub(crate) fn wait(&self, start: Instant, at: Instant) {
+        if at > start {
+            wait_until(self.dev.wait_class(), at);
+        }
     }
 }
 
@@ -196,8 +205,26 @@ impl Db {
         Ok(())
     }
 
-    /// Commit a batch atomically.
+    /// Commit a batch atomically, waiting for any log write it triggers.
     pub fn write_batch(&self, batch: &WriteBatch, opts: WriteOptions) -> Result<()> {
+        let start = Instant::now();
+        let mut at = start;
+        self.write_batch_at(batch, opts, &mut at)?;
+        self.inner.wait(start, at);
+        Ok(())
+    }
+
+    /// Commit a batch atomically as the next step of a chain at `at`: a
+    /// log write it triggers is planned from there (see [`Wal`]), not
+    /// waited for, and `at` moves to its completion. A write stall (too
+    /// many frozen memtables or L0 tables) still blocks the caller until
+    /// compaction catches up.
+    pub fn write_batch_at(
+        &self,
+        batch: &WriteBatch,
+        opts: WriteOptions,
+        at: &mut Instant,
+    ) -> Result<()> {
         if batch.is_empty() {
             return Ok(());
         }
@@ -207,9 +234,9 @@ impl Db {
         inner.stats.commits.inc();
         let mut wal = inner.commit.lock();
         let charged = if opts.sync {
-            wal.append_sync(batch.ops())?
+            wal.append_sync(batch.ops(), at)?
         } else {
-            wal.append_async(batch.ops(), inner.cfg.group_commit_bytes)?
+            wal.append_async(batch.ops(), inner.cfg.group_commit_bytes, at)?
         };
         inner.stats.wal_bytes.add(charged);
         let mut st = inner.state.lock();
@@ -247,8 +274,18 @@ impl Db {
 
     /// Point lookup. Memtable hits are free; SSTable probes charge a device
     /// read (this is the metadata-read traffic §3.4 removes with the
-    /// write-through cache).
+    /// write-through cache), which this waits for.
     pub fn get(&self, key: &[u8]) -> Result<Option<Value>> {
+        let start = Instant::now();
+        let mut at = start;
+        let v = self.get_at(key, &mut at)?;
+        self.inner.wait(start, at);
+        Ok(v)
+    }
+
+    /// [`Self::get`] as the next step of a chain at `at`: a table read is
+    /// planned from there and `at` moves to its completion.
+    pub fn get_at(&self, key: &[u8], at: &mut Instant) -> Result<Option<Value>> {
         let inner = &self.inner;
         inner.stats.gets.inc();
         let (l0, l1) = {
@@ -266,14 +303,14 @@ impl Db {
         for t in l0.iter().rev() {
             if let Some(v) = t.get(key) {
                 inner.stats.table_reads.inc();
-                inner.charge_table_read(4 * KIB)?;
+                inner.charge_table_read(4 * KIB, at)?;
                 return Ok(v);
             }
         }
         if let Some(t) = l1 {
             if let Some(v) = t.get(key) {
                 inner.stats.table_reads.inc();
-                inner.charge_table_read(4 * KIB)?;
+                inner.charge_table_read(4 * KIB, at)?;
                 return Ok(v);
             }
         }
@@ -304,11 +341,13 @@ impl Db {
         };
         let mut runs: Vec<Vec<BatchOp>> = vec![mem_ops];
         runs.extend(imm_ops);
+        let start = Instant::now();
+        let mut at = start;
         for t in l0.iter().rev() {
             let r = t.range(lo, hi);
             if !r.is_empty() {
                 inner.stats.table_reads.inc();
-                inner.charge_table_read(4 * KIB)?;
+                inner.charge_table_read(4 * KIB, &mut at)?;
             }
             runs.push(r.to_vec());
         }
@@ -316,10 +355,11 @@ impl Db {
             let r = t.range(lo, hi);
             if !r.is_empty() {
                 inner.stats.table_reads.inc();
-                inner.charge_table_read(4 * KIB)?;
+                inner.charge_table_read(4 * KIB, &mut at)?;
             }
             runs.push(r.to_vec());
         }
+        inner.wait(start, at);
         let refs: Vec<&[BatchOp]> = runs.iter().map(|r| r.as_slice()).collect();
         Ok(merge_runs(&refs, true)
             .into_iter()
@@ -350,9 +390,11 @@ impl Db {
     /// memtable is durable in L0 (WAL emptied of replay obligations).
     pub fn flush(&self) -> Result<()> {
         let inner = &self.inner;
+        let start = Instant::now();
+        let mut at = start;
         {
             let mut wal = inner.commit.lock();
-            let charged = wal.sync()?;
+            let charged = wal.sync(&mut at)?;
             inner.stats.wal_bytes.add(charged);
             let mut st = inner.state.lock();
             if !st.mem.is_empty() {
@@ -362,6 +404,7 @@ impl Db {
                 inner.work_cv.notify_one();
             }
         }
+        inner.wait(start, at);
         // Wait for the background worker to drain the imm queue.
         let mut st = inner.state.lock();
         while !st.imms.is_empty() {

@@ -3,7 +3,10 @@
 //! Each committed batch appends one record. **Sync** commits charge the
 //! backing device immediately; **async** commits buffer and are charged in
 //! larger aggregated writes (group commit), which is how LevelDB's
-//! non-sync writes behave. Records are kept in memory for crash replay until
+//! non-sync writes behave. A device write is planned, not waited for: each
+//! append takes the caller's instant (`at`), starts no earlier than the
+//! log's previous write completes — one log writer, as if it held the
+//! commit lock through the write — and moves `at` to its completion. Records are kept in memory for crash replay until
 //! the covering memtable is durable in L0, after which
 //! [`Wal::drop_through`] releases them.
 //!
@@ -16,6 +19,7 @@ use afc_common::Result;
 use afc_device::{BlockDev, IoReq, StreamId};
 use std::collections::VecDeque;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Per-record header overhead (sequence, checksum, length framing).
 pub const RECORD_HEADER: u64 = 24;
@@ -37,6 +41,8 @@ pub struct Wal {
     dropped_records: u64,
     appended_bytes: u64,
     pending_async: u64,
+    /// Completion of the latest planned log write.
+    log_free_at: Instant,
 }
 
 impl Wal {
@@ -52,6 +58,7 @@ impl Wal {
             dropped_records: 0,
             appended_bytes: 0,
             pending_async: 0,
+            log_free_at: Instant::now(),
         }
     }
 
@@ -64,26 +71,30 @@ impl Wal {
                 .sum::<u64>()
     }
 
-    fn device_write(&mut self, size: u64) -> Result<()> {
+    /// Plan one log write from `at` (or the previous write's completion,
+    /// if later) and move `at` to its completion.
+    fn device_write(&mut self, size: u64, at: &mut Instant) -> Result<()> {
         let size = size.clamp(1, self.region);
         if self.cursor + size > self.region {
             self.cursor = 0;
         }
-        self.dev.submit(IoReq::write_stream(
-            self.cursor,
-            size as u32,
-            StreamId::KvWal,
-        ))?;
+        let req = IoReq::write_stream(self.cursor, size as u32, StreamId::KvWal);
+        *at = self
+            .dev
+            .plan_at(req, (*at).max(self.log_free_at))?
+            .completion;
+        self.log_free_at = *at;
         self.cursor += size;
         self.appended_bytes += size;
         Ok(())
     }
 
-    /// Append a record and write it to the device (sync commit).
-    /// Returns the bytes charged to the device.
-    pub fn append_sync(&mut self, ops: &[BatchOp]) -> Result<u64> {
+    /// Append a record and write it to the device (sync commit): `at`
+    /// moves to the write's completion. Returns the bytes charged to the
+    /// device.
+    pub fn append_sync(&mut self, ops: &[BatchOp], at: &mut Instant) -> Result<u64> {
         let size = Self::encoded_size(ops) + self.pending_async;
-        self.device_write(size)?;
+        self.device_write(size, at)?;
         self.pending_async = 0;
         self.records.push_back(Record {
             ops: ops.to_vec(),
@@ -98,9 +109,15 @@ impl Wal {
     }
 
     /// Append a record without forcing a device write (async commit).
-    /// Buffered bytes are written once `group_bytes` accumulate; returns the
-    /// bytes charged to the device (0 when only buffered).
-    pub fn append_async(&mut self, ops: &[BatchOp], group_bytes: u64) -> Result<u64> {
+    /// Buffered bytes are written once `group_bytes` accumulate (and `at`
+    /// moves to that write's completion); returns the bytes charged to the
+    /// device (0 when only buffered).
+    pub fn append_async(
+        &mut self,
+        ops: &[BatchOp],
+        group_bytes: u64,
+        at: &mut Instant,
+    ) -> Result<u64> {
         self.pending_async += Self::encoded_size(ops);
         self.records.push_back(Record {
             ops: ops.to_vec(),
@@ -109,7 +126,7 @@ impl Wal {
         self.appended_records += 1;
         if self.pending_async >= group_bytes {
             let size = self.pending_async;
-            self.device_write(size)?;
+            self.device_write(size, at)?;
             self.pending_async = 0;
             for r in self.records.iter_mut() {
                 r.durable = true;
@@ -119,13 +136,14 @@ impl Wal {
         Ok(0)
     }
 
-    /// Force any buffered async bytes to the device.
-    pub fn sync(&mut self) -> Result<u64> {
+    /// Force any buffered async bytes to the device; `at` moves to the
+    /// write's completion.
+    pub fn sync(&mut self, at: &mut Instant) -> Result<u64> {
         if self.pending_async == 0 {
             return Ok(0);
         }
         let size = self.pending_async;
-        self.device_write(size)?;
+        self.device_write(size, at)?;
         self.pending_async = 0;
         for r in self.records.iter_mut() {
             r.durable = true;
@@ -206,7 +224,7 @@ mod tests {
     #[test]
     fn sync_append_charges_device() {
         let mut w = wal();
-        let charged = w.append_sync(&ops(3)).unwrap();
+        let charged = w.append_sync(&ops(3), &mut Instant::now()).unwrap();
         assert!(charged > 0);
         assert_eq!(w.buffered_len(), 1);
         assert_eq!(w.appended_records(), 1);
@@ -219,7 +237,7 @@ mod tests {
         let mut charged_total = 0;
         let mut writes = 0;
         for _ in 0..100 {
-            let c = w.append_async(&ops(1), 4096).unwrap();
+            let c = w.append_async(&ops(1), 4096, &mut Instant::now()).unwrap();
             if c > 0 {
                 writes += 1;
                 charged_total += c;
@@ -234,23 +252,24 @@ mod tests {
     #[test]
     fn sync_flushes_pending_async() {
         let mut w = wal();
-        w.append_async(&ops(1), u64::MAX).unwrap();
+        w.append_async(&ops(1), u64::MAX, &mut Instant::now())
+            .unwrap();
         assert_eq!(w.replay_records(true).len(), 0);
-        let c = w.sync().unwrap();
+        let c = w.sync(&mut Instant::now()).unwrap();
         assert!(c > 0);
         assert_eq!(w.replay_records(true).len(), 1);
-        assert_eq!(w.sync().unwrap(), 0);
+        assert_eq!(w.sync(&mut Instant::now()).unwrap(), 0);
     }
 
     #[test]
     fn drop_through_uses_cumulative_marks() {
         let mut w = wal();
         for _ in 0..5 {
-            w.append_sync(&ops(1)).unwrap();
+            w.append_sync(&ops(1), &mut Instant::now()).unwrap();
         }
         let mark = w.appended_records(); // 5
         for _ in 0..3 {
-            w.append_sync(&ops(1)).unwrap();
+            w.append_sync(&ops(1), &mut Instant::now()).unwrap();
         }
         w.drop_through(mark);
         assert_eq!(w.buffered_len(), 3);
@@ -264,8 +283,9 @@ mod tests {
     #[test]
     fn crash_loses_only_volatile_records() {
         let mut w = wal();
-        w.append_sync(&ops(1)).unwrap();
-        w.append_async(&ops(2), u64::MAX).unwrap();
+        w.append_sync(&ops(1), &mut Instant::now()).unwrap();
+        w.append_async(&ops(2), u64::MAX, &mut Instant::now())
+            .unwrap();
         assert_eq!(w.replay_records(false).len(), 2);
         w.drop_volatile();
         let kept = w.replay_records(false);
@@ -276,8 +296,9 @@ mod tests {
     #[test]
     fn sync_append_makes_prior_async_durable() {
         let mut w = wal();
-        w.append_async(&ops(1), u64::MAX).unwrap();
-        w.append_sync(&ops(1)).unwrap();
+        w.append_async(&ops(1), u64::MAX, &mut Instant::now())
+            .unwrap();
+        w.append_sync(&ops(1), &mut Instant::now()).unwrap();
         assert_eq!(w.replay_records(true).len(), 2);
     }
 
