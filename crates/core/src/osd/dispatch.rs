@@ -12,7 +12,7 @@
 use super::pg::{Pg, PgHealth, PgState, PgWork};
 use super::read::ReadJob;
 use super::trace::Mark;
-use super::write::WriteOp;
+use super::write::{LatestInstant, WriteOp};
 use super::OsdInner;
 use crate::messages::{ClientOp, ClientReply, ObjectOp, OpOutcome, OsdMsg};
 use crate::qos::{Deq, QosScheduler, QosTag};
@@ -295,7 +295,8 @@ impl OsdInner {
                     remaining: AtomicUsize::new(acting.len().max(1)),
                     replied: AtomicBool::new(false),
                     durable: OnceLock::new(),
-                    _permit: permit,
+                    ack_arrival: LatestInstant::new(),
+                    permit,
                     trace,
                 });
                 wop.mark(Mark::Queued);

@@ -14,9 +14,11 @@
 //!             community: worker queues filestore (may block on
 //!                        throttle); commits and acks go via the PG queue
 //!             afceph:    per-op completion count, worker tells the op;
-//!                        acks fast-pathed
+//!                        a RepAck settles it on the replica's thread
+//!                        that sends it (no primary thread wakes)
 //!             both:      replies, RepAcks and applied marks no earlier
-//!                        than the journal record is durable
+//!                        than the journal record is durable; an Ok no
+//!                        earlier than its last RepAck arrives
 //! ```
 //!
 //! The code is cut along the stages the trace names, each module holding
@@ -311,7 +313,7 @@ struct OsdDispatcher(Arc<OsdInner>);
 impl Dispatcher<OsdMsg> for OsdDispatcher {
     fn dispatch(&self, from: Addr, msg: OsdMsg) {
         let inner = &self.0;
-        if inner.shutdown.load(Ordering::Relaxed) || inner.paused.load(Ordering::Relaxed) {
+        if !inner.listening() {
             return;
         }
         if inner.msgr.get().is_none() {
@@ -336,6 +338,22 @@ impl Dispatcher<OsdMsg> for OsdDispatcher {
                     .logger
                     .log(Level::Error, "osd", "unexpected client reply at OSD");
             }
+        }
+    }
+
+    /// Take a fast-ack `RepAck` that settles one of this OSD's sub-op
+    /// waits, on the replica's thread ([`OsdInner::take_repack`]); hand
+    /// back everything else, and everything while this OSD would drop or
+    /// could not answer it (see `dispatch`).
+    fn take(&self, _from: Addr, msg: OsdMsg, arrival: Instant) -> Option<OsdMsg> {
+        let inner = &self.0;
+        match msg {
+            OsdMsg::RepAck(ack)
+                if inner.tuning.fast_ack && inner.listening() && inner.msgr.get().is_some() =>
+            {
+                inner.take_repack(ack, arrival).map(OsdMsg::RepAck)
+            }
+            msg => Some(msg),
         }
     }
 }
@@ -408,6 +426,11 @@ impl OsdInner {
             self.logger
                 .logf(Level::Error, "osd", || format!("send to {to} failed: {e}"));
         }
+    }
+
+    /// Neither shut down nor paused: inbound messages are handled.
+    fn listening(&self) -> bool {
+        !self.shutdown.load(Ordering::Relaxed) && !self.paused.load(Ordering::Relaxed)
     }
 
     fn log(&self, msg: &'static str) {

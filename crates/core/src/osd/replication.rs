@@ -176,8 +176,11 @@ impl OsdInner {
     /// trip. The commit callback runs on whichever thread commits the
     /// record: this one when it leads the journal's write group (an idle
     /// journal), else the leader; like every commit continuation it takes
-    /// no PG lock. Either way the `RepAck` leaves when the record is
-    /// durable, and no thread waits for that.
+    /// no PG lock of its own, though it may run under the one its thread
+    /// holds. Either way the `RepAck` leaves when the record is durable,
+    /// and no thread waits for that: the primary takes it on this thread
+    /// ([`Self::take_repack`]), so the sub-op may settle the primary's
+    /// write here, under this PG lock.
     pub(super) fn handle_subop(
         self: &Arc<Self>,
         from: Addr,
@@ -228,6 +231,10 @@ impl OsdInner {
     // Replica acks back at the primary
     // ---------------------------------------------------------------- //
 
+    /// A `RepAck` dispatched at its arrival: every Community ack (through
+    /// the PG queue, Figure 3's stage 5) and every one [`Self::take_repack`]
+    /// handed back — a push ack, a duplicate, an unknown id, or an ack sent
+    /// while this OSD was paused or not yet on the network.
     pub(super) fn handle_repack(self: &Arc<Self>, ack: RepOpReply) {
         self.rep.repacks.inc();
         let wait = self.rep.waits.lock().remove(&ack.rep_id);
@@ -255,6 +262,23 @@ impl OsdInner {
                 }),
             );
         }
+    }
+
+    /// §3.1's fast ack, taken on the replica's thread as it sends the ack
+    /// (`OsdDispatcher::take`): remove the sub-op's wait, record when the
+    /// ack arrives, and settle the write, whose `Ok` leaves no earlier
+    /// than that arrival ([`WritePath::reply`](super::write::WritePath::reply)).
+    /// An ack that settles no wait here is handed back to be dispatched at
+    /// its arrival ([`Self::handle_repack`]).
+    pub(super) fn take_repack(&self, ack: RepOpReply, arrival: Instant) -> Option<RepOpReply> {
+        let wait = self.rep.waits.lock().remove(&ack.rep_id);
+        let Some(RepWait { op, .. }) = wait else {
+            return Some(ack);
+        };
+        self.rep.repacks.inc();
+        op.ack_arrival.raise(arrival);
+        self.settle(&op, 1);
+        None
     }
 
     /// Retransmit sub-ops whose ack is overdue; give up (typed failure to
@@ -327,6 +351,70 @@ mod tests {
         }
         assert_eq!(seen.state.len(), RepSeen::CAP);
         assert_eq!(seen.admit(key(1)), None, "evicted ids are new again");
+    }
+
+    /// Wait until `done` holds; fail after 10 s.
+    fn poll(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "no {what} after 10 s");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Where the primary settles a `RepAck`, seen by holding the write's PG
+    /// lock on the primary once its `Replicate` is out: a fast ack settles
+    /// the write on the replica's thread all the same, a Community one
+    /// waits in the PG queue until the lock is released.
+    #[test]
+    fn a_fast_ack_needs_no_pg_lock_and_a_community_one_waits_for_it() {
+        const HOP: Duration = Duration::from_millis(20);
+        for tuning in [OsdTuning::afceph(), OsdTuning::community()] {
+            let fast = tuning.fast_ack;
+            let cluster = crate::Cluster::builder()
+                .nodes(2)
+                .osds_per_node(1)
+                .replication(2)
+                .pg_num(8)
+                .hop_latency(HOP)
+                .tuning(tuning)
+                .devices(crate::DeviceProfile::clean())
+                .build()
+                .unwrap();
+            let client = cluster.client().unwrap();
+            let object = ObjectId::new(cluster.pool(), "held");
+            let (pgid, acting) = cluster.monitor().map().object_placement(&object).unwrap();
+            let inner = &cluster.osd(acting[0]).unwrap().inner;
+            let pg = inner.pg(pgid);
+            let data = Bytes::from(vec![1u8; 4096]);
+            let write = client.write_object_async("held", 0, data).unwrap();
+            poll("Replicate", || inner.rep.waits.lock().len() == 1);
+            let (held_tx, held) = crossbeam::channel::bounded(1);
+            let (release, release_rx) = crossbeam::channel::bounded(1);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    pg.with_state(|_| {
+                        held_tx.send(()).unwrap();
+                        release_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+                    })
+                });
+                held.recv().unwrap();
+                poll("RepAck", || inner.rep.waits.lock().is_empty());
+                if fast {
+                    let done = write.wait_timeout(Duration::from_secs(10));
+                    assert!(done.is_ok(), "a fast ack waited for the PG lock");
+                } else {
+                    std::thread::sleep(3 * HOP);
+                    assert!(pg.pending_len() >= 1, "the ack is not in the PG queue");
+                    assert!(write.try_wait().is_none(), "settled under a held PG lock");
+                }
+                release.send(()).unwrap();
+            });
+            if !fast {
+                assert!(write.wait().is_ok(), "lost once the lock was released");
+            }
+            cluster.shutdown();
+        }
     }
 
     /// Records when each `RepAck` reaches the primary.

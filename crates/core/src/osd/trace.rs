@@ -3,7 +3,9 @@
 //! One write in 16 carries a [`Trace`]: a stamp per [`Mark`], taken as the
 //! op passes message processing → PG order point → journal submit (PG
 //! lock + replication send + metadata read) → journal commit → completion
-//! hand-off → client reply. When the write replies `Ok`, each row of
+//! hand-off → client reply, stamped at the instant the reply leaves (a
+//! replica's ack may settle the write before that instant, on the thread
+//! that sends the ack). When the write replies `Ok`, each row of
 //! [`STAGES`] is observed into its `osdN.stage.*` histogram; the registry
 //! is the one place stages are read.
 
@@ -30,7 +32,7 @@ pub enum Mark {
     JCommit,
     /// Local commit handled (completion hand-off done).
     Handled,
-    /// Client reply sent.
+    /// Client reply leaves: its departure instant, not when it was sent.
     Reply,
 }
 
@@ -68,7 +70,12 @@ impl Trace {
 
     /// Stamp `m` with the current time.
     pub fn mark(&self, m: Mark) {
-        let ns = self.recv.elapsed().as_nanos() as u64;
+        self.mark_at(m, Instant::now());
+    }
+
+    /// Stamp `m` with `at`.
+    pub fn mark_at(&self, m: Mark, at: Instant) {
+        let ns = at.saturating_duration_since(self.recv).as_nanos() as u64;
         // ordering: Relaxed — only the `Ok` replier reads the marks, and
         // the op's completion count orders it after every stamp.
         self.at[m as usize].store(ns, Ordering::Relaxed);
@@ -112,9 +119,10 @@ impl StageRecorder {
             .then(|| Box::new(Trace::start()))
     }
 
-    /// Stamp `reply` and observe every stage whose two marks are set.
-    pub fn finish(&self, t: &Trace) {
-        t.mark(Mark::Reply);
+    /// Stamp `reply` with the instant the reply leaves and observe every
+    /// stage whose two marks are set.
+    pub fn finish(&self, t: &Trace, reply: Instant) {
+        t.mark_at(Mark::Reply, reply);
         for ((_, from, to), h) in STAGES.iter().zip(&self.hists) {
             if let (Some(a), Some(b)) = (t.at(*from), t.at(*to)) {
                 h.observe(Duration::from_nanos(b.saturating_sub(a)));
@@ -128,7 +136,7 @@ mod tests {
     use super::*;
 
     /// A trace received a second ago and stamped `ms` milliseconds after
-    /// that per listed mark; `finish` stamps `reply` at ~1 000 ms.
+    /// that per listed mark; `finish` below stamps `reply` at ~1 000 ms.
     fn trace_ms(marks: &[(Mark, u64)]) -> Trace {
         let mut t = Trace::start();
         t.recv -= Duration::from_secs(1);
@@ -141,7 +149,7 @@ mod tests {
     /// Per stage: (count, sum µs) after `finish`.
     fn observed(t: &Trace) -> Vec<(u64, u64)> {
         let r = StageRecorder::new(1);
-        r.finish(t);
+        r.finish(t, Instant::now());
         r.hists
             .iter()
             .map(|h| h.snapshot())
@@ -161,9 +169,10 @@ mod tests {
             (Mark::JCommit, 14),
             (Mark::Handled, 15),
         ]);
-        r.finish(&t);
+        // The reply leaves 20 ms after it was sent.
+        r.finish(&t, Instant::now() + Duration::from_millis(20));
         let reply_us = t.at(Mark::Reply).unwrap() / 1000;
-        assert!(reply_us >= 1_000_000, "reply stamped at finish");
+        assert!(reply_us >= 1_020_000, "reply stamped at its departure");
         let snap = m.snapshot();
         let spans_us = [1000, 2000, 3000, 8000, 1000, reply_us - 15_000, reply_us];
         for ((stage, ..), want) in STAGES.iter().zip(spans_us) {

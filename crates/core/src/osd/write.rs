@@ -41,7 +41,7 @@ use afc_logging::Level;
 use afc_messenger::Addr;
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -59,13 +59,46 @@ pub(super) struct WriteOp {
     pub(super) remaining: AtomicUsize,
     pub(super) replied: AtomicBool,
     /// When the local journal record is durable, set by the local commit:
-    /// the `Ok` leaves no earlier. (Replica acks arrive after theirs.)
+    /// the `Ok` leaves no earlier.
     pub(super) durable: OnceLock<Instant>,
-    /// `osd_client_message_cap` slot, released when the op drops — after
-    /// the reply, as the replier holds the op while it sends.
-    pub(super) _permit: OwnedPermit,
+    /// When the latest replica ack taken on its sender's thread arrives
+    /// ([`OsdInner::take_repack`]): the `Ok` leaves no earlier. An ack
+    /// dispatched at its arrival settles no earlier than that anyway.
+    pub(super) ack_arrival: LatestInstant,
+    /// `osd_client_message_cap` slot, released at the reply's departure
+    /// (or when the op drops, if it never replies).
+    pub(super) permit: OwnedPermit,
     /// Set on the sampled writes.
     pub(super) trace: Option<Box<Trace>>,
+}
+
+/// The latest of the instants it is shown, held lock-free as nanoseconds
+/// after the instant it was made (0: none shown yet).
+pub(super) struct LatestInstant {
+    base: Instant,
+    ns: AtomicU64,
+}
+
+impl LatestInstant {
+    pub(super) fn new() -> Self {
+        LatestInstant {
+            base: Instant::now(),
+            ns: AtomicU64::new(0),
+        }
+    }
+
+    /// Raise the latest to `at` if it is later.
+    pub(super) fn raise(&self, at: Instant) {
+        let ns = at.saturating_duration_since(self.base).as_nanos() as u64;
+        // ordering: Relaxed — the write's completion count (AcqRel) orders
+        // the replier's read after every raise, as for the trace stamps.
+        self.ns.fetch_max(ns, Ordering::Relaxed);
+    }
+
+    fn get(&self) -> Option<Instant> {
+        let ns = self.ns.load(Ordering::Relaxed);
+        (ns > 0).then(|| self.base + Duration::from_nanos(ns))
+    }
 }
 
 impl WriteOp {
@@ -147,23 +180,29 @@ impl WritePath {
 
     /// The one reply of a write, success or failure, sent by whoever won it
     /// ([`WriteOp::settle`], [`WriteOp::claim_reply`]): an `Ok` to leave
-    /// when the local record is durable, a failure at once; through the
-    /// op's ordered-ack lane when it has one, so a failure takes its turn
-    /// like a success and never wedges the lane. A sampled `Ok` feeds the
-    /// stage histograms.
+    /// when the local record is durable and every taken replica ack has
+    /// arrived, a failure at once; through the op's ordered-ack lane when
+    /// it has one, so a failure takes its turn like a success and never
+    /// wedges the lane. The client-throttle slot is freed when the reply
+    /// leaves, and a sampled `Ok` feeds the stage histograms.
     pub(super) fn reply(
         &self,
         op: &WriteOp,
         result: Result<OpOutcome>,
         mut send: impl FnMut(Addr, ClientReply, Instant),
     ) {
-        if let (Some(t), true) = (&op.trace, result.is_ok()) {
-            self.recorder.finish(t);
-        }
+        // Never before now, as `send_at` would have it: the trace's `reply`
+        // then follows every mark stamped before it.
+        let now = Instant::now();
         let at = match (&result, op.durable.get()) {
-            (Ok(_), Some(&durable)) => durable,
-            _ => Instant::now(),
-        };
+            (Ok(_), Some(&durable)) => op.ack_arrival.get().map_or(durable, |a| a.max(durable)),
+            _ => now,
+        }
+        .max(now);
+        op.permit.release_at(at);
+        if let (Some(t), true) = (&op.trace, result.is_ok()) {
+            self.recorder.finish(t, at);
+        }
         let reply = ClientReply {
             op_id: op.op_id,
             result,
@@ -505,7 +544,8 @@ mod tests {
                 remaining: AtomicUsize::new(THREADS - 1),
                 replied: AtomicBool::new(false),
                 durable: OnceLock::new(),
-                _permit: throttle.acquire_owned(1).unwrap(),
+                ack_arrival: LatestInstant::new(),
+                permit: throttle.acquire_owned(1).unwrap(),
                 trace: path.recorder.start(),
             })
             .collect();
@@ -545,8 +585,7 @@ mod tests {
             }
         }
         assert_eq!(path.acker.held(), 0, "no lane is left waiting");
-        drop(ops);
-        assert_eq!(throttle.in_use(), 0, "every permit released on drop");
+        assert_eq!(throttle.in_use(), 0, "every permit released at its reply");
     }
 
     #[test]

@@ -20,6 +20,7 @@ use afc_common::metrics::{Counter, Metrics};
 use afc_common::{wait_until, AfcError, Result, WaitClass};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU64, Ordering};
 #[cfg(test)]
 use std::time::Duration;
 use std::time::Instant;
@@ -62,16 +63,20 @@ pub struct Permit<'a> {
 }
 
 /// RAII permit that owns its throttle, movable across threads (completion
-/// callbacks hold it until the transaction finishes applying).
+/// callbacks hold it until the transaction finishes applying). It may be
+/// shared: the first [`Self::release_at`] gives the units back, and the
+/// drop only what is still held.
 pub struct OwnedPermit {
     throttle: std::sync::Arc<Throttle>,
-    count: u64,
+    /// Units still held.
+    count: AtomicU64,
 }
 
 impl Drop for OwnedPermit {
     fn drop(&mut self) {
-        if self.count > 0 {
-            self.throttle.release(self.count);
+        let count = *self.count.get_mut();
+        if count > 0 {
+            self.throttle.release(count);
         }
     }
 }
@@ -79,9 +84,14 @@ impl Drop for OwnedPermit {
 impl OwnedPermit {
     /// Release the units at `at` instead of now: they stay taken, and an
     /// acquirer that needs them waits until `at` (at once if it has
-    /// passed).
-    pub fn release_at(mut self, at: Instant) {
-        let count = std::mem::take(&mut self.count);
+    /// passed). Only the first call releases anything.
+    pub fn release_at(&self, at: Instant) {
+        // ordering: Relaxed — one swap wins the units under any ordering;
+        // the throttle's lock orders the release itself.
+        let count = self.count.swap(0, Ordering::Relaxed);
+        if count == 0 {
+            return;
+        }
         let mut st = self.throttle.state.lock();
         if at <= Instant::now() {
             st.in_use = st.in_use.saturating_sub(count);
@@ -169,7 +179,7 @@ impl Throttle {
         std::mem::forget(permit); // ownership transfers to the OwnedPermit
         Ok(OwnedPermit {
             throttle: std::sync::Arc::clone(self),
-            count,
+            count: AtomicU64::new(count),
         })
     }
 
@@ -277,6 +287,9 @@ mod tests {
         let held = t.acquire_owned(1).unwrap();
         let at = Instant::now() + Duration::from_millis(20);
         held.release_at(at);
+        // Neither a second release nor the drop gives the units back again.
+        held.release_at(Instant::now());
+        drop(held);
         assert_eq!(t.in_use(), 1);
         assert!(t.try_acquire(1).is_none());
         let p = t.acquire(1).unwrap();

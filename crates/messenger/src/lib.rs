@@ -29,6 +29,11 @@
 //!   message at once, stamped with the arrival a connection thread would
 //!   have delivered it at, and the endpoint's own waiter waits out that
 //!   instant. A daemon cannot be an inbox: its handlers act *at* arrival.
+//! - **Taken messages.** A daemon's [`Dispatcher`] is offered each stamped
+//!   message on the sending thread, with its arrival, and may take it
+//!   there ([`Dispatcher::take`]) when nothing it does with it can be
+//!   observed before that instant. What it hands back is delivered at its
+//!   arrival as usual.
 //! - **Nagle modeling** (§3.2): with `nagle = true` (community KRBD on
 //!   CentOS 7), messages smaller than one MSS are delayed by the
 //!   small-packet coalescing window before they leave the sender. Large
@@ -66,8 +71,9 @@ pub struct NetConfig {
     /// Extra delay Nagle imposes on small messages.
     pub nagle_delay: Duration,
     /// Per-message CPU burned by the connection thread, or by the sending
-    /// thread for a message posted to an inbox (protocol work,
-    /// checksumming). Zero by default; the scale-out harness raises it.
+    /// thread for a message posted to an inbox or taken by a dispatcher
+    /// (protocol work, checksumming). Zero by default; the scale-out
+    /// harness raises it.
     pub cpu_per_msg: Duration,
     /// Receive-side threading model (§4.5 / extension).
     pub mode: MessengerMode,
@@ -133,6 +139,15 @@ impl NetConfig {
 pub trait Dispatcher<M>: Send + Sync {
     /// Handle one message from `from`.
     fn dispatch(&self, from: Addr, msg: M);
+
+    /// Take a stamped message ([`Messenger::send_at`]) from `from` on the
+    /// sending thread, before it arrives at `arrival`: `None` when taken,
+    /// the message back to have it dispatched at its arrival. A taken
+    /// message's effects must be invisible until `arrival`. Called with no
+    /// fabric lock held, so it may send. By default nothing is taken.
+    fn take(&self, _from: Addr, msg: M, _arrival: Instant) -> Option<M> {
+        Some(msg)
+    }
 }
 
 /// Blanket impl so closures can act as dispatchers in tests.
@@ -382,6 +397,7 @@ pub struct Network<M: Send + 'static> {
     lanes: Counter,
     threads: Counter,
     posted: Counter,
+    taken: Counter,
     nagled: Counter,
     dropped: Counter,
     duplicated: Counter,
@@ -405,6 +421,7 @@ impl<M: Send + 'static> Network<M> {
             lanes: Counter::new(),
             threads: Counter::new(),
             posted: Counter::new(),
+            taken: Counter::new(),
             nagled: Counter::new(),
             dropped: Counter::new(),
             duplicated: Counter::new(),
@@ -446,7 +463,9 @@ impl<M: Send + 'static> Network<M> {
     /// No delivery thread is ever spawned toward it. For an endpoint whose
     /// only action on a message is to hand it to a waiter that honours the
     /// arrival (a client session); a daemon, whose handlers act at
-    /// arrival, registers a [`Dispatcher`].
+    /// arrival, registers a [`Dispatcher`] and takes on the sending thread
+    /// only the stamped messages whose effects wait for their arrival
+    /// ([`Dispatcher::take`]).
     pub fn register_inbox(
         self: &Arc<Self>,
         addr: Addr,
@@ -505,18 +524,20 @@ impl<M: Send + 'static> Network<M> {
     }
 
     /// Register the network's counters into a cluster metric registry as
-    /// `net.{msgs,bytes,conns,lanes,threads,posted,nagled,dropped,duplicated}`:
+    /// `net.{msgs,bytes,conns,lanes,threads,posted,taken,nagled,dropped,duplicated}`:
     /// `threads` counts delivery threads spawned (one per `Simple`
     /// connection to a dispatcher, one per `Async` lane), `posted` messages
-    /// handed to an inbox.
+    /// handed to an inbox, `taken` messages a dispatcher took on the
+    /// sending thread.
     pub fn attach_metrics(&self, m: &Metrics) {
-        let fields: [(&str, &Counter); 9] = [
+        let fields: [(&str, &Counter); 10] = [
             ("msgs", &self.msgs),
             ("bytes", &self.bytes),
             ("conns", &self.conns),
             ("lanes", &self.lanes),
             ("threads", &self.threads),
             ("posted", &self.posted),
+            ("taken", &self.taken),
             ("nagled", &self.nagled),
             ("dropped", &self.dropped),
             ("duplicated", &self.duplicated),
@@ -527,8 +548,9 @@ impl<M: Send + 'static> Network<M> {
     }
 
     /// Put `msg` on the `from → to` connection, to leave at `at` (now when
-    /// `None` or past) and arrive one hop later: onto its delivery lane, or
-    /// posted to the receiver's inbox, after the registry lock is released.
+    /// `None` or past) and arrive one hop later: posted to the receiver's
+    /// inbox, taken by its dispatcher (stamped only), or onto its delivery
+    /// lane, after the registry lock is released.
     fn deliver(
         &self,
         from: Addr,
@@ -596,7 +618,7 @@ impl<M: Send + 'static> Network<M> {
                     slot,
                     dispatcher,
                     ..
-                } => (lane, *slot, dispatcher),
+                } => (Arc::clone(lane), *slot, Arc::clone(dispatcher)),
                 Conn::Inbox { inbox, floor } => {
                     let arrival = match at {
                         Some(_) => arrival,
@@ -605,32 +627,47 @@ impl<M: Send + 'static> Network<M> {
                     let inbox = Arc::clone(inbox);
                     drop(inner);
                     for msg in std::iter::once(msg).chain(duplicate) {
-                        if self.cfg.cpu_per_msg > Duration::ZERO {
-                            burn_cpu(self.cfg.cpu_per_msg);
-                        }
+                        self.burn_msg_cpu();
                         self.posted.inc();
                         inbox.post(from, msg, arrival);
                     }
                     return Ok(());
                 }
             };
-            let push = |msg| {
+            drop(inner);
+            for (copy, msg) in std::iter::once(msg).chain(duplicate).enumerate() {
+                // A stamped message is offered to the dispatcher first; the
+                // sending thread does the protocol work of one it takes.
+                let msg = match at {
+                    Some(_) => match dispatcher.take(from, msg, arrival) {
+                        Some(msg) => msg,
+                        None => {
+                            self.burn_msg_cpu();
+                            self.taken.inc();
+                            continue;
+                        }
+                    },
+                    None => msg,
+                };
                 let item = WorkItem {
                     from,
                     msg,
-                    dispatcher: Arc::clone(dispatcher),
+                    dispatcher: Arc::clone(&dispatcher),
                 };
-                lane.push(slot, arrival, at.is_some(), item)
-            };
-            if !push(msg) {
-                return Err(AfcError::Disconnected(format!("connection {from}->{to}")));
-            }
-            if let Some(copy) = duplicate {
-                // Best-effort second copy on the same connection; if it
-                // closed after the first send the duplicate is moot.
-                push(copy);
+                // The duplicate is best-effort: if the connection closed
+                // after the first send, it is moot.
+                if !lane.push(slot, arrival, at.is_some(), item) && copy == 0 {
+                    return Err(AfcError::Disconnected(format!("connection {from}->{to}")));
+                }
             }
             return Ok(());
+        }
+    }
+
+    /// The per-message protocol CPU, on the thread that takes the message.
+    fn burn_msg_cpu(&self) {
+        if self.cfg.cpu_per_msg > Duration::ZERO {
+            burn_cpu(self.cfg.cpu_per_msg);
         }
     }
 
@@ -946,6 +983,58 @@ mod tests {
         net.shutdown();
         assert_eq!(msgs(&got), vec![7]);
         assert_eq!(net.threads.get(), 0);
+    }
+
+    /// Takes the stamped odd payloads, recorded with their arrival; hands
+    /// the even ones back.
+    struct TakeOdd(Got<u64>);
+
+    impl Dispatcher<u64> for TakeOdd {
+        fn dispatch(&self, from: Addr, m: u64) {
+            self.0.lock().push((from, m, Instant::now()));
+        }
+
+        fn take(&self, from: Addr, m: u64, arrival: Instant) -> Option<u64> {
+            if m.is_multiple_of(2) {
+                return Some(m);
+            }
+            self.0.lock().push((from, m, arrival));
+            None
+        }
+    }
+
+    /// A dispatcher is offered only stamped messages, on the sending thread
+    /// with their arrival (a duplicate too); one it hands back is
+    /// dispatched at that arrival.
+    #[test]
+    fn a_dispatcher_takes_stamped_messages_on_the_sending_thread() {
+        use afc_common::faults::{FaultKind, FaultRegistry, FaultSpec};
+        let cfg = NetConfig::default();
+        let hop = cfg.hop_latency;
+        let net: Arc<Network<u64>> = Network::new(cfg);
+        let got: Got<u64> = Arc::default();
+        net.register(osd(0), Arc::new(TakeOdd(Arc::clone(&got))))
+            .unwrap();
+        let m = net.register(client(1), Arc::new(|_, _: u64| {})).unwrap();
+        let reg = Arc::new(FaultRegistry::new());
+        net.attach_faults(Arc::clone(&reg), |_, _, m: &u64| {
+            (*m == 5).then(|| "net.test".to_string())
+        });
+        reg.install(FaultSpec::new("net.test", FaultKind::Duplicate));
+        let at = Instant::now() + Duration::from_millis(5);
+        m.send_at(osd(0), 1, 64, at).unwrap();
+        assert_eq!(msgs(&got), vec![1], "taken before `send_at` returned");
+        assert_eq!(got.lock()[0].2, at + hop, "offered with its arrival");
+        m.send_at(osd(0), 2, 64, at).unwrap();
+        m.send(osd(0), 3, 64).unwrap();
+        m.send_at(osd(0), 5, 64, at).unwrap();
+        assert_eq!(msgs(&got), vec![1, 5, 5], "the duplicate is offered too");
+        wait_for(&got, 5);
+        assert_eq!(msgs(&got), vec![1, 5, 5, 3, 2], "a plain send is not");
+        assert!(got.lock()[4].2 >= at + hop, "handed back, dispatched early");
+        assert_eq!((net.taken.get(), net.posted.get()), (3, 0));
+        assert_eq!(net.msgs.get(), 4);
+        net.shutdown();
     }
 
     #[test]

@@ -43,11 +43,15 @@ fn main() -> afcstore::common::Result<()> {
     // is a stable name → value tree (see DESIGN.md "Observability").
     cluster.quiesce();
     // What modeled time costs in CPU: a QD1 4 KiB write loop between two
-    // snapshots of the `model.*` ledger. Each write waits on four wire
-    // hops and its SSD applies; its two NVRAM records are waited for by no
-    // thread (their durable instant rides on the RepAck and the reply), so
-    // `nvram` reads ~0. The spin is the part of those waits that burned a
-    // core (`scripts/check.sh` bounds it).
+    // snapshots of the `model.*` ledger. Of a write's four wire hops three
+    // are waited out, each once: the request and the `Replicate` by a
+    // delivery thread, the reply by the client. The `RepAck` is taken by
+    // the primary on the replica's thread and its arrival rides on the
+    // reply, as the two NVRAM records' durable instants ride on the
+    // `RepAck` and the reply, and the applies' completions on the applied
+    // mark; so `nvram` and `ssd` read ~0. The spin is the part of those
+    // waits that burned a core; `scripts/check.sh` bounds it and the
+    // waits per write.
     const QD1_WRITES: u64 = 2000;
     let before = cluster.metrics_snapshot();
     for i in 0..QD1_WRITES {
@@ -55,19 +59,23 @@ fn main() -> afcstore::common::Result<()> {
     }
     cluster.quiesce();
     let snap = cluster.metrics_snapshot();
-    let spin_per_op = |class: &str| {
-        let spin = |s: &afcstore::common::MetricsSnapshot| {
-            s.counter(&format!("model.{class}.spin_us")).unwrap_or(0)
-        };
-        (spin(&snap) - spin(&before)) as f64 / QD1_WRITES as f64
+    let per_op = |name: &str| {
+        let of = |s: &afcstore::common::MetricsSnapshot| s.counter(name).unwrap_or(0);
+        (of(&snap) - of(&before)) as f64 / QD1_WRITES as f64
     };
-    let (net, nvram, ssd) = (spin_per_op("net"), spin_per_op("nvram"), spin_per_op("ssd"));
+    let spin = |class: &str| per_op(&format!("model.{class}.spin_us"));
+    let (net, nvram, ssd) = (spin("net"), spin("nvram"), spin("ssd"));
+    let waits_per_op: f64 = ["net", "nvram", "ssd"]
+        .iter()
+        .map(|class| per_op(&format!("model.{class}.waits")))
+        .sum();
     let overshoot = snap
         .histogram("model.overshoot_us")
         .cloned()
         .unwrap_or_default();
     println!(
-        "model: spin {:.1} us/op (net {net:.1}, nvram {nvram:.1}, ssd {ssd:.1}) over {QD1_WRITES} QD1 4 KiB writes; \
+        "model: spin {:.1} us/op (net {net:.1}, nvram {nvram:.1}, ssd {ssd:.1}), {waits_per_op:.2} waits/op \
+         over {QD1_WRITES} QD1 4 KiB writes; \
          overshoot p50 {}us p99 {}us over {} waits",
         net + nvram + ssd,
         overshoot.p50_us(),

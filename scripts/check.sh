@@ -110,14 +110,23 @@ step thread_cpu_table
 #       (ssd ~18 while apply threads slept through each write). The gate
 #       at 60 us catches any of those waits coming back, with room for a
 #       host in its slow state.
+#       The same line counts the modeled waits per write, which the host
+#       cannot blur: one per hop a thread still waits out. Three of a
+#       write's four hops are (request, Replicate, reply); the RepAck is
+#       taken on the replica's thread. 4.01 waits per write while a
+#       primary's delivery thread waited for each RepAck, 3.01 since; the
+#       gate at 3.1 catches any thread waiting for it again.
 model_spin() {
-    local line spin
+    local line spin waits
     line=$(cargo run --release --quiet --example quickstart | grep '^model: spin ') ||
         { echo "    quickstart printed no 'model: spin' line"; return 1; }
     echo "    $line"
     spin=$(echo "$line" | sed -n 's/^model: spin \([0-9.]*\) us\/op.*/\1/p')
     awk -v s="$spin" 'BEGIN { exit !(s != "" && s + 0 <= 60) }' ||
         { echo "    spin per op '$spin' us is over 60 us"; return 1; }
+    waits=$(echo "$line" | sed -n 's/.*, \([0-9.]*\) waits\/op .*/\1/p')
+    awk -v w="$waits" 'BEGIN { exit !(w != "" && w + 0 <= 3.1) }' ||
+        { echo "    waits per write '$waits' is over 3.1"; return 1; }
 }
 step model_spin
 
