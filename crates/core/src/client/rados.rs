@@ -5,9 +5,9 @@
 //! primary, and misdirected ops (stale map during failures/expansion) are
 //! retried after a map refresh.
 //!
-//! A session is its endpoint's [`Inbox`]: the OSD thread that sends a
-//! reply hands it over at once, stamped with its arrival, and the op's
-//! waiter waits out that instant itself (booked to `model.net`, as a
+//! A session's [`Dispatcher`] takes every message: the OSD thread that
+//! sends a reply hands it over at once, stamped with its arrival, and the
+//! op's waiter waits out that instant itself (booked to `model.net`, as a
 //! connection thread's wait would be). No thread is woken to deliver a
 //! reply, and nothing observes one before it arrives.
 
@@ -17,7 +17,7 @@ use crate::qos::{QosSpec, QosTag};
 use afc_common::{
     wait_until, AfcError, ClientId, ObjectId, OpId, PoolId, Result, VolumeId, WaitClass,
 };
-use afc_messenger::{Addr, Inbox, Messenger, Network};
+use afc_messenger::{Addr, Dispatcher, Messenger, Network};
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
@@ -46,13 +46,20 @@ impl ClientShared {
     }
 }
 
-impl Inbox<OsdMsg> for ClientShared {
-    fn post(&self, _from: Addr, msg: OsdMsg, arrival: Instant) {
+impl Dispatcher<OsdMsg> for ClientShared {
+    /// Never called: [`Self::take`] takes every message. Hands the reply
+    /// over as arrived now.
+    fn dispatch(&self, from: Addr, msg: OsdMsg) {
+        self.take(from, msg, Instant::now());
+    }
+
+    fn take(&self, _from: Addr, msg: OsdMsg, arrival: Instant) -> Option<OsdMsg> {
         if let OsdMsg::Reply(ClientReply { op_id, result }) = msg {
             if let Some(tx) = self.pending.lock().remove(&op_id) {
                 let _ = tx.send((result, arrival));
             }
         }
+        None
     }
 }
 
@@ -146,7 +153,7 @@ impl RadosClient {
         let shared = Arc::new(ClientShared {
             pending: Mutex::new(HashMap::new()),
         });
-        let msgr = net.register_inbox(Addr::Client(id), Arc::clone(&shared) as _)?;
+        let msgr = net.register(Addr::Client(id), Arc::clone(&shared) as _)?;
         Ok(Arc::new(RadosClient {
             id,
             pool,
@@ -343,7 +350,7 @@ mod tests {
 
     const AHEAD: Duration = Duration::from_millis(30);
 
-    /// A handle whose reply is already posted, to arrive `AHEAD` from now.
+    /// A handle whose reply is already taken, to arrive `AHEAD` from now.
     fn posted() -> (OpHandle, Instant) {
         let shared = ClientShared {
             pending: Mutex::new(HashMap::new()),
@@ -354,7 +361,8 @@ mod tests {
             op_id: OpId(1),
             result: Ok(OpOutcome::Done),
         };
-        shared.post(Addr::Osd(OsdId(0)), OsdMsg::Reply(reply), arrival);
+        let from = Addr::Osd(OsdId(0));
+        assert!(shared.take(from, OsdMsg::Reply(reply), arrival).is_none());
         (handle, arrival)
     }
 

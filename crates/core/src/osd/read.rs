@@ -2,9 +2,9 @@
 //! journal sequence captured there. A read's device time is planned, not
 //! slept through: its reply is stamped to leave when the SSD read
 //! completes — and no earlier than the applies it is ordered after, whose
-//! completions may still be ahead — and is posted to the client's session
-//! at once, so one modeled wait by the client's waiter covers the device
-//! and the hop.
+//! completions may still be ahead — and is taken by the client's session
+//! as it is sent, so one modeled wait by the client's waiter covers the
+//! device and the hop.
 
 use super::OsdInner;
 use crate::messages::{ClientReply, ObjectOp, OpOutcome, OsdMsg};

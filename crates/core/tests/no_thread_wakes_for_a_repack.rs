@@ -40,11 +40,12 @@ fn write_loop(cluster: &Cluster, n: u64) {
     }
 }
 
-/// `(net.taken, Σ op.repacks)`.
-fn taken_and_repacks(cluster: &Cluster) -> (u64, u64) {
+/// `(net.taken, Σ op.repacks)`, less the `replies` the test's client
+/// received: its session takes every reply too.
+fn taken_and_repacks(cluster: &Cluster, replies: u64) -> (u64, u64) {
     let snap = cluster.metrics_snapshot();
     (
-        snap.counter("net.taken").unwrap(),
+        snap.counter("net.taken").unwrap() - replies,
         snap.site_sum("op.repacks"),
     )
 }
@@ -53,7 +54,7 @@ fn taken_and_repacks(cluster: &Cluster) -> (u64, u64) {
 fn every_fast_ack_is_taken_on_the_replicas_thread() {
     let cluster = builder(no_resends(OsdTuning::afceph())).build().unwrap();
     write_loop(&cluster, WRITES);
-    assert_eq!(taken_and_repacks(&cluster), (WRITES, WRITES));
+    assert_eq!(taken_and_repacks(&cluster, WRITES), (WRITES, WRITES));
     cluster.shutdown();
 }
 
@@ -74,7 +75,7 @@ fn a_taken_ack_still_holds_the_reply_until_it_arrives() {
         let took = t0.elapsed();
         assert!(took >= 4 * HOP, "acked after {took:?}");
     }
-    assert_eq!(taken_and_repacks(&cluster).0, 3);
+    assert_eq!(taken_and_repacks(&cluster, 3).0, 3);
     cluster.shutdown();
 }
 
@@ -84,7 +85,7 @@ fn a_taken_ack_still_holds_the_reply_until_it_arrives() {
 fn community_takes_no_ack() {
     let cluster = builder(no_resends(OsdTuning::community())).build().unwrap();
     write_loop(&cluster, WRITES);
-    assert_eq!(taken_and_repacks(&cluster), (0, WRITES));
+    assert_eq!(taken_and_repacks(&cluster, WRITES), (0, WRITES));
     cluster.shutdown();
 }
 
@@ -105,7 +106,7 @@ fn a_delayed_ack_delays_the_reply() {
     let took = t0.elapsed();
     assert!(took >= DELAY, "acked after {took:?}");
     assert_eq!(reg.hits("net.repack"), 1, "fault never fired");
-    assert_eq!(taken_and_repacks(&cluster), (1, 1));
+    assert_eq!(taken_and_repacks(&cluster, 1), (1, 1));
     cluster.shutdown();
 }
 
@@ -152,9 +153,9 @@ fn an_ack_sent_to_a_paused_primary_is_not_taken() {
         .unwrap();
     poll("write on the primary", &|| counter("writes") == 1);
     osd.pause();
-    let taken = || taken_and_repacks(&cluster).0 > 0;
+    let taken = || taken_and_repacks(&cluster, 0).0 > 0;
     poll("resend", &|| taken() || counter("rep_resends") >= 1);
-    assert_eq!(taken_and_repacks(&cluster), (0, 0), "taken while paused");
+    assert_eq!(taken_and_repacks(&cluster, 0), (0, 0), "taken while paused");
     osd.resume();
     write.wait().unwrap();
     assert_eq!(reg.hits("net.replicate"), 1, "fault never fired");
@@ -175,7 +176,7 @@ fn a_duplicated_ack_settles_once() {
     cluster.quiesce();
     let snap = cluster.metrics_snapshot();
     assert_eq!(snap.counter("net.duplicated"), Some(1));
-    assert_eq!(taken_and_repacks(&cluster), (WRITES, WRITES + 1));
+    assert_eq!(taken_and_repacks(&cluster, WRITES), (WRITES, WRITES + 1));
     let report = cluster.deep_scrub().unwrap();
     assert!(report.is_clean(), "inconsistent: {:?}", report.inconsistent);
     cluster.shutdown();

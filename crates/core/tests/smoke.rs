@@ -238,26 +238,38 @@ fn sampled_write_stages_sum_to_the_total() {
     cluster.shutdown();
 }
 
-/// A client session is an inbox: the OSD thread that sends a reply posts
-/// it, and no delivery thread serves a connection toward a client.
+/// A client session takes every reply: the OSD thread that sends one
+/// hands it over, and no delivery thread serves a connection toward a
+/// client. A connection gets a thread only when its receiver hands a
+/// message back: each client→primary pair (requests) and primary→replica
+/// pair (`Replicate`s) its objects use, and no replica→primary pair that
+/// carries only fast-ack `RepAck`s.
 #[test]
 fn replies_are_posted_to_the_client_and_no_thread_delivers_them() {
     const OPS: u64 = 40;
-    let cluster = small_cluster(OsdTuning::afceph());
+    // Never resent, so every `RepAck` is the first one and is taken.
+    let cluster = small_cluster(OsdTuning {
+        rep_resend_after_ms: 60_000,
+        ..OsdTuning::afceph()
+    });
     let client = cluster.client().unwrap();
     let map = cluster.monitor().shared_map();
-    let mut primaries = BTreeSet::new();
+    let (mut primaries, mut replicas) = (BTreeSet::new(), BTreeSet::new());
     for i in 0..OPS {
         let name = format!("ib{i}");
         client.write_object(&name, 0, &[5u8; 1024]).unwrap();
         assert_eq!(client.read_object(&name, 0, 1024).unwrap(), [5u8; 1024]);
         let obj = ObjectId::new(cluster.pool(), &name);
-        primaries.insert(map.read().object_placement(&obj).unwrap().1[0]);
+        let acting = map.read().object_placement(&obj).unwrap().1;
+        primaries.insert(acting[0]);
+        replicas.extend(acting[1..].iter().map(|&r| (acting[0], r)));
     }
     let snap = cluster.metrics_snapshot();
     let c = |name: &str| snap.counter(name).unwrap();
-    assert_eq!(c("net.posted"), 2 * OPS, "one posted reply per op");
-    let client_conns = primaries.len() as u64;
-    assert_eq!(c("net.threads"), c("net.conns") - client_conns);
+    let repacks = snap.site_sum("op.repacks");
+    assert_eq!(repacks, OPS, "one RepAck per write");
+    assert_eq!(c("net.taken"), 2 * OPS + repacks, "every reply and RepAck");
+    let handing_back = (primaries.len() + replicas.len()) as u64;
+    assert_eq!(c("net.threads"), handing_back);
     cluster.shutdown();
 }

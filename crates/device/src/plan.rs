@@ -58,18 +58,6 @@ impl ChannelPool {
         }
         completion
     }
-
-    /// Instant when the whole device goes idle (for tests/metrics).
-    pub fn idle_at(&self) -> Instant {
-        let slots = self.busy_until.lock();
-        slots.iter().copied().max().unwrap_or_else(Instant::now)
-    }
-
-    /// Number of channels currently busy (reserved past `now`).
-    pub fn busy_channels(&self) -> usize {
-        let now = Instant::now();
-        self.busy_until.lock().iter().filter(|t| **t > now).count()
-    }
 }
 
 #[cfg(test)]
@@ -109,15 +97,11 @@ mod tests {
         let long = p.reserve(20 * MS, Instant::now());
         let b = p.reserve_barrier(MS, Instant::now());
         assert!(b >= long + MS);
-        // After a barrier, all channels are busy until the barrier completes.
-        assert_eq!(p.busy_channels(), 2);
-    }
-
-    #[test]
-    fn idle_at_tracks_latest() {
-        let p = ChannelPool::new(2);
-        let c = p.reserve(50 * MS, Instant::now());
-        assert_eq!(p.idle_at(), c);
+        // After a barrier, every channel is busy until it completes: a
+        // reserve on each completes no earlier than the barrier does.
+        for _ in 0..2 {
+            assert!(p.reserve(MS, Instant::now()) >= b + MS);
+        }
     }
 
     #[test]

@@ -21,6 +21,7 @@ use afc_common::{wait_until, AfcError, Result, WaitClass};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 #[cfg(test)]
 use std::time::Duration;
 use std::time::Instant;
@@ -56,18 +57,12 @@ pub struct Throttle {
     pub(crate) wait_us: Counter,
 }
 
-/// RAII permit; releases on drop.
-pub struct Permit<'a> {
-    throttle: &'a Throttle,
-    count: u64,
-}
-
 /// RAII permit that owns its throttle, movable across threads (completion
 /// callbacks hold it until the transaction finishes applying). It may be
 /// shared: the first [`Self::release_at`] gives the units back, and the
 /// drop only what is still held.
 pub struct OwnedPermit {
-    throttle: std::sync::Arc<Throttle>,
+    throttle: Arc<Throttle>,
     /// Units still held.
     count: AtomicU64,
 }
@@ -124,10 +119,10 @@ impl Throttle {
         }
     }
 
-    /// Acquire `count` units, blocking while over the limit: until the
-    /// earliest release instant when one is due, else until a holder
-    /// releases.
-    pub fn acquire(&self, count: u64) -> Result<Permit<'_>> {
+    /// Acquire `count` units as a thread-movable permit, blocking while
+    /// over the limit: until the earliest release instant when one is
+    /// due, else until a holder releases.
+    pub fn acquire_owned(self: &Arc<Self>, count: u64) -> Result<OwnedPermit> {
         // May park until another holder releases; callers must not hold
         // any no-block lock class across this.
         lockdep::assert_blockable("throttle acquire");
@@ -167,33 +162,9 @@ impl Throttle {
             self.wait_us.add(t0.elapsed().as_micros() as u64);
         }
         st.in_use += count;
-        Ok(Permit {
-            throttle: self,
-            count,
-        })
-    }
-
-    /// Acquire `count` units as an owned, thread-movable permit.
-    pub fn acquire_owned(self: &std::sync::Arc<Self>, count: u64) -> Result<OwnedPermit> {
-        let permit = self.acquire(count)?;
-        std::mem::forget(permit); // ownership transfers to the OwnedPermit
         Ok(OwnedPermit {
-            throttle: std::sync::Arc::clone(self),
+            throttle: Arc::clone(self),
             count: AtomicU64::new(count),
-        })
-    }
-
-    /// Try to acquire without blocking.
-    pub fn try_acquire(&self, count: u64) -> Option<Permit<'_>> {
-        let mut st = self.state.lock();
-        st.reap(Instant::now());
-        if st.closed || st.in_use + count > st.max {
-            return None;
-        }
-        st.in_use += count;
-        Some(Permit {
-            throttle: self,
-            count,
         })
     }
 
@@ -238,37 +209,48 @@ impl Throttle {
     }
 }
 
-impl Drop for Permit<'_> {
-    fn drop(&mut self) {
-        self.throttle.release(self.count);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+
+    /// Wait until `t` has counted `n` acquirers that found it full; fail
+    /// after 10 s.
+    fn wait_for_waits(t: &Throttle, n: u64) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while t.waits.get() < n {
+            assert!(Instant::now() < deadline, "no acquirer blocked");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
 
     #[test]
     fn acquire_release_cycle() {
-        let t = Throttle::new("test", 2);
-        let a = t.acquire(1).unwrap();
-        let b = t.acquire(1).unwrap();
-        assert_eq!(t.in_use(), 2);
-        assert!(t.try_acquire(1).is_none());
+        let t = Arc::new(Throttle::new("test", 2));
+        let a = t.acquire_owned(1).unwrap();
+        let b = t.acquire_owned(1).unwrap();
+        assert_eq!((t.in_use(), t.waits.get()), (2, 0));
         drop(a);
         assert_eq!(t.in_use(), 1);
-        assert!(t.try_acquire(1).is_some());
+        let c = t.acquire_owned(1).unwrap();
+        assert_eq!(t.waits.get(), 0, "a dropped permit's unit is free at once");
+        // At the limit, the next acquirer waits for a release.
+        let t2 = Arc::clone(&t);
+        let h = std::thread::spawn(move || t2.acquire_owned(1).map(drop));
+        wait_for_waits(&t, 1);
+        assert_eq!(t.in_use(), 2);
         drop(b);
+        h.join().unwrap().unwrap();
+        drop(c);
+        assert_eq!(t.in_use(), 0);
     }
 
     #[test]
     fn blocking_acquire_waits_and_accounts() {
         let t = Arc::new(Throttle::new("test", 1));
-        let held = t.acquire(1).unwrap();
+        let held = t.acquire_owned(1).unwrap();
         let t2 = Arc::clone(&t);
         let h = std::thread::spawn(move || {
-            let _p = t2.acquire(1).unwrap();
+            let _p = t2.acquire_owned(1).unwrap();
         });
         std::thread::sleep(Duration::from_millis(20));
         drop(held);
@@ -291,8 +273,7 @@ mod tests {
         held.release_at(Instant::now());
         drop(held);
         assert_eq!(t.in_use(), 1);
-        assert!(t.try_acquire(1).is_none());
-        let p = t.acquire(1).unwrap();
+        let p = t.acquire_owned(1).unwrap();
         assert!(Instant::now() >= at, "acquired before the release instant");
         assert_eq!(t.waits.get(), 1);
         drop(p);
@@ -304,33 +285,35 @@ mod tests {
     #[test]
     fn set_max_unblocks_waiters() {
         let t = Arc::new(Throttle::new("test", 1));
-        let _held = t.acquire(1).unwrap();
+        let _held = t.acquire_owned(1).unwrap();
         let t2 = Arc::clone(&t);
-        let h = std::thread::spawn(move || t2.acquire(1).map(drop));
-        std::thread::sleep(Duration::from_millis(10));
+        let h = std::thread::spawn(move || t2.acquire_owned(1).map(drop));
+        wait_for_waits(&t, 1);
         t.set_max(2);
         h.join().unwrap().unwrap();
     }
 
     #[test]
     fn oversized_request_rejected() {
-        let t = Throttle::new("test", 4);
-        assert!(t.acquire(5).is_err());
-        assert!(t.acquire(4).is_ok());
+        let t = Arc::new(Throttle::new("test", 4));
+        assert!(matches!(
+            t.acquire_owned(5),
+            Err(AfcError::InvalidArgument(_))
+        ));
+        assert!(t.acquire_owned(4).is_ok());
     }
 
     #[test]
     fn close_fails_waiters_and_future() {
         let t = Arc::new(Throttle::new("test", 1));
-        let held = t.acquire(1).unwrap();
+        let held = t.acquire_owned(1).unwrap();
         let t2 = Arc::clone(&t);
-        let h = std::thread::spawn(move || t2.acquire(1).map(|_| ()));
-        std::thread::sleep(Duration::from_millis(10));
+        let h = std::thread::spawn(move || t2.acquire_owned(1).map(drop));
+        wait_for_waits(&t, 1);
         t.close();
-        assert!(h.join().unwrap().is_err());
+        assert!(matches!(h.join().unwrap(), Err(AfcError::ShutDown(_))));
         drop(held);
-        assert!(t.acquire(1).is_err());
-        assert!(t.try_acquire(1).is_none());
+        assert!(matches!(t.acquire_owned(1), Err(AfcError::ShutDown(_))));
     }
 
     #[test]

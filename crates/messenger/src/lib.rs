@@ -8,13 +8,23 @@
 //!
 //! - A [`Network`] is a registry of endpoints plus a timing configuration.
 //!   Sending reads the registry shared (`RwLock` read) and hands the message
-//!   to the connection's queue; only `register`/`unregister`/`shutdown` and
-//!   the first message of a connection (which creates its thread) take it
-//!   exclusively, so senders do not serialise on the fabric.
-//! - Each `(sender → daemon)` pair gets a dedicated **connection thread**
-//!   that models wire latency, delivers in departure order, and optionally
-//!   burns per-message CPU (protocol/checksum work) so host CPU becomes the
-//!   collective ceiling exactly as in the paper.
+//!   to its receiver; only `register`/`unregister`/`shutdown`, the first
+//!   message of a connection and the first one its receiver hands back
+//!   (which creates its thread) take it exclusively, so senders do not
+//!   serialise on the fabric.
+//! - **Taken messages.** Every message is first offered to its
+//!   receiver's [`Dispatcher`] on the sending thread, stamped with the
+//!   arrival a delivery thread would dispatch it at, and the receiver may
+//!   take it there ([`Dispatcher::take`]) when nothing it does with it can
+//!   be observed before that instant. A client session takes every reply
+//!   and its waiter waits out the arrival; a daemon, whose handlers act
+//!   *at* arrival, takes only what needs no such handler.
+//! - A message handed back goes to its `(sender → receiver)` connection's
+//!   **delivery thread**, created the first time the receiver hands one
+//!   back, which models wire latency, delivers in departure order, and
+//!   optionally burns per-message CPU (protocol/checksum work) so host CPU
+//!   becomes the collective ceiling exactly as in the paper. A connection
+//!   that only carries taken messages never gets a thread.
 //! - **Departure-ordered delivery.** A message arrives one hop after it
 //!   departs: at once for [`Messenger::send`], at a stated instant for
 //!   [`Messenger::send_at`] (a read reply that leaves when its SSD read
@@ -24,16 +34,6 @@
 //!   stay FIFO; a stamped one never holds back a message that leaves
 //!   before it. A sender wakes the thread only when its message arrives
 //!   before the one the thread sleeps for.
-//! - **Inboxes.** An endpoint registered with an [`Inbox`] (a client
-//!   session) gets no connection thread: the sending thread hands it each
-//!   message at once, stamped with the arrival a connection thread would
-//!   have delivered it at, and the endpoint's own waiter waits out that
-//!   instant. A daemon cannot be an inbox: its handlers act *at* arrival.
-//! - **Taken messages.** A daemon's [`Dispatcher`] is offered each stamped
-//!   message on the sending thread, with its arrival, and may take it
-//!   there ([`Dispatcher::take`]) when nothing it does with it can be
-//!   observed before that instant. What it hands back is delivered at its
-//!   arrival as usual.
 //! - **Nagle modeling** (§3.2): with `nagle = true` (community KRBD on
 //!   CentOS 7), messages smaller than one MSS are delayed by the
 //!   small-packet coalescing window before they leave the sender. Large
@@ -71,9 +71,8 @@ pub struct NetConfig {
     /// Extra delay Nagle imposes on small messages.
     pub nagle_delay: Duration,
     /// Per-message CPU burned by the connection thread, or by the sending
-    /// thread for a message posted to an inbox or taken by a dispatcher
-    /// (protocol work, checksumming). Zero by default; the scale-out
-    /// harness raises it.
+    /// thread for a message its receiver takes (protocol work,
+    /// checksumming). Zero by default; the scale-out harness raises it.
     pub cpu_per_msg: Duration,
     /// Receive-side threading model (§4.5 / extension).
     pub mode: MessengerMode,
@@ -132,19 +131,20 @@ impl NetConfig {
     }
 }
 
-/// Receives dispatched messages for one endpoint, at their arrival, on a
-/// delivery thread. Implementations must be thread-safe: in `Simple` mode
-/// every inbound connection dispatches from its own thread, in `Async`
-/// mode from whichever lane it is sharded onto.
+/// Receives one endpoint's messages. Each is first offered to
+/// [`Self::take`] on the sending thread; one handed back is dispatched at
+/// its arrival on a delivery thread. Implementations must be thread-safe:
+/// in `Simple` mode every inbound connection dispatches from its own
+/// thread, in `Async` mode from whichever lane it is sharded onto.
 pub trait Dispatcher<M>: Send + Sync {
-    /// Handle one message from `from`.
+    /// Handle one message from `from`, at its arrival.
     fn dispatch(&self, from: Addr, msg: M);
 
-    /// Take a stamped message ([`Messenger::send_at`]) from `from` on the
-    /// sending thread, before it arrives at `arrival`: `None` when taken,
-    /// the message back to have it dispatched at its arrival. A taken
-    /// message's effects must be invisible until `arrival`. Called with no
-    /// fabric lock held, so it may send. By default nothing is taken.
+    /// Take a message from `from` on the sending thread, before it arrives
+    /// at `arrival`: `None` when taken, the message back to have it
+    /// dispatched at its arrival. A taken message's effects must be
+    /// invisible until `arrival`. Called with no fabric lock held, so it
+    /// may send. By default nothing is taken.
     fn take(&self, _from: Addr, msg: M, _arrival: Instant) -> Option<M> {
         Some(msg)
     }
@@ -157,55 +157,15 @@ impl<M, F: Fn(Addr, M) + Send + Sync> Dispatcher<M> for F {
     }
 }
 
-/// Takes one endpoint's messages on the sending thread, before they
-/// arrive (see [`Network::register_inbox`]).
-pub trait Inbox<M>: Send + Sync {
-    /// Take `msg` from `from`, which arrives at `arrival`. Nothing may
-    /// observe it before then.
-    fn post(&self, from: Addr, msg: M, arrival: Instant);
-}
-
 /// One inbound connection.
-enum Conn<M> {
-    /// Served by a delivery thread.
-    Lane {
-        lane: Arc<Lane<M>>,
-        /// This connection's slot in its lane's plain-send floors.
-        slot: usize,
-        /// Present only for Simple-mode per-connection threads; Async lanes
-        /// are owned by the network.
-        thread: Option<JoinHandle<()>>,
-        dispatcher: Arc<dyn Dispatcher<M>>,
-    },
-    /// To an inbox: no thread, only the arrival of the last plain send.
-    Inbox {
-        inbox: Arc<dyn Inbox<M>>,
-        floor: Mutex<Instant>,
-    },
-}
-
-impl<M> Conn<M> {
-    /// Wind the connection down: a Simple-mode thread delivers what it
-    /// holds and exits. An Async lane outlives its connections, and an
-    /// inbox connection has no thread.
-    fn close(self) {
-        if let Conn::Lane {
-            lane,
-            thread: Some(t),
-            ..
-        } = self
-        {
-            lane.close();
-            let _ = t.join();
-        }
-    }
-}
-
-/// A plain send arrives no earlier than the one sent before it on its
-/// connection: raise `arrival` to the connection's `floor` and move it.
-fn raise_to_floor(floor: &mut Instant, arrival: Instant) -> Instant {
-    *floor = arrival.max(*floor);
-    *floor
+struct Conn<M> {
+    /// The receiving endpoint's.
+    dispatcher: Arc<dyn Dispatcher<M>>,
+    /// The arrival of the last plain send: a plain send never arrives
+    /// before one sent earlier on its connection.
+    floor: Mutex<Instant>,
+    /// Made the first time the receiver hands a message back.
+    lane: OnceLock<Arc<Lane<M>>>,
 }
 
 struct WorkItem<M> {
@@ -230,9 +190,6 @@ struct LaneState<M> {
     /// Held messages by arrival; ties keep send order.
     queue: BTreeMap<(Instant, u64), WorkItem<M>>,
     next_seq: u64,
-    /// Per connection on the lane, the arrival of its last plain send: a
-    /// plain send never arrives before one sent earlier on its connection.
-    floors: Vec<Instant>,
     activity: Activity,
     closed: bool,
 }
@@ -250,7 +207,6 @@ impl<M> Lane<M> {
             state: Mutex::new(LaneState {
                 queue: BTreeMap::new(),
                 next_seq: 0,
-                floors: Vec::new(),
                 activity: Activity::Busy,
                 closed: false,
             }),
@@ -258,22 +214,11 @@ impl<M> Lane<M> {
         })
     }
 
-    /// Give a new connection its slot.
-    fn add_conn(&self) -> usize {
-        let mut st = self.state.lock();
-        st.floors.push(Instant::now());
-        st.floors.len() - 1
-    }
-
-    /// Hold `item` until `arrival` (raised to the connection's floor for a
-    /// plain send). False once the lane is closed.
-    fn push(&self, slot: usize, mut arrival: Instant, stamped: bool, item: WorkItem<M>) -> bool {
+    /// Hold `item` until `arrival`. False once the lane is closed.
+    fn push(&self, arrival: Instant, item: WorkItem<M>) -> bool {
         let mut st = self.state.lock();
         if st.closed {
             return false;
-        }
-        if !stamped {
-            arrival = raise_to_floor(&mut st.floors[slot], arrival);
         }
         let seq = st.next_seq;
         st.next_seq += 1;
@@ -353,18 +298,23 @@ fn deliver_loop<M>(lane: &Lane<M>, cfg: &NetConfig) {
     }
 }
 
-/// How an endpoint takes its messages.
-enum Receiver<M> {
-    /// At arrival, on delivery threads.
-    Dispatcher(Arc<dyn Dispatcher<M>>),
-    /// At send, stamped with the arrival.
-    Inbox(Arc<dyn Inbox<M>>),
+struct EndpointState<M> {
+    dispatcher: Arc<dyn Dispatcher<M>>,
+    /// Inbound connections keyed by sender address.
+    conns: HashMap<Addr, Arc<Conn<M>>>,
+    /// Simple mode: the delivery threads of its inbound connections.
+    threads: Vec<(Arc<Lane<M>>, JoinHandle<()>)>,
 }
 
-struct EndpointState<M> {
-    receiver: Receiver<M>,
-    /// Inbound connections keyed by sender address.
-    conns: HashMap<Addr, Conn<M>>,
+impl<M> EndpointState<M> {
+    /// Wind the endpoint down: each of its connection threads delivers
+    /// what it holds and exits. An Async lane outlives its connections.
+    fn close(self) {
+        for (lane, thread) in self.threads {
+            lane.close();
+            let _ = thread.join();
+        }
+    }
 }
 
 struct NetInner<M> {
@@ -396,7 +346,6 @@ pub struct Network<M: Send + 'static> {
     conns: Counter,
     lanes: Counter,
     threads: Counter,
-    posted: Counter,
     taken: Counter,
     nagled: Counter,
     dropped: Counter,
@@ -420,7 +369,6 @@ impl<M: Send + 'static> Network<M> {
             conns: Counter::new(),
             lanes: Counter::new(),
             threads: Counter::new(),
-            posted: Counter::new(),
             taken: Counter::new(),
             nagled: Counter::new(),
             dropped: Counter::new(),
@@ -448,33 +396,13 @@ impl<M: Send + 'static> Network<M> {
         });
     }
 
-    /// Register an endpoint whose messages are dispatched at their arrival
-    /// by delivery threads, and get its sending handle.
+    /// Register an endpoint whose messages `dispatcher` receives, and get
+    /// its sending handle.
     pub fn register(
         self: &Arc<Self>,
         addr: Addr,
         dispatcher: Arc<dyn Dispatcher<M>>,
     ) -> Result<Messenger<M>> {
-        self.add_endpoint(addr, Receiver::Dispatcher(dispatcher))
-    }
-
-    /// Register an endpoint whose messages are posted to `inbox` by the
-    /// sending thread, each with its arrival, and get its sending handle.
-    /// No delivery thread is ever spawned toward it. For an endpoint whose
-    /// only action on a message is to hand it to a waiter that honours the
-    /// arrival (a client session); a daemon, whose handlers act at
-    /// arrival, registers a [`Dispatcher`] and takes on the sending thread
-    /// only the stamped messages whose effects wait for their arrival
-    /// ([`Dispatcher::take`]).
-    pub fn register_inbox(
-        self: &Arc<Self>,
-        addr: Addr,
-        inbox: Arc<dyn Inbox<M>>,
-    ) -> Result<Messenger<M>> {
-        self.add_endpoint(addr, Receiver::Inbox(inbox))
-    }
-
-    fn add_endpoint(self: &Arc<Self>, addr: Addr, receiver: Receiver<M>) -> Result<Messenger<M>> {
         let mut inner = self.inner.write();
         if inner.shutdown {
             return Err(AfcError::ShutDown("network".into()));
@@ -485,8 +413,9 @@ impl<M: Send + 'static> Network<M> {
         inner.endpoints.insert(
             addr,
             EndpointState {
-                receiver,
+                dispatcher,
                 conns: HashMap::new(),
+                threads: Vec::new(),
             },
         );
         Ok(Messenger {
@@ -499,7 +428,7 @@ impl<M: Send + 'static> Network<M> {
     pub fn unregister(&self, addr: Addr) {
         let state = self.inner.write().endpoints.remove(&addr);
         if let Some(state) = state {
-            state.conns.into_values().for_each(Conn::close);
+            state.close();
         }
     }
 
@@ -514,9 +443,7 @@ impl<M: Send + 'static> Network<M> {
                 std::mem::take(&mut inner.lane_threads),
             )
         };
-        for (_, state) in eps {
-            state.conns.into_values().for_each(Conn::close);
-        }
+        eps.into_values().for_each(EndpointState::close);
         lanes.iter().for_each(|l| l.close());
         for t in lane_threads {
             let _ = t.join();
@@ -524,19 +451,17 @@ impl<M: Send + 'static> Network<M> {
     }
 
     /// Register the network's counters into a cluster metric registry as
-    /// `net.{msgs,bytes,conns,lanes,threads,posted,taken,nagled,dropped,duplicated}`:
+    /// `net.{msgs,bytes,conns,lanes,threads,taken,nagled,dropped,duplicated}`:
     /// `threads` counts delivery threads spawned (one per `Simple`
-    /// connection to a dispatcher, one per `Async` lane), `posted` messages
-    /// handed to an inbox, `taken` messages a dispatcher took on the
-    /// sending thread.
+    /// connection whose receiver handed a message back, one per `Async`
+    /// lane), `taken` messages a receiver took on the sending thread.
     pub fn attach_metrics(&self, m: &Metrics) {
-        let fields: [(&str, &Counter); 10] = [
+        let fields: [(&str, &Counter); 9] = [
             ("msgs", &self.msgs),
             ("bytes", &self.bytes),
             ("conns", &self.conns),
             ("lanes", &self.lanes),
             ("threads", &self.threads),
-            ("posted", &self.posted),
             ("taken", &self.taken),
             ("nagled", &self.nagled),
             ("dropped", &self.dropped),
@@ -548,9 +473,9 @@ impl<M: Send + 'static> Network<M> {
     }
 
     /// Put `msg` on the `from → to` connection, to leave at `at` (now when
-    /// `None` or past) and arrive one hop later: posted to the receiver's
-    /// inbox, taken by its dispatcher (stamped only), or onto its delivery
-    /// lane, after the registry lock is released.
+    /// `None` or past) and arrive one hop later: offered to the receiver
+    /// on this thread after the registry lock is released, and onto the
+    /// connection's delivery lane if handed back.
     fn deliver(
         &self,
         from: Addr,
@@ -586,82 +511,44 @@ impl<M: Send + 'static> Network<M> {
                 }
             }
         }
-        // Steady state reads the endpoint/connection table shared; only the
-        // first message of a connection takes the table exclusively.
-        loop {
-            let inner = self.inner.read();
-            if inner.shutdown {
-                return Err(AfcError::ShutDown("network".into()));
-            }
-            let state = inner
-                .endpoints
-                .get(&to)
-                .ok_or_else(|| AfcError::NotFound(format!("endpoint {to}")))?;
-            let Some(conn) = state.conns.get(&from) else {
-                drop(inner);
-                self.connect(from, to)?;
+        let conn = self.conn(from, to)?;
+        let now = Instant::now();
+        let mut departed = at.map_or(now, |at| at.max(now)) + extra_delay;
+        if self.cfg.nagle && wire_bytes <= self.cfg.nagle_threshold {
+            // Small payload held back by the coalescing window.
+            departed += self.cfg.nagle_delay;
+            self.nagled.inc();
+        }
+        self.msgs.inc();
+        self.bytes.add(wire_bytes as u64);
+        let mut arrival = departed + self.cfg.hop_latency;
+        if at.is_none() {
+            let mut floor = conn.floor.lock();
+            *floor = arrival.max(*floor);
+            arrival = *floor;
+        }
+        for (copy, msg) in std::iter::once(msg).chain(duplicate).enumerate() {
+            // The sending thread does the protocol work of a message taken.
+            let Some(msg) = conn.dispatcher.take(from, msg, arrival) else {
+                self.burn_msg_cpu();
+                self.taken.inc();
                 continue;
             };
-            let now = Instant::now();
-            let mut departed = at.map_or(now, |at| at.max(now)) + extra_delay;
-            if self.cfg.nagle && wire_bytes <= self.cfg.nagle_threshold {
-                // Small payload held back by the coalescing window.
-                departed += self.cfg.nagle_delay;
-                self.nagled.inc();
-            }
-            self.msgs.inc();
-            self.bytes.add(wire_bytes as u64);
-            let arrival = departed + self.cfg.hop_latency;
-            let (lane, slot, dispatcher) = match conn {
-                Conn::Lane {
-                    lane,
-                    slot,
-                    dispatcher,
-                    ..
-                } => (Arc::clone(lane), *slot, Arc::clone(dispatcher)),
-                Conn::Inbox { inbox, floor } => {
-                    let arrival = match at {
-                        Some(_) => arrival,
-                        None => raise_to_floor(&mut floor.lock(), arrival),
-                    };
-                    let inbox = Arc::clone(inbox);
-                    drop(inner);
-                    for msg in std::iter::once(msg).chain(duplicate) {
-                        self.burn_msg_cpu();
-                        self.posted.inc();
-                        inbox.post(from, msg, arrival);
-                    }
-                    return Ok(());
-                }
+            let item = WorkItem {
+                from,
+                msg,
+                dispatcher: Arc::clone(&conn.dispatcher),
             };
-            drop(inner);
-            for (copy, msg) in std::iter::once(msg).chain(duplicate).enumerate() {
-                // A stamped message is offered to the dispatcher first; the
-                // sending thread does the protocol work of one it takes.
-                let msg = match at {
-                    Some(_) => match dispatcher.take(from, msg, arrival) {
-                        Some(msg) => msg,
-                        None => {
-                            self.burn_msg_cpu();
-                            self.taken.inc();
-                            continue;
-                        }
-                    },
-                    None => msg,
-                };
-                let item = WorkItem {
-                    from,
-                    msg,
-                    dispatcher: Arc::clone(&dispatcher),
-                };
-                // The duplicate is best-effort: if the connection closed
-                // after the first send, it is moot.
-                if !lane.push(slot, arrival, at.is_some(), item) && copy == 0 {
-                    return Err(AfcError::Disconnected(format!("connection {from}->{to}")));
-                }
+            let pushed = self
+                .lane(from, to, &conn)
+                .map(|lane| lane.push(arrival, item));
+            // The duplicate is best-effort: if the connection closed after
+            // the first send, it is moot.
+            if copy == 0 && !pushed? {
+                return Err(AfcError::Disconnected(format!("connection {from}->{to}")));
             }
-            return Ok(());
         }
+        Ok(())
     }
 
     /// The per-message protocol CPU, on the thread that takes the message.
@@ -671,23 +558,60 @@ impl<M: Send + 'static> Network<M> {
         }
     }
 
-    /// Create the `from → to` connection if it is not there yet: to an
-    /// inbox only a floor; to a dispatcher its own thread in Simple mode, a
-    /// slot on one of the shared lanes in Async mode (sharded by connection
-    /// id). A thread that cannot be spawned is the sender's `Io` error.
-    fn connect(&self, from: Addr, to: Addr) -> Result<()> {
+    /// The `from → to` connection. Steady state reads the registry shared;
+    /// only a connection's first message takes it exclusively, to create
+    /// it.
+    fn conn(&self, from: Addr, to: Addr) -> Result<Arc<Conn<M>>> {
+        // A shut-down fabric has no endpoints left.
+        let missing = |down: bool| {
+            if down {
+                AfcError::ShutDown("network".into())
+            } else {
+                AfcError::NotFound(format!("endpoint {to}"))
+            }
+        };
+        let inner = self.inner.read();
+        let state = inner
+            .endpoints
+            .get(&to)
+            .ok_or_else(|| missing(inner.shutdown))?;
+        if let Some(conn) = state.conns.get(&from) {
+            return Ok(Arc::clone(conn));
+        }
+        drop(inner);
+        let mut inner = self.inner.write();
+        let down = inner.shutdown;
+        let state = inner.endpoints.get_mut(&to).ok_or_else(|| missing(down))?;
+        let conn = state.conns.entry(from).or_insert_with(|| {
+            self.conns.inc();
+            Arc::new(Conn {
+                dispatcher: Arc::clone(&state.dispatcher),
+                floor: Mutex::new(Instant::now()),
+                lane: OnceLock::new(),
+            })
+        });
+        Ok(Arc::clone(conn))
+    }
+
+    /// The `from → to` connection's delivery lane, made the first time its
+    /// receiver hands a message back: its own thread in Simple mode, one
+    /// of the shared lanes in Async mode (sharded by connection id). A
+    /// connection removed since gets none (`Disconnected`); a thread that
+    /// cannot be spawned is the sender's `Io` error.
+    fn lane(&self, from: Addr, to: Addr, conn: &Arc<Conn<M>>) -> Result<Arc<Lane<M>>> {
+        if let Some(lane) = conn.lane.get() {
+            return Ok(Arc::clone(lane));
+        }
         let mut guard = self.inner.write();
         let inner = &mut *guard;
-        if inner.shutdown {
-            return Err(AfcError::ShutDown("network".into()));
+        if let Some(lane) = conn.lane.get() {
+            return Ok(Arc::clone(lane));
         }
         let state = inner
             .endpoints
             .get_mut(&to)
-            .ok_or_else(|| AfcError::NotFound(format!("endpoint {to}")))?;
-        if state.conns.contains_key(&from) {
-            return Ok(());
-        }
+            .filter(|s| s.conns.get(&from).is_some_and(|c| Arc::ptr_eq(c, conn)))
+            .ok_or_else(|| AfcError::Disconnected(format!("connection {from}->{to}")))?;
         let spawn = |name: String| {
             let lane = Lane::new();
             let (l, cfg) = (Arc::clone(&lane), self.cfg.clone());
@@ -698,12 +622,8 @@ impl<M: Send + 'static> Network<M> {
             self.threads.inc();
             Ok::<_, AfcError>((lane, thread))
         };
-        let conn = match (&state.receiver, self.cfg.mode) {
-            (Receiver::Inbox(inbox), _) => Conn::Inbox {
-                inbox: Arc::clone(inbox),
-                floor: Mutex::new(Instant::now()),
-            },
-            (Receiver::Dispatcher(d), MessengerMode::Async { workers }) => {
+        let lane = match self.cfg.mode {
+            MessengerMode::Async { workers } => {
                 if inner.lanes.is_empty() {
                     for i in 0..workers.max(1) {
                         let (lane, thread) = spawn(format!("msgr-async-{i}"))?;
@@ -715,27 +635,15 @@ impl<M: Send + 'static> Network<M> {
                 use std::hash::{Hash, Hasher};
                 let mut h = std::collections::hash_map::DefaultHasher::new();
                 (from, to).hash(&mut h);
-                let lane = Arc::clone(&inner.lanes[(h.finish() as usize) % inner.lanes.len()]);
-                Conn::Lane {
-                    slot: lane.add_conn(),
-                    lane,
-                    thread: None,
-                    dispatcher: Arc::clone(d),
-                }
+                Arc::clone(&inner.lanes[(h.finish() as usize) % inner.lanes.len()])
             }
-            (Receiver::Dispatcher(d), MessengerMode::Simple) => {
+            MessengerMode::Simple => {
                 let (lane, thread) = spawn(format!("msgr-{from}-{to}"))?;
-                Conn::Lane {
-                    slot: lane.add_conn(),
-                    lane,
-                    thread: Some(thread),
-                    dispatcher: Arc::clone(d),
-                }
+                state.threads.push((Arc::clone(&lane), thread));
+                lane
             }
         };
-        self.conns.inc();
-        state.conns.insert(from, conn);
-        Ok(())
+        Ok(Arc::clone(conn.lane.get_or_init(|| lane)))
     }
 }
 
@@ -809,32 +717,34 @@ mod tests {
 
     /// What an endpoint took in: sender, message, and the first instant it
     /// could be observed — when a delivery thread dispatched it, or the
-    /// arrival an inbox was handed it with.
+    /// arrival it was taken with.
     type Got<M> = Arc<Mutex<Vec<(Addr, M, Instant)>>>;
 
-    struct Collect<M>(Got<M>);
+    /// Takes every message it is offered.
+    struct TakeAll<M>(Got<M>);
 
-    impl<M: Send> Inbox<M> for Collect<M> {
-        fn post(&self, from: Addr, msg: M, arrival: Instant) {
+    impl<M: Send> Dispatcher<M> for TakeAll<M> {
+        fn dispatch(&self, _: Addr, _: M) {
+            unreachable!("every message is taken");
+        }
+
+        fn take(&self, from: Addr, msg: M, arrival: Instant) -> Option<M> {
             self.0.lock().push((from, msg, arrival));
+            None
         }
     }
 
     /// Register `addr` to collect what it is sent: behind delivery threads,
-    /// or as an inbox.
-    fn collector<M: Send + 'static>(net: &Arc<Network<M>>, addr: Addr, inbox: bool) -> Got<M> {
+    /// or taking everything on the sending thread.
+    fn collector<M: Send + 'static>(net: &Arc<Network<M>>, addr: Addr, take_all: bool) -> Got<M> {
         let got: Got<M> = Arc::default();
-        if inbox {
-            net.register_inbox(addr, Arc::new(Collect(Arc::clone(&got))))
-                .unwrap();
+        let g = Arc::clone(&got);
+        let receiver: Arc<dyn Dispatcher<M>> = if take_all {
+            Arc::new(TakeAll(g))
         } else {
-            let g = Arc::clone(&got);
-            net.register(
-                addr,
-                Arc::new(move |from, m| g.lock().push((from, m, Instant::now()))),
-            )
-            .unwrap();
-        }
+            Arc::new(move |from, m| g.lock().push((from, m, Instant::now())))
+        };
+        net.register(addr, receiver).unwrap();
         got
     }
 
@@ -872,9 +782,9 @@ mod tests {
 
     #[test]
     fn per_connection_fifo_order() {
-        for inbox in [false, true] {
+        for take_all in [false, true] {
             let net: Arc<Network<u64>> = Network::new(NetConfig::default());
-            let got = collector(&net, osd(0), inbox);
+            let got = collector(&net, osd(0), take_all);
             let m = net.register(client(1), Arc::new(|_, _: u64| {})).unwrap();
             for i in 0..500u64 {
                 m.send(osd(0), i, 64).unwrap();
@@ -883,7 +793,7 @@ mod tests {
             let got = got.lock();
             assert!(
                 got.windows(2).all(|w| w[0].1 < w[1].1 && w[0].2 <= w[1].2),
-                "inbox={inbox}: order violated"
+                "take_all={take_all}: order violated"
             );
             net.shutdown();
         }
@@ -894,14 +804,14 @@ mod tests {
     #[test]
     fn nagle_delays_small_messages_only() {
         const DELAY: Duration = Duration::from_millis(20);
-        for inbox in [false, true] {
+        for take_all in [false, true] {
             let cfg = NetConfig {
                 nagle: true,
                 nagle_delay: DELAY,
                 ..NetConfig::default()
             };
             let net: Arc<Network<Instant>> = Network::new(cfg);
-            let got = collector(&net, osd(0), inbox);
+            let got = collector(&net, osd(0), take_all);
             let a = net
                 .register(client(1), Arc::new(|_, _: Instant| {}))
                 .unwrap();
@@ -919,21 +829,25 @@ mod tests {
                 of.map(|&(_, sent, seen)| seen - sent).collect()
             };
             let a = lat(client(1));
-            assert!(a[0] < DELAY, "inbox={inbox}: large delayed: {:?}", a[0]);
+            assert!(
+                a[0] < DELAY,
+                "take_all={take_all}: large delayed: {:?}",
+                a[0]
+            );
             assert!(
                 a[1] >= DELAY,
-                "inbox={inbox}: small not delayed: {:?}",
+                "take_all={take_all}: small not delayed: {:?}",
                 a[1]
             );
             assert!(
                 lat(client(2))[0] >= DELAY,
-                "inbox={inbox}: small not delayed"
+                "take_all={take_all}: small not delayed"
             );
             let got = got.lock();
             let b: Vec<_> = got.iter().filter(|(f, ..)| *f == client(2)).collect();
             assert!(
                 b[0].1 < b[1].1 && b[0].2 <= b[1].2,
-                "inbox={inbox}: large overtook a nagled small one"
+                "take_all={take_all}: large overtook a nagled small one"
             );
             assert_eq!(net.nagled.get(), 2);
             net.shutdown();
@@ -955,8 +869,9 @@ mod tests {
         net.shutdown();
     }
 
-    /// Connections to an inbox get no thread: posting happens on the
-    /// sender, and unregistering or shutting down has nothing to join.
+    /// Connections to a receiver that takes everything get no thread:
+    /// taking happens on the sender, and unregistering or shutting down has
+    /// nothing to join.
     #[test]
     fn inbox_connections_spawn_no_thread() {
         let net: Arc<Network<u64>> = Network::new(NetConfig::default());
@@ -969,9 +884,9 @@ mod tests {
             m.send_at(client(1), 10 + i as u64, 64, Instant::now())
                 .unwrap();
         }
-        // Posted before `send` returned.
+        // Taken before `send` returned.
         assert_eq!(got.lock().len(), 6);
-        assert_eq!((net.conns.get(), net.posted.get()), (3, 6));
+        assert_eq!((net.conns.get(), net.taken.get()), (3, 6));
         assert_eq!(net.threads.get(), 0);
         net.unregister(client(1));
         assert!(matches!(
@@ -985,8 +900,8 @@ mod tests {
         assert_eq!(net.threads.get(), 0);
     }
 
-    /// Takes the stamped odd payloads, recorded with their arrival; hands
-    /// the even ones back.
+    /// Takes the odd payloads, recorded with their arrival; hands the even
+    /// ones back.
     struct TakeOdd(Got<u64>);
 
     impl Dispatcher<u64> for TakeOdd {
@@ -1003,11 +918,11 @@ mod tests {
         }
     }
 
-    /// A dispatcher is offered only stamped messages, on the sending thread
-    /// with their arrival (a duplicate too); one it hands back is
-    /// dispatched at that arrival.
+    /// A dispatcher is offered every message, plain or stamped, on the
+    /// sending thread with its arrival (a duplicate too); one it hands back
+    /// is dispatched at that arrival.
     #[test]
-    fn a_dispatcher_takes_stamped_messages_on_the_sending_thread() {
+    fn a_dispatcher_is_offered_every_message_on_the_sending_thread() {
         use afc_common::faults::{FaultKind, FaultRegistry, FaultSpec};
         let cfg = NetConfig::default();
         let hop = cfg.hop_latency;
@@ -1026,14 +941,58 @@ mod tests {
         assert_eq!(msgs(&got), vec![1], "taken before `send_at` returned");
         assert_eq!(got.lock()[0].2, at + hop, "offered with its arrival");
         m.send_at(osd(0), 2, 64, at).unwrap();
+        let sent = Instant::now();
         m.send(osd(0), 3, 64).unwrap();
+        assert_eq!(msgs(&got), vec![1, 3], "a plain send is offered too");
+        assert!(
+            got.lock()[1].2 >= sent + hop,
+            "offered with an early arrival"
+        );
+        m.send(osd(0), 4, 64).unwrap();
         m.send_at(osd(0), 5, 64, at).unwrap();
-        assert_eq!(msgs(&got), vec![1, 5, 5], "the duplicate is offered too");
-        wait_for(&got, 5);
-        assert_eq!(msgs(&got), vec![1, 5, 5, 3, 2], "a plain send is not");
-        assert!(got.lock()[4].2 >= at + hop, "handed back, dispatched early");
-        assert_eq!((net.taken.get(), net.posted.get()), (3, 0));
-        assert_eq!(net.msgs.get(), 4);
+        assert_eq!(msgs(&got), vec![1, 3, 5, 5], "the duplicate is offered too");
+        wait_for(&got, 6);
+        assert_eq!(msgs(&got), vec![1, 3, 5, 5, 4, 2]);
+        assert!(
+            got.lock()[4].2 >= sent + hop,
+            "handed back, dispatched early"
+        );
+        assert!(got.lock()[5].2 >= at + hop, "handed back, dispatched early");
+        assert_eq!((net.taken.get(), net.msgs.get()), (4, 5));
+        net.shutdown();
+    }
+
+    /// A receiver that takes every message gets no delivery thread, however
+    /// many it is sent; the first one it hands back gets its connection
+    /// one, and that message is dispatched no earlier than its arrival.
+    #[test]
+    fn a_connection_gets_a_thread_only_when_its_receiver_hands_a_message_back() {
+        let cfg = NetConfig::default();
+        let hop = cfg.hop_latency;
+        let net: Arc<Network<u64>> = Network::new(cfg);
+        let got: Got<u64> = Arc::default();
+        net.register(osd(0), Arc::new(TakeOdd(Arc::clone(&got))))
+            .unwrap();
+        let m = net.register(client(1), Arc::new(|_, _: u64| {})).unwrap();
+        for i in 0..200u64 {
+            match i % 2 {
+                0 => m.send(osd(0), 2 * i + 1, 64).unwrap(),
+                _ => m.send_at(osd(0), 2 * i + 1, 64, Instant::now()).unwrap(),
+            }
+        }
+        assert_eq!(got.lock().len(), 200);
+        assert_eq!((net.conns.get(), net.taken.get()), (1, 200));
+        assert_eq!(net.threads.get(), 0, "a thread for taken messages");
+        let sent = Instant::now();
+        m.send(osd(0), 2, 64).unwrap();
+        assert_eq!(net.threads.get(), 1);
+        wait_for(&got, 201);
+        let (_, first, seen) = got.lock()[200];
+        assert_eq!(first, 2);
+        assert!(seen >= sent + hop, "dispatched before its arrival");
+        m.send(osd(0), 4, 64).unwrap();
+        wait_for(&got, 202);
+        assert_eq!(net.threads.get(), 1, "one thread per connection");
         net.shutdown();
     }
 
@@ -1050,9 +1009,8 @@ mod tests {
         let net: Arc<Network<()>> = Network::new(NetConfig::default());
         net.register(osd(0), Arc::new(|_, ()| {})).unwrap();
         assert!(net.register(osd(0), Arc::new(|_, ()| {})).is_err());
-        let inbox: Got<()> = Arc::default();
         assert!(net
-            .register_inbox(osd(0), Arc::new(Collect(inbox)))
+            .register(osd(0), Arc::new(TakeAll::<()>(Arc::default())))
             .is_err());
         net.shutdown();
     }
@@ -1070,11 +1028,11 @@ mod tests {
     /// message carries the earliest instant it may be observed at.
     #[test]
     fn concurrent_senders_all_delivered() {
-        for inbox in [false, true] {
+        for take_all in [false, true] {
             let cfg = NetConfig::default();
             let hop = cfg.hop_latency;
             let net: Arc<Network<Instant>> = Network::new(cfg);
-            let got = collector(&net, osd(0), inbox);
+            let got = collector(&net, osd(0), take_all);
             std::thread::scope(|s| {
                 for t in 0..8u64 {
                     let m = net
@@ -1096,9 +1054,9 @@ mod tests {
             assert_eq!(net.msgs.get(), 1600);
             net.shutdown();
             let got = got.lock();
-            assert_eq!(got.len(), 1600, "inbox={inbox}: delivered twice");
+            assert_eq!(got.len(), 1600, "take_all={take_all}: delivered twice");
             let early = got.iter().filter(|&&(_, due, seen)| seen < due).count();
-            assert_eq!(early, 0, "inbox={inbox}: observable early");
+            assert_eq!(early, 0, "take_all={take_all}: observable early");
         }
     }
 
@@ -1106,11 +1064,11 @@ mod tests {
     /// departure plus the hop.
     #[test]
     fn stamped_message_is_delivered_no_earlier_than_departure_plus_hop() {
-        for inbox in [false, true] {
+        for take_all in [false, true] {
             let cfg = NetConfig::default();
             let hop = cfg.hop_latency;
             let net: Arc<Network<Instant>> = Network::new(cfg);
-            let got = collector(&net, osd(0), inbox);
+            let got = collector(&net, osd(0), take_all);
             let m = net
                 .register(client(1), Arc::new(|_, _: Instant| {}))
                 .unwrap();
@@ -1125,7 +1083,7 @@ mod tests {
                 .unwrap();
             wait_for(&got, 9);
             for &(_, due, seen) in got.lock().iter() {
-                assert!(seen >= due, "inbox={inbox}: {:?} early", due - seen);
+                assert!(seen >= due, "take_all={take_all}: {:?} early", due - seen);
             }
             net.shutdown();
         }
@@ -1244,12 +1202,12 @@ mod tests {
     fn injected_drop_dup_delay_and_error() {
         use afc_common::faults::{FaultKind, FaultRegistry, FaultSpec};
         const DELAY: Duration = Duration::from_millis(30);
-        for inbox in [false, true] {
+        for take_all in [false, true] {
             let net: Arc<Network<u64>> = Network::new(NetConfig {
                 hop_latency: Duration::ZERO,
                 ..NetConfig::default()
             });
-            let got = collector(&net, osd(0), inbox);
+            let got = collector(&net, osd(0), take_all);
             let m = net.register(client(1), Arc::new(|_, _: u64| {})).unwrap();
             let reg = Arc::new(FaultRegistry::new());
             // Only odd payloads are injectable; evens are exempt (classify
@@ -1269,11 +1227,11 @@ mod tests {
             m.send(osd(0), 7, 64).unwrap();
             wait_for(&got, 4);
             let seen = got.lock()[3].2;
-            assert!(seen >= t0 + DELAY, "inbox={inbox}: delay not applied");
-            assert_eq!(msgs(&got), vec![2, 3, 3, 7], "inbox={inbox}");
+            assert!(seen >= t0 + DELAY, "take_all={take_all}: delay not applied");
+            assert_eq!(msgs(&got), vec![2, 3, 3, 7], "take_all={take_all}");
             assert_eq!(net.dropped.get(), 1);
             assert_eq!(net.duplicated.get(), 1);
-            assert_eq!(net.posted.get(), if inbox { 4 } else { 0 });
+            assert_eq!(net.taken.get(), if take_all { 4 } else { 0 });
             assert!(!reg.is_armed(), "all specs exhausted");
             net.shutdown();
         }
@@ -1281,14 +1239,14 @@ mod tests {
 
     #[test]
     fn cpu_burn_slows_delivery() {
-        for inbox in [false, true] {
+        for take_all in [false, true] {
             let cfg = NetConfig {
                 cpu_per_msg: Duration::from_micros(500),
                 hop_latency: Duration::ZERO,
                 ..NetConfig::default()
             };
             let net: Arc<Network<()>> = Network::new(cfg);
-            let got = collector(&net, osd(0), inbox);
+            let got = collector(&net, osd(0), take_all);
             let m = net.register(client(1), Arc::new(|_, ()| {})).unwrap();
             let t0 = Instant::now();
             for _ in 0..20 {
@@ -1296,7 +1254,10 @@ mod tests {
             }
             wait_for(&got, 20);
             let took = t0.elapsed();
-            assert!(took >= Duration::from_millis(10), "inbox={inbox}: {took:?}");
+            assert!(
+                took >= Duration::from_millis(10),
+                "take_all={take_all}: {took:?}"
+            );
             net.shutdown();
         }
     }

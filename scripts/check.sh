@@ -80,8 +80,11 @@ step cargo test --offline --quiet --manifest-path benchmark/Cargo.toml
 #      (scripts/thread-cpu.sh: CPU ticks and context switches per thread
 #      group, from /proc) must keep working: run it once around a quick
 #      benchmark run and require a table with the flushers' row in it.
-#      It also guards a deletion: no thread sleeps through a filestore
-#      apply, so an `fs-apply` row means apply worker threads came back.
+#      It also guards two deletions: no thread sleeps through a filestore
+#      apply, so an `fs-apply` row means apply worker threads came back;
+#      a client session takes every reply on the sending thread, so a
+#      `msgr-osd.N-clie` row means a delivery thread toward a client is
+#      back (some reply was handed back instead of taken).
 thread_cpu_table() {
     local out
     if ! out=$(scripts/thread-cpu.sh -c afc-benchmark -d 1 -i 1 \
@@ -94,6 +97,10 @@ thread_cpu_table() {
     echo "$out" | grep -q '^log-flush' || { echo "    no log-flush row"; return 1; }
     if echo "$out" | sed -n '/^thread-cpu:/,$p' | grep -q '^fs-apply'; then
         echo "    an fs-apply row: apply threads are back"
+        return 1
+    fi
+    if echo "$out" | sed -n '/^thread-cpu:/,$p' | grep -q '^msgr-osd\.N-cli'; then
+        echo "    a msgr-osd.N-clie row: a delivery thread toward a client is back"
         return 1
     fi
 }
