@@ -551,7 +551,7 @@ impl OsdInner {
     fn send_push(self: &Arc<Self>, pg: &Arc<Pg>, peer: OsdId, obj_name: String, gen: u64) {
         // Every acked write must be in the pushed bytes: wait for all this
         // OSD has journaled. If an apply is wedged, the pump picks again.
-        if self.write.applied.wait(self.journal.last_seq()).is_err() {
+        if self.wait_applied(self.journal.last_seq()).is_err() {
             return pg.with_state(|st| requeue_push(st, peer, obj_name, gen));
         }
         let data = match self.store.stat(&obj_name) {

@@ -63,15 +63,24 @@ impl OsdInner {
             // read itself are waited for right here, holding the PG lock
             // (the behaviour the pending queue fixes: other requests to
             // this PG — and this op worker — stall).
-            let ordered = self.write.applied.wait(job.ordered_after);
+            let ordered = self.wait_applied(job.ordered_after);
             return self.answer(job, ordered.map(|()| Instant::now()));
         }
         // §3.1/§4.3: "the read requests of other PG can be processed
         // without delay". A read whose applies are not in yet is parked on
-        // the prefix; whoever settles it answers, and no thread waits.
-        let inner = Arc::clone(self);
+        // the prefix; whoever settles it answers, and no thread waits. The
+        // filestore plans those applies as their lanes fall free until the
+        // park ends.
         let target = job.ordered_after;
-        let then = Box::new(move |ordered| inner.answer(job, ordered));
+        if self.write.applied.passed(target) {
+            return self.answer(job, Ok(Instant::now()));
+        }
+        let demand = self.store.demand_applies();
+        let inner = Arc::clone(self);
+        let then = Box::new(move |ordered| {
+            drop(demand);
+            inner.answer(job, ordered);
+        });
         if self.write.applied.after(target, then) {
             self.read.parks.inc();
         }

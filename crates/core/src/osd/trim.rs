@@ -211,7 +211,7 @@ impl AppliedPrefix {
 
     /// Whether `target` has settled with every completion up to it past,
     /// read without the lock.
-    fn passed(&self, target: u64) -> bool {
+    pub(super) fn passed(&self, target: u64) -> bool {
         // ordering: Relaxed — `any_due` is stored before the `settled`
         // Release store this Acquire load synchronizes with.
         self.settled.load(Ordering::Acquire) >= target && !self.any_due.load(Ordering::Relaxed)

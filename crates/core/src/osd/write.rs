@@ -490,6 +490,17 @@ impl OsdInner {
         }
     }
 
+    /// Wait until every journal sequence `<= target` is applied
+    /// ([`AppliedPrefix::wait`]), the filestore told meanwhile that someone
+    /// waits for its applies.
+    pub(super) fn wait_applied(&self, target: u64) -> Result<()> {
+        if self.write.applied.passed(target) {
+            return Ok(());
+        }
+        let _demand = self.store.demand_applies();
+        self.write.applied.wait(target)
+    }
+
     /// Settle `n` of `op`'s completions (its local commit, a replica ack,
     /// skipped replicas); the last one replies.
     pub(super) fn settle(&self, op: &WriteOp, n: usize) {

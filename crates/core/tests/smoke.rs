@@ -1,9 +1,10 @@
 //! End-to-end smoke tests for the cluster stack.
 
-use afc_common::{BlockTarget, ObjectId, MIB};
+use afc_common::{BlockTarget, ObjectId, KIB, MIB};
 use afc_core::{Cluster, DeviceProfile, OsdTuning};
-use afc_device::NvramConfig;
-use std::collections::BTreeSet;
+use afc_device::{NvramConfig, SsdConfig};
+use bytes::Bytes;
+use std::collections::{BTreeSet, VecDeque};
 use std::time::{Duration, Instant};
 
 fn small_cluster(tuning: OsdTuning) -> Cluster {
@@ -271,5 +272,151 @@ fn replies_are_posted_to_the_client_and_no_thread_delivers_them() {
     assert_eq!(c("net.taken"), 2 * OPS + repacks, "every reply and RepAck");
     let handing_back = (primaries.len() + replicas.len()) as u64;
     assert_eq!(c("net.threads"), handing_back);
+    cluster.shutdown();
+}
+
+/// Flash whose every write takes `write_base`, so an apply's lane stays
+/// busy long enough for the next apply to queue behind it.
+fn slow_apply_devices(write_base: Duration) -> DeviceProfile {
+    DeviceProfile {
+        ssd: SsdConfig {
+            write_base,
+            jitter: 0.0,
+            ..SsdConfig::sata3()
+        },
+        ..DeviceProfile::clean()
+    }
+}
+
+/// One AFCeph OSD on `devices`, no replicas.
+fn one_osd(devices: DeviceProfile) -> Cluster {
+    Cluster::builder()
+        .nodes(1)
+        .osds_per_node(1)
+        .replication(1)
+        .pg_num(8)
+        .tuning(OsdTuning::afceph())
+        .devices(devices)
+        .build()
+        .unwrap()
+}
+
+/// Write `object` twice and read it back: the second write's apply queues
+/// behind the first's on its lane, so the read parks on the applied
+/// prefix and nothing but the filestore's backstop can plan the apply it
+/// waits for. Returns when the first write was issued, when it returned
+/// and when the read was answered.
+fn read_behind_a_queued_apply(cluster: &Cluster, object: &str) -> [Instant; 3] {
+    let client = cluster.client().unwrap();
+    let issued = Instant::now();
+    client.write_object(object, 0, b"old bytes").unwrap();
+    let first = Instant::now();
+    client.write_object(object, 0, b"new bytes").unwrap();
+    assert_eq!(client.read_object(object, 0, 9).unwrap(), b"new bytes");
+    let answered = Instant::now();
+    let snap = cluster.metrics_snapshot();
+    assert_eq!(snap.counter("osd0.op.read_parks"), Some(1));
+    assert_eq!(snap.counter("osd0.op.gate_timeouts"), Some(0));
+    [issued, first, answered]
+}
+
+/// The backstop plans an apply only for a thread waiting on it. An AFCeph
+/// QD16 write-only run leaves every plan to the threads that queue
+/// applies (and the quiesce): Σ `fs.backstop_plans` is exactly 0. A read
+/// parked behind a queued apply is what it wakes for.
+#[test]
+fn the_backstop_plans_only_for_a_waiter() {
+    const OPS: usize = 400;
+    const QD: usize = 16;
+    let cluster = small_cluster(OsdTuning::afceph());
+    let client = cluster.client().unwrap();
+    let data = Bytes::from(vec![7u8; 4 * KIB as usize]);
+    let mut inflight: VecDeque<afc_core::client::rados::OpHandle> = VecDeque::new();
+    for i in 0..OPS {
+        if inflight.len() == QD {
+            inflight.pop_front().unwrap().wait().unwrap();
+        }
+        let object = format!("bs{}", i % 64);
+        let offset = (i / 64) as u64 * 4 * KIB;
+        inflight.push_back(
+            client
+                .write_object_async(&object, offset, data.clone())
+                .unwrap(),
+        );
+    }
+    for h in inflight {
+        h.wait().unwrap();
+    }
+    cluster.quiesce();
+    let snap = cluster.metrics_snapshot();
+    assert_eq!(snap.site_sum("fs.txns_applied"), 2 * OPS as u64);
+    assert_eq!(snap.site_sum("fs.backstop_plans"), 0);
+    cluster.shutdown();
+
+    let cluster = one_osd(slow_apply_devices(Duration::from_millis(20)));
+    read_behind_a_queued_apply(&cluster, "parked");
+    let plans = cluster.metrics_snapshot().site_sum("fs.backstop_plans");
+    assert!(
+        plans > 0,
+        "a parked read's apply was planned by no backstop"
+    );
+    cluster.shutdown();
+}
+
+/// A read parked behind a slow apply is answered when that apply
+/// completes — within 5 ms of it — not when the next write touches the
+/// store (there is none: it would time out). The first write's apply
+/// starts between that write's issue and its return, and the second's
+/// starts at its completion, one service later.
+#[test]
+fn a_parked_read_is_answered_at_its_apply_not_at_the_next_write() {
+    let service = Duration::from_millis(50);
+    let cluster = one_osd(slow_apply_devices(service));
+    let [issued, first, answered] = read_behind_a_queued_apply(&cluster, "slow");
+    assert!(
+        answered >= issued + 2 * service,
+        "answered before the apply it waited for completed"
+    );
+    let late = answered.saturating_duration_since(first + 2 * service);
+    assert!(
+        late < Duration::from_millis(5),
+        "answered {late:?} after the apply it waited for completed"
+    );
+    cluster.shutdown();
+}
+
+/// A submitter blocked on a full journal ring waits for applies that only
+/// a waiter gets planned: the client is QD1, so nothing else queues one,
+/// and a 16 KiB write needs more ring than the applies already planned
+/// free. With slow applies and a ring of a few entries, 200 writes stall
+/// on the ring and every one of them completes.
+#[test]
+fn a_full_journal_waits_out_its_applies_and_every_write_completes() {
+    const OPS: usize = 200;
+    let devices = slow_apply_devices(Duration::from_millis(10)).with_journal_capacity(32 * KIB);
+    let cluster = Cluster::builder()
+        .nodes(2)
+        .osds_per_node(1)
+        .replication(2)
+        .pg_num(8)
+        .tuning(OsdTuning::afceph())
+        .devices(devices)
+        .build()
+        .unwrap();
+    let client = cluster.client().unwrap();
+    let (small, large) = ([3u8; 4096], [4u8; 16384]);
+    for i in 0..OPS {
+        let data: &[u8] = if i % 4 == 3 { &large } else { &small };
+        client
+            .write_object(&format!("jf{}", i % 8), 0, data)
+            .unwrap();
+    }
+    let snap = cluster.metrics_snapshot();
+    assert!(
+        snap.site_sum("journal.full_stalls") > 0,
+        "the ring never filled"
+    );
+    assert_eq!(snap.site_sum("op.writes"), OPS as u64);
+    assert_eq!(client.read_object("jf7", 0, 16384).unwrap(), large);
     cluster.shutdown();
 }

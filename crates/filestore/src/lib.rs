@@ -23,6 +23,10 @@
 //! [`store`]; no thread runs per lane), fed through the **filestore
 //! throttle** (`filestore_queue_max_ops`) — the HDD-sized default is the
 //! source of the Figure 4 backlog; the paper retunes it for SSDs (§3.2).
+//! A lane is planned by whichever thread next touches the store; a thread
+//! that waits for an apply's callback holds a [`store::ApplyDemand`], and
+//! only then does the store's one backstop thread plan lanes as they fall
+//! free.
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
@@ -36,6 +40,6 @@ pub mod txn;
 
 pub use metacache::{MetaCache, ObjectMeta};
 pub use simfs::{PlannedRead, SimFs};
-pub use store::{FileStore, FileStoreConfig, TxnProfile};
+pub use store::{ApplyDemand, FileStore, FileStoreConfig, TxnProfile};
 pub use throttle::Throttle;
 pub use txn::{Transaction, TxOp};

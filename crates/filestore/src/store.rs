@@ -16,12 +16,17 @@
 //!
 //! Planning is done by whichever thread next touches the filestore — the
 //! one queueing a transaction, [`FileStore::apply_sync`],
-//! [`FileStore::wait_idle`] — and, for the tail nobody else gets to, by one
-//! *backstop* thread that sleeps until the earliest lane with queued work
-//! falls free, and sleeps untimed while none has any. A lane is planned no
-//! earlier than it is free, so a backlog waits in the FIFO, not on the
-//! device's channels; and because the start instant is fixed by the lane
-//! and the queue time, planning late moves no modeled time.
+//! [`FileStore::wait_idle`], a throttle acquirer once it has its permit —
+//! and a lane is planned no earlier than it is free, so a backlog waits in
+//! the FIFO, not on the device's channels. Because the start instant is
+//! fixed by the lane and the queue time, planning late moves no modeled
+//! time, only the wall-clock moment the callback runs; so only a thread
+//! that waits for that callback needs a prompt plan. Such a thread holds
+//! an [`ApplyDemand`] ([`FileStore::demand_applies`]) while it waits, and
+//! while any is held — or the store is closing, or a `Delay` fault holds a
+//! lane — one *backstop* thread sleeps until the earliest lane with queued
+//! work falls free and plans it. With no demand it sleeps untimed: on a
+//! write-only load nobody waits for an apply and it never wakes.
 
 use crate::metacache::{MetaCache, ObjectMeta};
 use crate::simfs::{PlannedRead, SimFs};
@@ -98,7 +103,8 @@ impl FileStoreConfig {
 /// Completion callback for a queued transaction: `Ok(at)` once it is
 /// applied, with the instant its last device request completes (often
 /// still ahead), or the error it failed with. Runs on whichever thread
-/// planned it.
+/// planned it, which may be long after the lane fell free unless someone
+/// holds an [`ApplyDemand`].
 pub type ApplyFn = Box<dyn FnOnce(Result<Instant>) + Send>;
 
 struct Job {
@@ -116,6 +122,9 @@ struct Lane {
     free_at: Instant,
     /// A thread is planning the lane's head.
     planning: bool,
+    /// A `Delay` fault holds the lane with its head unplanned. Nothing but
+    /// a plan at `free_at` moves it on, so it counts as demand until then.
+    held: bool,
     queue: VecDeque<Job>,
 }
 
@@ -146,10 +155,18 @@ enum Backstop {
 struct Lanes {
     lanes: Vec<Lane>,
     backstop: Backstop,
+    /// [`ApplyDemand`]s held: threads waiting for an apply's callback.
+    demand: usize,
     closed: bool,
 }
 
 impl Lanes {
+    /// Whether the backstop must plan lanes as they fall free: someone
+    /// waits for an apply, the store is draining, or a lane is held.
+    fn wanted(&self) -> bool {
+        self.demand > 0 || self.closed || self.lanes.iter().any(|l| l.held)
+    }
+
     fn next_due(&self) -> Option<Instant> {
         self.lanes.iter().filter_map(Lane::due).min()
     }
@@ -167,6 +184,20 @@ pub struct FileStore {
     backstop: Option<std::thread::JoinHandle<()>>,
 }
 
+/// A thread waiting for an apply's callback, registered by
+/// [`FileStore::demand_applies`]: while any is held, the backstop plans
+/// each lane with queued work as it falls free. Dropping it deregisters.
+#[must_use = "demand lasts only while the guard is held"]
+pub struct ApplyDemand {
+    core: Arc<Core>,
+}
+
+impl Drop for ApplyDemand {
+    fn drop(&mut self) {
+        self.core.lanes.lock().demand -= 1;
+    }
+}
+
 /// Everything the apply path needs, shared with the backstop thread.
 struct Core {
     cfg: FileStoreConfig,
@@ -179,6 +210,8 @@ struct Core {
     /// The backstop sleeps on it.
     cv: TrackedCondvar,
     txns_applied: Counter,
+    /// Applies the backstop planned, not a thread that touched the store.
+    backstop_plans: Counter,
     data_bytes: Counter,
     meta_reads: Counter,
     hints_skipped: Counter,
@@ -231,6 +264,7 @@ impl FileStore {
             .map(|_| Lane {
                 free_at: now,
                 planning: false,
+                held: false,
                 queue: VecDeque::new(),
             })
             .collect();
@@ -246,11 +280,13 @@ impl FileStore {
                 Lanes {
                     lanes,
                     backstop: Backstop::Running,
+                    demand: 0,
                     closed: false,
                 },
             ),
             cv: TrackedCondvar::new(),
             txns_applied: Counter::new(),
+            backstop_plans: Counter::new(),
             data_bytes: Counter::new(),
             meta_reads: Counter::new(),
             hints_skipped: Counter::new(),
@@ -296,8 +332,10 @@ impl FileStore {
     /// Queue a transaction for application on its lane. Blocks on the
     /// filestore throttle when `queue_max_ops` transactions are in flight —
     /// the §2.4/Figure 4 backpressure point — until the earliest of them
-    /// completes; never for the device. `done` runs on whichever thread
-    /// plans the transaction: often this one, right here.
+    /// completes; never for the device. Then plans every lane that is free.
+    /// `done` runs on whichever thread plans the transaction: often this
+    /// one, right here; else the next to touch the store, or the backstop
+    /// when someone holds an [`ApplyDemand`].
     pub fn queue_transaction(&self, txn: Transaction, done: ApplyFn) -> Result<()> {
         // Blocks on the filestore queue throttle when the apply backlog is
         // at `filestore_queue_max_ops` (the §3.2 stall this crate models).
@@ -327,6 +365,18 @@ impl FileStore {
         Ok(())
     }
 
+    /// Register a waiter for an apply's callback: until the guard drops,
+    /// the backstop plans each lane with queued work as it falls free. It
+    /// plans what is free right now first, on this thread, so no stale
+    /// backlog waits for the backstop.
+    pub fn demand_applies(&self) -> ApplyDemand {
+        self.core.lanes.lock().demand += 1;
+        self.core.pump();
+        ApplyDemand {
+            core: Arc::clone(&self.core),
+        }
+    }
+
     /// Queue, wait until applied and wait out its completion (tests,
     /// recovery replay). Plans the lanes itself while it waits.
     pub fn apply_sync(&self, txn: Transaction) -> Result<()> {
@@ -348,7 +398,9 @@ impl FileStore {
             });
             match rx.recv_timeout(wait) {
                 Ok(r) => break r?,
-                Err(RecvTimeoutError::Timeout) => self.core.pump(),
+                Err(RecvTimeoutError::Timeout) => {
+                    self.core.pump();
+                }
                 Err(RecvTimeoutError::Disconnected) => {
                     return Err(AfcError::ShutDown("filestore".into()))
                 }
@@ -463,13 +515,15 @@ impl FileStore {
     }
 
     /// Register the filestore's counters into a cluster metric registry:
-    /// apply-path counters, throttle waits, metadata-cache hit/miss and
+    /// apply-path counters (`backstop_plans`: applies the backstop planned
+    /// for a waiter), throttle waits, metadata-cache hit/miss and
     /// syscall counts under `<prefix>.<field>` (e.g. `osd0.fs.txns_applied`,
     /// `osd0.fs.throttle.waits`, `osd0.fs.cache_hits`, `osd0.fs.sys.open`).
     pub fn register_metrics(&self, m: &Metrics, prefix: &str) {
         let core = &self.core;
-        let fields: [(&str, &Counter); 5] = [
+        let fields: [(&str, &Counter); 6] = [
             ("txns_applied", &core.txns_applied),
+            ("backstop_plans", &core.backstop_plans),
             ("data_bytes", &core.data_bytes),
             ("meta_reads", &core.meta_reads),
             ("hints_skipped", &core.hints_skipped),
@@ -529,29 +583,38 @@ enum Fault {
 
 impl Core {
     /// Plan every lane whose head can start by now, until none can; then
-    /// make sure the backstop wakes for the earliest one that will.
-    fn pump(&self) {
+    /// make sure the backstop wakes for the earliest one that will, if
+    /// anyone wants it. Returns the number of applies planned.
+    fn pump(&self) -> u64 {
+        let mut planned = 0;
         loop {
             let now = Instant::now();
             let (lane, job, free_at) = {
                 let mut ls = self.lanes.lock();
                 let Some(i) = ls.lanes.iter().position(|l| l.ready(now)) else {
                     self.nudge_backstop(&ls);
-                    return;
+                    return planned;
                 };
                 let l = &mut ls.lanes[i];
                 let Some(job) = l.queue.pop_front() else {
                     continue;
                 };
                 l.planning = true;
+                l.held = false;
                 (i, job, l.free_at)
             };
-            self.plan(lane, job, free_at);
+            if self.plan(lane, job, free_at) {
+                planned += 1;
+            }
         }
     }
 
-    /// Wake the backstop if a lane falls due before it would look.
+    /// Wake the backstop if it is wanted and a lane falls due before it
+    /// would look.
     fn nudge_backstop(&self, ls: &Lanes) {
+        if !ls.wanted() {
+            return;
+        }
         let Some(due) = ls.next_due() else {
             return;
         };
@@ -568,8 +631,9 @@ impl Core {
     /// Apply `job`, the head of `lane`, from `max(free_at, queued)`: the
     /// lane is free from the completion on, the throttle slot is released
     /// then, and the callback gets it. A `Delay` at the `apply` point
-    /// holds the lane that long with the job still at its head.
-    fn plan(&self, lane: usize, mut job: Job, free_at: Instant) {
+    /// holds the lane that long with the job still at its head, and is
+    /// the one outcome that plans nothing (false).
+    fn plan(&self, lane: usize, mut job: Job, free_at: Instant) -> bool {
         let start = free_at.max(job.queued_at);
         let mut at = start;
         // The `apply` point is consulted once per job, however often the
@@ -586,9 +650,10 @@ impl Core {
                 let mut ls = self.lanes.lock();
                 let l = &mut ls.lanes[lane];
                 l.planning = false;
+                l.held = true;
                 l.free_at = start + d;
                 l.queue.push_front(job);
-                return;
+                return false;
             }
         };
         {
@@ -602,26 +667,27 @@ impl Core {
             self.apply_errors.inc();
         }
         (job.done)(res.map(|()| at));
+        true
     }
 
-    /// The backstop: plan lanes nobody else gets to as they fall free;
-    /// asleep untimed while no lane has queued work. Exits once closed and
-    /// drained.
+    /// The backstop: while someone wants it ([`Lanes::wanted`]), plan each
+    /// lane as it falls free; asleep untimed otherwise, or while no lane
+    /// has queued work. Exits once closed and drained.
     fn backstop(&self) {
         let mut ls = self.lanes.lock();
         loop {
             let now = Instant::now();
-            if ls.lanes.iter().any(|l| l.ready(now)) {
+            if ls.wanted() && ls.lanes.iter().any(|l| l.ready(now)) {
                 ls.backstop = Backstop::Running;
                 drop(ls);
-                self.pump();
+                self.backstop_plans.add(self.pump());
                 ls = self.lanes.lock();
                 continue;
             }
             if ls.closed && ls.lanes.iter().all(|l| l.queue.is_empty()) {
                 return;
             }
-            match ls.next_due() {
+            match ls.next_due().filter(|_| ls.wanted()) {
                 None => {
                     ls.backstop = Backstop::Parked;
                     self.cv.wait(&mut ls);

@@ -33,6 +33,9 @@ struct State {
     closed: bool,
     /// Releases due at an instant: `(when, units)`, earliest first.
     due: BinaryHeap<Reverse<(Instant, u64)>>,
+    /// Acquirers asleep on the condvar; a release notifies nobody while
+    /// this is zero.
+    sleepers: usize,
 }
 
 impl State {
@@ -93,8 +96,11 @@ impl OwnedPermit {
         } else {
             st.due.push(Reverse((at, count)));
         }
+        let wake = st.sleepers > 0;
         drop(st);
-        self.throttle.cv.notify_all();
+        if wake {
+            self.throttle.cv.notify_all();
+        }
     }
 }
 
@@ -111,6 +117,7 @@ impl Throttle {
                     max,
                     closed: false,
                     due: BinaryHeap::new(),
+                    sleepers: 0,
                 },
             ),
             cv: TrackedCondvar::new(),
@@ -152,7 +159,11 @@ impl Throttle {
                     wait_until(WaitClass::Ssd, at);
                     st = self.state.lock();
                 }
-                None => self.cv.wait(&mut st),
+                None => {
+                    st.sleepers += 1;
+                    self.cv.wait(&mut st);
+                    st.sleepers -= 1;
+                }
             }
         }
         if st.closed {
@@ -171,8 +182,11 @@ impl Throttle {
     fn release(&self, count: u64) {
         let mut st = self.state.lock();
         st.in_use = st.in_use.saturating_sub(count);
+        let wake = st.sleepers > 0;
         drop(st);
-        self.cv.notify_all();
+        if wake {
+            self.cv.notify_all();
+        }
     }
 
     /// Change the limit at runtime (system tuning), waking waiters.
@@ -314,6 +328,39 @@ mod tests {
         assert!(matches!(h.join().unwrap(), Err(AfcError::ShutDown(_))));
         drop(held);
         assert!(matches!(t.acquire_owned(1), Err(AfcError::ShutDown(_))));
+    }
+
+    /// Eight threads race blocking acquires against releases — now and at
+    /// an instant — for 10 000 rounds on a throttle of two. A release that
+    /// skipped a sleeper's notify would leave it asleep for good; the run
+    /// must finish well inside its deadline.
+    #[test]
+    fn no_release_is_lost_on_a_sleeper() {
+        const THREADS: u64 = 8;
+        const ROUNDS: u64 = 10_000;
+        let t = Arc::new(Throttle::new("test", 2));
+        let (tx, rx) = crossbeam::channel::bounded(1);
+        let t2 = Arc::clone(&t);
+        std::thread::spawn(move || {
+            std::thread::scope(|s| {
+                for n in 0..THREADS {
+                    let t = &t2;
+                    s.spawn(move || {
+                        for i in 0..ROUNDS / THREADS {
+                            let p = t.acquire_owned(1).unwrap();
+                            if (n + i) % 2 == 0 {
+                                p.release_at(Instant::now());
+                            }
+                        }
+                    });
+                }
+            });
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("an acquirer slept through a release");
+        assert_eq!(t.in_use(), 0);
+        assert_eq!(t.state.lock().sleepers, 0);
     }
 
     #[test]

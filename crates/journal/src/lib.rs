@@ -26,7 +26,9 @@
 //!   reports them applied ([`Journal::trim_through`]). When the ring fills,
 //!   submitters block — the backpressure behind Figure 10's 32K-random-write
 //!   fluctuation ("if journal is full with its data, the system gets blocked
-//!   until some of data in journal is flushed to filestore").
+//!   until some of data in journal is flushed to filestore"). A blocked
+//!   submitter first tells whoever frees the ring that it waits
+//!   ([`Journal::when_full`]).
 //! - **Replay**: untrimmed entries survive a crash (NVRAM is persistent) and
 //!   [`Journal::replay`] returns them oldest-first for filestore re-apply.
 //!
@@ -60,7 +62,7 @@ use afc_device::{BlockDev, IoReq, StreamId};
 use bytes::Bytes;
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Journal configuration.
@@ -101,6 +103,12 @@ impl Default for JournalConfig {
 /// write group's leader — the submitting thread, or the one that was
 /// committing when it submitted — always in sequence order.
 pub type CommitFn = Box<dyn FnOnce(u64, Instant) + Send>;
+
+/// Called by a submitter about to wait for ring space, off the ring lock;
+/// what it returns is held until the wait ends. Whoever frees the ring
+/// learns through it that someone waits: an OSD hands back its
+/// filestore's apply demand, so the applies that trim the ring get planned.
+pub type FullWait = Box<dyn Fn() -> Box<dyn Send> + Send + Sync>;
 
 /// A journaled entry retained for replay until trimmed.
 #[derive(Debug, Clone)]
@@ -158,6 +166,9 @@ struct RingState {
     /// fires callbacks, which is what keeps callback order equal to
     /// sequence order.
     committing: bool,
+    /// Submitters asleep on `space_cv`; a trim notifies nobody while this
+    /// is zero.
+    sleepers: usize,
 }
 
 /// The write-ahead ring journal. See the crate docs.
@@ -167,6 +178,8 @@ pub struct Journal {
     ring: TrackedMutex<RingState>,
     /// Space-available wakeup for blocked submitters.
     space_cv: TrackedCondvar,
+    /// Told when a submitter waits for space ([`Journal::when_full`]).
+    full_wait: OnceLock<FullWait>,
     stats: JournalStatsCell,
 }
 
@@ -190,11 +203,23 @@ impl Journal {
                     next_seq: 1,
                     write_cursor: 0,
                     committing: false,
+                    sleepers: 0,
                 },
             ),
             space_cv: TrackedCondvar::new(),
+            full_wait: OnceLock::new(),
             stats: JournalStatsCell::default(),
         })
+    }
+
+    /// Have a submitter that must wait for ring space call `hook` first,
+    /// and hold what it returns until the wait ends. First call wins.
+    pub fn when_full(&self, hook: FullWait) {
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "first call wins: a second hook is ignored"
+        )]
+        let _ = self.full_wait.set(hook);
     }
 
     /// Aligned ring footprint of a payload (header + data, rounded up).
@@ -222,16 +247,23 @@ impl Journal {
             lockdep::assert_blockable("journal submit (ring-full wait)");
         }
         let mut ring = self.ring.lock();
-        while ring.used + footprint > self.cfg.capacity {
+        if ring.used + footprint > self.cfg.capacity {
             if self.cfg.fail_when_full {
                 return Err(AfcError::Full("journal ring".into()));
             }
-            self.stats.full_stalls.inc();
-            let t0 = Instant::now();
-            self.space_cv.wait(&mut ring);
-            self.stats
-                .full_stall_us
-                .add(t0.elapsed().as_micros() as u64);
+            drop(ring);
+            let _waiting = self.full_wait.get().map(|hook| hook());
+            ring = self.ring.lock();
+            while ring.used + footprint > self.cfg.capacity {
+                self.stats.full_stalls.inc();
+                let t0 = Instant::now();
+                ring.sleepers += 1;
+                self.space_cv.wait(&mut ring);
+                ring.sleepers -= 1;
+                self.stats
+                    .full_stall_us
+                    .add(t0.elapsed().as_micros() as u64);
+            }
         }
         let seq = ring.next_seq;
         ring.next_seq += 1;
@@ -302,7 +334,9 @@ impl Journal {
         if freed > 0 {
             ring.used -= freed;
             self.stats.trimmed_bytes.add(freed);
-            self.space_cv.notify_all();
+            if ring.sleepers > 0 {
+                self.space_cv.notify_all();
+            }
         }
     }
 
@@ -500,7 +534,7 @@ mod tests {
     use afc_common::MIB;
     use afc_device::{Nvram, NvramConfig};
     use parking_lot::Mutex;
-    use std::sync::atomic::{AtomicU64, Ordering as AOrd};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AOrd};
 
     fn journal(capacity: u64) -> Arc<Journal> {
         let dev = Arc::new(Nvram::new(NvramConfig::pmc_8g()));
@@ -686,6 +720,90 @@ mod tests {
         t.join().unwrap();
         assert!(j.stats().full_stalls.get() > 0);
         assert!(j.stats().full_stall_us.get() > 0);
+    }
+
+    /// Four submitters race four trimmers for 10 000 entries through a
+    /// ring of four slots. A trim that skipped a sleeper's notify would
+    /// leave it asleep for good once the ring empties; the run must finish
+    /// well inside its deadline.
+    #[test]
+    fn no_trim_is_lost_on_a_sleeper() {
+        const ENTRIES: usize = 10_000;
+        let j = journal(4 * 4096);
+        let (tx, rx) = crossbeam::channel::bounded(1);
+        let j2 = Arc::clone(&j);
+        std::thread::spawn(move || {
+            let done = AtomicBool::new(false);
+            std::thread::scope(|s| {
+                let submitters: Vec<_> = (0..4)
+                    .map(|_| {
+                        s.spawn(|| {
+                            for _ in 0..ENTRIES / 4 {
+                                j2.submit(payload(1000), Box::new(|_, _| {})).unwrap();
+                            }
+                        })
+                    })
+                    .collect();
+                for _ in 0..4 {
+                    s.spawn(|| {
+                        while !done.load(AOrd::Relaxed) {
+                            j2.trim_through(u64::MAX);
+                            std::thread::yield_now();
+                        }
+                    });
+                }
+                for h in submitters {
+                    h.join().unwrap();
+                }
+                done.store(true, AOrd::Relaxed);
+            });
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("a submitter slept through a trim");
+        assert_eq!(j.stats().submits.get(), ENTRIES as u64);
+        assert_eq!(j.ring.lock().sleepers, 0);
+    }
+
+    /// A submitter that finds the ring full calls the `when_full` hook once,
+    /// off the ring lock, and holds what it returns until space frees.
+    #[test]
+    fn a_full_ring_tells_the_hook_and_holds_its_guard_through_the_wait() {
+        struct Held(Arc<AtomicU64>);
+        impl Drop for Held {
+            fn drop(&mut self) {
+                self.0.fetch_sub(1, AOrd::SeqCst);
+            }
+        }
+        let j = journal(2 * 4096);
+        let (calls, held) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let (c, h) = (Arc::clone(&calls), Arc::clone(&held));
+        let j2 = Arc::clone(&j);
+        j.when_full(Box::new(move || {
+            // Off the ring lock: the hook may trim, as a filestore pump can.
+            assert!(j2.ring.try_lock().is_some(), "hook ran under the ring lock");
+            c.fetch_add(1, AOrd::SeqCst);
+            h.fetch_add(1, AOrd::SeqCst);
+            Box::new(Held(Arc::clone(&h)))
+        }));
+        for _ in 0..2 {
+            j.submit(payload(1000), Box::new(|_, _| {})).unwrap();
+        }
+        assert_eq!(calls.load(AOrd::SeqCst), 0, "told while there was room");
+        std::thread::scope(|s| {
+            let blocked = s.spawn(|| j.submit(payload(1000), Box::new(|_, _| {})));
+            while j.stats().full_stalls.get() == 0 {
+                std::thread::yield_now();
+            }
+            assert_eq!(
+                held.load(AOrd::SeqCst),
+                1,
+                "guard dropped before the wait ended"
+            );
+            j.trim_through(u64::MAX);
+            blocked.join().unwrap().unwrap();
+        });
+        assert_eq!((calls.load(AOrd::SeqCst), held.load(AOrd::SeqCst)), (1, 0));
     }
 
     #[test]

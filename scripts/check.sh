@@ -84,7 +84,9 @@ step cargo test --offline --quiet --manifest-path benchmark/Cargo.toml
 #      apply, so an `fs-apply` row means apply worker threads came back;
 #      a client session takes every reply on the sending thread, so a
 #      `msgr-osd.N-clie` row means a delivery thread toward a client is
-#      back (some reply was handed back instead of taken).
+#      back (some reply was handed back instead of taken). And the run is
+#      write-only, so nothing waits for an apply: a voluntary switch on the
+#      `fs-backstop` row means the backstop wakes with nobody waiting.
 thread_cpu_table() {
     local out
     if ! out=$(scripts/thread-cpu.sh -c afc-benchmark -d 1 -i 1 \
@@ -101,6 +103,10 @@ thread_cpu_table() {
     fi
     if echo "$out" | sed -n '/^thread-cpu:/,$p' | grep -q '^msgr-osd\.N-cli'; then
         echo "    a msgr-osd.N-clie row: a delivery thread toward a client is back"
+        return 1
+    fi
+    if echo "$out" | sed -n '/^thread-cpu:/,$p' | awk '$1 == "fs-backstop" && $5 > 0 { f = 1 } END { exit !f }'; then
+        echo "    the fs-backstop row switched on a write-only run: it wakes for nobody"
         return 1
     fi
 }
