@@ -22,6 +22,7 @@ fn main() {
         "cv(fluctuation)",
         "journal-full stalls",
         "stalled(ms)",
+        "failed",
     ]);
     let mut rows = Vec::new();
     for &cap in &sizes {
@@ -42,6 +43,7 @@ fn main() {
             format!("{:.3}", r.series.cv()),
             fs_.to_string(),
             (fsu / 1000).to_string(),
+            r.errors.to_string(),
         ]);
         rows.push(FigRow::from_report("journal_size", cap as f64, &r, false).with_tuning("afceph"));
         cluster.shutdown();

@@ -380,11 +380,6 @@ impl OsdInner {
                 ..JournalConfig::default()
             },
         );
-        // A submitter waiting for ring space waits for applies to trim it.
-        let applies = Arc::downgrade(&store);
-        journal.when_full(Box::new(move || {
-            Box::new(applies.upgrade().map(|s| s.demand_applies()))
-        }));
         Ok(Arc::new(OsdInner {
             id: params.id,
             logger,

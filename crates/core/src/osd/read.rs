@@ -68,20 +68,11 @@ impl OsdInner {
         }
         // §3.1/§4.3: "the read requests of other PG can be processed
         // without delay". A read whose applies are not in yet is parked on
-        // the prefix; whoever settles it answers, and no thread waits. The
-        // filestore plans those applies as their lanes fall free until the
-        // park ends.
+        // the prefix; whoever settles it answers, and no thread waits.
         let target = job.ordered_after;
-        if self.write.applied.passed(target) {
-            return self.answer(job, Ok(Instant::now()));
-        }
-        let demand = self.store.demand_applies();
         let inner = Arc::clone(self);
-        let then = Box::new(move |ordered| {
-            drop(demand);
-            inner.answer(job, ordered);
-        });
-        if self.write.applied.after(target, then) {
+        let then = Box::new(move |ordered| inner.answer(job, ordered));
+        if self.after_applied(target, then) {
             self.read.parks.inc();
         }
     }

@@ -1,16 +1,19 @@
 //! The applied prefix: the one structure that answers "has the filestore
-//! applied journal sequence *n*?".
+//! applied journal sequence *n*?", and the one place anything waits for an
+//! apply.
 //!
 //! After the journal commit the journal sequence is the only order there
 //! is. Applies complete out of order across objects, so the OSD keeps the
 //! longest contiguous prefix of *settled* sequences, and everyone who needs
-//! an order waits on that one watermark: **journal trim** frees the ring
-//! through it; **a read** captures its PG's last submitted sequence at its
-//! PG order point and runs once `prefix >= captured` — never after a write
-//! submitted after it — parked here, not on a sleeping thread, when it
-//! must wait ([`AppliedPrefix::after`]); **a recovery push** waits for
-//! everything submitted so far; **replay** re-marks what it re-applies
-//! (marks are a set).
+//! an order waits on that one watermark by parking a continuation on it
+//! ([`AppliedPrefix::after`]) — no thread sleeps here: **journal trim**
+//! frees the ring through it, and a submitter that finds the ring full
+//! parks until the entry whose trim makes room has settled; **a read**
+//! captures its PG's last submitted sequence at its PG order point and runs
+//! once `prefix >= captured` — never after a write submitted after it;
+//! **a recovery push** waits for everything submitted so far; **replay**
+//! re-marks what it re-applies (marks are a set). A caller that must block
+//! (a Community read, a push, a full ring) blocks on its own continuation.
 //!
 //! A sequence settles when its apply lands, when replay finds it was never
 //! durable (*void*: a torn tail — a tear models power loss, so nothing runs
@@ -22,15 +25,14 @@
 //! any thread waiting for it, and the journal hands out the instant its
 //! record is durable the same way; a sequence settles at once with the
 //! later of the two, its *completion*. Nothing ordered behind it observes
-//! it sooner: a released read is handed the latest completion among the
-//! sequences it is ordered after and leaves no earlier, [`AppliedPrefix::wait`]
-//! waits that completion out, and the trim watermark stops below any
-//! sequence whose completion is still ahead — a crash before it could
-//! still lose the apply.
+//! it sooner: a released continuation is handed the latest completion
+//! among the sequences it is ordered after and acts no earlier, and the
+//! trim watermark stops below any sequence whose completion is still
+//! ahead — a crash before it could still lose the apply.
 
-use afc_common::lockdep::{classes, TrackedCondvar, TrackedMutex};
+use afc_common::lockdep::{classes, TrackedMutex};
 use afc_common::metrics::Counter;
-use afc_common::{wait_until, AfcError, Result, WaitClass};
+use afc_common::{AfcError, Result};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -60,8 +62,6 @@ struct Marks {
     due: BTreeMap<u64, Instant>,
     /// The trim watermark last handed out.
     trimmed: u64,
-    /// Threads parked in `wait`; nobody is notified while this is zero.
-    waiters: usize,
     /// Continuations parked by `after`, in park order.
     parked: Vec<Parked>,
     closed: bool,
@@ -100,19 +100,16 @@ fn done_by(due: &BTreeMap<u64, Instant>, target: u64, now: Instant) -> Option<In
 /// Per-OSD applied-prefix tracker. See the module docs.
 pub(super) struct AppliedPrefix {
     marks: TrackedMutex<Marks>,
-    cv: TrackedCondvar,
-    /// `Marks::settled` without the lock: a wait with nothing pending is
+    /// `Marks::settled` without the lock: a park with nothing pending is
     /// two loads. Stored `Release` after the apply it reports, loaded
     /// `Acquire` before the filestore read that relies on it.
     settled: AtomicU64,
     /// Whether `Marks::due` holds anything. Stored before `settled`, so a
     /// reader that acquires a settled prefix sees its completions.
     any_due: AtomicBool,
-    /// How long `wait` waits and a park stays parked: far beyond any
-    /// healthy apply.
+    /// How long a park stays parked: far beyond any healthy apply.
     timeout: Duration,
-    /// Waits and parks that ended at their deadline instead of at the
-    /// apply.
+    /// Parks that ended at their deadline instead of at the apply.
     pub(super) timeouts: Counter,
 }
 
@@ -121,7 +118,6 @@ impl AppliedPrefix {
     pub(super) fn new(timeout: Duration) -> Self {
         AppliedPrefix {
             marks: TrackedMutex::new(&classes::APPLIED, Marks::default()),
-            cv: TrackedCondvar::new(),
             settled: AtomicU64::new(0),
             any_due: AtomicBool::new(false),
             timeout,
@@ -130,10 +126,9 @@ impl AppliedPrefix {
     }
 
     /// Run `f` on the marks, forget completions that have passed, publish
-    /// the prefix and wake waiters if it moved, run the continuations it
-    /// released (on this thread, after the lock, each with the completion
-    /// it is ordered after), and return the trim watermark if *that*
-    /// advanced.
+    /// the prefix if it moved, run the continuations it released (on this
+    /// thread, after the lock, each with the completion it is ordered
+    /// after), and return the trim watermark if *that* advanced.
     fn update(&self, f: impl FnOnce(&mut Marks)) -> Option<u64> {
         let now = Instant::now();
         let (trim, released) = {
@@ -147,9 +142,6 @@ impl AppliedPrefix {
             let mut released = Vec::new();
             if m.settled != settled {
                 self.settled.store(m.settled, Ordering::Release);
-                if m.waiters > 0 {
-                    self.cv.notify_all();
-                }
                 let reached = m.settled;
                 let Marks { parked, due, .. } = &mut *m;
                 for p in parked.extract_if(.., |p| p.target <= reached) {
@@ -217,49 +209,16 @@ impl AppliedPrefix {
         self.settled.load(Ordering::Acquire) >= target && !self.any_due.load(Ordering::Relaxed)
     }
 
-    /// Wait until every sequence `<= target` has settled, then wait out
-    /// the latest completion among them. Fails *closed*: at the deadline
-    /// the waiter gets [`AfcError::Timeout`] (counted), never a look at the
-    /// filestore — data older than an acked write must not be served
-    /// because an apply is wedged.
-    pub(super) fn wait(&self, target: u64) -> Result<()> {
-        if self.passed(target) {
-            return Ok(());
-        }
-        let deadline = Instant::now() + self.timeout;
-        let mut m = self.marks.lock();
-        m.waiters += 1;
-        let res = loop {
-            if m.settled >= target {
-                break Ok(done_by(&m.due, target, Instant::now()));
-            }
-            if m.closed {
-                break Err(AfcError::ShutDown("osd stopping".into()));
-            }
-            if self.cv.wait_until(&mut m, deadline).timed_out() && m.settled < target {
-                self.timeouts.inc();
-                break Err(timed_out(m.settled, target));
-            }
-        };
-        m.waiters -= 1;
-        drop(m);
-        if let Some(done) = res? {
-            wait_until(WaitClass::Ssd, done);
-        }
-        Ok(())
-    }
-
     /// Run `then` once every sequence `<= target` has settled, with the
-    /// latest completion among them: right here when they have (two
-    /// atomic loads when every completion has passed), else parked — no
-    /// thread waits — and run by whoever settles the last of them. Fails
-    /// closed like [`Self::wait`]: [`Self::expire`] times a park out,
-    /// [`Self::close`] shuts it down. True when `then` was parked.
+    /// latest completion among them (now, when all have passed): right
+    /// here when they have (check [`Self::passed`] first to skip the
+    /// lock), else parked — no thread waits — and run by whoever settles
+    /// the last of them. Fails
+    /// *closed*: [`Self::expire`] times a park out with a counted
+    /// [`AfcError::Timeout`], never a look at the filestore — data older
+    /// than an acked write must not be served because an apply is wedged —
+    /// and [`Self::close`] shuts it down. True when `then` was parked.
     pub(super) fn after(&self, target: u64, then: Then) -> bool {
-        if self.passed(target) {
-            then(Ok(Instant::now()));
-            return false;
-        }
         let now = {
             let mut m = self.marks.lock();
             let now = Instant::now();
@@ -298,6 +257,14 @@ impl AppliedPrefix {
         self.update(|_| {})
     }
 
+    /// The trim watermark once completions that have passed are forgotten:
+    /// what the journal may free now (a submitter on a full ring frees it
+    /// itself). Recorded as handed out.
+    pub(super) fn trim_point(&self) -> u64 {
+        self.update(|_| {});
+        self.marks.lock().trimmed
+    }
+
     /// Crash: marks are volatile, what the journal was told to free is
     /// not. Forget everything beyond the trim watermark handed out; replay
     /// settles it again.
@@ -312,14 +279,13 @@ impl AppliedPrefix {
         self.settled.store(m.settled, Ordering::Release);
     }
 
-    /// Fail every present and future waiter and park (shutdown).
+    /// Fail every present and future park (shutdown).
     pub(super) fn close(&self) {
         let parked = {
             let mut m = self.marks.lock();
             m.closed = true;
             std::mem::take(&mut m.parked)
         };
-        self.cv.notify_all();
         for p in parked {
             (p.then)(Err(AfcError::ShutDown("osd stopping".into())));
         }
@@ -328,13 +294,14 @@ impl AppliedPrefix {
 
 fn timed_out(settled: u64, target: u64) -> AfcError {
     AfcError::Timeout(format!(
-        "applied through journal seq {settled} of {target} ordered before this read"
+        "applied through journal seq {settled} of {target} ordered before this wait"
     ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use afc_common::timeutil::sleep_until;
     use afc_filestore::Throttle;
     use std::sync::Arc;
 
@@ -348,6 +315,30 @@ mod tests {
         fn prefix(&self) -> u64 {
             self.marks.lock().settled
         }
+    }
+
+    /// Block on [`AppliedPrefix::after`] as the OSD's blocking callers do,
+    /// sweeping [`AppliedPrefix::expire`] meanwhile as the replication
+    /// ticker does: the park's outcome, with the completion it hands out
+    /// waited out.
+    fn wait(t: &AppliedPrefix, target: u64) -> Result<()> {
+        let (tx, rx) = crossbeam::channel::bounded(1);
+        t.after(
+            target,
+            Box::new(move |r| {
+                let _ = tx.send(r);
+            }),
+        );
+        let done = loop {
+            match rx.recv_timeout(Duration::from_millis(1)) {
+                Ok(r) => break r?,
+                Err(_) => {
+                    t.expire(Instant::now());
+                }
+            }
+        };
+        sleep_until(done);
+        Ok(())
     }
 
     #[test]
@@ -382,7 +373,7 @@ mod tests {
         assert_eq!(t.applied(1, Instant::now()), Some(1));
         assert_eq!(t.applied(1, Instant::now()), None);
         assert_eq!(t.prefix(), 1);
-        let err = t.wait(2).unwrap_err();
+        let err = wait(&t, 2).unwrap_err();
         assert!(matches!(err, AfcError::Timeout(_)), "{err}");
         assert_eq!(t.applied(3, Instant::now()), None);
         assert_eq!(t.applied(3, Instant::now()), None);
@@ -395,10 +386,10 @@ mod tests {
     #[test]
     fn waiter_is_released_by_its_own_prefix_not_by_later_writes() {
         let t = AppliedPrefix::new(LONG);
-        t.wait(0).unwrap(); // nothing ordered before: no wait, no lock
+        wait(&t, 0).unwrap(); // nothing ordered before: no park, no lock
         std::thread::scope(|s| {
-            let reader = s.spawn(|| t.wait(2));
-            while t.marks.lock().waiters == 0 {
+            let reader = s.spawn(|| wait(&t, 2));
+            while t.marks.lock().parked.is_empty() {
                 std::thread::yield_now();
             }
             t.applied(2, Instant::now());
@@ -406,7 +397,7 @@ mod tests {
             t.applied(1, Instant::now());
             reader.join().unwrap().unwrap();
         });
-        assert_eq!(t.marks.lock().waiters, 0);
+        assert!(t.marks.lock().parked.is_empty());
         assert_eq!(t.timeouts.get(), 0);
     }
 
@@ -420,7 +411,7 @@ mod tests {
         assert_eq!(t.applied(1, done), None, "trimmed a completion still ahead");
         assert!(Instant::now() < done, "applied waited for the completion");
         assert_eq!(t.prefix(), 1);
-        t.wait(1).unwrap();
+        wait(&t, 1).unwrap();
         assert!(
             Instant::now() >= done,
             "waiter returned before the completion"
@@ -474,24 +465,12 @@ mod tests {
     }
 
     #[test]
-    fn deadline_fails_closed_and_is_counted() {
-        let t = AppliedPrefix::new(SOON);
-        let err = t.wait(1).unwrap_err();
-        assert!(matches!(err, AfcError::Timeout(_)), "{err}");
-        assert_eq!(t.timeouts.get(), 1);
-        // Once it lands, the same target passes and nothing more is counted.
-        t.applied(1, Instant::now());
-        t.wait(1).unwrap();
-        assert_eq!(t.timeouts.get(), 1);
-    }
-
-    #[test]
     fn void_range_settles_for_waiters_and_for_trim() {
         let t = AppliedPrefix::new(SOON);
         t.applied(1, Instant::now());
         assert_eq!(t.applied(4, Instant::now()), None);
         assert_eq!(t.void(2..4), Some(4));
-        t.wait(4).unwrap();
+        wait(&t, 4).unwrap();
         assert_eq!(t.void(2..4), None, "a second replay truncates nothing");
         assert_eq!(t.void(9..9), None);
     }
@@ -509,7 +488,8 @@ mod tests {
             None,
             "trim must not pass the failed entry"
         );
-        t.wait(3).unwrap();
+        wait(&t, 3).unwrap();
+        assert_eq!(t.trim_point(), 1, "a full ring may free no further");
         assert_eq!(
             t.applied(2, Instant::now()),
             Some(3),
@@ -530,7 +510,7 @@ mod tests {
         assert_eq!((t.prefix(), t.marks.lock().trim_watermark()), (4, 2));
         t.resume_from_trim();
         assert_eq!(t.prefix(), 2);
-        assert!(matches!(t.wait(4), Err(AfcError::Timeout(_))));
+        assert!(matches!(wait(&t, 4), Err(AfcError::Timeout(_))));
         assert_eq!(
             t.applied(2, Instant::now()),
             None,
@@ -596,6 +576,13 @@ mod tests {
         assert_eq!((t.timeouts.get(), throttle.in_use()), (1, 0));
         t.applied(1, Instant::now());
         assert!(r.try_recv().is_err(), "ran twice");
+        // Once it lands, the same target passes and nothing more is counted.
+        wait(&t, 1).unwrap();
+        assert_eq!(t.timeouts.get(), 1);
+        // A blocking caller's deadline is the park's, swept the same way.
+        let err = wait(&t, 2).unwrap_err();
+        assert!(matches!(err, AfcError::Timeout(_)), "{err}");
+        assert_eq!(t.timeouts.get(), 2);
     }
 
     #[test]
@@ -608,14 +595,8 @@ mod tests {
         let (parked, after) = park(&t, 1, &throttle);
         assert!(!parked);
         assert!(matches!(after.try_recv(), Ok(Err(AfcError::ShutDown(_)))));
+        // A blocking caller is failed the same way, and no timeout counted.
+        assert!(matches!(wait(&t, 1), Err(AfcError::ShutDown(_))));
         assert_eq!((t.timeouts.get(), throttle.in_use()), (0, 0));
-    }
-
-    #[test]
-    fn close_fails_waiters_without_counting_a_timeout() {
-        let t = AppliedPrefix::new(LONG);
-        t.close();
-        assert!(matches!(t.wait(1), Err(AfcError::ShutDown(_))));
-        assert_eq!(t.timeouts.get(), 0);
     }
 }

@@ -24,17 +24,18 @@
 //! thread that queues applies (journal commit callback, completion worker)
 //! takes a PG lock or runs PG work; only the Community completion worker
 //! hands its `complete` to the PG's FIFO. So a PG-lock holder may wait for
-//! applies ([`AppliedPrefix::wait`]) without blocking whoever queues them.
+//! applies ([`OsdInner::wait_applied`]) without blocking whoever queues
+//! them: a Community read, or a submit on a full journal ring.
 
 use super::ack::OrderedAcker;
 use super::pg::{Pg, PgState};
 use super::trace::{Mark, StageRecorder, Trace};
-use super::trim::AppliedPrefix;
+use super::trim::{AppliedPrefix, Then};
 use super::OsdInner;
 use crate::messages::{ClientReply, ObjectOp, OpOutcome, OsdMsg, RepOp};
-use afc_common::lockdep::{classes, TrackedMutex};
+use afc_common::lockdep::{self, classes, TrackedMutex};
 use afc_common::metrics::{Counter, Metrics};
-use afc_common::{AfcError, ClientId, ObjectId, OpId, OsdId, PgId, Result};
+use afc_common::{wait_until, AfcError, ClientId, ObjectId, OpId, OsdId, PgId, Result, WaitClass};
 use afc_filestore::throttle::OwnedPermit;
 use afc_filestore::{Transaction, TxOp};
 use afc_logging::Level;
@@ -146,7 +147,7 @@ pub(super) struct LocalCommit {
 /// A client reply and the instant it leaves.
 type Outbound = (Addr, ClientReply, Instant);
 
-/// A read or recovery push that waits this long for an apply is wedged.
+/// A wait for an apply that lasts this long is wedged.
 const APPLY_TIMEOUT: Duration = Duration::from_secs(10);
 
 pub(super) struct WritePath {
@@ -415,7 +416,21 @@ impl OsdInner {
             };
             inner.on_local_commit(c, inline);
         });
-        st.last_jseq = self.journal.submit(payload, on_commit)?;
+        // A full ring has room once `through` is trimmed: wait for the
+        // prefix to pass it and give the journal the trim it then allows,
+        // which a failed apply pins below `through` until replay.
+        lockdep::assert_blockable("journal submit (ring-full wait)");
+        let make_room = |through| {
+            self.wait_applied(through)?;
+            let trim = self.write.applied.trim_point();
+            self.journal.trim_through(trim);
+            if trim < through {
+                let pinned = format!("journal ring pinned at seq {trim} by a failed apply");
+                return Err(AfcError::Full(pinned));
+            }
+            Ok(())
+        };
+        st.last_jseq = self.journal.submit(payload, on_commit, make_room)?;
         Ok(())
     }
 
@@ -490,15 +505,40 @@ impl OsdInner {
         }
     }
 
-    /// Wait until every journal sequence `<= target` is applied
-    /// ([`AppliedPrefix::wait`]), the filestore told meanwhile that someone
-    /// waits for its applies.
-    pub(super) fn wait_applied(&self, target: u64) -> Result<()> {
+    /// Run `then` once every journal sequence `<= target` is applied
+    /// ([`AppliedPrefix::after`]), the one wait for an apply; while it is
+    /// parked, the filestore plans applies for a waiter. True if parked.
+    pub(super) fn after_applied(&self, target: u64, then: Then) -> bool {
         if self.write.applied.passed(target) {
-            return Ok(());
+            then(Ok(Instant::now()));
+            return false;
         }
-        let _demand = self.store.demand_applies();
-        self.write.applied.wait(target)
+        let demand = self.store.demand_applies();
+        let then = Box::new(move |r| {
+            drop(demand);
+            then(r);
+        });
+        self.write.applied.after(target, then)
+    }
+
+    /// Block until every journal sequence `<= target` is applied
+    /// ([`Self::after_applied`]), then wait out the latest completion among
+    /// them.
+    pub(super) fn wait_applied(&self, target: u64) -> Result<()> {
+        lockdep::assert_blockable("wait for an apply");
+        let (tx, rx) = crossbeam::channel::bounded(1);
+        let then = Box::new(move |r| {
+            let _ = tx.send(r);
+        });
+        self.after_applied(target, then);
+        // blocking-ok: the park fails closed at its `APPLY_TIMEOUT` deadline
+        // (the replication ticker's `expire`) or at shutdown (`close`).
+        let answer = rx.recv();
+        let done = answer.map_err(|_| AfcError::ShutDown("osd stopping".into()))??;
+        if done > Instant::now() {
+            wait_until(WaitClass::Ssd, done);
+        }
+        Ok(())
     }
 
     /// Settle `n` of `op`'s completions (its local commit, a replica ack,

@@ -2,7 +2,7 @@
 //! the stack's recovery machinery (retransmit, dedup, bounded client
 //! retries) — never surfacing as a hang, a panic, or silent corruption.
 
-use afc_common::{AfcError, FaultKind, FaultPlan, FaultSpec, ObjectId};
+use afc_common::{AfcError, FaultKind, FaultPlan, FaultSpec, ObjectId, KIB};
 use afc_core::{Cluster, DeviceProfile, OpOutcome, OsdTuning};
 use bytes::Bytes;
 use std::sync::Arc;
@@ -424,4 +424,58 @@ fn read_behind_a_delayed_apply_parks_and_returns_the_new_bytes() {
     assert_eq!(snap.counter("osd0.op.read_parks"), Some(1));
     assert_eq!(snap.counter("osd0.op.gate_timeouts"), Some(0));
     cluster.shutdown();
+}
+
+/// A failed apply pins the journal trim until replay, so a small ring
+/// fills behind it for good. A submitter on that full ring parks on the
+/// applied prefix like every other wait for an apply, finds that the trim
+/// the prefix allows cannot make room, and fails the write `Full` at once:
+/// no write waits for a trim that will not come, and shutdown is not held
+/// up by one.
+#[test]
+fn a_ring_pinned_by_a_failed_apply_fails_writes_full_and_shuts_down() {
+    const WRITES: usize = 16;
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let cluster = Cluster::builder()
+            .nodes(1)
+            .osds_per_node(1)
+            .replication(1)
+            .pg_num(8)
+            .tuning(OsdTuning::afceph())
+            .devices(DeviceProfile::clean().with_journal_capacity(32 * KIB))
+            .faults(FaultPlan::new(0x0b))
+            .build()
+            .unwrap();
+        let reg = cluster.fault_registry().unwrap().clone();
+        let client = cluster.client().unwrap();
+        client.write_object("warm", 0, &[1; 4096]).unwrap();
+        cluster.quiesce();
+        reg.install(FaultSpec::new("osd0.fs.apply", FaultKind::Error).times(1));
+        client.set_op_timeout(Duration::from_secs(2));
+        client.set_max_retries(1);
+        for i in 0..WRITES {
+            let r = client.write_object(&format!("pinned{i}"), 0, &[2; 4096]);
+            let _ = tx.send(Some(r));
+        }
+        cluster.shutdown();
+        let _ = tx.send(None);
+    });
+    let mut kinds = Vec::new();
+    for i in 0..WRITES {
+        match rx.recv_timeout(Duration::from_secs(30)) {
+            Ok(Some(r)) => kinds.push(r.map_err(|e| e.kind())),
+            other => panic!("write {i}: no answer ({other:?})"),
+        }
+    }
+    let ok = kinds.iter().take_while(|k| k.is_ok()).count();
+    assert_eq!(ok, 7, "writes before the ring filled: {kinds:?}");
+    assert!(
+        kinds[ok..].iter().all(|k| *k == Err("full")),
+        "a write on the pinned ring: {kinds:?}"
+    );
+    assert!(
+        matches!(rx.recv_timeout(Duration::from_secs(10)), Ok(None)),
+        "shutdown hung"
+    );
 }

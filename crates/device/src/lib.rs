@@ -1,10 +1,10 @@
 //! Device timing models for `afcstore`.
 //!
-//! The paper's evaluation runs on real SATA3 SSDs (filestore), PMC NVRAM
-//! (journal) and — implicitly, as the design baseline — HDDs. We do not have
-//! that hardware, so this crate provides *timing models*: a device computes a
-//! service time from its internal state (channel occupancy, clean/sustained
-//! flash state, read/write interference, seek position) and hands out the
+//! The paper's evaluation runs on real SATA3 SSDs (filestore) and PMC NVRAM
+//! (journal). We do not have that hardware, so this crate provides *timing
+//! models*: a device computes a service time from its internal state
+//! (channel occupancy, clean/sustained flash state, read/write
+//! interference) and hands out the
 //! instant the request completes. No thread has to sleep for it: the
 //! caller carries the instant on — into the next request of the same
 //! chain, onto a message stamped to leave then, into a throttle permit
@@ -34,7 +34,6 @@
 #![deny(clippy::let_underscore_must_use)]
 
 pub mod ftl;
-pub mod hdd;
 pub mod nvram;
 pub mod plan;
 pub mod raid;
@@ -42,7 +41,6 @@ pub mod ssd;
 pub mod stats;
 
 pub use ftl::{Ftl, FtlConfig};
-pub use hdd::{Hdd, HddConfig};
 pub use nvram::{Nvram, NvramConfig};
 pub use raid::Raid0;
 pub use ssd::{Ssd, SsdConfig, SsdState};

@@ -480,54 +480,3 @@ mod tests {
         assert!(s.busy_us.get() > 0);
     }
 }
-
-#[cfg(test)]
-mod motivation_tests {
-    use super::*;
-    use crate::hdd::{Hdd, HddConfig};
-    use crate::{BlockDev, IoReq};
-
-    /// The paper's opening premise: flash turns random I/O from a seek-bound
-    /// disaster into something the *software* must now keep up with. The SSD
-    /// model must beat the HDD model on 4K random by orders of magnitude
-    /// while sequential bandwidth stays comparable.
-    #[test]
-    fn ssd_vs_hdd_random_gap_dwarfs_sequential_gap() {
-        let ssd = Ssd::new(SsdConfig {
-            jitter: 0.0,
-            ..SsdConfig::sata3()
-        });
-        let hdd = Hdd::new(HddConfig {
-            jitter: 0.0,
-            ..HddConfig::nearline_7k2()
-        });
-        // Random 4K service times, far-apart offsets.
-        let mut ssd_rand = Duration::ZERO;
-        let mut hdd_rand = Duration::ZERO;
-        for i in 0..32u64 {
-            let off = (i * 37 % 97) * (1 << 30);
-            ssd_rand += ssd
-                .plan(IoReq::read(off % ssd.capacity(), 4096))
-                .unwrap()
-                .service;
-            hdd_rand += hdd
-                .plan(IoReq::read(off % hdd.capacity(), 4096))
-                .unwrap()
-                .service;
-        }
-        // Sequential 1 MiB service times.
-        let ssd_seq = ssd.plan(IoReq::read(0, 1 << 20)).unwrap().service;
-        let hdd_seq = hdd.plan(IoReq::read(4096, 1 << 20)).unwrap().service;
-        let random_gap = hdd_rand.as_secs_f64() / ssd_rand.as_secs_f64();
-        let seq_gap = hdd_seq.as_secs_f64() / ssd_seq.as_secs_f64();
-        assert!(random_gap > 20.0, "random gap only {random_gap:.1}x");
-        assert!(
-            seq_gap < 8.0,
-            "sequential gap unexpectedly large: {seq_gap:.1}x"
-        );
-        assert!(
-            random_gap > 4.0 * seq_gap,
-            "random should dominate: {random_gap:.1} vs {seq_gap:.1}"
-        );
-    }
-}

@@ -7,9 +7,10 @@
 //! same file") — and charging data-plane device I/O to the backing
 //! [`BlockDev`].
 //!
-//! Each syscall costs a small fixed CPU time (kernel crossing), modeled by
-//! a short deterministic delay; data reads/writes additionally charge the
-//! device. Per-type syscall counters let benchmark harnesses print the
+//! A syscall is counted, not timed: the device I/O dominates, as it does
+//! on the paper's testbed, and data reads/writes charge the device.
+//! Per-type syscall counters expose the redundancy the light-weight
+//! transactions remove and let benchmark harnesses print the
 //! syscall-reduction table.
 //!
 //! A call that charges the device is one step of its caller's chain: it
@@ -26,7 +27,7 @@ use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Per-object heat threshold: an object rewritten this many times is
 /// classed hot and its data writes move to the [`StreamId::DataHot`]
@@ -57,13 +58,6 @@ fn extent_spans(extents: &[u64], offset: u64, len: u64) -> Vec<(u64, u32)> {
     }
     out
 }
-
-/// Cost of one kernel crossing. Real syscalls are ~0.3–1 µs; on this
-/// simulator's coarse sleep clock we fold syscall cost into counters only
-/// and charge no time below `SYSCALL_BATCH` — the *device* I/O dominates,
-/// as it does on the paper's testbed. The counters still expose the
-/// redundancy the LWT removes.
-const SYSCALL_COST: Duration = Duration::ZERO;
 
 struct FileNode {
     data: Vec<u8>,
@@ -158,9 +152,6 @@ impl SimFs {
 
     fn syscall(&self, calls: &Counter) {
         calls.inc();
-        if SYSCALL_COST > Duration::ZERO {
-            afc_common::sleep_for(SYSCALL_COST);
-        }
     }
 
     fn node(&self, path: &str) -> Result<Arc<Mutex<FileNode>>> {

@@ -15,18 +15,21 @@
 //! throttle permit is released at that instant.
 //!
 //! Planning is done by whichever thread next touches the filestore — the
-//! one queueing a transaction, [`FileStore::apply_sync`],
-//! [`FileStore::wait_idle`], a throttle acquirer once it has its permit —
-//! and a lane is planned no earlier than it is free, so a backlog waits in
-//! the FIFO, not on the device's channels. Because the start instant is
-//! fixed by the lane and the queue time, planning late moves no modeled
-//! time, only the wall-clock moment the callback runs; so only a thread
-//! that waits for that callback needs a prompt plan. Such a thread holds
-//! an [`ApplyDemand`] ([`FileStore::demand_applies`]) while it waits, and
-//! while any is held — or the store is closing, or a `Delay` fault holds a
-//! lane — one *backstop* thread sleeps until the earliest lane with queued
-//! work falls free and plans it. With no demand it sleeps untimed: on a
-//! write-only load nobody waits for an apply and it never wakes.
+//! one queueing a transaction, [`FileStore::wait_idle`], a throttle
+//! acquirer once it has its permit — and a lane is planned no earlier than
+//! it is free, so a backlog waits in the FIFO, not on the device's
+//! channels. Because the start instant is fixed by the lane and the queue
+//! time, planning late moves no modeled time, only the wall-clock moment
+//! the callback runs; so only a thread that waits for that callback needs
+//! a prompt plan. Such a thread holds an [`ApplyDemand`]
+//! ([`FileStore::demand_applies`]) while it waits — [`FileStore::apply_sync`]
+//! (replay), and an OSD with anything parked on its applied prefix (a
+//! read, a recovery push, a submitter on a full journal ring) — and while
+//! any is held, or the store is closing, or a `Delay` fault holds a lane,
+//! one *backstop* thread sleeps until the earliest lane with queued work
+//! falls free and plans it: the one planner for a waiter. With no demand
+//! it sleeps untimed: on a write-only load nobody waits for an apply and
+//! it never wakes.
 
 use crate::metacache::{MetaCache, ObjectMeta};
 use crate::simfs::{PlannedRead, SimFs};
@@ -40,7 +43,6 @@ use afc_common::{wait_until, AfcError, Result};
 use afc_device::BlockDev;
 use afc_kvstore::{Db, DbConfig, WriteBatch, WriteOptions};
 use bytes::Bytes;
-use crossbeam::channel::RecvTimeoutError;
 use std::collections::{HashSet, VecDeque};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -378,8 +380,9 @@ impl FileStore {
     }
 
     /// Queue, wait until applied and wait out its completion (tests,
-    /// recovery replay). Plans the lanes itself while it waits.
+    /// recovery replay), holding an [`ApplyDemand`] while it waits.
     pub fn apply_sync(&self, txn: Transaction) -> Result<()> {
+        let _waiting = self.demand_applies();
         let (tx, rx) = crossbeam::channel::bounded(1);
         self.queue_transaction(
             txn,
@@ -391,21 +394,11 @@ impl FileStore {
                 let _ = tx.send(r);
             }),
         )?;
-        let at = loop {
-            let next = self.core.lanes.lock().next_due();
-            let wait = next.map_or(Duration::from_millis(1), |t| {
-                t.saturating_duration_since(Instant::now())
-            });
-            match rx.recv_timeout(wait) {
-                Ok(r) => break r?,
-                Err(RecvTimeoutError::Timeout) => {
-                    self.core.pump();
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(AfcError::ShutDown("filestore".into()))
-                }
-            }
-        };
+        // The backstop plans the lanes for this waiter; a store that closes
+        // plans what is queued before it goes.
+        let at = rx
+            .recv()
+            .map_err(|_| AfcError::ShutDown("filestore".into()))??;
         wait_until(self.core.fs.wait_class(), at);
         Ok(())
     }

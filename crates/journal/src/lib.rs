@@ -23,12 +23,12 @@
 //!   mark) does so no earlier than `durable`; [`Journal::submit_and_wait`]
 //!   waits for it itself.
 //! - **Ring space accounting**: entries occupy the ring until the filestore
-//!   reports them applied ([`Journal::trim_through`]). When the ring fills,
-//!   submitters block — the backpressure behind Figure 10's 32K-random-write
-//!   fluctuation ("if journal is full with its data, the system gets blocked
-//!   until some of data in journal is flushed to filestore"). A blocked
-//!   submitter first tells whoever frees the ring that it waits
-//!   ([`Journal::when_full`]).
+//!   reports them applied ([`Journal::trim_through`]). A full ring is the
+//!   backpressure behind Figure 10's 32K-random-write fluctuation ("if
+//!   journal is full with its data, the system gets blocked until some of
+//!   data in journal is flushed to filestore"), but the journal itself
+//!   never waits: [`Journal::submit`] hands the wait to its caller, naming
+//!   the entry whose trim makes room, and times it as a full-ring stall.
 //! - **Replay**: untrimmed entries survive a crash (NVRAM is persistent) and
 //!   [`Journal::replay`] returns them oldest-first for filestore re-apply.
 //!
@@ -55,14 +55,14 @@ pub mod stats;
 
 pub use stats::JournalStatsCell;
 
-use afc_common::lockdep::{self, classes, TrackedCondvar, TrackedMutex};
+use afc_common::lockdep::{self, classes, TrackedMutex};
 use afc_common::timeutil::sleep_until;
 use afc_common::{sleep_for, wait_until, AfcError, Result};
 use afc_device::{BlockDev, IoReq, StreamId};
 use bytes::Bytes;
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Journal configuration.
@@ -77,8 +77,6 @@ pub struct JournalConfig {
     /// Maximum aligned bytes folded into one group-commit record. A batch
     /// always admits at least one entry regardless of this cap.
     pub batch_max_bytes: u64,
-    /// Fail `submit` instead of blocking when the ring is full.
-    pub fail_when_full: bool,
 }
 
 impl Default for JournalConfig {
@@ -93,7 +91,6 @@ impl Default for JournalConfig {
             align: 256,
             batch_max_ops: 64,
             batch_max_bytes: 8 * 1024 * 1024,
-            fail_when_full: false,
         }
     }
 }
@@ -104,11 +101,13 @@ impl Default for JournalConfig {
 /// committing when it submitted — always in sequence order.
 pub type CommitFn = Box<dyn FnOnce(u64, Instant) + Send>;
 
-/// Called by a submitter about to wait for ring space, off the ring lock;
-/// what it returns is held until the wait ends. Whoever frees the ring
-/// learns through it that someone waits: an OSD hands back its
-/// filestore's apply demand, so the applies that trim the ring get planned.
-pub type FullWait = Box<dyn Fn() -> Box<dyn Send> + Send + Sync>;
+/// The `make_room` of a submitter with nobody to trim the ring for it:
+/// a full ring fails the submit with [`AfcError::Full`].
+pub fn no_room(through: u64) -> Result<()> {
+    Err(AfcError::Full(format!(
+        "journal ring: no room until seq {through} is trimmed"
+    )))
+}
 
 /// A journaled entry retained for replay until trimmed.
 #[derive(Debug, Clone)]
@@ -166,9 +165,24 @@ struct RingState {
     /// fires callbacks, which is what keeps callback order equal to
     /// sequence order.
     committing: bool,
-    /// Submitters asleep on `space_cv`; a trim notifies nobody while this
-    /// is zero.
-    sleepers: usize,
+}
+
+impl RingState {
+    /// The sequence whose trim leaves room for `footprint` more bytes in a
+    /// ring of `capacity` — the oldest entries go first — or `None` when
+    /// there is room now.
+    fn trim_for(&self, footprint: u64, capacity: u64) -> Option<u64> {
+        let mut excess = (self.used + footprint)
+            .checked_sub(capacity)
+            .filter(|&e| e > 0)?;
+        let written = self.live.iter().map(|(e, _)| (e.seq, e.footprint));
+        let pending = self.pending.iter().map(|p| (p.seq, p.footprint));
+        written.chain(pending).find_map(|(seq, footprint)| {
+            let room = footprint >= excess;
+            excess = excess.saturating_sub(footprint);
+            room.then_some(seq)
+        })
+    }
 }
 
 /// The write-ahead ring journal. See the crate docs.
@@ -176,10 +190,6 @@ pub struct Journal {
     cfg: JournalConfig,
     dev: Arc<dyn BlockDev>,
     ring: TrackedMutex<RingState>,
-    /// Space-available wakeup for blocked submitters.
-    space_cv: TrackedCondvar,
-    /// Told when a submitter waits for space ([`Journal::when_full`]).
-    full_wait: OnceLock<FullWait>,
     stats: JournalStatsCell,
 }
 
@@ -203,23 +213,10 @@ impl Journal {
                     next_seq: 1,
                     write_cursor: 0,
                     committing: false,
-                    sleepers: 0,
                 },
             ),
-            space_cv: TrackedCondvar::new(),
-            full_wait: OnceLock::new(),
             stats: JournalStatsCell::default(),
         })
-    }
-
-    /// Have a submitter that must wait for ring space call `hook` first,
-    /// and hold what it returns until the wait ends. First call wins.
-    pub fn when_full(&self, hook: FullWait) {
-        #[expect(
-            clippy::let_underscore_must_use,
-            reason = "first call wins: a second hook is ignored"
-        )]
-        let _ = self.full_wait.set(hook);
     }
 
     /// Aligned ring footprint of a payload (header + data, rounded up).
@@ -228,12 +225,20 @@ impl Journal {
         raw.div_ceil(self.cfg.align) * self.cfg.align
     }
 
-    /// Submit a transaction payload. Blocks while the ring is full (or
-    /// fails with [`AfcError::Full`] when `fail_when_full`), never for the
-    /// device. `on_commit` fires once the entry's record is written — on
-    /// this thread when it leads the write group, else on the leader's —
-    /// with the instant the record is durable.
-    pub fn submit(&self, payload: Bytes, on_commit: CommitFn) -> Result<u64> {
+    /// Submit a transaction payload; the journal waits for nothing, the
+    /// device included. `on_commit` fires once the entry's record is
+    /// written — on this thread when it leads the write group, else on the
+    /// leader's — with the instant the record is durable. While the ring
+    /// has no room for the entry, `make_room` is called off the ring lock
+    /// with the sequence whose trim makes room, and timed as a full-ring
+    /// stall: once it returns `Ok` the submit tries again, and its error is
+    /// the submit's (`on_commit` dropped unfired, like every error here).
+    pub fn submit(
+        &self,
+        payload: Bytes,
+        on_commit: CommitFn,
+        mut make_room: impl FnMut(u64) -> Result<()>,
+    ) -> Result<u64> {
         let footprint = self.footprint(payload.len());
         if footprint > self.cfg.capacity {
             return Err(AfcError::InvalidArgument(format!(
@@ -241,29 +246,17 @@ impl Journal {
                 self.cfg.capacity
             )));
         }
-        if !self.cfg.fail_when_full {
-            // May park on space_cv until the filestore trims; callers must
-            // not hold any no-block lock class across this.
-            lockdep::assert_blockable("journal submit (ring-full wait)");
-        }
         let mut ring = self.ring.lock();
-        if ring.used + footprint > self.cfg.capacity {
-            if self.cfg.fail_when_full {
-                return Err(AfcError::Full("journal ring".into()));
-            }
+        while let Some(through) = ring.trim_for(footprint, self.cfg.capacity) {
             drop(ring);
-            let _waiting = self.full_wait.get().map(|hook| hook());
+            self.stats.full_stalls.inc();
+            let t0 = Instant::now();
+            let room = make_room(through);
+            self.stats
+                .full_stall_us
+                .add(t0.elapsed().as_micros() as u64);
+            room?;
             ring = self.ring.lock();
-            while ring.used + footprint > self.cfg.capacity {
-                self.stats.full_stalls.inc();
-                let t0 = Instant::now();
-                ring.sleepers += 1;
-                self.space_cv.wait(&mut ring);
-                ring.sleepers -= 1;
-                self.stats
-                    .full_stall_us
-                    .add(t0.elapsed().as_micros() as u64);
-            }
         }
         let seq = ring.next_seq;
         ring.next_seq += 1;
@@ -298,6 +291,7 @@ impl Journal {
 
     /// Submit and block until the entry is durable (convenience for tests
     /// and simple callers): one wait, booked to the device's ledger row.
+    /// A full ring fails it ([`no_room`]).
     pub fn submit_and_wait(&self, payload: Bytes) -> Result<u64> {
         lockdep::assert_blockable("journal submit_and_wait");
         let (tx, rx) = crossbeam::channel::bounded(1);
@@ -310,6 +304,7 @@ impl Journal {
                 )]
                 let _ = tx.send(durable);
             }),
+            no_room,
         )?;
         // A torn entry's callback is dropped: never durable.
         let durable = rx
@@ -334,9 +329,6 @@ impl Journal {
         if freed > 0 {
             ring.used -= freed;
             self.stats.trimmed_bytes.add(freed);
-            if ring.sleepers > 0 {
-                self.space_cv.notify_all();
-            }
         }
     }
 
@@ -356,7 +348,6 @@ impl Journal {
             truncated = first.seq..last.seq + 1;
             ring.used -= garbage.iter().map(|e| e.footprint).sum::<u64>();
             self.stats.replay_truncated.add(garbage.len() as u64);
-            self.space_cv.notify_all();
         }
         Replay {
             entries: ring.live.iter().map(|(e, _)| e.clone()).collect(),
@@ -534,7 +525,7 @@ mod tests {
     use afc_common::MIB;
     use afc_device::{Nvram, NvramConfig};
     use parking_lot::Mutex;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AOrd};
+    use std::sync::atomic::{AtomicU64, Ordering as AOrd};
 
     fn journal(capacity: u64) -> Arc<Journal> {
         let dev = Arc::new(Nvram::new(NvramConfig::pmc_8g()));
@@ -564,9 +555,11 @@ mod tests {
             payload(len),
             Box::new(move |_, _| {
                 for _ in 0..n {
-                    j2.submit(payload(len), Box::new(|_, _| {})).unwrap();
+                    j2.submit(payload(len), Box::new(|_, _| {}), no_room)
+                        .unwrap();
                 }
             }),
+            no_room,
         )
         .unwrap();
     }
@@ -584,6 +577,7 @@ mod tests {
                 Box::new(move |s, _| {
                     f.store(s, AOrd::SeqCst);
                 }),
+                no_room,
             )
             .unwrap();
         assert_eq!(fired.load(AOrd::SeqCst), seq);
@@ -603,8 +597,12 @@ mod tests {
         let order = Arc::new(Mutex::new(Vec::new()));
         for _ in 0..100 {
             let o = Arc::clone(&order);
-            j.submit(payload(100), Box::new(move |s, _| o.lock().push(s)))
-                .unwrap();
+            j.submit(
+                payload(100),
+                Box::new(move |s, _| o.lock().push(s)),
+                no_room,
+            )
+            .unwrap();
         }
         j.quiesce();
         let o = order.lock();
@@ -657,8 +655,12 @@ mod tests {
                 s.spawn(move || {
                     for _ in 0..50 {
                         let o = Arc::clone(&order);
-                        j.submit(payload(128), Box::new(move |s, _| o.lock().push(s)))
-                            .unwrap();
+                        j.submit(
+                            payload(128),
+                            Box::new(move |s, _| o.lock().push(s)),
+                            no_room,
+                        )
+                        .unwrap();
                     }
                 });
             }
@@ -686,8 +688,12 @@ mod tests {
         let t0 = Instant::now();
         let durable = Arc::new(Mutex::new(None));
         let d = Arc::clone(&durable);
-        j.submit(payload(256), Box::new(move |_, at| *d.lock() = Some(at)))
-            .unwrap();
+        j.submit(
+            payload(256),
+            Box::new(move |_, at| *d.lock() = Some(at)),
+            no_room,
+        )
+        .unwrap();
         assert!(t0.elapsed() < ACCESS, "submit waited for the device");
         let durable = durable.lock().expect("the leader fired the callback");
         assert!(durable >= t0 + ACCESS);
@@ -698,137 +704,58 @@ mod tests {
         assert_eq!(j.crash_image().len(), 1);
     }
 
+    /// A full ring names the entry whose trim makes room and hands the
+    /// wait to the submitter: the journal times it as a stall, returns its
+    /// error, and admits the entry once the wait has made room.
     #[test]
-    fn full_ring_blocks_until_trim() {
-        let j = journal(64 * 1024); // 16 4K-aligned slots
-        let mut seqs = Vec::new();
-        for _ in 0..16 {
-            seqs.push(j.submit(payload(1000), Box::new(|_, _| {})).unwrap());
+    fn a_full_ring_hands_its_wait_to_the_submitter() {
+        let j = journal(4 * 4096); // four 4K-aligned slots
+        for _ in 0..4 {
+            j.submit(payload(1000), Box::new(|_, _| {}), no_room)
+                .unwrap();
         }
-        j.quiesce();
-        assert!(j.used_fraction() > 0.9);
-        // Next submit would block; trim from another thread unblocks it.
+        j.trim_through(1);
+        j.submit(payload(1000), Box::new(|_, _| {}), no_room)
+            .unwrap();
+        // Full: slot 2 frees room for one more entry, slot 3 for two.
+        let mut named = Vec::new();
+        let err = j
+            .submit(payload(1000), Box::new(|_, _| {}), |through| {
+                named.push(through);
+                std::thread::sleep(Duration::from_millis(20));
+                Err(AfcError::Timeout("no apply".into()))
+            })
+            .unwrap_err();
+        assert!(matches!(err, AfcError::Timeout(_)), "{err}");
+        assert_eq!(named, [2], "named the wrong entry");
+        assert_eq!(j.stats().full_stalls.get(), 1);
+        assert!(j.stats().full_stall_us.get() >= 20_000, "wait not timed");
+        assert_eq!(j.stats().submits.get(), 5, "admitted without room");
+        let big = payload(4096 + 1000); // two slots
+        assert!(matches!(
+            j.submit(big.clone(), Box::new(|_, _| {}), no_room),
+            Err(AfcError::Full(_))
+        ));
+        // A wait that makes room admits the entry; one that frees too
+        // little is asked again, for the same entry.
+        let mut trims = vec![2, 3];
+        let fired = Arc::new(AtomicU64::new(0));
+        let f = Arc::clone(&fired);
         let j2 = Arc::clone(&j);
-        let last = *seqs.last().unwrap();
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            j2.trim_through(last);
-        });
-        let t0 = Instant::now();
-        j.submit(payload(1000), Box::new(|_, _| {})).unwrap();
-        assert!(t0.elapsed() >= Duration::from_millis(25), "did not block");
-        t.join().unwrap();
-        assert!(j.stats().full_stalls.get() > 0);
-        assert!(j.stats().full_stall_us.get() > 0);
-    }
-
-    /// Four submitters race four trimmers for 10 000 entries through a
-    /// ring of four slots. A trim that skipped a sleeper's notify would
-    /// leave it asleep for good once the ring empties; the run must finish
-    /// well inside its deadline.
-    #[test]
-    fn no_trim_is_lost_on_a_sleeper() {
-        const ENTRIES: usize = 10_000;
-        let j = journal(4 * 4096);
-        let (tx, rx) = crossbeam::channel::bounded(1);
-        let j2 = Arc::clone(&j);
-        std::thread::spawn(move || {
-            let done = AtomicBool::new(false);
-            std::thread::scope(|s| {
-                let submitters: Vec<_> = (0..4)
-                    .map(|_| {
-                        s.spawn(|| {
-                            for _ in 0..ENTRIES / 4 {
-                                j2.submit(payload(1000), Box::new(|_, _| {})).unwrap();
-                            }
-                        })
-                    })
-                    .collect();
-                for _ in 0..4 {
-                    s.spawn(|| {
-                        while !done.load(AOrd::Relaxed) {
-                            j2.trim_through(u64::MAX);
-                            std::thread::yield_now();
-                        }
-                    });
-                }
-                for h in submitters {
-                    h.join().unwrap();
-                }
-                done.store(true, AOrd::Relaxed);
-            });
-            tx.send(()).unwrap();
-        });
-        rx.recv_timeout(Duration::from_secs(60))
-            .expect("a submitter slept through a trim");
-        assert_eq!(j.stats().submits.get(), ENTRIES as u64);
-        assert_eq!(j.ring.lock().sleepers, 0);
-    }
-
-    /// A submitter that finds the ring full calls the `when_full` hook once,
-    /// off the ring lock, and holds what it returns until space frees.
-    #[test]
-    fn a_full_ring_tells_the_hook_and_holds_its_guard_through_the_wait() {
-        struct Held(Arc<AtomicU64>);
-        impl Drop for Held {
-            fn drop(&mut self) {
-                self.0.fetch_sub(1, AOrd::SeqCst);
-            }
-        }
-        let j = journal(2 * 4096);
-        let (calls, held) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
-        let (c, h) = (Arc::clone(&calls), Arc::clone(&held));
-        let j2 = Arc::clone(&j);
-        j.when_full(Box::new(move || {
-            // Off the ring lock: the hook may trim, as a filestore pump can.
-            assert!(j2.ring.try_lock().is_some(), "hook ran under the ring lock");
-            c.fetch_add(1, AOrd::SeqCst);
-            h.fetch_add(1, AOrd::SeqCst);
-            Box::new(Held(Arc::clone(&h)))
-        }));
-        for _ in 0..2 {
-            j.submit(payload(1000), Box::new(|_, _| {})).unwrap();
-        }
-        assert_eq!(calls.load(AOrd::SeqCst), 0, "told while there was room");
-        std::thread::scope(|s| {
-            let blocked = s.spawn(|| j.submit(payload(1000), Box::new(|_, _| {})));
-            while j.stats().full_stalls.get() == 0 {
-                std::thread::yield_now();
-            }
-            assert_eq!(
-                held.load(AOrd::SeqCst),
-                1,
-                "guard dropped before the wait ended"
-            );
-            j.trim_through(u64::MAX);
-            blocked.join().unwrap().unwrap();
-        });
-        assert_eq!((calls.load(AOrd::SeqCst), held.load(AOrd::SeqCst)), (1, 0));
-    }
-
-    #[test]
-    fn fail_when_full_mode_errors() {
-        let dev = Arc::new(Nvram::new(NvramConfig::pmc_8g()));
-        let j = Journal::new(
-            dev,
-            JournalConfig {
-                capacity: 16 * 1024,
-                // 4 slots of 1000-byte payloads at 4 KiB footprints.
-                align: 4096,
-                fail_when_full: true,
-                ..JournalConfig::default()
-            },
-        );
-        let mut ok = 0;
-        let mut full = 0;
-        for _ in 0..10 {
-            match j.submit(payload(1000), Box::new(|_, _| {})) {
-                Ok(_) => ok += 1,
-                Err(AfcError::Full(_)) => full += 1,
-                Err(e) => panic!("unexpected {e}"),
-            }
-        }
-        assert!(ok >= 3 && full >= 1, "ok={ok} full={full}");
+        let seq = j
+            .submit(
+                big,
+                Box::new(move |s, _| f.store(s, AOrd::SeqCst)),
+                |through| {
+                    assert_eq!(through, 3);
+                    j2.trim_through(trims.remove(0));
+                    Ok(())
+                },
+            )
+            .unwrap();
+        assert!(trims.is_empty(), "retried without asking again");
+        assert_eq!((seq, fired.load(AOrd::SeqCst)), (6, 6));
+        assert_eq!(j.stats().full_stalls.get(), 4);
     }
 
     #[test]
@@ -837,7 +764,7 @@ mod tests {
         let mut seqs = Vec::new();
         for i in 0..10 {
             seqs.push(
-                j.submit(Bytes::from(vec![i as u8; 64]), Box::new(|_, _| {}))
+                j.submit(Bytes::from(vec![i as u8; 64]), Box::new(|_, _| {}), no_room)
                     .unwrap(),
             );
         }
@@ -858,7 +785,7 @@ mod tests {
     fn oversized_entry_rejected() {
         let j = journal(64 * 1024);
         let err = j
-            .submit(payload(128 * 1024), Box::new(|_, _| {}))
+            .submit(payload(128 * 1024), Box::new(|_, _| {}), no_room)
             .unwrap_err();
         assert_eq!(err.kind(), "invalid_argument");
     }
@@ -940,6 +867,7 @@ mod fault_tests {
             Box::new(move |_, _| {
                 a.fetch_add(1, AOrd::SeqCst);
             }),
+            no_room,
         )
         .unwrap();
         j.quiesce();

@@ -4,7 +4,7 @@
 
 use afc_common::faults::{FaultKind, FaultRegistry, FaultSpec};
 use afc_device::{Nvram, NvramConfig};
-use afc_journal::{Journal, JournalConfig};
+use afc_journal::{no_room, Journal, JournalConfig};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use proptest::prelude::*;
@@ -54,7 +54,7 @@ proptest! {
             // Crash point: the last entry tears mid-write. It must be
             // recovered as garbage and truncated, never replayed.
             reg.install(FaultSpec::new("jdev.write", FaultKind::Torn));
-            j.submit(payload_for(committed + 1, 512), Box::new(|_, _| {})).unwrap();
+            j.submit(payload_for(committed + 1, 512), Box::new(|_, _| {}), no_room).unwrap();
             j.quiesce();
             prop_assert_eq!(j.stats().torn_writes.get(), 1);
         }
@@ -108,11 +108,11 @@ proptest! {
                         let a = Arc::clone(&a);
                         g.submit(
                             payload_for(i as u64 + 2, *len as usize),
-                            Box::new(move |s, _| a.lock().push(s)),
+                            Box::new(move |s, _| a.lock().push(s)), no_room,
                         )
                         .unwrap();
                     }
-                }),
+                }), no_room,
             )
             .unwrap();
         grouped.quiesce();
@@ -178,10 +178,15 @@ fn torn_batch_tail_poisons_only_the_tail() {
             reg.install(FaultSpec::new("jdev.write", FaultKind::Torn).times(1));
             for s in 2..=5u64 {
                 let a = Arc::clone(&a);
-                j2.submit(payload_for(s, 256), Box::new(move |q, _| a.lock().push(q)))
-                    .unwrap();
+                j2.submit(
+                    payload_for(s, 256),
+                    Box::new(move |q, _| a.lock().push(q)),
+                    no_room,
+                )
+                .unwrap();
             }
         }),
+        no_room,
     )
     .unwrap();
     j.quiesce();
