@@ -53,8 +53,8 @@ pub mod classes {
     //! The declared lock hierarchy — **the** one place ranks live.
     //!
     //! Order (must strictly increase along any nested acquisition):
-    //! op queue → QoS scheduler → OSD maps → `Pg::state` → `Pg::pending`
-    //! → OSD op tables
+    //! op queue → QoS scheduler → OSD map → `Pg::state` → OSD PG table
+    //! → `Pg::pending` → OSD op tables
     //! (rep_waits / push_waits / rep_seen / applied prefix / channel
     //! handles / ack lanes) → journal → filestore throttle → filestore
     //! lanes.
@@ -98,18 +98,22 @@ pub mod classes {
         rank: 110,
         no_block_while_held: true,
     };
-    /// `OsdInner::pgs` — PG id → `Pg` table (RwLock).
-    pub static OSD_PG_MAP: LockClass = LockClass {
-        name: "osd.pg_map",
-        rank: 120,
-        no_block_while_held: true,
-    };
     /// `Pg::state` — *the* PG lock. Blocking while held is allowed (journal
     /// submit; with `pending_queue` off, a read's applied-prefix wait).
     pub static PG_STATE: LockClass = LockClass {
         name: "pg.state",
         rank: 200,
         no_block_while_held: false,
+    };
+    /// `OsdInner::pgs` — PG id → `Pg` table (RwLock). Ranks *above* the
+    /// PG lock: a primary's thread that sends a fast-ack `Replicate` under
+    /// its PG lock looks the replica's PG up as it hands it the sub-op
+    /// (`OsdDispatcher::take`). Every holder clones the `Arc` and drops
+    /// the table before it takes anything else.
+    pub static OSD_PG_MAP: LockClass = LockClass {
+        name: "osd.pg_map",
+        rank: 250,
+        no_block_while_held: true,
     };
     /// `Pg::pending` — the pending-queue FIFO next to the PG lock.
     pub static PG_PENDING: LockClass = LockClass {
@@ -210,8 +214,8 @@ pub static DECLARED_ORDER: &[&LockClass] = &[
     &classes::OSD_QOS,
     &classes::MON_FAIL,
     &classes::OSD_MAP,
-    &classes::OSD_PG_MAP,
     &classes::PG_STATE,
+    &classes::OSD_PG_MAP,
     &classes::PG_PENDING,
     &classes::REP_WAITS,
     &classes::PUSH_WAITS,

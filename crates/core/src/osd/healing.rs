@@ -601,7 +601,7 @@ impl OsdInner {
     pub(super) fn handle_push(self: &Arc<Self>, from: Addr, push: PushOp) {
         self.log("handle recovery push");
         let (pg, pg_seq) = (push.pg, push.pg_seq);
-        self.handle_subop(from, push.push_id, pg, pg_seq, false, move |me| {
+        self.handle_subop(from, push.push_id, pg, pg_seq, None, move |me| {
             let obj_name = push.object.to_string();
             match &push.data {
                 Some(data) => Some(install_txn(pg, &obj_name, pg_seq, data)),

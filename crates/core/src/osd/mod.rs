@@ -11,11 +11,16 @@
 //!              runs it (OP_WQ: QoS backlog only)      │  replicate ▶ replicas
 //!   community: an OP_WQ worker runs it                ▼  journal submit
 //!                      write-group leader plans record ▶ completion worker
-//!             community: worker queues filestore (may block on
-//!                        throttle); commits and acks go via the PG queue
-//!             afceph:    per-op completion count, worker tells the op;
-//!                        a RepAck settles it on the replica's thread
-//!                        that sends it (no primary thread wakes)
+//!             community: a delivery thread hands each Replicate to the
+//!                        replica's PG queue at its arrival; worker queues
+//!                        filestore (may block on throttle); commits and
+//!                        acks go via the PG queue
+//!             afceph:    the replica takes the Replicate on this thread,
+//!                        into its PG FIFO, and runs the sub-op once the
+//!                        thread holds no PG lock, its record planned from
+//!                        the Replicate's arrival; per-op completion count,
+//!                        worker tells the op; a RepAck settles it on the
+//!                        replica's thread that sends it (no thread wakes)
 //!             both:      replies, RepAcks and applied marks no earlier
 //!                        than the journal record is durable; an Ok no
 //!                        earlier than its last RepAck arrives
@@ -46,14 +51,14 @@ use crate::messages::OsdMsg;
 use crate::monitor::{Monitor, SharedMap};
 use crate::tuning::OsdTuning;
 use afc_common::lockdep::{classes, TrackedMutex, TrackedRwLock};
-use afc_common::metrics::{Counter, Metrics};
+use afc_common::metrics::Metrics;
 use afc_common::{AfcError, OsdId, PgId, Result};
 use afc_device::BlockDev;
 use afc_filestore::{FileStore, FileStoreConfig, Transaction};
 use afc_journal::{Journal, JournalConfig};
 use afc_logging::{Level, Logger};
 use afc_messenger::{Addr, Dispatcher, Messenger, Network};
-use pg::{Pg, PgHealth};
+use pg::{Pg, PgCounters, PgHealth};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -90,10 +95,9 @@ struct OsdInner {
     map: SharedMap,
     monitor: Option<Arc<Monitor>>,
     pgs: TrackedRwLock<HashMap<PgId, Arc<Pg>>>,
-    /// Contended PG-lock acquisitions and their wait, one pair shared by
-    /// every PG of this OSD.
-    pg_lock_waits: Counter,
-    pg_lock_wait_us: Counter,
+    /// PG-lock acquisitions, their waits and PG-queue passes, one set
+    /// shared by every PG of this OSD.
+    pg_counters: PgCounters,
     dispatch: dispatch::Dispatch,
     write: write::WritePath,
     rep: replication::Replication,
@@ -189,9 +193,10 @@ impl Osd {
     /// Register this OSD's instrumentation into a cluster metric
     /// registry:
     ///
-    /// - op counters under `osd<N>.op.*` (including the PG-lock wait pair
-    ///   `pg_lock_waits` / `pg_lock_wait_us` shared by all of this OSD's
-    ///   PGs, plus client-throttle waits under
+    /// - op counters under `osd<N>.op.*` (including the PG counters shared
+    ///   by all of this OSD's PGs: `pg_locks`, every PG-lock acquisition;
+    ///   `pg_lock_waits` / `pg_lock_wait_us`, the contended ones and their
+    ///   wait; `pg_passes`, PG-queue items run; plus client-throttle waits under
     ///   `osd<N>.op.client_throttle.*`), per-volume QoS under
     ///   `osd<N>.qos.*`, self-healing under `osd<N>.{hb,peering,recovery}.*`,
     /// - write-path stage histograms under `osd<N>.stage.*` (one write in
@@ -203,8 +208,11 @@ impl Osd {
     pub fn attach_metrics(&self, m: &Metrics, journal_prefix: &str) {
         let inner = &self.inner;
         let osd = format!("osd{}", inner.id.0);
-        m.register_counter(format!("{osd}.op.pg_lock_waits"), &inner.pg_lock_waits);
-        m.register_counter(format!("{osd}.op.pg_lock_wait_us"), &inner.pg_lock_wait_us);
+        let pg = &inner.pg_counters;
+        m.register_counter(format!("{osd}.op.pg_locks"), &pg.locks);
+        m.register_counter(format!("{osd}.op.pg_lock_waits"), &pg.lock_waits);
+        m.register_counter(format!("{osd}.op.pg_lock_wait_us"), &pg.lock_wait_us);
+        m.register_counter(format!("{osd}.op.pg_passes"), &pg.passes);
         inner.dispatch.register(m, &osd);
         inner.write.register(m, &osd);
         inner.rep.register(m, &osd);
@@ -326,7 +334,7 @@ impl Dispatcher<OsdMsg> for OsdDispatcher {
         }
         match msg {
             OsdMsg::Request(op) => inner.handle_request(from, op),
-            OsdMsg::Replicate(rep) => inner.handle_repop(from, rep),
+            OsdMsg::Replicate(rep) => inner.handle_repop(from, rep, Instant::now()),
             OsdMsg::RepAck(ack) => inner.handle_repack(ack),
             OsdMsg::Ping(p) => inner.handle_ping(from, p),
             OsdMsg::Pong(p) => inner.note_peer_alive(p.from),
@@ -341,18 +349,25 @@ impl Dispatcher<OsdMsg> for OsdDispatcher {
         }
     }
 
-    /// Take a fast-ack `RepAck` that settles one of this OSD's sub-op
-    /// waits, on the replica's thread ([`OsdInner::take_repack`]); hand
-    /// back everything else, and everything while this OSD would drop or
-    /// could not answer it (see `dispatch`).
-    fn take(&self, _from: Addr, msg: OsdMsg, arrival: Instant) -> Option<OsdMsg> {
+    /// With `fast_ack` on, take a `Replicate` on the primary's thread that
+    /// sends it: the sub-op joins its PG's FIFO here and runs once that
+    /// thread holds no PG lock, its record planned from `arrival`
+    /// ([`OsdInner::handle_subop`]). Take a `RepAck` that settles one of
+    /// this OSD's sub-op waits, on the replica's thread
+    /// ([`OsdInner::take_repack`]). Hand back everything else, and
+    /// everything while this OSD would drop or could not answer it (see
+    /// `dispatch`).
+    fn take(&self, from: Addr, msg: OsdMsg, arrival: Instant) -> Option<OsdMsg> {
         let inner = &self.0;
+        if !(inner.tuning.fast_ack && inner.listening() && inner.msgr.get().is_some()) {
+            return Some(msg);
+        }
         match msg {
-            OsdMsg::RepAck(ack)
-                if inner.tuning.fast_ack && inner.listening() && inner.msgr.get().is_some() =>
-            {
-                inner.take_repack(ack, arrival).map(OsdMsg::RepAck)
+            OsdMsg::Replicate(rep) => {
+                inner.handle_repop(from, rep, arrival);
+                None
             }
+            OsdMsg::RepAck(ack) => inner.take_repack(ack, arrival).map(OsdMsg::RepAck),
             msg => Some(msg),
         }
     }
@@ -389,8 +404,7 @@ impl OsdInner {
             map: params.map.clone(),
             monitor: params.monitor.clone(),
             pgs: TrackedRwLock::new(&classes::OSD_PG_MAP, HashMap::new()),
-            pg_lock_waits: Counter::new(),
-            pg_lock_wait_us: Counter::new(),
+            pg_counters: PgCounters::default(),
             dispatch: dispatch::Dispatch::new(&tuning),
             write: write::WritePath::new(),
             rep: replication::Replication::new(),
@@ -452,9 +466,10 @@ impl OsdInner {
             return Arc::clone(pg);
         }
         let mut w = self.pgs.write();
-        Arc::clone(w.entry(id).or_insert_with(|| {
-            Pg::with_lock_counters(id, self.pg_lock_waits.clone(), self.pg_lock_wait_us.clone())
-        }))
+        Arc::clone(
+            w.entry(id)
+                .or_insert_with(|| Pg::with_counters(id, self.pg_counters.clone())),
+        )
     }
 
     /// Whether the self-healing loop (heartbeats → peering → recovery)

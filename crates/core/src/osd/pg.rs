@@ -19,12 +19,18 @@
 //! [`Pg::with_state`], and both end in the same loop: run the FIFO,
 //! release, look again. Every holder drains on release, so work a
 //! non-blocking drain left "for the holder" always runs.
+//!
+//! **One PG lock per thread.** A thread never holds two: work queued for
+//! another PG under a held lock ([`Pg::submit_when_unlocked`], a fast-ack
+//! sub-op a primary hands its replica) is drained by the same thread
+//! right after it releases its last PG lock.
 
 use afc_common::lockdep::{classes, TrackedMutex, TrackedMutexGuard};
 use afc_common::metrics::Counter;
 use afc_common::{Epoch, OsdId, PgId};
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -110,33 +116,81 @@ impl PgState {
 /// Work executed under the PG lock.
 pub type PgWork = Box<dyn FnOnce(&mut PgState) + Send>;
 
-/// A placement group: lock + state + pending FIFO + wait accounting.
+thread_local! {
+    /// PG locks this thread holds ([`Held`]).
+    static HELD: Cell<usize> = const { Cell::new(0) };
+    /// PGs whose FIFO this thread drains once it holds no PG lock.
+    static OWED: RefCell<VecDeque<Arc<Pg>>> = const { RefCell::new(VecDeque::new()) };
+}
+
+/// A held PG lock, counted in this thread's [`HELD`] (see [`Pg::held`]).
+struct Held<'a>(TrackedMutexGuard<'a, PgState>);
+
+impl Drop for Held<'_> {
+    fn drop(&mut self) {
+        HELD.with(|h| h.set(h.get() - 1));
+    }
+}
+
+impl Deref for Held<'_> {
+    type Target = PgState;
+    fn deref(&self) -> &PgState {
+        &self.0
+    }
+}
+
+impl DerefMut for Held<'_> {
+    fn deref_mut(&mut self) -> &mut PgState {
+        &mut self.0
+    }
+}
+
+/// Drain the FIFOs this thread owes ([`Pg::submit_when_unlocked`]), once
+/// it holds no PG lock.
+fn drain_owed() {
+    if HELD.with(Cell::get) > 0 {
+        return;
+    }
+    while let Some(pg) = OWED.with(|owed| owed.borrow_mut().pop_front()) {
+        pg.drain(false);
+    }
+}
+
+/// What PGs count: an OSD shares one set across all its PGs
+/// (`osdN.op.pg_*`), a PG made with [`Pg::new`] has its own.
+#[derive(Clone, Default)]
+pub struct PgCounters {
+    /// PG-lock acquisitions, try-locks included.
+    pub locks: Counter,
+    /// Contended acquisitions.
+    pub lock_waits: Counter,
+    /// Total wait of the contended acquisitions, µs.
+    pub lock_wait_us: Counter,
+    /// FIFO items run: one pass through the PG queue each.
+    pub passes: Counter,
+}
+
+/// A placement group: lock + state + pending FIFO + its counters.
 pub struct Pg {
     id: PgId,
     state: TrackedMutex<PgState>,
     pending: TrackedMutex<VecDeque<PgWork>>,
-    /// Contended PG-lock acquisitions and their total wait, µs. An OSD
-    /// shares one pair across all its PGs (`osdN.op.pg_lock_*`).
-    pg_lock_waits: Counter,
-    pg_lock_wait_us: Counter,
-    processed: AtomicU64,
+    counters: PgCounters,
 }
 
 impl Pg {
-    /// Create a PG that accounts lock waits into its own counters.
+    /// Create a PG that counts into its own counters.
     pub fn new(id: PgId) -> Arc<Self> {
-        Self::with_lock_counters(id, Counter::new(), Counter::new())
+        Self::with_counters(id, PgCounters::default())
     }
 
-    /// Create a PG that accounts lock waits into the caller's counters.
-    pub fn with_lock_counters(id: PgId, waits: Counter, wait_us: Counter) -> Arc<Self> {
+    /// Create a PG that counts into the caller's counters.
+    pub fn with_counters(id: PgId, counters: PgCounters) -> Arc<Self> {
         Arc::new(Pg {
             id,
             state: TrackedMutex::new(&classes::PG_STATE, PgState::default()),
             pending: TrackedMutex::new(&classes::PG_PENDING, VecDeque::new()),
-            pg_lock_waits: waits,
-            pg_lock_wait_us: wait_us,
-            processed: AtomicU64::new(0),
+            counters,
         })
     }
 
@@ -162,6 +216,24 @@ impl Pg {
         self.drain(blocking);
     }
 
+    /// Queue `work` and drain the FIFO without blocking once this thread
+    /// holds no PG lock: at once when it holds none, else right after it
+    /// releases its last one. Work queued under a held PG lock keeps the
+    /// order that lock gave it, and the thread never nests a second PG
+    /// lock in the first or waits for one.
+    pub fn submit_when_unlocked(self: &Arc<Self>, work: PgWork) {
+        self.queue(work);
+        if HELD.with(Cell::get) == 0 {
+            return self.drain(false);
+        }
+        OWED.with(|owed| {
+            let mut owed = owed.borrow_mut();
+            if !owed.iter().any(|pg| Arc::ptr_eq(pg, self)) {
+                owed.push_back(Arc::clone(self));
+            }
+        });
+    }
+
     /// Drain the pending FIFO under the PG lock (see [`Pg::submit`]).
     pub fn drain(&self, blocking: bool) {
         if let Some(guard) = self.acquire(blocking) {
@@ -180,50 +252,59 @@ impl Pg {
     }
 
     /// Run the FIFO under `guard`, release, and look again: work queued
-    /// between the last pop and the unlock was left for this holder.
-    fn run_fifo<'a>(&'a self, mut guard: TrackedMutexGuard<'a, PgState>, blocking: bool) {
+    /// between the last pop and the unlock was left for this holder. Then,
+    /// holding no PG lock, drain what this thread owes.
+    fn run_fifo<'a>(&'a self, mut guard: Held<'a>, blocking: bool) {
         loop {
             loop {
                 let next = self.pending.lock().pop_front();
                 let Some(w) = next else { break };
                 w(&mut guard);
-                self.processed.fetch_add(1, Ordering::Relaxed);
+                self.counters.passes.inc();
             }
             drop(guard);
             if self.pending.lock().is_empty() {
-                return;
+                break;
             }
             // A failed `try_lock` means another holder, which looks too.
             let Some(g) = self.acquire(blocking) else {
-                return;
+                break;
             };
             guard = g;
         }
+        drain_owed();
     }
 
-    fn acquire(&self, blocking: bool) -> Option<TrackedMutexGuard<'_, PgState>> {
+    fn acquire(&self, blocking: bool) -> Option<Held<'_>> {
         if blocking {
-            Some(self.lock_blocking())
-        } else {
-            self.state.try_lock()
+            return Some(self.lock_blocking());
         }
+        self.state.try_lock().map(|g| self.held(g))
     }
 
     /// Take the PG lock, accounting the wait.
-    fn lock_blocking(&self) -> TrackedMutexGuard<'_, PgState> {
+    fn lock_blocking(&self) -> Held<'_> {
         if let Some(g) = self.state.try_lock() {
-            return g;
+            return self.held(g);
         }
-        self.pg_lock_waits.inc();
+        let c = &self.counters;
+        c.lock_waits.inc();
         let t0 = Instant::now();
         let g = self.state.lock();
-        self.pg_lock_wait_us.add(t0.elapsed().as_micros() as u64);
-        g
+        c.lock_wait_us.add(t0.elapsed().as_micros() as u64);
+        self.held(g)
     }
 
-    /// Work items executed so far.
+    /// Count an acquired PG lock, here and in this thread's [`HELD`].
+    fn held<'a>(&'a self, guard: TrackedMutexGuard<'a, PgState>) -> Held<'a> {
+        self.counters.locks.inc();
+        HELD.with(|h| h.set(h.get() + 1));
+        Held(guard)
+    }
+
+    /// Work items run so far by the PGs that share this one's counters.
     pub fn processed(&self) -> u64 {
-        self.processed.load(Ordering::Relaxed)
+        self.counters.passes.get()
     }
 
     /// Currently queued (undrained) work items.
@@ -236,7 +317,7 @@ impl Pg {
 mod tests {
     use super::*;
     use afc_common::{PgId, PoolId};
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
     fn pg() -> Arc<Pg> {
@@ -330,8 +411,9 @@ mod tests {
             rx.recv().unwrap();
             pg.with_state(|_| {});
         });
-        assert_eq!(pg.pg_lock_waits.get(), 1);
-        let wait_us = pg.pg_lock_wait_us.get();
+        assert_eq!(pg.counters.lock_waits.get(), 1);
+        assert_eq!(pg.counters.locks.get(), 2);
+        let wait_us = pg.counters.lock_wait_us.get();
         assert!(wait_us >= 15_000, "wait_us={wait_us}");
     }
 

@@ -154,11 +154,15 @@ impl OsdInner {
     // Replica side
     // ---------------------------------------------------------------- //
 
-    pub(super) fn handle_repop(self: &Arc<Self>, from: Addr, rep: RepOp) {
+    /// A `Replicate` that arrives at `arrival`: taken on the primary's
+    /// sending thread ahead of it (`OsdDispatcher::take`), or dispatched
+    /// at it.
+    pub(super) fn handle_repop(self: &Arc<Self>, from: Addr, rep: RepOp, arrival: Instant) {
         self.rep.repops.inc();
         self.log("handle repop");
         let (rep_id, pg, pg_seq) = (rep.rep_id, rep.pg, rep.pg_seq);
-        self.handle_subop(from, rep_id, pg, pg_seq, self.tuning.fast_ack, move |me| {
+        let inline = self.tuning.fast_ack.then_some(arrival);
+        self.handle_subop(from, rep_id, pg, pg_seq, inline, move |me| {
             me.alloc_overhead();
             mutation_txn(pg, &rep.object.to_string(), pg_seq, &rep.op)
         });
@@ -169,16 +173,32 @@ impl OsdInner {
     /// `build` returns (`None`: nothing to do locally — ack right away),
     /// and let the commit continuation ack `from`.
     ///
-    /// `inline` is §3.1's fast ack + group commit: the whole sub-op — PG
-    /// bookkeeping, txn build, journal commit, `RepAck` — runs on the
-    /// messenger dispatch thread, cutting the PG-queue and
+    /// `inline` is §3.1's fast ack + group commit, with the sub-op's
+    /// arrival: the whole sub-op — PG bookkeeping, txn build, journal
+    /// commit, `RepAck` — runs on this thread, cutting the PG-queue and
     /// completion-worker hand-offs out of the primary-observed ack round
-    /// trip. The commit callback runs on whichever thread commits the
-    /// record: this one when it leads the journal's write group (an idle
-    /// journal), else the leader; like every commit continuation it takes
-    /// no PG lock of its own, though it may run under the one its thread
-    /// holds. Either way the `RepAck` leaves when the record is durable,
-    /// and no thread waits for that: the primary takes it on this thread
+    /// trip. `None` sends it through the PG queue.
+    ///
+    /// **Taken ahead of its arrival.** A fast-ack `Replicate` is taken on
+    /// the primary's thread that sends it, under the primary's PG lock, so
+    /// this routine may run before `arrival`. The dedup window admits it
+    /// and the sub-op joins this PG's FIFO right here, in the order the
+    /// primary's PG lock sent it — its pg_seq order, which per-connection
+    /// delivery gave before. The thread drains that FIFO, without
+    /// blocking, once it holds no PG lock, never nested in the primary's
+    /// ([`Pg::submit_when_unlocked`](super::pg::Pg::submit_when_unlocked)).
+    /// Nothing the sub-op does is visible before `arrival`: its record is
+    /// planned from `arrival` and is durable, and so in a crash image, no
+    /// earlier than `arrival` plus the NVRAM write; the `RepAck` leaves at
+    /// that instant; a sub-op with nothing to journal acks at `arrival`;
+    /// applied marks come later still. What moves early is this PG's FIFO,
+    /// its dedup entry and the record's ring occupancy.
+    ///
+    /// The commit callback runs on whichever thread commits the record:
+    /// this one when it leads the journal's write group (an idle journal),
+    /// else the leader; like every commit continuation it takes no PG lock
+    /// of its own, though it may run under the one its thread holds. The
+    /// primary takes the `RepAck` on this thread too
     /// ([`Self::take_repack`]), so the sub-op may settle the primary's
     /// write here, under this PG lock.
     pub(super) fn handle_subop(
@@ -187,18 +207,19 @@ impl OsdInner {
         id: u64,
         pg: PgId,
         pg_seq: u64,
-        inline: bool,
+        inline: Option<Instant>,
         build: impl FnOnce(&OsdInner) -> Option<Transaction> + Send + 'static,
     ) {
         // Retransmit/duplicate dedup: an id we already committed gets a
         // fresh ack (the original was lost), leaving no earlier than the
-        // original; one still in flight is ignored (its commit will ack);
-        // only new ids are journaled.
+        // original nor than this copy's arrival; one still in flight is
+        // ignored (its commit will ack); only new ids are journaled.
         let known = self.rep.seen.lock().admit((from, id));
         match known {
             Some(Some(durable)) => {
                 self.log("re-ack duplicate sub-op");
-                return self.send_rep_ack(from, id, durable);
+                let arrival = inline.unwrap_or_else(Instant::now);
+                return self.send_rep_ack(from, id, durable.max(arrival));
             }
             Some(None) => return,
             None => {}
@@ -211,8 +232,9 @@ impl OsdInner {
                 primary: from,
                 rep_id: id,
             };
+            let arrival = inline.unwrap_or_else(Instant::now);
             let Some(txn) = build(&inner) else {
-                return inner.complete(waiter, Instant::now());
+                return inner.complete(waiter, arrival);
             };
             if let Err(e) = inner.submit_commit(st, &pgc, txn, waiter, inline) {
                 inner.logger.logf(Level::Error, "osd", || {
@@ -220,8 +242,8 @@ impl OsdInner {
                 });
             }
         });
-        if inline {
-            pg.submit(work, true);
+        if inline.is_some() {
+            pg.submit_when_unlocked(work);
         } else {
             self.queue_pg(pg, work);
         }
@@ -322,6 +344,7 @@ impl OsdInner {
 
 #[cfg(test)]
 mod tests {
+    use super::super::pg::Pg;
     use super::super::{OsdDispatcher, OsdParams};
     use super::*;
     use crate::messages::ObjectOp;
@@ -363,9 +386,12 @@ mod tests {
     }
 
     /// Where the primary settles a `RepAck`, seen by holding the write's PG
-    /// lock on the primary once its `Replicate` is out: a fast ack settles
-    /// the write on the replica's thread all the same, a Community one
-    /// waits in the PG queue until the lock is released.
+    /// lock on the primary once its `Replicate` is out: a Community ack
+    /// waits in the PG queue until the lock is released, a fast ack
+    /// settles the write all the same. A fast-ack replica runs its sub-op
+    /// on the primary's thread as soon as that thread releases the
+    /// primary's PG lock, so the test also holds the replica's PG lock, to
+    /// keep the sub-op queued until the primary's is held.
     #[test]
     fn a_fast_ack_needs_no_pg_lock_and_a_community_one_waits_for_it() {
         const HOP: Duration = Duration::from_millis(20);
@@ -386,33 +412,44 @@ mod tests {
             let (pgid, acting) = cluster.monitor().map().object_placement(&object).unwrap();
             let inner = &cluster.osd(acting[0]).unwrap().inner;
             let pg = inner.pg(pgid);
-            let data = Bytes::from(vec![1u8; 4096]);
-            let write = client.write_object_async("held", 0, data).unwrap();
-            poll("Replicate", || inner.rep.waits.lock().len() == 1);
-            let (held_tx, held) = crossbeam::channel::bounded(1);
-            let (release, release_rx) = crossbeam::channel::bounded(1);
+            let replica_pg = cluster.osd(acting[1]).unwrap().inner.pg(pgid);
             std::thread::scope(|s| {
-                s.spawn(|| {
-                    pg.with_state(|_| {
-                        held_tx.send(()).unwrap();
-                        release_rx.recv_timeout(Duration::from_secs(10)).unwrap();
-                    })
-                });
-                held.recv().unwrap();
-                poll("RepAck", || inner.rep.waits.lock().is_empty());
-                if fast {
+                // Hold a PG lock on a thread of its own until released.
+                let hold = |pg: &Arc<Pg>| {
+                    let (held_tx, held) = crossbeam::channel::bounded(1);
+                    let (release, release_rx) = crossbeam::channel::bounded::<()>(1);
+                    let pg = Arc::clone(pg);
+                    s.spawn(move || {
+                        pg.with_state(|_| {
+                            held_tx.send(()).unwrap();
+                            release_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+                        })
+                    });
+                    held.recv().unwrap();
+                    release
+                };
+                let release_replica = fast.then(|| hold(&replica_pg));
+                let data = Bytes::from(vec![1u8; 4096]);
+                let write = client.write_object_async("held", 0, data).unwrap();
+                poll("Replicate", || inner.rep.waits.lock().len() == 1);
+                let release = hold(&pg);
+                if let Some(release_replica) = release_replica {
+                    assert_eq!(replica_pg.pending_len(), 1, "the sub-op is not queued");
+                    release_replica.send(()).unwrap();
                     let done = write.wait_timeout(Duration::from_secs(10));
                     assert!(done.is_ok(), "a fast ack waited for the PG lock");
+                    assert_eq!(pg.pending_len(), 0, "the ack went through the PG queue");
                 } else {
+                    poll("RepAck", || inner.rep.waits.lock().is_empty());
                     std::thread::sleep(3 * HOP);
                     assert!(pg.pending_len() >= 1, "the ack is not in the PG queue");
                     assert!(write.try_wait().is_none(), "settled under a held PG lock");
                 }
                 release.send(()).unwrap();
+                if !fast {
+                    assert!(write.wait().is_ok(), "lost once the lock was released");
+                }
             });
-            if !fast {
-                assert!(write.wait().is_ok(), "lost once the lock was released");
-            }
             cluster.shutdown();
         }
     }
@@ -472,8 +509,8 @@ mod tests {
             pg_seq: 1,
         };
         let t0 = Instant::now();
-        inner.handle_repop(primary, rep.clone());
-        inner.handle_repop(primary, rep);
+        inner.handle_repop(primary, rep.clone(), t0);
+        inner.handle_repop(primary, rep, t0);
         assert!(
             t0.elapsed() < NVRAM_ACCESS,
             "the duplicate arrived after the record was durable"

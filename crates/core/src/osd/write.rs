@@ -383,7 +383,7 @@ impl OsdInner {
         self.log("journal submit");
         self.log("waiting for subops");
         let waiter = Waiter::Primary(Arc::clone(op));
-        if let Err(e) = self.submit_commit(st, &op.pg, txn, waiter, false) {
+        if let Err(e) = self.submit_commit(st, &op.pg, txn, waiter, None) {
             self.fail_op(op, e);
         }
         self.write.writes.inc();
@@ -395,15 +395,19 @@ impl OsdInner {
     /// was acknowledged. The sequence it assigns becomes the PG's
     /// `last_jseq`: a read ordered at this PG from here on is ordered
     /// behind this mutation's apply. `inline` is the fast-ack replica
-    /// path: the continuation runs on whichever thread commits the record.
+    /// path, with the sub-op's arrival: the record is planned no earlier
+    /// than that (else from now), and the continuation runs on whichever
+    /// thread commits the record.
     pub(super) fn submit_commit(
         self: &Arc<Self>,
         st: &mut PgState,
         pg: &Arc<Pg>,
         txn: Transaction,
         waiter: Waiter,
-        inline: bool,
+        inline: Option<Instant>,
     ) -> Result<()> {
+        let not_before = inline.unwrap_or_else(Instant::now);
+        let inline = inline.is_some();
         let payload = txn.encode();
         let (inner, pg) = (Arc::clone(self), Arc::clone(pg));
         let on_commit = Box::new(move |jseq, durable| {
@@ -430,7 +434,9 @@ impl OsdInner {
             }
             Ok(())
         };
-        st.last_jseq = self.journal.submit(payload, on_commit, make_room)?;
+        st.last_jseq = self
+            .journal
+            .submit(payload, not_before, on_commit, make_room)?;
         Ok(())
     }
 

@@ -87,8 +87,14 @@ pub struct OsdTuning {
     /// §3.1: dedicated completion worker; journal/filestore completion
     /// handlers never touch a PG.
     pub dedicated_completion: bool,
-    /// §3.1: replica acks are processed immediately on the messenger
-    /// thread instead of being enqueued behind data ops in the PG queue.
+    /// §3.1: replica acks are processed immediately instead of being
+    /// enqueued behind data ops in the PG queue. The primary takes each
+    /// `RepAck` on the replica's thread that sends it, and the replica
+    /// takes each `Replicate` on the primary's thread that sends it: the
+    /// sub-op joins the replica PG's FIFO there and runs, journal commit
+    /// and ack included, once that thread holds no PG lock, its record
+    /// planned from the message's arrival. Off, both wait for their
+    /// arrival on a delivery thread and go through the PG queue.
     pub fast_ack: bool,
     /// §3.1 (last paragraph): re-sort client acks so each client observes
     /// them in issue order even though writes complete out of order.

@@ -199,6 +199,46 @@ fn qd1_client_ops_are_admitted_on_the_receiving_messenger_thread() {
     }
 }
 
+/// The §3.1 axis as counts the host cannot blur: PG-lock acquisitions
+/// (`op.pg_locks`, try-locks included) and PG-queue passes (`op.pg_passes`)
+/// per QD1 replicated write, exact, per profile. Community takes the PG
+/// lock for the request, the journal completion and the `RepAck` on the
+/// primary, and for the sub-op and its completion on the replica: five
+/// of each. AFCeph takes it for the request and the sub-op only: two. A
+/// change that lets Community skip a pass, or AFCeph add one, fails here.
+#[test]
+fn pg_locks_and_passes_per_write_are_exact_per_profile() {
+    const WRITES: u64 = 40;
+    for (tuning, per_write) in [(OsdTuning::community(), 5), (OsdTuning::afceph(), 2)] {
+        let label = tuning.label();
+        // Never resent, so each write is one request, sub-op and ack.
+        let cluster = small_cluster(OsdTuning {
+            rep_resend_after_ms: 60_000,
+            ..tuning
+        });
+        let client = cluster.client().unwrap();
+        for i in 0..WRITES {
+            client
+                .write_object(&format!("pl{}", i % 8), (i / 8) * 4096, &[7u8; 4096])
+                .unwrap();
+        }
+        cluster.quiesce();
+        let snap = cluster.metrics_snapshot();
+        assert_eq!(snap.site_sum("op.repops"), WRITES, "{label}");
+        assert_eq!(
+            snap.site_sum("op.pg_locks"),
+            per_write * WRITES,
+            "{label}: locks"
+        );
+        assert_eq!(
+            snap.site_sum("op.pg_passes"),
+            per_write * WRITES,
+            "{label}: passes"
+        );
+        cluster.shutdown();
+    }
+}
+
 /// The six consecutive write stages tile `total`: on every OSD each stage
 /// counts the same sampled writes, and their `sum_us` adds up to
 /// `total.sum_us` less at most the µs truncation (< 1 µs per stage and
@@ -242,9 +282,9 @@ fn sampled_write_stages_sum_to_the_total() {
 /// A client session takes every reply: the OSD thread that sends one
 /// hands it over, and no delivery thread serves a connection toward a
 /// client. A connection gets a thread only when its receiver hands a
-/// message back: each client→primary pair (requests) and primary→replica
-/// pair (`Replicate`s) its objects use, and no replica→primary pair that
-/// carries only fast-ack `RepAck`s.
+/// message back: each client→primary pair (requests) its objects use, and
+/// no OSD→OSD pair, which carries only fast-ack `Replicate`s and
+/// `RepAck`s, both taken.
 #[test]
 fn replies_are_posted_to_the_client_and_no_thread_delivers_them() {
     const OPS: u64 = 40;
@@ -255,23 +295,25 @@ fn replies_are_posted_to_the_client_and_no_thread_delivers_them() {
     });
     let client = cluster.client().unwrap();
     let map = cluster.monitor().shared_map();
-    let (mut primaries, mut replicas) = (BTreeSet::new(), BTreeSet::new());
+    let mut primaries = BTreeSet::new();
     for i in 0..OPS {
         let name = format!("ib{i}");
         client.write_object(&name, 0, &[5u8; 1024]).unwrap();
         assert_eq!(client.read_object(&name, 0, 1024).unwrap(), [5u8; 1024]);
         let obj = ObjectId::new(cluster.pool(), &name);
-        let acting = map.read().object_placement(&obj).unwrap().1;
-        primaries.insert(acting[0]);
-        replicas.extend(acting[1..].iter().map(|&r| (acting[0], r)));
+        primaries.insert(map.read().object_placement(&obj).unwrap().1[0]);
     }
     let snap = cluster.metrics_snapshot();
     let c = |name: &str| snap.counter(name).unwrap();
     let repacks = snap.site_sum("op.repacks");
     assert_eq!(repacks, OPS, "one RepAck per write");
-    assert_eq!(c("net.taken"), 2 * OPS + repacks, "every reply and RepAck");
-    let handing_back = (primaries.len() + replicas.len()) as u64;
-    assert_eq!(c("net.threads"), handing_back);
+    assert_eq!(snap.site_sum("op.repops"), OPS, "one Replicate per write");
+    assert_eq!(
+        c("net.taken"),
+        3 * OPS + repacks,
+        "every reply, Replicate and RepAck"
+    );
+    assert_eq!(c("net.threads"), primaries.len() as u64);
     cluster.shutdown();
 }
 

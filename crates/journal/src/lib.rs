@@ -16,9 +16,14 @@
 //!   returns at once; the leader commits its entry. The journal owns no
 //!   thread.
 //! - **Durability is an instant, not a wait**: the record's write and
-//!   flush are *planned* on the device ([`BlockDev::plan`]) and the
-//!   callback receives `(seq, durable)` — the sequence and the instant the
-//!   record is on media — without any thread sleeping for it. Whoever
+//!   flush are *planned* on the device ([`BlockDev::plan_at`]), no earlier
+//!   than now and than the latest *not-before* instant its entries were
+//!   submitted with, and the callback receives `(seq, durable)` — the
+//!   sequence and the instant the record is on media — without any thread
+//!   sleeping for it. A submitter passes now, unless its entry exists
+//!   only from a later instant: a replica's sub-op taken on the primary's
+//!   thread passes its `Replicate`'s arrival, so its record is on media no
+//!   earlier than it would be had a thread waited out the hop. Whoever
 //!   makes the entry's durability visible (an ack, a reply, an applied
 //!   mark) does so no earlier than `durable`; [`Journal::submit_and_wait`]
 //!   waits for it itself.
@@ -148,6 +153,8 @@ struct Pending {
     seq: u64,
     footprint: u64,
     payload: Bytes,
+    /// Its record is planned no earlier than this.
+    not_before: Instant,
     on_commit: CommitFn,
 }
 
@@ -225,10 +232,12 @@ impl Journal {
         raw.div_ceil(self.cfg.align) * self.cfg.align
     }
 
-    /// Submit a transaction payload; the journal waits for nothing, the
-    /// device included. `on_commit` fires once the entry's record is
-    /// written — on this thread when it leads the write group, else on the
-    /// leader's — with the instant the record is durable. While the ring
+    /// Submit a transaction payload whose record may start no earlier than
+    /// `not_before` (now, for a payload that exists now); the journal
+    /// waits for nothing, the device included. `on_commit` fires once the
+    /// entry's record is written — on this thread when it leads the write
+    /// group, else on the leader's — with the instant the record is
+    /// durable. While the ring
     /// has no room for the entry, `make_room` is called off the ring lock
     /// with the sequence whose trim makes room, and timed as a full-ring
     /// stall: once it returns `Ok` the submit tries again, and its error is
@@ -236,6 +245,7 @@ impl Journal {
     pub fn submit(
         &self,
         payload: Bytes,
+        not_before: Instant,
         on_commit: CommitFn,
         mut make_room: impl FnMut(u64) -> Result<()>,
     ) -> Result<u64> {
@@ -265,6 +275,7 @@ impl Journal {
             seq,
             footprint,
             payload,
+            not_before,
             on_commit,
         });
         self.stats.submits.inc();
@@ -297,6 +308,7 @@ impl Journal {
         let (tx, rx) = crossbeam::channel::bounded(1);
         let seq = self.submit(
             payload,
+            Instant::now(),
             Box::new(move |_, durable| {
                 #[expect(
                     clippy::let_underscore_must_use,
@@ -436,12 +448,14 @@ impl Journal {
     /// entries to the replay set. Returns when the record is durable and
     /// the callbacks to fire, in sequence order, after the lock drops.
     ///
-    /// Nothing waits here: both requests are *planned*, back to back, and
-    /// the record is durable at the later completion — the barrier's,
-    /// which the device orders behind the write it hardens. Faults surface
-    /// at plan time exactly as [`BlockDev::submit`] surfaces them.
+    /// Nothing waits here: both requests are *planned*, back to back, from
+    /// now or the batch's latest not-before, whichever is later, and the
+    /// record is durable at the later completion — the barrier's, which
+    /// the device orders behind the write it hardens. Faults surface at
+    /// plan time exactly as [`BlockDev::submit`] surfaces them.
     fn write_record(&self, ring: &mut RingState) -> (Instant, Vec<(u64, CommitFn)>) {
         let (mut n, mut total) = (0usize, 0u64);
+        let mut not_before = Instant::now();
         for p in ring.pending.iter() {
             if n == self.cfg.batch_max_ops
                 || (n > 0 && total + p.footprint > self.cfg.batch_max_bytes)
@@ -449,6 +463,7 @@ impl Journal {
                 break;
             }
             total += p.footprint;
+            not_before = not_before.max(p.not_before);
             n += 1;
         }
         if ring.write_cursor + total > self.cfg.capacity {
@@ -459,11 +474,9 @@ impl Journal {
         // When the record is on media; `None` when a fault kept the device
         // from taking the request at all (nothing to wait for).
         let mut done = None;
-        let torn = match self.dev.plan(IoReq::write_stream(
-            offset,
-            total.min(u32::MAX as u64) as u32,
-            StreamId::Journal,
-        )) {
+        let record =
+            IoReq::write_stream(offset, total.min(u32::MAX as u64) as u32, StreamId::Journal);
+        let torn = match self.dev.plan_at(record, not_before) {
             Ok(p) => {
                 done = Some(p.completion);
                 false
@@ -487,7 +500,7 @@ impl Journal {
             // One barrier makes the whole record durable — this is the
             // flush the group amortizes. A torn record never reached media
             // whole, so there is nothing to harden.
-            match self.dev.plan(IoReq::flush()) {
+            match self.dev.plan_at(IoReq::flush(), not_before) {
                 Ok(p) => {
                     self.stats.flushes.inc();
                     done = done.max(Some(p.completion));
@@ -495,7 +508,7 @@ impl Journal {
                 Err(_) => self.stats.write_errors.inc(),
             }
         }
-        let durable = done.unwrap_or_else(Instant::now);
+        let durable = done.unwrap_or(not_before);
         let mut callbacks = Vec::with_capacity(n);
         for (i, p) in ring.pending.drain(..n).enumerate() {
             let mut checksum = entry_checksum(p.seq, &p.payload);
@@ -553,9 +566,10 @@ mod tests {
         let j2 = Arc::clone(j);
         j.submit(
             payload(len),
+            Instant::now(),
             Box::new(move |_, _| {
                 for _ in 0..n {
-                    j2.submit(payload(len), Box::new(|_, _| {}), no_room)
+                    j2.submit(payload(len), Instant::now(), Box::new(|_, _| {}), no_room)
                         .unwrap();
                 }
             }),
@@ -574,6 +588,7 @@ mod tests {
         let seq = j
             .submit(
                 payload(4096),
+                Instant::now(),
                 Box::new(move |s, _| {
                     f.store(s, AOrd::SeqCst);
                 }),
@@ -599,6 +614,7 @@ mod tests {
             let o = Arc::clone(&order);
             j.submit(
                 payload(100),
+                Instant::now(),
                 Box::new(move |s, _| o.lock().push(s)),
                 no_room,
             )
@@ -657,6 +673,7 @@ mod tests {
                         let o = Arc::clone(&order);
                         j.submit(
                             payload(128),
+                            Instant::now(),
                             Box::new(move |s, _| o.lock().push(s)),
                             no_room,
                         )
@@ -690,6 +707,7 @@ mod tests {
         let d = Arc::clone(&durable);
         j.submit(
             payload(256),
+            Instant::now(),
             Box::new(move |_, at| *d.lock() = Some(at)),
             no_room,
         )
@@ -704,6 +722,72 @@ mod tests {
         assert_eq!(j.crash_image().len(), 1);
     }
 
+    /// A record is planned from the latest not-before in its batch: an
+    /// entry that exists only from a later instant is durable no earlier
+    /// than that instant plus the device write, and so is every entry
+    /// batched with it.
+    #[test]
+    fn a_record_is_planned_no_earlier_than_its_batchs_latest_not_before() {
+        const AHEAD: Duration = Duration::from_millis(30);
+        let dev = Arc::new(Nvram::new(NvramConfig::pmc_8g()));
+        let access = NvramConfig::pmc_8g().access;
+        let j = Journal::new(dev, JournalConfig::default());
+        let durable = Arc::new(Mutex::new(Vec::new()));
+        let t0 = Instant::now();
+        let (d, j2) = (Arc::clone(&durable), Arc::clone(&j));
+        // The follower is submitted from the leader's callback, so it
+        // rides the leader's next record with an earlier not-before.
+        j.submit(
+            payload(256),
+            t0 + AHEAD,
+            Box::new(move |_, at| {
+                d.lock().push(at);
+                let d = Arc::clone(&d);
+                let follow = Box::new(move |_, at| d.lock().push(at));
+                j2.submit(payload(256), Instant::now(), follow, no_room)
+                    .unwrap();
+            }),
+            no_room,
+        )
+        .unwrap();
+        assert!(t0.elapsed() < AHEAD, "submit waited for its not-before");
+        let durable = durable.lock().clone();
+        assert_eq!(durable.len(), 2);
+        assert!(
+            durable[0] >= t0 + AHEAD + access,
+            "planned before it existed"
+        );
+        assert!(
+            durable[1] >= durable[0],
+            "a later record made durable first"
+        );
+        if Instant::now() < t0 + AHEAD {
+            assert!(j.crash_image().is_empty(), "durable before its not-before");
+        }
+        // Two entries batched into one record: the later not-before holds
+        // back both.
+        let times = Arc::new(Mutex::new(Vec::new()));
+        let (t, j2) = (Arc::clone(&times), Arc::clone(&j));
+        let t1 = Instant::now();
+        let leader = Box::new(move |_, _| {
+            for ahead in [Duration::ZERO, AHEAD] {
+                let t = Arc::clone(&t);
+                let cb = Box::new(move |_, at| t.lock().push(at));
+                j2.submit(payload(256), t1 + ahead, cb, no_room).unwrap();
+            }
+        });
+        j.submit(payload(256), t1, leader, no_room).unwrap();
+        let times = times.lock().clone();
+        assert_eq!(times.len(), 2);
+        assert_eq!(j.stats().batches.get(), 4, "the two shared a record");
+        for at in times {
+            assert!(
+                at >= t1 + AHEAD + access,
+                "held back by less than its batch"
+            );
+        }
+    }
+
     /// A full ring names the entry whose trim makes room and hands the
     /// wait to the submitter: the journal times it as a stall, returns its
     /// error, and admits the entry once the wait has made room.
@@ -711,20 +795,25 @@ mod tests {
     fn a_full_ring_hands_its_wait_to_the_submitter() {
         let j = journal(4 * 4096); // four 4K-aligned slots
         for _ in 0..4 {
-            j.submit(payload(1000), Box::new(|_, _| {}), no_room)
+            j.submit(payload(1000), Instant::now(), Box::new(|_, _| {}), no_room)
                 .unwrap();
         }
         j.trim_through(1);
-        j.submit(payload(1000), Box::new(|_, _| {}), no_room)
+        j.submit(payload(1000), Instant::now(), Box::new(|_, _| {}), no_room)
             .unwrap();
         // Full: slot 2 frees room for one more entry, slot 3 for two.
         let mut named = Vec::new();
         let err = j
-            .submit(payload(1000), Box::new(|_, _| {}), |through| {
-                named.push(through);
-                std::thread::sleep(Duration::from_millis(20));
-                Err(AfcError::Timeout("no apply".into()))
-            })
+            .submit(
+                payload(1000),
+                Instant::now(),
+                Box::new(|_, _| {}),
+                |through| {
+                    named.push(through);
+                    std::thread::sleep(Duration::from_millis(20));
+                    Err(AfcError::Timeout("no apply".into()))
+                },
+            )
             .unwrap_err();
         assert!(matches!(err, AfcError::Timeout(_)), "{err}");
         assert_eq!(named, [2], "named the wrong entry");
@@ -733,7 +822,7 @@ mod tests {
         assert_eq!(j.stats().submits.get(), 5, "admitted without room");
         let big = payload(4096 + 1000); // two slots
         assert!(matches!(
-            j.submit(big.clone(), Box::new(|_, _| {}), no_room),
+            j.submit(big.clone(), Instant::now(), Box::new(|_, _| {}), no_room),
             Err(AfcError::Full(_))
         ));
         // A wait that makes room admits the entry; one that frees too
@@ -745,6 +834,7 @@ mod tests {
         let seq = j
             .submit(
                 big,
+                Instant::now(),
                 Box::new(move |s, _| f.store(s, AOrd::SeqCst)),
                 |through| {
                     assert_eq!(through, 3);
@@ -764,8 +854,13 @@ mod tests {
         let mut seqs = Vec::new();
         for i in 0..10 {
             seqs.push(
-                j.submit(Bytes::from(vec![i as u8; 64]), Box::new(|_, _| {}), no_room)
-                    .unwrap(),
+                j.submit(
+                    Bytes::from(vec![i as u8; 64]),
+                    Instant::now(),
+                    Box::new(|_, _| {}),
+                    no_room,
+                )
+                .unwrap(),
             );
         }
         j.quiesce();
@@ -785,7 +880,12 @@ mod tests {
     fn oversized_entry_rejected() {
         let j = journal(64 * 1024);
         let err = j
-            .submit(payload(128 * 1024), Box::new(|_, _| {}), no_room)
+            .submit(
+                payload(128 * 1024),
+                Instant::now(),
+                Box::new(|_, _| {}),
+                no_room,
+            )
             .unwrap_err();
         assert_eq!(err.kind(), "invalid_argument");
     }
@@ -864,6 +964,7 @@ mod fault_tests {
         let a = Arc::clone(&acked);
         j.submit(
             Bytes::from(vec![9u8; 256]),
+            Instant::now(),
             Box::new(move |_, _| {
                 a.fetch_add(1, AOrd::SeqCst);
             }),

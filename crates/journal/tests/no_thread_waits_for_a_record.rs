@@ -11,6 +11,7 @@ use afc_device::{Nvram, NvramConfig};
 use afc_journal::{no_room, Journal, JournalConfig};
 use bytes::Bytes;
 use std::sync::Arc;
+use std::time::Instant;
 
 #[test]
 fn submit_books_no_nvram_wait_and_submit_and_wait_at_most_one() {
@@ -22,7 +23,8 @@ fn submit_books_no_nvram_wait_and_submit_and_wait_at_most_one() {
     assert_eq!(row.waits.get(), 0, "something else booked NVRAM waits");
     let payload = |i: u32| Bytes::from(vec![i as u8; 64 + (i as usize * 37) % 4096]);
     for i in 0..500u32 {
-        j.submit(payload(i), Box::new(|_, _| {}), no_room).unwrap();
+        j.submit(payload(i), Instant::now(), Box::new(|_, _| {}), no_room)
+            .unwrap();
     }
     assert_eq!(row.waits.get(), 0, "a submit waited for its record");
     for i in 0..500u32 {

@@ -9,6 +9,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Deterministic per-entry payload so replayed bytes can be checked.
 fn payload_for(seq: u64, len: usize) -> Bytes {
@@ -54,7 +55,7 @@ proptest! {
             // Crash point: the last entry tears mid-write. It must be
             // recovered as garbage and truncated, never replayed.
             reg.install(FaultSpec::new("jdev.write", FaultKind::Torn));
-            j.submit(payload_for(committed + 1, 512), Box::new(|_, _| {}), no_room).unwrap();
+            j.submit(payload_for(committed + 1, 512), Instant::now(), Box::new(|_, _| {}), no_room).unwrap();
             j.quiesce();
             prop_assert_eq!(j.stats().torn_writes.get(), 1);
         }
@@ -101,13 +102,13 @@ proptest! {
         let (g, a, rest) = (Arc::clone(&grouped), Arc::clone(&acked), lens[1..].to_vec());
         grouped
             .submit(
-                payload_for(1, lens[0] as usize),
+                payload_for(1, lens[0] as usize), Instant::now(),
                 Box::new(move |s, _| {
                     a.lock().push(s);
                     for (i, len) in rest.iter().enumerate() {
                         let a = Arc::clone(&a);
                         g.submit(
-                            payload_for(i as u64 + 2, *len as usize),
+                            payload_for(i as u64 + 2, *len as usize), Instant::now(),
                             Box::new(move |s, _| a.lock().push(s)), no_room,
                         )
                         .unwrap();
@@ -173,6 +174,7 @@ fn torn_batch_tail_poisons_only_the_tail() {
     let (j2, a) = (Arc::clone(&j), Arc::clone(&acked));
     j.submit(
         payload_for(1, 256),
+        Instant::now(),
         Box::new(move |s, _| {
             a.lock().push(s);
             reg.install(FaultSpec::new("jdev.write", FaultKind::Torn).times(1));
@@ -180,6 +182,7 @@ fn torn_batch_tail_poisons_only_the_tail() {
                 let a = Arc::clone(&a);
                 j2.submit(
                     payload_for(s, 256),
+                    Instant::now(),
                     Box::new(move |q, _| a.lock().push(q)),
                     no_room,
                 )

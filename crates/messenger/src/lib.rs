@@ -17,8 +17,15 @@
 //!   arrival a delivery thread would dispatch it at, and the receiver may
 //!   take it there ([`Dispatcher::take`]) when nothing it does with it can
 //!   be observed before that instant. A client session takes every reply
-//!   and its waiter waits out the arrival; a daemon, whose handlers act
-//!   *at* arrival, takes only what needs no such handler.
+//!   and its waiter waits out the arrival. A daemon takes what it can
+//!   handle ahead of the arrival and still show only after it: an OSD
+//!   takes a fast-ack `RepAck`, whose write replies no earlier than the
+//!   ack's arrival, and a fast-ack `Replicate`, whose sub-op joins its PG's
+//!   FIFO in the order the sender's PG lock sent it and whose journal
+//!   record, and so its ack, is planned from the arrival. Order among taken
+//!   messages is the order their senders take them in, which a receiver
+//!   that needs it gets from a lock the sender holds; per-connection
+//!   departure order is a delivery thread's.
 //! - A message handed back goes to its `(sender → receiver)` connection's
 //!   **delivery thread**, created the first time the receiver hands one
 //!   back, which models wire latency, delivers in departure order, and
@@ -143,8 +150,10 @@ pub trait Dispatcher<M>: Send + Sync {
     /// Take a message from `from` on the sending thread, before it arrives
     /// at `arrival`: `None` when taken, the message back to have it
     /// dispatched at its arrival. A taken message's effects must be
-    /// invisible until `arrival`. Called with no fabric lock held, so it
-    /// may send. By default nothing is taken.
+    /// invisible until `arrival`; what the receiver does with it may run
+    /// here, or later on this thread, but shows no earlier. Called with no
+    /// fabric lock held, so it may send; the sender's own locks may be
+    /// held. By default nothing is taken.
     fn take(&self, _from: Addr, msg: M, _arrival: Instant) -> Option<M> {
         Some(msg)
     }

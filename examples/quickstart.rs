@@ -43,10 +43,11 @@ fn main() -> afcstore::common::Result<()> {
     // is a stable name → value tree (see DESIGN.md "Observability").
     cluster.quiesce();
     // What modeled time costs in CPU: a QD1 4 KiB write loop between two
-    // snapshots of the `model.*` ledger. Of a write's four wire hops three
-    // are waited out, each once: the request and the `Replicate` by a
-    // delivery thread, the reply by the client. The `RepAck` is taken by
-    // the primary on the replica's thread and its arrival rides on the
+    // snapshots of the `model.*` ledger. Of a write's four wire hops two
+    // are waited out, each once: the request by a delivery thread, the
+    // reply by the client. The replica takes the `Replicate` on the
+    // primary's thread and plans its record from the arrival; the primary
+    // takes the `RepAck` on that thread too, and its arrival rides on the
     // reply, as the two NVRAM records' durable instants ride on the
     // `RepAck` and the reply, and the applies' completions on the applied
     // mark; so `nvram` and `ssd` read ~0. The spin is the part of those
