@@ -6,8 +6,8 @@
 //! a sender+receiver thread of CPU per connection.
 //!
 //! Scaled: nodes ∈ {2,3,4,6} × 2 OSDs, one VM per node, with the
-//! per-message messenger CPU cost enabled so the read ceiling appears at
-//! the top scale on this single-core host exactly as CPU did on theirs.
+//! per-message messenger CPU cost enabled, so host CPU is the collective
+//! ceiling as it was on theirs.
 
 use afc_bench::{fio, print_rows, run_fleet, save_rows, vm_images, FigRow};
 use afc_core::{Cluster, DeviceProfile, OsdTuning};
@@ -57,8 +57,6 @@ fn main() {
         );
     }
     println!("(paper: all patterns ≈linear except 4K random read at 16 nodes — messenger CPU)");
-    println!("(host note: this machine has ONE core, so added nodes add threads but no");
-    println!(" compute — absolute scaling saturates early; the reproduced effect is the");
-    println!(" per-connection messenger cost growing with cluster size, which is what");
-    println!(" capped the paper's 16-node random reads. See EXPERIMENTS.md.)");
+    println!("(host note: added nodes add threads but no compute, so a pattern that is");
+    println!(" CPU-bound on this host flattens once its cores are busy. See EXPERIMENTS.md.)");
 }

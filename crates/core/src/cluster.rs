@@ -14,13 +14,13 @@ use crate::qos::QosSpec;
 use crate::tuning::OsdTuning;
 use afc_common::metrics::{Metrics, MetricsSnapshot};
 use afc_common::{
-    AfcError, ClientId, FaultPlan, FaultRegistry, NodeId, ObjectId, OsdId, PgId, PoolId, Result,
-    VolumeId, GIB, KIB,
+    AfcError, ClientId, FaultPlan, FaultRegistry, ObjectId, OsdId, PgId, PoolId, Result, VolumeId,
+    GIB, KIB,
 };
 use afc_crush::osdmap::PoolSpec;
 use afc_crush::CrushMap;
 use afc_device::{BlockDev, Nvram, NvramConfig, Raid0, Ssd, SsdConfig};
-use afc_messenger::{MessengerMode, NetConfig, Network};
+use afc_messenger::{NetConfig, Network};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -97,7 +97,6 @@ pub struct ClusterBuilder {
     devices: DeviceProfile,
     hop_latency: Duration,
     msgr_cpu: Duration,
-    msgr_mode: MessengerMode,
     seed: u64,
     faults: Option<FaultPlan>,
     failure: Option<FailureConfig>,
@@ -114,7 +113,6 @@ impl Default for ClusterBuilder {
             devices: DeviceProfile::clean(),
             hop_latency: Duration::from_micros(80),
             msgr_cpu: Duration::ZERO,
-            msgr_mode: MessengerMode::Simple,
             seed: 0xafc_5eed,
             faults: None,
             failure: None,
@@ -179,15 +177,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Receive-side threading model: `Simple` (thread per connection, the
-    /// paper's testbed) or `Async` (fixed pool — Ceph's later fix for the
-    /// §4.5 scalability ceiling).
-    #[must_use]
-    pub fn messenger_mode(mut self, m: MessengerMode) -> Self {
-        self.msgr_mode = m;
-        self
-    }
-
     /// Deterministic seed for device jitter streams.
     #[must_use]
     pub fn seed(mut self, s: u64) -> Self {
@@ -234,7 +223,6 @@ impl ClusterBuilder {
             hop_latency: self.hop_latency,
             nagle: self.tuning.nagle,
             cpu_per_msg: self.msgr_cpu,
-            mode: self.msgr_mode,
             ..NetConfig::default()
         });
         let faults = self
@@ -436,11 +424,6 @@ impl Cluster {
     /// counters.
     pub fn fault_registry(&self) -> Option<&Arc<FaultRegistry>> {
         self.faults.as_ref()
-    }
-
-    /// Node hosting an OSD.
-    pub fn node_of(&self, osd: OsdId) -> Option<NodeId> {
-        self.monitor.map().crush().host_of(osd)
     }
 
     /// The cluster-wide metric registry. Every subsystem registers into

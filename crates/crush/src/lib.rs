@@ -19,6 +19,6 @@ pub mod map;
 pub mod osdmap;
 pub mod straw2;
 
-pub use map::{CrushMap, HostSpec};
+pub use map::CrushMap;
 pub use osdmap::{OsdMap, OsdStatus};
 pub use straw2::straw2_draw;

@@ -6,15 +6,6 @@ use afc_common::rng::mix64;
 use afc_common::{NodeId, OsdId, PgId};
 use std::collections::BTreeMap;
 
-/// Description of one host used when building a map.
-#[derive(Debug, Clone)]
-pub struct HostSpec {
-    /// Host id.
-    pub node: NodeId,
-    /// OSDs on this host with their weights.
-    pub osds: Vec<(OsdId, f64)>,
-}
-
 /// The placement hierarchy: a single root of hosts, each holding OSDs.
 ///
 /// Selection picks `size` distinct *hosts* first (failure domain = host, as
@@ -28,17 +19,6 @@ impl CrushMap {
     /// Create an empty map.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Build a map from host specs.
-    pub fn from_hosts(specs: &[HostSpec]) -> Self {
-        let mut m = CrushMap::new();
-        for s in specs {
-            for (osd, w) in &s.osds {
-                m.add_osd(s.node, *osd, *w);
-            }
-        }
-        m
     }
 
     /// Convenience: `nodes` hosts × `osds_per_node` unit-weight OSDs, ids

@@ -181,11 +181,6 @@ impl Db {
         })
     }
 
-    /// Open with default config.
-    pub fn open_default(dev: Arc<dyn BlockDev>) -> Result<Self> {
-        Self::open(dev, DbConfig::default())
-    }
-
     fn stall_wait(&self) -> Result<()> {
         let inner = &self.inner;
         let mut st = inner.state.lock();

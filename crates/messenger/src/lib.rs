@@ -81,30 +81,6 @@ pub struct NetConfig {
     /// thread for a message its receiver takes (protocol work,
     /// checksumming). Zero by default; the scale-out harness raises it.
     pub cpu_per_msg: Duration,
-    /// Receive-side threading model (§4.5 / extension).
-    pub mode: MessengerMode,
-}
-
-/// Receive-side threading model.
-///
-/// The paper diagnoses SimpleMessenger — a dedicated receiver thread per
-/// connection — as the 16-node random-read ceiling ("messenger's structure
-/// is not scalable and have receiver and sender threads for each
-/// connection"). Ceph's eventual fix was AsyncMessenger: a fixed worker
-/// pool multiplexing all connections. Both are available here; connections
-/// are sharded onto async workers by connection id, and a worker orders
-/// its connections' messages by arrival, so delivery order is identical in
-/// both modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MessengerMode {
-    /// Thread per inbound connection (Ceph SimpleMessenger; the default,
-    /// matching the paper's testbed).
-    Simple,
-    /// Fixed shared worker pool (Ceph AsyncMessenger).
-    Async {
-        /// Pool size.
-        workers: usize,
-    },
 }
 
 impl Default for NetConfig {
@@ -118,31 +94,15 @@ impl Default for NetConfig {
             // stand-in for the KRBD-on-CentOS-7 behaviour the paper hit.
             nagle_delay: Duration::from_millis(2),
             cpu_per_msg: Duration::ZERO,
-            mode: MessengerMode::Simple,
         }
-    }
-}
-
-impl NetConfig {
-    /// Community defaults: Nagle enabled (KRBD on CentOS 7.0, §3.2).
-    pub fn community() -> Self {
-        NetConfig {
-            nagle: true,
-            ..Self::default()
-        }
-    }
-
-    /// AFCeph tuning: Nagle disabled.
-    pub fn afceph() -> Self {
-        Self::default()
     }
 }
 
 /// Receives one endpoint's messages. Each is first offered to
 /// [`Self::take`] on the sending thread; one handed back is dispatched at
-/// its arrival on a delivery thread. Implementations must be thread-safe:
-/// in `Simple` mode every inbound connection dispatches from its own
-/// thread, in `Async` mode from whichever lane it is sharded onto.
+/// its arrival on its connection's delivery thread. Implementations must
+/// be thread-safe: every inbound connection dispatches from its own
+/// thread.
 pub trait Dispatcher<M>: Send + Sync {
     /// Handle one message from `from`, at its arrival.
     fn dispatch(&self, from: Addr, msg: M);
@@ -177,12 +137,6 @@ struct Conn<M> {
     lane: OnceLock<Arc<Lane<M>>>,
 }
 
-struct WorkItem<M> {
-    from: Addr,
-    msg: M,
-    dispatcher: Arc<dyn Dispatcher<M>>,
-}
-
 /// What a delivery thread is doing, so a sender wakes it only when it
 /// must.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,22 +151,34 @@ enum Activity {
 
 struct LaneState<M> {
     /// Held messages by arrival; ties keep send order.
-    queue: BTreeMap<(Instant, u64), WorkItem<M>>,
+    queue: BTreeMap<(Instant, u64), M>,
     next_seq: u64,
     activity: Activity,
     closed: bool,
 }
 
-/// One delivery thread's queue: a connection's in Simple mode, a worker's
-/// shared by many connections in Async mode.
+/// One connection's delivery thread: the messages its receiver handed
+/// back, held by arrival, and the thread that dispatches them.
 struct Lane<M> {
+    from: Addr,
+    dispatcher: Arc<dyn Dispatcher<M>>,
     state: Mutex<LaneState<M>>,
     cv: Condvar,
+    /// Taken by the close that joins it.
+    thread: Mutex<Option<JoinHandle<()>>>,
 }
 
-impl<M> Lane<M> {
-    fn new() -> Arc<Self> {
-        Arc::new(Lane {
+impl<M: Send + 'static> Lane<M> {
+    /// Start the `from → to` connection's delivery thread.
+    fn spawn(
+        from: Addr,
+        to: Addr,
+        dispatcher: Arc<dyn Dispatcher<M>>,
+        cfg: NetConfig,
+    ) -> Result<Arc<Self>> {
+        let lane = Arc::new(Lane {
+            from,
+            dispatcher,
             state: Mutex::new(LaneState {
                 queue: BTreeMap::new(),
                 next_seq: 0,
@@ -220,18 +186,26 @@ impl<M> Lane<M> {
                 closed: false,
             }),
             cv: Condvar::new(),
-        })
+            thread: Mutex::new(None),
+        });
+        let l = Arc::clone(&lane);
+        let thread = std::thread::Builder::new()
+            .name(format!("msgr-{from}-{to}"))
+            .spawn(move || l.deliver_loop(&cfg))
+            .map_err(|e| AfcError::Io(format!("spawn messenger thread: {e}")))?;
+        *lane.thread.lock() = Some(thread);
+        Ok(lane)
     }
 
-    /// Hold `item` until `arrival`. False once the lane is closed.
-    fn push(&self, arrival: Instant, item: WorkItem<M>) -> bool {
+    /// Hold `msg` until `arrival`. False once the lane is closed.
+    fn push(&self, arrival: Instant, msg: M) -> bool {
         let mut st = self.state.lock();
         if st.closed {
             return false;
         }
         let seq = st.next_seq;
         st.next_seq += 1;
-        st.queue.insert((arrival, seq), item);
+        st.queue.insert((arrival, seq), msg);
         let wake = match st.activity {
             Activity::Busy => false,
             Activity::Idle => true,
@@ -245,65 +219,68 @@ impl<M> Lane<M> {
         true
     }
 
-    /// Refuse further messages; the thread delivers what it holds, then
-    /// exits.
+    /// Refuse further messages and join the thread once it has delivered
+    /// what it holds.
     fn close(&self) {
         self.state.lock().closed = true;
         self.cv.notify_all();
+        if let Some(thread) = self.thread.lock().take() {
+            let _ = thread.join();
+        }
     }
-}
 
-/// A delivery thread: sleep once for the earliest arrival (the calibrated
-/// wait, booked to `model.net`, cut short by an earlier arrival), then
-/// deliver everything due.
-fn deliver_loop<M>(lane: &Lane<M>, cfg: &NetConfig) {
-    let mut due = Vec::new();
-    let mut st = lane.state.lock();
-    loop {
-        let now = Instant::now();
-        while let Some(head) = st.queue.first_entry() {
-            if head.key().0 > now {
-                break;
-            }
-            due.push(head.remove());
-        }
-        if !due.is_empty() {
-            st.activity = Activity::Busy;
-            drop(st);
-            for item in due.drain(..) {
-                if cfg.cpu_per_msg > Duration::ZERO {
-                    burn_cpu(cfg.cpu_per_msg);
+    /// Sleep once for the earliest arrival (the calibrated wait, booked to
+    /// `model.net`, cut short by an earlier arrival), then deliver
+    /// everything due.
+    fn deliver_loop(&self, cfg: &NetConfig) {
+        let mut due = Vec::new();
+        let mut st = self.state.lock();
+        loop {
+            let now = Instant::now();
+            while let Some(head) = st.queue.first_entry() {
+                if head.key().0 > now {
+                    break;
                 }
-                item.dispatcher.dispatch(item.from, item.msg);
+                due.push(head.remove());
             }
-            st = lane.state.lock();
-            continue;
-        }
-        let Some(&(next, _)) = st.queue.keys().next() else {
-            if st.closed {
-                return;
-            }
-            st.activity = Activity::Idle;
-            lane.cv.wait(&mut st);
-            continue;
-        };
-        let Some(wait) = ledger().begin(WaitClass::Net, next) else {
-            continue;
-        };
-        if let Some(target) = wait.sleep_target() {
-            st.activity = Activity::Until(next);
-            while st.activity == Activity::Until(next)
-                && !lane.cv.wait_until(&mut st, target).timed_out()
-            {}
-            if st.activity != Activity::Until(next) {
-                wait.interrupted();
+            if !due.is_empty() {
+                st.activity = Activity::Busy;
+                drop(st);
+                for msg in due.drain(..) {
+                    if cfg.cpu_per_msg > Duration::ZERO {
+                        burn_cpu(cfg.cpu_per_msg);
+                    }
+                    self.dispatcher.dispatch(self.from, msg);
+                }
+                st = self.state.lock();
                 continue;
             }
+            let Some(&(next, _)) = st.queue.keys().next() else {
+                if st.closed {
+                    return;
+                }
+                st.activity = Activity::Idle;
+                self.cv.wait(&mut st);
+                continue;
+            };
+            let Some(wait) = ledger().begin(WaitClass::Net, next) else {
+                continue;
+            };
+            if let Some(target) = wait.sleep_target() {
+                st.activity = Activity::Until(next);
+                while st.activity == Activity::Until(next)
+                    && !self.cv.wait_until(&mut st, target).timed_out()
+                {}
+                if st.activity != Activity::Until(next) {
+                    wait.interrupted();
+                    continue;
+                }
+            }
+            st.activity = Activity::Busy;
+            drop(st);
+            wait.finish();
+            st = self.state.lock();
         }
-        st.activity = Activity::Busy;
-        drop(st);
-        wait.finish();
-        st = lane.state.lock();
     }
 }
 
@@ -311,26 +288,22 @@ struct EndpointState<M> {
     dispatcher: Arc<dyn Dispatcher<M>>,
     /// Inbound connections keyed by sender address.
     conns: HashMap<Addr, Arc<Conn<M>>>,
-    /// Simple mode: the delivery threads of its inbound connections.
-    threads: Vec<(Arc<Lane<M>>, JoinHandle<()>)>,
 }
 
-impl<M> EndpointState<M> {
+impl<M: Send + 'static> EndpointState<M> {
     /// Wind the endpoint down: each of its connection threads delivers
-    /// what it holds and exits. An Async lane outlives its connections.
+    /// what it holds and exits.
     fn close(self) {
-        for (lane, thread) in self.threads {
-            lane.close();
-            let _ = thread.join();
+        for conn in self.conns.into_values() {
+            if let Some(lane) = conn.lane.get() {
+                lane.close();
+            }
         }
     }
 }
 
 struct NetInner<M> {
     endpoints: HashMap<Addr, EndpointState<M>>,
-    /// Shared async-mode worker lanes (created on demand).
-    lanes: Vec<Arc<Lane<M>>>,
-    lane_threads: Vec<JoinHandle<()>>,
     shutdown: bool,
 }
 
@@ -353,7 +326,6 @@ pub struct Network<M: Send + 'static> {
     msgs: Counter,
     bytes: Counter,
     conns: Counter,
-    lanes: Counter,
     threads: Counter,
     taken: Counter,
     nagled: Counter,
@@ -369,14 +341,11 @@ impl<M: Send + 'static> Network<M> {
             cfg,
             inner: RwLock::new(NetInner {
                 endpoints: HashMap::new(),
-                lanes: Vec::new(),
-                lane_threads: Vec::new(),
                 shutdown: false,
             }),
             msgs: Counter::new(),
             bytes: Counter::new(),
             conns: Counter::new(),
-            lanes: Counter::new(),
             threads: Counter::new(),
             taken: Counter::new(),
             nagled: Counter::new(),
@@ -424,7 +393,6 @@ impl<M: Send + 'static> Network<M> {
             EndpointState {
                 dispatcher,
                 conns: HashMap::new(),
-                threads: Vec::new(),
             },
         );
         Ok(Messenger {
@@ -443,33 +411,24 @@ impl<M: Send + 'static> Network<M> {
 
     /// Shut the whole fabric down, joining every connection thread.
     pub fn shutdown(&self) {
-        let (eps, lanes, lane_threads) = {
+        let eps = {
             let mut inner = self.inner.write();
             inner.shutdown = true;
-            (
-                std::mem::take(&mut inner.endpoints),
-                std::mem::take(&mut inner.lanes),
-                std::mem::take(&mut inner.lane_threads),
-            )
+            std::mem::take(&mut inner.endpoints)
         };
         eps.into_values().for_each(EndpointState::close);
-        lanes.iter().for_each(|l| l.close());
-        for t in lane_threads {
-            let _ = t.join();
-        }
     }
 
     /// Register the network's counters into a cluster metric registry as
-    /// `net.{msgs,bytes,conns,lanes,threads,taken,nagled,dropped,duplicated}`:
-    /// `threads` counts delivery threads spawned (one per `Simple`
-    /// connection whose receiver handed a message back, one per `Async`
-    /// lane), `taken` messages a receiver took on the sending thread.
+    /// `net.{msgs,bytes,conns,threads,taken,nagled,dropped,duplicated}`:
+    /// `threads` counts delivery threads spawned (one per connection whose
+    /// receiver handed a message back), `taken` messages a receiver took
+    /// on the sending thread.
     pub fn attach_metrics(&self, m: &Metrics) {
-        let fields: [(&str, &Counter); 9] = [
+        let fields: [(&str, &Counter); 8] = [
             ("msgs", &self.msgs),
             ("bytes", &self.bytes),
             ("conns", &self.conns),
-            ("lanes", &self.lanes),
             ("threads", &self.threads),
             ("taken", &self.taken),
             ("nagled", &self.nagled),
@@ -543,14 +502,9 @@ impl<M: Send + 'static> Network<M> {
                 self.taken.inc();
                 continue;
             };
-            let item = WorkItem {
-                from,
-                msg,
-                dispatcher: Arc::clone(&conn.dispatcher),
-            };
             let pushed = self
                 .lane(from, to, &conn)
-                .map(|lane| lane.push(arrival, item));
+                .map(|lane| lane.push(arrival, msg));
             // The duplicate is best-effort: if the connection closed after
             // the first send, it is moot.
             if copy == 0 && !pushed? {
@@ -603,56 +557,30 @@ impl<M: Send + 'static> Network<M> {
     }
 
     /// The `from → to` connection's delivery lane, made the first time its
-    /// receiver hands a message back: its own thread in Simple mode, one
-    /// of the shared lanes in Async mode (sharded by connection id). A
-    /// connection removed since gets none (`Disconnected`); a thread that
-    /// cannot be spawned is the sender's `Io` error.
-    fn lane(&self, from: Addr, to: Addr, conn: &Arc<Conn<M>>) -> Result<Arc<Lane<M>>> {
+    /// receiver hands a message back. A connection removed since gets none
+    /// (`Disconnected`); a thread that cannot be spawned is the sender's
+    /// `Io` error.
+    fn lane<'c>(&self, from: Addr, to: Addr, conn: &'c Arc<Conn<M>>) -> Result<&'c Lane<M>> {
         if let Some(lane) = conn.lane.get() {
-            return Ok(Arc::clone(lane));
+            return Ok(lane);
         }
-        let mut guard = self.inner.write();
-        let inner = &mut *guard;
+        // Published under the registry lock, so the `close` that removes
+        // the connection sees it.
+        let inner = self.inner.write();
         if let Some(lane) = conn.lane.get() {
-            return Ok(Arc::clone(lane));
+            return Ok(lane);
         }
-        let state = inner
+        if !inner
             .endpoints
-            .get_mut(&to)
-            .filter(|s| s.conns.get(&from).is_some_and(|c| Arc::ptr_eq(c, conn)))
-            .ok_or_else(|| AfcError::Disconnected(format!("connection {from}->{to}")))?;
-        let spawn = |name: String| {
-            let lane = Lane::new();
-            let (l, cfg) = (Arc::clone(&lane), self.cfg.clone());
-            let thread = std::thread::Builder::new()
-                .name(name)
-                .spawn(move || deliver_loop(&l, &cfg))
-                .map_err(|e| AfcError::Io(format!("spawn messenger thread: {e}")))?;
-            self.threads.inc();
-            Ok::<_, AfcError>((lane, thread))
-        };
-        let lane = match self.cfg.mode {
-            MessengerMode::Async { workers } => {
-                if inner.lanes.is_empty() {
-                    for i in 0..workers.max(1) {
-                        let (lane, thread) = spawn(format!("msgr-async-{i}"))?;
-                        inner.lanes.push(lane);
-                        inner.lane_threads.push(thread);
-                        self.lanes.inc();
-                    }
-                }
-                use std::hash::{Hash, Hasher};
-                let mut h = std::collections::hash_map::DefaultHasher::new();
-                (from, to).hash(&mut h);
-                Arc::clone(&inner.lanes[(h.finish() as usize) % inner.lanes.len()])
-            }
-            MessengerMode::Simple => {
-                let (lane, thread) = spawn(format!("msgr-{from}-{to}"))?;
-                state.threads.push((Arc::clone(&lane), thread));
-                lane
-            }
-        };
-        Ok(Arc::clone(conn.lane.get_or_init(|| lane)))
+            .get(&to)
+            .and_then(|s| s.conns.get(&from))
+            .is_some_and(|c| Arc::ptr_eq(c, conn))
+        {
+            return Err(AfcError::Disconnected(format!("connection {from}->{to}")));
+        }
+        let lane = Lane::spawn(from, to, Arc::clone(&conn.dispatcher), self.cfg.clone())?;
+        self.threads.inc();
+        Ok(conn.lane.get_or_init(|| lane))
     }
 }
 
@@ -714,7 +642,6 @@ mod tests {
     use super::*;
     use afc_common::{ClientId, OsdId};
     use parking_lot::Mutex;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn client(n: u64) -> Addr {
         Addr::Client(ClientId(n))
@@ -882,7 +809,7 @@ mod tests {
     /// taking happens on the sender, and unregistering or shutting down has
     /// nothing to join.
     #[test]
-    fn inbox_connections_spawn_no_thread() {
+    fn connections_to_a_receiver_that_takes_everything_spawn_no_thread() {
         let net: Arc<Network<u64>> = Network::new(NetConfig::default());
         let got = collector(&net, client(1), true);
         let osds: Vec<_> = (0..3)
@@ -907,6 +834,27 @@ mod tests {
         net.shutdown();
         assert_eq!(msgs(&got), vec![7]);
         assert_eq!(net.threads.get(), 0);
+    }
+
+    /// Unregistering a receiver waits for its delivery threads: a message
+    /// handed back and not yet due is dispatched once, at its arrival,
+    /// before `unregister` returns.
+    #[test]
+    fn unregister_dispatches_a_held_message_once_before_it_returns() {
+        let cfg = NetConfig::default();
+        let hop = cfg.hop_latency;
+        let net: Arc<Network<u64>> = Network::new(cfg);
+        let got = collector(&net, osd(0), false);
+        let m = net.register(client(1), Arc::new(|_, _: u64| {})).unwrap();
+        let at = Instant::now() + Duration::from_millis(20);
+        m.send_at(osd(0), 1, 64, at).unwrap();
+        assert_eq!(net.threads.get(), 1);
+        net.unregister(osd(0));
+        assert_eq!(msgs(&got), vec![1], "not dispatched exactly once");
+        assert!(got.lock()[0].2 >= at + hop, "dispatched before its arrival");
+        assert!(matches!(m.send(osd(0), 2, 64), Err(AfcError::NotFound(_))));
+        net.shutdown();
+        assert_eq!(msgs(&got), vec![1]);
     }
 
     /// Takes the odd payloads, recorded with their arrival; hands the even
@@ -1110,100 +1058,6 @@ mod tests {
         }
         wait_for(&got, 4);
         assert_eq!(msgs(&got), vec![2, 3, 4, 1]);
-        net.shutdown();
-    }
-
-    /// Two connections on one Async lane: A's stamped message, due in
-    /// 200 ms, does not hold back B's plain one.
-    #[test]
-    fn async_lane_stamped_message_does_not_delay_another_connection() {
-        let cfg = NetConfig {
-            mode: MessengerMode::Async { workers: 1 },
-            ..NetConfig::default()
-        };
-        let net: Arc<Network<(u64, Instant)>> = Network::new(cfg);
-        let got = Arc::new(Mutex::new(Vec::new()));
-        let g = Arc::clone(&got);
-        net.register(
-            osd(0),
-            Arc::new(move |from, (_, sent): (u64, Instant)| {
-                g.lock().push((from, sent.elapsed()));
-            }),
-        )
-        .unwrap();
-        let a = net
-            .register(client(1), Arc::new(|_, _: (u64, Instant)| {}))
-            .unwrap();
-        let b = net
-            .register(client(2), Arc::new(|_, _: (u64, Instant)| {}))
-            .unwrap();
-        let now = Instant::now();
-        a.send_at(osd(0), (1, now), 4096, now + Duration::from_millis(200))
-            .unwrap();
-        b.send(osd(0), (2, Instant::now()), 64).unwrap();
-        while got.lock().len() < 2 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let got = got.lock();
-        assert_eq!(net.lanes.get(), 1);
-        assert_eq!(got[0].0, client(2), "B waited behind A");
-        assert!(
-            got[0].1 < Duration::from_millis(100),
-            "B took {:?}",
-            got[0].1
-        );
-        assert!(got[1].1 >= Duration::from_millis(200));
-        net.shutdown();
-    }
-
-    #[test]
-    fn async_mode_delivers_and_orders() {
-        let cfg = NetConfig {
-            mode: MessengerMode::Async { workers: 3 },
-            ..NetConfig::default()
-        };
-        let net: Arc<Network<u64>> = Network::new(cfg);
-        let got = collector(&net, osd(0), false);
-        let m = net.register(client(1), Arc::new(|_, _: u64| {})).unwrap();
-        for i in 0..300u64 {
-            m.send(osd(0), i, 64).unwrap();
-        }
-        wait_for(&got, 300);
-        assert!(
-            msgs(&got).windows(2).all(|w| w[0] < w[1]),
-            "async lanes broke FIFO"
-        );
-        // Fixed pool regardless of connection count.
-        assert_eq!((net.lanes.get(), net.threads.get()), (3, 3));
-        net.shutdown();
-    }
-
-    #[test]
-    fn async_mode_caps_thread_count_across_many_connections() {
-        let cfg = NetConfig {
-            mode: MessengerMode::Async { workers: 2 },
-            ..NetConfig::default()
-        };
-        let net: Arc<Network<()>> = Network::new(cfg);
-        let count = Arc::new(AtomicUsize::new(0));
-        let c = Arc::clone(&count);
-        net.register(
-            osd(0),
-            Arc::new(move |_, ()| {
-                c.fetch_add(1, Ordering::Relaxed);
-            }),
-        )
-        .unwrap();
-        for t in 0..12u64 {
-            let m = net.register(client(t), Arc::new(|_, ()| {})).unwrap();
-            m.send(osd(0), (), 32).unwrap();
-        }
-        while count.load(Ordering::Relaxed) < 12 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(net.conns.get(), 12);
-        assert_eq!(net.lanes.get(), 2, "pool must not grow with connections");
-        assert_eq!(net.threads.get(), 2);
         net.shutdown();
     }
 

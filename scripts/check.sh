@@ -153,7 +153,7 @@ model_spin() {
 step model_spin
 
 # 4c. Tier-1 must pass every time, not most times (ROADMAP item 0): build
-#     the root `consistency` binary once, run it 25 times (all eight tests
+#     the root `consistency` binary once, run it 25 times (all seven tests
 #     in parallel, nine tunings each), and stop at the first failure with
 #     the iteration number and that run's output.
 consistency_loop() {

@@ -226,51 +226,3 @@ fn object_api_full_lifecycle() {
         cluster.shutdown();
     }
 }
-
-#[test]
-fn async_messenger_cluster_is_equivalent() {
-    // Extension: Ceph's AsyncMessenger direction — a fixed receive pool
-    // must preserve all ordering/consistency guarantees.
-    let cluster = Cluster::builder()
-        .nodes(2)
-        .osds_per_node(2)
-        .replication(2)
-        .pg_num(32)
-        .tuning(OsdTuning::afceph())
-        .devices(DeviceProfile::clean())
-        .messenger_mode(afcstore::messenger::MessengerMode::Async { workers: 3 })
-        .build()
-        .unwrap();
-    let client = cluster.client().unwrap();
-    for i in 0..30 {
-        let body = format!("async-{i}");
-        client
-            .write_object(&format!("am{i}"), 0, body.as_bytes())
-            .unwrap();
-        assert_eq!(
-            client
-                .read_object(&format!("am{i}"), 0, body.len() as u32)
-                .unwrap(),
-            body.as_bytes()
-        );
-    }
-    // Pipelined overwrites stay ordered through the shared lanes.
-    let handles: Vec<_> = (0..20u8)
-        .map(|v| {
-            client
-                .write_object_async("am-seq", 0, Bytes::from(vec![v; 256]))
-                .unwrap()
-        })
-        .collect();
-    for h in handles {
-        h.wait().unwrap();
-    }
-    assert_eq!(
-        client.read_object("am-seq", 0, 256).unwrap(),
-        vec![19u8; 256]
-    );
-    cluster.quiesce();
-    assert!(cluster.deep_scrub().unwrap().is_clean());
-    assert_eq!(cluster.metrics_snapshot().counter("net.lanes"), Some(3));
-    cluster.shutdown();
-}
