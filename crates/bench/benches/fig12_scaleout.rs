@@ -7,12 +7,20 @@
 //!
 //! Scaled: nodes ∈ {2,3,4,6} × 2 OSDs, one VM per node, with the
 //! per-message messenger CPU cost enabled, so host CPU is the collective
-//! ceiling as it was on theirs.
+//! ceiling as it was on theirs. Each VM runs [`QD`] deep, so a cell
+//! measures what the cluster can serve rather than the queue depth it is
+//! given: the 2-node 4K random-read cell is run again at twice the depth,
+//! and the two are printed side by side.
 
 use afc_bench::{fio, print_rows, run_fleet, save_rows, vm_images, FigRow};
 use afc_core::{Cluster, DeviceProfile, OsdTuning};
 use afc_workload::Rw;
 use std::time::Duration;
+
+/// Queue depth per VM: past the 2-node 4K random-read cell's knee. At 16
+/// that cell still read 12.5 % more at twice the depth; from 32 on, twice
+/// the depth no longer raises it (EXPERIMENTS.md, Figure 12).
+const QD: usize = 32;
 
 fn main() {
     let node_counts = [2u32, 3, 4, 6];
@@ -36,9 +44,26 @@ fn main() {
         let vms = nodes as usize; // one driving VM per node, load ∝ nodes
         let images = vm_images(&cluster, vms, 64 << 20, true);
         for (panel, rw, bs, seq) in panels {
-            let r = run_fleet(&images, &fio(rw, bs, 2).label(format!("n{nodes}/{panel}")));
+            let r = run_fleet(&images, &fio(rw, bs, QD).label(format!("n{nodes}/{panel}")));
             println!("{r}");
             rows.push(FigRow::from_report(panel, nodes as f64, &r, seq).with_tuning("afceph"));
+            // The next cell starts on a drained cluster, not behind the
+            // apply backlog this one left.
+            cluster.quiesce();
+        }
+        if nodes == node_counts[0] {
+            let deeper = fio(Rw::RandRead, 4 << 10, 2 * QD).label(format!("n{nodes}/saturation"));
+            let deeper = run_fleet(&images, &deeper).iops();
+            let at_qd = rows
+                .iter()
+                .find(|r| r.series == "4k-randread")
+                .unwrap()
+                .value;
+            println!(
+                "saturation: n{nodes} 4k-randread {at_qd:.0} IOPS at QD{QD}, {deeper:.0} at QD{} ({:+.1} %)",
+                2 * QD,
+                (deeper / at_qd - 1.0) * 100.0
+            );
         }
         cluster.shutdown();
     }

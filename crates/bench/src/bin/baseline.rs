@@ -15,13 +15,16 @@
 //! and exits non-zero when the run fails the isolation gate
 //! (`afc_bench::qos::gate_rows`).
 //!
+//! `--check-streams` and `--check-qos` run the same experiment and gate
+//! but save nothing, so a CI run leaves the committed records as they are.
+//!
 //! (The per-op count gate, `cargo xtask bench-check`, runs the repo
 //! benchmark in `benchmark/` and lives in `crates/xtask`.)
 
 use afc_bench::{qos, streams, FigRow};
 use std::process::ExitCode;
 
-fn write_streams() -> ExitCode {
+fn streams(save: bool) -> ExitCode {
     let off = streams::run_streams_smoke(false);
     let on = streams::run_streams_smoke(true);
     println!(
@@ -56,7 +59,9 @@ fn write_streams() -> ExitCode {
             tuning: r.tuning.clone(),
         })
         .collect();
-    afc_bench::save_rows("streams", &rows);
+    if save {
+        afc_bench::save_rows("streams", &rows);
+    }
     if on.flash_write_amplification < off.flash_write_amplification {
         println!(
             "baseline: separation cut flash WA by {:.1}%",
@@ -72,10 +77,12 @@ fn write_streams() -> ExitCode {
     }
 }
 
-fn write_qos() -> ExitCode {
+fn qos(save: bool) -> ExitCode {
     let rows = qos::run_fairness();
     afc_bench::print_rows("QoS fairness (4 KiB randwrite)", "noisy", &rows);
-    afc_bench::save_rows("qos", &rows);
+    if save {
+        afc_bench::save_rows("qos", &rows);
+    }
     let msgs = qos::gate_rows(&rows);
     if msgs.is_empty() {
         println!(
@@ -94,11 +101,17 @@ fn write_qos() -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.as_slice() {
-        [mode] if mode == "--write-streams" => write_streams(),
-        [mode] if mode == "--write-qos" => write_qos(),
+    let mode = match args.as_slice() {
+        [mode] => mode.as_str(),
+        _ => "",
+    };
+    match mode {
+        "--write-streams" => streams(true),
+        "--check-streams" => streams(false),
+        "--write-qos" => qos(true),
+        "--check-qos" => qos(false),
         _ => {
-            eprintln!("usage: baseline <--write-streams|--write-qos>");
+            eprintln!("usage: baseline <--write-streams|--check-streams|--write-qos|--check-qos>");
             ExitCode::from(2)
         }
     }

@@ -25,8 +25,9 @@
 //! number in the hundreds of µs, and the mere presence of neighbor
 //! *threads* — measured with near-idle, 50-IOPS-capped neighbors — adds
 //! ~2 ms of wakeup-scheduling noise the op-queue scheduler cannot see).
-//! QoS-on must also strictly beat the qos-off arm. `baseline --write-qos`
-//! (check.sh step 9) applies the gate to a fresh run.
+//! QoS-on must also strictly beat the qos-off arm. `baseline --check-qos`
+//! (check.sh step 9) applies the gate to a fresh run; `--write-qos` also
+//! saves it.
 
 use crate::FigRow;
 use afc_core::{Cluster, DeviceProfile, OsdTuning, QosSpec};

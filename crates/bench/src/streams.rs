@@ -3,8 +3,8 @@
 //! One sustained-device overwrite workload, run with stream separation off
 //! and on; the snapshot is distilled into logical and flash write
 //! amplification and the host bytes each stream received. `baseline
-//! --write-streams` runs both arms and fails unless separation lowers
-//! flash WA.
+//! --check-streams` (check.sh step 8) runs both arms and fails unless
+//! separation lowers flash WA; `--write-streams` also saves the record.
 
 use afc_common::metrics::{MetricValue, MetricsSnapshot};
 use afc_core::{Cluster, DeviceProfile, OsdTuning};

@@ -62,10 +62,10 @@ pub mod classes {
     //! `PG_STATE` deliberately allows blocking while held: the write path
     //! submits to the journal (which can wait for ring space) and, without
     //! the pending queue, a read waits for the applied prefix under it.
-    //! Both waits end on threads that never take a PG lock (journal commit
-    //! callbacks, the completion worker, whoever plans a filestore apply). The
-    //! queue/pending locks are pure FIFO guards and must never be held
-    //! across a blocking section.
+    //! Both waits end on work that never takes a PG lock (journal commit
+    //! callbacks, Community's completion thread, whoever plans a filestore
+    //! apply). The queue/pending locks are pure FIFO guards and must never
+    //! be held across a blocking section.
 
     use super::LockClass;
 
@@ -149,7 +149,7 @@ pub mod classes {
         rank: 430,
         no_block_while_held: true,
     };
-    /// `WritePath::completion_tx` — the completion worker's channel handle.
+    /// `WritePath::completion_tx` — Community's completion thread's channel.
     pub static OSD_CHANNEL_TX: LockClass = LockClass {
         name: "osd.channel_tx",
         rank: 440,

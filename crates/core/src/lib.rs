@@ -7,8 +7,9 @@
 //!   locks; journal/filestore completions and replica acks all re-acquire
 //!   the PG lock through shared queues), blocking debug logging, HDD-sized
 //!   throttles, Nagle on, heavyweight filestore transactions; and
-//! - the **AFCeph** path — per-PG pending queues, a dedicated batching
-//!   completion worker with per-op locks, fast-path ack processing, SSD
+//! - the **AFCeph** path — per-PG pending queues, dedicated completion
+//!   with per-op locks (the thread that commits a journal record runs its
+//!   continuation; no completion thread), fast-path ack processing, SSD
 //!   throttles, jemalloc-style allocation behaviour, Nagle off,
 //!   non-blocking logging and light-weight transactions.
 //!

@@ -24,7 +24,7 @@ use afc_filestore::Throttle;
 use afc_messenger::Addr;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Op worker (OP_WQ) threads per OSD. They serve client ops a QoS limit
@@ -294,8 +294,7 @@ impl OsdInner {
                     // The local commit plus one per replica.
                     remaining: AtomicUsize::new(acting.len().max(1)),
                     replied: AtomicBool::new(false),
-                    durable: OnceLock::new(),
-                    ack_arrival: LatestInstant::new(),
+                    departure: LatestInstant::new(),
                     permit,
                     trace,
                 });

@@ -10,17 +10,18 @@
 //!   afceph:    the receiving messenger thread         │  pg-log append
 //!              runs it (OP_WQ: QoS backlog only)      │  replicate ▶ replicas
 //!   community: an OP_WQ worker runs it                ▼  journal submit
-//!                      write-group leader plans record ▶ completion worker
+//!                      write-group leader plans record ▶ commit continuation
 //!             community: a delivery thread hands each Replicate to the
-//!                        replica's PG queue at its arrival; worker queues
-//!                        filestore (may block on throttle); commits and
-//!                        acks go via the PG queue
+//!                        replica's PG queue at its arrival; the completion
+//!                        thread queues filestore (may block on throttle);
+//!                        commits and acks go via the PG queue
 //!             afceph:    the replica takes the Replicate on this thread,
 //!                        into its PG FIFO, and runs the sub-op once the
 //!                        thread holds no PG lock, its record planned from
-//!                        the Replicate's arrival; per-op completion count,
-//!                        worker tells the op; a RepAck settles it on the
-//!                        replica's thread that sends it (no thread wakes)
+//!                        the Replicate's arrival; the leader queues the
+//!                        apply (may block on throttle), tells the op or
+//!                        sends the RepAck, which settles the op on the
+//!                        thread that sends it (no thread wakes)
 //!             both:      replies, RepAcks and applied marks no earlier
 //!                        than the journal record is durable; an Ok no
 //!                        earlier than its last RepAck arrives
@@ -29,11 +30,11 @@
 //! The code is cut along the stages the trace names, each module holding
 //! its own state, counters and metric registration: `dispatch` (op queue,
 //! QoS admission, client requests, op workers), `write` (the one mutation
-//! path, its commit continuation, the completion worker, the client
-//! reply), `replication` (sub-op fan-out, the replica sub-op routine and
-//! its dedup window, acks, resends), `read` (reads answered at their
-//! order point, or parked on the applied prefix), `trim` (the applied
-//! prefix: the one order after the journal commit) and `healing`
+//! path, its commit continuation, Community's completion thread, the
+//! client reply), `replication` (sub-op fan-out, the replica sub-op
+//! routine and its dedup window, acks, resends), `read` (reads answered
+//! at their order point, or parked on the applied prefix), `trim` (the
+//! applied prefix: the one order after the journal commit) and `healing`
 //! (heartbeats, peering, recovery). This file is the daemon itself: spawn,
 //! shutdown, crash/replay and the message dispatcher.
 
@@ -117,7 +118,7 @@ pub struct Osd {
 
 impl Osd {
     /// Spawn an OSD: opens the filestore and journal, registers with the
-    /// network, and starts the op-worker and completion threads.
+    /// network, and starts its threads (a completion thread in Community).
     pub fn spawn(params: OsdParams) -> Result<Arc<Osd>> {
         let inner = OsdInner::open(&params)?;
         // From `register` on, connection threads may call the dispatcher;
@@ -150,12 +151,14 @@ impl Osd {
             for i in 0..dispatch::OP_THREADS {
                 start(format!("op-{i}"), Box::new(dispatch::op_worker_loop))?;
             }
-            let (tx, rx) = crossbeam::channel::unbounded();
-            *inner.write.completion_tx.lock() = Some(tx);
-            start(
-                "completion".into(),
-                Box::new(move |inner| write::completion_worker_loop(inner, rx)),
-            )?;
+            if !inner.tuning.dedicated_completion {
+                let (tx, rx) = crossbeam::channel::unbounded();
+                *inner.write.completion_tx.lock() = Some(tx);
+                start(
+                    "completion".into(),
+                    Box::new(move |inner| write::completion_worker_loop(inner, rx)),
+                )?;
+            }
             start("reptimer".into(), Box::new(replication::reptimer_loop))?;
             if inner.healing_enabled() {
                 start("hb".into(), Box::new(healing::heartbeat_loop))?;
@@ -289,7 +292,7 @@ impl Osd {
         }
     }
 
-    /// Stop the op/completion threads. The OSD stops consuming its queue;
+    /// Stop the OSD's own threads. The OSD stops consuming its queue;
     /// the network endpoint should be shut down by the cluster first.
     /// Idempotent: later calls find the worker list already drained.
     pub fn shutdown(&self) {
@@ -479,7 +482,7 @@ impl OsdInner {
     }
 
     /// Stop taking work: raise the flag, wake the op workers, close the
-    /// completion channel and abandon undispatched QoS-queued
+    /// completion channel (Community) and abandon undispatched QoS-queued
     /// client ops (dropping the work closures releases their captured
     /// throttle permits). Shared by shutdown and a failed spawn.
     fn stop_intake(&self) {
@@ -528,5 +531,71 @@ mod tests {
         assert_eq!(inner.dispatch.unready_drops.get(), 1);
         // Dropped whole: the ping left no trace in the failure detector.
         assert!(inner.heal.hb_peers.lock().is_empty());
+    }
+
+    fn two_osds(tuning: OsdTuning) -> crate::Cluster {
+        crate::Cluster::builder()
+            .nodes(2)
+            .osds_per_node(1)
+            .replication(2)
+            .pg_num(8)
+            .tuning(tuning)
+            .devices(crate::DeviceProfile::clean())
+            .build()
+            .unwrap()
+    }
+
+    /// The OSD's completion threads, by name.
+    fn completion_threads(osd: &Osd) -> usize {
+        let workers = osd.workers.lock();
+        let named = |h: &&std::thread::JoinHandle<()>| {
+            h.thread()
+                .name()
+                .is_some_and(|n| n.ends_with("-completion"))
+        };
+        workers.iter().filter(named).count()
+    }
+
+    /// `dedicated_completion` places the commit continuation: an AFCeph
+    /// OSD runs it on the committing thread, with no completion thread and
+    /// no channel to one; a Community OSD spawns exactly one, the finisher.
+    #[test]
+    fn only_community_spawns_a_completion_thread() {
+        for (tuning, threads) in [(OsdTuning::afceph(), 0), (OsdTuning::community(), 1)] {
+            let label = tuning.label();
+            let cluster = two_osds(tuning);
+            let client = cluster.client().unwrap();
+            client.write_object("ct", 0, &[1u8; 4096]).unwrap();
+            for osd in cluster.osds() {
+                assert_eq!(completion_threads(osd), threads, "{label}: {}", osd.id());
+                let channel = osd.inner.write.completion_tx.lock().is_some();
+                assert_eq!(channel, threads == 1, "{label}: {}", osd.id());
+            }
+            cluster.shutdown();
+        }
+    }
+
+    /// An AFCeph primary's own commit needs no completion thread: with
+    /// the channel to one closed on every OSD, replicated writes are
+    /// answered all the same.
+    #[test]
+    fn an_afceph_write_is_answered_with_no_completion_thread() {
+        let cluster = two_osds(OsdTuning::afceph());
+        for osd in cluster.osds() {
+            *osd.inner.write.completion_tx.lock() = None;
+        }
+        let client = cluster.client().unwrap();
+        for i in 0..16 {
+            let data = bytes::Bytes::from(vec![i as u8; 4096]);
+            let write = client
+                .write_object_async(&format!("nc{i}"), 0, data)
+                .unwrap();
+            let done = write.wait_timeout(std::time::Duration::from_secs(5));
+            assert!(done.is_ok(), "write {i}: {done:?}");
+        }
+        for osd in cluster.osds() {
+            assert_eq!(completion_threads(osd), 0, "{}", osd.id());
+        }
+        cluster.shutdown();
     }
 }

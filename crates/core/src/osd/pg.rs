@@ -20,10 +20,10 @@
 //! release, look again. Every holder drains on release, so work a
 //! non-blocking drain left "for the holder" always runs.
 //!
-//! **One PG lock per thread.** A thread never holds two: work queued for
-//! another PG under a held lock ([`Pg::submit_when_unlocked`], a fast-ack
-//! sub-op a primary hands its replica) is drained by the same thread
-//! right after it releases its last PG lock.
+//! **One PG lock per thread.** A thread never holds two: work it submits
+//! without blocking for another PG under a held lock ([`Pg::submit`], a
+//! fast-ack sub-op a primary hands its replica) is drained by the same
+//! thread right after it releases its last PG lock.
 
 use afc_common::lockdep::{classes, TrackedMutex, TrackedMutexGuard};
 use afc_common::metrics::Counter;
@@ -145,7 +145,7 @@ impl DerefMut for Held<'_> {
     }
 }
 
-/// Drain the FIFOs this thread owes ([`Pg::submit_when_unlocked`]), once
+/// Drain the FIFOs this thread owes (a non-blocking [`Pg::submit`]), once
 /// it holds no PG lock.
 fn drain_owed() {
     if HELD.with(Cell::get) > 0 {
@@ -209,22 +209,16 @@ impl Pg {
     ///
     /// `blocking = true` is the community path: wait for the PG lock (the
     /// wait is accounted). `blocking = false` is the pending-queue path:
-    /// if the lock is held, leave the work for the holder and return
-    /// immediately.
-    pub fn submit(&self, work: PgWork, blocking: bool) {
+    /// drain without blocking once this thread holds no PG lock — at once
+    /// when it holds none, else right after it releases its last one — and
+    /// if another thread holds the lock, leave the work for the holder.
+    /// Work queued under a held PG lock keeps the order that lock gave it,
+    /// and the thread never nests a second PG lock in the first or waits
+    /// for one.
+    pub fn submit(self: &Arc<Self>, work: PgWork, blocking: bool) {
         self.queue(work);
-        self.drain(blocking);
-    }
-
-    /// Queue `work` and drain the FIFO without blocking once this thread
-    /// holds no PG lock: at once when it holds none, else right after it
-    /// releases its last one. Work queued under a held PG lock keeps the
-    /// order that lock gave it, and the thread never nests a second PG
-    /// lock in the first or waits for one.
-    pub fn submit_when_unlocked(self: &Arc<Self>, work: PgWork) {
-        self.queue(work);
-        if HELD.with(Cell::get) == 0 {
-            return self.drain(false);
+        if blocking || HELD.with(Cell::get) == 0 {
+            return self.drain(blocking);
         }
         OWED.with(|owed| {
             let mut owed = owed.borrow_mut();

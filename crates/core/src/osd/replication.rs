@@ -173,11 +173,11 @@ impl OsdInner {
     /// `build` returns (`None`: nothing to do locally — ack right away),
     /// and let the commit continuation ack `from`.
     ///
-    /// `inline` is §3.1's fast ack + group commit, with the sub-op's
-    /// arrival: the whole sub-op — PG bookkeeping, txn build, journal
-    /// commit, `RepAck` — runs on this thread, cutting the PG-queue and
-    /// completion-worker hand-offs out of the primary-observed ack round
-    /// trip. `None` sends it through the PG queue.
+    /// `inline` is §3.1's fast ack, with the sub-op's arrival: the sub-op
+    /// — PG bookkeeping, txn build, journal submit — runs on this thread,
+    /// cutting the PG-queue hand-off out of the primary-observed ack round
+    /// trip, and its record is planned from that arrival. `None` sends it
+    /// through the PG queue, its record planned from when it runs.
     ///
     /// **Taken ahead of its arrival.** A fast-ack `Replicate` is taken on
     /// the primary's thread that sends it, under the primary's PG lock, so
@@ -186,7 +186,7 @@ impl OsdInner {
     /// primary's PG lock sent it — its pg_seq order, which per-connection
     /// delivery gave before. The thread drains that FIFO, without
     /// blocking, once it holds no PG lock, never nested in the primary's
-    /// ([`Pg::submit_when_unlocked`](super::pg::Pg::submit_when_unlocked)).
+    /// (a non-blocking [`Pg::submit`](super::pg::Pg::submit)).
     /// Nothing the sub-op does is visible before `arrival`: its record is
     /// planned from `arrival` and is durable, and so in a crash image, no
     /// earlier than `arrival` plus the NVRAM write; the `RepAck` leaves at
@@ -194,13 +194,13 @@ impl OsdInner {
     /// applied marks come later still. What moves early is this PG's FIFO,
     /// its dedup entry and the record's ring occupancy.
     ///
-    /// The commit callback runs on whichever thread commits the record:
-    /// this one when it leads the journal's write group (an idle journal),
-    /// else the leader; like every commit continuation it takes no PG lock
-    /// of its own, though it may run under the one its thread holds. The
-    /// primary takes the `RepAck` on this thread too
-    /// ([`Self::take_repack`]), so the sub-op may settle the primary's
-    /// write here, under this PG lock.
+    /// With `dedicated_completion` on, the commit continuation runs on
+    /// whichever thread commits the record: this one when it leads the
+    /// journal's write group (an idle journal), else the leader; like
+    /// every commit continuation it takes no PG lock of its own, though it
+    /// may run under the one its thread holds. The primary takes the
+    /// `RepAck` on that thread too ([`Self::take_repack`]), so the sub-op
+    /// may settle the primary's write there, under this PG lock.
     pub(super) fn handle_subop(
         self: &Arc<Self>,
         from: Addr,
@@ -236,14 +236,14 @@ impl OsdInner {
             let Some(txn) = build(&inner) else {
                 return inner.complete(waiter, arrival);
             };
-            if let Err(e) = inner.submit_commit(st, &pgc, txn, waiter, inline) {
+            if let Err(e) = inner.submit_commit(st, &pgc, txn, waiter, arrival) {
                 inner.logger.logf(Level::Error, "osd", || {
                     format!("sub-op journal submit failed: {e}")
                 });
             }
         });
         if inline.is_some() {
-            pg.submit_when_unlocked(work);
+            pg.submit(work, false);
         } else {
             self.queue_pg(pg, work);
         }
@@ -253,53 +253,51 @@ impl OsdInner {
     // Replica acks back at the primary
     // ---------------------------------------------------------------- //
 
-    /// A `RepAck` dispatched at its arrival: every Community ack (through
-    /// the PG queue, Figure 3's stage 5) and every one [`Self::take_repack`]
-    /// handed back — a push ack, a duplicate, an unknown id, or an ack sent
-    /// while this OSD was paused or not yet on the network.
+    /// A `RepAck` dispatched at its arrival: every one with `fast_ack` off,
+    /// and every one [`Self::take_repack`] handed back. One that settles no
+    /// wait is not a replication sub-op's: recovery-push acks share the id
+    /// space, and anything left is a duplicate (a retransmit raced the
+    /// original), which the push path drops.
     pub(super) fn handle_repack(self: &Arc<Self>, ack: RepOpReply) {
-        self.rep.repacks.inc();
-        let wait = self.rep.waits.lock().remove(&ack.rep_id);
-        let Some(RepWait { op, .. }) = wait else {
-            // Not a replication sub-op: recovery-push acks share the id
-            // space; anything left is a duplicate ack (retransmit raced
-            // the original) and is dropped.
-            return self.handle_push_ack(ack);
-        };
-        let pg = Arc::clone(&op.pg);
-        let acked = move |me: &OsdInner| me.settle(&op, 1);
-        if self.tuning.fast_ack {
-            // §3.1: "ack messages are processed right away without
-            // enqueueing them to the PG queue."
-            acked(self);
-        } else {
-            // Community: the ack competes with data ops for the PG queue
-            // and the PG lock.
-            let inner = Arc::clone(self);
-            self.queue_pg(
-                pg,
-                Box::new(move |_st| {
-                    inner.log("repop reply via op_wq");
-                    acked(&inner);
-                }),
-            );
+        if let Some(ack) = self.take_repack(ack, Instant::now()) {
+            self.rep.repacks.inc();
+            self.handle_push_ack(ack);
         }
     }
 
-    /// §3.1's fast ack, taken on the replica's thread as it sends the ack
-    /// (`OsdDispatcher::take`): remove the sub-op's wait, record when the
-    /// ack arrives, and settle the write, whose `Ok` leaves no earlier
-    /// than that arrival ([`WritePath::reply`](super::write::WritePath::reply)).
-    /// An ack that settles no wait here is handed back to be dispatched at
-    /// its arrival ([`Self::handle_repack`]).
-    pub(super) fn take_repack(&self, ack: RepOpReply, arrival: Instant) -> Option<RepOpReply> {
+    /// The one `RepAck` routine, for an ack that arrives at `arrival`:
+    /// taken on the replica's thread as it sends the ack (§3.1's fast ack,
+    /// `OsdDispatcher::take`) or dispatched at it ([`Self::handle_repack`]).
+    /// Remove the sub-op's wait, raise the write's departure bound to the
+    /// arrival — its `Ok` leaves no earlier
+    /// ([`WritePath::reply`](super::write::WritePath::reply)) — and settle
+    /// the write: right here with `fast_ack` ("ack messages are processed
+    /// right away without enqueueing them to the PG queue"), else through
+    /// the PG queue, where it competes with data ops for the PG lock
+    /// (Figure 3's stage 5). An ack that settles no wait is handed back.
+    pub(super) fn take_repack(
+        self: &Arc<Self>,
+        ack: RepOpReply,
+        arrival: Instant,
+    ) -> Option<RepOpReply> {
         let wait = self.rep.waits.lock().remove(&ack.rep_id);
         let Some(RepWait { op, .. }) = wait else {
             return Some(ack);
         };
         self.rep.repacks.inc();
-        op.ack_arrival.raise(arrival);
-        self.settle(&op, 1);
+        op.departure.raise(arrival);
+        if self.tuning.fast_ack {
+            self.settle(&op, 1);
+        } else {
+            let inner = Arc::clone(self);
+            self.queue_pg(
+                Arc::clone(&op.pg),
+                Box::new(move |_st| {
+                    inner.log("repop reply via op_wq");
+                    inner.settle(&op, 1);
+                }),
+            );
+        }
         None
     }
 

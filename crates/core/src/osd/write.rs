@@ -5,8 +5,9 @@
 //! its record is written, run one continuation — queue the filestore
 //! apply, tell the waiter ([`OsdInner::complete`]).
 //!
-//! The §3.1 switches choose *where* that continuation runs, never *what*
-//! it does (see [`OsdInner::on_local_commit`]).
+//! One §3.1 switch, `dedicated_completion`, chooses *where* that
+//! continuation runs, never *what* it does (see
+//! [`OsdInner::on_local_commit`]).
 //!
 //! **Durability is an instant, and so is an apply.** The journal plans its
 //! record and hands the continuation the instant it is durable; the
@@ -20,10 +21,13 @@
 //! freshness follow durable records and completed applies only.
 //!
 //! **The one rule after the journal.** Queueing the filestore apply is the
-//! first thing a continuation does, in journal-sequence order, and no
-//! thread that queues applies (journal commit callback, completion worker)
-//! takes a PG lock or runs PG work; only the Community completion worker
-//! hands its `complete` to the PG's FIFO. So a PG-lock holder may wait for
+//! first thing a continuation does, in journal-sequence order (one
+//! write-group leader at a time fires the callbacks, and the Community
+//! finisher drains them in that order), and no continuation takes a PG
+//! lock or runs PG work of its own; only the Community finisher hands its
+//! `complete` to the PG's FIFO. A continuation may run under the PG lock
+//! its leader holds, and may wait there for a full filestore throttle,
+//! which frees itself in modeled time. So a PG-lock holder may wait for
 //! applies ([`OsdInner::wait_applied`]) without blocking whoever queues
 //! them: a Community read, or a submit on a full journal ring.
 
@@ -43,7 +47,7 @@ use afc_messenger::Addr;
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// An in-flight replicated mutation on the primary. It holds no lock: the
@@ -59,13 +63,10 @@ pub(super) struct WriteOp {
     /// Completions still owed: the local commit plus one per replica.
     pub(super) remaining: AtomicUsize,
     pub(super) replied: AtomicBool,
-    /// When the local journal record is durable, set by the local commit:
-    /// the `Ok` leaves no earlier.
-    pub(super) durable: OnceLock<Instant>,
-    /// When the latest replica ack taken on its sender's thread arrives
-    /// ([`OsdInner::take_repack`]): the `Ok` leaves no earlier. An ack
-    /// dispatched at its arrival settles no earlier than that anyway.
-    pub(super) ack_arrival: LatestInstant,
+    /// The departure bound of the `Ok`: the latest of the instant the
+    /// local journal record is durable ([`OsdInner::complete`]) and each
+    /// replica ack's arrival ([`OsdInner::take_repack`]).
+    pub(super) departure: LatestInstant,
     /// `osd_client_message_cap` slot, released at the reply's departure
     /// (or when the op drops, if it never replies).
     pub(super) permit: OwnedPermit,
@@ -181,8 +182,8 @@ impl WritePath {
 
     /// The one reply of a write, success or failure, sent by whoever won it
     /// ([`WriteOp::settle`], [`WriteOp::claim_reply`]): an `Ok` to leave
-    /// when the local record is durable and every taken replica ack has
-    /// arrived, a failure at once; through the op's ordered-ack lane when
+    /// at its departure bound (the local record durable, every replica ack
+    /// arrived), a failure at once; through the op's ordered-ack lane when
     /// it has one, so a failure takes its turn like a success and never
     /// wedges the lane. The client-throttle slot is freed when the reply
     /// leaves, and a sampled `Ok` feeds the stage histograms.
@@ -195,11 +196,10 @@ impl WritePath {
         // Never before now, as `send_at` would have it: the trace's `reply`
         // then follows every mark stamped before it.
         let now = Instant::now();
-        let at = match (&result, op.durable.get()) {
-            (Ok(_), Some(&durable)) => op.ack_arrival.get().map_or(durable, |a| a.max(durable)),
+        let at = match (&result, op.departure.get()) {
+            (Ok(_), Some(departure)) => departure.max(now),
             _ => now,
-        }
-        .max(now);
+        };
         op.permit.release_at(at);
         if let (Some(t), true) = (&op.trace, result.is_ok()) {
             self.recorder.finish(t, at);
@@ -290,10 +290,9 @@ fn pg_log_op(pg: PgId, pg_seq: u64, object: &str) -> TxOp {
     }
 }
 
-/// The paper's single finisher, in both profiles: filestore hand-off,
-/// then the waiter. AFCeph tells the waiter right here — no PG lock and no
-/// PG work (§3.1: completion no longer serializes on them). In Community
-/// the filestore hand-off blocks while the filestore throttle is full,
+/// The paper's single finisher, Community's alone (`dedicated_completion`
+/// off): filestore hand-off, then the waiter through the PG queue. The
+/// filestore hand-off blocks while the filestore throttle is full,
 /// serializing every completion behind it (Figure 3 stage (5), Figure 4's
 /// collapse), and nobody is told until the completion has been through
 /// the PG queue and the PG lock, contending with data ops like every
@@ -301,18 +300,14 @@ fn pg_log_op(pg: PgId, pg_seq: u64, object: &str) -> TxOp {
 pub(super) fn completion_worker_loop(inner: Arc<OsdInner>, rx: Receiver<LocalCommit>) {
     while let Ok(c) = rx.recv() {
         inner.enqueue_filestore(c.jseq, c.durable, c.txn);
-        if inner.tuning.dedicated_completion {
-            inner.complete(c.waiter, c.durable);
-        } else {
-            let me = Arc::clone(&inner);
-            inner.queue_pg(
-                c.pg,
-                Box::new(move |_st| {
-                    me.log("journal commit -> pg backend");
-                    me.complete(c.waiter, c.durable);
-                }),
-            );
-        }
+        let me = Arc::clone(&inner);
+        inner.queue_pg(
+            c.pg,
+            Box::new(move |_st| {
+                me.log("journal commit -> pg backend");
+                me.complete(c.waiter, c.durable);
+            }),
+        );
     }
 }
 
@@ -383,7 +378,7 @@ impl OsdInner {
         self.log("journal submit");
         self.log("waiting for subops");
         let waiter = Waiter::Primary(Arc::clone(op));
-        if let Err(e) = self.submit_commit(st, &op.pg, txn, waiter, None) {
+        if let Err(e) = self.submit_commit(st, &op.pg, txn, waiter, Instant::now()) {
             self.fail_op(op, e);
         }
         self.write.writes.inc();
@@ -394,20 +389,16 @@ impl OsdInner {
     /// encoding: replay after a crash decodes and re-applies exactly what
     /// was acknowledged. The sequence it assigns becomes the PG's
     /// `last_jseq`: a read ordered at this PG from here on is ordered
-    /// behind this mutation's apply. `inline` is the fast-ack replica
-    /// path, with the sub-op's arrival: the record is planned no earlier
-    /// than that (else from now), and the continuation runs on whichever
-    /// thread commits the record.
+    /// behind this mutation's apply. The record is planned no earlier than
+    /// `not_before`: now, or a taken sub-op's arrival.
     pub(super) fn submit_commit(
         self: &Arc<Self>,
         st: &mut PgState,
         pg: &Arc<Pg>,
         txn: Transaction,
         waiter: Waiter,
-        inline: Option<Instant>,
+        not_before: Instant,
     ) -> Result<()> {
-        let not_before = inline.unwrap_or_else(Instant::now);
-        let inline = inline.is_some();
         let payload = txn.encode();
         let (inner, pg) = (Arc::clone(self), Arc::clone(pg));
         let on_commit = Box::new(move |jseq, durable| {
@@ -418,7 +409,7 @@ impl OsdInner {
                 txn,
                 waiter,
             };
-            inner.on_local_commit(c, inline);
+            inner.on_local_commit(c);
         });
         // A full ring has room once `through` is trimmed: wait for the
         // prefix to pass it and give the journal the trim it then allows,
@@ -440,25 +431,31 @@ impl OsdInner {
         Ok(())
     }
 
-    /// *Where* the commit continuation runs — the §3.1 switches. It
-    /// runs on the journal's write-group leader, which may hold a PG lock
-    /// (its own submit's): a fast-ack replica's continuation runs right
-    /// there, every other one is a channel send to the completion worker
-    /// ([`completion_worker_loop`]), which queues the apply and tells the
-    /// waiter.
-    fn on_local_commit(self: &Arc<Self>, c: LocalCommit, inline: bool) {
+    /// *Where* the commit continuation runs — `dedicated_completion`, the
+    /// one switch that places it. It is called on the journal's
+    /// write-group leader, which may hold a PG lock (its own submit's).
+    /// On, the continuation runs right there, for a primary's op and a
+    /// replica's sub-op alike: queue the apply, then tell the waiter. Off
+    /// (Community), it is a channel send to the finisher
+    /// ([`completion_worker_loop`]), which queues the apply and hands the
+    /// telling to the PG queue.
+    fn on_local_commit(self: &Arc<Self>, c: LocalCommit) {
         if let Waiter::Primary(op) = &c.waiter {
             op.mark(Mark::JCommit);
         }
-        if inline {
-            self.log("replica commit ack (inline)");
-            self.enqueue_filestore(c.jseq, c.durable, c.txn);
-            self.complete(c.waiter, c.durable);
-        } else if let Some(tx) = &*self.write.completion_tx.lock() {
-            // The send is unbounded, so it never blocks under the
-            // handle's no-block lock.
-            let _ = tx.send(c);
+        if !self.tuning.dedicated_completion {
+            if let Some(tx) = &*self.write.completion_tx.lock() {
+                // The send is unbounded, so it never blocks under the
+                // handle's no-block lock.
+                let _ = tx.send(c);
+            }
+            return;
         }
+        if let Waiter::Replica { .. } = c.waiter {
+            self.log("replica commit ack (inline)");
+        }
+        self.enqueue_filestore(c.jseq, c.durable, c.txn);
+        self.complete(c.waiter, c.durable);
     }
 
     /// *What* a local commit means to its waiter, whose record is durable
@@ -467,7 +464,7 @@ impl OsdInner {
         match waiter {
             Waiter::Primary(op) => {
                 op.mark(Mark::Handled);
-                let _ = op.durable.set(durable);
+                op.departure.raise(durable);
                 self.settle(&op, 1);
             }
             Waiter::Replica { primary, rep_id } => {
@@ -600,8 +597,7 @@ mod tests {
                 ack_lane: ordered_acks.then(|| path.acker.assign(client, pg.id())),
                 remaining: AtomicUsize::new(THREADS - 1),
                 replied: AtomicBool::new(false),
-                durable: OnceLock::new(),
-                ack_arrival: LatestInstant::new(),
+                departure: LatestInstant::new(),
                 permit: throttle.acquire_owned(1).unwrap(),
                 trace: path.recorder.start(),
             })

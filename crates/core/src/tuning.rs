@@ -84,17 +84,20 @@ pub struct OsdTuning {
     /// §3.1: per-PG pending queue — op workers never block on a held PG
     /// lock; queued ops are drained in FIFO order by the lock holder.
     pub pending_queue: bool,
-    /// §3.1: dedicated completion worker; journal/filestore completion
-    /// handlers never touch a PG.
+    /// §3.1: journal and filestore completion never touch a PG. Selects
+    /// where every commit continuation runs, a primary's or a replica's:
+    /// on, on the journal's write-group leader (queue the apply, then tell
+    /// the op or send the `RepAck`), with no completion thread; off, on
+    /// the OSD's one completion thread, which tells through the PG queue.
     pub dedicated_completion: bool,
     /// §3.1: replica acks are processed immediately instead of being
-    /// enqueued behind data ops in the PG queue. The primary takes each
-    /// `RepAck` on the replica's thread that sends it, and the replica
-    /// takes each `Replicate` on the primary's thread that sends it: the
-    /// sub-op joins the replica PG's FIFO there and runs, journal commit
-    /// and ack included, once that thread holds no PG lock, its record
-    /// planned from the message's arrival. Off, both wait for their
-    /// arrival on a delivery thread and go through the PG queue.
+    /// enqueued behind data ops in the PG queue. Selects only what is
+    /// taken on the sender's thread: the primary takes each `RepAck` on
+    /// the replica's thread that sends it, the replica each `Replicate` on
+    /// the primary's: the sub-op joins the replica PG's FIFO there and
+    /// runs once that thread holds no PG lock, its record planned from the
+    /// message's arrival. Off, both wait for their arrival on a delivery
+    /// thread and go through the PG queue.
     pub fast_ack: bool,
     /// §3.1 (last paragraph): re-sort client acks so each client observes
     /// them in issue order even though writes complete out of order.

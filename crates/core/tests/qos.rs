@@ -221,7 +221,7 @@ fn reserved_tenant_keeps_latency_under_noisy_neighbors() {
     // smoke-sized. The protected tenant holds a floor; four untagged
     // neighbors flood the same cluster. Counts only: the calibrated p99
     // claim needs a release build and a longer window, and is gated by
-    // `baseline --write-qos` (check.sh step 9).
+    // `baseline --check-qos` (check.sh step 9).
     let _serial = SERIAL.lock();
     let window = Duration::from_millis(400);
     let cluster = qos_cluster();

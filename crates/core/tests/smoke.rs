@@ -1,7 +1,7 @@
 //! End-to-end smoke tests for the cluster stack.
 
 use afc_common::{BlockTarget, ObjectId, KIB, MIB};
-use afc_core::{Cluster, DeviceProfile, OsdTuning};
+use afc_core::{Cluster, DeviceProfile, OsdTuning, ThrottleProfile};
 use afc_device::{NvramConfig, SsdConfig};
 use bytes::Bytes;
 use std::collections::{BTreeSet, VecDeque};
@@ -206,11 +206,30 @@ fn qd1_client_ops_are_admitted_on_the_receiving_messenger_thread() {
 /// primary, and for the sub-op and its completion on the replica: five
 /// of each. AFCeph takes it for the request and the sub-op only: two. A
 /// change that lets Community skip a pass, or AFCeph add one, fails here.
+///
+/// AFCeph without `dedicated_completion` tells each commit's waiter, the
+/// primary's op and the replica's sub-op alike, through the PG queue: four
+/// passes. Its locks are three or four: an op worker that finds the PG
+/// lock still held by the thread that submitted the record (its pending
+/// queue try-locks) leaves the completion to that holder, which runs it
+/// under the lock it already has.
 #[test]
 fn pg_locks_and_passes_per_write_are_exact_per_profile() {
     const WRITES: u64 = 40;
-    for (tuning, per_write) in [(OsdTuning::community(), 5), (OsdTuning::afceph(), 2)] {
-        let label = tuning.label();
+    let no_dedicated_completion = OsdTuning {
+        dedicated_completion: false,
+        ..OsdTuning::afceph()
+    };
+    for (tuning, locks, passes) in [
+        (OsdTuning::community(), 5..=5, 5),
+        (OsdTuning::afceph(), 2..=2, 2),
+        (no_dedicated_completion, 3..=4, 4),
+    ] {
+        let label = format!(
+            "{}, dedicated_completion {}",
+            tuning.label(),
+            tuning.dedicated_completion
+        );
         // Never resent, so each write is one request, sub-op and ack.
         let cluster = small_cluster(OsdTuning {
             rep_resend_after_ms: 60_000,
@@ -225,14 +244,14 @@ fn pg_locks_and_passes_per_write_are_exact_per_profile() {
         cluster.quiesce();
         let snap = cluster.metrics_snapshot();
         assert_eq!(snap.site_sum("op.repops"), WRITES, "{label}");
-        assert_eq!(
-            snap.site_sum("op.pg_locks"),
-            per_write * WRITES,
-            "{label}: locks"
+        let taken = snap.site_sum("op.pg_locks");
+        assert!(
+            (locks.start() * WRITES..=locks.end() * WRITES).contains(&taken),
+            "{label}: {taken} locks for {WRITES} writes, want {locks:?} each"
         );
         assert_eq!(
             snap.site_sum("op.pg_passes"),
-            per_write * WRITES,
+            passes * WRITES,
             "{label}: passes"
         );
         cluster.shutdown();
@@ -460,5 +479,49 @@ fn a_full_journal_waits_out_its_applies_and_every_write_completes() {
     );
     assert_eq!(snap.site_sum("op.writes"), OPS as u64);
     assert_eq!(client.read_object("jf7", 0, 16384).unwrap(), large);
+    cluster.shutdown();
+}
+
+/// A full filestore throttle on the thread that commits a journal record:
+/// an AFCeph OSD runs every commit continuation, the primary's and the
+/// replica's, on the journal's write-group leader, which queues the apply
+/// there and so waits there for a throttle slot. With the HDD-sized
+/// throttle (50 transactions) and slow applies, a burst of 400 writes
+/// fills it; every write completes.
+#[test]
+fn a_full_filestore_throttle_on_the_committing_thread_lets_every_write_complete() {
+    const OPS: usize = 400;
+    let cluster = Cluster::builder()
+        .nodes(2)
+        .osds_per_node(1)
+        .replication(2)
+        .pg_num(8)
+        .tuning(OsdTuning {
+            throttle: ThrottleProfile::Hdd,
+            ..OsdTuning::afceph()
+        })
+        .devices(slow_apply_devices(Duration::from_millis(5)))
+        .build()
+        .unwrap();
+    let client = cluster.client().unwrap();
+    let data = Bytes::from(vec![5u8; 4 * KIB as usize]);
+    let writes: Vec<_> = (0..OPS)
+        .map(|i| {
+            let offset = (i / 32) as u64 * 4 * KIB;
+            client
+                .write_object_async(&format!("th{}", i % 32), offset, data.clone())
+                .unwrap()
+        })
+        .collect();
+    for (i, w) in writes.into_iter().enumerate() {
+        let done = w.wait_timeout(Duration::from_secs(10));
+        assert!(done.is_ok(), "write {i}: {done:?}");
+    }
+    let snap = cluster.metrics_snapshot();
+    assert!(
+        snap.site_sum("fs.throttle.waits") > 0,
+        "the filestore throttle never filled"
+    );
+    assert_eq!(snap.site_sum("op.writes"), OPS as u64);
     cluster.shutdown();
 }

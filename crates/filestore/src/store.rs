@@ -58,6 +58,9 @@ pub enum TxnProfile {
     Lightweight,
 }
 
+/// `set-alloc-hint` is skipped for writes below this size (LWT only).
+const SMALL_WRITE_THRESHOLD: u64 = 64 * 1024;
+
 /// Filestore configuration.
 #[derive(Debug, Clone)]
 pub struct FileStoreConfig {
@@ -72,8 +75,6 @@ pub struct FileStoreConfig {
     pub apply_threads: usize,
     /// Metadata cache capacity (objects); only consulted in `Lightweight`.
     pub meta_cache_entries: usize,
-    /// `set-alloc-hint` is skipped for writes below this size (LWT only).
-    pub small_write_threshold: u64,
     /// KV store tuning.
     pub kv: DbConfig,
 }
@@ -86,7 +87,6 @@ impl FileStoreConfig {
             queue_max_ops: 50,
             apply_threads: 2,
             meta_cache_entries: 0,
-            small_write_threshold: 64 * 1024,
             kv: DbConfig::default(),
         }
     }
@@ -737,7 +737,7 @@ fn apply_txn(core: &Core, txn: Transaction, at: &mut Instant) -> Result<()> {
     // LWT: FD cache (first open wins) and one KV batch for the whole txn.
     let mut opened: HashSet<String> = HashSet::new();
     let mut batch = WriteBatch::new();
-    let small_txn = txn.data_bytes() < core.cfg.small_write_threshold;
+    let small_txn = txn.data_bytes() < SMALL_WRITE_THRESHOLD;
     for (ops_done, op) in txn.ops().iter().enumerate() {
         if ops_done > 0 {
             // The dirty fault: some ops already hit the store. Surfaced so

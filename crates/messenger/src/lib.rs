@@ -66,6 +66,9 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Messages at or below this wire size (one TCP segment) are small for Nagle.
+const NAGLE_THRESHOLD: u32 = 1448;
+
 /// Network timing/behaviour configuration.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
@@ -73,8 +76,6 @@ pub struct NetConfig {
     pub hop_latency: Duration,
     /// Apply small-packet coalescing delay (TCP_NODELAY unset).
     pub nagle: bool,
-    /// Messages at or below this wire size are "small" for Nagle.
-    pub nagle_threshold: u32,
     /// Extra delay Nagle imposes on small messages.
     pub nagle_delay: Duration,
     /// Per-message CPU burned by the connection thread, or by the sending
@@ -88,7 +89,6 @@ impl Default for NetConfig {
         NetConfig {
             hop_latency: Duration::from_micros(80),
             nagle: false,
-            nagle_threshold: 1448,
             // Nagle + delayed-ACK interaction on small segments; Linux's
             // delayed-ACK floor is tens of ms — 2 ms is a conservative
             // stand-in for the KRBD-on-CentOS-7 behaviour the paper hit.
@@ -482,7 +482,7 @@ impl<M: Send + 'static> Network<M> {
         let conn = self.conn(from, to)?;
         let now = Instant::now();
         let mut departed = at.map_or(now, |at| at.max(now)) + extra_delay;
-        if self.cfg.nagle && wire_bytes <= self.cfg.nagle_threshold {
+        if self.cfg.nagle && wire_bytes <= NAGLE_THRESHOLD {
             // Small payload held back by the coalescing window.
             departed += self.cfg.nagle_delay;
             self.nagled.inc();

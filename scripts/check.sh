@@ -80,14 +80,17 @@ step cargo test --offline --quiet --manifest-path benchmark/Cargo.toml
 #      (scripts/thread-cpu.sh: CPU ticks and context switches per thread
 #      group, from /proc) must keep working: run it once around a quick
 #      benchmark run and require a table with the flushers' row in it.
-#      It also guards three deletions: no thread sleeps through a filestore
+#      It also guards four deletions: no thread sleeps through a filestore
 #      apply, so an `fs-apply` row means apply worker threads came back;
 #      a client session takes every reply on the sending thread, so a
 #      `msgr-osd.N-clie` row means a delivery thread toward a client is
 #      back (some reply was handed back instead of taken); an AFCeph OSD
 #      takes every `Replicate` and `RepAck` on the sending thread, so a
 #      `msgr-osd.N-osd.` row means a delivery thread between OSDs is back
-#      (a fault-free run hands neither back). And the run is
+#      (a fault-free run hands neither back); an AFCeph OSD runs every
+#      commit continuation on the thread that commits its journal record,
+#      so an `osd.N-completio` row means its completion thread is back.
+#      And the run is
 #      write-only, so nothing waits for an apply: a voluntary switch on the
 #      `fs-backstop` row means the backstop wakes with nobody waiting.
 thread_cpu_table() {
@@ -110,6 +113,10 @@ thread_cpu_table() {
     fi
     if echo "$out" | sed -n '/^thread-cpu:/,$p' | grep -q '^msgr-osd\.N-osd'; then
         echo "    a msgr-osd.N-osd. row: a delivery thread between OSDs is back"
+        return 1
+    fi
+    if echo "$out" | sed -n '/^thread-cpu:/,$p' | grep -q '^osd\.N-completio'; then
+        echo "    an osd.N-completio row: an AFCeph completion thread is back"
         return 1
     fi
     if echo "$out" | sed -n '/^thread-cpu:/,$p' | awk '$1 == "fs-backstop" && $5 > 0 { f = 1 } END { exit !f }'; then
@@ -197,16 +204,19 @@ step env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --
 step cargo xtask bench-check
 
 # 8. Multi-stream separation: run the sustained-device overwrite workload
-#    with stream separation off and on, refresh bench_results/streams.json,
-#    and fail unless separation lowered flash WA at cluster level (the
-#    seed-pinned device test in step 4 gates the same ordering on one FTL).
-step cargo run --release --quiet --package afc-bench --bin baseline -- --write-streams
+#    with stream separation off and on, and fail unless separation lowered
+#    flash WA at cluster level (the seed-pinned device test in step 4 gates
+#    the same ordering on one FTL). `--check-*` saves nothing: the committed
+#    bench_results/streams.json is refreshed on purpose, with
+#    `--write-streams`, never by a CI run.
+step cargo run --release --quiet --package afc-bench --bin baseline -- --check-streams
 
 # 9. Multi-tenant QoS fairness: run the reserved-tenant-vs-noisy-neighbors
-#    experiment (QoS on and off), refresh bench_results/qos.json, and fail
-#    if the protected tenant's contended p99 blows past the gate
-#    (solo p99 × 2 + 3 ms, QoS-on must beat QoS-off, nobody starves).
-step cargo run --release --quiet --package afc-bench --bin baseline -- --write-qos
+#    experiment (QoS on and off), and fail if the protected tenant's
+#    contended p99 blows past the gate (solo p99 × 2 + 3 ms, QoS-on must
+#    beat QoS-off, nobody starves). Like step 8 it leaves
+#    bench_results/qos.json as committed (`--write-qos` refreshes it).
+step cargo run --release --quiet --package afc-bench --bin baseline -- --check-qos
 
 echo
 if [ "$failures" -ne 0 ]; then
