@@ -9,13 +9,14 @@
 //! trouble threshold.
 
 use afc_bench::{bench_secs, build_cluster, fio, run_fleet, save_rows, vm_images, FigRow};
-use afc_core::{DeviceProfile, LoggingMode, OsdTuning};
+use afc_core::{DeviceProfile, OsdTuning};
+use afc_logging::LogMode;
 use afc_workload::Rw;
 use std::time::Duration;
 
 fn main() {
     let mut rows = Vec::new();
-    for (name, logging) in [("log", LoggingMode::Blocking), ("nolog", LoggingMode::Off)] {
+    for (name, logging) in [("log", LogMode::Blocking), ("nolog", LogMode::Off)] {
         // Lock optimization + tuning, but community filestore + throttle —
         // the configuration of the paper's Figure 4.
         let tuning = OsdTuning {

@@ -78,6 +78,14 @@ impl ObjectId {
         mix64(h ^ ((self.pool.0 as u64) << 32))
     }
 
+    /// The inverse of `Display` (`pool<N>/<name>`, the object's store
+    /// name): `None` for a store name that is not an object's, such as a PG
+    /// meta object's `pgmeta_*`.
+    pub fn parse(s: &str) -> Option<ObjectId> {
+        let (pool, name) = s.strip_prefix("pool")?.split_once('/')?;
+        Some(ObjectId::new(PoolId(pool.parse().ok()?), name))
+    }
+
     /// Map this object to a PG, Ceph-style: `pg = hash(name) % pg_num`.
     pub fn pg(&self, pg_num: u32) -> PgId {
         assert!(pg_num > 0, "pg_num must be positive");
@@ -189,6 +197,28 @@ mod tests {
     #[should_panic(expected = "pg_num must be positive")]
     fn zero_pg_num_panics() {
         ObjectId::new(PoolId(0), "x").pg(0);
+    }
+
+    #[test]
+    fn store_names_round_trip() {
+        for o in [
+            ObjectId::new(PoolId(0), "rbd_data.vm0.0000000000000004"),
+            ObjectId::new(PoolId(17), "a/b"),
+            ObjectId::new(PoolId(u32::MAX), ""),
+        ] {
+            assert_eq!(ObjectId::parse(&o.to_string()), Some(o));
+        }
+        for not_an_object in [
+            "pgmeta_0.1f",
+            "pgmeta_pool0/x",
+            "no_slash",
+            "pool/x",
+            "poolpool1/x",
+            "1/x",
+            "pool4294967296/x",
+        ] {
+            assert_eq!(ObjectId::parse(not_an_object), None, "{not_an_object}");
+        }
     }
 
     #[test]

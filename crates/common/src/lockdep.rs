@@ -10,9 +10,10 @@
 //!   [`DECLARED_ORDER`].
 //! - [`TrackedMutex`] / [`TrackedRwLock`] / [`TrackedCondvar`] wrap the
 //!   parking_lot primitives. Under `debug_assertions` every acquisition is
-//!   checked against the acquiring thread's held set (rank must strictly
-//!   increase) and recorded in a global lock-order graph; the first cycle
-//!   panics with the acquisition labels on the offending path.
+//!   checked against the acquiring thread's held set: the rank must
+//!   strictly increase. Since every class has a rank, an inversion between
+//!   two threads is caught the first time either thread nests against the
+//!   declared order, before the two ever meet.
 //! - Classes marked `no_block_while_held` must not be held across a
 //!   blocking section (condvar wait on a *different* lock, throttle wait,
 //!   journal-full wait). Blocking entry points call [`assert_blockable`].
@@ -22,12 +23,10 @@
 //! on the floor.
 //!
 //! Rank semantics: ranks order *classes*, not instances. Acquiring a class
-//! while holding a class of equal or higher rank panics; rank
-//! [`UNRANKED`] (0) opts a class out of rank checking and relies on the
-//! order graph alone. Waiting on a condvar keeps the associated mutex in
-//! the held set (the waiter still owns the ordering position), and the
-//! mutex a condvar releases during its wait never counts as "held across
-//! a blocking section".
+//! while holding a class of equal or higher rank panics. Waiting on a
+//! condvar keeps the associated mutex in the held set (the waiter still
+//! owns the ordering position), and the mutex a condvar releases during
+//! its wait never counts as "held across a blocking section".
 
 use std::fmt;
 
@@ -36,18 +35,15 @@ use std::fmt;
 /// Declare one `static` per lock *role* (not per instance): every `Pg`'s
 /// state mutex shares [`classes::PG_STATE`].
 pub struct LockClass {
-    /// Label used in panics and the order graph (`subsystem.lock`).
+    /// Label used in panics (`subsystem.lock`).
     pub name: &'static str,
     /// Position in the declared hierarchy; strictly increasing along any
-    /// nested acquisition chain. [`UNRANKED`] skips rank checks.
+    /// nested acquisition chain.
     pub rank: u32,
     /// If true, the lock must never be held when the thread enters a
     /// blocking section ([`assert_blockable`]).
     pub no_block_while_held: bool,
 }
-
-/// Rank value that opts a class out of rank checking (graph-only).
-pub const UNRANKED: u32 = 0;
 
 pub mod classes {
     //! The declared lock hierarchy — **the** one place ranks live.
@@ -241,15 +237,10 @@ impl fmt::Debug for LockClass {
 // Debug-build runtime
 // ------------------------------------------------------------------ //
 
-// Sanctioned std::sync exception: the checker's own state must not go
-// through the tracked types it implements.
 #[cfg(debug_assertions)]
-#[allow(clippy::disallowed_types)]
 mod rt {
     use super::LockClass;
     use std::cell::RefCell;
-    use std::collections::{BTreeMap, BTreeSet};
-    use std::sync::Mutex;
 
     struct Held {
         class: &'static LockClass,
@@ -262,48 +253,9 @@ mod rt {
 
     static NEXT_TOKEN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
 
-    /// Global order graph: class address → set of classes acquired while
-    /// it was held. Names are carried for panic messages.
-    struct Graph {
-        edges: BTreeMap<usize, BTreeSet<usize>>,
-        names: BTreeMap<usize, &'static str>,
-    }
-
-    static GRAPH: Mutex<Graph> = Mutex::new(Graph {
-        edges: BTreeMap::new(),
-        names: BTreeMap::new(),
-    });
-
-    fn id(class: &'static LockClass) -> usize {
-        class as *const LockClass as usize
-    }
-
-    /// Depth-first path search `from → … → to` over the order graph.
-    fn find_path(g: &Graph, from: usize, to: usize) -> Option<Vec<usize>> {
-        let mut stack = vec![(from, vec![from])];
-        let mut seen = BTreeSet::new();
-        while let Some((node, path)) = stack.pop() {
-            if node == to {
-                return Some(path);
-            }
-            if !seen.insert(node) {
-                continue;
-            }
-            if let Some(next) = g.edges.get(&node) {
-                for &n in next {
-                    let mut p = path.clone();
-                    p.push(n);
-                    stack.push((n, p));
-                }
-            }
-        }
-        None
-    }
-
     pub fn on_acquire(class: &'static LockClass) -> u64 {
         HELD.with(|h| {
-            let held = h.borrow();
-            for hl in held.iter() {
+            for hl in h.borrow().iter() {
                 if std::ptr::eq(hl.class, class) {
                     panic!(
                         "lockdep: recursive acquisition of lock class '{}' \
@@ -311,10 +263,7 @@ mod rt {
                         class.name
                     );
                 }
-                if hl.class.rank != super::UNRANKED
-                    && class.rank != super::UNRANKED
-                    && hl.class.rank >= class.rank
-                {
+                if hl.class.rank >= class.rank {
                     panic!(
                         "lockdep: hierarchy violation: acquiring '{}' (rank {}) while \
                          holding '{}' (rank {}); see afc_common::lockdep::DECLARED_ORDER",
@@ -322,38 +271,6 @@ mod rt {
                     );
                 }
             }
-            // Record order edges held → class; a pre-existing reverse path
-            // means two threads disagree on the order — report the cycle.
-            if !held.is_empty() {
-                let mut g = GRAPH.lock().unwrap_or_else(|e| e.into_inner());
-                g.names.insert(id(class), class.name);
-                for hl in held.iter() {
-                    g.names.insert(id(hl.class), hl.class.name);
-                    let (from, to) = (id(hl.class), id(class));
-                    if g.edges.get(&from).is_some_and(|s| s.contains(&to)) {
-                        continue;
-                    }
-                    if let Some(path) = find_path(&g, to, from) {
-                        let labels: Vec<&str> = path.iter().map(|i| g.names[i]).collect();
-                        // `path` runs from the acquired class to the held
-                        // class, so it already names both endpoints.
-                        panic!(
-                            "lockdep: lock-order cycle: this thread acquires \
-                             '{}' while holding '{}', but the order {} \
-                             was already established",
-                            class.name,
-                            hl.class.name,
-                            labels
-                                .iter()
-                                .map(|l| format!("'{l}'"))
-                                .collect::<Vec<_>>()
-                                .join(" -> "),
-                        );
-                    }
-                    g.edges.entry(from).or_default().insert(to);
-                }
-            }
-            drop(held);
             let token = NEXT_TOKEN.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             h.borrow_mut().push(Held { class, token });
             token
@@ -748,15 +665,21 @@ mod tests {
     #[test]
     #[cfg_attr(not(debug_assertions), ignore = "lockdep compiled out in release")]
     fn rank_inversion_panics() {
-        let low = TrackedMutex::new(&classes::OP_QUEUE, ());
-        let high = TrackedMutex::new(&classes::THROTTLE, ());
-        let err = std::thread::scope(|s| {
-            s.spawn(|| {
-                let _h = high.lock();
-                let _l = low.lock(); // throttle(700) held, op_queue(100) wanted
-            })
-            .join()
-        });
+        // One thread nests in the declared order; another nests the other
+        // way round. The rank check needs no memory of the first thread:
+        // the inversion panics the first time it happens, before the two
+        // could ever deadlock.
+        let low = std::sync::Arc::new(TrackedMutex::new(&classes::OP_QUEUE, ()));
+        let high = std::sync::Arc::new(TrackedMutex::new(&classes::THROTTLE, ()));
+        {
+            let _l = low.lock();
+            let _h = high.lock();
+        }
+        let err = std::thread::spawn(move || {
+            let _h = high.lock();
+            let _l = low.lock(); // throttle(700) held, op_queue(100) wanted
+        })
+        .join();
         let msg = *err.unwrap_err().downcast::<String>().unwrap();
         assert!(msg.contains("hierarchy violation"), "{msg}");
         assert!(
@@ -768,13 +691,8 @@ mod tests {
     #[test]
     #[cfg_attr(not(debug_assertions), ignore = "lockdep compiled out in release")]
     fn recursive_same_class_panics() {
-        static A: LockClass = LockClass {
-            name: "test.recursive",
-            rank: UNRANKED,
-            no_block_while_held: false,
-        };
-        let m1 = TrackedMutex::new(&A, ());
-        let m2 = TrackedMutex::new(&A, ());
+        let m1 = TrackedMutex::new(&classes::REP_WAITS, ());
+        let m2 = TrackedMutex::new(&classes::REP_WAITS, ());
         let err = std::thread::scope(|s| {
             s.spawn(|| {
                 let _a = m1.lock();
@@ -784,43 +702,6 @@ mod tests {
         });
         let msg = *err.unwrap_err().downcast::<String>().unwrap();
         assert!(msg.contains("recursive acquisition"), "{msg}");
-    }
-
-    #[test]
-    #[cfg_attr(not(debug_assertions), ignore = "lockdep compiled out in release")]
-    fn cross_thread_order_cycle_is_detected() {
-        // Unranked classes: only the order graph can catch the inversion.
-        static A: LockClass = LockClass {
-            name: "test.cycle_a",
-            rank: UNRANKED,
-            no_block_while_held: false,
-        };
-        static B: LockClass = LockClass {
-            name: "test.cycle_b",
-            rank: UNRANKED,
-            no_block_while_held: false,
-        };
-        let ma = std::sync::Arc::new(TrackedMutex::new(&A, ()));
-        let mb = std::sync::Arc::new(TrackedMutex::new(&B, ()));
-        // Thread 1 establishes A -> B without contention.
-        {
-            let _a = ma.lock();
-            let _b = mb.lock();
-        }
-        // Thread 2 attempts B -> A: lockdep must panic on the first
-        // acquisition, before any actual deadlock can form.
-        let (ma2, mb2) = (std::sync::Arc::clone(&ma), std::sync::Arc::clone(&mb));
-        let err = std::thread::spawn(move || {
-            let _b = mb2.lock();
-            let _a = ma2.lock();
-        })
-        .join();
-        let msg = *err.unwrap_err().downcast::<String>().unwrap();
-        assert!(msg.contains("lock-order cycle"), "{msg}");
-        assert!(
-            msg.contains("test.cycle_a") && msg.contains("test.cycle_b"),
-            "{msg}"
-        );
     }
 
     #[test]

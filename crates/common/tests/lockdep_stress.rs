@@ -11,11 +11,12 @@
 //! - an inversion arriving mid-storm, while other threads hold and
 //!   release the same classes, must still be caught.
 //!
-//! All inversion tests use dedicated [`UNRANKED`] classes: the order
-//! graph is process-global and the poisoned edges persist after the
-//! expected panic, so classes are never shared across tests.
+//! Each test declares its own ranked classes, above every class in
+//! `DECLARED_ORDER`. The check reads only the acquiring thread's held set,
+//! so an inversion is caught on the thread that commits it, whatever other
+//! threads did before.
 
-use afc_common::lockdep::{LockClass, TrackedMutex, UNRANKED};
+use afc_common::lockdep::{LockClass, TrackedMutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Barrier};
 use std::thread;
@@ -37,21 +38,21 @@ fn expect_lockdep_panic(f: impl FnOnce() + Send + 'static) -> String {
 fn deterministic_cross_thread_inversion_is_caught() {
     static A: LockClass = LockClass {
         name: "stress.det_a",
-        rank: UNRANKED,
+        rank: 9_400,
         no_block_while_held: false,
     };
     static B: LockClass = LockClass {
         name: "stress.det_b",
-        rank: UNRANKED,
+        rank: 9_500,
         no_block_while_held: false,
     };
     let a = Arc::new(TrackedMutex::new(&A, 0u32));
     let b = Arc::new(TrackedMutex::new(&B, 0u32));
 
-    // Thread 1 establishes the A→B edge, then releases both and signals.
-    // Only after the signal does thread 2 attempt B→A, so there is no
-    // actual deadlock and no timing dependence — the inversion exists
-    // purely in the order graph, which is exactly what lockdep must see.
+    // Thread 1 nests A→B, the declared order, then releases both and
+    // signals. Only after the signal does thread 2 attempt B→A, so there is
+    // no actual deadlock and no timing dependence: the inversion has never
+    // deadlocked, and lockdep must flag it all the same.
     let (tx, rx) = mpsc::channel();
     let (a1, b1) = (Arc::clone(&a), Arc::clone(&b));
     let establisher = thread::spawn(move || {
@@ -66,10 +67,10 @@ fn deterministic_cross_thread_inversion_is_caught() {
 
     let msg = expect_lockdep_panic(move || {
         let _gb = b.lock();
-        let _ga = a.lock(); // B→A closes the cycle
+        let _ga = a.lock(); // B→A inverts the ranks
     });
     assert!(
-        msg.contains("lock-order cycle"),
+        msg.contains("hierarchy violation"),
         "unexpected panic message: {msg}"
     );
     assert!(
@@ -148,19 +149,19 @@ fn contended_in_order_acquisitions_produce_no_false_positives() {
 fn inversion_is_caught_amid_concurrent_lock_traffic() {
     static X: LockClass = LockClass {
         name: "stress.storm_x",
-        rank: UNRANKED,
+        rank: 9_600,
         no_block_while_held: false,
     };
     static Y: LockClass = LockClass {
         name: "stress.storm_y",
-        rank: UNRANKED,
+        rank: 9_700,
         no_block_while_held: false,
     };
     let x = Arc::new(TrackedMutex::new(&X, 0u64));
     let y = Arc::new(TrackedMutex::new(&Y, 0u64));
 
     // Four threads hammer the legitimate X→Y order; once the first
-    // full chain has completed (edge recorded), the offender tries Y→X.
+    // full chain has completed, the offender tries Y→X.
     let (first_chain_tx, first_chain_rx) = mpsc::channel();
     let workers: Vec<_> = (0..4)
         .map(|_| {
@@ -193,8 +194,12 @@ fn inversion_is_caught_amid_concurrent_lock_traffic() {
         }
     });
     assert!(
-        msg.contains("lock-order cycle"),
+        msg.contains("hierarchy violation"),
         "unexpected panic message: {msg}"
+    );
+    assert!(
+        msg.contains("stress.storm_x") && msg.contains("stress.storm_y"),
+        "panic should name both classes: {msg}"
     );
 
     for w in workers {

@@ -461,25 +461,16 @@ impl Cluster {
     pub fn deep_scrub(&self) -> Result<ScrubReport> {
         let map = self.monitor.map();
         let mut report = ScrubReport::default();
-        // Gather every data object on any OSD (pgmeta objects are per-OSD
-        // bookkeeping and intentionally excluded).
+        // Gather every store name on any OSD; only data objects parse
+        // (pgmeta objects are per-OSD bookkeeping).
         let mut objects: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
         for osd in &self.osds {
-            for name in osd.store().list_objects() {
-                if !name.starts_with("pgmeta_") {
-                    objects.insert(name);
-                }
-            }
+            objects.extend(osd.store().list_objects());
         }
         for name in objects {
-            // Object names are "<pool>/<name>"; recover the ObjectId.
-            let Some((pool_s, obj_name)) = name.split_once('/') else {
+            let Some(obj) = ObjectId::parse(&name) else {
                 continue;
             };
-            let Ok(pool_n) = pool_s.trim_start_matches("pool").parse::<u32>() else {
-                continue;
-            };
-            let obj = ObjectId::new(PoolId(pool_n), obj_name);
             let Ok((pg, acting)) = map.object_placement(&obj) else {
                 continue;
             };

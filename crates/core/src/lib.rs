@@ -49,4 +49,4 @@ pub use messages::{ObjectOp, OpOutcome, OsdMsg};
 pub use monitor::{FailureConfig, Monitor};
 pub use osd::Osd;
 pub use qos::{QosSpec, QosTag};
-pub use tuning::{Allocator, LoggingMode, OsdTuning, ThrottleProfile};
+pub use tuning::{Allocator, OsdTuning, ThrottleProfile};

@@ -319,7 +319,7 @@ mod tests {
         ]);
         assert_eq!(mon.epoch().0, e0.0 + 1, "batch must be one epoch bump");
         assert_eq!(
-            mon.map().pg_acting(pg(0)).unwrap(),
+            mon.map().pg_placement(pg(0)).unwrap().acting,
             vec![OsdId(1), OsdId(0)]
         );
         let e1 = mon.epoch();

@@ -20,6 +20,7 @@ use crate::tuning::OsdTuning;
 use afc_common::lockdep::{classes, TrackedCondvar, TrackedMutex, TrackedMutexGuard};
 use afc_common::metrics::{Counter, Metrics};
 use afc_common::{AfcError, OpId, OsdId, Result};
+use afc_crush::Placement;
 use afc_filestore::Throttle;
 use afc_messenger::Addr;
 use std::collections::VecDeque;
@@ -233,7 +234,8 @@ impl OsdInner {
         // that moved underneath it) gets a typed reject so it refreshes
         // its snapshot and re-targets instead of hammering us.
         let map = self.map.read().clone();
-        if map.pg_primary(op.pg).ok() != Some(self.id) {
+        let Placement { placed, acting } = map.pg_placement(op.pg).unwrap_or_default();
+        if acting.first() != Some(&self.id) {
             let err = AfcError::NotPrimary(format!(
                 "{} is not primary for pg {} at epoch {}",
                 self.id,
@@ -244,13 +246,7 @@ impl OsdInner {
         }
         // Down-but-placed peers: every write they miss is journaled into
         // the PG's `peer_missing` ledger for later recovery pushes.
-        let acting = map.pg_acting(op.pg).unwrap_or_default();
-        let absent: Vec<OsdId> = map
-            .pg_placed(op.pg)
-            .unwrap_or_default()
-            .into_iter()
-            .filter(|o| !acting.contains(o))
-            .collect();
+        let absent: Vec<OsdId> = placed.into_iter().filter(|o| !acting.contains(o)).collect();
         let pg = self.pg(op.pg);
         let inner = Arc::clone(self);
         let (object, op_id) = (op.object, op.op_id);

@@ -10,8 +10,8 @@ use crate::messages::{ObjectOp, OsdMsg, PgInfoMsg, PgQueryMsg, PingMsg, PushOp, 
 use crate::monitor::Monitor;
 use afc_common::lockdep::{classes, TrackedMutex};
 use afc_common::metrics::{Counter, Gauge, Metrics};
-use afc_common::{ObjectId, OsdId, PgId, PoolId};
-use afc_crush::OsdMap;
+use afc_common::{ObjectId, OsdId, PgId};
+use afc_crush::{OsdMap, Placement};
 use afc_messenger::Addr;
 use bytes::Bytes;
 use std::cmp::Reverse;
@@ -107,15 +107,6 @@ fn requeue_push(st: &mut PgState, peer: OsdId, object: String, gen: u64) {
     }
 }
 
-/// Recover an [`ObjectId`] from its store name (`pool<N>/<name>`). PG meta
-/// objects (`pgmeta_*`) and any other non-object files yield `None`, so
-/// backfill enumeration skips them.
-fn parse_object_name(name: &str) -> Option<ObjectId> {
-    let (pool, obj) = name.split_once('/')?;
-    let n: u32 = pool.strip_prefix("pool")?.parse().ok()?;
-    Some(ObjectId::new(PoolId(n), obj))
-}
-
 impl OsdInner {
     /// Record a heartbeat (ping or pong) from `peer`.
     pub(super) fn note_peer_alive(&self, peer: OsdId) {
@@ -195,31 +186,23 @@ impl OsdInner {
 
     /// Drive every local PG's peering and recovery state machine one step.
     fn pump_pgs(self: &Arc<Self>, map: &OsdMap, mon: &Monitor) {
-        let mut by_id: BTreeMap<PgId, Arc<Pg>> = self
-            .pgs
-            .read()
-            .iter()
-            .map(|(id, pg)| (*id, Arc::clone(pg)))
-            .collect();
         // A re-placement can promote this OSD into a PG it has never
         // hosted (no ops ever touched it here): the *map*, not the local
         // PG table, decides what must be peered — instantiate those on
         // demand or they would silently never peer or backfill.
+        let mut pgs: Vec<(Arc<Pg>, Placement)> = Vec::new();
         for (pool, spec) in map.pools() {
             for seq in 0..spec.pg_num {
                 let id = PgId { pool, seq };
-                if !by_id.contains_key(&id)
-                    && map.pg_acting(id).is_ok_and(|a| a.first() == Some(&self.id))
-                {
-                    by_id.insert(id, self.pg(id));
+                let place = map.pg_placement(id).unwrap_or_default();
+                if place.primary() == Some(self.id) || self.pgs.read().contains_key(&id) {
+                    pgs.push((self.pg(id), place));
                 }
             }
         }
-        let pgs: Vec<Arc<Pg>> = by_id.into_values().collect();
         let mut temps: Vec<(PgId, Vec<OsdId>)> = Vec::new();
         let mut clears: Vec<PgId> = Vec::new();
-        for pg in pgs {
-            let acting = map.pg_acting(pg.id()).unwrap_or_default();
+        for (pg, Placement { placed, acting }) in pgs {
             if acting.first() != Some(&self.id) {
                 // Replica (or unplaced): primary-side bookkeeping dies
                 // here; a later promotion re-peers from scratch.
@@ -235,7 +218,6 @@ impl OsdInner {
                 });
                 continue;
             }
-            let placed = map.pg_placed(pg.id()).unwrap_or_default();
             let mut queries: Vec<OsdId> = Vec::new();
             let mut picks: Vec<(OsdId, String, u64)> = Vec::new();
             pg.with_state(|st| {
@@ -386,8 +368,7 @@ impl OsdInner {
         let Some(round) = st.peering.take() else {
             return;
         };
-        let acting = map.pg_acting(pg.id()).unwrap_or_default();
-        let placed = map.pg_placed(pg.id()).unwrap_or_default();
+        let Placement { placed, acting } = map.pg_placement(pg.id()).unwrap_or_default();
         let mine = st.next_pg_seq;
         // The most advanced peer, the lowest id among equals.
         let ahead = round.infos.iter().map(|(p, lu)| (*lu, Reverse(*p))).max();
@@ -501,7 +482,7 @@ impl OsdInner {
                 .list_objects()
                 .into_iter()
                 .filter(|name| {
-                    parse_object_name(name).and_then(|obj| map.object_pg(&obj).ok()) == Some(pg_id)
+                    ObjectId::parse(name).and_then(|obj| map.object_pg(&obj).ok()) == Some(pg_id)
                 })
                 .collect();
             let peers: Vec<OsdId> = st.backfill.iter().copied().collect();
@@ -562,7 +543,7 @@ impl OsdInner {
                 .map(|read| Bytes::from(read.wait())),
             Err(_) => None, // deleted (or never created): propagate absence
         };
-        let Some(object) = parse_object_name(&obj_name) else {
+        let Some(object) = ObjectId::parse(&obj_name) else {
             return;
         };
         pg.with_state(|st| {

@@ -57,7 +57,7 @@ use afc_common::{AfcError, OsdId, PgId, Result};
 use afc_device::BlockDev;
 use afc_filestore::{FileStore, FileStoreConfig, Transaction};
 use afc_journal::{Journal, JournalConfig};
-use afc_logging::{Level, Logger};
+use afc_logging::{Level, LogConfig, Logger};
 use afc_messenger::{Addr, Dispatcher, Messenger, Network};
 use pg::{Pg, PgCounters, PgHealth};
 use std::collections::HashMap;
@@ -367,10 +367,11 @@ impl Dispatcher<OsdMsg> for OsdDispatcher {
         }
         match msg {
             OsdMsg::Replicate(rep) => {
+                inner.rep.taken_repops.inc();
                 inner.handle_repop(from, rep, arrival);
                 None
             }
-            OsdMsg::RepAck(ack) => inner.take_repack(ack, arrival).map(OsdMsg::RepAck),
+            OsdMsg::RepAck(ack) => inner.take_repack(ack, arrival, true).map(OsdMsg::RepAck),
             msg => Some(msg),
         }
     }
@@ -381,7 +382,7 @@ impl OsdInner {
     /// yet on the network (`msgr` unset) and with no threads of its own.
     fn open(params: &OsdParams) -> Result<Arc<OsdInner>> {
         let tuning = params.tuning.clone();
-        let logger = Logger::new(tuning.logging.log_config());
+        let logger = Logger::new(LogConfig::preset(tuning.logging, Level::Trace));
         let fs_cfg = FileStoreConfig {
             queue_max_ops: tuning.filestore_queue_max_ops(),
             ..if tuning.lightweight_txn {

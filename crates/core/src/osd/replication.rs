@@ -68,7 +68,13 @@ pub(super) struct Replication {
     seen: TrackedMutex<RepSeen>,
     next_rep_id: AtomicU64,
     repops: Counter,
+    /// `Replicate`s taken on the primary's sending thread, counted before
+    /// the sub-op runs, so before anything it causes can be seen.
+    pub(super) taken_repops: Counter,
     repacks: Counter,
+    /// `RepAck`s taken on the replica's sending thread, counted before the
+    /// write they settle can be answered.
+    taken_repacks: Counter,
     rep_resends: Counter,
 }
 
@@ -79,14 +85,18 @@ impl Replication {
             seen: TrackedMutex::new(&classes::REP_SEEN, RepSeen::default()),
             next_rep_id: AtomicU64::new(1),
             repops: Counter::new(),
+            taken_repops: Counter::new(),
             repacks: Counter::new(),
+            taken_repacks: Counter::new(),
             rep_resends: Counter::new(),
         }
     }
 
     pub(super) fn register(&self, m: &Metrics, osd: &str) {
         m.register_counter(format!("{osd}.op.repops"), &self.repops);
+        m.register_counter(format!("{osd}.op.taken_repops"), &self.taken_repops);
         m.register_counter(format!("{osd}.op.repacks"), &self.repacks);
+        m.register_counter(format!("{osd}.op.taken_repacks"), &self.taken_repacks);
         m.register_counter(format!("{osd}.op.rep_resends"), &self.rep_resends);
     }
 
@@ -259,7 +269,7 @@ impl OsdInner {
     /// space, and anything left is a duplicate (a retransmit raced the
     /// original), which the push path drops.
     pub(super) fn handle_repack(self: &Arc<Self>, ack: RepOpReply) {
-        if let Some(ack) = self.take_repack(ack, Instant::now()) {
+        if let Some(ack) = self.take_repack(ack, Instant::now(), false) {
             self.rep.repacks.inc();
             self.handle_push_ack(ack);
         }
@@ -275,16 +285,22 @@ impl OsdInner {
     /// right away without enqueueing them to the PG queue"), else through
     /// the PG queue, where it competes with data ops for the PG lock
     /// (Figure 3's stage 5). An ack that settles no wait is handed back.
+    /// One `taken` on the sender's thread is counted before it settles, so
+    /// before the reply it may send.
     pub(super) fn take_repack(
         self: &Arc<Self>,
         ack: RepOpReply,
         arrival: Instant,
+        taken: bool,
     ) -> Option<RepOpReply> {
         let wait = self.rep.waits.lock().remove(&ack.rep_id);
         let Some(RepWait { op, .. }) = wait else {
             return Some(ack);
         };
         self.rep.repacks.inc();
+        if taken {
+            self.rep.taken_repacks.inc();
+        }
         op.departure.raise(arrival);
         if self.tuning.fast_ack {
             self.settle(&op, 1);

@@ -1,6 +1,6 @@
 //! Per-optimization switches (the Figure 9 ablation axis).
 
-use afc_logging::{Level, LogConfig, LogMode};
+use afc_logging::LogMode;
 
 /// Throttle sizing profile (§3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,43 +38,6 @@ impl Allocator {
     }
 }
 
-/// Debug-logging mode on the I/O path (§3.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoggingMode {
-    /// No logging (Figure 4's "No log").
-    Off,
-    /// Community synchronous logging.
-    Blocking,
-    /// AFCeph asynchronous logging with the string cache.
-    NonBlocking,
-}
-
-impl LoggingMode {
-    /// Build the corresponding logger configuration.
-    pub fn log_config(&self) -> LogConfig {
-        match self {
-            LoggingMode::Off => LogConfig::off(),
-            LoggingMode::Blocking => LogConfig {
-                max_level: Level::Trace,
-                ..LogConfig::community()
-            },
-            LoggingMode::NonBlocking => LogConfig {
-                max_level: Level::Trace,
-                ..LogConfig::afceph()
-            },
-        }
-    }
-
-    /// The underlying logger mode.
-    pub fn mode(&self) -> LogMode {
-        match self {
-            LoggingMode::Off => LogMode::Off,
-            LoggingMode::Blocking => LogMode::Blocking,
-            LoggingMode::NonBlocking => LogMode::NonBlocking,
-        }
-    }
-}
-
 /// The complete tuning vector for an OSD. Each field maps to one of the
 /// paper's optimizations; [`OsdTuning::community`] and
 /// [`OsdTuning::afceph`] are the two evaluated configurations, and the
@@ -108,8 +71,9 @@ pub struct OsdTuning {
     pub allocator: Allocator,
     /// §3.2: TCP Nagle on client/replication connections.
     pub nagle: bool,
-    /// §3.3: logging mode.
-    pub logging: LoggingMode,
+    /// §3.3: debug-logging mode on the I/O path (`Off` is Figure 4's "No
+    /// log"); the OSD logs at `Level::Trace` in that mode's preset.
+    pub logging: LogMode,
     /// §3.4: light-weight transactions (dedup, batch KV, FD reuse, skip
     /// alloc hints on small writes, write-through metadata cache).
     pub lightweight_txn: bool,
@@ -151,7 +115,7 @@ impl OsdTuning {
             throttle: ThrottleProfile::Hdd,
             allocator: Allocator::TcMalloc,
             nagle: true,
-            logging: LoggingMode::Blocking,
+            logging: LogMode::Blocking,
             lightweight_txn: false,
             rep_resend_after_ms: 150,
             rep_max_resends: 5,
@@ -172,7 +136,7 @@ impl OsdTuning {
             throttle: ThrottleProfile::Ssd,
             allocator: Allocator::JeMalloc,
             nagle: false,
-            logging: LoggingMode::NonBlocking,
+            logging: LogMode::NonBlocking,
             lightweight_txn: true,
             rep_resend_after_ms: 150,
             rep_max_resends: 5,
@@ -214,7 +178,7 @@ impl OsdTuning {
     /// Figure 9 step 3: + non-blocking logging.
     pub fn step_logging() -> Self {
         OsdTuning {
-            logging: LoggingMode::NonBlocking,
+            logging: LogMode::NonBlocking,
             ..Self::step_tuning()
         }
     }
@@ -249,7 +213,7 @@ impl OsdTuning {
             && self.dedicated_completion
             && self.fast_ack
             && self.throttle == ThrottleProfile::Ssd
-            && self.logging == LoggingMode::NonBlocking
+            && self.logging == LogMode::NonBlocking
             && self.lightweight_txn;
         let none_opt = !self.pending_queue
             && !self.dedicated_completion
@@ -276,8 +240,8 @@ mod tests {
         let a = OsdTuning::afceph();
         assert!(!c.pending_queue && a.pending_queue);
         assert!(c.nagle && !a.nagle);
-        assert_eq!(c.logging, LoggingMode::Blocking);
-        assert_eq!(a.logging, LoggingMode::NonBlocking);
+        assert_eq!(c.logging, LogMode::Blocking);
+        assert_eq!(a.logging, LogMode::NonBlocking);
         assert!(c.filestore_queue_max_ops() < a.filestore_queue_max_ops());
         assert!(c.client_message_cap() < a.client_message_cap());
         assert_eq!(c.label(), "community");
@@ -301,11 +265,11 @@ mod tests {
     #[test]
     fn steps_are_cumulative() {
         let s1 = OsdTuning::step_lock_opt();
-        assert!(s1.pending_queue && s1.nagle && s1.logging == LoggingMode::Blocking);
+        assert!(s1.pending_queue && s1.nagle && s1.logging == LogMode::Blocking);
         let s2 = OsdTuning::step_tuning();
         assert!(s2.pending_queue && !s2.nagle && s2.throttle == ThrottleProfile::Ssd);
         let s3 = OsdTuning::step_logging();
-        assert_eq!(s3.logging, LoggingMode::NonBlocking);
+        assert_eq!(s3.logging, LogMode::NonBlocking);
         assert!(!s3.lightweight_txn);
         let s4 = OsdTuning::step_lwt();
         assert!(s4.lightweight_txn);
@@ -316,12 +280,5 @@ mod tests {
     #[test]
     fn allocator_model() {
         assert!(Allocator::TcMalloc.allocs_per_op() > Allocator::JeMalloc.allocs_per_op());
-    }
-
-    #[test]
-    fn logging_mode_maps() {
-        assert_eq!(LoggingMode::Off.mode(), LogMode::Off);
-        assert_eq!(LoggingMode::Blocking.mode(), LogMode::Blocking);
-        assert_eq!(LoggingMode::NonBlocking.mode(), LogMode::NonBlocking);
     }
 }

@@ -1,10 +1,9 @@
 //! A fast-ack `RepAck` wakes no thread on the primary: the primary takes
-//! it on the replica's thread that sends it (`net.taken`) and settles the
-//! write there, and the write's `Ok` still leaves no earlier than the
-//! ack's modeled arrival. Community acks, duplicates and acks sent to a
+//! it on the replica's thread that sends it (`osdN.op.taken_repacks`) and
+//! settles the write there, and the write's `Ok` still leaves no earlier
+//! than the ack's modeled arrival. Community acks, duplicates and acks sent to a
 //! paused primary are dispatched at their arrival, as before. A fast-ack
-//! `Replicate` is taken too (`no_thread_wakes_for_a_replicate.rs`): the
-//! counts here leave those out.
+//! `Replicate` is taken too (`no_thread_wakes_for_a_replicate.rs`).
 
 use afc_common::{FaultKind, FaultPlan, FaultSpec, ObjectId, OsdId};
 use afc_core::{Cluster, ClusterBuilder, DeviceProfile, OsdTuning};
@@ -42,19 +41,13 @@ fn write_loop(cluster: &Cluster, n: u64) {
     }
 }
 
-/// `(net.taken, Σ op.repacks)`, less the `replies` the test's client
-/// received, whose session takes every reply too, and less the
-/// `Replicate`s a fast-ack replica took (`Σ op.repops`: none is handed
-/// back on these runs).
-fn taken_and_repacks(cluster: &Cluster, replies: u64) -> (u64, u64) {
+/// `(Σ op.taken_repacks, Σ op.repacks)`: the `RepAck`s the primaries took
+/// on the replica's thread, each counted before the write it settles can
+/// be answered, and every `RepAck` that reached a primary.
+fn taken_and_repacks(cluster: &Cluster) -> (u64, u64) {
     let snap = cluster.metrics_snapshot();
-    let replicates = if cluster.tuning().fast_ack {
-        snap.site_sum("op.repops")
-    } else {
-        0
-    };
     (
-        snap.counter("net.taken").unwrap() - replies - replicates,
+        snap.site_sum("op.taken_repacks"),
         snap.site_sum("op.repacks"),
     )
 }
@@ -63,7 +56,7 @@ fn taken_and_repacks(cluster: &Cluster, replies: u64) -> (u64, u64) {
 fn every_fast_ack_is_taken_on_the_replicas_thread() {
     let cluster = builder(no_resends(OsdTuning::afceph())).build().unwrap();
     write_loop(&cluster, WRITES);
-    assert_eq!(taken_and_repacks(&cluster, WRITES), (WRITES, WRITES));
+    assert_eq!(taken_and_repacks(&cluster), (WRITES, WRITES));
     cluster.shutdown();
 }
 
@@ -84,7 +77,7 @@ fn a_taken_ack_still_holds_the_reply_until_it_arrives() {
         let took = t0.elapsed();
         assert!(took >= 4 * HOP, "acked after {took:?}");
     }
-    assert_eq!(taken_and_repacks(&cluster, 3).0, 3);
+    assert_eq!(taken_and_repacks(&cluster).0, 3);
     cluster.shutdown();
 }
 
@@ -94,7 +87,7 @@ fn a_taken_ack_still_holds_the_reply_until_it_arrives() {
 fn community_takes_no_ack() {
     let cluster = builder(no_resends(OsdTuning::community())).build().unwrap();
     write_loop(&cluster, WRITES);
-    assert_eq!(taken_and_repacks(&cluster, WRITES), (0, WRITES));
+    assert_eq!(taken_and_repacks(&cluster), (0, WRITES));
     cluster.shutdown();
 }
 
@@ -115,7 +108,7 @@ fn a_delayed_ack_delays_the_reply() {
     let took = t0.elapsed();
     assert!(took >= DELAY, "acked after {took:?}");
     assert_eq!(reg.hits("net.repack"), 1, "fault never fired");
-    assert_eq!(taken_and_repacks(&cluster, 1), (1, 1));
+    assert_eq!(taken_and_repacks(&cluster), (1, 1));
     cluster.shutdown();
 }
 
@@ -160,9 +153,10 @@ fn an_ack_sent_to_a_paused_primary_is_not_taken() {
     osd.pause();
     poll("resend", &|| counter("rep_resends") >= 1);
     // The replica takes the resend as it is sent and acks it on the same
-    // thread; the network counts it taken once that returns.
+    // thread, at once, to the paused primary; give a wrongly taken ack time
+    // to show.
     std::thread::sleep(Duration::from_millis(50));
-    assert_eq!(taken_and_repacks(&cluster, 0), (0, 0), "taken while paused");
+    assert_eq!(taken_and_repacks(&cluster), (0, 0), "taken while paused");
     osd.resume();
     write.wait().unwrap();
     assert_eq!(reg.hits("net.replicate"), 1, "fault never fired");
@@ -183,7 +177,7 @@ fn a_duplicated_ack_settles_once() {
     cluster.quiesce();
     let snap = cluster.metrics_snapshot();
     assert_eq!(snap.counter("net.duplicated"), Some(1));
-    assert_eq!(taken_and_repacks(&cluster, WRITES), (WRITES, WRITES + 1));
+    assert_eq!(taken_and_repacks(&cluster), (WRITES, WRITES + 1));
     let report = cluster.deep_scrub().unwrap();
     assert!(report.is_clean(), "inconsistent: {:?}", report.inconsistent);
     cluster.shutdown();

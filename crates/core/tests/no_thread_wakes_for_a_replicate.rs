@@ -1,5 +1,6 @@
 //! A fast-ack `Replicate` wakes no delivery thread on the replica: the
-//! replica takes it on the primary's thread that sends it (`net.taken`),
+//! replica takes it on the primary's thread that sends it
+//! (`osdN.op.taken_repops`),
 //! queues the sub-op in its PG's FIFO there and runs it once that thread
 //! holds no PG lock, with its journal record planned from the message's
 //! arrival. Nothing the sub-op does shows before that arrival: the record
@@ -60,11 +61,10 @@ fn write_loop(cluster: &Cluster) -> Vec<Vec<OsdId>> {
         .collect()
 }
 
-/// Messages taken on their sender's thread, less the `replies` the test's
-/// client received (its session takes every reply) and the `RepAck`s.
-fn taken_replicates(cluster: &Cluster, replies: u64) -> u64 {
-    let snap = cluster.metrics_snapshot();
-    snap.counter("net.taken").unwrap() - replies - snap.site_sum("op.repacks")
+/// `Replicate`s the replicas took on the primary's thread. Each is counted
+/// before its sub-op runs, so before the write it serves is answered.
+fn taken_replicates(cluster: &Cluster) -> u64 {
+    cluster.metrics_snapshot().site_sum("op.taken_repops")
 }
 
 /// On a fault-free AFCeph run every `Replicate` is taken, and the only
@@ -76,7 +76,7 @@ fn afceph_writes_leave_threads_at_the_client_to_primary_pairs_only() {
     let acting = write_loop(&cluster);
     let snap = cluster.metrics_snapshot();
     assert_eq!(snap.site_sum("op.repops"), WRITES, "one sub-op per write");
-    assert_eq!(taken_replicates(&cluster, WRITES), WRITES);
+    assert_eq!(taken_replicates(&cluster), WRITES);
     let primaries: BTreeSet<OsdId> = acting.iter().map(|a| a[0]).collect();
     assert_eq!(snap.counter("net.threads"), Some(primaries.len() as u64));
     cluster.shutdown();
@@ -115,7 +115,7 @@ fn a_taken_replicate_is_durable_no_earlier_than_its_arrival() {
     write.wait().unwrap();
     let took = t0.elapsed();
     assert!(took >= 4 * HOP, "acked after {took:?}");
-    assert_eq!(taken_replicates(&cluster, 1), 1);
+    assert_eq!(taken_replicates(&cluster), 1);
     cluster.shutdown();
 }
 
@@ -144,12 +144,17 @@ fn a_replicate_to_a_paused_replica_is_not_taken() {
         .write_object_async("paused", 0, Bytes::from(vec![3u8; 4096]))
         .unwrap();
     poll("resend", || counter(acting[0], "rep_resends") >= 1);
+    // A resend is counted before it is sent, and one handed back that
+    // arrives after `resume` is handled at its arrival, not taken: let it
+    // arrive, and be dropped, while the replica is still paused (resends
+    // are 100 ms apart, a hop is 80 µs).
+    std::thread::sleep(Duration::from_millis(20));
     assert_eq!(counter(acting[1], "repops"), 0, "handled while paused");
-    assert_eq!(taken_replicates(&cluster, 0), 0, "taken while paused");
+    assert_eq!(taken_replicates(&cluster), 0, "taken while paused");
     replica.resume();
     write.wait().unwrap();
     assert_eq!(counter(acting[1], "repops"), 1, "the resend");
-    assert_eq!(taken_replicates(&cluster, 1), 1, "the resend was not taken");
+    assert_eq!(taken_replicates(&cluster), 1, "the resend was not taken");
     cluster.shutdown();
 }
 
@@ -244,13 +249,7 @@ fn community_takes_no_replicate() {
         write_loop(&cluster);
         let snap = cluster.metrics_snapshot();
         assert_eq!(snap.site_sum("op.repops"), WRITES, "{label}");
-        let acks = if taken > 0 { WRITES } else { 0 };
-        let replies_and_acks = WRITES + acks;
-        assert_eq!(
-            snap.counter("net.taken").unwrap() - replies_and_acks,
-            taken,
-            "{label}"
-        );
+        assert_eq!(taken_replicates(&cluster), taken, "{label}");
         cluster.shutdown();
     }
 }

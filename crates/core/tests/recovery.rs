@@ -406,11 +406,12 @@ fn marked_out_osd_triggers_backfill_onto_replacement() {
     let map = c.monitor().map();
     for seq in 0..16 {
         let acting = map
-            .pg_acting(PgId {
+            .pg_placement(PgId {
                 pool: c.pool(),
                 seq,
             })
-            .unwrap();
+            .unwrap()
+            .acting;
         assert!(!acting.contains(&victim), "pg {seq} still names the victim");
         assert_eq!(acting.len(), 2, "pg {seq} redundancy not restored");
     }

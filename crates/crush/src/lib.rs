@@ -20,5 +20,5 @@ pub mod osdmap;
 pub mod straw2;
 
 pub use map::CrushMap;
-pub use osdmap::{OsdMap, OsdStatus};
+pub use osdmap::{OsdMap, OsdStatus, Placement};
 pub use straw2::straw2_draw;

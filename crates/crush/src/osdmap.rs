@@ -193,80 +193,72 @@ impl OsdMap {
         Ok(obj.pg(spec.pg_num))
     }
 
-    /// The *placed set* of a PG: CRUSH's choice excluding **out** OSDs but
-    /// *including* down-but-in ones. This is the set that is expected to
-    /// hold the PG's data once everyone is healthy again — primaries use
-    /// `placed − acting` to know which absent peers are missing each write.
-    pub fn pg_placed(&self, pg: PgId) -> Result<Vec<OsdId>> {
+    /// Where a PG lives under this map: its placed and acting sets, from
+    /// one CRUSH descent. `Err` only for an unknown pool.
+    pub fn pg_placement(&self, pg: PgId) -> Result<Placement> {
         let spec = self.pool(pg.pool)?;
-        Ok(self
+        let placed = self
             .crush
-            .select(pg, spec.size, &|o| !self.osd_status(o).in_cluster))
+            .select(pg, spec.size, &|o| !self.osd_status(o).in_cluster);
+        let live = |o: &&OsdId| {
+            let st = self.osd_status(**o);
+            st.up && st.in_cluster
+        };
+        let mut acting: Vec<OsdId> = self
+            .pg_temp
+            .get(&pg)
+            .into_iter()
+            .flatten()
+            .filter(live)
+            .copied()
+            .collect();
+        if acting.is_empty() {
+            acting = placed.iter().filter(live).copied().collect();
+        }
+        Ok(Placement { placed, acting })
     }
 
-    /// The *acting set* of a PG, primary first.
-    ///
-    /// A `pg_temp` override (installed during recovery) wins when it still
-    /// names at least one up+in OSD. Otherwise placement excludes **out**
-    /// OSDs (CRUSH re-descends; their data is rebalanced by backfill),
-    /// while **down-but-in** OSDs are merely dropped from the placed set —
-    /// the PG runs *degraded* on the survivors until the peer returns and
-    /// recovery replays what it missed (see DESIGN.md).
-    pub fn pg_acting(&self, pg: PgId) -> Result<Vec<OsdId>> {
-        if let Some(temp) = self.pg_temp.get(&pg) {
-            let acting: Vec<OsdId> = temp
-                .iter()
-                .copied()
-                .filter(|o| {
-                    let st = self.osd_status(*o);
-                    st.up && st.in_cluster
-                })
-                .collect();
-            if !acting.is_empty() {
-                return Ok(acting);
-            }
-        }
-        let acting: Vec<OsdId> = self
-            .pg_placed(pg)?
-            .into_iter()
-            .filter(|o| self.osd_status(*o).up)
-            .collect();
+    /// Full placement of an object: `(pg, acting-set)`; `NotFound` when no
+    /// OSD of its PG is up.
+    pub fn object_placement(&self, obj: &ObjectId) -> Result<(PgId, Vec<OsdId>)> {
+        let pg = self.object_pg(obj)?;
+        let acting = self.pg_placement(pg)?.acting;
         if acting.is_empty() {
             return Err(AfcError::NotFound(format!("no acting OSDs for pg {pg}")));
         }
-        Ok(acting)
-    }
-
-    /// Primary OSD for a PG.
-    pub fn pg_primary(&self, pg: PgId) -> Result<OsdId> {
-        Ok(self.pg_acting(pg)?[0])
-    }
-
-    /// Full placement of an object: `(pg, acting-set)`.
-    pub fn object_placement(&self, obj: &ObjectId) -> Result<(PgId, Vec<OsdId>)> {
-        let pg = self.object_pg(obj)?;
-        let acting = self.pg_acting(pg)?;
         Ok((pg, acting))
     }
+}
 
-    /// All PGs of a pool whose primary is `osd` (used by OSDs to know which
-    /// PGs they lead).
-    pub fn primary_pgs_of(&self, pool: PoolId, osd: OsdId) -> Result<Vec<PgId>> {
-        let spec = self.pool(pool)?;
-        let mut out = Vec::new();
-        for seq in 0..spec.pg_num {
-            let pg = PgId { pool, seq };
-            if self.pg_primary(pg)? == osd {
-                out.push(pg);
-            }
-        }
-        Ok(out)
+/// A PG's two OSD sets under one map ([`OsdMap::pg_placement`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Placement {
+    /// CRUSH's choice excluding **out** OSDs but *including* down-but-in
+    /// ones: the set expected to hold the PG's data once everyone is
+    /// healthy again. A primary journals each write a member of
+    /// `placed − acting` misses, for recovery.
+    pub placed: Vec<OsdId>,
+    /// The OSDs serving the PG, primary first. A `pg_temp` override
+    /// (installed during recovery) wins while it names an up+in OSD.
+    /// Otherwise it is the up members of `placed`: **out** OSDs are
+    /// re-descended around (backfill rebalances their data), while a
+    /// **down-but-in** OSD is only dropped, and the PG runs *degraded* on
+    /// the survivors until the peer returns and recovery replays what it
+    /// missed (see DESIGN.md). Empty when no member is up.
+    pub acting: Vec<OsdId>,
+}
+
+impl Placement {
+    /// The primary: the first OSD of the acting set.
+    pub fn primary(&self) -> Option<OsdId> {
+        self.acting.first().copied()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn map4x4() -> OsdMap {
         let mut m = OsdMap::new(CrushMap::uniform(4, 4));
@@ -279,6 +271,14 @@ mod tests {
         )
         .unwrap();
         m
+    }
+
+    fn acting(m: &OsdMap, seq: u32) -> Vec<OsdId> {
+        let pg = PgId {
+            pool: PoolId(0),
+            seq,
+        };
+        m.pg_placement(pg).unwrap().acting
     }
 
     #[test]
@@ -343,23 +343,26 @@ mod tests {
             pool: PoolId(0),
             seq: 7,
         };
-        let crush_acting = m.pg_acting(pg).unwrap();
-        let swapped: Vec<OsdId> = crush_acting.iter().rev().copied().collect();
+        let crush = m.pg_placement(pg).unwrap();
+        let swapped: Vec<OsdId> = crush.acting.iter().rev().copied().collect();
         m.set_pg_temp(pg, swapped.clone());
         let e = m.epoch();
-        assert_eq!(m.pg_acting(pg).unwrap(), swapped);
+        let temp = m.pg_placement(pg).unwrap();
+        assert_eq!(temp.acting, swapped);
+        assert_eq!(temp.primary(), Some(swapped[0]));
+        // The override moves the acting set, not the placed set.
+        assert_eq!(temp.placed, crush.placed);
         assert_eq!(m.pg_temp(pg), Some(swapped.as_slice()));
         // Idempotent re-install: no epoch bump.
         m.set_pg_temp(pg, swapped.clone());
         assert_eq!(m.epoch(), e);
         // Down members are filtered out of the override.
         m.set_up(swapped[0], false);
-        let acting = m.pg_acting(pg).unwrap();
-        assert!(!acting.contains(&swapped[0]));
+        assert!(!acting(&m, 7).contains(&swapped[0]));
         m.set_up(swapped[0], true);
         // Clearing restores CRUSH placement; clearing twice is a no-op.
         m.clear_pg_temp(pg);
-        assert_eq!(m.pg_acting(pg).unwrap(), crush_acting);
+        assert_eq!(m.pg_placement(pg).unwrap(), crush);
         let e = m.epoch();
         m.clear_pg_temp(pg);
         assert_eq!(m.epoch(), e);
@@ -372,25 +375,38 @@ mod tests {
             pool: PoolId(0),
             seq: 11,
         };
-        let placed = m.pg_placed(pg).unwrap();
+        let placed = m.pg_placement(pg).unwrap().placed;
         assert_eq!(placed.len(), 2);
         m.set_up(placed[0], false);
         // Down-but-in: still placed, no longer acting.
-        assert_eq!(m.pg_placed(pg).unwrap(), placed);
-        assert!(!m.pg_acting(pg).unwrap().contains(&placed[0]));
+        let down = m.pg_placement(pg).unwrap();
+        assert_eq!(down.placed, placed);
+        assert_eq!(down.acting, vec![placed[1]]);
         // Out: removed from the placed set entirely.
         m.set_in(placed[0], false);
-        assert!(!m.pg_placed(pg).unwrap().contains(&placed[0]));
+        assert!(!m.pg_placement(pg).unwrap().placed.contains(&placed[0]));
+        // Every member down: still placed, nobody acting, no primary.
+        m.set_in(placed[0], true);
+        m.set_up(placed[1], false);
+        let gone = m.pg_placement(pg).unwrap();
+        assert_eq!((gone.primary(), gone.placed), (None, placed));
     }
 
     #[test]
     fn object_placement_consistent() {
-        let m = map4x4();
+        let mut m = map4x4();
         let obj = ObjectId::new(PoolId(0), "rbd_data.vm1.000000000000002a");
         let (pg, acting) = m.object_placement(&obj).unwrap();
         assert_eq!(acting.len(), 2);
-        assert_eq!(m.pg_primary(pg).unwrap(), acting[0]);
+        assert_eq!(m.pg_placement(pg).unwrap().acting, acting);
         assert_eq!(m.object_pg(&obj).unwrap(), pg);
+        for o in &acting {
+            m.set_up(*o, false);
+        }
+        assert!(matches!(
+            m.object_placement(&obj),
+            Err(AfcError::NotFound(_))
+        ));
     }
 
     #[test]
@@ -398,18 +414,17 @@ mod tests {
         let mut m = map4x4();
         // Record acting sets, then kill osd.0: its PGs must keep exactly
         // their surviving member (degraded), promoting it to primary.
-        let pgs = m.primary_pgs_of(PoolId(0), OsdId(0)).unwrap();
-        assert!(!pgs.is_empty());
-        let before: Vec<(PgId, Vec<OsdId>)> = pgs
-            .iter()
-            .map(|pg| (*pg, m.pg_acting(*pg).unwrap()))
+        let before: Vec<(u32, Vec<OsdId>)> = (0..256)
+            .map(|seq| (seq, acting(&m, seq)))
+            .filter(|(_, a)| a[0] == OsdId(0))
             .collect();
+        assert!(!before.is_empty());
         m.set_up(OsdId(0), false);
-        for (pg, old) in before {
-            let acting = m.pg_acting(pg).unwrap();
+        for (seq, old) in before {
+            let acting = acting(&m, seq);
             assert!(
                 !acting.contains(&OsdId(0)),
-                "pg {pg} still maps to down osd"
+                "pg {seq} still maps to down osd"
             );
             assert_eq!(acting.len(), 1, "degraded PG runs on the survivor");
             assert_eq!(
@@ -424,23 +439,25 @@ mod tests {
         let mut m = map4x4();
         m.set_in(OsdId(7), false);
         for seq in 0..256 {
-            let acting = m
-                .pg_acting(PgId {
+            let place = m
+                .pg_placement(PgId {
                     pool: PoolId(0),
                     seq,
                 })
                 .unwrap();
-            assert!(!acting.contains(&OsdId(7)));
+            assert!(!place.placed.contains(&OsdId(7)));
+            assert_eq!(
+                place.acting, place.placed,
+                "an out OSD is re-descended around"
+            );
         }
     }
 
     #[test]
     fn every_osd_leads_some_pgs() {
         let m = map4x4();
-        for o in m.crush().osds() {
-            let pgs = m.primary_pgs_of(PoolId(0), o).unwrap();
-            assert!(!pgs.is_empty(), "{o} leads no PGs");
-        }
+        let primaries: BTreeSet<OsdId> = (0..256).map(|seq| acting(&m, seq)[0]).collect();
+        assert_eq!(primaries, m.crush().osds().into_iter().collect());
     }
 
     #[test]
@@ -454,8 +471,8 @@ mod tests {
                 pool: PoolId(0),
                 seq,
             };
-            let a = m.pg_acting(pg).unwrap();
-            let b = grown.pg_acting(pg).unwrap();
+            let a = m.pg_placement(pg).unwrap().acting;
+            let b = grown.pg_placement(pg).unwrap().acting;
             moved += a.iter().filter(|o| !b.contains(o)).count();
         }
         assert!(moved < 256, "moved {moved} of 512 replicas");

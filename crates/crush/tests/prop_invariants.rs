@@ -66,9 +66,9 @@ proptest! {
         let mut m = OsdMap::new(CrushMap::uniform(4, 2));
         m.add_pool(PoolId(0), PoolSpec { pg_num: 256, size: 2 }).unwrap();
         let pg = PgId { pool: PoolId(0), seq };
-        let before = m.pg_acting(pg).unwrap();
+        let before = m.pg_placement(pg).unwrap().acting;
         m.set_up(OsdId(victim), false);
-        let after = m.pg_acting(pg).unwrap();
+        let after = m.pg_placement(pg).unwrap().acting;
         if before.contains(&OsdId(victim)) {
             let survivors: Vec<_> = before.iter().copied().filter(|o| *o != OsdId(victim)).collect();
             prop_assert_eq!(after, survivors);

@@ -105,6 +105,20 @@ impl LogConfig {
             ..Self::community()
         }
     }
+
+    /// `mode`'s preset ([`community`](Self::community),
+    /// [`afceph`](Self::afceph) or [`off`](Self::off)) at `max_level`.
+    pub fn preset(mode: LogMode, max_level: Level) -> Self {
+        let preset = match mode {
+            LogMode::Off => Self::off(),
+            LogMode::Blocking => Self::community(),
+            LogMode::NonBlocking => Self::afceph(),
+        };
+        LogConfig {
+            max_level,
+            ..preset
+        }
+    }
 }
 
 enum Backend {
@@ -255,6 +269,19 @@ mod tests {
         assert!(l.dump().is_empty());
         assert_eq!(l.submitted.get(), 0);
         assert_eq!(l.skipped.get(), 2);
+    }
+
+    #[test]
+    fn preset_is_the_modes_config_at_the_level() {
+        for (mode, flushers) in [
+            (LogMode::Off, 1),
+            (LogMode::Blocking, 1),
+            (LogMode::NonBlocking, 2),
+        ] {
+            let cfg = LogConfig::preset(mode, Level::Trace);
+            assert_eq!((cfg.mode, cfg.max_level), (mode, Level::Trace));
+            assert_eq!(cfg.flushers, flushers, "{mode:?}");
+        }
     }
 
     #[test]

@@ -59,9 +59,9 @@ fn main() -> afcstore::common::Result<()> {
             pool: cluster.pool(),
             seq: pg_seq,
         };
-        let acting = cluster.monitor().map().pg_acting(pg)?;
+        let acting = cluster.monitor().map().pg_placement(pg)?.acting;
         assert!(
-            !acting.contains(&victim),
+            !acting.is_empty() && !acting.contains(&victim),
             "pg {pg} still maps to the dead OSD"
         );
     }

@@ -160,23 +160,29 @@ model_spin() {
 step model_spin
 
 # 4c. Tier-1 must pass every time, not most times (ROADMAP item 0): build
-#     the root `consistency` binary once, run it 25 times (all seven tests
-#     in parallel, nine tunings each), and stop at the first failure with
-#     the iteration number and that run's output.
-consistency_loop() {
-    local bin out i
-    bin=$(cargo test --quiet --test consistency --no-run --message-format=json 2>/dev/null |
-        sed -n 's/.*"executable":"\([^"]*consistency-[^"]*\)".*/\1/p' | tail -n 1)
-    [ -x "$bin" ] || { echo "    consistency test binary not found"; return 1; }
+#     a test binary once, run it 25 times, and stop at the first failure
+#     with the iteration number and that run's output. Looped: the root
+#     `consistency` binary (all seven tests in parallel, nine tunings
+#     each) and the two afc-core binaries that count messages taken on
+#     their sender's thread, whose counts race the work they count if a
+#     count is published late.
+loop25() {
+    local name=$1 bin out i
+    shift
+    bin=$(cargo test --quiet "$@" --test "$name" --no-run --message-format=json 2>/dev/null |
+        sed -n "s/.*\"executable\":\"\([^\"]*$name-[^\"]*\)\".*/\1/p" | tail -n 1)
+    [ -x "$bin" ] || { echo "    $name test binary not found"; return 1; }
     for i in $(seq 1 25); do
         if ! out=$("$bin" --quiet 2>&1); then
-            echo "    consistency run $i of 25 failed:"
+            echo "    $name run $i of 25 failed:"
             echo "$out"
             return 1
         fi
     done
 }
-step consistency_loop
+step loop25 consistency
+step loop25 no_thread_wakes_for_a_replicate --package afc-core
+step loop25 no_thread_wakes_for_a_repack --package afc-core
 
 # 5. Fault matrix: the crash-recovery harness, injected-fault suite, the
 #    failure-detection/recovery suite (heartbeats, peering, degraded I/O,

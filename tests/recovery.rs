@@ -48,12 +48,13 @@ fn degraded_reads_and_writes_after_osd_down() {
         let acting = c
             .monitor()
             .map()
-            .pg_acting(PgId {
+            .pg_placement(PgId {
                 pool: c.pool(),
                 seq,
             })
-            .unwrap();
-        assert!(!acting.contains(&OsdId(2)));
+            .unwrap()
+            .acting;
+        assert!(!acting.is_empty() && !acting.contains(&OsdId(2)));
     }
     c.shutdown();
 }
@@ -113,14 +114,14 @@ fn losing_all_replicas_fails_cleanly() {
     let client = c.client().unwrap();
     client.write_object("doomed", 0, b"x").unwrap();
     let obj = afcstore::common::ObjectId::new(c.pool(), "doomed");
-    let (pg, acting) = c.monitor().map().object_placement(&obj).unwrap();
+    let (_, acting) = c.monitor().map().object_placement(&obj).unwrap();
     for o in acting {
         c.monitor().mark_down(o);
     }
     // The PG has no acting set: client submission errors instead of hanging.
     let err = client.read_object("doomed", 0, 1).unwrap_err();
     assert!(matches!(err, AfcError::NotFound(_)), "unexpected: {err}");
-    let map_err = c.monitor().map().pg_acting(pg).unwrap_err();
+    let map_err = c.monitor().map().object_placement(&obj).unwrap_err();
     assert!(matches!(map_err, AfcError::NotFound(_)));
     c.shutdown();
 }
