@@ -51,9 +51,8 @@ pub mod classes {
     //! Order (must strictly increase along any nested acquisition):
     //! op queue → QoS scheduler → OSD map → `Pg::state` → OSD PG table
     //! → `Pg::pending` → OSD op tables
-    //! (rep_waits / push_waits / rep_seen / applied prefix / channel
-    //! handles / ack lanes) → journal → filestore throttle → filestore
-    //! lanes.
+    //! (rep_waits / push_waits / applied prefix / channel handles / ack
+    //! lanes) → journal → filestore throttle → filestore lanes.
     //!
     //! `PG_STATE` deliberately allows blocking while held: the write path
     //! submits to the journal (which can wait for ring space) and, without
@@ -129,12 +128,6 @@ pub mod classes {
     pub static PUSH_WAITS: LockClass = LockClass {
         name: "osd.push_waits",
         rank: 402,
-        no_block_while_held: true,
-    };
-    /// `OsdInner::rep_seen` — replica-side rep_id dedup window.
-    pub static REP_SEEN: LockClass = LockClass {
-        name: "osd.rep_seen",
-        rank: 405,
         no_block_while_held: true,
     };
     /// `AppliedPrefix::marks` — which journal sequences the filestore has
@@ -215,7 +208,6 @@ pub static DECLARED_ORDER: &[&LockClass] = &[
     &classes::PG_PENDING,
     &classes::REP_WAITS,
     &classes::PUSH_WAITS,
-    &classes::REP_SEEN,
     &classes::APPLIED,
     &classes::OSD_CHANNEL_TX,
     &classes::ACK_LANES,

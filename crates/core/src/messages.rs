@@ -98,6 +98,9 @@ pub struct RepOp {
     pub op: ObjectOp,
     /// PG log sequence assigned by the primary.
     pub pg_seq: u64,
+    /// `pg_seq` of the `Replicate` sent this replica for this PG just
+    /// before this one, which the replica must take first (`None`: none).
+    pub prev: Option<u64>,
 }
 
 /// Replica's commit ack, replica → primary (`MOSDRepOpReply`). Also acks

@@ -10,7 +10,7 @@ use crate::messages::{ObjectOp, OsdMsg, PgInfoMsg, PgQueryMsg, PingMsg, PushOp, 
 use crate::monitor::Monitor;
 use afc_common::lockdep::{classes, TrackedMutex};
 use afc_common::metrics::{Counter, Gauge, Metrics};
-use afc_common::{ObjectId, OsdId, PgId};
+use afc_common::{AfcError, ObjectId, OsdId, PgId};
 use afc_crush::{OsdMap, Placement};
 use afc_messenger::Addr;
 use bytes::Bytes;
@@ -215,6 +215,11 @@ impl OsdInner {
                     st.backfill.clear();
                     st.want_pg_temp = None;
                     st.want_clear_temp = false;
+                    // Empty: no write waits on a sub-op of this PG.
+                    if !st.rep_sent.is_empty() {
+                        let err = AfcError::NotPrimary(format!("no longer leads {}", pg.id()));
+                        self.restart_chains(st, pg.id(), None, &err);
+                    }
                 });
                 continue;
             }
@@ -577,8 +582,12 @@ impl OsdInner {
     }
 
     /// Replica side of a recovery push: install the full copy (or the
-    /// deletion) through the same sub-op routine as a mirrored write —
-    /// push ids share the id space, the dedup window and the `RepAck`.
+    /// deletion) through the same sub-op routine as a mirrored write — push
+    /// ids share the id space and the `RepAck` — outside the PG's chain of
+    /// `Replicate`s. A push is never resent verbatim, a copy duplicated on
+    /// the wire arrives right behind it, and no write to its object is
+    /// sent the peer while it is in flight (`defer_to_recovery`), so
+    /// installing a copy twice changes nothing.
     pub(super) fn handle_push(self: &Arc<Self>, from: Addr, push: PushOp) {
         self.log("handle recovery push");
         let (pg, pg_seq) = (push.pg, push.pg_seq);

@@ -22,9 +22,12 @@
 //!                        apply (may block on throttle), tells the op or
 //!                        sends the RepAck, which settles the op on the
 //!                        thread that sends it (no thread wakes)
-//!             both:      replies, RepAcks and applied marks no earlier
-//!                        than the journal record is durable; an Ok no
-//!                        earlier than its last RepAck arrives
+//!             both:      a replica runs a PG's sub-ops only in the order
+//!                        its primary sent them (each Replicate names the
+//!                        one before it); replies, RepAcks and applied
+//!                        marks no earlier than the journal record is
+//!                        durable; an Ok no earlier than its last RepAck
+//!                        arrives
 //! ```
 //!
 //! The code is cut along the stages the trace names, each module holding
@@ -32,7 +35,8 @@
 //! QoS admission, client requests, op workers), `write` (the one mutation
 //! path, its commit continuation, Community's completion thread, the
 //! client reply), `replication` (sub-op fan-out, the replica sub-op
-//! routine and its dedup window, acks, resends), `read` (reads answered
+//! routine, which takes each PG's sub-ops in the order its primary sent
+//! them, acks, resends), `read` (reads answered
 //! at their order point, or parked on the applied prefix), `trim` (the
 //! applied prefix: the one order after the journal commit) and `healing`
 //! (heartbeats, peering, recovery). This file is the daemon itself: spawn,

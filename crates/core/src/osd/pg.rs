@@ -28,6 +28,7 @@
 use afc_common::lockdep::{classes, TrackedMutex, TrackedMutexGuard};
 use afc_common::metrics::Counter;
 use afc_common::{Epoch, OsdId, PgId};
+use afc_messenger::Addr;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::{Deref, DerefMut};
@@ -103,6 +104,10 @@ pub struct PgState {
     pub want_pg_temp: Option<Vec<OsdId>>,
     /// Deferred request to clear this PG's `pg_temp` override.
     pub want_clear_temp: bool,
+    /// Primary: `pg_seq` of the last `Replicate` sent each replica.
+    pub rep_sent: BTreeMap<Addr, u64>,
+    /// Replica: the primary it takes sub-ops from and the last taken.
+    pub rep_taken: Option<(Addr, u64)>,
 }
 
 impl PgState {

@@ -1,8 +1,11 @@
 //! Replication: sub-op fan-out and ack tracking on the primary, the one
-//! sub-op routine (dedup window, journal, ack) on the replica, and the
-//! resend sweep for sub-ops whose ack went missing.
+//! sub-op routine (PG order, journal, ack) on the replica, and the resend
+//! sweep for sub-ops whose ack went missing. A replica takes a PG's
+//! `Replicate`s in the order its primary sent them: each names the one
+//! before it ([`RepOp::prev`]), and the replica keeps the last it took
+//! ([`PgState::rep_taken`](super::pg::PgState::rep_taken)).
 
-use super::pg::PgWork;
+use super::pg::{Pg, PgState, PgWork};
 use super::write::{mutation_txn, Waiter, WriteOp};
 use super::OsdInner;
 use crate::messages::{OsdMsg, RepOp, RepOpReply};
@@ -12,7 +15,7 @@ use afc_common::{AfcError, PgId};
 use afc_filestore::Transaction;
 use afc_logging::Level;
 use afc_messenger::Addr;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -27,50 +30,16 @@ struct RepWait {
     resends: u32,
 }
 
-/// Replica-side dedup window so a retransmitted (or network-duplicated)
-/// sub-op is re-acked, never re-journaled/re-applied. Bounded FIFO.
-/// Keyed by (primary addr, rep_id): rep_ids are only unique per primary.
-#[derive(Default)]
-struct RepSeen {
-    /// (primary, rep_id) → when its journal record is durable (`None`:
-    /// journal submit in flight). A re-ack leaves no earlier than that,
-    /// like the original ack.
-    state: HashMap<(Addr, u64), Option<Instant>>,
-    order: VecDeque<(Addr, u64)>,
-}
-
-impl RepSeen {
-    /// Ids remembered across all primaries: the horizon of the sixteen
-    /// 8 192-id per-shard windows this one table replaced.
-    const CAP: usize = 16 * 8192;
-
-    /// What the window knows of `key`; an unknown key is recorded as in
-    /// flight (evicting the oldest entry beyond [`Self::CAP`]).
-    fn admit(&mut self, key: (Addr, u64)) -> Option<Option<Instant>> {
-        let known = self.state.get(&key).copied();
-        if known.is_none() {
-            self.state.insert(key, None);
-            self.order.push_back(key);
-            while self.order.len() > Self::CAP {
-                if let Some(old) = self.order.pop_front() {
-                    self.state.remove(&old);
-                }
-            }
-        }
-        known
-    }
-}
-
 pub(super) struct Replication {
     /// Outstanding `Replicate` sub-ops by rep id.
     waits: TrackedMutex<HashMap<u64, RepWait>>,
-    /// Replica-side dedup window.
-    seen: TrackedMutex<RepSeen>,
     next_rep_id: AtomicU64,
     repops: Counter,
     /// `Replicate`s taken on the primary's sending thread, counted before
     /// the sub-op runs, so before anything it causes can be seen.
     pub(super) taken_repops: Counter,
+    /// `Replicate`s dropped because a sub-op before them is missing.
+    rep_gaps: Counter,
     repacks: Counter,
     /// `RepAck`s taken on the replica's sending thread, counted before the
     /// write they settle can be answered.
@@ -82,10 +51,10 @@ impl Replication {
     pub(super) fn new() -> Self {
         Replication {
             waits: TrackedMutex::new(&classes::REP_WAITS, HashMap::new()),
-            seen: TrackedMutex::new(&classes::REP_SEEN, RepSeen::default()),
             next_rep_id: AtomicU64::new(1),
             repops: Counter::new(),
             taken_repops: Counter::new(),
+            rep_gaps: Counter::new(),
             repacks: Counter::new(),
             taken_repacks: Counter::new(),
             rep_resends: Counter::new(),
@@ -95,18 +64,10 @@ impl Replication {
     pub(super) fn register(&self, m: &Metrics, osd: &str) {
         m.register_counter(format!("{osd}.op.repops"), &self.repops);
         m.register_counter(format!("{osd}.op.taken_repops"), &self.taken_repops);
+        m.register_counter(format!("{osd}.op.rep_gaps"), &self.rep_gaps);
         m.register_counter(format!("{osd}.op.repacks"), &self.repacks);
         m.register_counter(format!("{osd}.op.taken_repacks"), &self.taken_repacks);
         m.register_counter(format!("{osd}.op.rep_resends"), &self.rep_resends);
-    }
-
-    /// Flip a replica-side rep_id to "committed", durable at `durable`,
-    /// so retransmits re-ack.
-    pub(super) fn mark_done(&self, primary: Addr, rep_id: u64, durable: Instant) {
-        self.seen
-            .lock()
-            .state
-            .insert((primary, rep_id), Some(durable));
     }
 
     /// Empty the wait table (shutdown), handing back the stranded ops.
@@ -171,38 +132,41 @@ impl OsdInner {
         self.rep.repops.inc();
         self.log("handle repop");
         let (rep_id, pg, pg_seq) = (rep.rep_id, rep.pg, rep.pg_seq);
-        let inline = self.tuning.fast_ack.then_some(arrival);
-        self.handle_subop(from, rep_id, pg, pg_seq, inline, move |me| {
+        let replicate = Some((rep.prev, arrival));
+        self.handle_subop(from, rep_id, pg, pg_seq, replicate, move |me| {
             me.alloc_overhead();
             mutation_txn(pg, &rep.object.to_string(), pg_seq, &rep.op)
         });
     }
 
     /// The replica sub-op routine, shared by mirrored client mutations and
-    /// recovery installs: dedup, order under the PG lock, journal what
-    /// `build` returns (`None`: nothing to do locally — ack right away),
-    /// and let the commit continuation ack `from`.
+    /// recovery installs: under the PG lock, re-ack a `Replicate` taken
+    /// already, drop one whose `prev` is not the last taken, else journal
+    /// what `build` returns (`None`: nothing to do locally — ack right
+    /// away), and let the commit continuation ack `from`.
     ///
-    /// `inline` is §3.1's fast ack, with the sub-op's arrival: the sub-op
-    /// — PG bookkeeping, txn build, journal submit — runs on this thread,
-    /// cutting the PG-queue hand-off out of the primary-observed ack round
-    /// trip, and its record is planned from that arrival. `None` sends it
-    /// through the PG queue, its record planned from when it runs.
+    /// `replicate` is a `Replicate`'s `prev` and arrival; `None` is a
+    /// recovery push, which no chain orders. With §3.1's fast ack a
+    /// `Replicate` runs inline: the sub-op — PG bookkeeping, txn build,
+    /// journal submit — runs on this thread, cutting the PG-queue hand-off
+    /// out of the primary-observed ack round trip, and its record is
+    /// planned from its arrival. Anything else goes through the PG queue,
+    /// its record planned from when it runs.
     ///
     /// **Taken ahead of its arrival.** A fast-ack `Replicate` is taken on
     /// the primary's thread that sends it, under the primary's PG lock, so
-    /// this routine may run before `arrival`. The dedup window admits it
-    /// and the sub-op joins this PG's FIFO right here, in the order the
-    /// primary's PG lock sent it — its pg_seq order, which per-connection
-    /// delivery gave before. The thread drains that FIFO, without
-    /// blocking, once it holds no PG lock, never nested in the primary's
-    /// (a non-blocking [`Pg::submit`](super::pg::Pg::submit)).
-    /// Nothing the sub-op does is visible before `arrival`: its record is
-    /// planned from `arrival` and is durable, and so in a crash image, no
-    /// earlier than `arrival` plus the NVRAM write; the `RepAck` leaves at
-    /// that instant; a sub-op with nothing to journal acks at `arrival`;
-    /// applied marks come later still. What moves early is this PG's FIFO,
-    /// its dedup entry and the record's ring occupancy.
+    /// this routine may run before `arrival`. The sub-op joins this PG's
+    /// FIFO right here, in the order the primary's PG lock sent it — its
+    /// chain order, which per-connection delivery gives a Community
+    /// replica too. The thread drains that FIFO, without blocking, once it
+    /// holds no PG lock, never nested in the primary's (a non-blocking
+    /// [`Pg::submit`]). Nothing the sub-op does is visible before
+    /// `arrival`: its record is planned from `arrival` and is durable, and
+    /// so in a crash image, no earlier than `arrival` plus the NVRAM write;
+    /// the `RepAck` leaves at that instant; a sub-op with nothing to
+    /// journal acks at `arrival`; applied marks come later still. What
+    /// moves early is this PG's FIFO, its chain position and the record's
+    /// ring occupancy.
     ///
     /// With `dedicated_completion` on, the commit continuation runs on
     /// whichever thread commits the record: this one when it leads the
@@ -217,39 +181,47 @@ impl OsdInner {
         id: u64,
         pg: PgId,
         pg_seq: u64,
-        inline: Option<Instant>,
+        replicate: Option<(Option<u64>, Instant)>,
         build: impl FnOnce(&OsdInner) -> Option<Transaction> + Send + 'static,
     ) {
-        // Retransmit/duplicate dedup: an id we already committed gets a
-        // fresh ack (the original was lost), leaving no earlier than the
-        // original nor than this copy's arrival; one still in flight is
-        // ignored (its commit will ack); only new ids are journaled.
-        let known = self.rep.seen.lock().admit((from, id));
-        match known {
-            Some(Some(durable)) => {
-                self.log("re-ack duplicate sub-op");
-                let arrival = inline.unwrap_or_else(Instant::now);
-                return self.send_rep_ack(from, id, durable.max(arrival));
-            }
-            Some(None) => return,
-            None => {}
-        }
+        let inline = replicate.and_then(|(_, at)| self.tuning.fast_ack.then_some(at));
         let pg = self.pg(pg);
         let (inner, pgc) = (Arc::clone(self), Arc::clone(&pg));
         let work: PgWork = Box::new(move |st| {
+            let arrival = inline.unwrap_or_else(Instant::now);
+            if let Some((prev, _)) = replicate {
+                match st.rep_taken.filter(|(primary, _)| *primary == from) {
+                    // A copy of one taken already.
+                    Some((_, last)) if pg_seq <= last => {
+                        return inner.re_ack(st.last_jseq, from, id, arrival)
+                    }
+                    // The next link, or a chain start.
+                    Some((_, last)) if prev == Some(last) => {}
+                    _ if prev.is_none() => {}
+                    // A link before it is missing; a resend fills the gap.
+                    _ => return inner.rep.rep_gaps.inc(),
+                }
+            }
             st.next_pg_seq = st.next_pg_seq.max(pg_seq);
             let waiter = Waiter::Replica {
                 primary: from,
                 rep_id: id,
             };
-            let arrival = inline.unwrap_or_else(Instant::now);
-            let Some(txn) = build(&inner) else {
-                return inner.complete(waiter, arrival);
+            let submitted = match build(&inner) {
+                Some(txn) => inner.submit_commit(st, &pgc, txn, waiter, arrival),
+                None => {
+                    inner.complete(waiter, arrival);
+                    Ok(())
+                }
             };
-            if let Err(e) = inner.submit_commit(st, &pgc, txn, waiter, arrival) {
-                inner.logger.logf(Level::Error, "osd", || {
+            if let Err(e) = submitted {
+                // Not taken: its resend is still the next link.
+                return inner.logger.logf(Level::Error, "osd", || {
                     format!("sub-op journal submit failed: {e}")
                 });
+            }
+            if replicate.is_some() {
+                st.rep_taken = Some((from, pg_seq));
             }
         });
         if inline.is_some() {
@@ -257,6 +229,21 @@ impl OsdInner {
         } else {
             self.queue_pg(pg, work);
         }
+    }
+
+    /// Re-ack a copy of a sub-op once the PG's journaled sub-ops have
+    /// applied (so its record is durable), no earlier than its `arrival`.
+    fn re_ack(self: &Arc<Self>, last_jseq: u64, to: Addr, rep_id: u64, arrival: Instant) {
+        self.log("re-ack duplicate sub-op");
+        let inner = Arc::clone(self);
+        self.after_applied(
+            last_jseq,
+            Box::new(move |done| {
+                if let Ok(done) = done {
+                    inner.send_rep_ack(to, rep_id, done.max(arrival));
+                }
+            }),
+        );
     }
 
     // ---------------------------------------------------------------- //
@@ -317,48 +304,68 @@ impl OsdInner {
         None
     }
 
-    /// Retransmit sub-ops whose ack is overdue; give up (typed failure to
-    /// the client) after `rep_max_resends` attempts. Runs on the reptimer
-    /// thread every few milliseconds; sends happen outside the lock.
+    /// Retransmit sub-ops whose ack is overdue, each peer's in PG order;
+    /// give up (typed failure to the client) after `rep_max_resends`
+    /// attempts. Runs on the reptimer thread every few milliseconds; sends
+    /// happen outside the lock.
     fn resend_expired_reps(&self) {
         let timeout = Duration::from_millis(self.tuning.rep_resend_after_ms.max(1));
         let now = Instant::now();
         let mut resend: Vec<(Addr, RepOp)> = Vec::new();
-        let mut gave_up: Vec<Arc<WriteOp>> = Vec::new();
-        {
-            let mut waits = self.rep.waits.lock();
-            let mut dead: Vec<u64> = Vec::new();
-            for (id, w) in waits.iter_mut() {
-                if now.duration_since(w.sent) < timeout {
-                    continue;
-                }
-                if w.resends >= self.tuning.rep_max_resends {
-                    dead.push(*id);
-                } else {
-                    w.resends += 1;
-                    w.sent = now;
-                    resend.push((w.to, w.rep.clone()));
-                }
+        let mut dead: BTreeMap<(Addr, PgId), Arc<Pg>> = BTreeMap::new();
+        for w in self.rep.waits.lock().values_mut() {
+            if now.duration_since(w.sent) < timeout {
+                continue;
             }
-            gave_up.extend(dead.iter().filter_map(|id| waits.remove(id)).map(|w| w.op));
+            if w.resends < self.tuning.rep_max_resends {
+                w.resends += 1;
+                w.sent = now;
+                resend.push((w.to, w.rep.clone()));
+            } else {
+                let pg = || Arc::clone(&w.op.pg);
+                dead.entry((w.to, w.rep.pg)).or_insert_with(pg);
+            }
         }
+        // A replica drops the sub-ops behind a lost one as gaps: sent in
+        // PG order, the lost one goes first and fills the gap.
+        resend.sort_by_key(|(to, rep)| (*to, rep.pg, rep.pg_seq));
         for (to, rep) in resend {
             self.rep.rep_resends.inc();
             self.log("resend repop");
             self.send(to, OsdMsg::Replicate(rep));
         }
-        for op in gave_up {
-            self.fail_op(
-                &op,
-                AfcError::Timeout("replica ack timeout (resends exhausted)".into()),
-            );
+        let err = AfcError::Timeout("replica ack timeout (resends exhausted)".into());
+        for ((to, pgid), pg) in dead {
+            pg.with_state(|st| self.restart_chains(st, pgid, Some(to), &err));
+        }
+    }
+
+    /// Fail with `err` the writes waiting on `pg`'s sub-ops to `to` (`None`:
+    /// any replica) and start those chains afresh, PG lock held: an old
+    /// sub-op would be a gap forever, or pass for a copy once it arrives
+    /// behind a new chain's start.
+    pub(super) fn restart_chains(
+        &self,
+        st: &mut PgState,
+        pg: PgId,
+        to: Option<Addr>,
+        err: &AfcError,
+    ) {
+        let restarted = |peer: Addr| to.is_none_or(|to| peer == to);
+        st.rep_sent.retain(|peer, _| !restarted(*peer));
+        let failed: Vec<Arc<WriteOp>> = {
+            let mut waits = self.rep.waits.lock();
+            let chained = waits.extract_if(|_, w| w.rep.pg == pg && restarted(w.to));
+            chained.map(|(_, w)| w.op).collect()
+        };
+        for op in failed {
+            self.fail_op(&op, err.clone());
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::pg::Pg;
     use super::super::{OsdDispatcher, OsdParams};
     use super::*;
     use crate::messages::ObjectOp;
@@ -369,26 +376,6 @@ mod tests {
     use afc_device::{Nvram, NvramConfig, Ssd, SsdConfig};
     use afc_messenger::{Dispatcher, NetConfig, Network};
     use bytes::Bytes;
-
-    #[test]
-    fn rep_seen_admits_once_and_evicts_oldest() {
-        let mut seen = RepSeen::default();
-        let key = |id| (Addr::Osd(OsdId(1)), id);
-        let durable = Instant::now();
-        assert_eq!(seen.admit(key(1)), None);
-        assert_eq!(seen.admit(key(1)), Some(None), "in flight: ignored");
-        seen.state.insert(key(1), Some(durable));
-        assert_eq!(
-            seen.admit(key(1)),
-            Some(Some(durable)),
-            "committed: re-acked"
-        );
-        for id in 2..=RepSeen::CAP as u64 + 1 {
-            assert_eq!(seen.admit(key(id)), None);
-        }
-        assert_eq!(seen.state.len(), RepSeen::CAP);
-        assert_eq!(seen.admit(key(1)), None, "evicted ids are new again");
-    }
 
     /// Wait until `done` holds; fail after 10 s.
     fn poll(what: &str, done: impl Fn() -> bool) {
@@ -468,31 +455,31 @@ mod tests {
         }
     }
 
-    /// Records when each `RepAck` reaches the primary.
-    struct AckTimes(Arc<parking_lot::Mutex<Vec<Instant>>>);
+    /// Records which sub-op each `RepAck` acks and when it reaches the
+    /// primary.
+    type Acks = Arc<parking_lot::Mutex<Vec<(u64, Instant)>>>;
+
+    struct AckTimes(Acks);
 
     impl Dispatcher<OsdMsg> for AckTimes {
         fn dispatch(&self, _from: Addr, msg: OsdMsg) {
-            if let OsdMsg::RepAck(_) = msg {
-                self.0.lock().push(Instant::now());
+            if let OsdMsg::RepAck(ack) = msg {
+                self.0.lock().push((ack.rep_id, Instant::now()));
             }
         }
     }
 
-    /// A duplicate `Replicate` that arrives while the original's journal
-    /// record is still being written is re-acked no earlier than that
-    /// record is durable, like the original: the dedup window hands the
-    /// re-ack the original's instant.
-    #[test]
-    fn duplicate_is_never_re_acked_before_the_record_is_durable() {
-        const NVRAM_ACCESS: Duration = Duration::from_millis(50);
+    /// An AFCeph replica, `osd.1`, on a network of its own with a fake
+    /// primary, `osd.0`, whose `RepAck`s it records; the replica's journal
+    /// writes take `nvram_access`.
+    fn lone_replica(nvram_access: Duration) -> (Arc<Network<OsdMsg>>, Arc<OsdInner>, Addr, Acks) {
         let net = Network::new(NetConfig::default());
         let inner = OsdInner::open(&OsdParams {
             id: OsdId(1),
             tuning: OsdTuning::afceph(),
             data_dev: Arc::new(Ssd::new(SsdConfig::sata3())),
             journal_dev: Arc::new(Nvram::new(NvramConfig {
-                access: NVRAM_ACCESS,
+                access: nvram_access,
                 ..NvramConfig::pmc_8g()
             })),
             journal_capacity: 64 * afc_common::MIB,
@@ -505,23 +492,64 @@ mod tests {
         let msgr = net.register(Addr::Osd(OsdId(1)), me).unwrap();
         assert!(inner.msgr.set(msgr).is_ok());
         let primary = Addr::Osd(OsdId(0));
-        let acks = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let acks = Acks::default();
         net.register(primary, Arc::new(AckTimes(Arc::clone(&acks))))
             .unwrap();
+        (net, inner, primary, acks)
+    }
 
-        let rep = RepOp {
-            rep_id: 1,
+    /// A 4 KiB write of `obj` as the primary sends it, link `pg_seq` of its
+    /// chain, right after `prev`.
+    fn rep_op(obj: &str, pg_seq: u64, prev: Option<u64>) -> RepOp {
+        RepOp {
+            rep_id: pg_seq,
             pg: PgId {
                 pool: PoolId(0),
                 seq: 0,
             },
-            object: ObjectId::new(PoolId(0), "obj"),
+            object: ObjectId::new(PoolId(0), obj),
             op: ObjectOp::Write {
                 offset: 0,
-                data: Bytes::from(vec![1u8; 4096]),
+                data: Bytes::from(vec![pg_seq as u8; 4096]),
             },
-            pg_seq: 1,
-        };
+            pg_seq,
+            prev,
+        }
+    }
+
+    /// A sub-op whose chain predecessor is missing runs nothing and is not
+    /// acked; once the predecessor has run, its resend runs, once, and a
+    /// later copy of it is only re-acked.
+    #[test]
+    fn a_gap_runs_nothing_and_its_resend_runs_once_after_the_missing_sub_op() {
+        let (net, inner, primary, acks) = lone_replica(Duration::from_micros(20));
+        let submits = || inner.journal.stats().submits.get();
+        let now = Instant::now;
+        inner.handle_repop(primary, rep_op("a", 2, Some(1)), now());
+        assert_eq!(inner.rep.rep_gaps.get(), 1, "not counted as a gap");
+        assert_eq!(submits(), 0, "a gap was journaled");
+        inner.handle_repop(primary, rep_op("b", 1, None), now());
+        inner.handle_repop(primary, rep_op("a", 2, Some(1)), now());
+        assert_eq!(submits(), 2, "the chain start and the resend journaled");
+        inner.handle_repop(primary, rep_op("a", 2, Some(1)), now());
+        assert_eq!(submits(), 2, "a taken sub-op journaled again");
+        poll("three acks", || acks.lock().len() == 3);
+        std::thread::sleep(Duration::from_millis(50));
+        let acked: Vec<u64> = acks.lock().iter().map(|(id, _)| *id).collect();
+        assert_eq!(acked, [1, 2, 2], "the gap was acked, or a sub-op twice");
+        assert_eq!(inner.rep.rep_gaps.get(), 1);
+        net.shutdown();
+    }
+
+    /// A duplicate `Replicate` that arrives while the original's journal
+    /// record is still being written is re-acked no earlier than that
+    /// record is durable, like the original: the re-ack waits for the
+    /// PG's journaled sub-ops to apply.
+    #[test]
+    fn duplicate_is_never_re_acked_before_the_record_is_durable() {
+        const NVRAM_ACCESS: Duration = Duration::from_millis(50);
+        let (net, inner, primary, acks) = lone_replica(NVRAM_ACCESS);
+        let rep = rep_op("obj", 1, None);
         let t0 = Instant::now();
         inner.handle_repop(primary, rep.clone(), t0);
         inner.handle_repop(primary, rep, t0);
@@ -536,7 +564,7 @@ mod tests {
         }
         let acks = acks.lock().clone();
         assert_eq!(acks.len(), 2, "the original and the re-ack");
-        for at in acks {
+        for (_, at) in acks {
             assert!(at >= t0 + NVRAM_ACCESS, "acked {:?} after t0", at - t0);
         }
         net.shutdown();

@@ -355,6 +355,7 @@ impl OsdInner {
                 object: object.clone(),
                 op: mutation.clone(), // a `Bytes` refcount bump, no byte copy
                 pg_seq,
+                prev: st.rep_sent.insert(Addr::Osd(r), pg_seq),
             };
             self.replicate(op, Addr::Osd(r), rep);
         }
@@ -467,11 +468,7 @@ impl OsdInner {
                 op.departure.raise(durable);
                 self.settle(&op, 1);
             }
-            Waiter::Replica { primary, rep_id } => {
-                // Flip the dedup entry to "committed" so retransmits re-ack.
-                self.rep.mark_done(primary, rep_id, durable);
-                self.send_rep_ack(primary, rep_id, durable);
-            }
+            Waiter::Replica { primary, rep_id } => self.send_rep_ack(primary, rep_id, durable),
         }
     }
 

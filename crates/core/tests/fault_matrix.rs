@@ -1,6 +1,6 @@
 //! Fault matrix: injected network and device faults must be absorbed by
-//! the stack's recovery machinery (retransmit, dedup, bounded client
-//! retries) — never surfacing as a hang, a panic, or silent corruption.
+//! the stack's recovery machinery (retransmit, per-PG sub-op order,
+//! bounded client retries) — never surfacing as a hang, a panic, or silent corruption.
 
 use afc_common::{AfcError, FaultKind, FaultPlan, FaultSpec, ObjectId, KIB};
 use afc_core::{Cluster, DeviceProfile, OpOutcome, OsdTuning};
@@ -35,8 +35,8 @@ fn dropped_repack_recovered_by_primary_resend() {
     let client = cluster.client().unwrap();
 
     // Lose the first replica ack: the primary must retransmit the
-    // Replicate, the replica must re-ack from its dedup window, and the
-    // client must see a plain success.
+    // Replicate, the replica must re-ack the sub-op it already took, and
+    // the client must see a plain success.
     reg.install(FaultSpec::new("net.repack", FaultKind::Drop).times(1));
     client.write_object("lost_ack", 0, b"payload").unwrap();
 

@@ -341,6 +341,46 @@ fn dropped_recovery_push_is_requeued_with_fresh_data() {
 }
 
 #[test]
+fn duplicated_recovery_push_installs_the_same_bytes() {
+    let c = hb_cluster(0x79);
+    let reg = c.fault_registry().unwrap().clone();
+    let client = impatient_client(&c);
+
+    let victim = OsdId(3);
+    c.osd(victim).unwrap().pause();
+    wait_until("victim down", Duration::from_secs(10), || {
+        !c.monitor().map().osd_status(victim).up
+    });
+    for i in 0..12 {
+        client
+            .write_object(&format!("twin{i}"), 0, b"deferred")
+            .unwrap();
+    }
+    // A recovery push arrives twice. Pushes are not chained like
+    // `Replicate`s: the copy, right behind the original, installs the
+    // same full object again, and the second ack finds no wait.
+    reg.install(FaultSpec::new("net.push", FaultKind::Duplicate).times(1));
+    c.osd(victim).unwrap().resume();
+    wait_until("victim up", Duration::from_secs(10), || {
+        c.monitor().map().osd_status(victim).up
+    });
+    wait_converged(&c);
+    assert!(reg.hits("net.push") >= 1, "fault never fired");
+    assert_eq!(c.metrics_snapshot().counter("net.duplicated"), Some(1));
+
+    c.quiesce();
+    let report = c.deep_scrub().unwrap();
+    assert!(report.is_clean(), "inconsistent: {:?}", report.inconsistent);
+    for i in 0..12 {
+        assert_eq!(
+            client.read_object(&format!("twin{i}"), 0, 8).unwrap(),
+            b"deferred"
+        );
+    }
+    c.shutdown();
+}
+
+#[test]
 fn marked_out_osd_triggers_backfill_onto_replacement() {
     // 3 hosts × 1 OSD, size 2: each PG lives on 2 of the 3 OSDs, so when
     // one is marked out, CRUSH re-homes its PGs onto the third and

@@ -327,8 +327,15 @@ fn replies_are_posted_to_the_client_and_no_thread_delivers_them() {
     let repacks = snap.site_sum("op.repacks");
     assert_eq!(repacks, OPS, "one RepAck per write");
     assert_eq!(snap.site_sum("op.repops"), OPS, "one Replicate per write");
+    // `net.taken` counts a message once its `take` returns, after the work
+    // it caused, so the last reply's may still be on its way.
+    let taken = || cluster.metrics_snapshot().counter("net.taken").unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while taken() < 3 * OPS + repacks && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     assert_eq!(
-        c("net.taken"),
+        taken(),
         3 * OPS + repacks,
         "every reply, Replicate and RepAck"
     );

@@ -163,9 +163,10 @@ step model_spin
 #     a test binary once, run it 25 times, and stop at the first failure
 #     with the iteration number and that run's output. Looped: the root
 #     `consistency` binary (all seven tests in parallel, nine tunings
-#     each) and the two afc-core binaries that count messages taken on
+#     each), the two afc-core binaries that count messages taken on
 #     their sender's thread, whose counts race the work they count if a
-#     count is published late.
+#     count is published late, and the afc-core binary that loses and
+#     holds `Replicate`s, whose resends race the writes behind them.
 loop25() {
     local name=$1 bin out i
     shift
@@ -183,6 +184,7 @@ loop25() {
 step loop25 consistency
 step loop25 no_thread_wakes_for_a_replicate --package afc-core
 step loop25 no_thread_wakes_for_a_repack --package afc-core
+step loop25 sub_ops_in_pg_order --package afc-core
 
 # 5. Fault matrix: the crash-recovery harness, injected-fault suite, the
 #    failure-detection/recovery suite (heartbeats, peering, degraded I/O,
