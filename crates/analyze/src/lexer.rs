@@ -50,19 +50,6 @@ impl Tok {
     pub fn is_punct(&self, ch: char) -> bool {
         self.kind == Kind::Punct && self.text.len() == ch.len_utf8() && self.text.starts_with(ch)
     }
-
-    /// For [`Kind::Str`] tokens: the literal's contents with the quotes
-    /// and any `r#`/`b` prefix stripped. Escapes are *not* processed —
-    /// site names and rule patterns never contain them.
-    pub fn str_value(&self) -> &str {
-        let t = self.text.as_str();
-        let t = t.strip_prefix('b').unwrap_or(t);
-        let t = t.strip_prefix('r').unwrap_or(t);
-        let t = t.trim_matches('#');
-        t.strip_prefix('"')
-            .and_then(|s| s.strip_suffix('"'))
-            .unwrap_or(t)
-    }
 }
 
 struct Cursor<'a> {
@@ -303,13 +290,14 @@ mod tests {
     }
 
     #[test]
-    fn string_flavors_and_values() {
+    fn string_flavors_are_one_token_each() {
         let toks = lex(r####"let s = "a.b"; let r = r#"x "q" y"#; let b = b"z";"####);
-        let strs: Vec<&Tok> = toks.iter().filter(|t| t.kind == Kind::Str).collect();
-        assert_eq!(strs.len(), 3);
-        assert_eq!(strs[0].str_value(), "a.b");
-        assert_eq!(strs[1].str_value(), r#"x "q" y"#);
-        assert_eq!(strs[2].str_value(), "z");
+        let strs: Vec<&str> = toks
+            .iter()
+            .filter(|t| t.kind == Kind::Str)
+            .map(|t| t.text.as_str())
+            .collect();
+        assert_eq!(strs, vec![r#""a.b""#, r####"r#"x "q" y"#"####, r#"b"z""#]);
     }
 
     #[test]

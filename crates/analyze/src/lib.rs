@@ -12,7 +12,6 @@
 //!
 //! | rule id               | checks                                                    |
 //! |-----------------------|-----------------------------------------------------------|
-//! | `site-names`          | fault/metric site naming, unarmed fault sites, dead metrics |
 //! | `atomic-ordering`     | unjustified `SeqCst`, unpaired Acquire/Release            |
 //! | `hot-path-blocking`   | sleeps / blocking recv / file I/O in the OSD op path      |
 //!
@@ -20,7 +19,10 @@
 //! crosses a function call, which a token scan cannot follow), and
 //! unwraps and discarded `#[must_use]` results are clippy's
 //! (`unwrap_used`, `expect_used`, `let_underscore_must_use`, denied at
-//! the storage crates' roots).
+//! the storage crates' roots). Fault sites are a type
+//! (`afc_common::faults::FaultSite`): a misspelled one does not compile,
+//! and `fault_matrix`'s every-site case requires each to fire. Metric
+//! names are checked where they are made (`MetricId::new`, debug builds).
 //!
 //! The whole pass is plain-text + tokenizer work: no rustc plumbing, no
 //! network, and it finishes in well under a second on this workspace.

@@ -1,11 +1,8 @@
 //! The cross-file workspace model the semantic rules check against.
 //!
-//! Built in one pass over every scanned file *before* rules run:
-//!
-//! - every atomic operation carrying an explicit `Ordering::…` argument,
-//!   keyed by the receiver field name;
-//! - fault/metric site-name literals: attach templates, armed
-//!   `FaultSpec::new` sites, and registered metric names.
+//! Built in one pass over every scanned file *before* rules run: every
+//! atomic operation carrying an explicit `Ordering::…` argument, keyed by
+//! the receiver field name.
 
 use crate::lexer::{Kind, Tok};
 use crate::source::SourceFile;
@@ -33,28 +30,10 @@ pub enum AtomicKind {
     Rmw,
 }
 
-/// A site-name string literal and where it appeared.
-#[derive(Debug, Clone)]
-pub struct SiteLit {
-    pub file: String,
-    pub line: u32,
-    pub col: u32,
-    /// The literal text, possibly a `format!` template with `{…}` holes.
-    pub template: String,
-    /// The literal sits in test-only code.
-    pub in_test: bool,
-}
-
 #[derive(Debug, Default)]
 pub struct Model {
     /// Every explicit-ordering atomic op in production code.
     pub atomics: Vec<AtomicUse>,
-    /// Fault-site templates from `attach(…)` / `attach_faults(…)` calls.
-    pub fault_templates: Vec<SiteLit>,
-    /// Sites armed via `FaultSpec::new("…", …)`.
-    pub armed_sites: Vec<SiteLit>,
-    /// Metric names passed to registry registration calls.
-    pub metric_names: Vec<SiteLit>,
 }
 
 /// Atomic methods that take `Ordering` arguments, by kind.
@@ -85,21 +64,10 @@ pub const ATOMIC_SCOPES: &[&str] = &[
     "crates/logging/src",
 ];
 
-/// Registry calls whose string argument is a metric site name.
-const METRIC_REGISTER_CALLS: &[&str] = &[
-    "counter",
-    "gauge",
-    "histogram",
-    "register_counter",
-    "register_gauge",
-    "register_histogram",
-];
-
 pub fn build(files: &[SourceFile]) -> Model {
     let mut m = Model::default();
     for f in files {
         collect_atomics(f, &mut m);
-        collect_sites(f, &mut m);
     }
     m
 }
@@ -118,7 +86,7 @@ fn atomic_kind(name: &str) -> Option<AtomicKind> {
 
 /// `recv.field.load(Ordering::X)`-shaped calls in scoped production code.
 fn collect_atomics(f: &SourceFile, m: &mut Model) {
-    if !ATOMIC_SCOPES.iter().any(|s| f.path.starts_with(s)) || f.non_prod {
+    if !ATOMIC_SCOPES.iter().any(|s| f.path.starts_with(s)) {
         return;
     }
     let t = &f.toks;
@@ -179,58 +147,6 @@ pub fn match_paren(toks: &[Tok], open: usize) -> usize {
     toks.len().saturating_sub(1)
 }
 
-/// Collect site-name literals from attach calls, `FaultSpec::new`, and
-/// metric registry registration calls.
-fn collect_sites(f: &SourceFile, m: &mut Model) {
-    let t = &f.toks;
-    for i in 0..t.len() {
-        let in_test = f.is_test(i);
-        // attach(…) / attach_faults(…): every string literal inside the
-        // call (classify-hook closures included) is a fault-site template.
-        if (t[i].is_ident("attach") || t[i].is_ident("attach_faults"))
-            && t.get(i + 1).is_some_and(|x| x.is_punct('('))
-        {
-            let close = match_paren(t, i + 1);
-            for s in t[i + 2..close].iter().filter(|x| x.kind == Kind::Str) {
-                m.fault_templates.push(site_lit(f, s, in_test));
-            }
-        }
-        // FaultSpec::new("site", …)
-        if t[i].is_ident("FaultSpec")
-            && t.get(i + 1).is_some_and(|x| x.is_punct(':'))
-            && t.get(i + 3).is_some_and(|x| x.is_ident("new"))
-            && t.get(i + 4).is_some_and(|x| x.is_punct('('))
-        {
-            let close = match_paren(t, i + 4);
-            if let Some(s) = t[i + 5..close].iter().find(|x| x.kind == Kind::Str) {
-                m.armed_sites.push(site_lit(f, s, in_test));
-            }
-        }
-        // Metric registration: the first string literal in the call.
-        if t[i].kind == Kind::Ident
-            && METRIC_REGISTER_CALLS.contains(&t[i].text.as_str())
-            && i >= 1
-            && t[i - 1].is_punct('.')
-            && t.get(i + 1).is_some_and(|x| x.is_punct('('))
-        {
-            let close = match_paren(t, i + 1);
-            if let Some(s) = t[i + 2..close].iter().find(|x| x.kind == Kind::Str) {
-                m.metric_names.push(site_lit(f, s, in_test));
-            }
-        }
-    }
-}
-
-fn site_lit(f: &SourceFile, s: &Tok, in_test: bool) -> SiteLit {
-    SiteLit {
-        file: f.path.clone(),
-        line: s.line,
-        col: s.col,
-        template: s.str_value().to_string(),
-        in_test,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,36 +167,5 @@ mod tests {
         assert_eq!(m.atomics[1].orderings, vec!["Relaxed"]);
         assert_eq!(m.atomics[2].kind, AtomicKind::Rmw);
         assert_eq!(m.atomics[2].orderings, vec!["AcqRel", "Acquire"]);
-    }
-
-    #[test]
-    fn metric_names_are_collected_from_registrations() {
-        let src = "fn reg(&self, m: &Metrics) {\n    m.register_counter(\"osd0.data.writes\", &self.writes);\n    m.register_gauge(\"osd0.data.depth\", &self.depth);\n}";
-        let f = file("crates/device/src/x.rs", src);
-        let m = build(std::slice::from_ref(&f));
-        let names: Vec<&str> = m.metric_names.iter().map(|s| s.template.as_str()).collect();
-        assert_eq!(names, vec!["osd0.data.writes", "osd0.data.depth"]);
-    }
-
-    #[test]
-    fn fault_templates_and_armed_sites() {
-        let prod = file(
-            "crates/core/src/cluster.rs",
-            "fn wire(reg: &R) {\n  ssd.faults().attach(reg, format!(\"osd{}.data\", id));\n  net.attach_faults(reg, |m| Some(match m { A => \"net.request\", B => \"net.reply\" }));\n}",
-        );
-        let test = file(
-            "crates/core/tests/faults.rs",
-            "fn t() { reg.install(FaultSpec::new(\"osd0.data.write\", FaultKind::Torn)); }",
-        );
-        let m = build(&[prod, test]);
-        let templates: Vec<&str> = m
-            .fault_templates
-            .iter()
-            .map(|s| s.template.as_str())
-            .collect();
-        assert_eq!(templates, vec!["osd{}.data", "net.request", "net.reply"]);
-        assert_eq!(m.armed_sites.len(), 1);
-        assert!(m.armed_sites[0].in_test);
-        assert_eq!(m.armed_sites[0].template, "osd0.data.write");
     }
 }

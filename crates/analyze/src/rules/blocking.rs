@@ -34,7 +34,7 @@ const SANCTIONED_FNS: &[&str] = &["completion_worker_loop", "reptimer_loop", "he
 const WAIVER: &str = "blocking-ok:";
 
 pub fn check(f: &SourceFile, out: &mut Vec<Diag>) {
-    if !f.path.starts_with(SCOPE) || f.non_prod {
+    if !f.path.starts_with(SCOPE) {
         return;
     }
     let t = &f.toks;

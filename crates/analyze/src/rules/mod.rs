@@ -3,7 +3,6 @@
 
 pub mod atomic_ordering;
 pub mod blocking;
-pub mod site_names;
 
 use crate::{Diag, Workspace};
 
@@ -14,6 +13,5 @@ pub fn run_all(ws: &Workspace) -> Vec<Diag> {
         blocking::check(f, &mut out);
     }
     atomic_ordering::check(ws, &mut out);
-    site_names::check(ws, &mut out);
     out
 }

@@ -17,7 +17,8 @@ pub const SKIP_PREFIXES: &[&str] = &[
 ];
 
 /// Path substrings marking non-production sources (integration tests,
-/// benches, examples, binaries) exempt from the production-only rules.
+/// benches, examples, binaries): never scanned, every rule is
+/// production-only.
 pub const NON_PROD_MARKERS: &[&str] = &["/tests/", "/benches/", "/examples/", "/bin/"];
 
 /// Span of one `fn` body in code-token indices (`open..=close` braces).
@@ -42,8 +43,6 @@ pub struct SourceFile {
     pub test_mask: Vec<bool>,
     /// Every function body, in source order (nested fns included).
     pub fns: Vec<FnSpan>,
-    /// Whole file is non-production (tests/benches/examples/bin path).
-    pub non_prod: bool,
 }
 
 impl SourceFile {
@@ -54,20 +53,18 @@ impl SourceFile {
             .collect();
         let test_mask = test_mask(&toks);
         let fns = fn_spans(&toks);
-        let non_prod = is_non_prod(&path);
         SourceFile {
             path,
             text,
             toks,
             test_mask,
             fns,
-            non_prod,
         }
     }
 
-    /// True if code-token `i` is test-only (file-level or region-level).
+    /// True if code-token `i` sits in a test-only region.
     pub fn is_test(&self, i: usize) -> bool {
-        self.non_prod || self.test_mask.get(i).copied().unwrap_or(false)
+        self.test_mask.get(i).copied().unwrap_or(false)
     }
 
     /// The innermost function body containing code-token `i`.
@@ -119,7 +116,7 @@ pub fn is_non_prod(path: &str) -> bool {
         .any(|m| format!("/{path}").contains(m))
 }
 
-/// Collect every workspace `.rs` file under `root`, sorted by path.
+/// Collect every production `.rs` file under `root`, sorted by path.
 pub fn collect(root: &Path) -> Result<Vec<SourceFile>, String> {
     let mut rels = Vec::new();
     walk(root, root, &mut rels)?;
@@ -152,7 +149,7 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) -> Result<(), String> {
                 continue;
             }
             walk(root, &path, out)?;
-        } else if rel.ends_with(".rs") {
+        } else if rel.ends_with(".rs") && !is_non_prod(&rel) {
             out.push(rel);
         }
     }
@@ -324,9 +321,10 @@ mod tests {
     }
 
     #[test]
-    fn non_prod_paths_are_whole_file_test() {
-        let f = SourceFile::parse("crates/core/tests/x.rs".into(), "fn t() {}".into());
-        assert!(f.is_test(0));
+    fn non_prod_paths_are_recognised() {
+        assert!(is_non_prod("crates/core/tests/x.rs"));
+        assert!(is_non_prod("examples/quickstart.rs"));
+        assert!(!is_non_prod("crates/core/src/x.rs"));
     }
 
     #[test]

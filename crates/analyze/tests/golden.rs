@@ -5,7 +5,6 @@
 //!
 //! The fixture plants one violation per rule:
 //!
-//! - a misnamed fault site (`Mini.Data`),
 //! - an unjustified `Ordering::SeqCst`,
 //! - a `thread::sleep` in the OSD op path.
 
@@ -19,7 +18,7 @@ fn fixture_root() -> PathBuf {
 fn mini_workspace_produces_exact_diagnostics() {
     let report = analyze::analyze(&fixture_root()).expect("analysis runs");
 
-    assert_eq!(report.files_scanned, 3);
+    assert_eq!(report.files_scanned, 2);
     assert!(!report.is_clean());
 
     // One finding per rule, nothing else.
@@ -31,16 +30,14 @@ fn mini_workspace_produces_exact_diagnostics() {
     assert_eq!(
         got,
         vec![
-            ("crates/core/src/cluster.rs", "site-names", 5, 21),
             ("crates/core/src/flags.rs", "atomic-ordering", 12, 18),
             ("crates/core/src/osd/engine.rs", "hot-path-blocking", 9, 22),
         ]
     );
 
-    // Messages name the offending site, field and call precisely.
-    assert!(report.diags[0].msg.contains("`Mini.Data`"));
-    assert!(report.diags[1].msg.contains("`Ordering::SeqCst` on `seq`"));
-    assert!(report.diags[2].msg.contains("thread::sleep"));
+    // Messages name the offending field and call precisely.
+    assert!(report.diags[0].msg.contains("`Ordering::SeqCst` on `seq`"));
+    assert!(report.diags[1].msg.contains("thread::sleep"));
 }
 
 #[test]
@@ -48,7 +45,7 @@ fn mini_workspace_diagnostics_render_with_spans_and_help() {
     let report = analyze::analyze(&fixture_root()).expect("analysis runs");
     let rendered: Vec<String> = report.diags.iter().map(|d| d.to_string()).collect();
     assert_eq!(
-        rendered[2],
+        rendered[1],
         "crates/core/src/osd/engine.rs:9:22: error [hot-path-blocking] thread::sleep \
          in the OSD op path\n    help: use a timer wheel or an event, not a stalled \
          worker; or waive with a `// blocking-ok:` comment explaining why the wait is bounded"

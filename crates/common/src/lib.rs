@@ -37,7 +37,7 @@ pub mod timeutil;
 pub use blocktarget::BlockTarget;
 pub use bytesize::{GIB, KIB, MIB, TIB};
 pub use error::{AfcError, Result};
-pub use faults::{FaultKind, FaultPlan, FaultRegistry, FaultSpec};
+pub use faults::{FaultKind, FaultPlan, FaultRegistry, FaultSite, FaultSpec, NetSite};
 pub use ids::{ClientId, Epoch, NodeId, ObjectId, OpId, OsdId, PgId, PoolId, VolumeId};
 pub use metrics::{
     Counter, Gauge, HistSnapshot, Histogram, MetricId, MetricSet, MetricValue, Metrics,

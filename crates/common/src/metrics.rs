@@ -326,8 +326,9 @@ impl MetricSet {
 
 /// A metric's identity: its dotted site name.
 ///
-/// Site names follow the fault-injection convention: subsystem instances
-/// are path components (`osd2.fs.txns_applied`, `node0.journal.commits`).
+/// Site names are dotted segments of `[a-z0-9_]`, subsystem instances as
+/// path components (`osd2.fs.txns_applied`, `node0.journal.commits`); a
+/// debug build panics on any other name.
 ///
 /// ```
 /// use afc_common::metrics::MetricId;
@@ -340,7 +341,15 @@ pub struct MetricId(String);
 impl MetricId {
     /// The identity of the metric named `name`.
     pub fn new(name: impl Into<String>) -> Self {
-        MetricId(name.into())
+        let name = name.into();
+        debug_assert!(
+            name.split('.').all(|seg| !seg.is_empty()
+                && seg
+                    .bytes()
+                    .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')),
+            "metric name `{name}` is not dotted [a-z0-9_] segments"
+        );
+        MetricId(name)
     }
 
     /// The dotted site name.
@@ -809,6 +818,13 @@ fn escape_label(v: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "is not dotted [a-z0-9_] segments")]
+    fn a_metric_name_off_the_convention_panics() {
+        Metrics::new().counter("osd0.Op.writes");
+    }
 
     #[test]
     fn counter_and_gauge_roundtrip_values() {

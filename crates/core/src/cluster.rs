@@ -14,8 +14,8 @@ use crate::qos::QosSpec;
 use crate::tuning::OsdTuning;
 use afc_common::metrics::{Metrics, MetricsSnapshot};
 use afc_common::{
-    AfcError, ClientId, FaultPlan, FaultRegistry, ObjectId, OsdId, PgId, PoolId, Result, VolumeId,
-    GIB, KIB,
+    AfcError, ClientId, FaultPlan, FaultRegistry, FaultSite, NetSite, ObjectId, OsdId, PgId,
+    PoolId, Result, VolumeId, GIB, KIB,
 };
 use afc_crush::osdmap::PoolSpec;
 use afc_crush::CrushMap;
@@ -184,14 +184,9 @@ impl ClusterBuilder {
         self
     }
 
-    /// Install a deterministic fault-injection plan. Sites the cluster
-    /// wires up:
-    /// - `net.request` / `net.reply` / `net.replicate` / `net.repack`
-    ///   (messenger, per message class),
-    /// - `osd{id}.data.{read,write}` (every SSD member under that OSD's
-    ///   RAID-0),
-    /// - `node{n}.journal.{read,write}` (the node's shared NVRAM card),
-    /// - `osd{id}.fs.{apply,mid_apply}` (filestore apply path).
+    /// Install a deterministic fault-injection plan. The cluster wires up
+    /// every [`FaultSite`]: each [`NetSite`] message class, each node's
+    /// NVRAM card, each OSD's RAID-0 members and its filestore apply path.
     #[must_use]
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
@@ -231,18 +226,15 @@ impl ClusterBuilder {
             .map(|p| Arc::new(FaultRegistry::from_plan(p)));
         if let Some(reg) = &faults {
             net.attach_faults(Arc::clone(reg), |_from, _to, msg: &OsdMsg| {
-                Some(
-                    match msg {
-                        OsdMsg::Request(_) => "net.request",
-                        OsdMsg::Reply(_) => "net.reply",
-                        OsdMsg::Replicate(_) => "net.replicate",
-                        OsdMsg::RepAck(_) => "net.repack",
-                        OsdMsg::Ping(_) | OsdMsg::Pong(_) => "net.heartbeat",
-                        OsdMsg::PgQuery(_) | OsdMsg::PgInfo(_) => "net.peering",
-                        OsdMsg::Push(_) => "net.push",
-                    }
-                    .to_string(),
-                )
+                Some(FaultSite::Net(match msg {
+                    OsdMsg::Request(_) => NetSite::Request,
+                    OsdMsg::Reply(_) => NetSite::Reply,
+                    OsdMsg::Replicate(_) => NetSite::Replicate,
+                    OsdMsg::RepAck(_) => NetSite::RepAck,
+                    OsdMsg::Ping(_) | OsdMsg::Pong(_) => NetSite::Heartbeat,
+                    OsdMsg::PgQuery(_) | OsdMsg::PgInfo(_) => NetSite::Peering,
+                    OsdMsg::Push(_) => NetSite::Push,
+                }))
             });
         }
         let metrics = Arc::new(Metrics::new());
@@ -273,7 +265,7 @@ impl ClusterBuilder {
             if let Some(reg) = &faults {
                 nvram
                     .faults()
-                    .attach(Arc::clone(reg), format!("node{node}.journal"));
+                    .attach(Arc::clone(reg), FaultSite::Journal { node, io: None });
             }
             // The card's device-level counters; ring-level journal stats
             // land under `node{n}.journal.*` via each OSD's journal.
@@ -296,8 +288,11 @@ impl ClusterBuilder {
                         if let Some(reg) = &faults {
                             // Attach to every member: RAID-0 fans a request
                             // out, so any member can surface the fault.
-                            ssd.faults()
-                                .attach(Arc::clone(reg), format!("osd{}.data", id.0));
+                            let site = FaultSite::Data {
+                                osd: id.0,
+                                io: None,
+                            };
+                            ssd.faults().attach(Arc::clone(reg), site);
                         }
                         // Every member registers under the OSD's data site;
                         // snapshots sum them (the RAID-0 aggregate view).
@@ -322,8 +317,7 @@ impl ClusterBuilder {
                     monitor: Some(Arc::clone(&monitor)),
                 })?;
                 if let Some(reg) = &faults {
-                    osd.store()
-                        .attach_faults(Arc::clone(reg), format!("osd{}.fs", id.0));
+                    osd.store().attach_faults(Arc::clone(reg), id.0);
                 }
                 osd.attach_metrics(&metrics, &format!("node{node}.journal"));
                 osds.push(osd);

@@ -16,7 +16,8 @@
 //! (replay idempotence), and scenario C runs twice from the same seed to
 //! pin determinism.
 
-use afc_common::{AfcError, FaultKind, FaultPlan, FaultSpec};
+use afc_common::faults::{ApplyPoint, Io};
+use afc_common::{AfcError, FaultKind, FaultPlan, FaultSite, FaultSpec};
 use afc_core::{Cluster, DeviceProfile, OsdTuning};
 use bytes::Bytes;
 use std::time::{Duration, Instant};
@@ -58,7 +59,13 @@ fn crash_point_a_torn_journal_tail_never_surfaces() {
     cluster.quiesce();
 
     // Tear the next journal entry write on the node's NVRAM card.
-    reg.install(FaultSpec::new("node0.journal.write", FaultKind::Torn));
+    reg.install(FaultSpec::new(
+        FaultSite::Journal {
+            node: 0,
+            io: Some(Io::Write),
+        },
+        FaultKind::Torn,
+    ));
     let osd = &cluster.osds()[0];
     let handle = client
         .write_object_async("torn_obj", 0, Bytes::from_static(b"never"))
@@ -121,7 +128,16 @@ fn crash_point_b_acked_write_survives_apply_failure() {
     let osd = &cluster.osds()[0];
 
     // Every apply fails, but journal commits still ack the client.
-    reg.install(FaultSpec::new("osd0.fs.apply", FaultKind::Error).forever());
+    reg.install(
+        FaultSpec::new(
+            FaultSite::Apply {
+                osd: 0,
+                point: ApplyPoint::Apply,
+            },
+            FaultKind::Error,
+        )
+        .forever(),
+    );
     client.write_object("obj_b", 0, b"acked-data").unwrap();
     wait_until("apply failure", || {
         cluster.metrics_snapshot().counter("osd0.op.apply_failures") >= Some(1)
@@ -154,7 +170,16 @@ fn run_crash_point_c(seed: u64) -> (usize, Vec<u8>, u64) {
     let client = cluster.client().unwrap();
     let osd = &cluster.osds()[0];
 
-    reg.install(FaultSpec::new("osd0.fs.mid_apply", FaultKind::Error).times(1));
+    reg.install(
+        FaultSpec::new(
+            FaultSite::Apply {
+                osd: 0,
+                point: ApplyPoint::MidApply,
+            },
+            FaultKind::Error,
+        )
+        .times(1),
+    );
     client
         .write_object("obj_c", 0, b"partially-applied")
         .unwrap();

@@ -2,11 +2,33 @@
 //! the stack's recovery machinery (retransmit, per-PG sub-op order,
 //! bounded client retries) — never surfacing as a hang, a panic, or silent corruption.
 
-use afc_common::{AfcError, FaultKind, FaultPlan, FaultSpec, ObjectId, KIB};
+use afc_common::faults::{ApplyPoint, Io};
+use afc_common::{AfcError, FaultKind, FaultPlan, FaultSite, FaultSpec, NetSite, ObjectId, KIB};
 use afc_core::{Cluster, DeviceProfile, OpOutcome, OsdTuning};
 use bytes::Bytes;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+const OSD0_READ: FaultSite = FaultSite::Data {
+    osd: 0,
+    io: Some(Io::Read),
+};
+const OSD0_WRITE: FaultSite = FaultSite::Data {
+    osd: 0,
+    io: Some(Io::Write),
+};
+const NODE0_FLUSH: FaultSite = FaultSite::Journal {
+    node: 0,
+    io: Some(Io::Flush),
+};
+const NODE1_FLUSH: FaultSite = FaultSite::Journal {
+    node: 1,
+    io: Some(Io::Flush),
+};
+const OSD0_APPLY: FaultSite = FaultSite::Apply {
+    osd: 0,
+    point: ApplyPoint::Apply,
+};
 
 fn fast_resend_tuning() -> OsdTuning {
     OsdTuning {
@@ -37,12 +59,15 @@ fn dropped_repack_recovered_by_primary_resend() {
     // Lose the first replica ack: the primary must retransmit the
     // Replicate, the replica must re-ack the sub-op it already took, and
     // the client must see a plain success.
-    reg.install(FaultSpec::new("net.repack", FaultKind::Drop).times(1));
+    reg.install(FaultSpec::new(FaultSite::Net(NetSite::RepAck), FaultKind::Drop).times(1));
     client.write_object("lost_ack", 0, b"payload").unwrap();
 
     let resends = cluster.metrics_snapshot().site_sum("op.rep_resends");
     assert!(resends >= 1, "primary never retransmitted the sub-op");
-    assert!(reg.hits("net.repack") >= 1, "fault never fired");
+    assert!(
+        reg.hits(FaultSite::Net(NetSite::RepAck)) >= 1,
+        "fault never fired"
+    );
 
     cluster.quiesce();
     let report = cluster.deep_scrub().unwrap();
@@ -57,14 +82,20 @@ fn duplicated_replicate_and_delayed_ack_apply_once() {
     let reg = cluster.fault_registry().unwrap().clone();
     let client = cluster.client().unwrap();
 
-    reg.install(FaultSpec::new("net.replicate", FaultKind::Duplicate).times(1));
-    reg.install(FaultSpec::new("net.repack", FaultKind::Delay(Duration::from_millis(30))).times(2));
+    let replicate = FaultSite::Net(NetSite::Replicate);
+    let repack = FaultSite::Net(NetSite::RepAck);
+    reg.install(FaultSpec::new(replicate, FaultKind::Duplicate).times(1));
+    reg.install(FaultSpec::new(repack, FaultKind::Delay(Duration::from_millis(30))).times(2));
     client.write_object("dup_rep", 0, b"exactly-once").unwrap();
 
     cluster.quiesce();
+    assert_eq!(reg.hits(replicate), 1, "the Replicate was never duplicated");
+    let snap = cluster.metrics_snapshot();
+    assert_eq!(snap.counter("net.duplicated"), Some(1));
+    assert!(reg.hits(repack) >= 1, "no RepAck was delayed");
     // One client write ⇒ one primary apply + one replica apply, even
     // though the Replicate arrived twice.
-    let txns = cluster.metrics_snapshot().site_sum("fs.txns_applied");
+    let txns = snap.site_sum("fs.txns_applied");
     assert_eq!(txns, 2, "duplicate Replicate must not re-apply");
     let report = cluster.deep_scrub().unwrap();
     assert!(report.is_clean(), "inconsistent: {:?}", report.inconsistent);
@@ -95,13 +126,13 @@ fn permanent_device_error_surfaces_typed_after_bounded_retries() {
 
     // Every data-device read now fails. The client retries its bounded
     // schedule and then returns the typed error — no panic, no hang.
-    reg.install(FaultSpec::new("osd0.data.read", FaultKind::Error).forever());
+    reg.install(FaultSpec::new(OSD0_READ, FaultKind::Error).forever());
     let err = client.read_object("durable", 0, 10).unwrap_err();
     assert!(
         matches!(err, AfcError::Io(_) | AfcError::Timeout(_)),
         "expected a typed I/O error, got {err:?}"
     );
-    assert!(reg.hits("osd0.data.read") >= 1, "fault never fired");
+    assert!(reg.hits(OSD0_READ) >= 1, "fault never fired");
 
     // Clearing the fault heals the path: same read now succeeds.
     reg.clear();
@@ -116,7 +147,11 @@ fn delayed_replicate_holds_ack_until_replica_commits() {
     let client = cluster.client().unwrap();
 
     reg.install(
-        FaultSpec::new("net.replicate", FaultKind::Delay(Duration::from_millis(40))).times(1),
+        FaultSpec::new(
+            FaultSite::Net(NetSite::Replicate),
+            FaultKind::Delay(Duration::from_millis(40)),
+        )
+        .times(1),
     );
     client.write_object("slow_rep", 0, b"delayed").unwrap();
 
@@ -146,7 +181,7 @@ fn write_path_device_error_does_not_wedge_the_osd() {
     // Data-device writes fail during apply: the apply is accounted as a
     // failure, the journal keeps the entry, and later healthy traffic
     // still flows.
-    reg.install(FaultSpec::new("osd0.data.write", FaultKind::Error).times(1));
+    reg.install(FaultSpec::new(OSD0_WRITE, FaultKind::Error).times(1));
     let _ = client.write_object("maybe_lost", 0, b"x");
     reg.clear();
     client.write_object("healthy", 0, b"still alive").unwrap();
@@ -172,20 +207,8 @@ fn journal_flush_backpressure_preserves_ack_order() {
     // behind the slow records, batches grow, but commit callbacks still
     // fire in journal-sequence order — so per-PG write order must hold
     // and the final state must be the LAST issued write.
-    reg.install(
-        FaultSpec::new(
-            "node0.journal.flush",
-            FaultKind::Delay(Duration::from_millis(5)),
-        )
-        .times(4),
-    );
-    reg.install(
-        FaultSpec::new(
-            "node1.journal.flush",
-            FaultKind::Delay(Duration::from_millis(5)),
-        )
-        .times(4),
-    );
+    reg.install(FaultSpec::new(NODE0_FLUSH, FaultKind::Delay(Duration::from_millis(5))).times(4));
+    reg.install(FaultSpec::new(NODE1_FLUSH, FaultKind::Delay(Duration::from_millis(5))).times(4));
     let handles: Vec<_> = (0..24u8)
         .map(|v| {
             client
@@ -196,7 +219,7 @@ fn journal_flush_backpressure_preserves_ack_order() {
     for h in handles {
         h.wait().unwrap();
     }
-    let hits = reg.hits("node0.journal.flush") + reg.hits("node1.journal.flush");
+    let hits = reg.hits(NODE0_FLUSH) + reg.hits(NODE1_FLUSH);
     assert!(hits >= 1, "flush fault never fired");
 
     cluster.quiesce();
@@ -220,18 +243,31 @@ fn delayed_request_and_reply_surface_as_latency_not_errors() {
     // dropped request would hang the test by design). The write must
     // still succeed, just slower.
     reg.install(
-        FaultSpec::new("net.request", FaultKind::Delay(Duration::from_millis(25))).times(1),
+        FaultSpec::new(
+            FaultSite::Net(NetSite::Request),
+            FaultKind::Delay(Duration::from_millis(25)),
+        )
+        .times(1),
     );
-    reg.install(FaultSpec::new("net.reply", FaultKind::Delay(Duration::from_millis(25))).times(1));
+    reg.install(
+        FaultSpec::new(
+            FaultSite::Net(NetSite::Reply),
+            FaultKind::Delay(Duration::from_millis(25)),
+        )
+        .times(1),
+    );
     client
         .write_object("slow_legs", 0, b"late but intact")
         .unwrap();
 
     assert!(
-        reg.hits("net.request") >= 1,
+        reg.hits(FaultSite::Net(NetSite::Request)) >= 1,
         "request-leg fault never fired"
     );
-    assert!(reg.hits("net.reply") >= 1, "reply-leg fault never fired");
+    assert!(
+        reg.hits(FaultSite::Net(NetSite::Reply)) >= 1,
+        "reply-leg fault never fired"
+    );
 
     cluster.quiesce();
     let report = cluster.deep_scrub().unwrap();
@@ -254,7 +290,7 @@ fn lost_replies_surface_as_a_typed_timeout_not_a_hang() {
     // Every reply is lost: the write lands, but the client can never
     // learn so. Each attempt must expire and the last error must say
     // which object and op went unanswered.
-    reg.install(FaultSpec::new("net.reply", FaultKind::Drop).forever());
+    reg.install(FaultSpec::new(FaultSite::Net(NetSite::Reply), FaultKind::Drop).forever());
     let err = client.write_object("unanswered", 0, b"x").unwrap_err();
     match &err {
         AfcError::Timeout(what) => {
@@ -263,7 +299,11 @@ fn lost_replies_surface_as_a_typed_timeout_not_a_hang() {
         }
         other => panic!("expected Timeout, got {other:?}"),
     }
-    assert_eq!(reg.hits("net.reply"), 2, "one lost reply per attempt");
+    assert_eq!(
+        reg.hits(FaultSite::Net(NetSite::Reply)),
+        2,
+        "one lost reply per attempt"
+    );
 
     // The session is still usable once replies flow again.
     reg.clear();
@@ -298,7 +338,7 @@ fn failed_write_releases_its_ordered_ack_lane() {
 
     // Both the ack and the re-ack of the one resend are lost: the primary
     // gives up and fails the write typed.
-    reg.install(FaultSpec::new("net.repack", FaultKind::Drop).times(2));
+    reg.install(FaultSpec::new(FaultSite::Net(NetSite::RepAck), FaultKind::Drop).times(2));
     match client.write_object("lane", 0, b"lost").unwrap_err() {
         AfcError::Timeout(what) => assert!(what.contains("resends exhausted"), "{what}"),
         other => panic!("expected the replica-ack Timeout, got {other:?}"),
@@ -410,7 +450,7 @@ fn read_behind_a_delayed_apply_parks_and_returns_the_new_bytes() {
     cluster.quiesce();
 
     let hold = Duration::from_millis(300);
-    reg.install(FaultSpec::new("osd0.fs.apply", FaultKind::Delay(hold)).times(1));
+    reg.install(FaultSpec::new(OSD0_APPLY, FaultKind::Delay(hold)).times(1));
     let t0 = Instant::now();
     // Acked at the journal commit, long before its apply.
     client.write_object("parked", 0, b"new bytes").unwrap();
@@ -419,7 +459,7 @@ fn read_behind_a_delayed_apply_parks_and_returns_the_new_bytes() {
         t0.elapsed() >= hold,
         "read answered before the apply landed"
     );
-    assert_eq!(reg.hits("osd0.fs.apply"), 1);
+    assert_eq!(reg.hits(OSD0_APPLY), 1);
     let snap = cluster.metrics_snapshot();
     assert_eq!(snap.counter("osd0.op.read_parks"), Some(1));
     assert_eq!(snap.counter("osd0.op.gate_timeouts"), Some(0));
@@ -451,7 +491,7 @@ fn a_ring_pinned_by_a_failed_apply_fails_writes_full_and_shuts_down() {
         let client = cluster.client().unwrap();
         client.write_object("warm", 0, &[1; 4096]).unwrap();
         cluster.quiesce();
-        reg.install(FaultSpec::new("osd0.fs.apply", FaultKind::Error).times(1));
+        reg.install(FaultSpec::new(OSD0_APPLY, FaultKind::Error).times(1));
         client.set_op_timeout(Duration::from_secs(2));
         client.set_max_retries(1);
         for i in 0..WRITES {
@@ -478,4 +518,97 @@ fn a_ring_pinned_by_a_failed_apply_fails_writes_full_and_shuts_down() {
         matches!(rx.recv_timeout(Duration::from_secs(10)), Ok(None)),
         "shutdown hung"
     );
+}
+
+/// Every fault site fires. A one-shot `Delay` is armed at each message
+/// class, at node 0's journal, OSD 0's data device and both of its apply
+/// points; writes, reads and a pause and resume of OSD 3 (peering, then a
+/// recovery push) must reach every one. The list goes through an
+/// exhaustive match: a new site does not compile until this case arms it.
+#[test]
+fn every_fault_site_fires() {
+    use NetSite::*;
+    let sites: Vec<FaultSite> = [Request, Reply, Replicate, RepAck, Heartbeat, Peering, Push]
+        .map(FaultSite::Net)
+        .into_iter()
+        .chain([
+            FaultSite::Journal { node: 0, io: None },
+            FaultSite::Data { osd: 0, io: None },
+            FaultSite::Apply {
+                osd: 0,
+                point: ApplyPoint::Apply,
+            },
+            FaultSite::Apply {
+                osd: 0,
+                point: ApplyPoint::MidApply,
+            },
+        ])
+        .collect();
+    for site in &sites {
+        // A device site with no verb covers all its I/O.
+        match site {
+            FaultSite::Net(Request | Reply | Replicate | RepAck | Heartbeat | Peering | Push)
+            | FaultSite::Journal { .. }
+            | FaultSite::Data { .. }
+            | FaultSite::Apply {
+                point: ApplyPoint::Apply | ApplyPoint::MidApply,
+                ..
+            } => {}
+        }
+    }
+
+    let c = Cluster::builder()
+        .nodes(2)
+        .osds_per_node(2)
+        .replication(2)
+        .pg_num(16)
+        .tuning(OsdTuning {
+            rep_resend_after_ms: 20,
+            rep_max_resends: 2,
+            heartbeat_grace_ms: 40,
+            ..OsdTuning::afceph().with_heartbeats(5)
+        })
+        .devices(DeviceProfile::clean())
+        .faults(FaultPlan::new(0x0c))
+        .build()
+        .unwrap();
+    let reg = c.fault_registry().unwrap().clone();
+    for &site in &sites {
+        reg.install(FaultSpec::new(
+            site,
+            FaultKind::Delay(Duration::from_millis(2)),
+        ));
+    }
+    let client = c.client().unwrap();
+    client.set_op_timeout(Duration::from_millis(400));
+    client.set_max_retries(24);
+    let unfired = || -> Vec<String> {
+        let unfired = sites.iter().filter(|&&site| reg.hits(site) == 0);
+        unfired.map(ToString::to_string).collect()
+    };
+    let wait = |cond: &dyn Fn() -> bool| {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !cond() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+
+    for i in 0..8 {
+        client.write_object(&format!("pre{i}"), 0, b"v1").unwrap();
+        assert_eq!(client.read_object(&format!("pre{i}"), 0, 2).unwrap(), b"v1");
+    }
+    let victim = afc_common::OsdId(3);
+    c.osd(victim).unwrap().pause();
+    wait(&|| !c.monitor().map().osd_status(victim).up);
+    assert!(
+        !c.monitor().map().osd_status(victim).up,
+        "{victim} never went down"
+    );
+    for i in 0..12 {
+        client.write_object(&format!("owed{i}"), 0, b"v2").unwrap();
+    }
+    c.osd(victim).unwrap().resume();
+    wait(&|| unfired().is_empty());
+    assert_eq!(unfired(), Vec::<String>::new(), "sites that never fired");
+    c.shutdown();
 }

@@ -5,7 +5,7 @@
 //! paused primary are dispatched at their arrival, as before. A fast-ack
 //! `Replicate` is taken too (`no_thread_wakes_for_a_replicate.rs`).
 
-use afc_common::{FaultKind, FaultPlan, FaultSpec, ObjectId, OsdId};
+use afc_common::{FaultKind, FaultPlan, FaultSite, FaultSpec, NetSite, ObjectId, OsdId};
 use afc_core::{Cluster, ClusterBuilder, DeviceProfile, OsdTuning};
 use bytes::Bytes;
 use std::time::{Duration, Instant};
@@ -102,12 +102,16 @@ fn a_delayed_ack_delays_the_reply() {
         .unwrap();
     let reg = cluster.fault_registry().unwrap().clone();
     let client = cluster.client().unwrap();
-    reg.install(FaultSpec::new("net.repack", FaultKind::Delay(DELAY)).times(1));
+    reg.install(FaultSpec::new(FaultSite::Net(NetSite::RepAck), FaultKind::Delay(DELAY)).times(1));
     let t0 = Instant::now();
     client.write_object("late", 0, &[2u8; 4096]).unwrap();
     let took = t0.elapsed();
     assert!(took >= DELAY, "acked after {took:?}");
-    assert_eq!(reg.hits("net.repack"), 1, "fault never fired");
+    assert_eq!(
+        reg.hits(FaultSite::Net(NetSite::RepAck)),
+        1,
+        "fault never fired"
+    );
     assert_eq!(taken_and_repacks(&cluster), (1, 1));
     cluster.shutdown();
 }
@@ -145,7 +149,7 @@ fn an_ack_sent_to_a_paused_primary_is_not_taken() {
             std::thread::sleep(Duration::from_millis(1));
         }
     };
-    reg.install(FaultSpec::new("net.replicate", FaultKind::Drop).times(1));
+    reg.install(FaultSpec::new(FaultSite::Net(NetSite::Replicate), FaultKind::Drop).times(1));
     let write = client
         .write_object_async("paused", 0, Bytes::from(vec![3u8; 4096]))
         .unwrap();
@@ -159,7 +163,11 @@ fn an_ack_sent_to_a_paused_primary_is_not_taken() {
     assert_eq!(taken_and_repacks(&cluster), (0, 0), "taken while paused");
     osd.resume();
     write.wait().unwrap();
-    assert_eq!(reg.hits("net.replicate"), 1, "fault never fired");
+    assert_eq!(
+        reg.hits(FaultSite::Net(NetSite::Replicate)),
+        1,
+        "fault never fired"
+    );
     cluster.shutdown();
 }
 
@@ -172,7 +180,7 @@ fn a_duplicated_ack_settles_once() {
         .build()
         .unwrap();
     let reg = cluster.fault_registry().unwrap().clone();
-    reg.install(FaultSpec::new("net.repack", FaultKind::Duplicate).times(1));
+    reg.install(FaultSpec::new(FaultSite::Net(NetSite::RepAck), FaultKind::Duplicate).times(1));
     write_loop(&cluster, WRITES);
     cluster.quiesce();
     let snap = cluster.metrics_snapshot();

@@ -9,7 +9,7 @@
 //! Community, and a paused replica, leave the `Replicate` to a delivery
 //! thread as before.
 
-use afc_common::{FaultKind, FaultPlan, FaultSpec, ObjectId, OsdId, PgId};
+use afc_common::{FaultKind, FaultPlan, FaultSite, FaultSpec, NetSite, ObjectId, OsdId, PgId};
 use afc_core::messages::RepOp;
 use afc_core::{Cluster, ClusterBuilder, DeviceProfile, ObjectOp, OsdMsg, OsdTuning};
 use afc_messenger::Addr;
@@ -215,7 +215,7 @@ fn a_duplicated_replicate_is_journaled_once_and_re_acked_no_earlier_than_it_arri
             .send(replica, copy, bytes)
             .unwrap_or_else(|e| panic!("{at}: {e}"));
     };
-    reg.install(FaultSpec::new("net.replicate", FaultKind::Duplicate).times(1));
+    reg.install(FaultSpec::new(FaultSite::Net(NetSite::Replicate), FaultKind::Duplicate).times(1));
     let t0 = Instant::now();
     send("original");
     poll("the original's ack and re-ack", || acks.lock().len() == 2);

@@ -9,7 +9,7 @@
 //! cleanly. Lockdep wrappers are live throughout, so any lock-order
 //! regression on this path fails these tests too.
 
-use afc_common::{FaultKind, FaultPlan, FaultSpec, PgId, PoolId};
+use afc_common::{FaultKind, FaultPlan, FaultSite, FaultSpec, NetSite, PgId, PoolId};
 use afc_core::osd::pg::Pg;
 use afc_core::{Cluster, DeviceProfile, OsdTuning};
 use bytes::Bytes;
@@ -277,7 +277,7 @@ fn shutdown_drains_inflight_faulted_ops_without_hanging() {
     let client = cluster.client().unwrap();
 
     client.write_object("pre_fault", 0, b"fine").unwrap();
-    reg.install(FaultSpec::new("net.repack", FaultKind::Drop).forever());
+    reg.install(FaultSpec::new(FaultSite::Net(NetSite::RepAck), FaultKind::Drop).forever());
     let stuck = client
         .write_object_async("stranded", 0, Bytes::from_static(b"never acked"))
         .unwrap();

@@ -6,7 +6,7 @@
 //! during degraded operation, not across recovery, not across primary
 //! handoffs.
 
-use afc_common::{FaultKind, FaultPlan, FaultSpec, OsdId, PgId};
+use afc_common::{FaultKind, FaultPlan, FaultSite, FaultSpec, NetSite, OsdId, PgId};
 use afc_core::{Cluster, DeviceProfile, FailureConfig, OsdTuning, RadosClient};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -243,10 +243,13 @@ fn dropped_heartbeats_within_grace_cause_no_false_positive() {
 
     // Lose a handful of pings: well within the grace budget, so nobody
     // may be accused.
-    reg.install(FaultSpec::new("net.heartbeat", FaultKind::Drop).times(3));
+    reg.install(FaultSpec::new(FaultSite::Net(NetSite::Heartbeat), FaultKind::Drop).times(3));
     client.write_object("hb", 0, b"steady").unwrap();
     std::thread::sleep(Duration::from_millis(150));
-    assert!(reg.hits("net.heartbeat") >= 3, "fault never fired");
+    assert!(
+        reg.hits(FaultSite::Net(NetSite::Heartbeat)) >= 3,
+        "fault never fired"
+    );
     let map = c.monitor().map();
     for osd in c.osds() {
         assert!(
@@ -277,13 +280,16 @@ fn peering_completes_despite_dropped_info_messages() {
     });
     // The post-resume peering traffic loses messages; the per-tick
     // re-query must still drive every round to completion.
-    reg.install(FaultSpec::new("net.peering", FaultKind::Drop).times(2));
+    reg.install(FaultSpec::new(FaultSite::Net(NetSite::Peering), FaultKind::Drop).times(2));
     c.osd(victim).unwrap().resume();
     wait_until("victim up", Duration::from_secs(10), || {
         c.monitor().map().osd_status(victim).up
     });
     wait_converged(&c);
-    assert!(reg.hits("net.peering") >= 1, "fault never fired");
+    assert!(
+        reg.hits(FaultSite::Net(NetSite::Peering)) >= 1,
+        "fault never fired"
+    );
 
     c.quiesce();
     let report = c.deep_scrub().unwrap();
@@ -316,13 +322,16 @@ fn dropped_recovery_push_is_requeued_with_fresh_data() {
     }
     // First recovery push is lost: the push-wait timer must requeue the
     // object and push fresh bytes (never a verbatim resend).
-    reg.install(FaultSpec::new("net.push", FaultKind::Drop).times(1));
+    reg.install(FaultSpec::new(FaultSite::Net(NetSite::Push), FaultKind::Drop).times(1));
     c.osd(victim).unwrap().resume();
     wait_until("victim up", Duration::from_secs(10), || {
         c.monitor().map().osd_status(victim).up
     });
     wait_converged(&c);
-    assert!(reg.hits("net.push") >= 1, "fault never fired");
+    assert!(
+        reg.hits(FaultSite::Net(NetSite::Push)) >= 1,
+        "fault never fired"
+    );
     assert!(
         counter_sum(&c, "recovery.requeues") >= 1,
         "lost push was never requeued"
@@ -359,13 +368,16 @@ fn duplicated_recovery_push_installs_the_same_bytes() {
     // A recovery push arrives twice. Pushes are not chained like
     // `Replicate`s: the copy, right behind the original, installs the
     // same full object again, and the second ack finds no wait.
-    reg.install(FaultSpec::new("net.push", FaultKind::Duplicate).times(1));
+    reg.install(FaultSpec::new(FaultSite::Net(NetSite::Push), FaultKind::Duplicate).times(1));
     c.osd(victim).unwrap().resume();
     wait_until("victim up", Duration::from_secs(10), || {
         c.monitor().map().osd_status(victim).up
     });
     wait_converged(&c);
-    assert!(reg.hits("net.push") >= 1, "fault never fired");
+    assert!(
+        reg.hits(FaultSite::Net(NetSite::Push)) >= 1,
+        "fault never fired"
+    );
     assert_eq!(c.metrics_snapshot().counter("net.duplicated"), Some(1));
 
     c.quiesce();

@@ -5,7 +5,7 @@
 //! `Replicate` never lets a later write to the same object land on the
 //! replica first, and an older acked write never ends on top.
 
-use afc_common::{AfcError, FaultKind, FaultPlan, FaultSpec, ObjectId, OsdId};
+use afc_common::{AfcError, FaultKind, FaultPlan, FaultSite, FaultSpec, NetSite, ObjectId, OsdId};
 use afc_core::{Cluster, DeviceProfile, OsdTuning};
 use bytes::Bytes;
 use std::collections::BTreeMap;
@@ -75,7 +75,9 @@ fn a_write_behind_a_lost_replicate_lands_after_it() {
             .find(|name| pg(name) == pg("first"))
             .unwrap();
         for (lost, names) in (1..).zip([["twice", "twice"], ["first", &beside]]) {
-            reg.install(FaultSpec::new("net.replicate", FaultKind::Drop).times(1));
+            reg.install(
+                FaultSpec::new(FaultSite::Net(NetSite::Replicate), FaultKind::Drop).times(1),
+            );
             let writes: Vec<_> = (names.iter().zip(1u8..))
                 .map(|(name, b)| {
                     let data = Bytes::from(vec![b; 4096]);
@@ -85,7 +87,11 @@ fn a_write_behind_a_lost_replicate_lands_after_it() {
             for w in writes {
                 w.wait().unwrap();
             }
-            assert_eq!(reg.hits("net.replicate"), lost, "fault never fired");
+            assert_eq!(
+                reg.hits(FaultSite::Net(NetSite::Replicate)),
+                lost,
+                "fault never fired"
+            );
             assert_scrub_clean(&cluster);
             let last: BTreeMap<&str, u8> = names.into_iter().zip(1u8..).collect();
             for (name, b) in last {

@@ -45,7 +45,7 @@ pub use nvram::{Nvram, NvramConfig};
 pub use raid::Raid0;
 pub use ssd::{Ssd, SsdConfig, SsdState};
 
-use afc_common::faults::{FaultKind, FaultRegistry};
+use afc_common::faults::{FaultKind, FaultRegistry, FaultSite, Io};
 use afc_common::{wait_until, AfcError, Result, WaitClass};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -235,13 +235,13 @@ pub trait BlockDev: Send + Sync {
 }
 
 /// Per-device fault-injection hook: an optional [`FaultRegistry`] attached
-/// with a site name, which drives kind-aware faults (errors, latency
+/// at a device [`FaultSite`], which drives kind-aware faults (errors, latency
 /// spikes, torn writes) from a deterministic
 /// [`afc_common::faults::FaultPlan`]. Unattached or disarmed, the check
 /// costs one atomic load.
 #[derive(Debug, Default)]
 pub struct FaultInjector {
-    registry: OnceLock<(Arc<FaultRegistry>, String)>,
+    registry: OnceLock<(Arc<FaultRegistry>, FaultSite)>,
 }
 
 impl FaultInjector {
@@ -250,15 +250,15 @@ impl FaultInjector {
         Self::default()
     }
 
-    /// Attach a fault registry under `site`. Specs may target the bare site
-    /// (`"osd0.journal"`, all I/O) or a verb (`"osd0.journal.write"`).
+    /// Attach a fault registry at `site`, a `Journal` or `Data` site with
+    /// no verb. Specs may target the bare site (all I/O) or one verb.
     /// A second attach is ignored (first one wins).
-    pub fn attach(&self, registry: Arc<FaultRegistry>, site: impl Into<String>) {
+    pub fn attach(&self, registry: Arc<FaultRegistry>, site: FaultSite) {
         #[expect(
             clippy::let_underscore_must_use,
             reason = "first attach wins: a second registry is ignored"
         )]
-        let _ = self.registry.set((registry, site.into()));
+        let _ = self.registry.set((registry, site));
     }
 
     /// Consult the attached registry for `req`. `Ok(Some(d))` asks the caller
@@ -269,12 +269,13 @@ impl FaultInjector {
         let Some((reg, site)) = self.registry.get() else {
             return Ok(None);
         };
-        let verb = match req.kind {
-            IoKind::Read => "read",
-            IoKind::Write => "write",
-            IoKind::Flush => "flush",
+        let io = match req.kind {
+            IoKind::Read => Io::Read,
+            IoKind::Write => Io::Write,
+            IoKind::Flush => Io::Flush,
         };
-        match reg.check_io(site, verb) {
+        match reg.check_io(*site, io) {
+            // `FaultSpec::new` rejects a `Drop` or `Duplicate` at a device site.
             None | Some(FaultKind::Drop) | Some(FaultKind::Duplicate) => Ok(None),
             Some(FaultKind::Delay(d)) => Ok(Some(d)),
             Some(FaultKind::Torn) if req.kind == IoKind::Write => Err(AfcError::TornWrite(
@@ -320,12 +321,13 @@ mod tests {
         let r = IoReq::read(0, 4096);
         assert!(f.check(&r).is_ok(), "unattached: free pass");
         let reg = Arc::new(FaultRegistry::new());
-        f.attach(Arc::clone(&reg), "dev0");
-        reg.install(FaultSpec::new("dev0", FaultKind::Error).times(2));
+        let dev0 = FaultSite::Data { osd: 0, io: None };
+        f.attach(Arc::clone(&reg), dev0);
+        reg.install(FaultSpec::new(dev0, FaultKind::Error).times(2));
         assert!(matches!(f.check(&r), Err(AfcError::Io(_))));
         assert!(f.check(&IoReq::flush()).is_err());
         assert!(f.check(&r).is_ok());
-        assert_eq!(reg.hits("dev0"), 2);
+        assert_eq!(reg.hits(dev0), 2);
     }
 
     #[test]
@@ -333,12 +335,19 @@ mod tests {
         use afc_common::faults::{FaultKind, FaultRegistry, FaultSpec};
         let f = FaultInjector::new();
         let reg = Arc::new(FaultRegistry::new());
-        f.attach(Arc::clone(&reg), "dev0");
+        f.attach(Arc::clone(&reg), FaultSite::Data { osd: 0, io: None });
         // Disarmed registry: free pass.
         assert_eq!(f.check(&IoReq::write(0, 512)).unwrap(), None);
-        reg.install(FaultSpec::new("dev0.write", FaultKind::Torn).forever());
+        let write = FaultSite::Data {
+            osd: 0,
+            io: Some(Io::Write),
+        };
+        reg.install(FaultSpec::new(write, FaultKind::Torn).forever());
         reg.install(FaultSpec::new(
-            "dev0.read",
+            FaultSite::Data {
+                osd: 0,
+                io: Some(Io::Read),
+            },
             FaultKind::Delay(Duration::from_millis(3)),
         ));
         let torn = f.check(&IoReq::write(0, 512)).unwrap_err();
@@ -349,7 +358,7 @@ mod tests {
         );
         // Torn spec targets writes only; reads pass once the delay spec is spent.
         assert_eq!(f.check(&IoReq::read(0, 512)).unwrap(), None);
-        assert!(reg.hits("dev0.write") >= 1);
+        assert!(reg.hits(write) >= 1);
     }
 
     #[test]

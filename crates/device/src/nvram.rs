@@ -167,12 +167,17 @@ mod tests {
 
     #[test]
     fn injected_delay_stretches_a_flush_too() {
-        use afc_common::faults::{FaultKind, FaultRegistry, FaultSpec};
+        use afc_common::faults::{FaultKind, FaultRegistry, FaultSite, FaultSpec, Io};
         let nv = Nvram::new(NvramConfig::pmc_8g());
         let reg = std::sync::Arc::new(FaultRegistry::new());
-        nv.faults().attach(std::sync::Arc::clone(&reg), "jdev");
+        let jdev = FaultSite::Journal { node: 0, io: None };
+        nv.faults().attach(std::sync::Arc::clone(&reg), jdev);
         let spike = Duration::from_millis(10);
-        reg.install(FaultSpec::new("jdev.flush", FaultKind::Delay(spike)));
+        let flush = FaultSite::Journal {
+            node: 0,
+            io: Some(Io::Flush),
+        };
+        reg.install(FaultSpec::new(flush, FaultKind::Delay(spike)));
         let t0 = std::time::Instant::now();
         let pf = nv.plan(IoReq::flush()).unwrap();
         assert!(pf.completion >= t0 + spike, "the barrier ignored the spike");

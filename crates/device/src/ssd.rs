@@ -451,11 +451,12 @@ mod tests {
 
     #[test]
     fn fault_injection_fails_plan() {
-        use afc_common::faults::{FaultKind, FaultRegistry, FaultSpec};
+        use afc_common::faults::{FaultKind, FaultRegistry, FaultSite, FaultSpec};
         let ssd = Ssd::new(quiet(SsdConfig::sata3()));
         let reg = std::sync::Arc::new(FaultRegistry::new());
-        ssd.faults().attach(std::sync::Arc::clone(&reg), "ssd0");
-        reg.install(FaultSpec::new("ssd0", FaultKind::Error).times(1));
+        let site = FaultSite::Data { osd: 0, io: None };
+        ssd.faults().attach(std::sync::Arc::clone(&reg), site);
+        reg.install(FaultSpec::new(site, FaultKind::Error).times(1));
         assert!(ssd.plan(IoReq::read(0, 4096)).is_err());
         assert!(ssd.plan(IoReq::read(0, 4096)).is_ok());
     }

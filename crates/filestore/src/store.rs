@@ -35,7 +35,7 @@ use crate::metacache::{MetaCache, ObjectMeta};
 use crate::simfs::{PlannedRead, SimFs};
 use crate::throttle::{OwnedPermit, Throttle};
 use crate::txn::{Transaction, TxOp};
-use afc_common::faults::{FaultKind, FaultRegistry};
+use afc_common::faults::{ApplyPoint, FaultKind, FaultRegistry, FaultSite};
 use afc_common::lockdep::{self, classes, TrackedCondvar, TrackedMutex};
 use afc_common::metrics::{Counter, Metrics};
 use afc_common::timeutil::sleep_until;
@@ -207,7 +207,8 @@ struct Core {
     kv: Arc<Db>,
     throttle: Arc<Throttle>,
     cache: Arc<MetaCache>,
-    faults: OnceLock<(Arc<FaultRegistry>, String)>,
+    /// The registry and the OSD whose apply sites this store is.
+    faults: OnceLock<(Arc<FaultRegistry>, u32)>,
     lanes: TrackedMutex<Lanes>,
     /// The backstop sleeps on it.
     cv: TrackedCondvar,
@@ -307,17 +308,15 @@ impl FileStore {
         }))
     }
 
-    /// Wire a fault registry into the apply path. `site` is the base name;
-    /// the apply consults `{site}.apply` (fail the whole transaction up
-    /// front, or hold its lane for a `Delay`) and `{site}.mid_apply` (fail
-    /// between ops, leaving a partial apply behind for recovery to clean
-    /// up, or add a `Delay` to the chain). First attach wins.
-    pub fn attach_faults(&self, registry: Arc<FaultRegistry>, site: impl Into<String>) {
+    /// Wire a fault registry into the apply path as OSD `osd`'s store: the
+    /// apply consults `FaultSite::Apply { osd, point }` at both
+    /// [`ApplyPoint`]s. First attach wins.
+    pub fn attach_faults(&self, registry: Arc<FaultRegistry>, osd: u32) {
         #[expect(
             clippy::let_underscore_must_use,
             reason = "first attach wins: a second registry is ignored"
         )]
-        let _ = self.core.faults.set((registry, site.into()));
+        let _ = self.core.faults.set((registry, osd));
     }
 
     /// Simulate power loss on the backing store: volatile KV state (open
@@ -634,7 +633,7 @@ impl Core {
         let fault = if std::mem::replace(&mut job.checked, true) {
             Fault::None
         } else {
-            self.check_fault("apply")
+            self.check_fault(ApplyPoint::Apply)
         };
         let res = match fault {
             Fault::None => apply_txn(self, job.txn, &mut at),
@@ -695,20 +694,20 @@ impl Core {
         }
     }
 
-    /// Consult the attached fault registry (if any) at `{base}.{point}`.
-    /// `Error` and `Torn` both fail the apply; `Delay` is modeled time
-    /// added to the lane; `Drop`/`Duplicate` have no meaning here and are
-    /// ignored.
-    fn check_fault(&self, point: &str) -> Fault {
-        let Some((reg, site)) = self.faults.get() else {
+    /// Consult the attached fault registry (if any) at `point`. `Error`
+    /// and `Torn` both fail the apply; `Delay` is modeled time added to
+    /// the lane; `FaultSpec::new` rejects a `Drop` or `Duplicate` here.
+    fn check_fault(&self, point: ApplyPoint) -> Fault {
+        let Some((reg, osd)) = self.faults.get() else {
             return Fault::None;
         };
-        match reg.check_io(site, point) {
+        let site = FaultSite::Apply { osd: *osd, point };
+        match reg.check(site) {
             None | Some(FaultKind::Drop) | Some(FaultKind::Duplicate) => Fault::None,
             Some(FaultKind::Delay(d)) => Fault::Delay(d),
-            Some(FaultKind::Error) | Some(FaultKind::Torn) => Fault::Fail(AfcError::Io(format!(
-                "injected apply fault at {site}.{point}"
-            ))),
+            Some(FaultKind::Error) | Some(FaultKind::Torn) => {
+                Fault::Fail(AfcError::Io(format!("injected apply fault at {site}")))
+            }
         }
     }
 }
@@ -743,7 +742,7 @@ fn apply_txn(core: &Core, txn: Transaction, at: &mut Instant) -> Result<()> {
             // The dirty fault: some ops already hit the store. Surfaced so
             // the caller keeps the journal entry and re-applies after
             // recovery (applies are idempotent by construction).
-            match core.check_fault("mid_apply") {
+            match core.check_fault(ApplyPoint::MidApply) {
                 Fault::None => {}
                 Fault::Delay(d) => *at += d,
                 Fault::Fail(e) => return Err(e),
@@ -1115,11 +1114,12 @@ mod tests {
         use afc_common::faults::{FaultRegistry, FaultSpec};
         let fs = nvram_store(FileStoreConfig::lightweight());
         let reg = Arc::new(FaultRegistry::new());
-        fs.attach_faults(Arc::clone(&reg), "fs0");
-        reg.install(FaultSpec::new(
-            "fs0.apply",
-            afc_common::faults::FaultKind::Error,
-        ));
+        fs.attach_faults(Arc::clone(&reg), 0);
+        let apply = FaultSite::Apply {
+            osd: 0,
+            point: ApplyPoint::Apply,
+        };
+        reg.install(FaultSpec::new(apply, FaultKind::Error));
         let err = fs.apply_sync(write_txn("o", 64, false)).unwrap_err();
         assert_eq!(err.kind(), "io");
         assert_eq!(fs.core.apply_errors.get(), 1);
@@ -1127,16 +1127,20 @@ mod tests {
         // One-shot spec is exhausted: the retry applies cleanly.
         fs.apply_sync(write_txn("o", 64, false)).unwrap();
         assert_eq!(fs.core.txns_applied.get(), 1);
-        assert_eq!(reg.hits("fs0.apply"), 1);
+        assert_eq!(reg.hits(apply), 1);
     }
 
     #[test]
     fn mid_apply_fault_leaves_reapplicable_state() {
-        use afc_common::faults::{FaultKind, FaultRegistry, FaultSpec};
+        use afc_common::faults::{FaultRegistry, FaultSpec};
         let fs = nvram_store(FileStoreConfig::lightweight());
         let reg = Arc::new(FaultRegistry::new());
-        fs.attach_faults(Arc::clone(&reg), "fs0");
-        reg.install(FaultSpec::new("fs0.mid_apply", FaultKind::Error));
+        fs.attach_faults(Arc::clone(&reg), 0);
+        let mid_apply = FaultSite::Apply {
+            osd: 0,
+            point: ApplyPoint::MidApply,
+        };
+        reg.install(FaultSpec::new(mid_apply, FaultKind::Error));
         assert!(fs.apply_sync(write_txn("o", 64, false)).is_err());
         // Some ops landed, some didn't. Re-applying the journaled txn in
         // full is the recovery contract and must converge.

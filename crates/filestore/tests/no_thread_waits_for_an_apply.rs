@@ -10,7 +10,7 @@
 //! The modeled-wait ledger is process-wide, so the tests of this binary
 //! take turns.
 
-use afc_common::faults::{FaultKind, FaultRegistry, FaultSpec};
+use afc_common::faults::{ApplyPoint, FaultKind, FaultRegistry, FaultSite, FaultSpec};
 use afc_common::metrics::Metrics;
 use afc_common::timeutil::{ledger, WaitClass};
 use afc_device::{Ssd, SsdConfig};
@@ -184,7 +184,7 @@ fn an_apply_nobody_waits_for_stays_unplanned_until_demanded() {
     fs.wait_idle();
 }
 
-/// A `Delay` at `fs.apply` holds the lane with its head unplanned and its
+/// A `Delay` at the `apply` point holds the lane with its head unplanned and its
 /// throttle slot taken, so with `queue_max_ops` 1 the next
 /// `queue_transaction` sleeps on a full throttle with no release due. The
 /// held lane is demand: the backstop plans it when the delay ends, and the
@@ -198,8 +198,12 @@ fn a_lane_held_by_a_delay_does_not_wedge_a_full_throttle() {
         c.queue_max_ops = 1;
     });
     let reg = Arc::new(FaultRegistry::new());
-    fs.attach_faults(Arc::clone(&reg), "fs");
-    reg.install(FaultSpec::new("fs.apply", FaultKind::Delay(hold)).times(1));
+    fs.attach_faults(Arc::clone(&reg), 0);
+    let apply = FaultSite::Apply {
+        osd: 0,
+        point: ApplyPoint::Apply,
+    };
+    reg.install(FaultSpec::new(apply, FaultKind::Delay(hold)).times(1));
     let t0 = Instant::now();
     let first = queue(&fs, write("a"), 0);
     assert!(first.try_recv().is_err(), "planned through its delay");
@@ -215,7 +219,7 @@ fn a_lane_held_by_a_delay_does_not_wedge_a_full_throttle() {
     assert!(returned >= t0 + hold, "returned before the delay ended");
     let (_, applied) = first.try_recv().expect("the held lane was planned");
     assert!(applied >= t0 + hold && returned >= applied);
-    assert_eq!(reg.hits("fs.apply"), 1);
+    assert_eq!(reg.hits(apply), 1);
     let _waiting = fs.demand_applies();
     second.recv_timeout(Duration::from_secs(5)).unwrap();
     fs.wait_idle();

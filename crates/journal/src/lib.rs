@@ -921,7 +921,13 @@ mod tests {
 #[cfg(test)]
 mod fault_tests {
     use super::*;
-    use afc_common::faults::{FaultKind, FaultRegistry, FaultSpec};
+    use afc_common::faults::{FaultKind, FaultRegistry, FaultSite, FaultSpec, Io};
+
+    const JDEV: FaultSite = FaultSite::Journal { node: 0, io: None };
+    const JDEV_WRITE: FaultSite = FaultSite::Journal {
+        node: 0,
+        io: Some(Io::Write),
+    };
     use afc_device::{Nvram, NvramConfig};
     use std::sync::atomic::{AtomicU64, Ordering as AOrd};
 
@@ -951,7 +957,7 @@ mod fault_tests {
     fn torn_tail_never_acks_and_replay_truncates() {
         let dev = Arc::new(Nvram::new(NvramConfig::pmc_8g()));
         let reg = Arc::new(FaultRegistry::new());
-        dev.faults().attach(Arc::clone(&reg), "jdev");
+        dev.faults().attach(Arc::clone(&reg), JDEV);
         let j = Journal::new(dev, JournalConfig::default());
         for i in 0..3u8 {
             j.submit_and_wait(Bytes::from(vec![i; 256])).unwrap();
@@ -959,7 +965,7 @@ mod fault_tests {
         // The next device write tears: the entry lands with a poisoned
         // checksum, its commit callback never fires, and the record is
         // never flushed.
-        reg.install(FaultSpec::new("jdev.write", FaultKind::Torn));
+        reg.install(FaultSpec::new(JDEV_WRITE, FaultKind::Torn));
         let acked = Arc::new(AtomicU64::new(0));
         let a = Arc::clone(&acked);
         j.submit(
@@ -1009,9 +1015,9 @@ mod fault_tests {
     fn injected_device_faults_are_absorbed_and_counted() {
         let dev = Arc::new(Nvram::new(NvramConfig::pmc_8g()));
         let reg = Arc::new(FaultRegistry::new());
-        dev.faults().attach(Arc::clone(&reg), "jdev");
+        dev.faults().attach(Arc::clone(&reg), JDEV);
         let j = Journal::new(dev, JournalConfig::default());
-        reg.install(FaultSpec::new("jdev", FaultKind::Error).times(2));
+        reg.install(FaultSpec::new(JDEV, FaultKind::Error).times(2));
         for _ in 0..6 {
             j.submit_and_wait(Bytes::from(vec![0u8; 512])).unwrap();
         }
@@ -1022,6 +1028,6 @@ mod fault_tests {
             "entries must commit despite device faults"
         );
         assert!(s.write_errors.get() >= 1, "faults not accounted: {s:?}");
-        assert_eq!(reg.hits("jdev"), 2);
+        assert_eq!(reg.hits(JDEV), 2);
     }
 }

@@ -2,7 +2,13 @@
 //! prefix — for arbitrary submit/trim interleavings, with and without a
 //! torn tail at the crash point — and replay is idempotent.
 
-use afc_common::faults::{FaultKind, FaultRegistry, FaultSpec};
+use afc_common::faults::{FaultKind, FaultRegistry, FaultSite, FaultSpec, Io};
+
+const JDEV: FaultSite = FaultSite::Journal { node: 0, io: None };
+const JDEV_WRITE: FaultSite = FaultSite::Journal {
+    node: 0,
+    io: Some(Io::Write),
+};
 use afc_device::{Nvram, NvramConfig};
 use afc_journal::{no_room, Journal, JournalConfig};
 use bytes::Bytes;
@@ -31,7 +37,7 @@ proptest! {
     ) {
         let dev = Arc::new(Nvram::new(NvramConfig::pmc_8g()));
         let reg = Arc::new(FaultRegistry::new());
-        dev.faults().attach(Arc::clone(&reg), "jdev");
+        dev.faults().attach(Arc::clone(&reg), JDEV);
         let j = Journal::new(dev, JournalConfig::default());
 
         let mut committed: u64 = 0; // highest acked seq
@@ -54,7 +60,7 @@ proptest! {
         if torn_tail {
             // Crash point: the last entry tears mid-write. It must be
             // recovered as garbage and truncated, never replayed.
-            reg.install(FaultSpec::new("jdev.write", FaultKind::Torn));
+            reg.install(FaultSpec::new(JDEV_WRITE, FaultKind::Torn));
             j.submit(payload_for(committed + 1, 512), Instant::now(), Box::new(|_, _| {}), no_room).unwrap();
             j.quiesce();
             prop_assert_eq!(j.stats().torn_writes.get(), 1);
@@ -164,7 +170,7 @@ proptest! {
 fn torn_batch_tail_poisons_only_the_tail() {
     let dev = Arc::new(Nvram::new(NvramConfig::pmc_8g()));
     let reg = Arc::new(FaultRegistry::new());
-    dev.faults().attach(Arc::clone(&reg), "jdev");
+    dev.faults().attach(Arc::clone(&reg), JDEV);
     let j = Journal::new(dev, JournalConfig::default());
 
     // Entry 1's callback arms the tear and submits entries 2..=5 while
@@ -177,7 +183,7 @@ fn torn_batch_tail_poisons_only_the_tail() {
         Instant::now(),
         Box::new(move |s, _| {
             a.lock().push(s);
-            reg.install(FaultSpec::new("jdev.write", FaultKind::Torn).times(1));
+            reg.install(FaultSpec::new(JDEV_WRITE, FaultKind::Torn).times(1));
             for s in 2..=5u64 {
                 let a = Arc::clone(&a);
                 j2.submit(

@@ -56,7 +56,7 @@ pub mod addr;
 
 pub use addr::Addr;
 
-use afc_common::faults::{FaultKind, FaultRegistry};
+use afc_common::faults::{FaultKind, FaultRegistry, FaultSite};
 use afc_common::metrics::{Counter, Metrics};
 use afc_common::timeutil::ledger;
 use afc_common::{AfcError, Result, WaitClass};
@@ -310,8 +310,8 @@ struct NetInner<M> {
 /// Fault-injection hookup for a fabric: a registry plus a classifier that
 /// maps each in-flight message to a fault site (or `None` to exempt it).
 /// The fabric itself is message-type-agnostic, so the owner supplies the
-/// classification (e.g. `afc-core` maps `OsdMsg::RepAck` → `"net.repack"`).
-type ClassifyFn<M> = Box<dyn Fn(Addr, Addr, &M) -> Option<String> + Send + Sync>;
+/// classification (e.g. `afc-core` maps `OsdMsg::RepAck` → `NetSite::RepAck`).
+type ClassifyFn<M> = Box<dyn Fn(Addr, Addr, &M) -> Option<FaultSite> + Send + Sync>;
 
 struct FaultHook<M> {
     registry: Arc<FaultRegistry>,
@@ -363,7 +363,7 @@ impl<M: Send + 'static> Network<M> {
     pub fn attach_faults(
         &self,
         registry: Arc<FaultRegistry>,
-        classify: impl Fn(Addr, Addr, &M) -> Option<String> + Send + Sync + 'static,
+        classify: impl Fn(Addr, Addr, &M) -> Option<FaultSite> + Send + Sync + 'static,
     ) where
         M: Clone,
     {
@@ -461,7 +461,7 @@ impl<M: Send + 'static> Network<M> {
         if let Some(hook) = self.faults.get() {
             if hook.registry.is_armed() {
                 if let Some(site) = (hook.classify)(from, to, &msg) {
-                    match hook.registry.check(&site) {
+                    match hook.registry.check(site) {
                         None => {}
                         Some(FaultKind::Drop) => {
                             self.dropped.inc();
@@ -880,7 +880,7 @@ mod tests {
     /// is dispatched at that arrival.
     #[test]
     fn a_dispatcher_is_offered_every_message_on_the_sending_thread() {
-        use afc_common::faults::{FaultKind, FaultRegistry, FaultSpec};
+        use afc_common::faults::{FaultKind, FaultRegistry, FaultSpec, NetSite};
         let cfg = NetConfig::default();
         let hop = cfg.hop_latency;
         let net: Arc<Network<u64>> = Network::new(cfg);
@@ -890,9 +890,12 @@ mod tests {
         let m = net.register(client(1), Arc::new(|_, _: u64| {})).unwrap();
         let reg = Arc::new(FaultRegistry::new());
         net.attach_faults(Arc::clone(&reg), |_, _, m: &u64| {
-            (*m == 5).then(|| "net.test".to_string())
+            (*m == 5).then_some(FaultSite::Net(NetSite::Request))
         });
-        reg.install(FaultSpec::new("net.test", FaultKind::Duplicate));
+        reg.install(FaultSpec::new(
+            FaultSite::Net(NetSite::Request),
+            FaultKind::Duplicate,
+        ));
         let at = Instant::now() + Duration::from_millis(5);
         m.send_at(osd(0), 1, 64, at).unwrap();
         assert_eq!(msgs(&got), vec![1], "taken before `send_at` returned");
@@ -1063,8 +1066,9 @@ mod tests {
 
     #[test]
     fn injected_drop_dup_delay_and_error() {
-        use afc_common::faults::{FaultKind, FaultRegistry, FaultSpec};
+        use afc_common::faults::{FaultKind, FaultRegistry, FaultSpec, NetSite};
         const DELAY: Duration = Duration::from_millis(30);
+        const SITE: FaultSite = FaultSite::Net(NetSite::Request);
         for take_all in [false, true] {
             let net: Arc<Network<u64>> = Network::new(NetConfig {
                 hop_latency: Duration::ZERO,
@@ -1076,16 +1080,16 @@ mod tests {
             // Only odd payloads are injectable; evens are exempt (classify
             // returning None must bypass the registry entirely).
             net.attach_faults(Arc::clone(&reg), |_, _, m: &u64| {
-                (m % 2 == 1).then(|| "net.test".to_string())
+                (m % 2 == 1).then_some(SITE)
             });
-            reg.install(FaultSpec::new("net.test", FaultKind::Drop));
+            reg.install(FaultSpec::new(SITE, FaultKind::Drop));
             m.send(osd(0), 1, 64).unwrap(); // dropped silently
             m.send(osd(0), 2, 64).unwrap(); // exempt, delivered
-            reg.install(FaultSpec::new("net.test", FaultKind::Duplicate));
+            reg.install(FaultSpec::new(SITE, FaultKind::Duplicate));
             m.send(osd(0), 3, 64).unwrap(); // delivered twice
-            reg.install(FaultSpec::new("net.test", FaultKind::Error));
+            reg.install(FaultSpec::new(SITE, FaultKind::Error));
             assert!(m.send(osd(0), 5, 64).is_err()); // surfaced to sender
-            reg.install(FaultSpec::new("net.test", FaultKind::Delay(DELAY)));
+            reg.install(FaultSpec::new(SITE, FaultKind::Delay(DELAY)));
             let t0 = Instant::now();
             m.send(osd(0), 7, 64).unwrap();
             wait_for(&got, 4);

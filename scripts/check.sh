@@ -37,11 +37,14 @@ maybe_step() {
     fi
 }
 
-# 1. Cross-file static analysis (site names, memory-ordering hygiene,
-#    op-path blocking; see crates/analyze). Dependency-free, so it works
-#    even when the rest of the workspace is broken. Runs before clippy and
-#    fails fast. Lock order is checked by lockdep in the debug tests of
-#    step 4; unwraps and discarded results by clippy in step 3.
+# 1. Cross-file static analysis (memory-ordering hygiene, op-path
+#    blocking; see crates/analyze). Dependency-free, so it works even when
+#    the rest of the workspace is broken. Runs before clippy and fails
+#    fast. Lock order is checked by lockdep in the debug tests of step 4;
+#    unwraps and discarded results by clippy in step 3; fault sites by the
+#    compiler (`afc_common::faults::FaultSite`) and by step 4's
+#    `fault_matrix::every_fault_site_fires`; metric names by
+#    `MetricId::new` in step 4's debug build.
 step cargo run --quiet --package xtask -- analyze
 if [ "$failures" -ne 0 ]; then
     # Fail fast: span-accurate diagnostics are the most actionable output
