@@ -642,6 +642,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "lockdep compiled out in release")]
     fn in_order_nesting_is_allowed() {
         let outer = TrackedMutex::new(&classes::PG_STATE, 1u32);
         let inner = TrackedMutex::new(&classes::JOURNAL_RING, 2u32);
@@ -752,6 +753,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "lockdep compiled out in release")]
     fn rwlock_participates_in_ordering() {
         let maps = TrackedRwLock::new(&classes::OSD_PG_MAP, 5u32);
         {

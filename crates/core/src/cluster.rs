@@ -23,7 +23,7 @@ use afc_device::{BlockDev, Nvram, NvramConfig, Raid0, Ssd, SsdConfig};
 use afc_messenger::{NetConfig, Network};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Per-OSD device provisioning.
 #[derive(Debug, Clone)]
@@ -475,7 +475,7 @@ impl Cluster {
                     continue;
                 };
                 let hash = match osd.store().fs().stat(&name) {
-                    Ok(size) => match osd.store().read(&name, 0, size as usize) {
+                    Ok(size) => match osd.store().read(&name, 0, size as usize, Instant::now()) {
                         Ok(read) => afc_common::rng::hash_bytes(&read.wait()),
                         Err(_) => u64::MAX, // unreadable copy
                     },

@@ -1,13 +1,17 @@
 //! Dispatch: client requests from the messenger, through QoS admission,
 //! to their PG order point.
 //!
-//! Under the pending queue the messenger thread that receives a client op
-//! takes one op-worker turn itself ([`OsdInner::queue_client`]): it admits
-//! the op to its PG FIFO and drains the PG without blocking. Nothing at an
-//! AFCeph order point sleeps (a read and a journal record are planned),
-//! and a held PG lock leaves the op to its holder, so handing the op to
-//! another thread would only add a wake-up. The op workers serve the rest:
-//! a QoS backlog, internal work on the plain queue, and every Community op.
+//! Under the pending queue the OSD takes a client op on the client's
+//! thread that sends it (`OsdDispatcher::take`), ahead of its arrival, and
+//! that thread takes one op-worker turn itself ([`OsdInner::queue_client`]):
+//! it admits the op to its PG FIFO and drains the PG without blocking.
+//! Nothing at an AFCeph order point sleeps (a read and a journal record
+//! are planned, from the request's arrival), and a held PG lock leaves the
+//! op to its holder, so handing the op to another thread would only add a
+//! wake-up. No delivery thread wakes for it either. The op workers serve
+//! the rest: in AFCeph a QoS backlog and internal work on the plain queue
+//! (a `Replicate` or `RepAck` handed back to a delivery thread, recovery
+//! and peering); in Community every client op too.
 
 use super::pg::{Pg, PgHealth, PgState, PgWork};
 use super::read::ReadJob;
@@ -28,9 +32,12 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Op worker (OP_WQ) threads per OSD. They serve client ops a QoS limit
-/// (or pending internal work) kept from the messenger's turn, internal work
-/// (replication, acks, recovery) and, in Community, every client op.
+/// Op worker (OP_WQ) threads per OSD. In AFCeph they serve only client ops
+/// a QoS limit (or pending internal work) kept from the taking thread's
+/// turn, and internal work on the plain queue: a `Replicate` or `RepAck`
+/// handed back to a delivery thread (a paused or unready OSD, a resend),
+/// recovery and peering. In Community they serve all of that, every
+/// replication sub-op and ack, and every client op.
 pub(super) const OP_THREADS: usize = 2;
 
 /// A tagged client op parked in the QoS scheduler: the PG it targets plus
@@ -55,8 +62,9 @@ pub(super) struct Dispatch {
     pub(super) qos: QosScheduler<ClientWork>,
     pub(super) client_throttle: Arc<Throttle>,
     client_ops: Counter,
-    /// Client ops admitted to their PG FIFO on the receiving messenger
-    /// thread.
+    /// Client ops admitted to their PG FIFO on the thread that handles the
+    /// request: the client's sending thread when taken, a delivery thread
+    /// when handed back.
     fast_dispatches: Counter,
     /// Messages dropped because they arrived before the daemon had its
     /// messenger handle.
@@ -125,7 +133,7 @@ impl Dispatch {
 /// blocking on the PG lock in Community, leaving the op to the holder under
 /// the pending queue. Under the pending queue a client op reaches a worker
 /// only when a QoS limit or pending internal work kept it from the
-/// receiving messenger's turn ([`OsdInner::queue_client`]).
+/// handling thread's turn ([`OsdInner::queue_client`]).
 pub(super) fn op_worker_loop(inner: Arc<OsdInner>) {
     let blocking = !inner.tuning.pending_queue;
     let qos_on = inner.tuning.qos_enabled;
@@ -179,14 +187,15 @@ impl OsdInner {
     /// Admit a tagged client op to its PG FIFO, through the per-volume QoS
     /// scheduler when enabled.
     ///
-    /// Under the pending queue the calling messenger thread takes one
-    /// op-worker turn: with QoS on it enqueues the op and, when the plain
-    /// queue is empty, dequeues one item and admits it to its PG FIFO in
-    /// the same op-queue critical section as a worker would; it wakes a
-    /// worker only if the scheduler still holds work (a backlog, or a
-    /// volume at its limit), then drains the admitted PG without blocking,
-    /// so a held PG lock leaves the op to its holder. Community hands every
-    /// op to the op workers, which wait for the PG lock.
+    /// Under the pending queue the calling thread (the client's, when the
+    /// request was taken) takes one op-worker turn: with QoS on it
+    /// enqueues the op and, when the plain queue is empty, dequeues one
+    /// item and admits it to its PG FIFO in the same op-queue critical
+    /// section as a worker would; it wakes a worker only if the scheduler
+    /// still holds work (a backlog, or a volume at its limit), then drains
+    /// the admitted PG without blocking, so a held PG lock leaves the op to
+    /// its holder. QoS admission reads this thread's clock. Community hands
+    /// every op to the op workers, which wait for the PG lock.
     fn queue_client(&self, qos: &QosTag, pg: Arc<Pg>, work: PgWork) {
         let d = &self.dispatch;
         let fast = self.tuning.pending_queue;
@@ -217,16 +226,27 @@ impl OsdInner {
         }
     }
 
-    /// Answer a client.
-    pub(super) fn reply(&self, to: Addr, op_id: OpId, result: Result<OpOutcome>) {
-        self.send(to, OsdMsg::Reply(ClientReply { op_id, result }));
+    /// Answer a client, no earlier than its request's `arrival`.
+    fn reply(&self, to: Addr, op_id: OpId, result: Result<OpOutcome>, arrival: Instant) {
+        let reply = OsdMsg::Reply(ClientReply { op_id, result });
+        self.send_at(to, reply, Some(arrival));
     }
 
-    pub(super) fn handle_request(self: &Arc<Self>, from: Addr, op: ClientOp) {
+    /// A client request that arrives at `arrival`: taken on the client's
+    /// sending thread ahead of it (`OsdDispatcher::take`), or dispatched
+    /// at it. The op runs to its PG order point here, and nothing it does
+    /// shows before `arrival`: the device read and the journal record are
+    /// planned from it, each `Replicate` and every reply leaves no earlier,
+    /// and a sampled write's trace starts there. The PG work closure keeps
+    /// `arrival`, so an op worker that runs a QoS backlog plans from it
+    /// too.
+    pub(super) fn handle_request(self: &Arc<Self>, from: Addr, op: ClientOp, arrival: Instant) {
         self.dispatch.client_ops.inc();
         self.log("ms_fast_dispatch client op");
-        // osd_client_message_cap: blocks this client's connection thread
-        // when the OSD has too many undispatched messages (§3.2).
+        // osd_client_message_cap: blocks the thread that hands the OSD this
+        // client's request — the client's own when the request is taken,
+        // the socket backpressure the cap models — while the OSD has too
+        // many undispatched messages (§3.2).
         let Ok(permit) = self.dispatch.client_throttle.acquire_owned(1) else {
             return;
         };
@@ -242,7 +262,7 @@ impl OsdInner {
                 op.pg,
                 map.epoch().0
             ));
-            return self.reply(from, op.op_id, Err(err));
+            return self.reply(from, op.op_id, Err(err), arrival);
         }
         // Down-but-placed peers: every write they miss is journaled into
         // the PG's `peer_missing` ledger for later recovery pushes.
@@ -257,7 +277,7 @@ impl OsdInner {
                 Box::new(move |st| {
                     if !inner.pg_ready(st, &acting) {
                         let err = AfcError::WrongEpoch(format!("pg {pgid} is peering"));
-                        return inner.reply(from, op_id, Err(err));
+                        return inner.reply(from, op_id, Err(err), arrival);
                     }
                     inner.process_read(ReadJob {
                         from,
@@ -265,6 +285,7 @@ impl OsdInner {
                         obj_name: object.to_string(),
                         query,
                         permit,
+                        arrival,
                         ordered_after: st.last_jseq,
                     });
                 })
@@ -272,7 +293,7 @@ impl OsdInner {
             mutation @ (ObjectOp::Write { .. } | ObjectOp::Delete) => {
                 // Only writes feed the 1-in-16 stage sample.
                 let trace = match mutation {
-                    ObjectOp::Write { .. } => self.write.recorder.start(),
+                    ObjectOp::Write { .. } => self.write.recorder.start(arrival),
                     _ => None,
                 };
                 // §3.1: ordered acks ("sends client sequential acks if a
@@ -287,10 +308,11 @@ impl OsdInner {
                     reply_to: from,
                     pg: Arc::clone(&pg),
                     ack_lane,
+                    arrival,
                     // The local commit plus one per replica.
                     remaining: AtomicUsize::new(acting.len().max(1)),
                     replied: AtomicBool::new(false),
-                    departure: LatestInstant::new(),
+                    departure: LatestInstant::new(arrival),
                     permit,
                     trace,
                 });
@@ -331,8 +353,8 @@ mod tests {
     use crossbeam::channel;
     use std::time::Duration;
 
-    /// The messenger thread that receives an AFCeph client op never waits
-    /// for the op's PG lock: while another thread holds it, dispatch
+    /// The thread that hands an AFCeph OSD a client op never waits for the
+    /// op's PG lock: while another thread holds it, dispatch
     /// returns, the op waits in the PG FIFO, and the holder runs it when it
     /// releases. The holder gives up after 10 s, so a dispatch that waited
     /// fails the test instead of hanging it.
@@ -388,6 +410,7 @@ mod tests {
                     epoch: map.epoch(),
                     qos: QosTag::best_effort(),
                 },
+                Instant::now(),
             );
             assert_eq!(pg.pending_len(), 1, "the op waits in the PG FIFO");
             assert!(replies.try_recv().is_err(), "the op ran under a held lock");

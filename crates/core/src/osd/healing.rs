@@ -543,7 +543,7 @@ impl OsdInner {
         let data = match self.store.stat(&obj_name) {
             Ok(m) => self
                 .store
-                .read(&obj_name, 0, m.size as usize)
+                .read(&obj_name, 0, m.size as usize, Instant::now())
                 .ok()
                 .map(|read| Bytes::from(read.wait())),
             Err(_) => None, // deleted (or never created): propagate absence

@@ -6,10 +6,12 @@
 //! [`OsdTuning`]:
 //!
 //! ```text
-//! client ──▶ messenger thread ──▶ QoS ──▶ PG FIFO ──▶ order point (PG lock)
-//!   afceph:    the receiving messenger thread         │  pg-log append
-//!              runs it (OP_WQ: QoS backlog only)      │  replicate ▶ replicas
-//!   community: an OP_WQ worker runs it                ▼  journal submit
+//! client ──▶ messenger ──▶ QoS ──▶ PG FIFO ──▶ order point (PG lock)
+//!   afceph:    the client's sending thread runs it,   │  pg-log append
+//!              planned from the request's arrival     │  replicate ▶ replicas
+//!              (OP_WQ: QoS backlog only)              │
+//!   community: a delivery thread admits it at its     │
+//!              arrival, an OP_WQ worker runs it       ▼  journal submit
 //!                      write-group leader plans record ▶ commit continuation
 //!             community: a delivery thread hands each Replicate to the
 //!                        replica's PG queue at its arrival; the completion
@@ -27,7 +29,8 @@
 //!                        one before it); replies, RepAcks and applied
 //!                        marks no earlier than the journal record is
 //!                        durable; an Ok no earlier than its last RepAck
-//!                        arrives
+//!                        arrives; nothing an op does shows before its
+//!                        request arrives
 //! ```
 //!
 //! The code is cut along the stages the trace names, each module holding
@@ -340,7 +343,7 @@ impl Dispatcher<OsdMsg> for OsdDispatcher {
             return;
         }
         match msg {
-            OsdMsg::Request(op) => inner.handle_request(from, op),
+            OsdMsg::Request(op) => inner.handle_request(from, op, Instant::now()),
             OsdMsg::Replicate(rep) => inner.handle_repop(from, rep, Instant::now()),
             OsdMsg::RepAck(ack) => inner.handle_repack(ack),
             OsdMsg::Ping(p) => inner.handle_ping(from, p),
@@ -356,6 +359,9 @@ impl Dispatcher<OsdMsg> for OsdDispatcher {
         }
     }
 
+    /// With `pending_queue` on, take a client request on the client's
+    /// thread that sends it: the op runs to its PG order point here, and
+    /// nothing it does shows before `arrival` ([`OsdInner::handle_request`]).
     /// With `fast_ack` on, take a `Replicate` on the primary's thread that
     /// sends it: the sub-op joins its PG's FIFO here and runs once that
     /// thread holds no PG lock, its record planned from `arrival`
@@ -366,16 +372,23 @@ impl Dispatcher<OsdMsg> for OsdDispatcher {
     /// `dispatch`).
     fn take(&self, from: Addr, msg: OsdMsg, arrival: Instant) -> Option<OsdMsg> {
         let inner = &self.0;
-        if !(inner.tuning.fast_ack && inner.listening() && inner.msgr.get().is_some()) {
+        if !(inner.listening() && inner.msgr.get().is_some()) {
             return Some(msg);
         }
+        let tuning = &inner.tuning;
         match msg {
-            OsdMsg::Replicate(rep) => {
+            OsdMsg::Request(op) if tuning.pending_queue => {
+                inner.handle_request(from, op, arrival);
+                None
+            }
+            OsdMsg::Replicate(rep) if tuning.fast_ack => {
                 inner.rep.taken_repops.inc();
                 inner.handle_repop(from, rep, arrival);
                 None
             }
-            OsdMsg::RepAck(ack) => inner.take_repack(ack, arrival, true).map(OsdMsg::RepAck),
+            OsdMsg::RepAck(ack) if tuning.fast_ack => {
+                inner.take_repack(ack, arrival, true).map(OsdMsg::RepAck)
+            }
             msg => Some(msg),
         }
     }

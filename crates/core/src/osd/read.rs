@@ -1,10 +1,11 @@
 //! Reads (and stats): ordered at the PG against earlier writes by the
 //! journal sequence captured there. A read's device time is planned, not
-//! slept through: its reply is stamped to leave when the SSD read
-//! completes — and no earlier than the applies it is ordered after, whose
-//! completions may still be ahead — and is taken by the client's session
-//! as it is sent, so one modeled wait by the client's waiter covers the
-//! device and the hop.
+//! slept through, from no earlier than the request's arrival (a request
+//! taken on the client's thread runs ahead of it): its reply is stamped to
+//! leave when the SSD read completes — and no earlier than the applies it
+//! is ordered after, whose completions may still be ahead — and is taken
+//! by the client's session as it is sent, so one modeled wait by the
+//! client's waiter covers both hops and the device.
 
 use super::OsdInner;
 use crate::messages::{ClientReply, ObjectOp, OpOutcome, OsdMsg};
@@ -24,6 +25,9 @@ pub(super) struct ReadJob {
     /// `Read` or `Stat`.
     pub(super) query: ObjectOp,
     pub(super) permit: OwnedPermit,
+    /// The request's arrival: the device read starts, and the reply
+    /// leaves, no earlier.
+    pub(super) arrival: Instant,
     /// The PG's `last_jseq` at this read's order point. Acks are
     /// journal-based, applies asynchronous: the filestore may be read once
     /// the applied prefix reaches it. Later writes never delay the read.
@@ -78,19 +82,22 @@ impl OsdInner {
     }
 
     /// Answer a read once the applies it is ordered after have settled,
-    /// completing at `ordered`: plan the device read and stamp the reply
-    /// to leave when both are done (Community waits for the device here,
-    /// under the PG lock, having waited out the applies). A failed
-    /// ordering wait is the reply; no filestore look. The permit goes once
-    /// the reply is handed to the messenger.
+    /// completing at `ordered`: plan the device read from the request's
+    /// arrival and stamp the reply to leave when both are done (Community
+    /// waits for the device here, under the PG lock, having waited out the
+    /// applies). A failed ordering wait is the reply; no filestore look.
+    /// Nothing leaves before the arrival. The permit goes once the reply
+    /// is handed to the messenger.
     fn answer(&self, job: ReadJob, ordered: Result<Instant>) {
-        let mut leaves = None;
+        let mut leaves = job.arrival;
         let result = ordered.and_then(|applied| match job.query {
             ObjectOp::Read { offset, len } => {
-                let read = self.store.read(&job.obj_name, offset, len as usize)?;
+                let read = self
+                    .store
+                    .read(&job.obj_name, offset, len as usize, job.arrival)?;
                 self.log("read reply");
                 let data = if self.tuning.pending_queue {
-                    leaves = Some(read.done.max(applied));
+                    leaves = read.done.max(applied);
                     read.data
                 } else {
                     read.wait()
@@ -98,7 +105,7 @@ impl OsdInner {
                 Ok(OpOutcome::Data(Bytes::from(data)))
             }
             _ => {
-                leaves = Some(applied);
+                leaves = applied.max(job.arrival);
                 self.store
                     .stat(&job.obj_name)
                     .map(|m| OpOutcome::Size(m.size))
@@ -108,7 +115,7 @@ impl OsdInner {
             op_id: job.op_id,
             result,
         };
-        self.send_at(job.from, OsdMsg::Reply(reply), leaves);
+        self.send_at(job.from, OsdMsg::Reply(reply), Some(leaves));
         drop(job.permit);
     }
 }

@@ -98,8 +98,10 @@ impl OsdInner {
         self.rep.next_rep_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Send one `Replicate`, remembered with its wire form so the
-    /// retransmit ticker can resend it if the ack never arrives.
+    /// Send one `Replicate`, to leave no earlier than its write's request
+    /// arrived, remembered with its wire form so the retransmit ticker can
+    /// resend it if the ack never arrives; the resend clock starts when it
+    /// leaves.
     pub(super) fn replicate(&self, op: &Arc<WriteOp>, to: Addr, rep: RepOp) {
         self.rep.waits.lock().insert(
             rep.rep_id,
@@ -107,11 +109,11 @@ impl OsdInner {
                 op: Arc::clone(op),
                 to,
                 rep: rep.clone(),
-                sent: Instant::now(),
+                sent: op.arrival.max(Instant::now()),
                 resends: 0,
             },
         );
-        self.send(to, OsdMsg::Replicate(rep));
+        self.send_at(to, OsdMsg::Replicate(rep), Some(op.arrival));
     }
 
     /// Ack sub-op `rep_id` to `to`, leaving when its record is durable.

@@ -13,16 +13,18 @@ use afc_common::metrics::{Histogram, Metrics};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// The points a sampled write is stamped at, in pipeline order.
+/// The points a sampled write is stamped at, in pipeline order. A request
+/// taken on the client's thread runs ahead of its arrival: every mark
+/// stamped before the arrival reads as the arrival.
 #[derive(Clone, Copy, Debug)]
 pub enum Mark {
-    /// Message received by the messenger dispatch.
+    /// The request's arrival at the primary.
     Recv,
     /// Handed to admission (messenger dispatch work done).
     Queued,
     /// PG work started under the PG lock. From `Queued` to here is QoS and
     /// PG-FIFO admission plus the wait for the PG lock (or for its holder
-    /// to reach the op); under the pending queue the receiving messenger
+    /// to reach the op); under the pending queue the client's sending
     /// thread does the admission itself, an op worker only for a QoS
     /// backlog.
     Dequeue,
@@ -59,9 +61,9 @@ pub struct Trace {
 }
 
 impl Trace {
-    fn start() -> Trace {
+    fn start(recv: Instant) -> Trace {
         Trace {
-            recv: Instant::now(),
+            recv,
             at: std::array::from_fn(|i| {
                 AtomicU64::new(if i == Mark::Recv as usize { 0 } else { UNSET })
             }),
@@ -111,12 +113,13 @@ impl StageRecorder {
         }
     }
 
-    /// The next write's trace: `Some` for one write in `every`.
-    pub fn start(&self) -> Option<Box<Trace>> {
+    /// The next write's trace, received at `recv`: `Some` for one write in
+    /// `every`.
+    pub fn start(&self, recv: Instant) -> Option<Box<Trace>> {
         self.seq
             .fetch_add(1, Ordering::Relaxed)
             .is_multiple_of(self.every)
-            .then(|| Box::new(Trace::start()))
+            .then(|| Box::new(Trace::start(recv)))
     }
 
     /// Stamp `reply` with the instant the reply leaves and observe every
@@ -138,8 +141,7 @@ mod tests {
     /// A trace received a second ago and stamped `ms` milliseconds after
     /// that per listed mark; `finish` below stamps `reply` at ~1 000 ms.
     fn trace_ms(marks: &[(Mark, u64)]) -> Trace {
-        let mut t = Trace::start();
-        t.recv -= Duration::from_secs(1);
+        let t = Trace::start(Instant::now() - Duration::from_secs(1));
         for &(m, ms) in marks {
             t.at[m as usize].store(ms * 1_000_000, Ordering::Relaxed);
         }
@@ -206,8 +208,9 @@ mod tests {
     #[test]
     fn one_write_in_n_is_sampled() {
         let r = StageRecorder::new(10);
-        let traced = (0..100).filter(|_| r.start().is_some()).count();
+        let now = Instant::now();
+        let traced = (0..100).filter(|_| r.start(now).is_some()).count();
         assert_eq!(traced, 10);
-        assert!(StageRecorder::new(10).start().is_some(), "the first is");
+        assert!(StageRecorder::new(10).start(now).is_some(), "the first is");
     }
 }

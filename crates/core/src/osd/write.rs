@@ -60,12 +60,17 @@ pub(super) struct WriteOp {
     pub(super) reply_to: Addr,
     pub(super) pg: Arc<Pg>,
     pub(super) ack_lane: Option<u64>,
+    /// The request's arrival here. A request taken on the client's thread
+    /// runs ahead of it: its record is planned, and its `Replicate`s
+    /// leave, no earlier.
+    pub(super) arrival: Instant,
     /// Completions still owed: the local commit plus one per replica.
     pub(super) remaining: AtomicUsize,
     pub(super) replied: AtomicBool,
-    /// The departure bound of the `Ok`: the latest of the instant the
-    /// local journal record is durable ([`OsdInner::complete`]) and each
-    /// replica ack's arrival ([`OsdInner::take_repack`]).
+    /// The departure bound of the reply: the latest of the request's
+    /// arrival, the instant the local journal record is durable
+    /// ([`OsdInner::complete`]) and each replica ack's arrival
+    /// ([`OsdInner::take_repack`]).
     pub(super) departure: LatestInstant,
     /// `osd_client_message_cap` slot, released at the reply's departure
     /// (or when the op drops, if it never replies).
@@ -82,11 +87,14 @@ pub(super) struct LatestInstant {
 }
 
 impl LatestInstant {
-    pub(super) fn new() -> Self {
-        LatestInstant {
+    /// The latest so far: `floor`.
+    pub(super) fn new(floor: Instant) -> Self {
+        let latest = LatestInstant {
             base: Instant::now(),
             ns: AtomicU64::new(0),
-        }
+        };
+        latest.raise(floor);
+        latest
     }
 
     /// Raise the latest to `at` if it is later.
@@ -181,12 +189,12 @@ impl WritePath {
     }
 
     /// The one reply of a write, success or failure, sent by whoever won it
-    /// ([`WriteOp::settle`], [`WriteOp::claim_reply`]): an `Ok` to leave
-    /// at its departure bound (the local record durable, every replica ack
-    /// arrived), a failure at once; through the op's ordered-ack lane when
-    /// it has one, so a failure takes its turn like a success and never
-    /// wedges the lane. The client-throttle slot is freed when the reply
-    /// leaves, and a sampled `Ok` feeds the stage histograms.
+    /// ([`WriteOp::settle`], [`WriteOp::claim_reply`]), to leave at its
+    /// departure bound (for an `Ok`: the request arrived, the local record
+    /// durable, every replica ack arrived); through the op's ordered-ack
+    /// lane when it has one, so a failure takes its turn like a success and
+    /// never wedges the lane. The client-throttle slot is freed when the
+    /// reply leaves, and a sampled `Ok` feeds the stage histograms.
     pub(super) fn reply(
         &self,
         op: &WriteOp,
@@ -196,10 +204,10 @@ impl WritePath {
         // Never before now, as `send_at` would have it: the trace's `reply`
         // then follows every mark stamped before it.
         let now = Instant::now();
-        let at = match (&result, op.departure.get()) {
-            (Ok(_), Some(departure)) => departure.max(now),
-            _ => now,
-        };
+        let at = op
+            .departure
+            .get()
+            .map_or(now, |departure| departure.max(now));
         op.permit.release_at(at);
         if let (Some(t), true) = (&op.trace, result.is_ok()) {
             self.recorder.finish(t, at);
@@ -379,7 +387,7 @@ impl OsdInner {
         self.log("journal submit");
         self.log("waiting for subops");
         let waiter = Waiter::Primary(Arc::clone(op));
-        if let Err(e) = self.submit_commit(st, &op.pg, txn, waiter, Instant::now()) {
+        if let Err(e) = self.submit_commit(st, &op.pg, txn, waiter, op.arrival) {
             self.fail_op(op, e);
         }
         self.write.writes.inc();
@@ -391,7 +399,8 @@ impl OsdInner {
     /// was acknowledged. The sequence it assigns becomes the PG's
     /// `last_jseq`: a read ordered at this PG from here on is ordered
     /// behind this mutation's apply. The record is planned no earlier than
-    /// `not_before`: now, or a taken sub-op's arrival.
+    /// `not_before` (now, if that has passed): a taken request's or sub-op's
+    /// arrival.
     pub(super) fn submit_commit(
         self: &Arc<Self>,
         st: &mut PgState,
@@ -592,11 +601,12 @@ mod tests {
                 reply_to: Addr::Client(client),
                 pg: Arc::clone(&pg),
                 ack_lane: ordered_acks.then(|| path.acker.assign(client, pg.id())),
+                arrival: Instant::now(),
                 remaining: AtomicUsize::new(THREADS - 1),
                 replied: AtomicBool::new(false),
-                departure: LatestInstant::new(),
+                departure: LatestInstant::new(Instant::now()),
                 permit: throttle.acquire_owned(1).unwrap(),
-                trace: path.recorder.start(),
+                trace: path.recorder.start(Instant::now()),
             })
             .collect();
         let replies: Vec<(AtomicUsize, AtomicBool)> =

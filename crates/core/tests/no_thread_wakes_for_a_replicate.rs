@@ -7,7 +7,9 @@
 //! is not in a crash image, the `RepAck` leaves when the record is
 //! durable, and a re-ack leaves no earlier than its copy arrives.
 //! Community, and a paused replica, leave the `Replicate` to a delivery
-//! thread as before.
+//! thread as before. The client's request is taken too
+//! (`no_thread_wakes_for_a_client_op`), so an AFCeph write wakes no
+//! delivery thread at all.
 
 use afc_common::{FaultKind, FaultPlan, FaultSite, FaultSpec, NetSite, ObjectId, OsdId, PgId};
 use afc_core::messages::RepOp;
@@ -67,19 +69,37 @@ fn taken_replicates(cluster: &Cluster) -> u64 {
     cluster.metrics_snapshot().site_sum("op.taken_repops")
 }
 
-/// On a fault-free AFCeph run every `Replicate` is taken, and the only
-/// delivery threads are the client→primary pairs': no OSD→OSD connection
-/// gets one.
+/// A connection gets a delivery thread once its receiver hands a message
+/// back. A fault-free AFCeph run takes every request, `Replicate` and
+/// `RepAck`, so it spawns none. Community hands every one back: one thread
+/// per client→primary pair, the paper's messenger axis, and one per OSD
+/// pair that carries a `Replicate` or a `RepAck`.
 #[test]
-fn afceph_writes_leave_threads_at_the_client_to_primary_pairs_only() {
-    let cluster = builder(OsdTuning::afceph()).build().unwrap();
-    let acting = write_loop(&cluster);
-    let snap = cluster.metrics_snapshot();
-    assert_eq!(snap.site_sum("op.repops"), WRITES, "one sub-op per write");
-    assert_eq!(taken_replicates(&cluster), WRITES);
-    let primaries: BTreeSet<OsdId> = acting.iter().map(|a| a[0]).collect();
-    assert_eq!(snap.counter("net.threads"), Some(primaries.len() as u64));
-    cluster.shutdown();
+fn afceph_writes_spawn_no_delivery_thread_and_community_one_per_pair() {
+    for tuning in [OsdTuning::afceph(), OsdTuning::community()] {
+        let (label, afceph) = (tuning.label(), tuning.fast_ack);
+        let cluster = builder(tuning).build().unwrap();
+        let acting = write_loop(&cluster);
+        let snap = cluster.metrics_snapshot();
+        assert_eq!(
+            snap.site_sum("op.repops"),
+            WRITES,
+            "{label}: one sub-op per write"
+        );
+        let threads = if afceph {
+            assert_eq!(taken_replicates(&cluster), WRITES);
+            0
+        } else {
+            let primaries: BTreeSet<OsdId> = acting.iter().map(|a| a[0]).collect();
+            let osd_pairs: BTreeSet<(OsdId, OsdId)> = acting
+                .iter()
+                .flat_map(|a| [(a[0], a[1]), (a[1], a[0])])
+                .collect();
+            primaries.len() + osd_pairs.len()
+        };
+        assert_eq!(snap.counter("net.threads"), Some(threads as u64), "{label}");
+        cluster.shutdown();
+    }
 }
 
 /// The replica journals a taken sub-op before its `Replicate` arrives, but

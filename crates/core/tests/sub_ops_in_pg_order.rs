@@ -9,7 +9,7 @@ use afc_common::{AfcError, FaultKind, FaultPlan, FaultSite, FaultSpec, NetSite, 
 use afc_core::{Cluster, DeviceProfile, OsdTuning};
 use bytes::Bytes;
 use std::collections::BTreeMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn tunings() -> [OsdTuning; 2] {
     [OsdTuning::afceph(), OsdTuning::community()]
@@ -44,7 +44,10 @@ fn acting(cluster: &Cluster, name: &str) -> Vec<OsdId> {
 fn stored(cluster: &Cluster, osd: OsdId, name: &str) -> Vec<u8> {
     let store_name = ObjectId::new(cluster.pool(), name).to_string();
     let store = cluster.osd(osd).unwrap().store();
-    store.read(&store_name, 0, 4096).unwrap().wait()
+    store
+        .read(&store_name, 0, 4096, Instant::now())
+        .unwrap()
+        .wait()
 }
 
 /// Deep scrub finds every replica equal to its primary.

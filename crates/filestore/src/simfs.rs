@@ -221,10 +221,17 @@ impl SimFs {
         Ok(())
     }
 
-    /// `pread`: fetch bytes and plan the device read, without waiting for
-    /// it. Reads past EOF return the available prefix (zero-filled holes
+    /// `pread`: fetch bytes and plan the device read, no earlier than
+    /// `not_before` (now, if that has passed), without waiting for it.
+    /// Reads past EOF return the available prefix (zero-filled holes
     /// included).
-    pub fn read(&self, path: &str, offset: u64, len: usize) -> Result<PlannedRead> {
+    pub fn read(
+        &self,
+        path: &str,
+        offset: u64,
+        len: usize,
+        not_before: Instant,
+    ) -> Result<PlannedRead> {
         self.syscall(&self.sys_read);
         let node = self.node(path)?;
         let (data, spans) = {
@@ -235,9 +242,10 @@ impl SimFs {
             self.ensure_extents(&mut n, offset + len as u64);
             (out, extent_spans(&n.extents, offset, len as u64))
         };
-        let mut done = Instant::now();
+        let start = not_before.max(Instant::now());
+        let mut done = start;
         for (off, l) in spans {
-            done = done.max(self.dev.plan(IoReq::read(off, l))?.completion);
+            done = done.max(self.dev.plan_at(IoReq::read(off, l), start)?.completion);
         }
         Ok(PlannedRead {
             data,
@@ -384,17 +392,26 @@ mod tests {
         fs.open_create("obj1").unwrap();
         fs.write("obj1", 100, b"hello", &mut Instant::now())
             .unwrap();
-        assert_eq!(fs.read("obj1", 100, 5).unwrap().data, b"hello");
-        assert_eq!(fs.read("obj1", 0, 4).unwrap().data, vec![0u8; 4]);
+        assert_eq!(
+            fs.read("obj1", 100, 5, Instant::now()).unwrap().data,
+            b"hello"
+        );
+        assert_eq!(
+            fs.read("obj1", 0, 4, Instant::now()).unwrap().data,
+            vec![0u8; 4]
+        );
         // Read past EOF returns prefix.
-        assert_eq!(fs.read("obj1", 103, 10).unwrap().data, b"lo");
+        assert_eq!(
+            fs.read("obj1", 103, 10, Instant::now()).unwrap().data,
+            b"lo"
+        );
         assert_eq!(fs.stat("obj1").unwrap(), 105);
     }
 
     #[test]
     fn missing_file_errors() {
         let fs = fs();
-        assert!(fs.read("nope", 0, 1).is_err());
+        assert!(fs.read("nope", 0, 1, Instant::now()).is_err());
         assert!(fs.write("nope", 0, b"x", &mut Instant::now()).is_err());
         assert!(fs.stat("nope").is_err());
         assert!(fs.unlink("nope").is_err());
@@ -444,7 +461,7 @@ mod tests {
         fs.open_create("o").unwrap();
         fs.write("o", 0, &vec![1u8; 8192], &mut Instant::now())
             .unwrap();
-        fs.read("o", 0, 4096).unwrap();
+        fs.read("o", 0, 4096, Instant::now()).unwrap();
         fs.getxattr("o", "x", &mut Instant::now()).unwrap();
         fs.setxattr("o", "x", Bytes::new(), &mut Instant::now())
             .unwrap();

@@ -402,10 +402,16 @@ impl FileStore {
         Ok(())
     }
 
-    /// Read object data: the bytes now, the device read planned (see
-    /// [`PlannedRead`]).
-    pub fn read(&self, object: &str, offset: u64, len: usize) -> Result<PlannedRead> {
-        self.core.fs.read(object, offset, len)
+    /// Read object data: the bytes now, the device read planned no earlier
+    /// than `not_before` (see [`PlannedRead`]).
+    pub fn read(
+        &self,
+        object: &str,
+        offset: u64,
+        len: usize,
+        not_before: Instant,
+    ) -> Result<PlannedRead> {
+        self.core.fs.read(object, offset, len, not_before)
     }
 
     /// Object metadata via cache → KV → `NotFound`.
@@ -937,7 +943,10 @@ mod tests {
     fn apply_roundtrip_community() {
         let fs = nvram_store(FileStoreConfig::community());
         fs.apply_sync(write_txn("obj", 4096, true)).unwrap();
-        assert_eq!(fs.read("obj", 0, 4096).unwrap().data, vec![7u8; 4096]);
+        assert_eq!(
+            fs.read("obj", 0, 4096, Instant::now()).unwrap().data,
+            vec![7u8; 4096]
+        );
         let meta = fs.stat("obj").unwrap();
         assert_eq!(meta.size, 4096);
         assert_eq!(meta.version, 1);
@@ -956,7 +965,10 @@ mod tests {
     fn apply_roundtrip_lightweight() {
         let fs = nvram_store(FileStoreConfig::lightweight());
         fs.apply_sync(write_txn("obj", 4096, true)).unwrap();
-        assert_eq!(fs.read("obj", 0, 4096).unwrap().data, vec![7u8; 4096]);
+        assert_eq!(
+            fs.read("obj", 0, 4096, Instant::now()).unwrap().data,
+            vec![7u8; 4096]
+        );
         assert_eq!(fs.stat("obj").unwrap().size, 4096);
         assert_eq!(
             fs.core.hints_skipped.get(),
@@ -1041,7 +1053,7 @@ mod tests {
         });
         fs.apply_sync(t).unwrap();
         assert_eq!(fs.stat("o").unwrap().size, 10);
-        assert_eq!(fs.read("o", 0, 100).unwrap().data.len(), 10);
+        assert_eq!(fs.read("o", 0, 100, Instant::now()).unwrap().data.len(), 10);
     }
 
     #[test]
@@ -1145,7 +1157,10 @@ mod tests {
         // Some ops landed, some didn't. Re-applying the journaled txn in
         // full is the recovery contract and must converge.
         fs.apply_sync(write_txn("o", 64, false)).unwrap();
-        assert_eq!(fs.read("o", 0, 64).unwrap().data, vec![7u8; 64]);
+        assert_eq!(
+            fs.read("o", 0, 64, Instant::now()).unwrap().data,
+            vec![7u8; 64]
+        );
         assert_eq!(fs.stat("o").unwrap().size, 64);
     }
 
@@ -1155,7 +1170,10 @@ mod tests {
         fs.apply_sync(write_txn("o", 128, false)).unwrap();
         fs.sync().unwrap();
         fs.crash_volatile().unwrap();
-        assert_eq!(fs.read("o", 0, 128).unwrap().data.len(), 128);
+        assert_eq!(
+            fs.read("o", 0, 128, Instant::now()).unwrap().data.len(),
+            128
+        );
         assert_eq!(fs.stat("o").unwrap().size, 128);
     }
 

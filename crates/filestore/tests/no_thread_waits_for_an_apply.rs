@@ -80,7 +80,10 @@ fn queueing_books_no_ssd_wait_and_the_callback_gets_the_completion() {
     assert!(at >= t0 + service, "completion {:?} early", at - t0);
     fs.wait_idle();
     assert_eq!(ssd_waits(), before, "wait_idle booked a device wait");
-    assert_eq!(fs.read("a", 0, 4096).unwrap().data, vec![9u8; 4096]);
+    assert_eq!(
+        fs.read("a", 0, 4096, Instant::now()).unwrap().data,
+        vec![9u8; 4096]
+    );
 }
 
 #[test]

@@ -19,7 +19,10 @@
 //!   be observed before that instant. A client session takes every reply
 //!   and its waiter waits out the arrival. A daemon takes what it can
 //!   handle ahead of the arrival and still show only after it: an OSD
-//!   takes a fast-ack `RepAck`, whose write replies no earlier than the
+//!   with the pending queue takes a client op, which runs to its PG order
+//!   point on the client's thread with its device read, its journal
+//!   record, its `Replicate`s and its reply all planned from the arrival;
+//!   it takes a fast-ack `RepAck`, whose write replies no earlier than the
 //!   ack's arrival, and a fast-ack `Replicate`, whose sub-op joins its PG's
 //!   FIFO in the order the sender's PG lock sent it and whose journal
 //!   record, and so its ack, is planned from the arrival. Order among taken

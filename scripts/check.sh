@@ -83,11 +83,14 @@ step cargo test --offline --quiet --manifest-path benchmark/Cargo.toml
 #      (scripts/thread-cpu.sh: CPU ticks and context switches per thread
 #      group, from /proc) must keep working: run it once around a quick
 #      benchmark run and require a table with the flushers' row in it.
-#      It also guards four deletions: no thread sleeps through a filestore
+#      It also guards five deletions: no thread sleeps through a filestore
 #      apply, so an `fs-apply` row means apply worker threads came back;
 #      a client session takes every reply on the sending thread, so a
 #      `msgr-osd.N-clie` row means a delivery thread toward a client is
 #      back (some reply was handed back instead of taken); an AFCeph OSD
+#      takes every client request on the client's sending thread, so a
+#      `msgr-client.N-o` row means a client→OSD delivery thread is back
+#      (some request was handed back instead of taken); an AFCeph OSD
 #      takes every `Replicate` and `RepAck` on the sending thread, so a
 #      `msgr-osd.N-osd.` row means a delivery thread between OSDs is back
 #      (a fault-free run hands neither back); an AFCeph OSD runs every
@@ -112,6 +115,10 @@ thread_cpu_table() {
     fi
     if echo "$out" | sed -n '/^thread-cpu:/,$p' | grep -q '^msgr-osd\.N-cli'; then
         echo "    a msgr-osd.N-clie row: a delivery thread toward a client is back"
+        return 1
+    fi
+    if echo "$out" | sed -n '/^thread-cpu:/,$p' | grep -q '^msgr-client\.N-o'; then
+        echo "    a msgr-client.N-o row: a client->OSD delivery thread is back"
         return 1
     fi
     if echo "$out" | sed -n '/^thread-cpu:/,$p' | grep -q '^msgr-osd\.N-osd'; then
@@ -141,13 +148,15 @@ step thread_cpu_table
 #       at 60 us catches any of those waits coming back, with room for a
 #       host in its slow state.
 #       The same line counts the modeled waits per write, which the host
-#       cannot blur: one per hop a thread still waits out. Two of a
-#       write's four hops are (request, reply); the Replicate is taken on
-#       the primary's thread and the RepAck on the one that runs the
-#       replica's sub-op. 4.01 waits per write while a primary's delivery
-#       thread waited for each RepAck, 2.99 while a replica's waited for
-#       each Replicate, 1.99 since; the gate at 2.1 catches any thread
-#       waiting for either again.
+#       cannot blur: one per hop a thread still waits out. One of a
+#       write's four hops is (the reply, which the client's waiter waits
+#       out); the request is taken on the client's thread, the Replicate
+#       on the primary's and the RepAck on the one that runs the replica's
+#       sub-op, all of them the client's. 4.01 waits per write while a
+#       primary's delivery thread waited for each RepAck, 2.99 while a
+#       replica's waited for each Replicate, 1.99 while the primary's
+#       client→OSD delivery thread waited for each request, 1.00 since;
+#       the gate at 1.1 catches any thread waiting for any of them again.
 model_spin() {
     local line spin waits
     line=$(cargo run --release --quiet --example quickstart | grep '^model: spin ') ||
@@ -157,8 +166,8 @@ model_spin() {
     awk -v s="$spin" 'BEGIN { exit !(s != "" && s + 0 <= 60) }' ||
         { echo "    spin per op '$spin' us is over 60 us"; return 1; }
     waits=$(echo "$line" | sed -n 's/.*, \([0-9.]*\) waits\/op .*/\1/p')
-    awk -v w="$waits" 'BEGIN { exit !(w != "" && w + 0 <= 2.1) }' ||
-        { echo "    waits per write '$waits' is over 2.1"; return 1; }
+    awk -v w="$waits" 'BEGIN { exit !(w != "" && w + 0 <= 1.1) }' ||
+        { echo "    waits per write '$waits' is over 1.1"; return 1; }
 }
 step model_spin
 
@@ -166,10 +175,12 @@ step model_spin
 #     a test binary once, run it 25 times, and stop at the first failure
 #     with the iteration number and that run's output. Looped: the root
 #     `consistency` binary (all seven tests in parallel, nine tunings
-#     each), the two afc-core binaries that count messages taken on
-#     their sender's thread, whose counts race the work they count if a
-#     count is published late, and the afc-core binary that loses and
-#     holds `Replicate`s, whose resends race the writes behind them.
+#     each), the afc-core binary that times client ops taken on the
+#     client's thread against their arrival, the two that count messages
+#     taken on their sender's thread, whose counts race the work they
+#     count if a count is published late, and the afc-core binary that
+#     loses and holds `Replicate`s, whose resends race the writes behind
+#     them.
 loop25() {
     local name=$1 bin out i
     shift
@@ -185,6 +196,7 @@ loop25() {
     done
 }
 step loop25 consistency
+step loop25 no_thread_wakes_for_a_client_op --package afc-core
 step loop25 no_thread_wakes_for_a_replicate --package afc-core
 step loop25 no_thread_wakes_for_a_repack --package afc-core
 step loop25 sub_ops_in_pg_order --package afc-core

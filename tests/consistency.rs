@@ -164,7 +164,11 @@ fn data_is_on_both_replicas() {
     assert_eq!(acting.len(), 2);
     for osd_id in acting {
         let osd = cluster.osd(osd_id).unwrap();
-        let data = osd.store().read(&obj.to_string(), 0, 12).unwrap().data;
+        let data = osd
+            .store()
+            .read(&obj.to_string(), 0, 12, std::time::Instant::now())
+            .unwrap()
+            .data;
         assert_eq!(data, b"twice-stored", "{osd_id} missing replica data");
     }
     cluster.shutdown();

@@ -107,7 +107,11 @@ fn observable_state(fs: &FileStore) -> Vec<ObjState> {
     for obj in 0..4u8 {
         let name = format!("obj{obj}");
         let data = if fs.exists(&name) {
-            Some(fs.read(&name, 0, 16384).unwrap().data)
+            Some(
+                fs.read(&name, 0, 16384, std::time::Instant::now())
+                    .unwrap()
+                    .data,
+            )
         } else {
             None
         };
