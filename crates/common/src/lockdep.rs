@@ -144,9 +144,12 @@ pub mod classes {
         rank: 440,
         no_block_while_held: true,
     };
-    /// `OrderedAcker::lanes` — ordered-ack lanes.
-    pub static ACK_LANES: LockClass = LockClass {
-        name: "osd.ack_lanes",
+    /// `Pg::replies` — a PG's reply order. Taken by whoever replies to a
+    /// client write, which may hold a PG lock (not always this PG's), a
+    /// completion channel or the rep-wait table, never the journal ring;
+    /// the holder sends the replies it releases.
+    pub static PG_REPLIES: LockClass = LockClass {
+        name: "pg.replies",
         rank: 450,
         no_block_while_held: true,
     };
@@ -210,7 +213,7 @@ pub static DECLARED_ORDER: &[&LockClass] = &[
     &classes::PUSH_WAITS,
     &classes::APPLIED,
     &classes::OSD_CHANNEL_TX,
-    &classes::ACK_LANES,
+    &classes::PG_REPLIES,
     &classes::HB_PEERS,
     &classes::JOURNAL_RING,
     &classes::THROTTLE,

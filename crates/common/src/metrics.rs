@@ -603,11 +603,6 @@ impl HistSnapshot {
         self.quantile_us(0.50)
     }
 
-    /// 95th percentile, µs.
-    pub fn p95_us(&self) -> u64 {
-        self.quantile_us(0.95)
-    }
-
     /// 99th percentile, µs.
     pub fn p99_us(&self) -> u64 {
         self.quantile_us(0.99)

@@ -1,181 +1,157 @@
-//! Ordered ack delivery (§3.1, last paragraph).
+//! A PG's reply order (§3.1, last paragraph: "sends client sequential
+//! acks … Completion worker can sort these unordered acks").
 //!
-//! Local commits and replica acks can finish writes out of order. "We added
-//! logic that sends client sequential acks if a client wants to receive
-//! ordered acks as requested. Completion worker can sort these unordered
-//! acks before sending them to clients." Ordering is per `(client, PG)`
-//! lane in *arrival* order: an ack is released only after every
-//! earlier-arrived op on its lane has been released. A lane lives only
-//! while it has ops outstanding: the release that drains it drops it, and
-//! the next op on that `(client, PG)` starts a fresh one.
+//! A client write or delete takes its PG's next reply slot at its order
+//! point (`PgState::reply_slots`, under the PG lock, in `pg_seq` order).
+//! Its reply, `Ok` or error, leaves once every earlier slot has replied or
+//! been dropped, and no earlier than the reply before it; a client's ops
+//! reach the order point in issue order, so its replies from a PG do too.
+//! An op rejected before its order point takes no slot.
 
-use afc_common::lockdep::{classes, TrackedMutex};
-use afc_common::{ClientId, PgId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+use std::time::Instant;
 
-struct Lane<T> {
-    next_assign: u64,
-    next_release: u64,
-    held: BTreeMap<u64, T>,
+/// One PG's replies of type `T`, released in slot order. Slots are handed
+/// out 0, 1, 2, … by the caller's order point; each is finished once.
+pub struct ReplyOrder<T> {
+    /// The slot released next.
+    next: u64,
+    /// Slots finished ahead of `next`: a reply and its departure, or
+    /// `None` for a slot dropped unreplied.
+    held: BTreeMap<u64, Option<(T, Instant)>>,
+    /// The departure of the last reply released.
+    last: Instant,
 }
 
-/// Per-(client, PG) ack sequencer over acks of type `T`.
-pub struct OrderedAcker<T> {
-    lanes: TrackedMutex<HashMap<(ClientId, PgId), Lane<T>>>,
-}
-
-impl<T> Default for OrderedAcker<T> {
+impl<T> Default for ReplyOrder<T> {
     fn default() -> Self {
-        Self::new()
+        ReplyOrder {
+            next: 0,
+            held: BTreeMap::new(),
+            last: Instant::now(),
+        }
     }
 }
 
-impl<T> OrderedAcker<T> {
-    /// Create an empty sequencer.
-    pub fn new() -> Self {
-        OrderedAcker {
-            lanes: TrackedMutex::new(&classes::ACK_LANES, HashMap::new()),
+impl<T> ReplyOrder<T> {
+    /// Finish `slot` with a reply to leave at its departure bound, or with
+    /// `None` if its op never replies, and `send` every reply that is now
+    /// releasable, in slot order, each with its departure raised to the one
+    /// released before it. `send` runs under the caller's guard, so the PG's
+    /// replies are also sent in slot order.
+    pub fn release(
+        &mut self,
+        slot: u64,
+        reply: Option<(T, Instant)>,
+        mut send: impl FnMut(T, Instant),
+    ) {
+        if slot != self.next {
+            self.held.insert(slot, reply);
+            return;
+        }
+        let mut entry = Some(reply);
+        while let Some(finished) = entry {
+            self.next += 1;
+            if let Some((r, at)) = finished {
+                self.last = self.last.max(at);
+                send(r, self.last);
+            }
+            entry = self.held.remove(&self.next);
         }
     }
 
-    /// Assign the next lane slot for an arriving op.
-    pub fn assign(&self, client: ClientId, pg: PgId) -> u64 {
-        let mut lanes = self.lanes.lock();
-        let lane = lanes.entry((client, pg)).or_insert(Lane {
-            next_assign: 0,
-            next_release: 0,
-            held: BTreeMap::new(),
-        });
-        let idx = lane.next_assign;
-        lane.next_assign += 1;
-        idx
-    }
-
-    /// Offer a completed ack. Returns every ack now releasable, in order
-    /// (possibly empty if an earlier slot is still outstanding). A lane
-    /// with nothing held and nothing outstanding is dropped; `assign`
-    /// takes the same lock, so no op can be between its slot and a lane
-    /// that no longer exists.
-    pub fn release(&self, client: ClientId, pg: PgId, idx: u64, ack: T) -> Vec<T> {
-        let mut lanes = self.lanes.lock();
-        let Some(lane) = lanes.get_mut(&(client, pg)) else {
-            return vec![ack];
-        };
-        lane.held.insert(idx, ack);
-        let mut out = Vec::new();
-        while let Some(entry) = lane.held.remove(&lane.next_release) {
-            out.push(entry);
-            lane.next_release += 1;
-        }
-        if lane.held.is_empty() && lane.next_release == lane.next_assign {
-            lanes.remove(&(client, pg));
-        }
-        out
-    }
-
-    /// Acks currently held back (diagnostics).
+    /// Replies and dropped slots held behind a missing slot (diagnostics).
     pub fn held(&self) -> usize {
-        self.lanes.lock().values().map(|l| l.held.len()).sum()
+        self.held.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::messages::ClientReply;
-    use afc_common::{OpId, PoolId};
-    use afc_messenger::Addr;
+    use crate::messages::{ClientReply, OpOutcome};
+    use afc_common::OpId;
+    use std::time::Duration;
 
     fn reply(n: u64) -> ClientReply {
         ClientReply {
             op_id: OpId(n),
-            result: Ok(crate::messages::OpOutcome::Done),
+            result: Ok(OpOutcome::Done),
         }
     }
 
-    fn pg() -> PgId {
-        PgId {
-            pool: PoolId(0),
-            seq: 0,
-        }
+    /// Finish `slot` with op `n`'s reply (`None`: drop the slot); the op
+    /// ids sent, in order.
+    fn finish(o: &mut ReplyOrder<ClientReply>, slot: u64, n: Option<u64>) -> Vec<u64> {
+        let mut sent = Vec::new();
+        let at = Instant::now();
+        o.release(slot, n.map(|n| (reply(n), at)), |r, _| sent.push(r.op_id.0));
+        sent
     }
-
-    const CLIENT: ClientId = ClientId(1);
-    const TO: Addr = Addr::Client(ClientId(1));
 
     #[test]
     fn in_order_completion_releases_immediately() {
-        let a = OrderedAcker::<(Addr, ClientReply)>::new();
-        let i0 = a.assign(CLIENT, pg());
-        let i1 = a.assign(CLIENT, pg());
-        assert_eq!(a.release(CLIENT, pg(), i0, (TO, reply(0))).len(), 1);
-        assert_eq!(a.release(CLIENT, pg(), i1, (TO, reply(1))).len(), 1);
-        assert_eq!(a.held(), 0);
+        let mut o = ReplyOrder::default();
+        assert_eq!(finish(&mut o, 0, Some(0)), [0]);
+        assert_eq!(finish(&mut o, 1, Some(1)), [1]);
+        assert_eq!(o.held(), 0);
     }
 
     #[test]
     fn out_of_order_completion_is_resequenced() {
-        let a = OrderedAcker::<(Addr, ClientReply)>::new();
-        let i0 = a.assign(CLIENT, pg());
-        let i1 = a.assign(CLIENT, pg());
-        let i2 = a.assign(CLIENT, pg());
-        // Completion worker finishes 2 and 1 before 0.
-        assert!(a.release(CLIENT, pg(), i2, (TO, reply(2))).is_empty());
-        assert!(a.release(CLIENT, pg(), i1, (TO, reply(1))).is_empty());
-        assert_eq!(a.held(), 2);
-        let burst = a.release(CLIENT, pg(), i0, (TO, reply(0)));
-        let ids: Vec<u64> = burst.iter().map(|(_, r)| r.op_id.0).collect();
-        assert_eq!(ids, vec![0, 1, 2]);
-        assert_eq!(a.held(), 0);
+        let mut o = ReplyOrder::default();
+        // Slots 2 and 1 finish before 0.
+        assert!(finish(&mut o, 2, Some(2)).is_empty());
+        assert!(finish(&mut o, 1, Some(1)).is_empty());
+        assert_eq!(o.held(), 2);
+        assert_eq!(finish(&mut o, 0, Some(0)), [0, 1, 2]);
+        assert_eq!(o.held(), 0);
     }
 
+    /// Every PG keeps its own order: a PG's later slot waits only for that
+    /// PG's earlier ones.
     #[test]
     fn lanes_are_independent() {
-        let a = OrderedAcker::<(Addr, ClientReply)>::new();
-        let pg2 = PgId {
-            pool: PoolId(0),
-            seq: 1,
-        };
-        let x = a.assign(CLIENT, pg());
-        let _y0 = a.assign(CLIENT, pg2);
-        let y1 = a.assign(CLIENT, pg2);
-        // pg2's later slot is blocked only by pg2's earlier slot, not pg()'s.
-        assert!(a.release(CLIENT, pg2, y1, (TO, reply(11))).is_empty());
-        assert_eq!(a.release(CLIENT, pg(), x, (TO, reply(0))).len(), 1);
+        let (mut a, mut b) = (ReplyOrder::default(), ReplyOrder::default());
+        assert!(finish(&mut b, 1, Some(11)).is_empty());
+        assert_eq!(finish(&mut a, 0, Some(0)), [0]);
+        assert_eq!(finish(&mut b, 0, Some(10)), [10, 11]);
     }
 
+    /// A slot whose op never replies releases what waits behind it, and
+    /// nothing is left held.
     #[test]
     fn drained_lanes_are_dropped() {
-        let a = OrderedAcker::<(Addr, ClientReply)>::new();
-        let pg2 = PgId {
-            pool: PoolId(0),
-            seq: 1,
-        };
-        for c in 1..=4u64 {
-            let client = ClientId(c);
-            let i0 = a.assign(client, pg());
-            let i1 = a.assign(client, pg());
-            let j0 = a.assign(client, pg2);
-            assert!(a.release(client, pg(), i1, (TO, reply(1))).is_empty());
-            assert_eq!(a.release(client, pg2, j0, (TO, reply(2))).len(), 1);
-            assert_eq!(a.release(client, pg(), i0, (TO, reply(0))).len(), 2);
-        }
-        assert_eq!(a.lanes.lock().len(), 0, "drained lanes leaked");
-        // A later op on a dropped lane starts a fresh one and goes out at
-        // once.
-        let i = a.assign(CLIENT, pg());
-        assert_eq!(a.release(CLIENT, pg(), i, (TO, reply(3))).len(), 1);
-        let i0 = a.assign(CLIENT, pg());
-        let i1 = a.assign(CLIENT, pg());
-        assert!(a.release(CLIENT, pg(), i1, (TO, reply(5))).is_empty());
-        assert_eq!(a.lanes.lock().len(), 1, "a lane with a held ack stays");
-        assert_eq!(a.release(CLIENT, pg(), i0, (TO, reply(4))).len(), 2);
-        assert_eq!(a.lanes.lock().len(), 0);
+        let mut o = ReplyOrder::default();
+        assert!(finish(&mut o, 1, Some(1)).is_empty());
+        assert!(finish(&mut o, 3, Some(3)).is_empty());
+        assert!(finish(&mut o, 2, None).is_empty());
+        assert_eq!(finish(&mut o, 0, None), [1, 3]);
+        assert_eq!(o.held(), 0);
+        assert_eq!(finish(&mut o, 4, Some(4)), [4]);
     }
 
+    /// A fresh PG's first reply passes through at its own departure.
     #[test]
     fn unknown_lane_passes_through() {
-        let a = OrderedAcker::<(Addr, ClientReply)>::new();
-        assert_eq!(a.release(CLIENT, pg(), 0, (TO, reply(9))).len(), 1);
+        let mut o = ReplyOrder::default();
+        let at = Instant::now() + Duration::from_millis(5);
+        let mut sent = Vec::new();
+        o.release(0, Some((reply(9), at)), |r, at| sent.push((r.op_id.0, at)));
+        assert_eq!(sent, [(9, at)]);
+    }
+
+    /// A reply never departs before the one released ahead of it.
+    #[test]
+    fn a_reply_departs_no_earlier_than_the_one_before() {
+        let mut o = ReplyOrder::default();
+        let t0 = Instant::now();
+        let late = t0 + Duration::from_millis(5);
+        let mut sent = Vec::new();
+        let mut send = |r: ClientReply, at| sent.push((r.op_id.0, at));
+        o.release(1, Some((reply(1), t0)), &mut send);
+        o.release(0, Some((reply(0), late)), &mut send);
+        o.release(2, Some((reply(2), t0)), &mut send);
+        assert_eq!(sent, [(0, late), (1, late), (2, late)]);
     }
 }

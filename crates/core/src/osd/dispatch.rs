@@ -101,8 +101,8 @@ impl Dispatch {
     /// so this makes scheduler pop order and PG FIFO order one atomic step:
     /// admission after the unlock would let two dispatching threads race
     /// `Pg::queue` and invert same-volume op order, which read-after-write
-    /// and ordered acks assume cannot happen. Lock order: OP_QUEUE (held)
-    /// → OSD_QOS → PG_PENDING, ranks 100 → 102 → 300.
+    /// and reply order assume cannot happen. Lock order: OP_QUEUE (held) →
+    /// OSD_QOS → PG_PENDING, ranks 100 → 102 → 300.
     fn admit_next(
         &self,
         _q: &TrackedMutexGuard<'_, VecDeque<Arc<Pg>>>,
@@ -269,60 +269,60 @@ impl OsdInner {
         let absent: Vec<OsdId> = placed.into_iter().filter(|o| !acting.contains(o)).collect();
         let pg = self.pg(op.pg);
         let inner = Arc::clone(self);
-        let (object, op_id) = (op.object, op.op_id);
+        let (object, op_id, pgid) = (op.object, op.op_id, op.pg);
+        // An op rejected at its order point (its PG is peering) replies at
+        // once, a write before it takes a reply slot, and drops `permit`
+        // with the closure.
         let work: PgWork = match op.op {
-            query @ (ObjectOp::Read { .. } | ObjectOp::Stat) => {
-                let pgid = op.pg;
-                // A rejected op drops `permit` with the closure.
-                Box::new(move |st| {
-                    if !inner.pg_ready(st, &acting) {
-                        let err = AfcError::WrongEpoch(format!("pg {pgid} is peering"));
-                        return inner.reply(from, op_id, Err(err), arrival);
-                    }
-                    inner.process_read(ReadJob {
-                        from,
-                        op_id,
-                        obj_name: object.to_string(),
-                        query,
-                        permit,
-                        arrival,
-                        ordered_after: st.last_jseq,
-                    });
-                })
-            }
+            query @ (ObjectOp::Read { .. } | ObjectOp::Stat) => Box::new(move |st| {
+                if !inner.pg_ready(st, &acting) {
+                    let err = AfcError::WrongEpoch(format!("pg {pgid} is peering"));
+                    return inner.reply(from, op_id, Err(err), arrival);
+                }
+                inner.process_read(ReadJob {
+                    from,
+                    op_id,
+                    obj_name: object.to_string(),
+                    query,
+                    permit,
+                    arrival,
+                    ordered_after: st.last_jseq,
+                });
+            }),
             mutation @ (ObjectOp::Write { .. } | ObjectOp::Delete) => {
                 // Only writes feed the 1-in-16 stage sample.
                 let trace = match mutation {
                     ObjectOp::Write { .. } => self.write.recorder.start(arrival),
                     _ => None,
                 };
-                // §3.1: ordered acks ("sends client sequential acks if a
-                // client wants to receive ordered acks as requested").
-                let ack_lane = self
-                    .tuning
-                    .ordered_acks
-                    .then(|| self.write.acker.assign(op.client, op.pg));
-                let wop = Arc::new(WriteOp {
-                    client: op.client,
-                    op_id,
-                    reply_to: from,
-                    pg: Arc::clone(&pg),
-                    ack_lane,
-                    arrival,
-                    // The local commit plus one per replica.
-                    remaining: AtomicUsize::new(acting.len().max(1)),
-                    replied: AtomicBool::new(false),
-                    departure: LatestInstant::new(arrival),
-                    permit,
-                    trace,
-                });
-                wop.mark(Mark::Queued);
+                if let Some(t) = &trace {
+                    t.mark(Mark::Queued);
+                }
+                let pg = Arc::clone(&pg);
                 Box::new(move |st| {
-                    wop.mark(Mark::Dequeue);
                     if !inner.pg_ready(st, &acting) {
-                        let err = AfcError::WrongEpoch(format!("pg {} is peering", wop.pg.id()));
-                        return inner.fail_op(&wop, err);
+                        let err = AfcError::WrongEpoch(format!("pg {pgid} is peering"));
+                        return inner.reply(from, op_id, Err(err), arrival);
                     }
+                    // The write's reply slot: the PG answers its writes in
+                    // the order they reach this point.
+                    let slot = st.reply_slots;
+                    st.reply_slots += 1;
+                    let wop = Arc::new(WriteOp {
+                        op_id,
+                        reply_to: from,
+                        pg,
+                        slot,
+                        osd: Arc::downgrade(&inner),
+                        arrival,
+                        // The local commit plus one per replica.
+                        remaining: AtomicUsize::new(acting.len().max(1)),
+                        replied: AtomicBool::new(false),
+                        departure: LatestInstant::new(arrival),
+                        permit,
+                        trace,
+                    });
+                    wop.mark(Mark::Dequeue);
                     let replicas = acting.get(1..).unwrap_or_default();
                     inner.process_mutation(st, &wop, object, mutation, replicas, &absent);
                 })

@@ -25,6 +25,8 @@
 //! fast-ack sub-op a primary hands its replica) is drained by the same
 //! thread right after it releases its last PG lock.
 
+use super::ack::ReplyOrder;
+use crate::messages::ClientReply;
 use afc_common::lockdep::{classes, TrackedMutex, TrackedMutexGuard};
 use afc_common::metrics::Counter;
 use afc_common::{Epoch, OsdId, PgId};
@@ -108,6 +110,8 @@ pub struct PgState {
     pub rep_sent: BTreeMap<Addr, u64>,
     /// Replica: the primary it takes sub-ops from and the last taken.
     pub rep_taken: Option<(Addr, u64)>,
+    /// Primary: reply slots handed out ([`ReplyOrder`]).
+    pub reply_slots: u64,
 }
 
 impl PgState {
@@ -175,11 +179,15 @@ pub struct PgCounters {
     pub passes: Counter,
 }
 
-/// A placement group: lock + state + pending FIFO + its counters.
+/// A placement group: lock + state + pending FIFO + reply order + its
+/// counters.
 pub struct Pg {
     id: PgId,
     state: TrackedMutex<PgState>,
     pending: TrackedMutex<VecDeque<PgWork>>,
+    /// Not under the PG lock: replies are sent by journal leaders and
+    /// `RepAck` takers, sometimes under another PG's lock.
+    pub(super) replies: TrackedMutex<ReplyOrder<(Addr, ClientReply)>>,
     counters: PgCounters,
 }
 
@@ -195,6 +203,7 @@ impl Pg {
             id,
             state: TrackedMutex::new(&classes::PG_STATE, PgState::default()),
             pending: TrackedMutex::new(&classes::PG_PENDING, VecDeque::new()),
+            replies: TrackedMutex::new(&classes::PG_REPLIES, ReplyOrder::default()),
             counters,
         })
     }

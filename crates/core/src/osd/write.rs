@@ -31,7 +31,6 @@
 //! applies ([`OsdInner::wait_applied`]) without blocking whoever queues
 //! them: a Community read, or a submit on a full journal ring.
 
-use super::ack::OrderedAcker;
 use super::pg::{Pg, PgState};
 use super::trace::{Mark, StageRecorder, Trace};
 use super::trim::{AppliedPrefix, Then};
@@ -39,7 +38,7 @@ use super::OsdInner;
 use crate::messages::{ClientReply, ObjectOp, OpOutcome, OsdMsg, RepOp};
 use afc_common::lockdep::{self, classes, TrackedMutex};
 use afc_common::metrics::{Counter, Metrics};
-use afc_common::{wait_until, AfcError, ClientId, ObjectId, OpId, OsdId, PgId, Result, WaitClass};
+use afc_common::{wait_until, AfcError, ObjectId, OpId, OsdId, PgId, Result, WaitClass};
 use afc_filestore::throttle::OwnedPermit;
 use afc_filestore::{Transaction, TxOp};
 use afc_logging::Level;
@@ -47,7 +46,7 @@ use afc_messenger::Addr;
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// An in-flight replicated mutation on the primary. It holds no lock: the
@@ -55,11 +54,14 @@ use std::time::{Duration, Instant};
 /// to zero and then wins `replied` sends the `Ok`; a failure only has to
 /// win `replied`.
 pub(super) struct WriteOp {
-    pub(super) client: ClientId,
     pub(super) op_id: OpId,
     pub(super) reply_to: Addr,
     pub(super) pg: Arc<Pg>,
-    pub(super) ack_lane: Option<u64>,
+    /// Its PG's reply slot ([`ReplyOrder`](super::ack::ReplyOrder)),
+    /// taken at its order point, where the op is made.
+    pub(super) slot: u64,
+    /// Who sends the replies a dropped slot releases.
+    pub(super) osd: Weak<OsdInner>,
     /// The request's arrival here. A request taken on the client's thread
     /// runs ahead of it: its record is planned, and its `Replicate`s
     /// leave, no earlier.
@@ -135,6 +137,23 @@ impl WriteOp {
     }
 }
 
+impl Drop for WriteOp {
+    /// A write that took a slot and never replied (its torn journal record
+    /// dropped its commit callback, off the ring lock) drops the slot, so
+    /// the PG's later replies go on.
+    fn drop(&mut self) {
+        if *self.replied.get_mut() {
+            return;
+        }
+        // With the OSD gone, nothing is sent: what the slot held is moot.
+        let Some(osd) = self.osd.upgrade() else {
+            return;
+        };
+        let send = |reply, at| osd.send_reply(reply, at);
+        self.pg.replies.lock().release(self.slot, None, send);
+    }
+}
+
 /// Who is told once a mutation is durable here.
 pub(super) enum Waiter {
     /// The primary's own op: counts as its local commit.
@@ -153,9 +172,6 @@ pub(super) struct LocalCommit {
     waiter: Waiter,
 }
 
-/// A client reply and the instant it leaves.
-type Outbound = (Addr, ClientReply, Instant);
-
 /// A wait for an apply that lasts this long is wedged.
 const APPLY_TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -164,7 +180,6 @@ pub(super) struct WritePath {
     pub(super) applied: AppliedPrefix,
     pub(super) completion_tx: TrackedMutex<Option<Sender<LocalCommit>>>,
     pub(super) recorder: StageRecorder,
-    pub(super) acker: OrderedAcker<Outbound>,
     writes: Counter,
     apply_failures: Counter,
 }
@@ -175,7 +190,6 @@ impl WritePath {
             applied: AppliedPrefix::new(APPLY_TIMEOUT),
             completion_tx: TrackedMutex::new(&classes::OSD_CHANNEL_TX, None),
             recorder: StageRecorder::new(16),
-            acker: OrderedAcker::new(),
             writes: Counter::new(),
             apply_failures: Counter::new(),
         }
@@ -191,15 +205,15 @@ impl WritePath {
     /// The one reply of a write, success or failure, sent by whoever won it
     /// ([`WriteOp::settle`], [`WriteOp::claim_reply`]), to leave at its
     /// departure bound (for an `Ok`: the request arrived, the local record
-    /// durable, every replica ack arrived); through the op's ordered-ack
-    /// lane when it has one, so a failure takes its turn like a success and
-    /// never wedges the lane. The client-throttle slot is freed when the
-    /// reply leaves, and a sampled `Ok` feeds the stage histograms.
+    /// durable, every replica ack arrived), in its PG's reply order, so a
+    /// failure takes its turn like a success. The client-throttle slot is
+    /// freed at the departure bound, and a sampled `Ok` feeds the stage
+    /// histograms.
     pub(super) fn reply(
         &self,
         op: &WriteOp,
         result: Result<OpOutcome>,
-        mut send: impl FnMut(Addr, ClientReply, Instant),
+        send: impl FnMut((Addr, ClientReply), Instant),
     ) {
         // Never before now, as `send_at` would have it: the trace's `reply`
         // then follows every mark stamped before it.
@@ -216,20 +230,8 @@ impl WritePath {
             op_id: op.op_id,
             result,
         };
-        if let Some(lane) = op.ack_lane {
-            // Ordered acks: hold back until every earlier op on this
-            // (client, pg) lane has been released, and never let a later
-            // one leave first.
-            let mut after = at;
-            let acker = &self.acker;
-            for (to, r, at) in acker.release(op.client, op.pg.id(), lane, (op.reply_to, reply, at))
-            {
-                after = after.max(at);
-                send(to, r, after);
-            }
-        } else {
-            send(op.reply_to, reply, at);
-        }
+        let reply = ((op.reply_to, reply), at);
+        op.pg.replies.lock().release(op.slot, Some(reply), send);
     }
 }
 
@@ -555,7 +557,7 @@ impl OsdInner {
     pub(super) fn settle(&self, op: &WriteOp, n: usize) {
         self.log("op commit ready");
         if op.settle(n) {
-            let send = |to, r, at| self.send_reply(to, r, at);
+            let send = |reply, at| self.send_reply(reply, at);
             self.write.reply(op, Ok(OpOutcome::Done), send);
         }
     }
@@ -563,12 +565,12 @@ impl OsdInner {
     /// Fail `op` unless it has replied already.
     pub(super) fn fail_op(&self, op: &WriteOp, err: AfcError) {
         if op.claim_reply() {
-            let send = |to, r, at| self.send_reply(to, r, at);
+            let send = |reply, at| self.send_reply(reply, at);
             self.write.reply(op, Err(err), send);
         }
     }
 
-    fn send_reply(&self, to: Addr, reply: ClientReply, at: Instant) {
+    fn send_reply(&self, (to, reply): (Addr, ClientReply), at: Instant) {
         self.log("send client reply");
         self.send_at(to, OsdMsg::Reply(reply), Some(at));
     }
@@ -582,25 +584,29 @@ mod tests {
 
     /// Eight threads race on every op, 100 ops per round: seven settle one
     /// completion each, the eighth fails every odd op. Each op replies
-    /// exactly once, and an op nobody fails replies `Ok`.
-    fn race_settle_against_fail(ordered_acks: bool) {
+    /// exactly once, and an op nobody fails replies `Ok`. With `one_pg`
+    /// the ops hold one PG's reply slots in op order and reply in that
+    /// order; else each op is the first of a PG of its own.
+    fn race_settle_against_fail(one_pg: bool) {
         const OPS: u64 = 10_000;
         const THREADS: usize = 8;
         const ROUND: usize = 100;
         let path = WritePath::new();
         let throttle = Arc::new(Throttle::new("test", OPS));
-        let pg = Pg::new(PgId {
-            pool: afc_common::PoolId(0),
-            seq: 0,
-        });
-        let client = ClientId(1);
+        let new_pg = || {
+            Pg::new(PgId {
+                pool: afc_common::PoolId(0),
+                seq: 0,
+            })
+        };
+        let pg = new_pg();
         let ops: Vec<WriteOp> = (0..OPS)
             .map(|i| WriteOp {
-                client,
                 op_id: OpId(i),
-                reply_to: Addr::Client(client),
-                pg: Arc::clone(&pg),
-                ack_lane: ordered_acks.then(|| path.acker.assign(client, pg.id())),
+                reply_to: Addr::Client(afc_common::ClientId(1)),
+                pg: if one_pg { Arc::clone(&pg) } else { new_pg() },
+                slot: if one_pg { i } else { 0 },
+                osd: Weak::new(),
                 arrival: Instant::now(),
                 remaining: AtomicUsize::new(THREADS - 1),
                 replied: AtomicBool::new(false),
@@ -611,12 +617,18 @@ mod tests {
             .collect();
         let replies: Vec<(AtomicUsize, AtomicBool)> =
             (0..OPS).map(|_| Default::default()).collect();
+        let sent = AtomicU64::new(0);
         let barrier = Barrier::new(THREADS);
         std::thread::scope(|s| {
             for t in 0..THREADS {
                 let (path, ops, replies, barrier) = (&path, &ops, &replies, &barrier);
+                let sent = &sent;
                 s.spawn(move || {
-                    let mut count = |_: Addr, r: ClientReply, _: Instant| {
+                    let mut count = |(_, r): (Addr, ClientReply), _: Instant| {
+                        // A reply is sent under its PG's reply order, so
+                        // with one PG this count is its slot.
+                        let k = sent.fetch_add(1, Ordering::Relaxed);
+                        assert!(!one_pg || k == r.op_id.0, "op {} sent {k}th", r.op_id.0);
                         let (n, ok) = &replies[r.op_id.0 as usize];
                         n.fetch_add(1, Ordering::Relaxed);
                         ok.store(r.result.is_ok(), Ordering::Relaxed);
@@ -644,7 +656,9 @@ mod tests {
                 assert!(ok.load(Ordering::Relaxed), "op {i} was never failed");
             }
         }
-        assert_eq!(path.acker.held(), 0, "no lane is left waiting");
+        for op in &ops {
+            assert_eq!(op.pg.replies.lock().held(), 0, "no reply is left waiting");
+        }
         assert_eq!(throttle.in_use(), 0, "every permit released at its reply");
     }
 

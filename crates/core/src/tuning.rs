@@ -1,4 +1,5 @@
-//! Per-optimization switches (the Figure 9 ablation axis).
+//! Per-optimization switches (the Figure 9 ablation axis). §3.1's ordered
+//! acks are not one: every PG answers its writes in order (`osd::ack`).
 
 use afc_logging::LogMode;
 
@@ -62,9 +63,6 @@ pub struct OsdTuning {
     /// message's arrival. Off, both wait for their arrival on a delivery
     /// thread and go through the PG queue.
     pub fast_ack: bool,
-    /// §3.1 (last paragraph): re-sort client acks so each client observes
-    /// them in issue order even though writes complete out of order.
-    pub ordered_acks: bool,
     /// §3.2: throttle sizing.
     pub throttle: ThrottleProfile,
     /// §3.2: allocator behaviour.
@@ -111,7 +109,6 @@ impl OsdTuning {
             pending_queue: false,
             dedicated_completion: false,
             fast_ack: false,
-            ordered_acks: false,
             throttle: ThrottleProfile::Hdd,
             allocator: Allocator::TcMalloc,
             nagle: true,
@@ -132,7 +129,6 @@ impl OsdTuning {
             pending_queue: true,
             dedicated_completion: true,
             fast_ack: true,
-            ordered_acks: false,
             throttle: ThrottleProfile::Ssd,
             allocator: Allocator::JeMalloc,
             nagle: false,

@@ -311,10 +311,10 @@ fn lost_replies_surface_as_a_typed_timeout_not_a_hang() {
     cluster.shutdown();
 }
 
-/// With ordered acks, a write that fails takes its turn in its
-/// `(client, PG)` lane like one that succeeds. When the failure was
-/// replied around the lane, its slot was never released and every later
-/// ack on the lane was held until the client timed out.
+/// A write that fails takes its turn in its PG's reply order like one
+/// that succeeds. When the failure was replied around the order, its slot
+/// was never released and every later reply of the PG was held until the
+/// client timed out.
 #[test]
 fn failed_write_releases_its_ordered_ack_lane() {
     let cluster = Cluster::builder()
@@ -323,7 +323,6 @@ fn failed_write_releases_its_ordered_ack_lane() {
         .replication(2)
         .pg_num(8)
         .tuning(OsdTuning {
-            ordered_acks: true,
             rep_max_resends: 1,
             ..fast_resend_tuning()
         })
@@ -351,6 +350,167 @@ fn failed_write_releases_its_ordered_ack_lane() {
     }
     assert_eq!(client.read_object("lane", 0, 4).unwrap(), [2u8; 4]);
     cluster.shutdown();
+}
+
+/// Objects in the same PG as `of`, named `{prefix}N`.
+fn same_pg(cluster: &Cluster, of: &str, prefix: &'static str) -> impl Iterator<Item = String> {
+    let map = cluster.monitor().map();
+    let pool = cluster.pool();
+    let pg_of = move |object: &str| {
+        map.object_placement(&ObjectId::new(pool, object))
+            .unwrap()
+            .0
+    };
+    let pg = pg_of(of);
+    (0..)
+        .map(move |i| format!("{prefix}{i}"))
+        .filter(move |o| pg_of(o) == pg)
+}
+
+/// A write whose journal record tears never replies: its commit callback
+/// is dropped, and with it the write's reply slot. A later write to the
+/// same PG is answered well inside its op timeout instead of waiting
+/// behind that slot for good. Under both profiles.
+#[test]
+fn a_torn_write_holds_no_later_reply_of_its_pg() {
+    let tunings = [
+        ("afceph", OsdTuning::afceph()),
+        ("community", OsdTuning::community()),
+    ];
+    for (name, tuning) in tunings {
+        let cluster = Cluster::builder()
+            .nodes(1)
+            .osds_per_node(1)
+            .replication(1)
+            .pg_num(8)
+            .tuning(tuning)
+            .devices(DeviceProfile::clean())
+            .faults(FaultPlan::new(0x0A))
+            .build()
+            .unwrap();
+        let reg = cluster.fault_registry().unwrap().clone();
+        let client = cluster.client().unwrap();
+        client.set_max_retries(1);
+        client.set_op_timeout(Duration::from_secs(5));
+        let osd = &cluster.osds()[0];
+        let torn = osd.journal().stats().torn_writes.get();
+        let site = FaultSite::Journal {
+            node: 0,
+            io: Some(Io::Write),
+        };
+        reg.install(FaultSpec::new(site, FaultKind::Torn).times(1));
+        let lost = client
+            .write_object_async("torn", 0, Bytes::from_static(b"never"))
+            .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while osd.journal().stats().torn_writes.get() == torn {
+            assert!(Instant::now() < deadline, "{name}: the record never tore");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for (v, object) in same_pg(&cluster, "torn", "after").take(3).enumerate() {
+            let t0 = Instant::now();
+            client.write_object(&object, 0, &[v as u8; 4]).unwrap();
+            let took = t0.elapsed();
+            assert!(
+                took < Duration::from_secs(1),
+                "{name}: write {v} waited {took:?} behind a torn write"
+            );
+        }
+        assert!(
+            lost.try_wait().is_none(),
+            "{name}: a torn write was answered"
+        );
+        osd.simulate_crash().unwrap();
+        osd.replay_journal().unwrap();
+        cluster.shutdown();
+    }
+}
+
+/// Two clients write to one PG, alternating, each write issued once the
+/// one before reached its order point, and the replies leave in PG order:
+/// no write is answered before one issued ahead of it. Two faults hold the
+/// first write back: a lost `Replicate`, which the replica's chain order
+/// already makes every later sub-op wait for, and a `RepAck` delayed by
+/// 50 ms, which nothing else orders. Under both profiles.
+#[test]
+fn replies_leave_in_pg_order_across_clients() {
+    const WRITES: usize = 8;
+    let community = OsdTuning {
+        rep_resend_after_ms: 20,
+        ..OsdTuning::community()
+    };
+    let tunings = [("afceph", fast_resend_tuning()), ("community", community)];
+    let faults = [
+        (NetSite::Replicate, FaultKind::Drop),
+        (NetSite::RepAck, FaultKind::Delay(Duration::from_millis(50))),
+    ];
+    for (name, tuning) in tunings {
+        for (site, kind) in faults.clone() {
+            let cluster = Cluster::builder()
+                .nodes(2)
+                .osds_per_node(1)
+                .replication(2)
+                .pg_num(8)
+                .tuning(tuning.clone())
+                .devices(DeviceProfile::clean())
+                .faults(FaultPlan::new(0x0B))
+                .build()
+                .unwrap();
+            let reg = cluster.fault_registry().unwrap().clone();
+            let clients = [cluster.client().unwrap(), cluster.client().unwrap()];
+            let writes = || cluster.metrics_snapshot().site_sum("op.writes");
+            reg.install(FaultSpec::new(FaultSite::Net(site), kind).times(1));
+            let handles: Vec<_> = same_pg(&cluster, "pgorder", "pgorder")
+                .take(WRITES)
+                .enumerate()
+                .map(|(i, object)| {
+                    let before = writes();
+                    let data = Bytes::from(vec![i as u8; 512]);
+                    let h = clients[i % 2].write_object_async(&object, 0, data).unwrap();
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while writes() == before {
+                        assert!(Instant::now() < deadline, "{name}: write {i} never ran");
+                        std::thread::sleep(Duration::from_micros(100));
+                    }
+                    h
+                })
+                .collect();
+            // Poll in reverse issue order and note the sweep each reply is
+            // first seen in, as `qos::limited_backlog_keeps_issue_order_end_to_end`
+            // does.
+            let mut seen_in = [0usize; WRITES];
+            let mut left: Vec<usize> = (0..WRITES).rev().collect();
+            let start = Instant::now();
+            for sweep in 1.. {
+                left.retain(|&i| match handles[i].try_wait() {
+                    Some(r) => {
+                        r.unwrap();
+                        seen_in[i] = sweep;
+                        false
+                    }
+                    None => true,
+                });
+                if left.is_empty() {
+                    break;
+                }
+                assert!(
+                    start.elapsed() < Duration::from_secs(10),
+                    "{name}, {site:?}: writes {left:?} unanswered"
+                );
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            assert_eq!(
+                reg.hits(FaultSite::Net(site)),
+                1,
+                "{name}: no {site:?} fault"
+            );
+            assert!(
+                seen_in.windows(2).all(|w| w[0] <= w[1]),
+                "{name}, {site:?}: replies out of PG order: {seen_in:?}"
+            );
+            cluster.shutdown();
+        }
+    }
 }
 
 /// A pipelined write, write, read on one PG. The read is ordered behind

@@ -127,90 +127,142 @@ fn max_iops_ceiling_holds_end_to_end() {
 /// burst of 4: the first ops are admitted by the messenger thread that
 /// receives them, the rest wait behind the empty bucket for an op worker.
 /// Both paths keep one order: the scheduler serves every op it queued, the
-/// last write wins, and with ordered acks the replies arrive in issue
-/// order.
+/// last write wins, and the replies, which leave in their PG's order,
+/// arrive in issue order.
 #[test]
 fn limited_backlog_keeps_issue_order_end_to_end() {
     const WRITES: usize = 64;
     let _serial = SERIAL.lock();
-    for ordered_acks in [false, true] {
+    let cluster = qos_cluster();
+    let client = cluster.open_volume(QosSpec::new(0, 100, 4)).unwrap();
+    let start = Instant::now();
+    let handles: Vec<_> = (0..WRITES)
+        .map(|v| {
+            client
+                .write_object_async("burst", 0, Bytes::from(vec![v as u8; 512]))
+                .unwrap()
+        })
+        .collect();
+    // Poll in reverse issue order and note the sweep each reply is first
+    // seen in: a later write seen in an earlier sweep than an earlier one
+    // was answered strictly before it.
+    let mut seen_in = [0usize; WRITES];
+    let mut left: Vec<usize> = (0..WRITES).rev().collect();
+    for sweep in 1.. {
+        left.retain(|&i| match handles[i].try_wait() {
+            Some(r) => {
+                r.unwrap();
+                seen_in[i] = sweep;
+                false
+            }
+            None => true,
+        });
+        if left.is_empty() {
+            break;
+        }
+        // An op the backlog strands is never answered: fail, not hang.
+        assert!(
+            start.elapsed() < Duration::from_secs(20),
+            "writes {left:?} unanswered after 20 s"
+        );
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    let elapsed = start.elapsed();
+    assert_eq!(
+        client.read_object("burst", 0, 512).unwrap(),
+        vec![WRITES as u8 - 1; 512],
+        "the last write lost"
+    );
+    assert!(
+        seen_in.windows(2).all(|w| w[0] <= w[1]),
+        "replies out of issue order: {seen_in:?}"
+    );
+    assert!(
+        elapsed >= Duration::from_millis(500),
+        "{WRITES} writes at 100 IOPS finished in {elapsed:?}"
+    );
+    let snap = cluster.metrics_snapshot();
+    let sum = |name: &str| -> u64 {
+        (0..cluster.osds().len())
+            .map(|n| snap.counter(&format!("osd{n}.{name}")).unwrap_or(0))
+            .sum()
+    };
+    assert!(sum("qos.vol1.limited") > 0, "limit bucket never throttled");
+    assert_eq!(
+        sum("qos.served_reservation") + sum("qos.served_weight"),
+        sum("qos.enqueued")
+    );
+    let (fast, ops) = (sum("op.fast_dispatches"), sum("op.client_ops"));
+    assert!(
+        fast > 0 && fast < ops,
+        "{fast} of {ops} ops admitted on the messenger thread"
+    );
+    cluster.shutdown();
+}
+
+/// Two volumes write to one PG, one held at a 10-IOPS limit with a
+/// backlog of 20 writes (two seconds of tokens). A write takes its PG's
+/// reply slot at the order point, not on arrival, so the unlimited
+/// volume's writes, admitted ahead of that backlog, are answered without
+/// waiting for it. Under both profiles (Community with QoS on).
+#[test]
+fn a_limited_backlog_holds_no_other_volumes_replies_in_its_pg() {
+    const BACKLOG: usize = 20;
+    let _serial = SERIAL.lock();
+    let afceph = OsdTuning::afceph();
+    let community = OsdTuning {
+        qos_enabled: true,
+        ..OsdTuning::community()
+    };
+    for (name, tuning) in [("afceph", afceph), ("community", community)] {
         let cluster = Cluster::builder()
             .nodes(2)
             .osds_per_node(2)
             .replication(2)
             .pg_num(32)
-            .tuning(OsdTuning {
-                ordered_acks,
-                ..OsdTuning::afceph()
-            })
+            .tuning(tuning)
             .devices(DeviceProfile::clean())
             .build()
             .unwrap();
-        let client = cluster.open_volume(QosSpec::new(0, 100, 4)).unwrap();
-        let start = Instant::now();
-        let handles: Vec<_> = (0..WRITES)
+        let map = cluster.monitor().map();
+        let pg_of = |object: &str| {
+            let id = afc_common::ObjectId::new(cluster.pool(), object);
+            map.object_placement(&id).unwrap().0
+        };
+        let pg = pg_of("held0");
+        let mut names = (0..).map(|i| format!("free{i}")).filter(|o| pg_of(o) == pg);
+        let limited = cluster.open_volume(QosSpec::new(0, 10, 1)).unwrap();
+        let free = cluster.open_volume(QosSpec::new(0, 0, 0)).unwrap();
+        let backlog: Vec<_> = (0..BACKLOG)
             .map(|v| {
-                client
-                    .write_object_async("burst", 0, Bytes::from(vec![v as u8; 512]))
-                    .unwrap()
+                let data = Bytes::from(vec![v as u8; 512]);
+                limited.write_object_async("held0", 0, data).unwrap()
             })
             .collect();
-        // Poll in reverse issue order and note the sweep each reply is
-        // first seen in: a later write seen in an earlier sweep than an
-        // earlier one was answered strictly before it.
-        let mut seen_in = [0usize; WRITES];
-        let mut left: Vec<usize> = (0..WRITES).rev().collect();
-        for sweep in 1.. {
-            left.retain(|&i| match handles[i].try_wait() {
-                Some(r) => {
-                    r.unwrap();
-                    seen_in[i] = sweep;
-                    false
-                }
-                None => true,
-            });
-            if left.is_empty() {
-                break;
-            }
-            // An op the backlog strands is never answered: fail, not hang.
+        for v in 0..5u8 {
+            let object = names.next().unwrap();
+            let t0 = Instant::now();
+            free.write_object(&object, 0, &[v; 512]).unwrap();
+            let took = t0.elapsed();
             assert!(
-                start.elapsed() < Duration::from_secs(20),
-                "ordered_acks={ordered_acks}: writes {left:?} unanswered after 20 s"
-            );
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        let elapsed = start.elapsed();
-        assert_eq!(
-            client.read_object("burst", 0, 512).unwrap(),
-            vec![WRITES as u8 - 1; 512],
-            "ordered_acks={ordered_acks}: the last write lost"
-        );
-        if ordered_acks {
-            assert!(
-                seen_in.windows(2).all(|w| w[0] <= w[1]),
-                "replies out of issue order: {seen_in:?}"
+                took < Duration::from_millis(500),
+                "{name}: write {v} waited {took:?} behind another volume's backlog"
             );
         }
+        let mut backlog = backlog;
+        let unanswered =
+            |h: &afc_core::client::rados::OpHandle| h.try_wait().map(|r| r.unwrap()).is_none();
+        backlog.retain(unanswered);
         assert!(
-            elapsed >= Duration::from_millis(500),
-            "{WRITES} writes at 100 IOPS finished in {elapsed:?}"
+            !backlog.is_empty(),
+            "{name}: the backlog drained before the other volume wrote"
         );
-        let snap = cluster.metrics_snapshot();
-        let sum = |name: &str| -> u64 {
-            (0..cluster.osds().len())
-                .map(|n| snap.counter(&format!("osd{n}.{name}")).unwrap_or(0))
-                .sum()
-        };
-        assert!(sum("qos.vol1.limited") > 0, "limit bucket never throttled");
-        assert_eq!(
-            sum("qos.served_reservation") + sum("qos.served_weight"),
-            sum("qos.enqueued")
-        );
-        let (fast, ops) = (sum("op.fast_dispatches"), sum("op.client_ops"));
-        assert!(
-            fast > 0 && fast < ops,
-            "{fast} of {ops} ops admitted on the messenger thread"
-        );
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !backlog.is_empty() {
+            assert!(Instant::now() < deadline, "{name}: the backlog stranded");
+            std::thread::sleep(Duration::from_millis(1));
+            backlog.retain(unanswered);
+        }
         cluster.shutdown();
     }
 }

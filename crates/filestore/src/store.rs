@@ -1110,6 +1110,7 @@ mod tests {
     fn queue_transaction_async_completion() {
         let fs = nvram_store(FileStoreConfig::lightweight());
         let (tx, rx) = crossbeam::channel::bounded(1);
+        let queued = Instant::now();
         fs.queue_transaction(
             write_txn("o", 64, false),
             Box::new(move |r| {
@@ -1117,7 +1118,11 @@ mod tests {
             }),
         )
         .unwrap();
-        rx.recv().unwrap().unwrap();
+        let done = rx.recv().unwrap().unwrap();
+        assert!(done >= queued, "the apply completes before it was queued");
+        // The throttle permit is released at the apply's modeled
+        // completion, which may still be ahead when the callback runs.
+        sleep_until(done);
         assert_eq!(fs.queue_len(), 0);
     }
 

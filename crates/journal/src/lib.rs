@@ -285,8 +285,11 @@ impl Journal {
         }
         ring.committing = true;
         while !ring.pending.is_empty() {
-            let (durable, callbacks) = self.write_record(&mut ring);
+            let (durable, callbacks, torn) = self.write_record(&mut ring);
             drop(ring);
+            // Dropped off the lock: what a callback holds may act when it
+            // goes (a write's reply slot).
+            drop(torn);
             for (s, cb) in callbacks {
                 self.stats.commits.inc();
                 if s == seq {
@@ -445,15 +448,19 @@ impl Journal {
     /// sequence order): take one batch off the queue within the ops/bytes
     /// caps (always at least one entry), plan its coalesced write and the
     /// flush barrier that hardens it at the ring cursor, and publish the
-    /// entries to the replay set. Returns when the record is durable and
-    /// the callbacks to fire, in sequence order, after the lock drops.
+    /// entries to the replay set. Returns when the record is durable, the
+    /// callbacks to fire, in sequence order, after the lock drops, and a
+    /// torn tail's callback, to drop unfired after it.
     ///
     /// Nothing waits here: both requests are *planned*, back to back, from
     /// now or the batch's latest not-before, whichever is later, and the
     /// record is durable at the later completion — the barrier's, which
     /// the device orders behind the write it hardens. Faults surface at
     /// plan time exactly as [`BlockDev::submit`] surfaces them.
-    fn write_record(&self, ring: &mut RingState) -> (Instant, Vec<(u64, CommitFn)>) {
+    fn write_record(
+        &self,
+        ring: &mut RingState,
+    ) -> (Instant, Vec<(u64, CommitFn)>, Option<CommitFn>) {
         let (mut n, mut total) = (0usize, 0u64);
         let mut not_before = Instant::now();
         for p in ring.pending.iter() {
@@ -510,13 +517,16 @@ impl Journal {
         }
         let durable = done.unwrap_or(not_before);
         let mut callbacks = Vec::with_capacity(n);
+        let mut torn_tail = None;
         for (i, p) in ring.pending.drain(..n).enumerate() {
             let mut checksum = entry_checksum(p.seq, &p.payload);
             if torn && i + 1 == n {
                 // The tail is garbage on media: poison its checksum so
                 // replay truncates it. Never durable, so never
-                // acknowledged: its commit callback is dropped.
+                // acknowledged: its commit callback is dropped unfired,
+                // once the ring lock is.
                 checksum = !checksum;
+                torn_tail = Some(p.on_commit);
             } else {
                 callbacks.push((p.seq, p.on_commit));
             }
@@ -528,7 +538,7 @@ impl Journal {
             };
             ring.live.push_back((entry, durable));
         }
-        (durable, callbacks)
+        (durable, callbacks, torn_tail)
     }
 }
 

@@ -73,6 +73,13 @@ step cargo clippy --workspace --all-targets --quiet -- -D warnings
 step cargo build --workspace --quiet
 step cargo test --workspace --quiet
 
+# 4a. The unit tests again in release. Lockdep compiles out and modeled
+#     instants land at other moments there, so some failures show only in
+#     a release build: a lockdep test that asserted the held set, a test
+#     that read a throttle before the instant it frees at. The debug run
+#     above never sees them.
+step cargo test --release --offline --workspace --lib --quiet
+
 # 4b. The repo benchmark is a package of its own (benchmark/, empty
 #     [workspace]) that path-depends on nine of these crates; the workspace
 #     steps above never compile it, so an API removal here would only

@@ -33,13 +33,6 @@ fn tunings() -> Vec<(&'static str, OsdTuning)> {
         ("step_logging", OsdTuning::step_logging()),
         ("afceph", afceph()),
         (
-            "afceph+ordered",
-            OsdTuning {
-                ordered_acks: true,
-                ..afceph()
-            },
-        ),
-        (
             "afceph-pending_queue",
             OsdTuning {
                 pending_queue: false,
