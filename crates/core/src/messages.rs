@@ -2,7 +2,9 @@
 
 use crate::qos::QosTag;
 use afc_common::{AfcError, ClientId, Epoch, ObjectId, OpId, OsdId, PgId};
+use afc_filestore::Transaction;
 use bytes::Bytes;
+use std::sync::Arc;
 
 /// Object-level operation requested by a client.
 #[derive(Debug, Clone)]
@@ -85,17 +87,25 @@ pub struct ClientReply {
     pub result: Result<OpOutcome, AfcError>,
 }
 
-/// Replication sub-op, primary → replica (`MOSDRepOp`).
+/// Replication sub-op, primary → replica (`MOSDRepOp`). Like Ceph's, it
+/// carries the primary's filestore transaction for one client mutation —
+/// object data, attrs and the PG-log append in one — built and encoded
+/// once on the primary ([`mutation_txn`](crate::osd::mutation_txn)): the
+/// replica journals `encoded` as it came and applies `txn`, building
+/// nothing. Its modeled wire size is the request's (256 B plus the data)
+/// plus 64 B.
 #[derive(Debug, Clone)]
 pub struct RepOp {
     /// Correlation id unique on the primary.
     pub rep_id: u64,
     /// Placement group.
     pub pg: PgId,
-    /// Target object.
-    pub object: ObjectId,
-    /// The (write) operation to mirror.
-    pub op: ObjectOp,
+    /// The primary's transaction, shared by every `Replicate` of the
+    /// write and by the primary's own apply.
+    pub txn: Arc<Transaction>,
+    /// `txn`'s journal encoding, the buffer the primary journaled: a
+    /// replica's journal record holds these very bytes.
+    pub encoded: Bytes,
     /// PG log sequence assigned by the primary.
     pub pg_seq: u64,
     /// `pg_seq` of the `Replicate` sent this replica for this PG just
@@ -196,7 +206,7 @@ impl OsdMsg {
                 Ok(OpOutcome::Data(d)) => 128 + d.len() as u32,
                 _ => 128,
             },
-            OsdMsg::Replicate(r) => r.op.wire_bytes() + 64,
+            OsdMsg::Replicate(r) => 256 + r.txn.data_bytes() as u32 + 64,
             OsdMsg::RepAck(_) => 96,
             OsdMsg::Ping(_) | OsdMsg::Pong(_) => 64,
             OsdMsg::PgQuery(_) => 96,
@@ -253,6 +263,32 @@ mod tests {
             from: OsdId(0),
         });
         assert_eq!(ack.wire_bytes(), 96);
+    }
+
+    #[test]
+    fn replicate_wire_bytes_are_the_requests_plus_64() {
+        let pg = PgId {
+            pool: PoolId(0),
+            seq: 0,
+        };
+        for op in [
+            ObjectOp::Write {
+                offset: 0,
+                data: Bytes::from(vec![0; 4096]),
+            },
+            ObjectOp::Delete,
+        ] {
+            let txn = crate::osd::mutation_txn(pg, "o", 1, &op).unwrap();
+            let rep = OsdMsg::Replicate(RepOp {
+                rep_id: 1,
+                pg,
+                encoded: txn.encode(),
+                txn: Arc::new(txn),
+                pg_seq: 1,
+                prev: None,
+            });
+            assert_eq!(rep.wire_bytes(), op.wire_bytes() + 64, "{op:?}");
+        }
     }
 
     #[test]

@@ -593,12 +593,15 @@ impl OsdInner {
         let (pg, pg_seq) = (push.pg, push.pg_seq);
         self.handle_subop(from, push.push_id, pg, pg_seq, None, move |me| {
             let obj_name = push.object.to_string();
-            match &push.data {
-                Some(data) => Some(install_txn(pg, &obj_name, pg_seq, data)),
+            let txn = match &push.data {
+                Some(data) => install_txn(pg, &obj_name, pg_seq, data),
                 // Nothing to delete locally: ack right away.
-                None if me.store.stat(&obj_name).is_err() => None,
-                None => mutation_txn(pg, &obj_name, pg_seq, &ObjectOp::Delete),
-            }
+                None if me.store.stat(&obj_name).is_err() => return None,
+                None => mutation_txn(pg, &obj_name, pg_seq, &ObjectOp::Delete)?,
+            };
+            // A push's transaction is this replica's own: it encodes it.
+            let encoded = txn.encode();
+            Some((Arc::new(txn), encoded))
         });
     }
 

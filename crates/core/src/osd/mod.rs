@@ -55,6 +55,8 @@ mod trace;
 mod trim;
 mod write;
 
+pub use write::mutation_txn;
+
 use crate::messages::OsdMsg;
 use crate::monitor::{Monitor, SharedMap};
 use crate::tuning::OsdTuning;

@@ -6,7 +6,7 @@
 //! ([`PgState::rep_taken`](super::pg::PgState::rep_taken)).
 
 use super::pg::{Pg, PgState, PgWork};
-use super::write::{mutation_txn, Waiter, WriteOp};
+use super::write::{Waiter, WriteOp};
 use super::OsdInner;
 use crate::messages::{OsdMsg, RepOp, RepOpReply};
 use afc_common::lockdep::{classes, TrackedMutex};
@@ -15,6 +15,7 @@ use afc_common::{AfcError, PgId};
 use afc_filestore::Transaction;
 use afc_logging::Level;
 use afc_messenger::Addr;
+use bytes::Bytes;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -129,28 +130,37 @@ impl OsdInner {
 
     /// A `Replicate` that arrives at `arrival`: taken on the primary's
     /// sending thread ahead of it (`OsdDispatcher::take`), or dispatched
-    /// at it.
+    /// at it. Its sub-op journals the primary's encoding and applies the
+    /// primary's transaction, building neither.
     pub(super) fn handle_repop(self: &Arc<Self>, from: Addr, rep: RepOp, arrival: Instant) {
         self.rep.repops.inc();
         self.log("handle repop");
-        let (rep_id, pg, pg_seq) = (rep.rep_id, rep.pg, rep.pg_seq);
-        let replicate = Some((rep.prev, arrival));
+        let RepOp {
+            rep_id,
+            pg,
+            txn,
+            encoded,
+            pg_seq,
+            prev,
+        } = rep;
+        let replicate = Some((prev, arrival));
         self.handle_subop(from, rep_id, pg, pg_seq, replicate, move |me| {
             me.alloc_overhead();
-            mutation_txn(pg, &rep.object.to_string(), pg_seq, &rep.op)
+            Some((txn, encoded))
         });
     }
 
     /// The replica sub-op routine, shared by mirrored client mutations and
     /// recovery installs: under the PG lock, re-ack a `Replicate` taken
     /// already, drop one whose `prev` is not the last taken, else journal
-    /// what `build` returns (`None`: nothing to do locally — ack right
-    /// away), and let the commit continuation ack `from`.
+    /// the encoding `build` returns and apply its transaction (`None`:
+    /// nothing to do locally — ack right away), and let the commit
+    /// continuation ack `from`.
     ///
     /// `replicate` is a `Replicate`'s `prev` and arrival; `None` is a
     /// recovery push, which no chain orders. With §3.1's fast ack a
-    /// `Replicate` runs inline: the sub-op — PG bookkeeping, txn build,
-    /// journal submit — runs on this thread, cutting the PG-queue hand-off
+    /// `Replicate` runs inline: the sub-op — PG bookkeeping, journal
+    /// submit — runs on this thread, cutting the PG-queue hand-off
     /// out of the primary-observed ack round trip, and its record is
     /// planned from its arrival. Anything else goes through the PG queue,
     /// its record planned from when it runs.
@@ -184,7 +194,7 @@ impl OsdInner {
         pg: PgId,
         pg_seq: u64,
         replicate: Option<(Option<u64>, Instant)>,
-        build: impl FnOnce(&OsdInner) -> Option<Transaction> + Send + 'static,
+        build: impl FnOnce(&OsdInner) -> Option<(Arc<Transaction>, Bytes)> + Send + 'static,
     ) {
         let inline = replicate.and_then(|(_, at)| self.tuning.fast_ack.then_some(at));
         let pg = self.pg(pg);
@@ -210,7 +220,9 @@ impl OsdInner {
                 rep_id: id,
             };
             let submitted = match build(&inner) {
-                Some(txn) => inner.submit_commit(st, &pgc, txn, waiter, arrival),
+                Some((txn, encoded)) => {
+                    inner.submit_commit(st, &pgc, txn, encoded, waiter, arrival)
+                }
                 None => {
                     inner.complete(waiter, arrival);
                     Ok(())
@@ -501,19 +513,24 @@ mod tests {
     }
 
     /// A 4 KiB write of `obj` as the primary sends it, link `pg_seq` of its
-    /// chain, right after `prev`.
+    /// chain, right after `prev`: its transaction built and encoded as
+    /// `process_mutation` does.
     fn rep_op(obj: &str, pg_seq: u64, prev: Option<u64>) -> RepOp {
+        let pg = PgId {
+            pool: PoolId(0),
+            seq: 0,
+        };
+        let write = ObjectOp::Write {
+            offset: 0,
+            data: Bytes::from(vec![pg_seq as u8; 4096]),
+        };
+        let object = ObjectId::new(PoolId(0), obj).to_string();
+        let txn = crate::osd::mutation_txn(pg, &object, pg_seq, &write).unwrap();
         RepOp {
             rep_id: pg_seq,
-            pg: PgId {
-                pool: PoolId(0),
-                seq: 0,
-            },
-            object: ObjectId::new(PoolId(0), obj),
-            op: ObjectOp::Write {
-                offset: 0,
-                data: Bytes::from(vec![pg_seq as u8; 4096]),
-            },
+            pg,
+            encoded: txn.encode(),
+            txn: Arc::new(txn),
             pg_seq,
             prev,
         }

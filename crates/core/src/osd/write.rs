@@ -1,9 +1,13 @@
 //! The one mutation path. A client write or delete on the primary, its
 //! mirror on a replica and a recovery install all do the same three
-//! things: build a filestore transaction ([`mutation_txn`] /
-//! [`install_txn`]), journal it ([`OsdInner::submit_commit`]) and, once
-//! its record is written, run one continuation — queue the filestore
-//! apply, tell the waiter ([`OsdInner::complete`]).
+//! things: take a built filestore transaction and its encoding, journal
+//! the encoding ([`OsdInner::submit_commit`]) and, once its record is
+//! written, run one continuation — queue the filestore apply of the
+//! transaction, tell the waiter ([`OsdInner::complete`]). Each is built
+//! once: a client mutation's on the primary ([`mutation_txn`]), whose
+//! `Replicate`s carry it and its encoding to the replicas, which build
+//! nothing; a recovery install's on the replica that installs it
+//! ([`install_txn`]).
 //!
 //! One §3.1 switch, `dedicated_completion`, chooses *where* that
 //! continuation runs, never *what* it does (see
@@ -168,7 +172,7 @@ pub(super) struct LocalCommit {
     jseq: u64,
     /// When its journal record is durable.
     durable: Instant,
-    txn: Transaction,
+    txn: Arc<Transaction>,
     waiter: Waiter,
 }
 
@@ -235,16 +239,12 @@ impl WritePath {
     }
 }
 
-/// The filestore transaction for one replicated mutation, identical on the
-/// primary and on every replica: for a write, data + alloc hint + object
-/// metadata attrs (Figure 7); for a delete, the remove; then the PG-log
-/// omap append. `None` for an op that mutates nothing.
-pub(super) fn mutation_txn(
-    pg: PgId,
-    object: &str,
-    pg_seq: u64,
-    op: &ObjectOp,
-) -> Option<Transaction> {
+/// The filestore transaction for one replicated mutation, built once, on
+/// the primary, whose `Replicate`s carry it to every replica: for a write,
+/// data + alloc hint + object metadata attrs (Figure 7); for a delete, the
+/// remove; then the PG-log omap append. `None` for an op that mutates
+/// nothing. It has nothing for [`Transaction::dedup`] to merge.
+pub fn mutation_txn(pg: PgId, object: &str, pg_seq: u64, op: &ObjectOp) -> Option<Transaction> {
     let obj = || object.to_string();
     let mut txn = Transaction::new();
     match op {
@@ -322,8 +322,11 @@ pub(super) fn completion_worker_loop(inner: Arc<OsdInner>, rx: Receiver<LocalCom
 }
 
 impl OsdInner {
-    /// A client mutation under the PG lock: log, replicate, metadata read
-    /// (community), PG-log append, journal submit.
+    /// A client mutation under the PG lock: PG-log sequence, the one txn
+    /// build and encode, replicate, metadata read, journal submit. The
+    /// primary's transaction and its encoding are the write's only ones:
+    /// every `Replicate` carries them, the local journal record holds the
+    /// encoding and the local apply reads the transaction.
     pub(super) fn process_mutation(
         self: &Arc<Self>,
         st: &mut PgState,
@@ -341,11 +344,20 @@ impl OsdInner {
         st.info_version += 1;
         let pg_seq = st.next_pg_seq;
         self.record_degraded_write(st, absent, &obj_name);
-        // Replicate FIRST (splay replication, Figure 2) — before the
-        // metadata read, txn build and journal submit, so each replica's
-        // journal round trip overlaps the primary's own pipeline instead
-        // of queueing behind it. The payload `Bytes` is refcount-shared
-        // with the client decode, never copied.
+        self.log("append pg log");
+        let Some(txn) = mutation_txn(pg, &obj_name, pg_seq, &mutation) else {
+            return self.fail_op(op, AfcError::InvalidArgument("not a mutation".into()));
+        };
+        let encoded = txn.encode();
+        let txn = Arc::new(txn);
+        // Replicate right after the build (splay replication, Figure 2) —
+        // before the metadata read and the journal submit, so each
+        // replica's journal round trip overlaps the primary's own pipeline
+        // instead of queueing behind it. It leaves at the request's
+        // arrival, so the build ahead of it moves no modeled instant. Each
+        // `Replicate` shares the one transaction and encoding (refcount
+        // bumps, no byte copy), and the payload `Bytes` in the transaction
+        // is the client decode's.
         let mut skipped = 0usize;
         for &r in replicas {
             if self.defer_to_recovery(st, r, &obj_name) {
@@ -362,8 +374,8 @@ impl OsdInner {
             let rep = RepOp {
                 rep_id: self.alloc_rep_id(),
                 pg,
-                object: object.clone(),
-                op: mutation.clone(), // a `Bytes` refcount bump, no byte copy
+                txn: Arc::clone(&txn),
+                encoded: encoded.clone(),
                 pg_seq,
                 prev: st.rep_sent.insert(Addr::Osd(r), pg_seq),
             };
@@ -381,24 +393,21 @@ impl OsdInner {
         } else {
             let _ = self.store.getattr(&obj_name, "_");
         }
-        self.log("append pg log");
-        let Some(txn) = mutation_txn(pg, &obj_name, pg_seq, &mutation) else {
-            return self.fail_op(op, AfcError::InvalidArgument("not a mutation".into()));
-        };
         op.mark(Mark::JSubmit);
         self.log("journal submit");
         self.log("waiting for subops");
         let waiter = Waiter::Primary(Arc::clone(op));
-        if let Err(e) = self.submit_commit(st, &op.pg, txn, waiter, op.arrival) {
+        if let Err(e) = self.submit_commit(st, &op.pg, txn, encoded, waiter, op.arrival) {
             self.fail_op(op, e);
         }
         self.write.writes.inc();
     }
 
-    /// Journal `txn` (PG lock held); its commit callback is the
-    /// continuation's entry point. The journal carries the real transaction
-    /// encoding: replay after a crash decodes and re-applies exactly what
-    /// was acknowledged. The sequence it assigns becomes the PG's
+    /// Journal `encoded`, the encoding of the built `txn` (PG lock held);
+    /// its commit callback is the continuation's entry point, which applies
+    /// `txn` itself. The journal carries the real transaction encoding:
+    /// replay after a crash decodes and re-applies exactly what was
+    /// acknowledged. The sequence it assigns becomes the PG's
     /// `last_jseq`: a read ordered at this PG from here on is ordered
     /// behind this mutation's apply. The record is planned no earlier than
     /// `not_before` (now, if that has passed): a taken request's or sub-op's
@@ -407,11 +416,11 @@ impl OsdInner {
         self: &Arc<Self>,
         st: &mut PgState,
         pg: &Arc<Pg>,
-        txn: Transaction,
+        txn: Arc<Transaction>,
+        encoded: Bytes,
         waiter: Waiter,
         not_before: Instant,
     ) -> Result<()> {
-        let payload = txn.encode();
         let (inner, pg) = (Arc::clone(self), Arc::clone(pg));
         let on_commit = Box::new(move |jseq, durable| {
             let c = LocalCommit {
@@ -439,7 +448,7 @@ impl OsdInner {
         };
         st.last_jseq = self
             .journal
-            .submit(payload, not_before, on_commit, make_room)?;
+            .submit(encoded, not_before, on_commit, make_room)?;
         Ok(())
     }
 
@@ -485,7 +494,7 @@ impl OsdInner {
 
     /// Queue the apply; it may be planned, and its callback run, right
     /// here.
-    fn enqueue_filestore(self: &Arc<Self>, jseq: u64, durable: Instant, txn: Transaction) {
+    fn enqueue_filestore(self: &Arc<Self>, jseq: u64, durable: Instant, txn: Arc<Transaction>) {
         let inner = Arc::clone(self);
         let res = self.store.queue_transaction(
             txn,

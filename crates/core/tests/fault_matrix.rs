@@ -765,7 +765,10 @@ fn every_fault_site_fires() {
         "{victim} never went down"
     );
     for i in 0..12 {
-        client.write_object(&format!("owed{i}"), 0, b"v2").unwrap();
+        let object = format!("owed{i}");
+        if let Err(e) = client.write_object(&object, 0, b"v2") {
+            panic!("degraded write of {object} failed: {e}");
+        }
     }
     c.osd(victim).unwrap().resume();
     wait(&|| unfired().is_empty());

@@ -13,6 +13,7 @@
 
 use afc_common::{FaultKind, FaultPlan, FaultSite, FaultSpec, NetSite, ObjectId, OsdId, PgId};
 use afc_core::messages::RepOp;
+use afc_core::osd::mutation_txn;
 use afc_core::{Cluster, ClusterBuilder, DeviceProfile, ObjectOp, OsdMsg, OsdTuning};
 use afc_messenger::Addr;
 use bytes::Bytes;
@@ -214,17 +215,22 @@ fn a_duplicated_replicate_is_journaled_once_and_re_acked_no_earlier_than_it_arri
         )
         .unwrap();
     let replica = Addr::Osd(cluster.osds()[0].id());
+    // Built and encoded as the primary's `process_mutation` does.
+    let pg = PgId {
+        pool: cluster.pool(),
+        seq: 0,
+    };
+    let write = ObjectOp::Write {
+        offset: 0,
+        data: Bytes::from(vec![5u8; 4096]),
+    };
+    let object = ObjectId::new(cluster.pool(), "dup").to_string();
+    let txn = mutation_txn(pg, &object, 1, &write).unwrap();
     let rep = OsdMsg::Replicate(RepOp {
         rep_id: 1,
-        pg: PgId {
-            pool: cluster.pool(),
-            seq: 0,
-        },
-        object: ObjectId::new(cluster.pool(), "dup"),
-        op: ObjectOp::Write {
-            offset: 0,
-            data: Bytes::from(vec![5u8; 4096]),
-        },
+        pg,
+        encoded: txn.encode(),
+        txn: Arc::new(txn),
         pg_seq: 1,
         prev: None,
     });

@@ -316,9 +316,10 @@ fn dropped_recovery_push_is_requeued_with_fresh_data() {
     });
     // Degraded writes accumulate in the survivors' peer_missing ledgers.
     for i in 0..12 {
-        client
-            .write_object(&format!("owed{i}"), 0, b"deferred")
-            .unwrap();
+        let object = format!("owed{i}");
+        if let Err(e) = client.write_object(&object, 0, b"deferred") {
+            panic!("degraded write of {object} failed: {e}");
+        }
     }
     // First recovery push is lost: the push-wait timer must requeue the
     // object and push fresh bytes (never a verbatim resend).

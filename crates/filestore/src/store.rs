@@ -43,7 +43,7 @@ use afc_common::{wait_until, AfcError, Result};
 use afc_device::BlockDev;
 use afc_kvstore::{Db, DbConfig, WriteBatch, WriteOptions};
 use bytes::Bytes;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -110,7 +110,7 @@ impl FileStoreConfig {
 pub type ApplyFn = Box<dyn FnOnce(Result<Instant>) + Send>;
 
 struct Job {
-    txn: Transaction,
+    txn: Arc<Transaction>,
     done: ApplyFn,
     /// The throttle slot, released at the transaction's completion.
     permit: OwnedPermit,
@@ -336,15 +336,17 @@ impl FileStore {
     /// completes; never for the device. Then plans every lane that is free.
     /// `done` runs on whichever thread plans the transaction: often this
     /// one, right here; else the next to touch the store, or the backstop
-    /// when someone holds an [`ApplyDemand`].
-    pub fn queue_transaction(&self, txn: Transaction, done: ApplyFn) -> Result<()> {
+    /// when someone holds an [`ApplyDemand`]. The transaction is read, never
+    /// rebuilt: a caller may share it (the OSD's commit hands over the one
+    /// it journaled).
+    pub fn queue_transaction(&self, txn: impl Into<Arc<Transaction>>, done: ApplyFn) -> Result<()> {
         // Blocks on the filestore queue throttle when the apply backlog is
         // at `filestore_queue_max_ops` (the §3.2 stall this crate models).
         lockdep::assert_blockable("filestore queue_transaction");
         let core = &self.core;
         let permit = core.throttle.acquire_owned(1)?;
         let job = Job {
-            txn,
+            txn: txn.into(),
             done,
             permit,
             queued_at: Instant::now(),
@@ -380,7 +382,7 @@ impl FileStore {
 
     /// Queue, wait until applied and wait out its completion (tests,
     /// recovery replay), holding an [`ApplyDemand`] while it waits.
-    pub fn apply_sync(&self, txn: Transaction) -> Result<()> {
+    pub fn apply_sync(&self, txn: impl Into<Arc<Transaction>>) -> Result<()> {
         let _waiting = self.demand_applies();
         let (tx, rx) = crossbeam::channel::bounded(1);
         self.queue_transaction(
@@ -642,7 +644,7 @@ impl Core {
             self.check_fault(ApplyPoint::Apply)
         };
         let res = match fault {
-            Fault::None => apply_txn(self, job.txn, &mut at),
+            Fault::None => apply_txn(self, &job.txn, &mut at),
             Fault::Fail(e) => Err(e),
             Fault::Delay(d) => {
                 let mut ls = self.lanes.lock();
@@ -735,12 +737,20 @@ fn kv_delete(core: &Core, key: Bytes, at: &mut Instant) -> Result<()> {
 
 /// Apply `txn` from `at`: every device request is planned from the
 /// completion of the one before, and `at` ends at the last completion (or
-/// where the apply failed).
-fn apply_txn(core: &Core, txn: Transaction, at: &mut Instant) -> Result<()> {
+/// where the apply failed). The light-weight path minimizes a copy of
+/// `txn` only when [`Transaction::needs_dedup`] says there is something to
+/// merge.
+fn apply_txn(core: &Core, txn: &Transaction, at: &mut Instant) -> Result<()> {
     let lightweight = core.cfg.profile == TxnProfile::Lightweight;
-    let txn = if lightweight { txn.dedup() } else { txn };
+    let deduped;
+    let txn = if lightweight && txn.needs_dedup() {
+        deduped = txn.clone().dedup();
+        &deduped
+    } else {
+        txn
+    };
     // LWT: FD cache (first open wins) and one KV batch for the whole txn.
-    let mut opened: HashSet<String> = HashSet::new();
+    let mut opened: Vec<&str> = Vec::new();
     let mut batch = WriteBatch::new();
     let small_txn = txn.data_bytes() < SMALL_WRITE_THRESHOLD;
     for (ops_done, op) in txn.ops().iter().enumerate() {
@@ -857,14 +867,15 @@ fn apply_txn(core: &Core, txn: Transaction, at: &mut Instant) -> Result<()> {
     Ok(())
 }
 
-fn ensure_open(
+fn ensure_open<'t>(
     core: &Core,
-    opened: &mut HashSet<String>,
-    object: &str,
+    opened: &mut Vec<&'t str>,
+    object: &'t str,
     lightweight: bool,
 ) -> Result<()> {
     if lightweight {
-        if opened.insert(object.to_string()) {
+        if !opened.contains(&object) {
+            opened.push(object);
             core.fs.open_create(object)?;
         }
         Ok(())

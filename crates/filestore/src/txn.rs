@@ -4,8 +4,9 @@
 //! write with its metadata: `OP_WRITE` (file data), `OP_SETATTRS` (object
 //! metadata as xattrs), `OP_OMAP_SETKEYS` (omap + PG log into the KV DB),
 //! and — in the community path — `OP_SETALLOCHINT`. The light-weight
-//! transaction **deduplicates** redundant ops before queuing
-//! ([`Transaction::dedup`]).
+//! transaction **deduplicates** redundant ops before applying them
+//! ([`Transaction::dedup`]), when there are any
+//! ([`Transaction::needs_dedup`]).
 
 use afc_common::{AfcError, Result};
 use bytes::Bytes;
@@ -284,6 +285,34 @@ impl Transaction {
         Ok(Transaction { ops })
     }
 
+    /// Whether [`Self::dedup`] has anything to merge: a repeated `Touch`,
+    /// `SetAllocHint` or `SetAttrs` on one object, or an `OmapSetKeys`
+    /// right after one on the same object. False means `dedup` would give
+    /// back the same ops, so the apply can skip rebuilding them; a
+    /// transaction from the OSD's builders is always false.
+    pub fn needs_dedup(&self) -> bool {
+        self.ops.iter().enumerate().any(|(i, op)| {
+            let before = &self.ops[..i];
+            let seen = |same: &dyn Fn(&TxOp) -> bool| before.iter().any(same);
+            match op {
+                TxOp::Touch { object } => {
+                    seen(&|o| matches!(o, TxOp::Touch { object: p } if p == object))
+                }
+                TxOp::SetAllocHint { object } => {
+                    seen(&|o| matches!(o, TxOp::SetAllocHint { object: p } if p == object))
+                }
+                TxOp::SetAttrs { object, .. } => {
+                    seen(&|o| matches!(o, TxOp::SetAttrs { object: p, .. } if p == object))
+                }
+                TxOp::OmapSetKeys { object, .. } => matches!(
+                    before.last(),
+                    Some(TxOp::OmapSetKeys { object: p, .. }) if p == object
+                ),
+                _ => false,
+            }
+        })
+    }
+
     /// The light-weight transaction's op minimization (§3.4: "The redundancy
     /// is removed and operations in this transaction is minimized"):
     /// duplicate `Touch`/`SetAllocHint` per object collapse to one, repeated
@@ -418,6 +447,7 @@ impl Cursor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn w(obj: &str, n: usize) -> TxOp {
         TxOp::Write {
@@ -620,6 +650,54 @@ mod tests {
         // Empty txn round-trips.
         let e = Transaction::new().encode();
         assert_eq!(Transaction::decode(&e).unwrap().len(), 0);
+    }
+
+    /// One op of a random transaction over three objects, so objects
+    /// repeat; omap inserts are drawn most often, so adjacent ones on one
+    /// object are common.
+    fn random_op((tag, obj, val): (u8, u8, u8)) -> TxOp {
+        let object = format!("o{obj}");
+        let b = |s: &str| Bytes::from(format!("{s}{val}"));
+        match tag {
+            0 => TxOp::Touch { object },
+            1 => TxOp::SetAllocHint { object },
+            2 => w(&object, usize::from(val) % 8),
+            3 => TxOp::SetAttrs {
+                object,
+                attrs: vec![(format!("a{}", val % 2), b("v"))],
+            },
+            4 => TxOp::Truncate {
+                object,
+                size: u64::from(val),
+            },
+            5 => TxOp::Remove { object },
+            6 => TxOp::OmapRmKeys {
+                object,
+                keys: vec![b("k")],
+            },
+            _ => TxOp::OmapSetKeys {
+                object,
+                keys: vec![(b("k"), b("v"))],
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 2000, .. ProptestConfig::default() })]
+
+        /// `needs_dedup` is false exactly when `dedup` gives back a
+        /// transaction with the same encoding.
+        #[test]
+        fn needs_dedup_iff_dedup_changes_the_encoding(
+            ops in proptest::collection::vec((0u8..10, 0u8..3, 0u8..4), 0..10),
+        ) {
+            let mut t = Transaction::new();
+            for op in ops {
+                t.push(random_op(op));
+            }
+            let changed = t.clone().dedup().encode() != t.encode();
+            prop_assert_eq!(t.needs_dedup(), changed, "{:?}", t.ops());
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `cargo xtask bench-check`: the local perf gate.
 //!
 //! Runs the repo benchmark's own binary (`benchmark/`, the one the
-//! pipeline judges every PR with) in `trace --quick` mode on two
+//! pipeline judges every PR with) in `trace --quick` mode on three
 //! workloads, requires exit code 0 (verified reads and a clean deep
 //! scrub) and compares per-op *counts* against [`EXPECTED`]. Counts are
 //! what a shared 2-vCPU host cannot blur: ten repeat runs hold every
@@ -48,6 +48,20 @@ const EXPECTED: &[(&str, &[(&str, f64)])] = &[
             ("filestore.data_bytes_per_op", 8192.0),
             ("logging.submitted_per_op", 14.0),
             ("logging.dropped_per_op", 0.0),
+        ],
+    ),
+    (
+        // QD16, the same write stream under load: still four messages, one
+        // sub-op and two 4 608 B journal records per write. Filestore txns
+        // and log records per op are left out: how many applies land
+        // inside the quick window moves them by up to 20 % run to run, and
+        // ROADMAP 0(g) will move the entries per flush.
+        "w4k_qd16",
+        &[
+            ("client.failed_ops", 0.0),
+            ("messenger.msgs_per_op", 4.0),
+            ("osd.repops_per_op", 1.0),
+            ("journal.bytes_per_op", 9216.0),
         ],
     ),
     (

@@ -222,8 +222,8 @@ step cargo test --quiet --package afc-core --test crash_recovery --test fault_ma
 step env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
 
 # 7. Count gate: run the repo benchmark's own binary (benchmark/, the one
-#    the pipeline judges the PR with) in quick trace mode on w4k_qd1 and
-#    r4k_qd8, require exit code 0 (every read verified, deep scrub clean)
+#    the pipeline judges the PR with) in quick trace mode on w4k_qd1,
+#    w4k_qd16 and r4k_qd8, require exit code 0 (every read verified, deep scrub clean)
 #    and compare the per-op counts a shared host cannot blur — messages,
 #    replica sub-ops, journal bytes and entries per flush, filestore txns
 #    and data bytes, log records, failed ops — against the `EXPECTED`
